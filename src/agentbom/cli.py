@@ -144,7 +144,6 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="rule pack JSON (default: the builtin ten)")
     audit_cmd.add_argument("--out",
                            help="write the report here; summary to stdout")
-    audit_cmd.add_argument("--format", choices=("json",), default="json")
     audit_cmd.add_argument("--fail-on-findings", action="store_true",
                            help="exit 1 when the audit reports anything")
     audit_cmd.set_defaults(func=_cmd_audit)
@@ -163,7 +162,6 @@ def _build_parser() -> argparse.ArgumentParser:
     export.add_argument("--finding", type=int,
                         help="index into the builtin-rule audit's findings; "
                              "renders just that finding's evidence")
-    export.add_argument("--format", choices=("dot",), default="dot")
     export.add_argument("--out", help="write DOT here instead of stdout")
     export.set_defaults(func=_cmd_export)
 

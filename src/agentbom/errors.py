@@ -47,6 +47,10 @@ class FrozenGraphError(GraphError):
     """An append was attempted on a graph already frozen by assembly."""
 
 
+class GraphDocumentError(GraphError):
+    """A serialized graph is missing a section or has a mistyped field."""
+
+
 # ---------------------------------------------------------------------------
 # ingestion
 # ---------------------------------------------------------------------------

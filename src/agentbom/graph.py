@@ -2,9 +2,12 @@
 
 A graph is built append-only: agents first, then nodes, then edges. Every
 check that validate() performs on a whole graph is also enforced while
-inserting, so a graph built through add_node / add_edge alone always
-validates cleanly. Deserialized documents skip the insertion checks and are
-expected to go through validate() before use.
+inserting, and more strictly (references must resolve when a node goes in,
+and nothing is removed later), so a graph built through add_node / add_edge
+needs no validate() afterwards. validate() is the gate for deserialized
+documents, which skip the insertion checks: from_dict rejects a malformed
+document outright, and validate() reports every broken invariant of a
+well-formed one.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from .errors import (
     DuplicateIdError,
     EndpointKindError,
     FrozenGraphError,
+    GraphDocumentError,
     MissingTraceIdError,
     UnknownAgentError,
     UnknownKindError,
@@ -47,6 +51,19 @@ def _is_uri(text: str) -> bool:
     return "://" in text
 
 
+def _check_fields(doc, what: str, required: tuple, optional: tuple) -> None:
+    """Reject an element document whose fields have the wrong JSON types."""
+    if not isinstance(doc, dict):
+        raise GraphDocumentError(f"every {what} must be an object, got {doc!r}")
+    for key in required + optional:
+        value = doc.get(key)
+        if not isinstance(value, str) and (key in required or value is not None):
+            raise GraphDocumentError(f"{what} field {key!r} must be a string, "
+                                     f"got {value!r}")
+    if not isinstance(doc.get("attributes", {}), dict):
+        raise GraphDocumentError(f"{what} field 'attributes' must be an object")
+
+
 # ===========================================================================
 # elements
 # ===========================================================================
@@ -69,6 +86,7 @@ class AgentDescriptor:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "AgentDescriptor":
+        _check_fields(doc, "agent", ("agent_id",), ("role", "policy_boundary"))
         return cls(
             agent_id=str(doc["agent_id"]),
             role=str(doc.get("role", "")),
@@ -107,6 +125,8 @@ class Node:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Node":
+        _check_fields(doc, "node", ("node_id", "kind"),
+                      ("agent_id", "trace_id", "timestamp"))
         return cls(
             node_id=str(doc["node_id"]),
             kind=schema.parse_node_kind(doc["kind"]),
@@ -149,6 +169,8 @@ class Edge:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Edge":
+        _check_fields(doc, "edge", ("edge_id", "kind", "source", "target"),
+                      ("timestamp",))
         return cls(
             edge_id=str(doc["edge_id"]),
             kind=schema.parse_edge_kind(doc["kind"]),
@@ -303,7 +325,6 @@ class AgentBomGraph:
             violations.extend(self._node_violations(self.nodes[node_id]))
         for edge_id in sorted(self.edges):
             violations.extend(self._edge_violations(self.edges[edge_id]))
-        violations.extend(self._index_violations())
         return violations
 
     def _node_violations(self, node: Node, check_duplicate: bool = False):
@@ -483,7 +504,10 @@ class AgentBomGraph:
     def _reference_violations(self, element_id, attributes, skip_self):
         out = []
         for key in schema.REFERENCE_LIST_KEYS:
-            for ref in attributes.get(key, ()):  # type: str
+            refs = attributes.get(key)
+            if not isinstance(refs, list):
+                continue  # absent, or already reported as a type problem
+            for ref in refs:
                 if not isinstance(ref, str):
                     continue  # already reported as a type problem
                 if ref != skip_self and ref not in self.nodes:
@@ -502,33 +526,6 @@ class AgentBomGraph:
                         "unresolved_reference",
                         element_id,
                         f"{element_id!r} source {source!r} does not resolve",
-                    )
-                )
-        return out
-
-    def _index_violations(self):
-        out = []
-        rebuilt_out: dict[str, list[str]] = {n: [] for n in self.nodes}
-        rebuilt_in: dict[str, list[str]] = {n: [] for n in self.nodes}
-        for edge_id in self.edges:
-            edge = self.edges[edge_id]
-            rebuilt_out.setdefault(edge.source, []).append(edge_id)
-            rebuilt_in.setdefault(edge.target, []).append(edge_id)
-        for node_id in self.nodes:
-            if sorted(self._out.get(node_id, [])) != sorted(rebuilt_out[node_id]):
-                out.append(
-                    Violation(
-                        "index_inconsistency",
-                        node_id,
-                        f"outgoing index for {node_id!r} disagrees with edge store",
-                    )
-                )
-            if sorted(self._in.get(node_id, [])) != sorted(rebuilt_in[node_id]):
-                out.append(
-                    Violation(
-                        "index_inconsistency",
-                        node_id,
-                        f"incoming index for {node_id!r} disagrees with edge store",
                     )
                 )
         return out
@@ -555,18 +552,25 @@ class AgentBomGraph:
     def from_dict(cls, doc: dict) -> "AgentBomGraph":
         """Load a serialized graph without insertion checks.
 
-        Kind names must still parse; everything else is left to validate().
+        The document must be well-formed: three lists of objects whose fields
+        have the right JSON types, and kind names that parse. Everything
+        else is left to validate().
         """
+        if not isinstance(doc, dict) or not all(
+            isinstance(doc.get(section), list) for section in ("agents", "nodes", "edges")
+        ):
+            raise GraphDocumentError("a graph document is an object with agents, "
+                                     "nodes and edges lists")
         graph = cls()
-        for agent_doc in doc.get("agents", []):
+        for agent_doc in doc["agents"]:
             descriptor = AgentDescriptor.from_dict(agent_doc)
             graph.agents[descriptor.agent_id] = descriptor
-        for node_doc in doc.get("nodes", []):
+        for node_doc in doc["nodes"]:
             node = Node.from_dict(node_doc)
             if node.node_id in graph.nodes:
                 raise DuplicateIdError(f"node id {node.node_id!r} appears twice")
             graph._index_node(node)
-        for edge_doc in doc.get("edges", []):
+        for edge_doc in doc["edges"]:
             edge = Edge.from_dict(edge_doc)
             if graph.has_element(edge.edge_id):
                 raise DuplicateIdError(f"edge id {edge.edge_id!r} appears twice")

@@ -1,11 +1,12 @@
 """Builds a graph out of a capability manifest and an ordered event stream.
 
-Assembly runs in four stages: static extraction (agents, capability nodes,
+Assembly runs in three stages: static extraction (agents, capability nodes,
 structural wiring), event normalization (one runtime node per event plus
-evolution edges from event references), cross-layer binding (invocations,
-memory traffic, message pairing, delegation), and a final whole-graph
-validation. Content is scanned once, here, by the danger matcher; every
-later stage reads only the recorded flags.
+evolution edges from event references), and cross-layer binding
+(invocations, memory traffic, message pairing, delegation). Every element
+is checked as it is inserted, so the assembled graph needs no second,
+whole-graph validation. Content is scanned once, here, by the danger
+matcher; every later stage reads only the recorded flags.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from dataclasses import dataclass, field
 
 from . import schema
 from .errors import (
-    AssemblyValidationError,
     ManifestParseError,
     OutOfOrderTimestampError,
     TraceParseError,
@@ -138,52 +138,32 @@ def _parse_agent(raw: dict) -> ManifestAgent:
     if not isinstance(raw, dict) or not raw.get("agent_id"):
         raise ManifestParseError("every manifest agent needs an agent_id")
     agent_id = str(raw["agent_id"])
-
-    tools, tool_names = [], set()
-    for entry in raw.get("tools", []):
-        if not entry.get("tool_name"):
-            raise ManifestParseError(f"agent {agent_id!r}: tool without tool_name")
-        name = str(entry["tool_name"])
-        if name in tool_names:
-            raise ManifestParseError(f"agent {agent_id!r}: tool {name!r} declared twice")
-        tool_names.add(name)
-        tools.append(
-            ToolSpec(
-                tool_name=name,
-                input_schema=str(entry.get("input_schema", "")),
-                permission_scope=list(entry.get("permission_scope", [])),
-                provenance=dict(entry.get("provenance", {})),
-            )
+    tools = [
+        ToolSpec(
+            tool_name=str(entry["tool_name"]),
+            input_schema=str(entry.get("input_schema", "")),
+            permission_scope=list(entry.get("permission_scope", [])),
+            provenance=dict(entry.get("provenance", {})),
         )
-
-    skills, skill_names = [], set()
-    for entry in raw.get("skills", []):
-        if not entry.get("skill_name"):
-            raise ManifestParseError(f"agent {agent_id!r}: skill without skill_name")
-        name = str(entry["skill_name"])
-        if name in skill_names:
-            raise ManifestParseError(f"agent {agent_id!r}: skill {name!r} declared twice")
-        skill_names.add(name)
-        skills.append(
-            SkillSpec(
-                skill_name=name,
-                declared_function=str(entry.get("declared_function", "")),
-                implementation_summary=str(entry.get("implementation_summary", "")),
-                provenance=dict(entry.get("provenance", {})),
-            )
+        for entry in _entries(raw, agent_id, "tools", "tool_name", unique=True)
+    ]
+    skills = [
+        SkillSpec(
+            skill_name=str(entry["skill_name"]),
+            declared_function=str(entry.get("declared_function", "")),
+            implementation_summary=str(entry.get("implementation_summary", "")),
+            provenance=dict(entry.get("provenance", {})),
         )
-
+        for entry in _entries(raw, agent_id, "skills", "skill_name", unique=True)
+    ]
     memories = [
         MemorySpec(store_id=str(m["store_id"]), type=str(m.get("type", "")))
-        for m in raw.get("memory_stores", [])
-        if m.get("store_id") or _fail(f"agent {agent_id!r}: memory store without store_id")
+        for m in _entries(raw, agent_id, "memory_stores", "store_id")
     ]
     code = [
         CodeSpec(name=str(c["name"]), version=str(c.get("version", "")))
-        for c in raw.get("code_dependencies", [])
-        if c.get("name") or _fail(f"agent {agent_id!r}: code dependency without name")
+        for c in _entries(raw, agent_id, "code_dependencies", "name")
     ]
-
     return ManifestAgent(
         agent_id=agent_id,
         role=str(raw.get("role", "")),
@@ -197,8 +177,25 @@ def _parse_agent(raw: dict) -> ManifestAgent:
     )
 
 
-def _fail(message: str):
-    raise ManifestParseError(message)
+def _entries(raw: dict, agent_id: str, section: str, name_key: str,
+             unique: bool = False) -> list:
+    """The objects listed under ``section``, each named by ``name_key``."""
+    entries = raw.get(section, [])
+    if not isinstance(entries, list):
+        raise ManifestParseError(f"agent {agent_id!r}: {section} must be a list")
+    names = set()
+    for entry in entries:
+        if not isinstance(entry, dict) or not entry.get(name_key):
+            raise ManifestParseError(
+                f"agent {agent_id!r}: {section} entry without {name_key}"
+            )
+        name = str(entry[name_key])
+        if unique and name in names:
+            raise ManifestParseError(
+                f"agent {agent_id!r}: {name_key} {name!r} declared twice"
+            )
+        names.add(name)
+    return entries
 
 
 def parse_manifest_json(text: str) -> CapabilityManifest:
@@ -265,6 +262,10 @@ _EDGE_DIRECTIVE_KEYS = frozenset(
 _MESSAGE_EVENTS = frozenset({"message_sent", "message_received", "delegation"})
 
 
+def _is_string_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
 @dataclass
 class TraceEvent:
     event_id: str
@@ -293,11 +294,19 @@ class TraceEvent:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TraceEvent":
+        if not isinstance(doc, dict):
+            raise TraceParseError(f"trace event must be an object: {doc!r}")
         for key in ("event_id", "trace_id", "agent_id", "timestamp", "event_type"):
             if not doc.get(key):
                 raise TraceParseError(f"trace event is missing {key!r}: {doc!r}")
         if doc["event_type"] not in EVENT_TYPES:
             raise TraceParseError(f"unknown event type {doc['event_type']!r}")
+        refs, attrs = doc.get("refs", []), doc.get("attrs", {})
+        if not _is_string_list(refs):
+            raise TraceParseError(f"event {doc['event_id']!r}: refs must be a list "
+                                  f"of event ids")
+        if not isinstance(attrs, dict):
+            raise TraceParseError(f"event {doc['event_id']!r}: attrs must be an object")
         return cls(
             event_id=str(doc["event_id"]),
             trace_id=str(doc["trace_id"]),
@@ -305,8 +314,8 @@ class TraceEvent:
             timestamp=str(doc["timestamp"]),
             event_type=doc["event_type"],
             content=str(doc.get("content", "")),
-            refs=list(doc.get("refs", [])),
-            attrs=dict(doc.get("attrs", {})),
+            refs=list(refs),
+            attrs=dict(attrs),
         )
 
 
@@ -493,24 +502,31 @@ def _add_static(graph, matcher, node_id, kind, agent_id, attrs):
 
 
 def _merge_flags(attrs: dict, matcher: DangerMatcher) -> None:
-    flags = matcher.scan(attrs)
     declared = attrs.get("danger_flags", [])
-    merged = sorted(set(flags) | set(declared))
+    if not _is_string_list(declared):
+        return  # left in place for the attribute-schema check to reject
+    merged = sorted(set(matcher.scan(attrs)) | set(declared))
     if merged:
         attrs["danger_flags"] = merged
     elif "danger_flags" in attrs:
         del attrs["danger_flags"]
 
 
-def _add_built_edge(graph, kind, source, target, attrs=None, timestamp=None):
+def _add_built_edge(graph, kind, source, target):
+    # inserted at once, so the graph itself holds every id claimed before
+    edge_id = _edge_id(graph, set(), kind, source, target)
+    graph.add_edge(Edge(edge_id=edge_id, kind=kind, source=source, target=target))
+
+
+def _edge_id(graph, pending: set, kind, source, target) -> str:
+    """Claim the first id ``e.<kind>.<source>.<target>[.N]``, N = 2, 3, ...,
+    that is neither an element of ``graph`` nor already in ``pending``."""
     base = f"e.{kind.value}.{source}.{target}"
-    edge_id = base
-    suffix = 2
-    while graph.has_element(edge_id):
+    edge_id, suffix = base, 2
+    while graph.has_element(edge_id) or edge_id in pending:
         edge_id = f"{base}.{suffix}"
         suffix += 1
-    graph.add_edge(Edge(edge_id=edge_id, kind=kind, source=source, target=target,
-                        timestamp=timestamp, attributes=dict(attrs or {})))
+    pending.add(edge_id)
     return edge_id
 
 
@@ -519,24 +535,27 @@ def _add_built_edge(graph, kind, source, target, attrs=None, timestamp=None):
 # ===========================================================================
 
 
-def normalize_events(events, matcher: DangerMatcher) -> tuple:
+def normalize_events(graph: AgentBomGraph, events, matcher: DangerMatcher) -> tuple:
     """Turn each event into a runtime node plus evolution edges from refs.
 
-    Returns (nodes, edges). A ref becomes flows_to when the two stages are
+    Returns (nodes, edges); neither is inserted into ``graph``, which only
+    keeps edge ids unique. A ref becomes flows_to when the two stages are
     consecutive in the cognitive loop, influences otherwise. Refs on
     message_received events are handled by message pairing instead, so no
     evolution edge duplicates that link.
     """
     check_event_stream(events)
     by_id = {e.event_id: e for e in events}
-    nodes, edges, used = [], [], set()
+    nodes, edges, claimed = [], [], set()
 
     for event in events:
         kind = _EVENT_KIND[event.event_type]
         attrs = _node_attrs(event, kind)
-        basis = _ordered_unique(list(event.refs) + list(attrs.get("basis", [])))
-        if basis and "basis" in schema.allowed_node_keys(kind):
-            attrs["basis"] = basis
+        declared = attrs.get("basis", [])
+        if _is_string_list(declared) and "basis" in schema.allowed_node_keys(kind):
+            basis = list(dict.fromkeys(list(event.refs) + declared))
+            if basis:
+                attrs["basis"] = basis
         _merge_flags(attrs, matcher)
         nodes.append(
             Node(node_id=event.event_id, kind=kind, agent_id=event.agent_id,
@@ -545,7 +564,7 @@ def normalize_events(events, matcher: DangerMatcher) -> tuple:
         )
         if event.event_type == "message_received":
             continue
-        for ref in _ordered_unique(event.refs):
+        for ref in dict.fromkeys(event.refs):
             src_kind = _EVENT_KIND[by_id[ref].event_type]
             stage_src = schema.COGNITIVE_STAGES[src_kind]
             stage_dst = schema.COGNITIVE_STAGES[kind]
@@ -554,7 +573,7 @@ def normalize_events(events, matcher: DangerMatcher) -> tuple:
             )
             edges.append(
                 Edge(
-                    edge_id=_claim_id(used, edge_kind, ref, event.event_id),
+                    edge_id=_edge_id(graph, claimed, edge_kind, ref, event.event_id),
                     kind=edge_kind,
                     source=ref,
                     target=event.event_id,
@@ -580,26 +599,6 @@ def _node_attrs(event: TraceEvent, kind: NodeKind) -> dict:
     return attrs
 
 
-def _ordered_unique(items) -> list:
-    seen, out = set(), []
-    for item in items:
-        if item not in seen:
-            seen.add(item)
-            out.append(item)
-    return out
-
-
-def _claim_id(used: set, kind: EdgeKind, source: str, target: str) -> str:
-    base = f"e.{kind.value}.{source}.{target}"
-    edge_id = base
-    suffix = 2
-    while edge_id in used:
-        edge_id = f"{base}.{suffix}"
-        suffix += 1
-    used.add(edge_id)
-    return edge_id
-
-
 # ===========================================================================
 # stage 3: cross-layer binding
 # ===========================================================================
@@ -612,7 +611,7 @@ def bind_cross_layer(graph: AgentBomGraph, events, matcher: DangerMatcher) -> tu
     receives; they are attribute-minimal on purpose, so that dropping a real
     endpoint out of a fixture cannot leave flagged content behind.
     """
-    new_nodes, new_edges = [], []
+    new_nodes, new_edges, claimed = [], [], set()
     per_trace: dict[str, list] = {}
     for event in events:
         per_trace.setdefault(event.trace_id, []).append(event)
@@ -620,13 +619,13 @@ def bind_cross_layer(graph: AgentBomGraph, events, matcher: DangerMatcher) -> tu
     for event in events:
         handler = _BINDERS.get(event.event_type)
         if handler:
-            handler(graph, event, per_trace[event.trace_id], new_edges)
+            handler(graph, claimed, event, per_trace[event.trace_id], new_edges)
 
-    _pair_messages(graph, events, matcher, new_nodes, new_edges)
+    _pair_messages(graph, claimed, events, matcher, new_nodes, new_edges)
     return new_nodes, new_edges
 
 
-def _bind_tool(graph, event, trace_events, out):
+def _bind_tool(graph, claimed, event, trace_events, out):
     name = event.attrs.get("tool_name")
     if not name:
         raise TraceParseError(f"tool_invocation {event.event_id!r} lacks tool_name")
@@ -635,16 +634,17 @@ def _bind_tool(graph, event, trace_events, out):
         raise UnresolvedRefError(
             f"event {event.event_id!r} invokes undeclared tool {name!r}"
         )
-    out.append(_bind_edge(graph, out, EdgeKind.INVOKES, event.event_id, tool_id, event))
+    out.append(_bind_edge(graph, claimed, EdgeKind.INVOKES, event.event_id, tool_id,
+                          event))
     decision = _latest_before(trace_events, event, {"decision_made"})
     if decision is not None:
         out.append(
-            _bind_edge(graph, out, EdgeKind.SELECTS, decision.event_id, tool_id, event,
-                       timestamp=decision.timestamp, trace_id=decision.trace_id)
+            _bind_edge(graph, claimed, EdgeKind.SELECTS, decision.event_id, tool_id,
+                       event, timestamp=decision.timestamp, trace_id=decision.trace_id)
         )
 
 
-def _bind_skill(graph, event, trace_events, out):
+def _bind_skill(graph, claimed, event, trace_events, out):
     name = event.attrs.get("tool_name")
     if not name:
         raise TraceParseError(f"skill_invocation {event.event_id!r} lacks tool_name")
@@ -656,36 +656,36 @@ def _bind_skill(graph, event, trace_events, out):
     decision = _latest_before(trace_events, event, {"decision_made"})
     if decision is not None:
         out.append(
-            _bind_edge(graph, out, EdgeKind.SELECTS, decision.event_id, skill_id, event,
-                       timestamp=decision.timestamp, trace_id=decision.trace_id)
+            _bind_edge(graph, claimed, EdgeKind.SELECTS, decision.event_id, skill_id,
+                       event, timestamp=decision.timestamp, trace_id=decision.trace_id)
         )
 
 
-def _bind_memory_read(graph, event, trace_events, out):
+def _bind_memory_read(graph, claimed, event, trace_events, out):
     mem_id = _memory_target(graph, event)
     consumer = _earliest_after(
         trace_events, event, {"context_assembled", "reasoning_step"}
     )
     if consumer is not None:
         out.append(
-            _bind_edge(graph, out, EdgeKind.READS_FROM, consumer.event_id, mem_id,
+            _bind_edge(graph, claimed, EdgeKind.READS_FROM, consumer.event_id, mem_id,
                        event, timestamp=consumer.timestamp,
                        trace_id=consumer.trace_id)
         )
 
 
-def _bind_memory_write(graph, event, trace_events, out):
+def _bind_memory_write(graph, claimed, event, trace_events, out):
     mem_id = _memory_target(graph, event)
     attrs = {}
     if event.content:
         attrs["content"] = event.content
     out.append(
-        _bind_edge(graph, out, EdgeKind.WRITES_TO, event.event_id, mem_id, event,
+        _bind_edge(graph, claimed, EdgeKind.WRITES_TO, event.event_id, mem_id, event,
                    extra=attrs)
     )
 
 
-def _bind_delegation(graph, event, trace_events, out):
+def _bind_delegation(graph, claimed, event, trace_events, out):
     target = event.attrs.get("target_agent")
     if not target:
         raise TraceParseError(f"delegation {event.event_id!r} lacks target_agent")
@@ -699,18 +699,15 @@ def _bind_delegation(graph, event, trace_events, out):
         raise UnresolvedRefError(
             f"delegation {event.event_id!r} from unknown agent {event.agent_id!r}"
         )
-    attrs = {"type": "delegation", "trace_id": event.trace_id,
-             "source_agent": event.agent_id, "target_agent": target}
+    attrs = {"type": "delegation", "source_agent": event.agent_id,
+             "target_agent": target}
     dependency = event.attrs.get("task_dependency")
     if dependency:
         attrs["task_dependency"] = dependency
     if event.content:
         attrs["content"] = event.content
-    edge_id = _free_edge_id(graph, out, EdgeKind.DELEGATES_TO, source_id, target_id)
-    out.append(
-        Edge(edge_id=edge_id, kind=EdgeKind.DELEGATES_TO, source=source_id,
-             target=target_id, timestamp=event.timestamp, attributes=attrs)
-    )
+    out.append(_bind_edge(graph, claimed, EdgeKind.DELEGATES_TO, source_id, target_id,
+                          event, extra=attrs))
 
 
 _BINDERS = {
@@ -734,25 +731,14 @@ def _memory_target(graph, event) -> str:
     return mem_id
 
 
-def _bind_edge(graph, pending, kind, source, target, event,
+def _bind_edge(graph, claimed, kind, source, target, event,
                timestamp=None, trace_id=None, extra=None):
     attrs = {"trace_id": trace_id or event.trace_id}
     if extra:
         attrs.update(extra)
-    edge_id = _free_edge_id(graph, pending, kind, source, target)
+    edge_id = _edge_id(graph, claimed, kind, source, target)
     return Edge(edge_id=edge_id, kind=kind, source=source, target=target,
                 timestamp=timestamp or event.timestamp, attributes=attrs)
-
-
-def _free_edge_id(graph, pending, kind, source, target) -> str:
-    taken = {e.edge_id for e in pending}
-    base = f"e.{kind.value}.{source}.{target}"
-    edge_id = base
-    suffix = 2
-    while graph.has_element(edge_id) or edge_id in taken:
-        edge_id = f"{base}.{suffix}"
-        suffix += 1
-    return edge_id
 
 
 def _latest_before(trace_events, event, types):
@@ -799,7 +785,7 @@ def _agents_line_up(sender, receiver) -> bool:
     return True
 
 
-def _pair_messages(graph, events, matcher, new_nodes, new_edges):
+def _pair_messages(graph, claimed, events, matcher, new_nodes, new_edges):
     sent = [e for e in events if e.event_type == "message_sent"]
     received = [e for e in events if e.event_type == "message_received"]
     taken: set[str] = set()
@@ -851,16 +837,8 @@ def _pair_messages(graph, events, matcher, new_nodes, new_edges):
         attrs.setdefault("target_agent", receiver.agent_id)
         attrs.setdefault("propagation_status", "delivered")
         attrs["trace_id"] = sender.trace_id
-        if receiver.content:
-            attrs["content"] = receiver.content
-        _merge_flags(attrs, matcher)
-        edge_id = _free_edge_id(graph, new_edges, EdgeKind.SENDS_TO,
-                                sender.event_id, receiver.event_id)
-        new_edges.append(
-            Edge(edge_id=edge_id, kind=EdgeKind.SENDS_TO, source=sender.event_id,
-                 target=receiver.event_id, timestamp=receiver.timestamp,
-                 attributes=attrs)
-        )
+        new_edges.append(_message_edge(graph, claimed, matcher, sender.event_id,
+                                       receiver.event_id, receiver, attrs))
 
     for event in sent:
         if event.event_id in taken:
@@ -872,15 +850,8 @@ def _pair_messages(graph, events, matcher, new_nodes, new_edges):
         attrs.setdefault("source_agent", event.agent_id)
         attrs["propagation_status"] = "dropped"
         attrs["trace_id"] = event.trace_id
-        if event.content:
-            attrs["content"] = event.content
-        _merge_flags(attrs, matcher)
-        edge_id = _free_edge_id(graph, new_edges, EdgeKind.SENDS_TO,
-                                event.event_id, sink_id)
-        new_edges.append(
-            Edge(edge_id=edge_id, kind=EdgeKind.SENDS_TO, source=event.event_id,
-                 target=sink_id, timestamp=event.timestamp, attributes=attrs)
-        )
+        new_edges.append(_message_edge(graph, claimed, matcher, event.event_id,
+                                       sink_id, event, attrs))
 
     for event in received:
         if event.event_id in taken:
@@ -892,16 +863,18 @@ def _pair_messages(graph, events, matcher, new_nodes, new_edges):
         attrs.setdefault("target_agent", event.agent_id)
         attrs.setdefault("propagation_status", "delivered")
         attrs["trace_id"] = event.trace_id
-        if event.content:
-            attrs["content"] = event.content
-        _merge_flags(attrs, matcher)
-        edge_id = _free_edge_id(graph, new_edges, EdgeKind.SENDS_TO,
-                                origin_id, event.event_id)
-        new_edges.append(
-            Edge(edge_id=edge_id, kind=EdgeKind.SENDS_TO, source=origin_id,
-                 target=event.event_id, timestamp=event.timestamp,
-                 attributes=attrs)
-        )
+        new_edges.append(_message_edge(graph, claimed, matcher, origin_id,
+                                       event.event_id, event, attrs))
+
+
+def _message_edge(graph, claimed, matcher, source, target, stamped, attrs) -> Edge:
+    """A sends_to edge that carries the content and timestamp of ``stamped``."""
+    if stamped.content:
+        attrs["content"] = stamped.content
+    _merge_flags(attrs, matcher)
+    edge_id = _edge_id(graph, claimed, EdgeKind.SENDS_TO, source, target)
+    return Edge(edge_id=edge_id, kind=EdgeKind.SENDS_TO, source=source, target=target,
+                timestamp=stamped.timestamp, attributes=attrs)
 
 
 def _propagation_attrs(event: TraceEvent) -> dict:
@@ -925,17 +898,17 @@ def _synth_endpoint(graph, node_id, kind, event, counterpart_agent) -> Node:
 
 
 # ===========================================================================
-# stage 4: assembly
+# assembly
 # ===========================================================================
 
 
 def assemble(manifest: CapabilityManifest, events,
              matcher: DangerMatcher | None = None) -> AgentBomGraph:
-    """Build, validate, and freeze the full graph."""
+    """Build the full graph, checking each element as it goes in, and freeze it."""
     matcher = matcher or default_matcher()
     graph = AgentBomGraph()
     extract_static(manifest, graph, matcher)
-    nodes, evolution = normalize_events(events, matcher)
+    nodes, evolution = normalize_events(graph, events, matcher)
     for node in nodes:
         graph.add_node(node)
     for edge in evolution:
@@ -945,8 +918,5 @@ def assemble(manifest: CapabilityManifest, events,
         graph.add_node(node)
     for edge in bound:
         graph.add_edge(edge)
-    violations = graph.validate()
-    if violations:
-        raise AssemblyValidationError(violations)
     graph.freeze()
     return graph

@@ -312,26 +312,17 @@ def _scope_elements(graph, scope, entry, back_paths, fwd_paths) -> list:
     if scope == "entry":
         return [entry]
     if scope == "back_origin":
-        ids = _ordered_unique(p.origin for p in back_paths)
+        ids = dict.fromkeys(p.origin for p in back_paths)
     elif scope == "back_path":
-        ids = _ordered_unique(e for p in back_paths for e in p.elements)
+        ids = dict.fromkeys(e for p in back_paths for e in p.elements)
     elif scope == "fwd_terminus":
-        ids = _ordered_unique(p.terminus for p in fwd_paths)
+        ids = dict.fromkeys(p.terminus for p in fwd_paths)
     else:  # fwd_path
-        ids = _ordered_unique(e for p in fwd_paths for e in p.elements)
+        ids = dict.fromkeys(e for p in fwd_paths for e in p.elements)
     # a traced path starts at the entry itself; the path scopes ask about
     # everything beyond it, so the entry never testifies for its own paths
     entry_id = _element_id(entry)
     return [graph.element(i) for i in ids if i != entry_id]
-
-
-def _ordered_unique(items) -> list:
-    seen, out = set(), []
-    for item in items:
-        if item not in seen:
-            seen.add(item)
-            out.append(item)
-    return out
 
 
 def _element_id(element) -> str:
@@ -419,27 +410,30 @@ def _minimal_paths(paths) -> list:
     ]
 
 
-def evaluate_rule(graph: AgentBomGraph, rule: AuditRule) -> list:
+def evaluate_rule(graph: AgentBomGraph, rule: AuditRule, stats=None) -> list:
     """Run one rule over the whole graph; returns its findings.
 
     A finding reports the maximal satisfying backward paths (deepest reach
     toward the origin) and the minimal satisfying forward ones (nearest
     realized impact); the clauses are then adjudicated over exactly those
-    reported paths, so the evidence and the reported chains agree.
+    reported paths, so the evidence and the reported chains agree. Each
+    entry yields at most one finding, and findings come in entry order.
+
+    When a ``stats`` dict is given, it receives the rule's ``entries``,
+    ``paths_explored`` (paths traced in both directions, before filtering)
+    and ``findings`` counts.
     """
-    findings = {}
-    for entry_id in locate_entries(graph, rule):
+    entries = locate_entries(graph, rule)
+    findings, explored = [], 0
+    for entry_id in entries:
         entry = graph.element(entry_id)
-        back = _keep_paths(
-            graph, trace(graph, entry_id, rule.back), rule.conditions, entry,
-            "back_origin", "back_path",
-        )
-        fwd = _keep_paths(
-            graph, trace(graph, entry_id, rule.fwd), rule.conditions, entry,
-            "fwd_terminus", "fwd_path",
-        )
-        back = _maximal_paths(back)
-        fwd = _minimal_paths(fwd)
+        back = trace(graph, entry_id, rule.back)
+        fwd = trace(graph, entry_id, rule.fwd)
+        explored += len(back) + len(fwd)
+        back = _maximal_paths(_keep_paths(
+            graph, back, rule.conditions, entry, "back_origin", "back_path"))
+        fwd = _minimal_paths(_keep_paths(
+            graph, fwd, rule.conditions, entry, "fwd_terminus", "fwd_path"))
 
         evidence = []
         satisfied = True
@@ -451,13 +445,7 @@ def evaluate_rule(graph: AgentBomGraph, rule: AuditRule) -> list:
             evidence.extend(items)
         if not satisfied:
             continue
-
-        back_origin = back[0].origin if back else ""
-        fwd_terminus = fwd[0].terminus if fwd else ""
-        key = (rule.risk_id, entry_id, back_origin, fwd_terminus)
-        if key in findings:
-            continue
-        findings[key] = Finding(
+        findings.append(Finding(
             risk_id=rule.risk_id,
             risk_name=rule.name,
             entry=entry_id,
@@ -467,9 +455,11 @@ def evaluate_rule(graph: AgentBomGraph, rule: AuditRule) -> list:
             trace_id=_finding_trace_id(graph, entry, back, fwd),
             agents_involved=_agents_involved(graph, entry_id, back, fwd),
             phase_label=_phase_label(entry),
-        )
-    ordered = sorted(findings.values(), key=lambda f: (f.risk_id, f.entry))
-    return ordered
+        ))
+    if stats is not None:
+        stats.update(entries=len(entries), paths_explored=explored,
+                     findings=len(findings))
+    return findings
 
 
 def _finding_trace_id(graph, entry, back_paths, fwd_paths) -> str:
@@ -498,24 +488,18 @@ def _agents_involved(graph, entry_id, back_paths, fwd_paths) -> list:
 
 
 def audit(graph: AgentBomGraph, rules=None) -> AuditReport:
-    """Evaluate every rule independently and merge findings."""
+    """Evaluate every rule independently and merge findings.
+
+    The per-rule stats are counted by evaluate_rule during its one pass
+    over the rule's entries; nothing is traced twice.
+    """
     if rules is None:
         rules = builtin_rules()
     all_findings = []
     stats = {}
     for rule in rules:
-        entries = locate_entries(graph, rule)
-        findings = evaluate_rule(graph, rule)
-        explored = 0
-        for entry_id in entries:
-            explored += len(trace(graph, entry_id, rule.back))
-            explored += len(trace(graph, entry_id, rule.fwd))
-        stats[rule.risk_id] = {
-            "entries": len(entries),
-            "paths_explored": explored,
-            "findings": len(findings),
-        }
-        all_findings.extend(findings)
+        stats[rule.risk_id] = {}
+        all_findings.extend(evaluate_rule(graph, rule, stats[rule.risk_id]))
     all_findings.sort(key=lambda f: (f.risk_id, f.entry))
     return AuditReport(graph_digest=graph.digest(), findings=all_findings, stats=stats)
 
@@ -536,122 +520,106 @@ _BAD_PROPAGATION_EDGE = And([
     KindIs(_PROPAGATION_KIND_NAMES),
     Or([_INTEGRITY_INVALID, _AUTH_BAD]),
 ])
+_STATE_CHANGE = And([
+    KindIs(("ObservationNode",)),
+    AttrCmp("environment_state_change", "!=", ""),
+])
+_BYPASSED_ACTION = And([
+    KindIs(("ActionNode",)),
+    AttrCmp("confirmation_status", "==", "bypassed"),
+])
+
+
+def _builtin(risk_id, entry, back, fwd, *path_clauses) -> AuditRule:
+    """A builtin rule. Its entry, back_origin and fwd_terminus clauses are
+    exists-clauses over the selector predicate and the path terminals, so
+    only the path-scope clauses are written out; clauses go in scope order."""
+    anchors = (("entry", entry.predicate), ("back_origin", back.terminal),
+               ("fwd_terminus", fwd.terminal))
+    clauses = [Clause(scope, "exists", pred) for scope, pred in anchors
+               if pred is not None]
+    clauses += path_clauses
+    clauses.sort(key=lambda c: CLAUSE_SCOPES.index(c.scope))
+    return AuditRule(risk_id, RISK_NAMES[risk_id], entry, back, fwd, clauses)
 
 
 def _rule_goal_hijack() -> AuditRule:
-    entry_pred = HasFlag()
-    return AuditRule(
-        risk_id="ASI01",
-        name=RISK_NAMES["ASI01"],
-        entry=EntrySelector("node", ("GoalNode",), entry_pred),
-        back=PathSpec(
+    return _builtin(
+        "ASI01",
+        EntrySelector("node", ("GoalNode",), HasFlag()),
+        PathSpec(
             direction=BACKWARD,
             allowed_edge_kinds=("evolution", "reads_from"),
             terminal=Or([_UNTRUSTED, _AUTH_BAD, HasFlag()]),
         ),
-        fwd=PathSpec(
+        PathSpec(
             direction=FORWARD,
             allowed_edge_kinds=("evolution",),
             terminal=And([
                 KindIs(("DecisionNode", "ActionNode")), _SHARES_ENTRY_FLAG,
             ]),
         ),
-        conditions=[
-            Clause("entry", "exists", entry_pred),
-            Clause("back_origin", "exists", Or([_UNTRUSTED, _AUTH_BAD, HasFlag()])),
-            Clause(
-                "fwd_terminus",
-                "exists",
-                And([KindIs(("DecisionNode", "ActionNode")), _SHARES_ENTRY_FLAG]),
-            ),
-        ],
     )
 
 
 def _rule_tool_misuse() -> AuditRule:
-    entry_pred = NeighborMatch(
-        "in", ("invokes",), node=HasFlag(("destructive_command",))
-    )
-    impact = And([
-        KindIs(("ObservationNode",)),
-        AttrCmp("environment_state_change", "!=", ""),
-    ])
-    return AuditRule(
-        risk_id="ASI02",
-        name=RISK_NAMES["ASI02"],
-        entry=EntrySelector("node", ("ToolNode",), entry_pred),
-        back=PathSpec(
+    return _builtin(
+        "ASI02",
+        EntrySelector("node", ("ToolNode",), NeighborMatch(
+            "in", ("invokes",), node=HasFlag(("destructive_command",))
+        )),
+        PathSpec(
             direction=BACKWARD,
             allowed_edge_kinds=("invokes", "evolution", "reads_from", "writes_to"),
             terminal=HasFlag(),
         ),
-        fwd=PathSpec(
+        PathSpec(
             direction=FORWARD,
             allowed_edge_kinds=("invokes", "evolution"),
-            terminal=impact,
+            terminal=_STATE_CHANGE,
         ),
-        conditions=[
-            Clause("entry", "exists", entry_pred),
-            Clause("back_origin", "exists", HasFlag()),
-            Clause("fwd_terminus", "exists", impact),
-        ],
     )
 
 
 def _rule_privilege_abuse() -> AuditRule:
-    entry_pred = HasFlag(("privilege_claim", "confirmation_bypass"))
-    origin = Or([
-        And([
-            KindIs(("ActionNode",)),
-            AttrCmp("type", "==", "memory_write"),
-            HasFlag(),
-        ]),
-        And([KindIs(("LongTermMemoryNode",)), HasFlag()]),
-        And([KindIs(("ContextNode",)), HasFlag()]),
-    ])
-    impact = And([
-        KindIs(("ActionNode",)),
-        AttrCmp("confirmation_status", "==", "bypassed"),
-    ])
-    return AuditRule(
-        risk_id="ASI03",
-        name=RISK_NAMES["ASI03"],
-        entry=EntrySelector("node", ("ReasoningNode",), entry_pred),
-        back=PathSpec(
+    return _builtin(
+        "ASI03",
+        EntrySelector("node", ("ReasoningNode",),
+                      HasFlag(("privilege_claim", "confirmation_bypass"))),
+        PathSpec(
             direction=BACKWARD,
             allowed_edge_kinds=("evolution", "reads_from"),
-            terminal=origin,
+            terminal=Or([
+                And([
+                    KindIs(("ActionNode",)),
+                    AttrCmp("type", "==", "memory_write"),
+                    HasFlag(),
+                ]),
+                And([KindIs(("LongTermMemoryNode",)), HasFlag()]),
+                And([KindIs(("ContextNode",)), HasFlag()]),
+            ]),
         ),
-        fwd=PathSpec(
+        PathSpec(
             direction=FORWARD,
             allowed_edge_kinds=("evolution",),
-            terminal=impact,
+            terminal=_BYPASSED_ACTION,
         ),
-        conditions=[
-            Clause("entry", "exists", entry_pred),
-            Clause("back_origin", "exists", origin),
-            Clause("fwd_terminus", "exists", impact),
-        ],
     )
 
 
 def _rule_supply_chain() -> AuditRule:
-    entry_pred = Or([
-        HasFlag(), _UNTRUSTED, _INTEGRITY_INVALID, _INTEGRITY_UNVERIFIED,
-    ])
-    return AuditRule(
-        risk_id="ASI04",
-        name=RISK_NAMES["ASI04"],
-        entry=EntrySelector(
+    return _builtin(
+        "ASI04",
+        EntrySelector(
             "node",
             ("ToolNode", "SkillNode", "PromptNode", "LLMNode", "CodeNode"),
-            entry_pred,
+            Or([HasFlag(), _UNTRUSTED, _INTEGRITY_INVALID, _INTEGRITY_UNVERIFIED]),
         ),
-        back=PathSpec(
+        PathSpec(
             direction=BACKWARD,
             allowed_edge_kinds=("depends_on",),
         ),
-        fwd=PathSpec(
+        PathSpec(
             direction=FORWARD,
             allowed_edge_kinds=(
                 "selects", "invokes", "loads_tool", "loads_skill",
@@ -659,226 +627,171 @@ def _rule_supply_chain() -> AuditRule:
             ),
             terminal=KindIs(("DecisionNode", "ActionNode", "ObservationNode")),
         ),
-        conditions=[
-            Clause("entry", "exists", entry_pred),
-            Clause(
-                "fwd_terminus",
-                "exists",
-                KindIs(("DecisionNode", "ActionNode", "ObservationNode")),
-            ),
-            Clause(
-                "fwd_path",
-                "exists",
-                KindIs(("selects", "loads_tool", "loads_skill", "invokes")),
-            ),
-        ],
+        Clause(
+            "fwd_path",
+            "exists",
+            KindIs(("selects", "loads_tool", "loads_skill", "invokes")),
+        ),
     )
 
 
 def _rule_code_execution() -> AuditRule:
-    entry_pred = NeighborMatch(
-        "in", ("invokes",), node=HasFlag(("external_code_execution",))
-    )
-    impact = And([
-        KindIs(("ObservationNode",)),
-        AttrCmp("environment_state_change", "!=", ""),
-    ])
-    return AuditRule(
-        risk_id="ASI05",
-        name=RISK_NAMES["ASI05"],
-        entry=EntrySelector("node", ("ToolNode",), entry_pred),
-        back=PathSpec(
+    return _builtin(
+        "ASI05",
+        EntrySelector("node", ("ToolNode",), NeighborMatch(
+            "in", ("invokes",), node=HasFlag(("external_code_execution",))
+        )),
+        PathSpec(
             direction=BACKWARD,
             allowed_edge_kinds=("invokes", "evolution", "reads_from", "selects"),
             terminal=HasFlag(),
         ),
-        fwd=PathSpec(
+        PathSpec(
             direction=FORWARD,
             allowed_edge_kinds=("invokes", "evolution"),
-            terminal=impact,
+            terminal=_STATE_CHANGE,
         ),
-        conditions=[
-            Clause("entry", "exists", entry_pred),
-            Clause("back_origin", "exists", HasFlag()),
-            Clause("fwd_terminus", "exists", impact),
-        ],
     )
 
 
 def _rule_memory_poisoning() -> AuditRule:
-    entry_pred = Or([
-        And([
-            KindIs(("ActionNode",)),
-            AttrCmp("type", "==", "memory_write"),
-            HasFlag(),
-        ]),
-        And([KindIs(("ContextNode",)), HasFlag(), _INTEGRITY_INVALID]),
-    ])
-    # the origin test is deliberately trust/integrity only: a flagged write
-    # whose source chain is trusted and intact is handled by other rules
-    origin = Or([_UNTRUSTED, _INTEGRITY_INVALID])
-    impact = And([
-        KindIs(("ContextNode", "ReasoningNode", "DecisionNode", "ActionNode")),
-        _SHARES_ENTRY_FLAG,
-    ])
-    return AuditRule(
-        risk_id="ASI06",
-        name=RISK_NAMES["ASI06"],
-        entry=EntrySelector("node", ("ActionNode", "ContextNode"), entry_pred),
-        back=PathSpec(
+    return _builtin(
+        "ASI06",
+        EntrySelector("node", ("ActionNode", "ContextNode"), Or([
+            And([
+                KindIs(("ActionNode",)),
+                AttrCmp("type", "==", "memory_write"),
+                HasFlag(),
+            ]),
+            And([KindIs(("ContextNode",)), HasFlag(), _INTEGRITY_INVALID]),
+        ])),
+        PathSpec(
             direction=BACKWARD,
             allowed_edge_kinds=("evolution",),
-            terminal=origin,
+            # the origin test is deliberately trust/integrity only: a flagged
+            # write whose source chain is trusted and intact is handled by
+            # other rules
+            terminal=Or([_UNTRUSTED, _INTEGRITY_INVALID]),
         ),
-        fwd=PathSpec(
+        PathSpec(
             direction=FORWARD,
             allowed_edge_kinds=("writes_to", "reads_from", "evolution"),
-            terminal=impact,
+            terminal=And([
+                KindIs(("ContextNode", "ReasoningNode", "DecisionNode", "ActionNode")),
+                _SHARES_ENTRY_FLAG,
+            ]),
         ),
-        conditions=[
-            Clause("entry", "exists", entry_pred),
-            Clause("back_origin", "exists", origin),
-            Clause("fwd_terminus", "exists", impact),
-        ],
     )
 
 
 def _rule_insecure_communication() -> AuditRule:
-    entry_pred = Or([
-        _INTEGRITY_INVALID,
-        _AUTH_BAD,
-        AttrCmp("propagation_status", "==", "tampered"),
-    ])
-    impact = And([
-        KindIs((
-            "ContextNode", "GoalNode", "ReasoningNode", "DecisionNode", "ActionNode",
-        )),
-        _SHARES_ENTRY_FLAG,
-    ])
-    return AuditRule(
-        risk_id="ASI07",
-        name=RISK_NAMES["ASI07"],
-        entry=EntrySelector("edge", ("propagation",), entry_pred),
-        back=PathSpec(
+    return _builtin(
+        "ASI07",
+        EntrySelector("edge", ("propagation",), Or([
+            _INTEGRITY_INVALID,
+            _AUTH_BAD,
+            AttrCmp("propagation_status", "==", "tampered"),
+        ])),
+        PathSpec(
             direction=BACKWARD,
             allowed_edge_kinds=("evolution", "reads_from"),
             cross_agent=True,
         ),
-        fwd=PathSpec(
+        PathSpec(
             direction=FORWARD,
             allowed_edge_kinds=("evolution", "reads_from", "propagation"),
-            terminal=impact,
+            terminal=And([
+                KindIs((
+                    "ContextNode", "GoalNode", "ReasoningNode", "DecisionNode",
+                    "ActionNode",
+                )),
+                _SHARES_ENTRY_FLAG,
+            ]),
             cross_agent=True,
         ),
-        conditions=[
-            Clause("entry", "exists", entry_pred),
-            # the tampered content cannot be mapped to anything the sender
-            # actually produced upstream
-            Clause(
-                "back_path",
-                "forall",
-                Not(AttrCmp("content", "==", EntryAttr("content"))),
-            ),
-            Clause("fwd_terminus", "exists", impact),
-        ],
+        # the tampered content cannot be mapped to anything the sender
+        # actually produced upstream
+        Clause(
+            "back_path",
+            "forall",
+            Not(AttrCmp("content", "==", EntryAttr("content"))),
+        ),
     )
 
 
 def _rule_cascading_failure() -> AuditRule:
-    entry_pred = HasFlag()
-    impact = And([
-        KindIs((
-            "GoalNode", "ContextNode", "DecisionNode", "ActionNode", "OutputNode",
-        )),
-        _SHARES_ENTRY_FLAG,
-    ])
-    return AuditRule(
-        risk_id="ASI08",
-        name=RISK_NAMES["ASI08"],
-        entry=EntrySelector("edge", ("propagation",), entry_pred),
-        back=PathSpec(
+    return _builtin(
+        "ASI08",
+        EntrySelector("edge", ("propagation",), HasFlag()),
+        PathSpec(
             direction=BACKWARD,
             allowed_edge_kinds=("evolution", "reads_from", "propagation"),
             cross_agent=True,
         ),
-        fwd=PathSpec(
+        PathSpec(
             direction=FORWARD,
             allowed_edge_kinds=("evolution", "reads_from", "propagation"),
-            terminal=impact,
+            terminal=And([
+                KindIs((
+                    "GoalNode", "ContextNode", "DecisionNode", "ActionNode",
+                    "OutputNode",
+                )),
+                _SHARES_ENTRY_FLAG,
+            ]),
             cross_agent=True,
         ),
-        conditions=[
-            Clause("entry", "exists", entry_pred),
-            # the fault must already have crossed an agent boundary upstream
-            Clause("back_path", "exists", _BAD_PROPAGATION_EDGE),
-            Clause("fwd_terminus", "exists", impact),
-        ],
+        # the fault must already have crossed an agent boundary upstream
+        Clause("back_path", "exists", _BAD_PROPAGATION_EDGE),
     )
 
 
 def _rule_trust_exploitation() -> AuditRule:
-    entry_pred = HasFlag(("confirmation_bypass", "privilege_claim"))
-    impact = And([
-        KindIs(("ActionNode",)),
-        AttrCmp("confirmation_status", "==", "bypassed"),
-    ])
-    return AuditRule(
-        risk_id="ASI09",
-        name=RISK_NAMES["ASI09"],
-        entry=EntrySelector("node", ("ExternalNode", "ObservationNode"), entry_pred),
-        back=PathSpec(
+    return _builtin(
+        "ASI09",
+        EntrySelector("node", ("ExternalNode", "ObservationNode"),
+                      HasFlag(("confirmation_bypass", "privilege_claim"))),
+        PathSpec(
             direction=BACKWARD,
             allowed_edge_kinds=("evolution", "reads_from", "propagation"),
             cross_agent=True,
         ),
-        fwd=PathSpec(
+        PathSpec(
             direction=FORWARD,
             allowed_edge_kinds=("evolution", "reads_from", "writes_to", "propagation"),
-            terminal=impact,
+            terminal=_BYPASSED_ACTION,
             cross_agent=True,
         ),
-        conditions=[
-            Clause("entry", "exists", entry_pred),
-            Clause("back_path", "exists", _SHARES_ENTRY_FLAG),
-            Clause("fwd_terminus", "exists", impact),
-        ],
+        Clause("back_path", "exists", _SHARES_ENTRY_FLAG),
     )
 
 
 def _rule_rogue_agent() -> AuditRule:
     anomalous = Or([HasFlag(), _UNTRUSTED, _INTEGRITY_INVALID])
-    entry_pred = Or([
-        anomalous,
-        NeighborMatch(
-            "out",
-            ("has_prompt", "uses_model", "depends_on", "loads_tool", "loads_skill"),
-            node=anomalous,
+    return _builtin(
+        "ASI10",
+        EntrySelector(
+            "node", ("AgentNode", "PromptNode", "CodeNode", "LLMNode"), Or([
+                anomalous,
+                NeighborMatch(
+                    "out",
+                    ("has_prompt", "uses_model", "depends_on", "loads_tool",
+                     "loads_skill"),
+                    node=anomalous,
+                ),
+            ]),
         ),
-    ])
-    origin = And([LayerIs("static"), anomalous])
-    return AuditRule(
-        risk_id="ASI10",
-        name=RISK_NAMES["ASI10"],
-        entry=EntrySelector(
-            "node", ("AgentNode", "PromptNode", "CodeNode", "LLMNode"), entry_pred
-        ),
-        back=PathSpec(
+        PathSpec(
             direction=BACKWARD,
             allowed_edge_kinds=("structural",),
-            terminal=origin,
+            terminal=And([LayerIs("static"), anomalous]),
         ),
-        fwd=PathSpec(
+        PathSpec(
             direction=FORWARD,
             allowed_edge_kinds=("structural", "propagation"),
             terminal=KindIs(("AgentNode",)),
             cross_agent=True,
         ),
-        conditions=[
-            Clause("entry", "exists", entry_pred),
-            Clause("back_origin", "exists", origin),
-            Clause("fwd_terminus", "exists", KindIs(("AgentNode",))),
-            Clause("fwd_path", "exists", KindIs(_PROPAGATION_KIND_NAMES)),
-        ],
+        Clause("fwd_path", "exists", KindIs(_PROPAGATION_KIND_NAMES)),
     )
 
 

@@ -207,3 +207,61 @@ def test_module_is_runnable_as_a_script(workdir):
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("graph valid: ")
+
+
+_EVENT = {"event_id": "x1", "trace_id": "t1", "agent_id": "a",
+          "timestamp": "2026-03-01T10:00:00Z", "event_type": "external_input"}
+_GRAPH = {"agents": [{"agent_id": "a"}],
+          "nodes": [{"node_id": "agent.a", "kind": "AgentNode", "attributes": {}}],
+          "edges": []}
+
+
+def _build_case(agent=None, **event_fields):
+    manifest = {"agents": [dict({"agent_id": "a"}, **(agent or {}))]}
+    return "build", manifest, dict(_EVENT, **event_fields)
+
+
+def _graph_case(command, doc):
+    return command, doc, None
+
+
+@pytest.mark.parametrize("command, doc, event", [
+    _graph_case("audit", dict(_GRAPH, nodes=[{"node_id": "agent.a"}])),
+    _graph_case("validate", dict(_GRAPH, nodes=[{"node_id": "agent.a"}])),
+    _graph_case("export", dict(_GRAPH, nodes=[{"node_id": "agent.a"}])),
+    _graph_case("audit", [_GRAPH]),
+    _graph_case("validate", [_GRAPH]),
+    _graph_case("export", [_GRAPH]),
+    _graph_case("validate", {"agents": [], "nodes": []}),
+    _graph_case("validate", dict(_GRAPH, nodes=[dict(_GRAPH["nodes"][0],
+                                                     timestamp=5)])),
+    _build_case(refs=5),
+    _build_case(attrs=5),
+    _build_case(agent={"tools": ["exec"]}),
+    _build_case(agent={"skills": [5]}),
+    _build_case(agent={"memory_stores": ["notes"]}),
+    _build_case(agent={"code_dependencies": [None]}),
+    _build_case(attrs={"danger_flags": "privilege_claim"}),
+], ids=[
+    "audit-node-without-kind", "validate-node-without-kind",
+    "export-node-without-kind", "audit-graph-is-a-list", "validate-graph-is-a-list",
+    "export-graph-is-a-list", "graph-without-edges", "node-timestamp-not-a-string",
+    "refs-not-a-list", "attrs-not-an-object", "tool-not-an-object",
+    "skill-not-an-object", "memory-store-not-an-object", "code-dep-not-an-object",
+    "danger-flags-not-a-list",
+])
+def test_malformed_input_is_a_single_line_error(tmp_path, capsys, command, doc,
+                                                event):
+    first = tmp_path / "first.json"
+    first.write_text(json.dumps(doc))
+    if command == "build":
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text(json.dumps(event) + "\n")
+        argv = ["build", "--manifest", str(first), "--trace", str(trace)]
+    else:
+        argv = [command, "--graph", str(first)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
