@@ -142,8 +142,8 @@ def _parse_agent(raw: dict) -> ManifestAgent:
         ToolSpec(
             tool_name=str(entry["tool_name"]),
             input_schema=str(entry.get("input_schema", "")),
-            permission_scope=list(entry.get("permission_scope", [])),
-            provenance=dict(entry.get("provenance", {})),
+            permission_scope=_typed(entry, "permission_scope", list, agent_id),
+            provenance=_typed(entry, "provenance", dict, agent_id),
         )
         for entry in _entries(raw, agent_id, "tools", "tool_name", unique=True)
     ]
@@ -152,7 +152,7 @@ def _parse_agent(raw: dict) -> ManifestAgent:
             skill_name=str(entry["skill_name"]),
             declared_function=str(entry.get("declared_function", "")),
             implementation_summary=str(entry.get("implementation_summary", "")),
-            provenance=dict(entry.get("provenance", {})),
+            provenance=_typed(entry, "provenance", dict, agent_id),
         )
         for entry in _entries(raw, agent_id, "skills", "skill_name", unique=True)
     ]
@@ -168,13 +168,22 @@ def _parse_agent(raw: dict) -> ManifestAgent:
         agent_id=agent_id,
         role=str(raw.get("role", "")),
         policy_boundary=str(raw.get("policy_boundary", "")),
-        system_prompt=dict(raw.get("system_prompt", {})),
-        model=dict(raw.get("model", {})),
+        system_prompt=_typed(raw, "system_prompt", dict, agent_id),
+        model=_typed(raw, "model", dict, agent_id),
         tools=tools,
         skills=skills,
         memory_stores=memories,
         code_dependencies=code,
     )
+
+
+def _typed(doc: dict, key: str, kind: type, agent_id: str):
+    """A copy of ``doc[key]`` (empty when absent), which must be a ``kind``."""
+    value = doc.get(key, kind())
+    if not isinstance(value, kind):
+        raise ManifestParseError(f"agent {agent_id!r}: {key} must be a JSON "
+                                 f"{'object' if kind is dict else 'array'}")
+    return kind(value)
 
 
 def _entries(raw: dict, agent_id: str, section: str, name_key: str,

@@ -241,14 +241,18 @@ def _graph_case(command, doc):
     _build_case(agent={"skills": [5]}),
     _build_case(agent={"memory_stores": ["notes"]}),
     _build_case(agent={"code_dependencies": [None]}),
+    _build_case(agent={"model": 5}),
+    _build_case(agent={"tools": [{"tool_name": "t", "permission_scope": "fs"}]}),
     _build_case(attrs={"danger_flags": "privilege_claim"}),
+    _build_case(attrs={"basis": 5}),
 ], ids=[
     "audit-node-without-kind", "validate-node-without-kind",
     "export-node-without-kind", "audit-graph-is-a-list", "validate-graph-is-a-list",
     "export-graph-is-a-list", "graph-without-edges", "node-timestamp-not-a-string",
     "refs-not-a-list", "attrs-not-an-object", "tool-not-an-object",
     "skill-not-an-object", "memory-store-not-an-object", "code-dep-not-an-object",
-    "danger-flags-not-a-list",
+    "model-not-an-object", "permission-scope-not-a-list",
+    "danger-flags-not-a-list", "basis-not-a-list",
 ])
 def test_malformed_input_is_a_single_line_error(tmp_path, capsys, command, doc,
                                                 event):
