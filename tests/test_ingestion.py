@@ -418,3 +418,43 @@ def test_assemble_is_deterministic():
     second = assemble(_manifest(), events)
     assert first.digest() == second.digest()
     assert first.to_json() == second.to_json()
+
+
+def test_binding_follows_event_order_within_each_trace():
+    manifest = _manifest(skills=[{"skill_name": "summarize"}])
+    events = [
+        _event("dec1", "decision_made", "first plan"),
+        _event("rd1", "memory_read", attrs={"target": "notes"}),
+        _event("rd2", "memory_read", attrs={"target": "notes"}),
+        # another trace, interleaved in time: it must not take t1's reads
+        _event("ctx9", "context_assembled", "elsewhere", trace="t2"),
+        _event("rd9", "memory_read", attrs={"target": "notes"}, trace="t2"),
+        _event("dec2", "decision_made", "second plan"),
+        _event("act1", "tool_invocation", attrs={"tool_name": "exec"}),
+        _event("sk1", "skill_invocation", attrs={"tool_name": "summarize"}),
+        _event("ctx1", "context_assembled", "with memory"),
+        _event("rs1", "reasoning_step", "the reads were taken already"),
+    ]
+    graph = assemble(manifest, events)
+    reads = sorted(
+        (e.edge_id, e.timestamp, e.attr("trace_id"))
+        for e in graph.edges.values() if e.kind is EdgeKind.READS_FROM
+    )
+    # both t1 reads feed the next t1 consumer and carry its timestamp; the
+    # t2 read has no later consumer in t2 and so binds nothing
+    stamp = graph.nodes["ctx1"].timestamp
+    assert reads == [
+        ("e.reads_from.ctx1.mem.notes", stamp, "t1"),
+        ("e.reads_from.ctx1.mem.notes.2", stamp, "t1"),
+    ]
+    selects = sorted(
+        (e.edge_id, e.timestamp)
+        for e in graph.edges.values() if e.kind is EdgeKind.SELECTS
+    )
+    # the latest earlier decision selects, with its own timestamp
+    assert selects == [
+        ("e.selects.dec2.skill.summarize", graph.nodes["dec2"].timestamp),
+        ("e.selects.dec2.tool.exec", graph.nodes["dec2"].timestamp),
+    ]
+    invokes = [e.edge_id for e in graph.edges.values() if e.kind is EdgeKind.INVOKES]
+    assert invokes == ["e.invokes.act1.tool.exec"]
