@@ -3,10 +3,14 @@
 Assembly runs in three stages: static extraction (agents, capability nodes,
 structural wiring), event normalization (one runtime node per event plus
 evolution edges from event references), and cross-layer binding
-(invocations, memory traffic, message pairing, delegation). Every element
-is checked as it is inserted, so the assembled graph needs no second,
-whole-graph validation. Content is scanned once, here, by the danger
-matcher; every later stage reads only the recorded flags.
+(invocations, memory traffic, message pairing, delegation). Each stage
+inserts what it makes straight into the graph, so an edge id is free
+exactly when the graph does not hold it yet. Binding walks the events once,
+in order, keeping per trace only the latest decision and the memory reads
+still waiting for a consumer. Every element is checked as it is inserted,
+so the assembled graph needs no second, whole-graph validation. Content is
+scanned once, here, by the danger matcher; every later stage reads only the
+recorded flags.
 """
 
 from __future__ import annotations
@@ -406,7 +410,7 @@ def extract_static(manifest: CapabilityManifest, graph: AgentBomGraph,
             )
             _add_static(graph, matcher, prompt_node, NodeKind.PROMPT,
                         agent.agent_id, attrs)
-            _add_built_edge(graph, EdgeKind.HAS_PROMPT, agent_node, prompt_node)
+            _add_edge(graph, EdgeKind.HAS_PROMPT, agent_node, prompt_node)
 
         if agent.model:
             llm_node = f"llm.{agent.agent_id}"
@@ -415,19 +419,19 @@ def extract_static(manifest: CapabilityManifest, graph: AgentBomGraph,
             if provider:
                 attrs["source"] = f"provider://{provider}"
             _add_static(graph, matcher, llm_node, NodeKind.LLM, agent.agent_id, attrs)
-            _add_built_edge(graph, EdgeKind.USES_MODEL, agent_node, llm_node)
+            _add_edge(graph, EdgeKind.USES_MODEL, agent_node, llm_node)
 
         for tool in agent.tools:
             node_id = f"tool.{tool.tool_name}"
             _add_capability(graph, matcher, node_id, NodeKind.TOOL,
                             agent.agent_id, shared, _tool_attrs(tool))
-            _add_built_edge(graph, EdgeKind.LOADS_TOOL, agent_node, node_id)
+            _add_edge(graph, EdgeKind.LOADS_TOOL, agent_node, node_id)
 
         for skill in agent.skills:
             node_id = f"skill.{skill.skill_name}"
             _add_capability(graph, matcher, node_id, NodeKind.SKILL,
                             agent.agent_id, shared, _skill_attrs(skill))
-            _add_built_edge(graph, EdgeKind.LOADS_SKILL, agent_node, node_id)
+            _add_edge(graph, EdgeKind.LOADS_SKILL, agent_node, node_id)
 
         for store in agent.memory_stores:
             node_id = f"mem.{store.store_id}"
@@ -436,7 +440,7 @@ def extract_static(manifest: CapabilityManifest, graph: AgentBomGraph,
             if node_id not in graph.nodes:
                 _add_static(graph, matcher, node_id, NodeKind.LONG_TERM_MEMORY,
                             None, _optional(type=store.type))
-            _add_built_edge(graph, EdgeKind.SHARES_MEMORY_WITH, agent_node, node_id)
+            _add_edge(graph, EdgeKind.SHARES_MEMORY_WITH, agent_node, node_id)
 
         for dep in agent.code_dependencies:
             node_id = f"code.{dep.name}"
@@ -445,7 +449,7 @@ def extract_static(manifest: CapabilityManifest, graph: AgentBomGraph,
                 attrs["content"] = f"{dep.name}=={dep.version}"
             _add_capability(graph, matcher, node_id, NodeKind.CODE,
                             agent.agent_id, shared, attrs)
-            _add_built_edge(graph, EdgeKind.DEPENDS_ON, agent_node, node_id)
+            _add_edge(graph, EdgeKind.DEPENDS_ON, agent_node, node_id)
 
 
 def _tool_attrs(tool: ToolSpec) -> dict:
@@ -521,22 +525,18 @@ def _merge_flags(attrs: dict, matcher: DangerMatcher) -> None:
         del attrs["danger_flags"]
 
 
-def _add_built_edge(graph, kind, source, target):
-    # inserted at once, so the graph itself holds every id claimed before
-    edge_id = _edge_id(graph, set(), kind, source, target)
-    graph.add_edge(Edge(edge_id=edge_id, kind=kind, source=source, target=target))
-
-
-def _edge_id(graph, pending: set, kind, source, target) -> str:
-    """Claim the first id ``e.<kind>.<source>.<target>[.N]``, N = 2, 3, ...,
-    that is neither an element of ``graph`` nor already in ``pending``."""
+def _add_edge(graph, kind, source, target, timestamp=None, attributes=None) -> Edge:
+    """Insert an edge under the first free id ``e.<kind>.<source>.<target>[.N]``,
+    N = 2, 3, ..., and return it."""
     base = f"e.{kind.value}.{source}.{target}"
     edge_id, suffix = base, 2
-    while graph.has_element(edge_id) or edge_id in pending:
+    while graph.has_element(edge_id):
         edge_id = f"{base}.{suffix}"
         suffix += 1
-    pending.add(edge_id)
-    return edge_id
+    edge = Edge(edge_id=edge_id, kind=kind, source=source, target=target,
+                timestamp=timestamp, attributes=attributes or {})
+    graph.add_edge(edge)
+    return edge
 
 
 # ===========================================================================
@@ -544,18 +544,17 @@ def _edge_id(graph, pending: set, kind, source, target) -> str:
 # ===========================================================================
 
 
-def normalize_events(graph: AgentBomGraph, events, matcher: DangerMatcher) -> tuple:
-    """Turn each event into a runtime node plus evolution edges from refs.
+def normalize_events(graph: AgentBomGraph, events, matcher: DangerMatcher) -> None:
+    """Insert one runtime node per event, each followed by its evolution edges.
 
-    Returns (nodes, edges); neither is inserted into ``graph``, which only
-    keeps edge ids unique. A ref becomes flows_to when the two stages are
-    consecutive in the cognitive loop, influences otherwise. Refs on
+    A ref becomes flows_to when the two stages are consecutive in the
+    cognitive loop, influences otherwise. Refs always point to earlier
+    events, so both endpoints are in ``graph`` by then. Refs on
     message_received events are handled by message pairing instead, so no
     evolution edge duplicates that link.
     """
     check_event_stream(events)
     by_id = {e.event_id: e for e in events}
-    nodes, edges, claimed = [], [], set()
 
     for event in events:
         kind = _EVENT_KIND[event.event_type]
@@ -566,7 +565,7 @@ def normalize_events(graph: AgentBomGraph, events, matcher: DangerMatcher) -> tu
             if basis:
                 attrs["basis"] = basis
         _merge_flags(attrs, matcher)
-        nodes.append(
+        graph.add_node(
             Node(node_id=event.event_id, kind=kind, agent_id=event.agent_id,
                  trace_id=event.trace_id, timestamp=event.timestamp,
                  attributes=attrs)
@@ -580,17 +579,8 @@ def normalize_events(graph: AgentBomGraph, events, matcher: DangerMatcher) -> tu
             edge_kind = (
                 EdgeKind.FLOWS_TO if stage_dst == stage_src + 1 else EdgeKind.INFLUENCES
             )
-            edges.append(
-                Edge(
-                    edge_id=_edge_id(graph, claimed, edge_kind, ref, event.event_id),
-                    kind=edge_kind,
-                    source=ref,
-                    target=event.event_id,
-                    timestamp=event.timestamp,
-                    attributes={"trace_id": event.trace_id},
-                )
-            )
-    return nodes, edges
+            _add_edge(graph, edge_kind, ref, event.event_id, event.timestamp,
+                      {"trace_id": event.trace_id})
 
 
 def _node_attrs(event: TraceEvent, kind: NodeKind) -> dict:
@@ -614,87 +604,76 @@ def _node_attrs(event: TraceEvent, kind: NodeKind) -> dict:
 
 
 def bind_cross_layer(graph: AgentBomGraph, events, matcher: DangerMatcher) -> tuple:
-    """Derive binding and propagation edges; returns (new nodes, new edges).
+    """Insert binding and propagation edges; returns (new nodes, new edges).
+
+    One pass in event order. Per trace it remembers the latest decision,
+    which every later tool or skill invocation selects, and the stores of
+    memory reads that no consumer has taken yet: the next context or
+    reasoning step in the same trace reads from all of them.
 
     The new nodes are synthesized message endpoints for unpaired sends and
     receives; they are attribute-minimal on purpose, so that dropping a real
     endpoint out of a fixture cannot leave flagged content behind.
     """
-    new_nodes, new_edges, claimed = [], [], set()
-    per_trace: dict[str, list] = {}
+    node_count, edge_count = len(graph.nodes), len(graph.edges)
+    decisions: dict[str, TraceEvent] = {}
+    unconsumed: dict[str, list] = {}
     for event in events:
-        per_trace.setdefault(event.trace_id, []).append(event)
+        kind, trace = event.event_type, event.trace_id
+        if kind == "decision_made":
+            decisions[trace] = event
+        elif kind in ("tool_invocation", "skill_invocation"):
+            target = _capability_target(graph, event)
+            if kind == "tool_invocation":
+                _bind_edge(graph, EdgeKind.INVOKES, event.event_id, target, event)
+            decision = decisions.get(trace)
+            if decision is not None:
+                _bind_edge(graph, EdgeKind.SELECTS, decision.event_id, target,
+                           decision)
+        elif kind == "memory_read":
+            unconsumed.setdefault(trace, []).append(_memory_target(graph, event))
+        elif kind in ("context_assembled", "reasoning_step"):
+            for mem_id in unconsumed.pop(trace, ()):
+                _bind_edge(graph, EdgeKind.READS_FROM, event.event_id, mem_id, event)
+        elif kind == "memory_write":
+            _bind_edge(graph, EdgeKind.WRITES_TO, event.event_id,
+                       _memory_target(graph, event), event,
+                       {"content": event.content} if event.content else None)
+        elif kind == "delegation":
+            _bind_delegation(graph, event)
 
-    for event in events:
-        handler = _BINDERS.get(event.event_type)
-        if handler:
-            handler(graph, claimed, event, per_trace[event.trace_id], new_edges)
-
-    _pair_messages(graph, claimed, events, matcher, new_nodes, new_edges)
-    return new_nodes, new_edges
+    _pair_messages(graph, events, matcher)
+    return (list(graph.nodes.values())[node_count:],
+            list(graph.edges.values())[edge_count:])
 
 
-def _bind_tool(graph, claimed, event, trace_events, out):
+def _capability_target(graph, event) -> str:
+    """The declared tool or skill node a tool/skill invocation names."""
+    what = event.event_type.split("_")[0]
     name = event.attrs.get("tool_name")
     if not name:
-        raise TraceParseError(f"tool_invocation {event.event_id!r} lacks tool_name")
-    tool_id = f"tool.{name}"
-    if tool_id not in graph.nodes:
+        raise TraceParseError(f"{event.event_type} {event.event_id!r} lacks tool_name")
+    node_id = f"{what}.{name}"
+    if node_id not in graph.nodes:
         raise UnresolvedRefError(
-            f"event {event.event_id!r} invokes undeclared tool {name!r}"
+            f"event {event.event_id!r} invokes undeclared {what} {name!r}"
         )
-    out.append(_bind_edge(graph, claimed, EdgeKind.INVOKES, event.event_id, tool_id,
-                          event))
-    decision = _latest_before(trace_events, event, {"decision_made"})
-    if decision is not None:
-        out.append(
-            _bind_edge(graph, claimed, EdgeKind.SELECTS, decision.event_id, tool_id,
-                       event, timestamp=decision.timestamp, trace_id=decision.trace_id)
-        )
+    return node_id
 
 
-def _bind_skill(graph, claimed, event, trace_events, out):
-    name = event.attrs.get("tool_name")
-    if not name:
-        raise TraceParseError(f"skill_invocation {event.event_id!r} lacks tool_name")
-    skill_id = f"skill.{name}"
-    if skill_id not in graph.nodes:
+def _memory_target(graph, event) -> str:
+    store = event.attrs.get("target")
+    if not store:
+        raise TraceParseError(f"{event.event_type} {event.event_id!r} lacks target")
+    mem_id = f"mem.{store}"
+    if mem_id not in graph.nodes:
         raise UnresolvedRefError(
-            f"event {event.event_id!r} invokes undeclared skill {name!r}"
+            f"event {event.event_id!r} touches undeclared memory store {store!r}"
         )
-    decision = _latest_before(trace_events, event, {"decision_made"})
-    if decision is not None:
-        out.append(
-            _bind_edge(graph, claimed, EdgeKind.SELECTS, decision.event_id, skill_id,
-                       event, timestamp=decision.timestamp, trace_id=decision.trace_id)
-        )
+    return mem_id
 
 
-def _bind_memory_read(graph, claimed, event, trace_events, out):
-    mem_id = _memory_target(graph, event)
-    consumer = _earliest_after(
-        trace_events, event, {"context_assembled", "reasoning_step"}
-    )
-    if consumer is not None:
-        out.append(
-            _bind_edge(graph, claimed, EdgeKind.READS_FROM, consumer.event_id, mem_id,
-                       event, timestamp=consumer.timestamp,
-                       trace_id=consumer.trace_id)
-        )
-
-
-def _bind_memory_write(graph, claimed, event, trace_events, out):
-    mem_id = _memory_target(graph, event)
-    attrs = {}
-    if event.content:
-        attrs["content"] = event.content
-    out.append(
-        _bind_edge(graph, claimed, EdgeKind.WRITES_TO, event.event_id, mem_id, event,
-                   extra=attrs)
-    )
-
-
-def _bind_delegation(graph, claimed, event, trace_events, out):
+def _bind_delegation(graph, event):
     target = event.attrs.get("target_agent")
     if not target:
         raise TraceParseError(f"delegation {event.event_id!r} lacks target_agent")
@@ -715,60 +694,15 @@ def _bind_delegation(graph, claimed, event, trace_events, out):
         attrs["task_dependency"] = dependency
     if event.content:
         attrs["content"] = event.content
-    out.append(_bind_edge(graph, claimed, EdgeKind.DELEGATES_TO, source_id, target_id,
-                          event, extra=attrs))
+    _bind_edge(graph, EdgeKind.DELEGATES_TO, source_id, target_id, event, attrs)
 
 
-_BINDERS = {
-    "tool_invocation": _bind_tool,
-    "skill_invocation": _bind_skill,
-    "memory_read": _bind_memory_read,
-    "memory_write": _bind_memory_write,
-    "delegation": _bind_delegation,
-}
-
-
-def _memory_target(graph, event) -> str:
-    store = event.attrs.get("target")
-    if not store:
-        raise TraceParseError(f"{event.event_type} {event.event_id!r} lacks target")
-    mem_id = f"mem.{store}"
-    if mem_id not in graph.nodes:
-        raise UnresolvedRefError(
-            f"event {event.event_id!r} touches undeclared memory store {store!r}"
-        )
-    return mem_id
-
-
-def _bind_edge(graph, claimed, kind, source, target, event,
-               timestamp=None, trace_id=None, extra=None):
-    attrs = {"trace_id": trace_id or event.trace_id}
+def _bind_edge(graph, kind, source, target, stamped, extra=None):
+    """A binding edge that carries the timestamp and trace of ``stamped``."""
+    attrs = {"trace_id": stamped.trace_id}
     if extra:
         attrs.update(extra)
-    edge_id = _edge_id(graph, claimed, kind, source, target)
-    return Edge(edge_id=edge_id, kind=kind, source=source, target=target,
-                timestamp=timestamp or event.timestamp, attributes=attrs)
-
-
-def _latest_before(trace_events, event, types):
-    best = None
-    for candidate in trace_events:
-        if candidate is event:
-            break
-        if candidate.event_type in types:
-            best = candidate
-    return best
-
-
-def _earliest_after(trace_events, event, types):
-    passed = False
-    for candidate in trace_events:
-        if candidate is event:
-            passed = True
-            continue
-        if passed and candidate.event_type in types:
-            return candidate
-    return None
+    _add_edge(graph, kind, source, target, stamped.timestamp, attrs)
 
 
 # ---------------------------------------------------------------------------
@@ -794,7 +728,7 @@ def _agents_line_up(sender, receiver) -> bool:
     return True
 
 
-def _pair_messages(graph, claimed, events, matcher, new_nodes, new_edges):
+def _pair_messages(graph, events, matcher):
     sent = [e for e in events if e.event_type == "message_sent"]
     received = [e for e in events if e.event_type == "message_received"]
     taken: set[str] = set()
@@ -846,44 +780,38 @@ def _pair_messages(graph, claimed, events, matcher, new_nodes, new_edges):
         attrs.setdefault("target_agent", receiver.agent_id)
         attrs.setdefault("propagation_status", "delivered")
         attrs["trace_id"] = sender.trace_id
-        new_edges.append(_message_edge(graph, claimed, matcher, sender.event_id,
-                                       receiver.event_id, receiver, attrs))
+        _message_edge(graph, matcher, sender.event_id, receiver.event_id,
+                      receiver, attrs)
 
     for event in sent:
         if event.event_id in taken:
             continue
-        sink_id = f"{event.event_id}.sink"
-        new_nodes.append(_synth_endpoint(graph, sink_id, NodeKind.EXTERNAL, event,
-                                         event.attrs.get("target_agent")))
+        sink_id = _synth_endpoint(graph, f"{event.event_id}.sink", NodeKind.EXTERNAL,
+                                  event, event.attrs.get("target_agent"))
         attrs = _propagation_attrs(event)
         attrs.setdefault("source_agent", event.agent_id)
         attrs["propagation_status"] = "dropped"
         attrs["trace_id"] = event.trace_id
-        new_edges.append(_message_edge(graph, claimed, matcher, event.event_id,
-                                       sink_id, event, attrs))
+        _message_edge(graph, matcher, event.event_id, sink_id, event, attrs)
 
     for event in received:
         if event.event_id in taken:
             continue
-        origin_id = f"{event.event_id}.origin"
-        new_nodes.append(_synth_endpoint(graph, origin_id, NodeKind.ACTION, event,
-                                         event.attrs.get("source_agent")))
+        origin_id = _synth_endpoint(graph, f"{event.event_id}.origin", NodeKind.ACTION,
+                                    event, event.attrs.get("source_agent"))
         attrs = _propagation_attrs(event)
         attrs.setdefault("target_agent", event.agent_id)
         attrs.setdefault("propagation_status", "delivered")
         attrs["trace_id"] = event.trace_id
-        new_edges.append(_message_edge(graph, claimed, matcher, origin_id,
-                                       event.event_id, event, attrs))
+        _message_edge(graph, matcher, origin_id, event.event_id, event, attrs)
 
 
-def _message_edge(graph, claimed, matcher, source, target, stamped, attrs) -> Edge:
+def _message_edge(graph, matcher, source, target, stamped, attrs):
     """A sends_to edge that carries the content and timestamp of ``stamped``."""
     if stamped.content:
         attrs["content"] = stamped.content
     _merge_flags(attrs, matcher)
-    edge_id = _edge_id(graph, claimed, EdgeKind.SENDS_TO, source, target)
-    return Edge(edge_id=edge_id, kind=EdgeKind.SENDS_TO, source=source, target=target,
-                timestamp=stamped.timestamp, attributes=attrs)
+    _add_edge(graph, EdgeKind.SENDS_TO, source, target, stamped.timestamp, attrs)
 
 
 def _propagation_attrs(event: TraceEvent) -> dict:
@@ -891,8 +819,8 @@ def _propagation_attrs(event: TraceEvent) -> dict:
     return {k: v for k, v in event.attrs.items() if k in keys}
 
 
-def _synth_endpoint(graph, node_id, kind, event, counterpart_agent) -> Node:
-    """A minimal stand-in node for the missing half of a message."""
+def _synth_endpoint(graph, node_id, kind, event, counterpart_agent) -> str:
+    """Insert a minimal stand-in node for the missing half of a message."""
     attributes = {"type": "synthesized_endpoint"}
     if counterpart_agent and counterpart_agent in graph.agents:
         agent_id = counterpart_agent
@@ -901,9 +829,9 @@ def _synth_endpoint(graph, node_id, kind, event, counterpart_agent) -> Node:
         # channel shared so the propagation edge stays legal
         agent_id = event.agent_id
         attributes["shared_state"] = "message_channel"
-    return Node(node_id=node_id, kind=kind, agent_id=agent_id,
-                trace_id=event.trace_id, timestamp=event.timestamp,
-                attributes=attributes)
+    return graph.add_node(Node(node_id=node_id, kind=kind, agent_id=agent_id,
+                               trace_id=event.trace_id, timestamp=event.timestamp,
+                               attributes=attributes))
 
 
 # ===========================================================================
@@ -917,15 +845,7 @@ def assemble(manifest: CapabilityManifest, events,
     matcher = matcher or default_matcher()
     graph = AgentBomGraph()
     extract_static(manifest, graph, matcher)
-    nodes, evolution = normalize_events(graph, events, matcher)
-    for node in nodes:
-        graph.add_node(node)
-    for edge in evolution:
-        graph.add_edge(edge)
-    extra_nodes, bound = bind_cross_layer(graph, events, matcher)
-    for node in extra_nodes:
-        graph.add_node(node)
-    for edge in bound:
-        graph.add_edge(edge)
+    normalize_events(graph, events, matcher)
+    bind_cross_layer(graph, events, matcher)
     graph.freeze()
     return graph

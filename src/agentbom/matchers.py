@@ -65,24 +65,35 @@ class DangerMatcher:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "DangerMatcher":
-        try:
-            raw = doc["patterns"]
-        except (TypeError, KeyError):
-            raise IngestionError("matcher pack needs a patterns list") from None
+        raw = doc.get("patterns") if isinstance(doc, dict) else None
+        if not isinstance(raw, list):
+            raise IngestionError("matcher pack needs a patterns list")
         patterns = []
         for entry in raw:
-            try:
-                patterns.append(
-                    DangerPattern(
-                        flag=str(entry["flag"]),
-                        pattern=str(entry["pattern"]),
-                        applies_to=tuple(entry["applies_to"]),
-                    )
-                )
-            except (TypeError, KeyError) as missing:
+            if not isinstance(entry, dict):
                 raise IngestionError(
-                    f"matcher pattern entry is missing field {missing}"
-                ) from None
+                    f"matcher pattern entry must be an object: {entry!r}"
+                )
+            for key in ("flag", "pattern", "applies_to"):
+                if key not in entry:
+                    raise IngestionError(
+                        f"matcher pattern entry is missing field {key!r}"
+                    )
+            applies_to = entry["applies_to"]
+            if not isinstance(applies_to, list) or not all(
+                isinstance(key, str) for key in applies_to
+            ):
+                raise IngestionError(
+                    f"matcher pattern for flag {entry['flag']!r}: applies_to must be "
+                    f"a list of attribute keys"
+                )
+            patterns.append(
+                DangerPattern(
+                    flag=str(entry["flag"]),
+                    pattern=str(entry["pattern"]),
+                    applies_to=tuple(applies_to),
+                )
+            )
         return cls(patterns)
 
     @classmethod

@@ -14,6 +14,7 @@ from .errors import PredicateError
 from .schema import layer_of, parse_edge_kind, parse_node_kind, Layer
 
 _COMPARATORS = ("==", "!=", "contains", "intersects")
+_LAYER_NAMES = tuple(layer.value for layer in Layer)
 
 
 class EntryAttr:
@@ -245,9 +246,22 @@ class NeighborMatch(Predicate):
 # ===========================================================================
 
 
+def expect_json(value, kind, what, error=PredicateError, of=object):
+    """``value`` itself, which must be a JSON object (``kind`` dict) or a
+    JSON array (``kind`` list) whose items are all ``of``."""
+    if kind is dict:
+        ok, noun = isinstance(value, dict), "an object"
+    else:
+        ok = isinstance(value, list) and all(isinstance(v, of) for v in value)
+        noun = "a list of names" if of is str else "a list"
+    if not ok:
+        raise error(f"{what} must be {noun}, got {value!r}")
+    return value
+
+
 def _parse_value(raw):
     if isinstance(raw, dict):
-        if set(raw) == {"entry_attr"}:
+        if set(raw) == {"entry_attr"} and isinstance(raw["entry_attr"], str):
             return EntryAttr(raw["entry_attr"])
         raise PredicateError(f"unsupported value document {raw!r}")
     return raw
@@ -260,28 +274,39 @@ def predicate_from_dict(doc: dict) -> Predicate:
     op = doc["op"]
     try:
         if op == "attr":
+            if not isinstance(doc["key"], str):
+                raise PredicateError(f"predicate op 'attr': key must be a string, "
+                                     f"got {doc['key']!r}")
             return AttrCmp(doc["key"], doc["cmp"], _parse_value(doc["value"]))
         if op == "flags":
-            return HasFlag(doc.get("any_of"))
+            any_of = doc.get("any_of")
+            if any_of is not None:
+                expect_json(any_of, list, "predicate op 'flags': any_of", of=str)
+            return HasFlag(any_of)
         if op == "kind":
-            names = doc["any_of"]
+            names = expect_json(doc["any_of"], list, "predicate op 'kind': any_of",
+                                of=str)
             for name in names:
                 _require_known_kind(name)
             return KindIs(names)
         if op == "layer":
+            if doc["layer"] not in _LAYER_NAMES:
+                raise PredicateError(f"unknown layer {doc['layer']!r}")
             return LayerIs(doc["layer"])
         if op == "not":
             return Not(predicate_from_dict(doc["arg"]))
-        if op == "and":
-            return And([predicate_from_dict(d) for d in doc["args"]])
-        if op == "or":
-            return Or([predicate_from_dict(d) for d in doc["args"]])
+        if op in ("and", "or"):
+            args = expect_json(doc["args"], list, f"predicate op {op!r}: args")
+            parts = [predicate_from_dict(d) for d in args]
+            return And(parts) if op == "and" else Or(parts)
         if op == "neighbor":
-            for name in doc["edge_kinds"]:
+            edge_kinds = expect_json(doc["edge_kinds"], list,
+                                     "predicate op 'neighbor': edge_kinds", of=str)
+            for name in edge_kinds:
                 parse_edge_kind(name)
             return NeighborMatch(
                 doc["direction"],
-                doc["edge_kinds"],
+                edge_kinds,
                 node=predicate_from_dict(doc["node"]) if "node" in doc else None,
                 edge=predicate_from_dict(doc["edge"]) if "edge" in doc else None,
             )

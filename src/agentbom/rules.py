@@ -25,6 +25,7 @@ from .predicates import (
     Not,
     Or,
     Predicate,
+    expect_json,
     predicate_from_dict,
 )
 from . import schema
@@ -78,12 +79,10 @@ class EntrySelector:
             self._kind_set = schema.expand_edge_kinds(self.kinds)
 
     def candidates(self, graph: AgentBomGraph):
-        if self.element_class == "node":
-            for kind in sorted(self._kind_set, key=lambda k: k.value):
-                yield from graph.nodes_of_kind(kind)
-        else:
-            for kind in sorted(self._kind_set, key=lambda k: k.value):
-                yield from graph.edges_of_kind(kind)
+        of_kind = (graph.nodes_of_kind if self.element_class == "node"
+                   else graph.edges_of_kind)
+        for kind in sorted(self._kind_set, key=lambda k: k.value):
+            yield from of_kind(kind)
 
     def matches(self, element, graph: AgentBomGraph) -> bool:
         if self.predicate is None:
@@ -98,12 +97,14 @@ class EntrySelector:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "EntrySelector":
+        expect_json(doc, dict, "rule entry", RulePackError)
         predicate = None
         if "predicate" in doc:
             predicate = predicate_from_dict(doc["predicate"])
         return cls(
             element_class=doc["element_class"],
-            kinds=tuple(doc["kinds"]),
+            kinds=tuple(expect_json(doc["kinds"], list, "entry kinds", RulePackError,
+                                    of=str)),
             predicate=predicate,
         )
 
@@ -131,6 +132,7 @@ class Clause:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Clause":
+        expect_json(doc, dict, "rule condition", RulePackError)
         return cls(
             scope=doc["scope"],
             quantifier=doc["quantifier"],
@@ -172,30 +174,42 @@ class AuditRule:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "AuditRule":
+        expect_json(doc, dict, "rule", RulePackError)
         try:
+            conditions = expect_json(doc["conditions"], list, "rule conditions",
+                                     RulePackError)
             return cls(
                 risk_id=str(doc["risk_id"]),
                 name=str(doc.get("name", "")),
                 entry=EntrySelector.from_dict(doc["entry"]),
                 back=_spec_from_dict(doc["back"], BACKWARD),
                 fwd=_spec_from_dict(doc["fwd"], FORWARD),
-                conditions=[Clause.from_dict(c) for c in doc["conditions"]],
+                conditions=[Clause.from_dict(c) for c in conditions],
             )
         except KeyError as missing:
             raise RulePackError(f"rule document is missing field {missing}") from None
 
 
 def _spec_from_dict(doc: dict, expected_direction: str) -> PathSpec:
+    what = f"rule {expected_direction} spec"
+    expect_json(doc, dict, what, RulePackError)
     direction = doc.get("direction", expected_direction)
     terminal = None
     if "terminal" in doc:
         terminal = predicate_from_dict(doc["terminal"])
+    node_kinds = doc.get("node_kinds")
+    if node_kinds is not None:
+        expect_json(node_kinds, list, f"{what} node_kinds", RulePackError, of=str)
+    max_depth = doc.get("max_depth", 32)
+    if not isinstance(max_depth, int):
+        raise RulePackError(f"{what} max_depth must be an integer, got {max_depth!r}")
     return PathSpec(
         direction=direction,
-        allowed_edge_kinds=doc["edge_kinds"],
-        allowed_node_kinds=doc.get("node_kinds"),
+        allowed_edge_kinds=expect_json(doc["edge_kinds"], list, f"{what} edge_kinds",
+                                       RulePackError, of=str),
+        allowed_node_kinds=node_kinds,
         terminal=terminal,
-        max_depth=int(doc.get("max_depth", 32)),
+        max_depth=max_depth,
         cross_agent=bool(doc.get("cross_agent", False)),
     )
 
@@ -302,9 +316,8 @@ def locate_entries(graph: AgentBomGraph, rule: AuditRule) -> list:
     """All element ids matching the rule's entry selector, sorted."""
     out = []
     for element in rule.entry.candidates(graph):
-        element_id = getattr(element, "node_id", None) or element.edge_id
         if rule.entry.matches(element, graph):
-            out.append(element_id)
+            out.append(_element_id(element))
     return sorted(out)
 
 

@@ -225,6 +225,23 @@ def _graph_case(command, doc):
     return command, doc, None
 
 
+def _matchers_case(**pattern_fields):
+    pattern = dict({"flag": "f", "pattern": "x", "applies_to": ["content"]},
+                   **pattern_fields)
+    return "matchers", {"patterns": [pattern]}, None
+
+
+_RULE = json.loads(dump_rules(builtin_rules()[:1]))["rules"][0]
+
+
+def _rules_case(**rule_fields):
+    return "rules", [dict(_RULE, **rule_fields)], None
+
+
+def _predicate_case(predicate):
+    return _rules_case(entry=dict(_RULE["entry"], predicate=predicate))
+
+
 @pytest.mark.parametrize("command, doc, event", [
     _graph_case("audit", dict(_GRAPH, nodes=[{"node_id": "agent.a"}])),
     _graph_case("validate", dict(_GRAPH, nodes=[{"node_id": "agent.a"}])),
@@ -245,6 +262,15 @@ def _graph_case(command, doc):
     _build_case(agent={"tools": [{"tool_name": "t", "permission_scope": "fs"}]}),
     _build_case(attrs={"danger_flags": "privilege_claim"}),
     _build_case(attrs={"basis": 5}),
+    ("matchers", {"patterns": 5}, None),
+    _matchers_case(applies_to="content"),
+    _matchers_case(applies_to=5),
+    ("rules", [5], None),
+    _rules_case(back=5),
+    _rules_case(conditions=5),
+    _predicate_case({"op": "and", "args": 5}),
+    _predicate_case({"op": "neighbor", "direction": "in", "edge_kinds": 5}),
+    _predicate_case({"op": "flags", "any_of": "privilege_claim"}),
 ], ids=[
     "audit-node-without-kind", "validate-node-without-kind",
     "export-node-without-kind", "audit-graph-is-a-list", "validate-graph-is-a-list",
@@ -253,6 +279,10 @@ def _graph_case(command, doc):
     "skill-not-an-object", "memory-store-not-an-object", "code-dep-not-an-object",
     "model-not-an-object", "permission-scope-not-a-list",
     "danger-flags-not-a-list", "basis-not-a-list",
+    "matcher-patterns-not-a-list", "matcher-applies-to-a-string",
+    "matcher-applies-to-a-number", "rule-not-an-object", "rule-back-not-an-object",
+    "rule-conditions-not-a-list", "and-args-not-a-list",
+    "neighbor-edge-kinds-not-a-list", "flags-any-of-a-string",
 ])
 def test_malformed_input_is_a_single_line_error(tmp_path, capsys, command, doc,
                                                 event):
@@ -262,6 +292,15 @@ def test_malformed_input_is_a_single_line_error(tmp_path, capsys, command, doc,
         trace = tmp_path / "trace.jsonl"
         trace.write_text(json.dumps(event) + "\n")
         argv = ["build", "--manifest", str(first), "--trace", str(trace)]
+    elif command == "matchers":
+        _, manifest, event = _build_case()
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        (tmp_path / "trace.jsonl").write_text(json.dumps(event) + "\n")
+        argv = ["build", "--manifest", str(tmp_path / "manifest.json"),
+                "--trace", str(tmp_path / "trace.jsonl"), "--matchers", str(first)]
+    elif command == "rules":
+        (tmp_path / "graph.json").write_text(json.dumps(_GRAPH))
+        argv = ["audit", "--graph", str(tmp_path / "graph.json"), "--rules", str(first)]
     else:
         argv = [command, "--graph", str(first)]
     assert main(argv) == 2

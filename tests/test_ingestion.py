@@ -248,6 +248,17 @@ def test_refs_become_flow_or_influence_edges_by_stage_distance():
     assert graph.nodes["ctx1"].attr("basis") == ["goal1", "ext1"]
 
 
+def test_event_id_that_spells_an_edge_id_pushes_the_edge_to_a_suffix():
+    events = [
+        _event("ext1", "external_input", "request"),
+        _event("e.flows_to.ext1.goal1", "observation", "looks like an edge id"),
+        _event("goal1", "goal_formed", "do it", refs=["ext1"]),
+    ]
+    graph = assemble(_manifest(), events)
+    assert graph.nodes["e.flows_to.ext1.goal1"].kind is NodeKind.OBSERVATION
+    assert graph.element("e.flows_to.ext1.goal1.2").source == "ext1"
+
+
 def test_typed_events_keep_their_type_and_content_flags():
     events = [
         _event("dec1", "decision_made", "write it down"),

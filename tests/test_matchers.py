@@ -220,3 +220,15 @@ def test_bad_regex_is_rejected_eagerly():
 def test_pack_without_patterns_list_is_rejected():
     with pytest.raises(IngestionError):
         DangerMatcher.from_dict({"rules": []})
+
+
+@pytest.mark.parametrize("applies_to", ["content", 5, [5]])
+def test_applies_to_must_be_a_list_of_keys(applies_to):
+    entry = {"flag": "f", "pattern": "x", "applies_to": applies_to}
+    with pytest.raises(IngestionError, match="applies_to must be a list"):
+        DangerMatcher.from_dict({"patterns": [entry]})
+
+
+def test_pattern_entry_names_its_missing_field():
+    with pytest.raises(IngestionError, match="missing field 'pattern'"):
+        DangerMatcher.from_dict({"patterns": [{"flag": "f", "applies_to": []}]})
