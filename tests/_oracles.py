@@ -104,6 +104,26 @@ def enumerate_paths(graph, start_id, direction, edge_kinds, node_kinds,
     return found
 
 
+def deepest_paths(paths):
+    """The element tuples whose element set lies strictly inside no other's.
+
+    Restated from the report contract ("deepest satisfying backward
+    chains") as plain pairwise set inclusion; input order is kept.
+    """
+    sets = [set(p) for p in paths]
+    return [p for p, mine in zip(paths, sets) if not any(mine < s for s in sets)]
+
+
+def nearest_paths(paths):
+    """The element tuples whose element set holds no other's strictly inside.
+
+    Restated from the report contract ("nearest realized forward impact")
+    as plain pairwise set inclusion; input order is kept.
+    """
+    sets = [set(p) for p in paths]
+    return [p for p, mine in zip(paths, sets) if not any(s < mine for s in sets)]
+
+
 # ---------------------------------------------------------------------------
 # random valid graphs
 # ---------------------------------------------------------------------------

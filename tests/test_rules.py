@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from agentbom.errors import RulePackError
 from agentbom.graph import AgentBomGraph, AgentDescriptor, Edge, Node
-from agentbom.predicates import AttrCmp, HasFlag, KindIs, Not
+from agentbom.predicates import AttrCmp, EntryAttr, HasFlag, KindIs, Not
 from agentbom.rules import (
     RISK_IDS,
     RISK_NAMES,
@@ -21,7 +23,9 @@ from agentbom.rules import (
     locate_entries,
 )
 from agentbom.schema import EdgeKind, NodeKind
-from agentbom.traversal import BACKWARD, FORWARD, PathSpec
+from agentbom.traversal import BACKWARD, FORWARD, PathSpec, trace
+
+from _oracles import deepest_paths, nearest_paths, random_graph, random_spec_params
 
 ALWAYS = Not(AttrCmp("no_such_attribute", "==", "x"))
 
@@ -314,3 +318,93 @@ def test_builtin_pack_against_the_scenario_corpus(graphs, fixtures):
         assert finding.risk_name == RISK_NAMES[finding.risk_id]
         assert finding.trace_id
         assert finding.agents_involved
+
+
+# ---------------------------------------------------------------------------
+# oracle comparison
+# ---------------------------------------------------------------------------
+
+def _random_path_clause(rng):
+    scope = rng.choice(("back_origin", "back_path", "fwd_terminus", "fwd_path"))
+    names = [k.value for k in NodeKind] + [k.value for k in EdgeKind]
+    predicate = rng.choice((
+        HasFlag(),
+        HasFlag(("flag_a",)),
+        KindIs(tuple(rng.sample(names, 12))),
+        AttrCmp("trust_level", "==", "untrusted"),
+        AttrCmp("danger_flags", "intersects", EntryAttr("danger_flags")),
+        Not(KindIs(tuple(rng.sample(names, 6)))),
+    ))
+    return Clause(scope, "exists", predicate)
+
+
+def _random_spec(rng, graph, direction):
+    params = random_spec_params(rng, graph)
+    return PathSpec(
+        direction=direction,
+        allowed_edge_kinds=frozenset(params["edge_kinds"]),
+        allowed_node_kinds=params["node_kinds"],
+        terminal=params["terminal"],
+        max_depth=params["max_depth"],
+        cross_agent=params["cross_agent"],
+    )
+
+
+def _holds_alone(graph, clause, entry_id, elements):
+    """The clause asked of one path in flow order, restated by hand: the
+    origin is the upstream end, the terminus the downstream end, and the
+    entry never testifies on the path scopes."""
+    if clause.scope == "back_origin":
+        candidates = [elements[0]]
+    elif clause.scope == "fwd_terminus":
+        candidates = [elements[-1]]
+    else:
+        candidates = [e for e in elements if e != entry_id]
+    entry = graph.element(entry_id)
+    return any(clause.predicate.evaluate(graph.element(e), graph=graph, entry=entry)
+               for e in candidates)
+
+
+def test_reported_paths_match_the_inclusion_oracle_on_random_graphs():
+    """Deepest back paths and nearest forward paths, as reported by
+    evaluate_rule, equal pairwise set-inclusion selection over the traced
+    paths that satisfy the rule's one path clause on their own."""
+    mismatches = []
+    trimmed = findings_seen = 0
+    for seed in range(150):
+        rng = random.Random(47_000 + seed)
+        graph = random_graph(rng, max_nodes=30, max_edges=50)
+        clause = _random_path_clause(rng)
+        if rng.random() < 0.7 or not graph.edges:
+            entry = EntrySelector("node", tuple(k.value for k in NodeKind))
+        else:
+            entry = EntrySelector("edge", tuple(k.value for k in EdgeKind))
+        rule = AuditRule(
+            risk_id="T01", name="test_rule", entry=entry,
+            back=_random_spec(rng, graph, BACKWARD),
+            fwd=_random_spec(rng, graph, FORWARD),
+            conditions=[Clause("entry", "exists", ALWAYS), clause],
+        )
+        got = {f.entry: ([p.elements for p in f.back_paths],
+                         [p.elements for p in f.fwd_paths])
+               for f in evaluate_rule(graph, rule)}
+        want = {}
+        for entry_id in locate_entries(graph, rule):
+            back = [p.elements for p in trace(graph, entry_id, rule.back)]
+            fwd = [p.elements for p in trace(graph, entry_id, rule.fwd)]
+            if clause.scope.startswith("back"):
+                back = [p for p in back if _holds_alone(graph, clause, entry_id, p)]
+                side = back
+            else:
+                fwd = [p for p in fwd if _holds_alone(graph, clause, entry_id, p)]
+                side = fwd
+            if side:
+                want[entry_id] = (deepest_paths(back), nearest_paths(fwd))
+                trimmed += (len(back) + len(fwd)
+                            - len(want[entry_id][0]) - len(want[entry_id][1]))
+        findings_seen += len(want)
+        if got != want:
+            mismatches.append(seed)
+    assert mismatches == []
+    # the selection must actually have had paths to drop
+    assert findings_seen > 300 and trimmed > 300
