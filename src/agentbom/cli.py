@@ -176,11 +176,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except AgentBomError as exc:
-        message = " ".join(str(exc).split()) or type(exc).__name__
-        print(f"error: {message}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
+    except (AgentBomError, OSError, ValueError) as exc:
         message = " ".join(str(exc).split()) or type(exc).__name__
         print(f"error: {message}", file=sys.stderr)
         return 2

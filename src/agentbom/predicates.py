@@ -1,7 +1,7 @@
 """Boolean predicate trees evaluated against one graph element.
 
-Predicates are total: a comparison against a missing attribute is false,
-never an error. Values in comparisons are literals or references to the
+Predicates are total: a comparison against a missing attribute, or one
+that would have to hash a map or a list, is false, never an error. Values in comparisons are literals or references to the
 current entry element's attributes ({"entry_attr": key}), which lets a rule
 ask questions like "does this element share a danger flag with the entry".
 The neighbor atom is the one predicate that looks past the element itself:
@@ -15,6 +15,7 @@ from .schema import layer_of, parse_edge_kind, parse_node_kind, Layer
 
 _COMPARATORS = ("==", "!=", "contains", "intersects")
 _LAYER_NAMES = tuple(layer.value for layer in Layer)
+_SCALARS = (str, int, float, bool, type(None))
 
 
 class EntryAttr:
@@ -72,18 +73,17 @@ class AttrCmp(Predicate):
             return actual == expected
         if self.cmp == "!=":
             return actual != expected
-        if self.cmp == "contains":
-            if isinstance(actual, str) and isinstance(expected, str):
-                return expected in actual
-            if isinstance(actual, (list, tuple)):
-                return expected in actual
-            if isinstance(actual, dict):
-                return expected in actual
+        try:
+            if self.cmp == "contains":
+                if isinstance(actual, str):
+                    return isinstance(expected, str) and expected in actual
+                return isinstance(actual, (list, tuple, dict)) and expected in actual
+            # intersects
+            left = actual if isinstance(actual, (list, tuple)) else [actual]
+            right = expected if isinstance(expected, (list, tuple)) else [expected]
+            return bool(set(left) & set(right))
+        except TypeError:  # a map, or a map or list among the items
             return False
-        # intersects
-        left = actual if isinstance(actual, (list, tuple)) else [actual]
-        right = expected if isinstance(expected, (list, tuple)) else [expected]
-        return bool(set(left) & set(right))
 
     def to_dict(self) -> dict:
         value = self.value.to_dict() if isinstance(self.value, EntryAttr) else self.value
@@ -260,11 +260,14 @@ def expect_json(value, kind, what, error=PredicateError, of=object):
 
 
 def _parse_value(raw):
+    """A comparison value: a JSON scalar, a list of scalars or an entry_attr."""
     if isinstance(raw, dict):
         if set(raw) == {"entry_attr"} and isinstance(raw["entry_attr"], str):
             return EntryAttr(raw["entry_attr"])
-        raise PredicateError(f"unsupported value document {raw!r}")
-    return raw
+    elif all(isinstance(v, _SCALARS) for v in (raw if isinstance(raw, list) else [raw])):
+        return raw
+    raise PredicateError(f"comparison value must be a JSON scalar, a list of scalars "
+                         f"or {{\"entry_attr\": key}}, got {raw!r}")
 
 
 def predicate_from_dict(doc: dict) -> Predicate:

@@ -29,7 +29,7 @@ from .predicates import (
     predicate_from_dict,
 )
 from . import schema
-from .traversal import BACKWARD, FORWARD, PathSpec, trace
+from .traversal import BACKWARD, FORWARD, PathSpec, select_paths, trace
 
 RISK_IDS = tuple(f"ASI{n:02d}" for n in range(1, 11))
 
@@ -342,60 +342,41 @@ def _element_id(element) -> str:
     return getattr(element, "node_id", None) or element.edge_id
 
 
-def _evaluate_clause(graph, clause, index, entry, back_paths, fwd_paths):
-    """Returns (satisfied, evidence items). exists over an empty scope is
-    false; forall over an empty scope is vacuously true."""
+def _holds(graph, clause, entry, back_paths, fwd_paths) -> bool:
+    """The clause's quantifier over its scope. exists over an empty scope is
+    false and stops at the first match; forall over an empty scope is
+    vacuously true."""
     elements = _scope_elements(graph, clause.scope, entry, back_paths, fwd_paths)
-    keys = clause.predicate.referenced_keys()
+    quantifier = any if clause.quantifier == "exists" else all
+    return quantifier(clause.predicate.evaluate(el, graph=graph, entry=entry)
+                      for el in elements)
+
+
+def _evaluate_clause(graph, clause, index, entry, back_paths, fwd_paths):
+    """Returns (satisfied, evidence items): for exists the matching scope
+    elements, for forall every scope element."""
+    if not _holds(graph, clause, entry, back_paths, fwd_paths):
+        return False, []
+    elements = _scope_elements(graph, clause.scope, entry, back_paths, fwd_paths)
     if clause.quantifier == "exists":
-        items = [
-            EvidenceItem(_element_id(el), index, _snapshot(el, keys))
-            for el in elements
-            if clause.predicate.evaluate(el, graph=graph, entry=entry)
-        ]
-        return bool(items), items
-    for el in elements:
-        if not clause.predicate.evaluate(el, graph=graph, entry=entry):
-            return False, []
-    items = [EvidenceItem(_element_id(el), index, _snapshot(el, keys)) for el in elements]
-    return True, items
+        elements = [el for el in elements
+                    if clause.predicate.evaluate(el, graph=graph, entry=entry)]
+    keys = clause.predicate.referenced_keys()
+    return True, [EvidenceItem(_element_id(el), index, _snapshot(el, keys))
+                  for el in elements]
 
 
 def _snapshot(element, keys) -> dict:
     return {k: element.attributes[k] for k in sorted(keys) if k in element.attributes}
 
 
-def _keep_paths(graph, paths, clauses, entry, origin_scope, path_scope):
-    """Filter paths to those satisfying every exists-clause of their scope."""
-    exists_clauses = [
-        c for c in clauses
-        if c.quantifier == "exists" and c.scope in (origin_scope, path_scope)
-    ]
-    if not exists_clauses:
-        return list(paths)
-    entry_id = _element_id(entry)
-    kept = []
-    for path in paths:
-        ok = True
-        for clause in exists_clauses:
-            if clause.scope == origin_scope:
-                anchor = path.origin if origin_scope == "back_origin" else path.terminus
-                if not clause.predicate.evaluate(
-                    graph.element(anchor), graph=graph, entry=entry
-                ):
-                    ok = False
-                    break
-            else:
-                if not any(
-                    clause.predicate.evaluate(graph.element(e), graph=graph, entry=entry)
-                    for e in path.elements
-                    if e != entry_id
-                ):
-                    ok = False
-                    break
-        if ok:
-            kept.append(path)
-    return kept
+def _keep_paths(graph, paths, clauses, entry, scopes):
+    """The paths on which every exists-clause of the given scopes holds."""
+    exists_clauses = [c for c in clauses
+                      if c.quantifier == "exists" and c.scope in scopes]
+    # a lone path stands on both sides; only its own scopes are asked
+    return [p for p in paths
+            if all(_holds(graph, c, entry, [p], [p]) for c in exists_clauses)]
 
 
 def _phase_label(entry) -> str:
@@ -403,24 +384,6 @@ def _phase_label(entry) -> str:
     if isinstance(entry, Edge):
         return schema.family_of(entry.kind).value
     return entry.layer.value
-
-
-def _maximal_paths(paths) -> list:
-    """Paths whose element set is not contained in another path's set."""
-    sets = [set(p.elements) for p in paths]
-    return [
-        p for i, p in enumerate(paths)
-        if not any(j != i and sets[i] < sets[j] for j in range(len(paths)))
-    ]
-
-
-def _minimal_paths(paths) -> list:
-    """Paths that do not contain another path's element set."""
-    sets = [set(p.elements) for p in paths]
-    return [
-        p for i, p in enumerate(paths)
-        if not any(j != i and sets[j] < sets[i] for j in range(len(paths)))
-    ]
 
 
 def evaluate_rule(graph: AgentBomGraph, rule: AuditRule, stats=None) -> list:
@@ -443,10 +406,12 @@ def evaluate_rule(graph: AgentBomGraph, rule: AuditRule, stats=None) -> list:
         back = trace(graph, entry_id, rule.back)
         fwd = trace(graph, entry_id, rule.fwd)
         explored += len(back) + len(fwd)
-        back = _maximal_paths(_keep_paths(
-            graph, back, rule.conditions, entry, "back_origin", "back_path"))
-        fwd = _minimal_paths(_keep_paths(
-            graph, fwd, rule.conditions, entry, "fwd_terminus", "fwd_path"))
+        back = select_paths(_keep_paths(
+            graph, back, rule.conditions, entry, ("back_origin", "back_path")),
+            deepest=True)
+        fwd = select_paths(_keep_paths(
+            graph, fwd, rule.conditions, entry, ("fwd_terminus", "fwd_path")),
+            deepest=False)
 
         evidence = []
         satisfied = True

@@ -197,6 +197,29 @@ def trace(graph: AgentBomGraph, start: str, spec: PathSpec) -> list:
     return found
 
 
+def select_paths(paths, deepest: bool) -> list:
+    """Of paths from one trace, the deepest (no other given path extends
+    them) or the nearest (no other given path is a prefix of them), in
+    their given order.
+
+    Every path of one trace is simple and starts at the same anchor, so one
+    path's element set lies strictly inside another's exactly when it is a
+    proper prefix of the other, read from the anchor.
+    """
+    walks = [p.elements[::-1] if p.direction == BACKWARD else p.elements
+             for p in paths]
+
+    def proper_prefixes(walk):
+        return (walk[:end] for end in range(3, len(walk), 2))
+
+    if deepest:
+        extended = {prefix for walk in walks for prefix in proper_prefixes(walk)}
+        return [p for p, walk in zip(paths, walks) if walk not in extended]
+    given = set(walks)
+    return [p for p, walk in zip(paths, walks)
+            if given.isdisjoint(proper_prefixes(walk))]
+
+
 # ===========================================================================
 # induced subgraphs
 # ===========================================================================

@@ -271,6 +271,10 @@ def _predicate_case(predicate):
     _predicate_case({"op": "and", "args": 5}),
     _predicate_case({"op": "neighbor", "direction": "in", "edge_kinds": 5}),
     _predicate_case({"op": "flags", "any_of": "privilege_claim"}),
+    _predicate_case({"op": "attr", "key": "tool_name", "cmp": "intersects",
+                     "value": [[1]]}),
+    _predicate_case({"op": "attr", "key": "content", "cmp": "contains",
+                     "value": [{"entry_attr": "content"}]}),
 ], ids=[
     "audit-node-without-kind", "validate-node-without-kind",
     "export-node-without-kind", "audit-graph-is-a-list", "validate-graph-is-a-list",
@@ -283,6 +287,7 @@ def _predicate_case(predicate):
     "matcher-applies-to-a-number", "rule-not-an-object", "rule-back-not-an-object",
     "rule-conditions-not-a-list", "and-args-not-a-list",
     "neighbor-edge-kinds-not-a-list", "flags-any-of-a-string",
+    "attr-value-a-nested-list", "attr-value-a-list-of-maps",
 ])
 def test_malformed_input_is_a_single_line_error(tmp_path, capsys, command, doc,
                                                 event):

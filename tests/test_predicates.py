@@ -52,6 +52,23 @@ def test_attr_contains_strings_lists_and_maps():
     assert not AttrCmp("content", "contains", "x").evaluate(_node(content="y"))
 
 
+def test_contains_and_intersects_are_false_on_maps_and_unhashable_items():
+    params = _node(parameters={"command": "ls"})
+    assert not AttrCmp("parameters", "intersects", "command").evaluate(params)
+    assert not AttrCmp("parameters", "intersects", ["command"]).evaluate(params)
+    assert not AttrCmp("parameters", "contains", ["command"]).evaluate(params)
+    assert not AttrCmp("danger_flags", "intersects", [["a"]]).evaluate(
+        _node(danger_flags=["a"]))
+    # an entry attribute may resolve to a map
+    entry = _node("entry", parameters={"command": "ls"})
+    assert not AttrCmp("danger_flags", "intersects", EntryAttr("parameters")).evaluate(
+        _node(danger_flags=["a"]), entry=entry)
+    assert not AttrCmp("parameters", "contains", EntryAttr("parameters")).evaluate(
+        params, entry=entry)
+    assert AttrCmp("parameters", "==", EntryAttr("parameters")).evaluate(
+        params, entry=entry)
+
+
 def test_attr_intersects_promotes_scalars():
     pred = AttrCmp("danger_flags", "intersects", ["a", "z"])
     assert pred.evaluate(_node(danger_flags=["b", "z"]))
