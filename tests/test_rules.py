@@ -408,3 +408,114 @@ def test_reported_paths_match_the_inclusion_oracle_on_random_graphs():
     assert mismatches == []
     # the selection must actually have had paths to drop
     assert findings_seen > 300 and trimmed > 300
+
+
+_QUANTIFIERS = ("exists", "forall")
+
+
+def _scope_ids(scope, entry_id, back, fwd):
+    """A clause scope over reported element tuples in flow order, restated by
+    hand: first-seen order, and the entry never testifies for its paths."""
+    if scope == "entry":
+        return [entry_id]
+    if scope == "back_origin":
+        ids = [p[0] for p in back]
+    elif scope == "back_path":
+        ids = [e for p in back for e in p]
+    elif scope == "fwd_terminus":
+        ids = [p[-1] for p in fwd]
+    else:
+        ids = [e for p in fwd for e in p]
+    return [i for i in dict.fromkeys(ids) if i != entry_id]
+
+
+def _oracle_finding(graph, rule, entry_id):
+    """(back paths, fwd paths, evidence dicts) for one entry, or None, from
+    trace output, the inclusion oracle and direct predicate calls."""
+    entry = graph.element(entry_id)
+
+    def asks(predicate, element_id):
+        return predicate.evaluate(graph.element(element_id), graph=graph, entry=entry)
+
+    def kept(paths, scopes):
+        return [p for p in paths if all(
+            any(asks(c.predicate, i) for i in _scope_ids(c.scope, entry_id, [p], [p]))
+            for c in rule.conditions
+            if c.quantifier == "exists" and c.scope in scopes)]
+
+    back = deepest_paths(kept([p.elements for p in trace(graph, entry_id, rule.back)],
+                              ("back_origin", "back_path")))
+    fwd = nearest_paths(kept([p.elements for p in trace(graph, entry_id, rule.fwd)],
+                             ("fwd_terminus", "fwd_path")))
+    evidence = []
+    for index, clause in enumerate(rule.conditions):
+        scope = _scope_ids(clause.scope, entry_id, back, fwd)
+        matching = [i for i in scope if asks(clause.predicate, i)]
+        if clause.quantifier == "exists" and not matching:
+            return None
+        if clause.quantifier == "forall" and matching != scope:
+            return None
+        keys = sorted(clause.predicate.referenced_keys())
+        for element_id in matching:
+            attributes = graph.element(element_id).attributes
+            evidence.append({"element": element_id, "clause": index, "attributes":
+                             {k: attributes[k] for k in keys if k in attributes}})
+    return back, fwd, evidence
+
+
+def test_findings_and_evidence_match_the_oracle_with_mixed_clauses():
+    """Two or three clauses, exists and forall over every scope, two of them
+    sharing one predicate object: each finding's paths and full evidence
+    list equal the oracle's."""
+    names = [k.value for k in NodeKind] + [k.value for k in EdgeKind]
+    mismatches = []
+    findings_seen = multi_clause_evidence = forall_evidence = 0
+    for seed in range(150):
+        rng = random.Random(53_000 + seed)
+        graph = random_graph(rng, max_nodes=30, max_edges=50)
+        pool = [
+            HasFlag(), HasFlag(("flag_a",)), ALWAYS,
+            KindIs(tuple(rng.sample(names, 20))),
+            Not(KindIs(tuple(rng.sample(names, 6)))),
+            Not(AttrCmp("trust_level", "==", "untrusted")),
+            AttrCmp("danger_flags", "intersects", EntryAttr("danger_flags")),
+        ]
+        scopes = ("back_origin", "back_path", "fwd_terminus", "fwd_path")
+        clauses = [Clause("entry", rng.choice(_QUANTIFIERS), rng.choice(pool))]
+        clauses += [Clause(rng.choice(scopes + ("entry",)) if i else rng.choice(scopes),
+                           rng.choice(_QUANTIFIERS), rng.choice(pool))
+                    for i in range(rng.randint(1, 2))]
+        shared = rng.sample(range(len(clauses)), 2)
+        clauses[shared[1]].predicate = clauses[shared[0]].predicate
+        rng.shuffle(clauses)
+        if rng.random() < 0.7 or not graph.edges:
+            entry = EntrySelector("node", tuple(k.value for k in NodeKind))
+            entry_ids = sorted(graph.nodes)
+        else:
+            entry = EntrySelector("edge", tuple(k.value for k in EdgeKind))
+            entry_ids = sorted(graph.edges)
+        rule = AuditRule(
+            risk_id="T01", name="test_rule", entry=entry,
+            back=_random_spec(rng, graph, BACKWARD),
+            fwd=_random_spec(rng, graph, FORWARD),
+            conditions=clauses,
+        )
+        got = {f.entry: ([p.elements for p in f.back_paths],
+                         [p.elements for p in f.fwd_paths],
+                         [e.to_dict() for e in f.evidence])
+               for f in evaluate_rule(graph, rule)}
+        want = {}
+        for entry_id in entry_ids:
+            finding = _oracle_finding(graph, rule, entry_id)
+            if finding is not None:
+                want[entry_id] = finding
+                evidence = finding[2]
+                multi_clause_evidence += len({e["clause"] for e in evidence}) > 1
+                forall_evidence += any(rule.conditions[e["clause"]].quantifier
+                                       == "forall" and e["element"] != entry_id
+                                       for e in evidence)
+        findings_seen += len(want)
+        if got != want:
+            mismatches.append(seed)
+    assert mismatches == []
+    assert findings_seen > 600 and multi_clause_evidence > 300 and forall_evidence > 150

@@ -6,6 +6,7 @@ import pytest
 
 from _oracles import enumerate_paths, random_graph, random_spec_params
 from agentbom.graph import AgentBomGraph, AgentDescriptor, Edge, Node
+from agentbom.predicates import AttrCmp, EntryAttr, NeighborMatch
 from agentbom.schema import EdgeKind, NodeKind
 from agentbom.traversal import BACKWARD, FORWARD, AuditPath, PathSpec, subgraph, trace
 
@@ -196,6 +197,64 @@ def test_trace_matches_brute_force_on_random_graphs():
             if got != want:
                 mismatches.append((seed, start))
     assert mismatches == []
+
+
+def _flags(element):
+    return set(element.attributes.get("danger_flags") or ())
+
+
+_SHARES_ENTRY_FLAG = AttrCmp("danger_flags", "intersects", EntryAttr("danger_flags"))
+_FED_BY_ENTRY_FLAG = NeighborMatch("in", [k.value for k in EdgeKind],
+                                   node=_SHARES_ENTRY_FLAG)
+
+
+def _restated(predicate, graph, entry):
+    """The entry-reading terminal restated by hand as a plain callable that
+    closes over one entry."""
+    wanted = _flags(entry)
+    if predicate is _SHARES_ENTRY_FLAG:
+        return lambda node: bool(wanted & _flags(node))
+    return lambda node: any(
+        edge.target == node.node_id and wanted & _flags(graph.nodes[edge.source])
+        for edge in graph.edges.values())
+
+
+def test_entry_reading_terminal_matches_brute_force_per_entry():
+    """One spec traced from entries with different flags: the terminal's
+    answer depends on the entry, so it may not carry over between traces."""
+    mismatches = []
+    found = 0
+    for seed in range(150):
+        rng = random.Random(91_000 + seed)
+        graph = random_graph(rng, max_nodes=30, max_edges=50)
+        params = random_spec_params(rng, graph)
+        predicate = rng.choice((_SHARES_ENTRY_FLAG, _FED_BY_ENTRY_FLAG))
+        spec = PathSpec(
+            direction=params["direction"],
+            allowed_edge_kinds=frozenset(params["edge_kinds"]),
+            allowed_node_kinds=params["node_kinds"],
+            terminal=predicate,
+            max_depth=params["max_depth"],
+            cross_agent=params["cross_agent"],
+        )
+        # the first node carrying each flag, then an arbitrary node and edge
+        by_flag = {}
+        for node_id in sorted(graph.nodes):
+            for flag in sorted(_flags(graph.nodes[node_id])):
+                by_flag.setdefault(flag, node_id)
+        starts = [by_flag[flag] for flag in sorted(by_flag)]
+        starts.append(rng.choice(sorted(graph.nodes)))
+        if graph.edges:
+            starts.append(rng.choice(sorted(graph.edges)))
+        for start in starts:
+            params["terminal"] = _restated(predicate, graph, graph.element(start))
+            got = [p.elements for p in trace(graph, start, spec)]
+            want = enumerate_paths(graph, start, **params)
+            found += len(want)
+            if got != want:
+                mismatches.append((seed, start))
+    assert mismatches == []
+    assert found > 500
 
 
 # ---------------------------------------------------------------------------
