@@ -25,6 +25,7 @@ from .errors import (
     EndpointKindError,
     FrozenGraphError,
     GraphDocumentError,
+    GraphError,
     MissingTraceIdError,
     UnknownAgentError,
     UnknownKindError,
@@ -192,6 +193,7 @@ class Violation:
 
 # A violation code outranks none; insertion maps codes to raised errors.
 _ERROR_OF_CODE = {
+    "empty_id": GraphError,
     "duplicate_id": DuplicateIdError,
     "unknown_kind": UnknownKindError,
     "attribute_schema": AttributeSchemaError,
@@ -330,6 +332,8 @@ class AgentBomGraph:
     def _node_violations(self, node: Node, check_duplicate: bool = False):
         out: list[Violation] = []
         nid = node.node_id
+        if not nid:
+            return [Violation("empty_id", nid, "a node id must not be empty")]
         if check_duplicate and self.has_element(nid):
             return [Violation("duplicate_id", nid, f"element id {nid!r} already in use")]
         if not isinstance(node.kind, NodeKind):
@@ -386,6 +390,8 @@ class AgentBomGraph:
     def _edge_violations(self, edge: Edge, check_duplicate: bool = False):
         out: list[Violation] = []
         eid = edge.edge_id
+        if not eid:
+            return [Violation("empty_id", eid, "an edge id must not be empty")]
         if check_duplicate and self.has_element(eid):
             return [Violation("duplicate_id", eid, f"element id {eid!r} already in use")]
         if not isinstance(edge.kind, EdgeKind):

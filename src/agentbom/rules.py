@@ -339,28 +339,35 @@ def _scope_elements(graph, scope, entry, back_paths, fwd_paths) -> list:
 
 
 def _element_id(element) -> str:
-    return getattr(element, "node_id", None) or element.edge_id
+    return element.edge_id if isinstance(element, Edge) else element.node_id
 
 
-def _holds(graph, clause, entry, back_paths, fwd_paths) -> bool:
+def _asks(graph, clause, entry, element, answers) -> bool:
+    """The clause's predicate on one element; answers holds one entry's
+    answers by (clause identity, element id), so each is asked once."""
+    key = (id(clause), _element_id(element))
+    if key not in answers:
+        answers[key] = clause.predicate.evaluate(element, graph=graph, entry=entry)
+    return answers[key]
+
+
+def _holds(graph, clause, entry, back_paths, fwd_paths, answers) -> bool:
     """The clause's quantifier over its scope. exists over an empty scope is
     false and stops at the first match; forall over an empty scope is
     vacuously true."""
     elements = _scope_elements(graph, clause.scope, entry, back_paths, fwd_paths)
     quantifier = any if clause.quantifier == "exists" else all
-    return quantifier(clause.predicate.evaluate(el, graph=graph, entry=entry)
-                      for el in elements)
+    return quantifier(_asks(graph, clause, entry, el, answers) for el in elements)
 
 
-def _evaluate_clause(graph, clause, index, entry, back_paths, fwd_paths):
+def _evaluate_clause(graph, clause, index, entry, back_paths, fwd_paths, answers):
     """Returns (satisfied, evidence items): for exists the matching scope
     elements, for forall every scope element."""
-    if not _holds(graph, clause, entry, back_paths, fwd_paths):
+    if not _holds(graph, clause, entry, back_paths, fwd_paths, answers):
         return False, []
     elements = _scope_elements(graph, clause.scope, entry, back_paths, fwd_paths)
     if clause.quantifier == "exists":
-        elements = [el for el in elements
-                    if clause.predicate.evaluate(el, graph=graph, entry=entry)]
+        elements = [el for el in elements if _asks(graph, clause, entry, el, answers)]
     keys = clause.predicate.referenced_keys()
     return True, [EvidenceItem(_element_id(el), index, _snapshot(el, keys))
                   for el in elements]
@@ -370,13 +377,13 @@ def _snapshot(element, keys) -> dict:
     return {k: element.attributes[k] for k in sorted(keys) if k in element.attributes}
 
 
-def _keep_paths(graph, paths, clauses, entry, scopes):
+def _keep_paths(graph, paths, clauses, entry, scopes, answers):
     """The paths on which every exists-clause of the given scopes holds."""
     exists_clauses = [c for c in clauses
                       if c.quantifier == "exists" and c.scope in scopes]
     # a lone path stands on both sides; only its own scopes are asked
     return [p for p in paths
-            if all(_holds(graph, c, entry, [p], [p]) for c in exists_clauses)]
+            if all(_holds(graph, c, entry, [p], [p], answers) for c in exists_clauses)]
 
 
 def _phase_label(entry) -> str:
@@ -398,25 +405,30 @@ def evaluate_rule(graph: AgentBomGraph, rule: AuditRule, stats=None) -> list:
     When a ``stats`` dict is given, it receives the rule's ``entries``,
     ``paths_explored`` (paths traced in both directions, before filtering)
     and ``findings`` counts.
+
+    Each clause predicate is asked once per (entry, element): predicates are
+    pure functions of (element, graph, entry), and the graph does not change
+    during an audit.
     """
     entries = locate_entries(graph, rule)
     findings, explored = [], 0
     for entry_id in entries:
         entry = graph.element(entry_id)
+        answers = {}
         back = trace(graph, entry_id, rule.back)
         fwd = trace(graph, entry_id, rule.fwd)
         explored += len(back) + len(fwd)
         back = select_paths(_keep_paths(
-            graph, back, rule.conditions, entry, ("back_origin", "back_path")),
+            graph, back, rule.conditions, entry, ("back_origin", "back_path"), answers),
             deepest=True)
         fwd = select_paths(_keep_paths(
-            graph, fwd, rule.conditions, entry, ("fwd_terminus", "fwd_path")),
+            graph, fwd, rule.conditions, entry, ("fwd_terminus", "fwd_path"), answers),
             deepest=False)
 
         evidence = []
         satisfied = True
         for index, clause in enumerate(rule.conditions):
-            ok, items = _evaluate_clause(graph, clause, index, entry, back, fwd)
+            ok, items = _evaluate_clause(graph, clause, index, entry, back, fwd, answers)
             if not ok:
                 satisfied = False
                 break

@@ -103,30 +103,23 @@ class AuditPath:
 # ===========================================================================
 
 
-def _steps(graph: AgentBomGraph, node_id: str, spec: PathSpec):
-    """Yield (edge, next_node_id) pairs leaving node_id in spec's direction."""
+def _steps(graph: AgentBomGraph, node_id: str, spec: PathSpec) -> list:
+    """The (edge_id, next_node_id) pairs leaving node_id in spec's
+    direction, sorted by edge id."""
     forward = spec.direction == FORWARD
-    candidates = []
-    for edge in graph.out_edges(node_id):
-        flow = schema.FLOW_OF_KIND[edge.kind]
-        if flow is Flow.BOTH:
-            candidates.append((edge, edge.target))
-        elif (flow is Flow.WITH) == forward:
-            candidates.append((edge, edge.target))
-    for edge in graph.in_edges(node_id):
-        flow = schema.FLOW_OF_KIND[edge.kind]
-        if flow is Flow.BOTH:
-            candidates.append((edge, edge.source))
-        elif (flow is Flow.INV) == forward:
-            candidates.append((edge, edge.source))
     out = []
-    for edge, nxt in candidates:
-        if edge.kind not in spec.allowed_edge_kinds:
-            continue
-        if not spec.cross_agent and edge.family is schema.EdgeFamily.PROPAGATION:
-            continue
-        out.append((edge, nxt))
-    out.sort(key=lambda pair: pair[0].edge_id)
+    for edges, along, far_end in ((graph.out_edges(node_id), Flow.WITH, "target"),
+                                  (graph.in_edges(node_id), Flow.INV, "source")):
+        for edge in edges:
+            flow = schema.FLOW_OF_KIND[edge.kind]
+            if flow is not Flow.BOTH and (flow is along) != forward:
+                continue
+            if edge.kind not in spec.allowed_edge_kinds:
+                continue
+            if not spec.cross_agent and edge.family is schema.EdgeFamily.PROPAGATION:
+                continue
+            out.append((edge.edge_id, getattr(edge, far_end)))
+    out.sort()
     return out
 
 
@@ -158,6 +151,10 @@ def trace(graph: AgentBomGraph, start: str, spec: PathSpec) -> list:
     Returns paths ordered by (depth, lexical element sequence). The entry
     element passed to terminal predicates is the start element itself, so
     predicates may compare against the entry's attributes.
+
+    Each node's steps, terminal answer and passability are computed once,
+    in tables local to this call: predicates are pure functions of (element,
+    graph, entry), and the graph does not change during an audit.
     """
     entry = graph.element(start)
     anchor = _start_node(graph, start, spec.direction)
@@ -166,27 +163,31 @@ def trace(graph: AgentBomGraph, start: str, spec: PathSpec) -> list:
     # backward trace is the reverse of that
     stack_elements = [anchor]
     visited = {anchor}
+    steps = {}     # node id -> its (edge id, next node id) pairs
+    arrivals = {}  # node id -> (terminal holds there, walk may pass through)
 
     def descend(node_id: str, depth: int):
-        for edge, nxt in _steps(graph, node_id, spec):
+        if node_id not in steps:
+            steps[node_id] = _steps(graph, node_id, spec)
+        for edge_id, nxt in steps[node_id]:
             if nxt in visited:
                 continue
-            stack_elements.append(edge.edge_id)
+            if nxt not in arrivals:
+                node = graph.nodes[nxt]
+                arrivals[nxt] = (_terminal_ok(spec, graph, node, entry),
+                                 spec.allowed_node_kinds is None
+                                 or node.kind in spec.allowed_node_kinds)
+            terminal, passable = arrivals[nxt]
+            stack_elements.append(edge_id)
             stack_elements.append(nxt)
             visited.add(nxt)
-            nxt_node = graph.nodes[nxt]
-            if _terminal_ok(spec, graph, nxt_node, entry):
+            if terminal:
                 if spec.direction == BACKWARD:
                     elements = tuple(reversed(stack_elements))
                 else:
                     elements = tuple(stack_elements)
                 found.append(AuditPath(spec.direction, elements))
-            deeper = depth + 1 < spec.max_depth
-            passable = (
-                spec.allowed_node_kinds is None
-                or nxt_node.kind in spec.allowed_node_kinds
-            )
-            if deeper and passable:
+            if passable and depth + 1 < spec.max_depth:
                 descend(nxt, depth + 1)
             visited.discard(nxt)
             stack_elements.pop()

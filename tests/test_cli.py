@@ -216,6 +216,11 @@ _GRAPH = {"agents": [{"agent_id": "a"}],
           "edges": []}
 
 
+# a flagged agent node is an ASI10 entry, so the audit asks for its id
+_UNNAMED_FLAGGED_AGENT = {"node_id": "", "kind": "AgentNode",
+                          "attributes": {"danger_flags": ["privilege_claim"]}}
+
+
 def _build_case(agent=None, **event_fields):
     manifest = {"agents": [dict({"agent_id": "a"}, **(agent or {}))]}
     return "build", manifest, dict(_EVENT, **event_fields)
@@ -252,6 +257,8 @@ def _predicate_case(predicate):
     _graph_case("validate", {"agents": [], "nodes": []}),
     _graph_case("validate", dict(_GRAPH, nodes=[dict(_GRAPH["nodes"][0],
                                                      timestamp=5)])),
+    _graph_case("validate", dict(_GRAPH, nodes=[_UNNAMED_FLAGGED_AGENT])),
+    _graph_case("audit", dict(_GRAPH, nodes=[_UNNAMED_FLAGGED_AGENT])),
     _build_case(refs=5),
     _build_case(attrs=5),
     _build_case(agent={"tools": ["exec"]}),
@@ -279,6 +286,7 @@ def _predicate_case(predicate):
     "audit-node-without-kind", "validate-node-without-kind",
     "export-node-without-kind", "audit-graph-is-a-list", "validate-graph-is-a-list",
     "export-graph-is-a-list", "graph-without-edges", "node-timestamp-not-a-string",
+    "validate-empty-node-id", "audit-empty-node-id",
     "refs-not-a-list", "attrs-not-an-object", "tool-not-an-object",
     "skill-not-an-object", "memory-store-not-an-object", "code-dep-not-an-object",
     "model-not-an-object", "permission-scope-not-a-list",

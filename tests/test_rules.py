@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
 from agentbom.errors import RulePackError
 from agentbom.graph import AgentBomGraph, AgentDescriptor, Edge, Node
-from agentbom.predicates import AttrCmp, EntryAttr, HasFlag, KindIs, Not
+from agentbom.ingestion import TraceEvent, assemble, parse_manifest
+from agentbom.predicates import AttrCmp, EntryAttr, HasFlag, KindIs, Not, Predicate
 from agentbom.rules import (
     RISK_IDS,
     RISK_NAMES,
@@ -519,3 +521,70 @@ def test_findings_and_evidence_match_the_oracle_with_mixed_clauses():
             mismatches.append(seed)
     assert mismatches == []
     assert findings_seen > 600 and multi_clause_evidence > 300 and forall_evidence > 150
+
+
+# ---------------------------------------------------------------------------
+# work bound
+# ---------------------------------------------------------------------------
+
+def _diamond_chain(depth):
+    """ext -> goal -> context -> depth reasoning steps -> decision -> action;
+    step i refs steps i-1 and i-2, so forward paths grow like the Fibonacci
+    numbers. Every step repeats the untrusted input's privilege claim."""
+    events = []
+
+    def event(event_type, refs=(), **attrs):
+        event_id = f"s{len(events):02d}"
+        stamp = f"2026-03-01T10:{len(events):02d}:00Z"
+        events.append(TraceEvent(event_id, "t1", "a", stamp, event_type,
+                                 "acts with full authority", refs=list(refs),
+                                 attrs=attrs))
+        return event_id
+
+    ext = event("external_input", source="forum://t", trust_level="untrusted")
+    steps = [event("context_assembled", refs=[event("goal_formed", refs=[ext])])]
+    for _ in range(depth):
+        steps.append(event("reasoning_step", refs=steps[-2:]))
+    event("action_taken", refs=[event("decision_made", refs=[steps[-1]])])
+    return assemble(parse_manifest({"agents": [{"agent_id": "a"}]}), events)
+
+
+class _Counted(Predicate):
+    """Delegates to inner and tallies each call by (use, entry, element)."""
+
+    def __init__(self, inner, tally, use):
+        self.inner, self.tally, self.use = inner, tally, use
+
+    def evaluate(self, element, graph=None, entry=None):
+        ids = [e.edge_id if isinstance(e, Edge) else e.node_id for e in (entry, element)]
+        self.tally[(self.use, *ids)] += 1
+        return self.inner.evaluate(element, graph=graph, entry=entry)
+
+    def to_dict(self):
+        return self.inner.to_dict()
+
+    def referenced_keys(self):
+        return self.inner.referenced_keys()
+
+
+def test_each_terminal_and_clause_is_asked_once_per_trace_and_entry():
+    """Each terminal is evaluated at most once per (trace, node) and each
+    clause predicate at most once per (entry, element), on a diamond chain
+    whose paths pass through every node many times; the report does not
+    change."""
+    graph = _diamond_chain(12)
+    tally = Counter()
+    counted = builtin_rules()
+    for rule in counted:
+        for spec in (rule.back, rule.fwd):
+            if spec.terminal is not None:
+                spec.terminal = _Counted(spec.terminal, tally,
+                                         (rule.risk_id, spec.direction))
+        for index, clause in enumerate(rule.conditions):
+            clause.predicate = _Counted(clause.predicate, tally, (rule.risk_id, index))
+    report = audit(graph, counted)
+    assert report.to_json() == audit(graph).to_json()
+    assert report.risk_ids() == ["ASI01"]
+    assert len(report.findings[0].fwd_paths) > 100
+    assert sum(tally.values()) > 50
+    assert max(tally.values()) == 1

@@ -163,6 +163,19 @@ def test_edge_start_anchors_by_direction():
     assert max(p.depth for p in back) == 5  # anchored at act, walks to ext
 
 
+def test_a_spec_traced_again_sees_edges_added_since():
+    graph = AgentBomGraph()
+    graph.add_agent(AgentDescriptor("a1", "worker", ""))
+    for node_id, kind in [("ext", NodeKind.EXTERNAL), ("goal", NodeKind.GOAL),
+                          ("ctx", NodeKind.CONTEXT)]:
+        graph.add_node(_runtime(node_id, kind))
+    graph.add_edge(Edge("f1", EdgeKind.FLOWS_TO, "ext", "goal"))
+    spec = _spec(FORWARD, {"flows_to"})
+    assert [p.terminus for p in trace(graph, "ext", spec)] == ["goal"]
+    graph.add_edge(Edge("f2", EdgeKind.FLOWS_TO, "goal", "ctx"))
+    assert [p.terminus for p in trace(graph, "ext", spec)] == ["goal", "ctx"]
+
+
 def test_paths_sort_by_depth_then_elements():
     graph = _chain_graph()
     paths = trace(graph, "ext", _spec(FORWARD, {"flows_to"}))
