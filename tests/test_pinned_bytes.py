@@ -11,7 +11,7 @@ import hashlib
 
 import pytest
 
-from agentbom.dot import to_dot
+from agentbom.dot import finding_to_dot, to_dot
 from agentbom.ingestion import TraceEvent, assemble, parse_manifest
 from agentbom.rules import audit, builtin_rules, dump_rules
 from agentbom.scenarios import SCENARIO_IDS
@@ -45,6 +45,21 @@ PINNED = {
     ),
 }
 
+# scenario -> sha256 of every finding's DOT, concatenated in report order,
+# at seed 0 (benign_baseline has no findings, so it pins the empty string)
+FINDING_DOT_PINNED = {
+    "memory_poisoning_tool_misuse":
+        "e93f24ac184b4d8bee11f30ea78ebb42fa2e64f7deb9032e2d4014fff405aae3",
+    "supply_chain_code_exec":
+        "cd10601b9c7bc618853037e94f3b56cbc9521f39754860261d2e35b25475b4e0",
+    "ecosystem_hijacking":
+        "ab1fcfb925e68afe771b28417cd65b0f002cb3df56ae4275468bacf54b08f0df",
+    "privilege_trust_abuse":
+        "f6f2ff18185f48150e1e17a0d3ed34ed621b290517855caed2a922eb89038d32",
+    "benign_baseline":
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+}
+
 BUILTIN_PACK_SHA256 = "3dc262981a251f9175b4f3f986643be810ee58fa40c025c0fc2cddae0f19f3ff"
 
 
@@ -54,6 +69,7 @@ def _sha256(text: str) -> str:
 
 def test_every_scenario_is_pinned():
     assert sorted(PINNED) == sorted(SCENARIO_IDS)
+    assert sorted(FINDING_DOT_PINNED) == sorted(SCENARIO_IDS)
 
 
 @pytest.mark.parametrize("scenario_id", sorted(PINNED))
@@ -62,6 +78,13 @@ def test_scenario_bytes_are_pinned(graphs, scenario_id):
     got = (_sha256(graph.to_json()), _sha256(audit(graph).to_json()),
            _sha256(to_dot(graph)))
     assert got == PINNED[scenario_id]
+
+
+@pytest.mark.parametrize("scenario_id", sorted(FINDING_DOT_PINNED))
+def test_finding_dot_bytes_are_pinned(graphs, scenario_id):
+    graph = graphs[scenario_id]
+    text = "".join(finding_to_dot(graph, f) for f in audit(graph).findings)
+    assert _sha256(text) == FINDING_DOT_PINNED[scenario_id]
 
 
 def test_builtin_pack_bytes_are_pinned():
