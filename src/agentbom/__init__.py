@@ -10,8 +10,8 @@ in cli.
 
 from .errors import (
     AgentBomError,
-    AssemblyValidationError,
     GraphError,
+    GraphValidationError,
     IngestionError,
     RuleError,
 )
@@ -37,7 +37,7 @@ from .rules import (
 )
 from .scenarios import SCENARIO_IDS, Fixture, generate
 from .schema import EdgeFamily, EdgeKind, Flow, Layer, NodeKind
-from .traversal import AuditPath, PathSpec, subgraph, trace
+from .traversal import AuditPath, PathSpec, trace
 from .dot import finding_to_dot, to_dot
 
 __version__ = "0.1.0"
@@ -46,7 +46,6 @@ __all__ = [
     "AgentBomError",
     "AgentBomGraph",
     "AgentDescriptor",
-    "AssemblyValidationError",
     "AuditPath",
     "AuditReport",
     "AuditRule",
@@ -59,6 +58,7 @@ __all__ = [
     "Fixture",
     "Flow",
     "GraphError",
+    "GraphValidationError",
     "IngestionError",
     "Layer",
     "Node",
@@ -80,7 +80,6 @@ __all__ = [
     "parse_manifest",
     "parse_manifest_json",
     "parse_trace_jsonl",
-    "subgraph",
     "to_dot",
     "trace",
     "__version__",

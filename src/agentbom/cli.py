@@ -10,13 +10,12 @@ input or schema error (one diagnostic line on stderr).
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
 from . import scenarios
 from .dot import finding_to_dot, to_dot
-from .errors import AgentBomError, AssemblyValidationError
+from .errors import AgentBomError, GraphValidationError
 from .graph import AgentBomGraph
 from .ingestion import assemble, parse_manifest_json, parse_trace_jsonl
 from .matchers import DangerMatcher, default_matcher
@@ -37,7 +36,6 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _matcher_from(path: str | None) -> DangerMatcher:
-    path = path or os.environ.get("AGENTBOM_MATCHERS")
     if path:
         return DangerMatcher.from_json(_read(path))
     return default_matcher()
@@ -47,7 +45,7 @@ def _load_graph(path: str) -> AgentBomGraph:
     graph = AgentBomGraph.from_json(_read(path))
     violations = graph.validate()
     if violations:
-        raise AssemblyValidationError(violations)
+        raise GraphValidationError(violations)
     return graph
 
 
@@ -99,13 +97,13 @@ def _cmd_export(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    graph = AgentBomGraph.from_json(_read(args.graph))
-    violations = graph.validate()
-    if violations:
-        for violation in violations:
+    try:
+        graph = _load_graph(args.graph)
+    except GraphValidationError as exc:
+        for violation in exc.violations:
             print(f"{violation.code}: {violation.element_id}: "
                   f"{violation.message}")
-        print(f"error: graph failed validation with {len(violations)} "
+        print(f"error: graph failed validation with {len(exc.violations)} "
               f"violation(s)", file=sys.stderr)
         return 2
     counts = graph.layer_counts()
@@ -133,8 +131,8 @@ def _build_parser() -> argparse.ArgumentParser:
     build.add_argument("--trace", required=True,
                        help="normalized event trace, one JSON object per line")
     build.add_argument("--matchers",
-                       help="danger matcher pack JSON (default: "
-                            "AGENTBOM_MATCHERS or the builtin pack)")
+                       help="danger matcher pack JSON (default: the "
+                            "builtin pack)")
     build.add_argument("--out", help="write graph JSON here instead of stdout")
     build.set_defaults(func=_cmd_build)
 

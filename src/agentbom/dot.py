@@ -12,7 +12,6 @@ from __future__ import annotations
 from . import schema
 from .graph import AgentBomGraph
 from .schema import EdgeFamily, Layer, NodeKind
-from .traversal import subgraph
 
 __all__ = ["to_dot", "finding_to_dot"]
 
@@ -75,9 +74,9 @@ def _edge_line(edge, marked: bool) -> str:
     )
 
 
-def to_dot(graph: AgentBomGraph, highlight=(), name: str = "agentbom") -> str:
-    """Serialize the whole graph; ids in ``highlight`` are drawn in red."""
-    marked = set(highlight)
+def _render(graph: AgentBomGraph, node_ids, edge_ids, marked,
+            name: str) -> str:
+    """Draw the given nodes and edges of graph; ids in marked are red."""
     lines = [
         f"digraph {name} {{",
         "  graph [rankdir=LR, fontname=\"Helvetica\"];",
@@ -86,9 +85,9 @@ def to_dot(graph: AgentBomGraph, highlight=(), name: str = "agentbom") -> str:
     ]
 
     static_ids = sorted(
-        n for n, node in graph.nodes.items() if node.layer is Layer.STATIC
+        n for n in node_ids if graph.nodes[n].layer is Layer.STATIC
     )
-    other_ids = sorted(set(graph.nodes) - set(static_ids))
+    other_ids = sorted(set(node_ids) - set(static_ids))
     if static_ids:
         lines.append("  subgraph cluster_static {")
         lines.append('    label="static capabilities";')
@@ -100,20 +99,30 @@ def to_dot(graph: AgentBomGraph, highlight=(), name: str = "agentbom") -> str:
         lines.append("  }")
     for node_id in other_ids:
         lines.append(_node_line(graph.nodes[node_id], node_id in marked))
-    for edge_id in sorted(graph.edges):
+    for edge_id in sorted(edge_ids):
         lines.append(_edge_line(graph.edges[edge_id], edge_id in marked))
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
+def to_dot(graph: AgentBomGraph, highlight=(), name: str = "agentbom") -> str:
+    """Serialize the whole graph; ids in ``highlight`` are drawn in red."""
+    return _render(graph, graph.nodes, graph.edges, set(highlight), name)
+
+
 def finding_to_dot(graph: AgentBomGraph, finding) -> str:
     """Render just the finding's evidence neighborhood, highlighted.
 
-    The induced view keeps the entry element plus every node and edge on
-    the reported backward and forward paths.
+    The view keeps the finding's elements (its entry plus every node and
+    edge on the reported backward and forward paths) and the endpoints of
+    each of those edges, drawn from the graph the finding came from.
     """
-    paths = list(finding.back_paths) + list(finding.fwd_paths)
-    induced = subgraph(graph, paths, extra_elements=[finding.entry])
+    element_ids = finding.element_ids()
+    edge_ids = {e for e in element_ids if e in graph.edges}
+    node_ids = element_ids - edge_ids
+    for edge_id in edge_ids:
+        edge = graph.edges[edge_id]
+        node_ids.update((edge.source, edge.target))
     marked = {finding.entry} | {item.element_id for item in finding.evidence}
-    return to_dot(induced, highlight=marked,
-                  name=f"finding_{finding.risk_id}")
+    return _render(graph, node_ids, edge_ids, marked,
+                   f"finding_{finding.risk_id}")

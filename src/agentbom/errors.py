@@ -51,6 +51,18 @@ class GraphDocumentError(GraphError):
     """A serialized graph is missing a section or has a mistyped field."""
 
 
+class GraphValidationError(GraphError):
+    """A loaded graph failed whole-graph validation.
+
+    Carries the violation list so callers can report every problem at once.
+    """
+
+    def __init__(self, violations):
+        self.violations = list(violations)
+        lines = "; ".join(v.message for v in self.violations)
+        super().__init__(f"graph failed validation: {lines}")
+
+
 # ---------------------------------------------------------------------------
 # ingestion
 # ---------------------------------------------------------------------------
@@ -73,18 +85,6 @@ class UnresolvedRefError(IngestionError):
 
 class OutOfOrderTimestampError(IngestionError):
     """The event stream is not sorted by timestamp."""
-
-
-class AssemblyValidationError(IngestionError):
-    """The assembled graph failed whole-graph validation.
-
-    Carries the violation list so callers can report every problem at once.
-    """
-
-    def __init__(self, violations):
-        self.violations = list(violations)
-        lines = "; ".join(v.message for v in self.violations)
-        super().__init__(f"assembled graph failed validation: {lines}")
 
 
 # ---------------------------------------------------------------------------

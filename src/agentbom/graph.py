@@ -277,12 +277,6 @@ class AgentBomGraph:
     # lookups
     # ------------------------------------------------------------------
 
-    def get_node(self, node_id: str) -> Node:
-        return self.nodes[node_id]
-
-    def get_edge(self, edge_id: str) -> Edge:
-        return self.edges[edge_id]
-
     def element(self, element_id: str):
         """Resolve an element id to its node or edge."""
         if element_id in self.nodes:

@@ -435,7 +435,7 @@ def evaluate_rule(graph: AgentBomGraph, rule: AuditRule, stats=None) -> list:
             evidence.extend(items)
         if not satisfied:
             continue
-        findings.append(Finding(
+        finding = Finding(
             risk_id=rule.risk_id,
             risk_name=rule.name,
             entry=entry_id,
@@ -443,9 +443,10 @@ def evaluate_rule(graph: AgentBomGraph, rule: AuditRule, stats=None) -> list:
             fwd_paths=fwd,
             evidence=evidence,
             trace_id=_finding_trace_id(graph, entry, back, fwd),
-            agents_involved=_agents_involved(graph, entry_id, back, fwd),
             phase_label=_phase_label(entry),
-        ))
+        )
+        finding.agents_involved = _agents_involved(graph, finding)
+        findings.append(finding)
     if stats is not None:
         stats.update(entries=len(entries), paths_explored=explored,
                      findings=len(findings))
@@ -464,17 +465,10 @@ def _finding_trace_id(graph, entry, back_paths, fwd_paths) -> str:
     return ""
 
 
-def _agents_involved(graph, entry_id, back_paths, fwd_paths) -> list:
-    ids = {entry_id}
-    for path in list(back_paths) + list(fwd_paths):
-        ids.update(path.node_ids)
-    agents = set()
-    for element_id in ids:
-        if element_id in graph.nodes:
-            agent_id = graph.nodes[element_id].agent_id
-            if agent_id:
-                agents.add(agent_id)
-    return sorted(agents)
+def _agents_involved(graph, finding) -> list:
+    nodes = graph.nodes
+    return sorted({nodes[i].agent_id for i in finding.element_ids()
+                   if i in nodes and nodes[i].agent_id})
 
 
 def audit(graph: AgentBomGraph, rules=None) -> AuditReport:

@@ -389,6 +389,7 @@ ATTRIBUTE_SPECS: dict[str, AttributeSpec] = {
         _text("task_dependency"),
         _text("shared_state"),
         _slist("danger_flags"),
+        _text("trace_id"),
     )
 }
 
@@ -448,9 +449,6 @@ _EDGE_PROPAGATION_KEYS = frozenset(
      "source_agent", "target_agent", "task_dependency", "shared_state"}
 )
 
-# trace_id is an edge attribute key only; on nodes it is a field.
-_EDGE_ONLY_SPECS = {"trace_id": _text("trace_id")}
-
 
 def allowed_node_keys(kind: NodeKind) -> frozenset[str]:
     return _NODE_COMMON_KEYS | _NODE_EXTRA_KEYS[kind]
@@ -463,10 +461,7 @@ def allowed_edge_keys(kind: EdgeKind) -> frozenset[str]:
 
 
 def attribute_spec(key: str) -> AttributeSpec | None:
-    spec = ATTRIBUTE_SPECS.get(key)
-    if spec is None:
-        spec = _EDGE_ONLY_SPECS.get(key)
-    return spec
+    return ATTRIBUTE_SPECS.get(key)
 
 # Attribute keys whose string-list entries name other graph elements and
 # must resolve when they are present.

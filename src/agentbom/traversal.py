@@ -219,65 +219,3 @@ def select_paths(paths, deepest: bool) -> list:
     given = set(walks)
     return [p for p, walk in zip(paths, walks)
             if given.isdisjoint(proper_prefixes(walk))]
-
-
-# ===========================================================================
-# induced subgraphs
-# ===========================================================================
-
-
-def subgraph(graph: AgentBomGraph, paths, extra_elements=()) -> AgentBomGraph:
-    """Induce a new graph from the union of the given paths.
-
-    Attribute-level references (basis, parameter_source, non-URI source)
-    pointing outside the induced node set are pruned so the result passes
-    validate() on its own.
-    """
-    node_ids: set[str] = set()
-    edge_ids: set[str] = set()
-    for element_id in extra_elements:
-        (edge_ids if element_id in graph.edges else node_ids).add(element_id)
-    for path in paths:
-        node_ids.update(path.node_ids)
-        edge_ids.update(path.edge_ids)
-    # edges pulled in via extra_elements need their endpoints present
-    for edge_id in edge_ids:
-        edge = graph.edges[edge_id]
-        node_ids.add(edge.source)
-        node_ids.add(edge.target)
-
-    node_docs = []
-    for node_id in sorted(node_ids):
-        original = graph.nodes[node_id]
-        attributes = dict(original.attributes)
-        for key in schema.REFERENCE_LIST_KEYS:
-            if key in attributes:
-                kept = [r for r in attributes[key] if r in node_ids]
-                if kept:
-                    attributes[key] = kept
-                else:
-                    del attributes[key]
-        source = attributes.get("source")
-        if isinstance(source, str) and "://" not in source and source not in node_ids:
-            del attributes["source"]
-        doc = original.to_dict()
-        doc["attributes"] = {k: attributes[k] for k in sorted(attributes)}
-        node_docs.append(doc)
-    agent_ids = sorted(
-        {
-            graph.nodes[n].agent_id
-            for n in node_ids
-            if graph.nodes[n].agent_id is not None
-        }
-    )
-    # Load as a document: the append API insists references resolve at
-    # insertion time, which id order cannot promise for a projection.
-    return AgentBomGraph.from_dict(
-        {
-            "agents": [
-                graph.agents[a].to_dict() for a in agent_ids if a in graph.agents
-            ],
-            "nodes": node_docs,
-            "edges": [graph.edges[e].to_dict() for e in sorted(edge_ids)],
-        }
-    )

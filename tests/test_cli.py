@@ -93,7 +93,7 @@ def test_audit_accepts_a_custom_rule_pack(workdir, capsys):
     assert set(report["stats"]) == {"ASI01", "ASI02"}
 
 
-def test_custom_matcher_pack_via_flag_and_env(workdir, capsys, monkeypatch):
+def test_custom_matcher_pack_via_flag(workdir):
     quiet = workdir / "quiet.json"
     doc = default_matcher().to_dict()
     doc["patterns"] = [p for p in doc["patterns"]
@@ -108,12 +108,6 @@ def test_custom_matcher_pack_via_flag_and_env(workdir, capsys, monkeypatch):
                  "--out", str(out_path)]) == 0
     text = out_path.read_text()
     assert "destructive_command" not in text
-
-    monkeypatch.setenv("AGENTBOM_MATCHERS", str(quiet))
-    assert main(["build",
-                 "--manifest", str(workdir / "fx" / "manifest.json"),
-                 "--trace", str(workdir / "fx" / "trace.jsonl")]) == 0
-    assert capsys.readouterr().out == text
 
 
 def test_export_whole_graph_and_single_finding(workdir, capsys):
@@ -247,6 +241,10 @@ def _predicate_case(predicate):
     return _rules_case(entry=dict(_RULE["entry"], predicate=predicate))
 
 
+# a graph file that loads but fails validation was read, not assembled
+_LOADED_GRAPH_FAILS_VALIDATION = ("audit-empty-node-id", "export-empty-node-id")
+
+
 @pytest.mark.parametrize("command, doc, event", [
     _graph_case("audit", dict(_GRAPH, nodes=[{"node_id": "agent.a"}])),
     _graph_case("validate", dict(_GRAPH, nodes=[{"node_id": "agent.a"}])),
@@ -259,6 +257,7 @@ def _predicate_case(predicate):
                                                      timestamp=5)])),
     _graph_case("validate", dict(_GRAPH, nodes=[_UNNAMED_FLAGGED_AGENT])),
     _graph_case("audit", dict(_GRAPH, nodes=[_UNNAMED_FLAGGED_AGENT])),
+    _graph_case("export", dict(_GRAPH, nodes=[_UNNAMED_FLAGGED_AGENT])),
     _build_case(refs=5),
     _build_case(attrs=5),
     _build_case(agent={"tools": ["exec"]}),
@@ -286,7 +285,7 @@ def _predicate_case(predicate):
     "audit-node-without-kind", "validate-node-without-kind",
     "export-node-without-kind", "audit-graph-is-a-list", "validate-graph-is-a-list",
     "export-graph-is-a-list", "graph-without-edges", "node-timestamp-not-a-string",
-    "validate-empty-node-id", "audit-empty-node-id",
+    "validate-empty-node-id", "audit-empty-node-id", "export-empty-node-id",
     "refs-not-a-list", "attrs-not-an-object", "tool-not-an-object",
     "skill-not-an-object", "memory-store-not-an-object", "code-dep-not-an-object",
     "model-not-an-object", "permission-scope-not-a-list",
@@ -297,8 +296,8 @@ def _predicate_case(predicate):
     "neighbor-edge-kinds-not-a-list", "flags-any-of-a-string",
     "attr-value-a-nested-list", "attr-value-a-list-of-maps",
 ])
-def test_malformed_input_is_a_single_line_error(tmp_path, capsys, command, doc,
-                                                event):
+def test_malformed_input_is_a_single_line_error(tmp_path, capsys, request,
+                                                command, doc, event):
     first = tmp_path / "first.json"
     first.write_text(json.dumps(doc))
     if command == "build":
@@ -321,3 +320,6 @@ def test_malformed_input_is_a_single_line_error(tmp_path, capsys, command, doc,
     assert err.startswith("error: ")
     assert err.count("\n") == 1
     assert "Traceback" not in err
+    if request.node.callspec.id in _LOADED_GRAPH_FAILS_VALIDATION:
+        assert "graph failed validation" in err
+        assert "assembled" not in err

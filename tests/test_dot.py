@@ -6,7 +6,7 @@ import pytest
 
 from agentbom.dot import finding_to_dot, to_dot
 from agentbom.graph import AgentBomGraph, AgentDescriptor, Edge, Node
-from agentbom.rules import audit
+from agentbom.rules import Finding, audit
 from agentbom.scenarios import generate
 from agentbom.schema import EdgeKind, Layer, NodeKind
 
@@ -143,3 +143,14 @@ def test_finding_export_is_confined_to_the_evidence(graphs, risk_id):
     marked = {finding.entry} | {i.element_id for i in finding.evidence}
     for node_id, attrs in doc["nodes"].items():
         assert (attrs.get("color") == HIGHLIGHT) == (node_id in marked)
+
+
+def test_finding_with_an_edge_entry_draws_the_edge_endpoints():
+    g = _mixed_graph()
+    finding = Finding(risk_id="ASI02", risk_name="", entry="k1",
+                      back_paths=[], fwd_paths=[], evidence=[])
+    doc = parse_dot(finding_to_dot(g, finding))
+    assert set(doc["nodes"]) == {"act", "tool.exec"}
+    assert [(s, t, a["label"], a["color"]) for s, t, a in doc["edges"]] == [
+        ("act", "tool.exec", ["invokes"], HIGHLIGHT)]
+    assert all(a.get("color") != HIGHLIGHT for a in doc["nodes"].values())

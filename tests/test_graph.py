@@ -115,6 +115,22 @@ def test_enum_attribute_value_checked():
                             attributes={"trust_level": "mostly"}))
 
 
+def test_trace_id_is_a_string_attribute_of_edges_only():
+    graph = _graph_with_agent()
+    graph.add_node(Node(node_id="tool.t", kind=NodeKind.TOOL))
+    graph.add_node(_runtime("act.1", NodeKind.ACTION))
+    # on nodes trace_id is a field, so as an attribute key it is unknown
+    with pytest.raises(AttributeSchemaError,
+                       match="'act.2' carries unregistered key 'trace_id'"):
+        graph.add_node(_runtime("act.2", NodeKind.ACTION, trace_id="t1"))
+    with pytest.raises(AttributeSchemaError,
+                       match="'e1' attribute 'trace_id' must be a string"):
+        graph.add_edge(Edge("e1", EdgeKind.INVOKES, "act.1", "tool.t",
+                            attributes={"trace_id": 5}))
+    graph.add_edge(Edge("e1", EdgeKind.INVOKES, "act.1", "tool.t",
+                        attributes={"trace_id": "t1"}))
+
+
 def test_frozen_graph_rejects_appends():
     graph = _graph_with_agent()
     graph.add_node(Node(node_id="t", kind=NodeKind.TOOL))

@@ -8,7 +8,7 @@ from _oracles import enumerate_paths, random_graph, random_spec_params
 from agentbom.graph import AgentBomGraph, AgentDescriptor, Edge, Node
 from agentbom.predicates import AttrCmp, EntryAttr, NeighborMatch
 from agentbom.schema import EdgeKind, NodeKind
-from agentbom.traversal import BACKWARD, FORWARD, AuditPath, PathSpec, subgraph, trace
+from agentbom.traversal import BACKWARD, FORWARD, AuditPath, PathSpec, trace
 
 _STAMP = "2026-03-01T09:00:00Z"
 
@@ -269,46 +269,3 @@ def test_entry_reading_terminal_matches_brute_force_per_entry():
     assert mismatches == []
     assert found > 500
 
-
-# ---------------------------------------------------------------------------
-# induced subgraphs
-# ---------------------------------------------------------------------------
-
-def test_subgraph_keeps_only_path_elements():
-    graph = _chain_graph()
-    paths = trace(graph, "ext", _spec(FORWARD, {"flows_to"}, max_depth=2))
-    induced = subgraph(graph, paths)
-    assert set(induced.nodes) == {"ext", "goal", "ctx"}
-    assert set(induced.edges) == {"f.ext.goal", "f.goal.ctx"}
-    assert induced.validate() == []
-    assert induced.frozen
-
-
-def test_subgraph_extra_edge_pulls_its_endpoints():
-    graph = _chain_graph()
-    induced = subgraph(graph, [], extra_elements=["b.invoke"])
-    assert set(induced.nodes) == {"act", "tool.t"}
-    assert set(induced.edges) == {"b.invoke"}
-
-
-def test_subgraph_prunes_out_of_set_references():
-    graph = AgentBomGraph()
-    graph.add_agent(AgentDescriptor("a1", "worker", ""))
-    graph.add_node(_runtime("ext", NodeKind.EXTERNAL))
-    graph.add_node(_runtime("goal", NodeKind.GOAL, basis=["ext"]))
-    graph.add_node(_runtime("ctx", NodeKind.CONTEXT, basis=["ext", "goal"]))
-    graph.add_edge(Edge("f1", EdgeKind.FLOWS_TO, "goal", "ctx"))
-    graph.add_edge(Edge("f0", EdgeKind.FLOWS_TO, "ext", "goal"))
-    graph.freeze()
-
-    induced = subgraph(graph, [AuditPath(FORWARD, ("goal", "f1", "ctx"))])
-    assert set(induced.nodes) == {"goal", "ctx"}
-    assert "basis" not in induced.nodes["goal"].attributes
-    assert induced.nodes["ctx"].attr("basis") == ["goal"]
-    assert induced.validate() == []
-
-
-def test_subgraph_is_deterministic():
-    graph = _chain_graph()
-    paths = trace(graph, "act", _spec(BACKWARD, {"flows_to", "reads_from"}))
-    assert subgraph(graph, paths).to_json() == subgraph(graph, paths).to_json()
