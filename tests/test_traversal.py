@@ -268,4 +268,3 @@ def test_entry_reading_terminal_matches_brute_force_per_entry():
                 mismatches.append((seed, start))
     assert mismatches == []
     assert found > 500
-
