@@ -431,28 +431,44 @@ def _scope_ids(scope, entry_id, back, fwd):
     return [i for i in dict.fromkeys(ids) if i != entry_id]
 
 
+_BACK_SCOPES = ("back_origin", "back_path")
+_FWD_SCOPES = ("fwd_terminus", "fwd_path")
+
+
+def _oracle_matching(graph, clause, entry_id, back, fwd):
+    """(scope ids, the ids among them the clause's predicate accepts), from
+    direct predicate calls."""
+    entry = graph.element(entry_id)
+    scope = _scope_ids(clause.scope, entry_id, back, fwd)
+    return scope, [i for i in scope if clause.predicate.evaluate(
+        graph.element(i), graph=graph, entry=entry)]
+
+
+def _oracle_holds(graph, clause, entry_id, back, fwd):
+    scope, matching = _oracle_matching(graph, clause, entry_id, back, fwd)
+    return bool(matching) if clause.quantifier == "exists" else matching == scope
+
+
+def _oracle_kept(graph, rule, entry_id, paths, scopes):
+    """The element tuples on which every exists-clause of the scopes holds
+    when the path stands alone on both sides."""
+    return [p for p in paths if all(
+        _oracle_holds(graph, c, entry_id, [p], [p]) for c in rule.conditions
+        if c.quantifier == "exists" and c.scope in scopes)]
+
+
 def _oracle_finding(graph, rule, entry_id):
     """(back paths, fwd paths, evidence dicts) for one entry, or None, from
     trace output, the inclusion oracle and direct predicate calls."""
-    entry = graph.element(entry_id)
-
-    def asks(predicate, element_id):
-        return predicate.evaluate(graph.element(element_id), graph=graph, entry=entry)
-
-    def kept(paths, scopes):
-        return [p for p in paths if all(
-            any(asks(c.predicate, i) for i in _scope_ids(c.scope, entry_id, [p], [p]))
-            for c in rule.conditions
-            if c.quantifier == "exists" and c.scope in scopes)]
-
-    back = deepest_paths(kept([p.elements for p in trace(graph, entry_id, rule.back)],
-                              ("back_origin", "back_path")))
-    fwd = nearest_paths(kept([p.elements for p in trace(graph, entry_id, rule.fwd)],
-                             ("fwd_terminus", "fwd_path")))
+    back = deepest_paths(_oracle_kept(
+        graph, rule, entry_id, [p.elements for p in trace(graph, entry_id, rule.back)],
+        _BACK_SCOPES))
+    fwd = nearest_paths(_oracle_kept(
+        graph, rule, entry_id, [p.elements for p in trace(graph, entry_id, rule.fwd)],
+        _FWD_SCOPES))
     evidence = []
     for index, clause in enumerate(rule.conditions):
-        scope = _scope_ids(clause.scope, entry_id, back, fwd)
-        matching = [i for i in scope if asks(clause.predicate, i)]
+        scope, matching = _oracle_matching(graph, clause, entry_id, back, fwd)
         if clause.quantifier == "exists" and not matching:
             return None
         if clause.quantifier == "forall" and matching != scope:
@@ -521,6 +537,88 @@ def test_findings_and_evidence_match_the_oracle_with_mixed_clauses():
             mismatches.append(seed)
     assert mismatches == []
     assert findings_seen > 600 and multi_clause_evidence > 300 and forall_evidence > 150
+
+
+def _forward_deciding_rule(rng, graph):
+    """A random rule whose forward side usually decides it: a rare forward
+    terminal, one to three exists/forall clauses over fwd_terminus and
+    fwd_path, sometimes a backward clause, and an entry clause over every
+    node. Returns (rule, entry ids)."""
+    names = [k.value for k in NodeKind] + [k.value for k in EdgeKind]
+    pool = [
+        HasFlag(), HasFlag(("flag_a",)), ALWAYS,
+        KindIs(tuple(rng.sample(names, 20))),
+        Not(KindIs(tuple(rng.sample(names, 6)))),
+        Not(AttrCmp("trust_level", "==", "untrusted")),
+        AttrCmp("danger_flags", "intersects", EntryAttr("danger_flags")),
+    ]
+    clauses = [Clause("entry", "exists", rng.choice((ALWAYS, ALWAYS, HasFlag())))]
+    clauses += [Clause(rng.choice(_FWD_SCOPES), rng.choice(_QUANTIFIERS), rng.choice(pool))
+                for _ in range(rng.randint(1, 3))]
+    if rng.random() < 0.5:
+        clauses.append(Clause(rng.choice(_BACK_SCOPES), rng.choice(_QUANTIFIERS),
+                              rng.choice(pool)))
+    rng.shuffle(clauses)
+    fwd = _random_spec(rng, graph, FORWARD)
+    fwd.terminal = rng.choice((
+        HasFlag(("flag_a",)),
+        KindIs(tuple(rng.sample([k.value for k in NodeKind], 4))),
+        None,
+    ))
+    rule = AuditRule(
+        risk_id="T01", name="test_rule",
+        entry=EntrySelector("node", tuple(k.value for k in NodeKind)),
+        back=_random_spec(rng, graph, BACKWARD), fwd=fwd, conditions=clauses,
+    )
+    return rule, sorted(graph.nodes)
+
+
+def _proper_prefixes(elements):
+    """The proper prefixes of a forward path that are paths themselves."""
+    return (elements[:end] for end in range(3, len(elements), 2))
+
+
+def test_findings_match_the_oracle_where_the_forward_side_decides():
+    """Each finding's paths and evidence equal the oracle's, which traces
+    both sides in full. The cases that let an audit stop early must occur:
+    entries whose forward side fails while backward paths exist, forward
+    paths that run on past a terminal path that is not kept, and forward
+    paths that extend a kept one."""
+    mismatches = []
+    findings_seen = forward_failed = past_unkept = past_kept = 0
+    for seed in range(150):
+        rng = random.Random(59_000 + seed)
+        graph = random_graph(rng, max_nodes=30, max_edges=50)
+        rule, entry_ids = _forward_deciding_rule(rng, graph)
+        got = {f.entry: ([p.elements for p in f.back_paths],
+                         [p.elements for p in f.fwd_paths],
+                         [e.to_dict() for e in f.evidence])
+               for f in evaluate_rule(graph, rule)}
+        want = {}
+        for entry_id in entry_ids:
+            finding = _oracle_finding(graph, rule, entry_id)
+            if finding is not None:
+                want[entry_id] = finding
+            traced = [p.elements for p in trace(graph, entry_id, rule.fwd)]
+            kept = _oracle_kept(graph, rule, entry_id, traced, _FWD_SCOPES)
+            unkept = set(traced) - set(kept)
+            past_unkept += sum(any(q in unkept for q in _proper_prefixes(p))
+                               for p in traced)
+            past_kept += sum(any(q in kept for q in _proper_prefixes(p))
+                             for p in traced)
+            nearest = nearest_paths(kept)
+            if (all(_oracle_holds(graph, c, entry_id, [], []) for c in rule.conditions
+                    if c.scope == "entry")
+                    and not all(_oracle_holds(graph, c, entry_id, [], nearest)
+                                for c in rule.conditions if c.scope in _FWD_SCOPES)
+                    and trace(graph, entry_id, rule.back)):
+                forward_failed += 1
+        findings_seen += len(want)
+        if got != want:
+            mismatches.append(seed)
+    assert mismatches == []
+    assert findings_seen > 300 and forward_failed > 300
+    assert past_unkept > 3000 and past_kept > 500
 
 
 # ---------------------------------------------------------------------------
