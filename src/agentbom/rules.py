@@ -2,9 +2,10 @@
 
 A rule names an entry selector, a backward path spec, a forward path spec,
 and a conjunction of scoped clauses. The engine localizes entries, traces
-both directions from each, and emits one finding per entry whose clauses
-all hold. Kept paths are the ones that satisfy the exists-clauses of their
-scope, so a finding's paths are themselves the evidence chain.
+from each the directions its clauses still need, and emits one finding per
+entry whose clauses all hold. Kept paths are the ones that satisfy the
+exists-clauses of their scope, so a finding's paths are themselves the
+evidence chain.
 """
 
 from __future__ import annotations
@@ -377,13 +378,18 @@ def _snapshot(element, keys) -> dict:
     return {k: element.attributes[k] for k in sorted(keys) if k in element.attributes}
 
 
-def _keep_paths(graph, paths, clauses, entry, scopes, answers):
-    """The paths on which every exists-clause of the given scopes holds."""
+_BACK_SCOPES = ("back_origin", "back_path")
+_FWD_SCOPES = ("fwd_terminus", "fwd_path")
+
+
+def _keeps(graph, clauses, entry, scopes, answers):
+    """The test that every exists-clause of the given scopes holds on one
+    path alone."""
     exists_clauses = [c for c in clauses
                       if c.quantifier == "exists" and c.scope in scopes]
     # a lone path stands on both sides; only its own scopes are asked
-    return [p for p in paths
-            if all(_holds(graph, c, entry, [p], [p], answers) for c in exists_clauses)]
+    return lambda path: all(_holds(graph, c, entry, [path], [path], answers)
+                            for c in exists_clauses)
 
 
 def _phase_label(entry) -> str:
@@ -402,8 +408,15 @@ def evaluate_rule(graph: AgentBomGraph, rule: AuditRule, stats=None) -> list:
     reported paths, so the evidence and the reported chains agree. Each
     entry yields at most one finding, and findings come in entry order.
 
+    Each entry is settled in this order, stopping at the first failure:
+    the entry-scope clauses; the forward trace, which does not extend a
+    path that is kept (every forward exists-clause holds on it alone), so
+    its kept paths are already the nearest; the forward-scope clauses over
+    those paths; and only then the backward trace, its deepest kept paths
+    and every clause with its evidence, in clause order.
+
     When a ``stats`` dict is given, it receives the rule's ``entries``,
-    ``paths_explored`` (paths traced in both directions, before filtering)
+    ``paths_explored`` (the paths the traces returned, before filtering)
     and ``findings`` counts.
 
     Each clause predicate is asked once per (entry, element): predicates are
@@ -415,15 +428,20 @@ def evaluate_rule(graph: AgentBomGraph, rule: AuditRule, stats=None) -> list:
     for entry_id in entries:
         entry = graph.element(entry_id)
         answers = {}
+        if not all(_holds(graph, c, entry, [], [], answers)
+                   for c in rule.conditions if c.scope == "entry"):
+            continue
+        kept = _keeps(graph, rule.conditions, entry, _FWD_SCOPES, answers)
+        fwd = trace(graph, entry_id, rule.fwd, stop=kept)
+        explored += len(fwd)
+        fwd = [p for p in fwd if kept(p)]
+        if not all(_holds(graph, c, entry, [], fwd, answers)
+                   for c in rule.conditions if c.scope in _FWD_SCOPES):
+            continue
         back = trace(graph, entry_id, rule.back)
-        fwd = trace(graph, entry_id, rule.fwd)
-        explored += len(back) + len(fwd)
-        back = select_paths(_keep_paths(
-            graph, back, rule.conditions, entry, ("back_origin", "back_path"), answers),
-            deepest=True)
-        fwd = select_paths(_keep_paths(
-            graph, fwd, rule.conditions, entry, ("fwd_terminus", "fwd_path"), answers),
-            deepest=False)
+        explored += len(back)
+        back = select_paths(list(filter(
+            _keeps(graph, rule.conditions, entry, _BACK_SCOPES, answers), back)))
 
         evidence = []
         satisfied = True

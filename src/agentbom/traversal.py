@@ -145,12 +145,16 @@ def _start_node(graph: AgentBomGraph, start: str, direction: str) -> str:
 # ===========================================================================
 
 
-def trace(graph: AgentBomGraph, start: str, spec: PathSpec) -> list:
+def trace(graph: AgentBomGraph, start: str, spec: PathSpec, *, stop=None) -> list:
     """Enumerate every satisfying simple path from start under spec.
 
     Returns paths ordered by (depth, lexical element sequence). The entry
     element passed to terminal predicates is the start element itself, so
     predicates may compare against the entry's attributes.
+
+    ``stop`` is an optional callable on a found path: a path on which it
+    holds is still returned, but the walk does not extend it, so no path
+    with it as a proper prefix from the anchor is returned.
 
     Each node's steps, terminal answer and passability are computed once,
     in tables local to this call: predicates are pure functions of (element,
@@ -181,13 +185,15 @@ def trace(graph: AgentBomGraph, start: str, spec: PathSpec) -> list:
             stack_elements.append(edge_id)
             stack_elements.append(nxt)
             visited.add(nxt)
+            extend = passable and depth + 1 < spec.max_depth
             if terminal:
                 if spec.direction == BACKWARD:
                     elements = tuple(reversed(stack_elements))
                 else:
                     elements = tuple(stack_elements)
                 found.append(AuditPath(spec.direction, elements))
-            if passable and depth + 1 < spec.max_depth:
+                extend = extend and not (stop is not None and stop(found[-1]))
+            if extend:
                 descend(nxt, depth + 1)
             visited.discard(nxt)
             stack_elements.pop()
@@ -198,10 +204,9 @@ def trace(graph: AgentBomGraph, start: str, spec: PathSpec) -> list:
     return found
 
 
-def select_paths(paths, deepest: bool) -> list:
+def select_paths(paths) -> list:
     """Of paths from one trace, the deepest (no other given path extends
-    them) or the nearest (no other given path is a prefix of them), in
-    their given order.
+    them), in their given order.
 
     Every path of one trace is simple and starts at the same anchor, so one
     path's element set lies strictly inside another's exactly when it is a
@@ -209,13 +214,5 @@ def select_paths(paths, deepest: bool) -> list:
     """
     walks = [p.elements[::-1] if p.direction == BACKWARD else p.elements
              for p in paths]
-
-    def proper_prefixes(walk):
-        return (walk[:end] for end in range(3, len(walk), 2))
-
-    if deepest:
-        extended = {prefix for walk in walks for prefix in proper_prefixes(walk)}
-        return [p for p, walk in zip(paths, walks) if walk not in extended]
-    given = set(walks)
-    return [p for p, walk in zip(paths, walks)
-            if given.isdisjoint(proper_prefixes(walk))]
+    extended = {walk[:end] for walk in walks for end in range(3, len(walk), 2)}
+    return [p for p, walk in zip(paths, walks) if walk not in extended]

@@ -124,6 +124,28 @@ def nearest_paths(paths):
     return [p for p, mine in zip(paths, sets) if not any(s < mine for s in sets)]
 
 
+def stopped_paths(paths, direction, stop):
+    """The element tuples a trace with ``stop`` returns: the full list minus
+    every path that has a proper anchor-prefix in the list on which ``stop``
+    holds.
+
+    Restated from the trace contract ("a path on which stop holds is
+    returned but not extended"). ``paths`` are in flow order, so the anchor
+    is the first element of a forward path and the last of a backward one;
+    ``stop`` is a plain element-tuple -> bool callable. Input order is kept.
+    """
+    given = set(paths)
+
+    def anchor_prefixes(path):
+        ends = range(3, len(path), 2)
+        if direction == "forward":
+            return [path[:end] for end in ends]
+        return [path[-end:] for end in ends]
+
+    return [p for p in paths
+            if not any(q in given and stop(q) for q in anchor_prefixes(p))]
+
+
 # ---------------------------------------------------------------------------
 # random valid graphs
 # ---------------------------------------------------------------------------

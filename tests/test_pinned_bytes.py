@@ -20,17 +20,17 @@ from agentbom.scenarios import SCENARIO_IDS
 PINNED = {
     "memory_poisoning_tool_misuse": (
         "f6f39f8c22af43a6acd7bc3f08be75f20af953dbc6b2475e1317cb6fe08beb7e",
-        "58ca9ab2f86f632db722a6dc0daf9bf00e05b8799ff366510968bc2af76aaabd",
+        "5cc5d1f6df2cf33a1efaac9bb40734598ee3a9a2433569dcae75515ee129268e",
         "c0812dd6ebf0fe223162d79bb2d80ac43cf0147532654ceca1801a7132c32e13",
     ),
     "supply_chain_code_exec": (
         "ad8efe23ee0498ad58ab89a2d6b83472352db7f7bcfd8f19e5572372cae111da",
-        "a2f1215fcf8c900c01e5da5e778f4366e3183efae05eee8a941c5db5a6289402",
+        "ce7c37b1b23ccba665d3873ddf7b00f8692969320421626b2d79d1b97e8812ea",
         "790160ed3120679d65dd8a3485bbecf231ad6769f2d6d6f366a052e32a99654c",
     ),
     "ecosystem_hijacking": (
         "a89cfe0a739e00e574afde2f19887deb69b3cba0cc1af1fbb653d510855367d1",
-        "3392693bea767b42d35869f150e779922befa19fa59de19b305febc1816cac95",
+        "d83bce4a31cf576e1c4affd1905ddf344e5639489b2b61d9706a12134baddd89",
         "792d974b92d124acef67c947b74fd1addcdeb8b72de689989f5e25020280dae1",
     ),
     "privilege_trust_abuse": (

@@ -7,6 +7,7 @@ from collections import Counter
 
 import pytest
 
+from agentbom import rules as rules_mod
 from agentbom.errors import RulePackError
 from agentbom.graph import AgentBomGraph, AgentDescriptor, Edge, Node
 from agentbom.ingestion import TraceEvent, assemble, parse_manifest
@@ -27,7 +28,13 @@ from agentbom.rules import (
 from agentbom.schema import EdgeKind, NodeKind
 from agentbom.traversal import BACKWARD, FORWARD, PathSpec, trace
 
-from _oracles import deepest_paths, nearest_paths, random_graph, random_spec_params
+from _oracles import (
+    deepest_paths,
+    nearest_paths,
+    random_graph,
+    random_spec_params,
+    stopped_paths,
+)
 
 ALWAYS = Not(AttrCmp("no_such_attribute", "==", "x"))
 
@@ -578,6 +585,22 @@ def _proper_prefixes(elements):
     return (elements[:end] for end in range(3, len(elements), 2))
 
 
+def _oracle_sides(graph, rule, entry_id):
+    """(entry clauses hold, the full forward trace, its kept paths, the
+    forward clauses hold over the nearest kept paths) for one entry."""
+    traced = [p.elements for p in trace(graph, entry_id, rule.fwd)]
+    kept = _oracle_kept(graph, rule, entry_id, traced, _FWD_SCOPES)
+    nearest = nearest_paths(kept)
+    return (
+        all(_oracle_holds(graph, c, entry_id, [], []) for c in rule.conditions
+            if c.scope == "entry"),
+        traced,
+        kept,
+        all(_oracle_holds(graph, c, entry_id, [], nearest) for c in rule.conditions
+            if c.scope in _FWD_SCOPES),
+    )
+
+
 def test_findings_match_the_oracle_where_the_forward_side_decides():
     """Each finding's paths and evidence equal the oracle's, which traces
     both sides in full. The cases that let an audit stop early must occur:
@@ -599,19 +622,13 @@ def test_findings_match_the_oracle_where_the_forward_side_decides():
             finding = _oracle_finding(graph, rule, entry_id)
             if finding is not None:
                 want[entry_id] = finding
-            traced = [p.elements for p in trace(graph, entry_id, rule.fwd)]
-            kept = _oracle_kept(graph, rule, entry_id, traced, _FWD_SCOPES)
+            entry_holds, traced, kept, fwd_holds = _oracle_sides(graph, rule, entry_id)
             unkept = set(traced) - set(kept)
             past_unkept += sum(any(q in unkept for q in _proper_prefixes(p))
                                for p in traced)
             past_kept += sum(any(q in kept for q in _proper_prefixes(p))
                              for p in traced)
-            nearest = nearest_paths(kept)
-            if (all(_oracle_holds(graph, c, entry_id, [], []) for c in rule.conditions
-                    if c.scope == "entry")
-                    and not all(_oracle_holds(graph, c, entry_id, [], nearest)
-                                for c in rule.conditions if c.scope in _FWD_SCOPES)
-                    and trace(graph, entry_id, rule.back)):
+            if entry_holds and not fwd_holds and trace(graph, entry_id, rule.back):
                 forward_failed += 1
         findings_seen += len(want)
         if got != want:
@@ -619,6 +636,35 @@ def test_findings_match_the_oracle_where_the_forward_side_decides():
     assert mismatches == []
     assert findings_seen > 300 and forward_failed > 300
     assert past_unkept > 3000 and past_kept > 500
+
+
+def test_paths_explored_counts_the_paths_the_traces_return():
+    """Restated by hand: no path for an entry whose entry clauses fail;
+    otherwise the forward paths left when the full trace stops at kept
+    paths, plus every backward path when the forward clauses hold."""
+    mismatches = []
+    skipped_entries = skipped_back = 0
+    for seed in range(150):
+        rng = random.Random(61_000 + seed)
+        graph = random_graph(rng, max_nodes=30, max_edges=50)
+        rule, entry_ids = _forward_deciding_rule(rng, graph)
+        stats = {}
+        evaluate_rule(graph, rule, stats)
+        want = 0
+        for entry_id in entry_ids:
+            entry_holds, traced, kept, fwd_holds = _oracle_sides(graph, rule, entry_id)
+            if not entry_holds:
+                skipped_entries += 1
+                continue
+            want += len(stopped_paths(traced, FORWARD, set(kept).__contains__))
+            if fwd_holds:
+                want += len(trace(graph, entry_id, rule.back))
+            else:
+                skipped_back += 1
+        if stats["paths_explored"] != want:
+            mismatches.append(seed)
+    assert mismatches == []
+    assert skipped_entries > 300 and skipped_back > 300
 
 
 # ---------------------------------------------------------------------------
@@ -686,3 +732,30 @@ def test_each_terminal_and_clause_is_asked_once_per_trace_and_entry():
     assert len(report.findings[0].fwd_paths) > 100
     assert sum(tally.values()) > 50
     assert max(tally.values()) == 1
+
+
+def test_audit_traces_only_what_a_report_can_use(monkeypatch):
+    """On a diamond chain, ASI03's entries fail on the forward side, so no
+    backward path is traced for them, and ASI01's forward traces return
+    exactly the forward paths it reports."""
+    graph = _diamond_chain(12)
+    checked = builtin_rules()
+    side = {id(spec): (rule.risk_id, spec.direction)
+            for rule in checked for spec in (rule.back, rule.fwd)}
+    returned = Counter()
+    real_trace = rules_mod.trace
+
+    def counting_trace(graph, start, spec, **kwargs):
+        paths = real_trace(graph, start, spec, **kwargs)
+        returned[side[id(spec)]] += len(paths)
+        return paths
+
+    monkeypatch.setattr(rules_mod, "trace", counting_trace)
+    report = audit(graph, checked)
+    asi01 = [f for f in report.findings if f.risk_id == "ASI01"]
+    assert report.stats["ASI03"]["entries"] > 0
+    assert returned[("ASI03", BACKWARD)] == 0
+    assert returned[("ASI01", FORWARD)] == sum(len(f.fwd_paths) for f in asi01) > 100
+    assert all(report.stats[risk]["paths_explored"]
+               == returned[(risk, BACKWARD)] + returned[(risk, FORWARD)]
+               for risk in RISK_IDS)

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from _oracles import enumerate_paths, random_graph, random_spec_params
+from _oracles import enumerate_paths, random_graph, random_spec_params, stopped_paths
 from agentbom.graph import AgentBomGraph, AgentDescriptor, Edge, Node
 from agentbom.predicates import AttrCmp, EntryAttr, NeighborMatch
 from agentbom.schema import EdgeKind, NodeKind
@@ -210,6 +210,45 @@ def test_trace_matches_brute_force_on_random_graphs():
             if got != want:
                 mismatches.append((seed, start))
     assert mismatches == []
+
+
+def test_trace_with_stop_matches_brute_force_on_random_graphs():
+    """A path on which stop holds is returned but not extended: trace equals
+    the brute-force list less every path with such a proper anchor-prefix."""
+    mismatches = []
+    pruned = 0
+    for seed in range(150):
+        rng = random.Random(67_000 + seed)
+        graph = random_graph(rng)
+        params = random_spec_params(rng, graph)
+        marked = set(rng.sample(sorted(graph.nodes), max(1, len(graph.nodes) // 4)))
+        stop = rng.choice((
+            lambda elements: True,
+            lambda elements: elements[0] in marked or elements[-1] in marked,
+            lambda elements: bool(marked.intersection(elements)),
+            lambda elements: len(elements) >= 5,
+        ))
+        spec = PathSpec(
+            direction=params["direction"],
+            allowed_edge_kinds=frozenset(params["edge_kinds"]),
+            allowed_node_kinds=params["node_kinds"],
+            terminal=params["terminal"],
+            max_depth=params["max_depth"],
+            cross_agent=params["cross_agent"],
+        )
+        starts = rng.sample(sorted(graph.nodes), min(2, len(graph.nodes)))
+        if graph.edges:
+            starts.append(rng.choice(sorted(graph.edges)))
+        for start in starts:
+            got = [p.elements for p in
+                   trace(graph, start, spec, stop=lambda path: stop(path.elements))]
+            full = enumerate_paths(graph, start, **params)
+            want = stopped_paths(full, params["direction"], stop)
+            pruned += len(full) - len(want)
+            if got != want:
+                mismatches.append((seed, start))
+    assert mismatches == []
+    assert pruned > 1500
 
 
 def _flags(element):
