@@ -751,15 +751,14 @@ def _pair_messages(graph, events, matcher):
             taken.add(event.event_id)
 
     # fallback pairing: agents line up, content matches, nearest send first
+    sent_by_content = {}
+    for event in sent:
+        sent_by_content.setdefault(event.content, []).append(event)
     for event in received:
         if event.event_id in taken:
             continue
-        candidates = [
-            c for c in sent
-            if c.event_id not in taken
-            and c.content == event.content
-            and _agents_line_up(c, event)
-        ]
+        candidates = [c for c in sent_by_content.get(event.content, ())
+                      if c.event_id not in taken and _agents_line_up(c, event)]
         if candidates:
             recv_stamp = parse_instant(event.timestamp)
             stamp_key = lambda c: (parse_instant(c.timestamp), c.event_id)

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import random
+from datetime import datetime
 
 import pytest
 
@@ -408,6 +410,102 @@ def test_unpaired_receive_from_outside_synthesizes_a_shared_channel_origin():
     assert origin.agent_id == "a1"
     assert origin.attr("shared_state") == "message_channel"
     assert graph.has_element("e.sends_to.ext1.origin.ext1")
+
+
+def _oracle_pairs(events):
+    """Message pairing restated by hand, as (send id, receive id) pairs.
+
+    Receives with a message_id take the first unused send with that id, in
+    event order. Every receive still unpaired then takes, among unused
+    sends with the same content whose agents line up, the latest one not
+    after it, else the earliest one after it; equal times go by event_id.
+    Each send is used once.
+    """
+    def when(event):
+        return datetime.fromisoformat(event.timestamp.replace("Z", "+00:00"))
+
+    def lines_up(send, receive):
+        return (send.agent_id != receive.agent_id
+                and send.attrs.get("target_agent", receive.agent_id) == receive.agent_id
+                and receive.attrs.get("source_agent", send.agent_id) == send.agent_id)
+
+    sends = [e for e in events if e.event_type == "message_sent"]
+    receives = [e for e in events if e.event_type == "message_received"]
+    used, pairs = set(), []
+    for receive in receives:
+        wanted = receive.attrs.get("message_id")
+        for send in sends:
+            if (wanted is not None and send.event_id not in used
+                    and send.attrs.get("message_id") == wanted):
+                used |= {send.event_id, receive.event_id}
+                pairs.append((send.event_id, receive.event_id))
+                break
+    for receive in receives:
+        if receive.event_id in used:
+            continue
+        options = sorted((s for s in sends if s.event_id not in used
+                          and s.content == receive.content and lines_up(s, receive)),
+                         key=lambda s: (when(s), s.event_id))
+        if not options:
+            continue
+        before = [s for s in options if when(s) <= when(receive)]
+        best = before[-1] if before else options[0]
+        used |= {best.event_id, receive.event_id}
+        pairs.append((best.event_id, receive.event_id))
+    return pairs
+
+
+def _random_messages(rng):
+    """Sends and receives among three agents in time order, with shared
+    times, shared contents, declared counterparts that may disagree with
+    the other side, and message ids that never join two events of one
+    agent."""
+    agents = ["a1", "a2", "a3"]
+    routes = {f"m{i}": rng.sample(agents, 2) for i in range(3)}
+    ids = rng.sample(range(1000), rng.randint(2, 16))
+    minutes = sorted(rng.randrange(8) for _ in ids)
+    events = []
+    for event_id, minute in zip(ids, minutes):
+        sending = rng.random() < 0.5
+        attrs = {}
+        if rng.random() < 0.25:
+            message_id = rng.choice(sorted(routes))
+            attrs["message_id"] = message_id
+            agent = routes[message_id][0 if sending else 1]
+        else:
+            agent = rng.choice(agents)
+        if rng.random() < 0.3:
+            others = [a for a in agents if a != agent]
+            attrs["target_agent" if sending else "source_agent"] = rng.choice(others)
+        events.append(_event(f"ev{event_id:03d}",
+                             "message_sent" if sending else "message_received",
+                             rng.choice(("ping", "pong")), attrs=attrs, agent=agent,
+                             trace=f"t.{agent}", minute=minute))
+    return events
+
+
+def test_message_pairing_matches_the_restated_rule():
+    manifest = parse_manifest({"agents": [{"agent_id": a} for a in ("a1", "a2", "a3")]})
+    mismatches = []
+    by_id = by_content = after = 0
+    for seed in range(300):
+        rng = random.Random(71_000 + seed)
+        events = _random_messages(rng)
+        graph = assemble(manifest, events)
+        event_ids = {e.event_id for e in events}
+        got = sorted((e.source, e.target) for e in graph.edges.values()
+                     if e.kind is EdgeKind.SENDS_TO
+                     and e.source in event_ids and e.target in event_ids)
+        want = _oracle_pairs(events)
+        if got != sorted(want):
+            mismatches.append(seed)
+        stamps = {e.event_id: e.timestamp for e in events}
+        with_id = {e.event_id for e in events if "message_id" in e.attrs}
+        by_id += sum(r in with_id for _, r in want)
+        by_content += sum(r not in with_id for _, r in want)
+        after += sum(stamps[s] > stamps[r] for s, r in want)
+    assert mismatches == []
+    assert by_id > 120 and by_content > 300 and after > 150
 
 
 # ---------------------------------------------------------------------------
