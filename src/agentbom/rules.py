@@ -438,10 +438,10 @@ def evaluate_rule(graph: AgentBomGraph, rule: AuditRule, stats=None) -> list:
         if not all(_holds(graph, c, entry, [], fwd, answers)
                    for c in rule.conditions if c.scope in _FWD_SCOPES):
             continue
+        kept = _keeps(graph, rule.conditions, entry, _BACK_SCOPES, answers)
         back = trace(graph, entry_id, rule.back)
         explored += len(back)
-        back = select_paths(list(filter(
-            _keeps(graph, rule.conditions, entry, _BACK_SCOPES, answers), back)))
+        back = select_paths([p for p in back if kept(p)])
 
         evidence = []
         satisfied = True

@@ -191,8 +191,10 @@ def trace(graph: AgentBomGraph, start: str, spec: PathSpec, *, stop=None) -> lis
                     elements = tuple(reversed(stack_elements))
                 else:
                     elements = tuple(stack_elements)
-                found.append(AuditPath(spec.direction, elements))
-                extend = extend and not (stop is not None and stop(found[-1]))
+                path = AuditPath(spec.direction, elements)
+                found.append(path)
+                if extend and stop is not None:
+                    extend = not stop(path)
             if extend:
                 descend(nxt, depth + 1)
             visited.discard(nxt)
