@@ -548,9 +548,9 @@ def test_findings_and_evidence_match_the_oracle_with_mixed_clauses():
 
 def _forward_deciding_rule(rng, graph):
     """A random rule whose forward side usually decides it: a rare forward
-    terminal, one to three exists/forall clauses over fwd_terminus and
-    fwd_path, sometimes a backward clause, and an entry clause over every
-    node. Returns (rule, entry ids)."""
+    terminal or none, one to three exists/forall clauses over fwd_terminus
+    and fwd_path, sometimes a backward clause, and an entry clause over
+    every node. Returns (rule, entry ids)."""
     names = [k.value for k in NodeKind] + [k.value for k in EdgeKind]
     pool = [
         HasFlag(), HasFlag(("flag_a",)), ALWAYS,
