@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 
 from . import schema
@@ -79,11 +79,7 @@ class AgentDescriptor:
     policy_boundary: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "agent_id": self.agent_id,
-            "role": self.role,
-            "policy_boundary": self.policy_boundary,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "AgentDescriptor":

@@ -7,16 +7,20 @@ evolution edges from event references), and cross-layer binding
 inserts what it makes straight into the graph, so an edge id is free
 exactly when the graph does not hold it yet. Binding walks the events once,
 in order, keeping per trace only the latest decision and the memory reads
-still waiting for a consumer. Every element is checked as it is inserted,
-so the assembled graph needs no second, whole-graph validation. Content is
-scanned once, here, by the danger matcher; every later stage reads only the
-recorded flags.
+still waiting for a consumer. Message pairing then follows one rule: a
+receive takes the first free send with its message_id, else the nearest
+free send with its content, and either way only a send whose agents line
+up with it (different agents, declared counterparts agreeing); a send or
+receive left over gets a synthesized counterpart. Every element is
+checked as it is inserted, so the assembled graph needs no second,
+whole-graph validation. Content is scanned once, here, by the danger
+matcher; every later stage reads only the recorded flags.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from . import schema
 from .errors import (
@@ -41,14 +45,6 @@ class ToolSpec:
     permission_scope: list = field(default_factory=list)
     provenance: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "tool_name": self.tool_name,
-            "input_schema": self.input_schema,
-            "permission_scope": list(self.permission_scope),
-            "provenance": dict(self.provenance),
-        }
-
 
 @dataclass
 class SkillSpec:
@@ -57,31 +53,17 @@ class SkillSpec:
     implementation_summary: str = ""
     provenance: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "skill_name": self.skill_name,
-            "declared_function": self.declared_function,
-            "implementation_summary": self.implementation_summary,
-            "provenance": dict(self.provenance),
-        }
-
 
 @dataclass
 class MemorySpec:
     store_id: str
     type: str = ""
 
-    def to_dict(self) -> dict:
-        return {"store_id": self.store_id, "type": self.type}
-
 
 @dataclass
 class CodeSpec:
     name: str
     version: str = ""
-
-    def to_dict(self) -> dict:
-        return {"name": self.name, "version": self.version}
 
 
 @dataclass
@@ -96,26 +78,13 @@ class ManifestAgent:
     memory_stores: list = field(default_factory=list)
     code_dependencies: list = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "agent_id": self.agent_id,
-            "role": self.role,
-            "policy_boundary": self.policy_boundary,
-            "system_prompt": dict(self.system_prompt),
-            "model": dict(self.model),
-            "tools": [t.to_dict() for t in self.tools],
-            "skills": [s.to_dict() for s in self.skills],
-            "memory_stores": [m.to_dict() for m in self.memory_stores],
-            "code_dependencies": [c.to_dict() for c in self.code_dependencies],
-        }
-
 
 @dataclass
 class CapabilityManifest:
     agents: list
 
     def to_dict(self) -> dict:
-        return {"agents": [a.to_dict() for a in self.agents]}
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
@@ -223,24 +192,6 @@ def parse_manifest_json(text: str) -> CapabilityManifest:
 # trace events
 # ===========================================================================
 
-EVENT_TYPES = (
-    "external_input",
-    "goal_formed",
-    "context_assembled",
-    "reasoning_step",
-    "decision_made",
-    "action_taken",
-    "observation",
-    "output_emitted",
-    "memory_read",
-    "memory_write",
-    "tool_invocation",
-    "skill_invocation",
-    "message_sent",
-    "message_received",
-    "delegation",
-)
-
 # event type -> runtime node kind; types outside the canonical loop also
 # stamp their name into the node's type attribute
 _EVENT_KIND = {
@@ -312,7 +263,8 @@ class TraceEvent:
         for key in ("event_id", "trace_id", "agent_id", "timestamp", "event_type"):
             if not doc.get(key):
                 raise TraceParseError(f"trace event is missing {key!r}: {doc!r}")
-        if doc["event_type"] not in EVENT_TYPES:
+        # an unhashable type would make the table lookup raise TypeError
+        if not isinstance(doc["event_type"], str) or doc["event_type"] not in _EVENT_KIND:
             raise TraceParseError(f"unknown event type {doc['event_type']!r}")
         refs, attrs = doc.get("refs", []), doc.get("attrs", {})
         if not _is_string_list(refs):
@@ -623,7 +575,8 @@ def bind_cross_layer(graph: AgentBomGraph, events, matcher: DangerMatcher) -> tu
         if kind == "decision_made":
             decisions[trace] = event
         elif kind in ("tool_invocation", "skill_invocation"):
-            target = _capability_target(graph, event)
+            what = kind.split("_")[0]
+            target = _named_node(graph, event, "tool_name", what, what)
             if kind == "tool_invocation":
                 _bind_edge(graph, EdgeKind.INVOKES, event.event_id, target, event)
             decision = decisions.get(trace)
@@ -631,14 +584,15 @@ def bind_cross_layer(graph: AgentBomGraph, events, matcher: DangerMatcher) -> tu
                 _bind_edge(graph, EdgeKind.SELECTS, decision.event_id, target,
                            decision)
         elif kind == "memory_read":
-            unconsumed.setdefault(trace, []).append(_memory_target(graph, event))
+            unconsumed.setdefault(trace, []).append(
+                _named_node(graph, event, "target", "mem", "memory store"))
         elif kind in ("context_assembled", "reasoning_step"):
             for mem_id in unconsumed.pop(trace, ()):
                 _bind_edge(graph, EdgeKind.READS_FROM, event.event_id, mem_id, event)
         elif kind == "memory_write":
             _bind_edge(graph, EdgeKind.WRITES_TO, event.event_id,
-                       _memory_target(graph, event), event,
-                       {"content": event.content} if event.content else None)
+                       _named_node(graph, event, "target", "mem", "memory store"),
+                       event, {"content": event.content} if event.content else None)
         elif kind == "delegation":
             _bind_delegation(graph, event)
 
@@ -647,54 +601,32 @@ def bind_cross_layer(graph: AgentBomGraph, events, matcher: DangerMatcher) -> tu
             list(graph.edges.values())[edge_count:])
 
 
-def _capability_target(graph, event) -> str:
-    """The declared tool or skill node a tool/skill invocation names."""
-    what = event.event_type.split("_")[0]
-    name = event.attrs.get("tool_name")
+def _named_node(graph, event, key, prefix, noun) -> str:
+    """The declared node ``<prefix>.<name>`` that ``event.attrs[key]`` names."""
+    name = event.attrs.get(key)
     if not name:
-        raise TraceParseError(f"{event.event_type} {event.event_id!r} lacks tool_name")
-    node_id = f"{what}.{name}"
+        raise TraceParseError(f"{event.event_type} {event.event_id!r} lacks {key}")
+    node_id = f"{prefix}.{name}"
     if node_id not in graph.nodes:
         raise UnresolvedRefError(
-            f"event {event.event_id!r} invokes undeclared {what} {name!r}"
+            f"event {event.event_id!r} names undeclared {noun} {name!r}"
         )
     return node_id
 
 
-def _memory_target(graph, event) -> str:
-    store = event.attrs.get("target")
-    if not store:
-        raise TraceParseError(f"{event.event_type} {event.event_id!r} lacks target")
-    mem_id = f"mem.{store}"
-    if mem_id not in graph.nodes:
-        raise UnresolvedRefError(
-            f"event {event.event_id!r} touches undeclared memory store {store!r}"
-        )
-    return mem_id
-
-
 def _bind_delegation(graph, event):
-    target = event.attrs.get("target_agent")
-    if not target:
-        raise TraceParseError(f"delegation {event.event_id!r} lacks target_agent")
-    target_id = f"agent.{target}"
-    if target_id not in graph.nodes:
-        raise UnresolvedRefError(
-            f"event {event.event_id!r} delegates to unknown agent {target!r}"
-        )
-    source_id = f"agent.{event.agent_id}"
-    if source_id not in graph.nodes:
-        raise UnresolvedRefError(
-            f"delegation {event.event_id!r} from unknown agent {event.agent_id!r}"
-        )
+    # the source agent node exists: normalization has already inserted the
+    # event's own node, which the graph accepts only for a registered agent
+    target_id = _named_node(graph, event, "target_agent", "agent", "agent")
     attrs = {"type": "delegation", "source_agent": event.agent_id,
-             "target_agent": target}
+             "target_agent": event.attrs["target_agent"]}
     dependency = event.attrs.get("task_dependency")
     if dependency:
         attrs["task_dependency"] = dependency
     if event.content:
         attrs["content"] = event.content
-    _bind_edge(graph, EdgeKind.DELEGATES_TO, source_id, target_id, event, attrs)
+    _bind_edge(graph, EdgeKind.DELEGATES_TO, f"agent.{event.agent_id}", target_id,
+               event, attrs)
 
 
 def _bind_edge(graph, kind, source, target, stamped, extra=None):
@@ -729,103 +661,104 @@ def _agents_line_up(sender, receiver) -> bool:
 
 
 def _pair_messages(graph, events, matcher):
+    """Pair sends with receives and emit one sends_to edge per message.
+
+    The rule: a receive takes the first free send with its message_id,
+    else the nearest free send with its content (the latest one not after
+    it, else the earliest one after it; equal times go by event_id). Every
+    receive gets its message_id pass before any gets its content pass, and
+    in both a send qualifies only when the agents line up. A send or
+    receive left without a partner gets a synthesized counterpart.
+    """
     sent = [e for e in events if e.event_type == "message_sent"]
     received = [e for e in events if e.event_type == "message_received"]
-    taken: set[str] = set()
-    pairs = []
-
-    by_message_id = {}
+    by_message_id, by_content = {}, {}
     for event in sent:
         key = event.attrs.get("message_id")
         if key is not None:
             by_message_id.setdefault(str(key), []).append(event)
+        by_content.setdefault(event.content, []).append(event)
+    taken: set[str] = set()
+    pairs = []
+
+    def free_senders(candidates, receiver):
+        return [c for c in candidates
+                if c.event_id not in taken and _agents_line_up(c, receiver)]
+
+    def pair(sender, receiver):
+        pairs.append((sender, receiver))
+        taken.update((sender.event_id, receiver.event_id))
+
     for event in received:
         key = event.attrs.get("message_id")
-        if key is None:
-            continue
-        candidates = [c for c in by_message_id.get(str(key), [])
-                      if c.event_id not in taken]
-        if candidates:
-            pairs.append((candidates[0], event))
-            taken.add(candidates[0].event_id)
-            taken.add(event.event_id)
-
-    # fallback pairing: agents line up, content matches, nearest send first
-    sent_by_content = {}
-    for event in sent:
-        sent_by_content.setdefault(event.content, []).append(event)
+        if key is not None:
+            candidates = free_senders(by_message_id.get(str(key), ()), event)
+            if candidates:
+                pair(candidates[0], event)
     for event in received:
         if event.event_id in taken:
             continue
-        candidates = [c for c in sent_by_content.get(event.content, ())
-                      if c.event_id not in taken and _agents_line_up(c, event)]
+        candidates = free_senders(by_content.get(event.content, ()), event)
         if candidates:
             recv_stamp = parse_instant(event.timestamp)
             stamp_key = lambda c: (parse_instant(c.timestamp), c.event_id)
             not_after = [c for c in candidates
                          if parse_instant(c.timestamp) <= recv_stamp]
-            if not_after:
-                best = max(not_after, key=stamp_key)
-            else:
-                best = min(candidates, key=stamp_key)
-            pairs.append((best, event))
-            taken.add(best.event_id)
-            taken.add(event.event_id)
+            pair(max(not_after, key=stamp_key) if not_after
+                 else min(candidates, key=stamp_key), event)
 
+    pairs += [(e, None) for e in sent if e.event_id not in taken]
+    pairs += [(None, e) for e in received if e.event_id not in taken]
     for sender, receiver in pairs:
-        attrs = _propagation_attrs(sender)
-        attrs.update(_propagation_attrs(receiver))
+        _message_edge(graph, matcher, sender, receiver)
+
+
+def _message_edge(graph, matcher, sender, receiver):
+    """Insert the sends_to edge of one message; either side may be None.
+
+    A missing side is synthesized: a sink for an unanswered send, marked
+    dropped, or an origin for a receive nobody logged sending. The edge
+    takes the content and timestamp of the receive when there is one, the
+    trace of the send when there is one, and the edge directives of both
+    sides, the receive's winning.
+    """
+    attrs = {}
+    for event in (sender, receiver):
+        if event is not None:
+            attrs.update((k, v) for k, v in event.attrs.items()
+                         if k in _EDGE_DIRECTIVE_KEYS and k != "message_id")
+    if sender is None:
+        source = _synth_endpoint(graph, f"{receiver.event_id}.origin", NodeKind.ACTION,
+                                 receiver, receiver.attrs.get("source_agent"))
+    else:
+        source = sender.event_id
         attrs.setdefault("source_agent", sender.agent_id)
+    if receiver is None:
+        target = _synth_endpoint(graph, f"{sender.event_id}.sink", NodeKind.EXTERNAL,
+                                 sender, sender.attrs.get("target_agent"))
+        attrs["propagation_status"] = "dropped"
+    else:
+        target = receiver.event_id
         attrs.setdefault("target_agent", receiver.agent_id)
         attrs.setdefault("propagation_status", "delivered")
-        attrs["trace_id"] = sender.trace_id
-        _message_edge(graph, matcher, sender.event_id, receiver.event_id,
-                      receiver, attrs)
-
-    for event in sent:
-        if event.event_id in taken:
-            continue
-        sink_id = _synth_endpoint(graph, f"{event.event_id}.sink", NodeKind.EXTERNAL,
-                                  event, event.attrs.get("target_agent"))
-        attrs = _propagation_attrs(event)
-        attrs.setdefault("source_agent", event.agent_id)
-        attrs["propagation_status"] = "dropped"
-        attrs["trace_id"] = event.trace_id
-        _message_edge(graph, matcher, event.event_id, sink_id, event, attrs)
-
-    for event in received:
-        if event.event_id in taken:
-            continue
-        origin_id = _synth_endpoint(graph, f"{event.event_id}.origin", NodeKind.ACTION,
-                                    event, event.attrs.get("source_agent"))
-        attrs = _propagation_attrs(event)
-        attrs.setdefault("target_agent", event.agent_id)
-        attrs.setdefault("propagation_status", "delivered")
-        attrs["trace_id"] = event.trace_id
-        _message_edge(graph, matcher, origin_id, event.event_id, event, attrs)
-
-
-def _message_edge(graph, matcher, source, target, stamped, attrs):
-    """A sends_to edge that carries the content and timestamp of ``stamped``."""
+    attrs["trace_id"] = (sender or receiver).trace_id
+    stamped = receiver or sender
     if stamped.content:
         attrs["content"] = stamped.content
     _merge_flags(attrs, matcher)
     _add_edge(graph, EdgeKind.SENDS_TO, source, target, stamped.timestamp, attrs)
 
 
-def _propagation_attrs(event: TraceEvent) -> dict:
-    keys = _EDGE_DIRECTIVE_KEYS - {"message_id"}
-    return {k: v for k, v in event.attrs.items() if k in keys}
-
-
 def _synth_endpoint(graph, node_id, kind, event, counterpart_agent) -> str:
     """Insert a minimal stand-in node for the missing half of a message."""
     attributes = {"type": "synthesized_endpoint"}
-    if counterpart_agent and counterpart_agent in graph.agents:
+    if (counterpart_agent and counterpart_agent != event.agent_id
+            and counterpart_agent in graph.agents):
         agent_id = counterpart_agent
     else:
-        # no usable counterpart agent: anchor to the known side and mark the
-        # channel shared so the propagation edge stays legal
+        # no usable counterpart agent (unknown, or the event's own): anchor
+        # to the known side and mark the channel shared so the propagation
+        # edge stays legal
         agent_id = event.agent_id
         attributes["shared_state"] = "message_channel"
     return graph.add_node(Node(node_id=node_id, kind=kind, agent_id=agent_id,

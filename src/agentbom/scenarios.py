@@ -14,7 +14,7 @@ depends on absolute times.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -42,15 +42,6 @@ class ExpectedFinding:
     phase: str
     back_reaches: str | None = None
     fwd_reaches: str | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "risk_id": self.risk_id,
-            "entry": self.entry,
-            "phase": self.phase,
-            "back_reaches": self.back_reaches,
-            "fwd_reaches": self.fwd_reaches,
-        }
 
 
 class _Script:
@@ -210,7 +201,7 @@ class Fixture:
         report = {
             "scenario": self.scenario_id,
             "risk_ids": self.expected_risk_ids(),
-            "findings": [e.to_dict() for e in self.expected],
+            "findings": [asdict(e) for e in self.expected],
         }
         paths["expected"].write_text(
             json.dumps(report, indent=2, sort_keys=True) + "\n"

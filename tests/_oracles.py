@@ -187,7 +187,10 @@ def random_graph(rng: random.Random, max_nodes: int = 50,
         if added >= max_edges:
             break
         kind = rng.choice(edge_kinds)
-        src_kinds, tgt_kinds = ENDPOINT_TABLE[kind]
+        # the table holds frozensets of enum members, which hash by name and
+        # so iterate in an order that changes with PYTHONHASHSEED
+        src_kinds, tgt_kinds = (sorted(kinds, key=lambda k: k.value)
+                                for kinds in ENDPOINT_TABLE[kind])
         src_pool = [n for k in src_kinds for n in by_kind.get(k, ())]
         tgt_pool = [n for k in tgt_kinds for n in by_kind.get(k, ())]
         if not src_pool or not tgt_pool:

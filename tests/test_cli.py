@@ -210,6 +210,30 @@ _GRAPH = {"agents": [{"agent_id": "a"}],
           "edges": []}
 
 
+def _message(event_id, event_type, minute, **attrs):
+    return dict(_EVENT, event_id=event_id, event_type=event_type, content="hi",
+                timestamp=f"2026-03-01T10:0{minute}:00Z", attrs=attrs)
+
+
+# messages an agent addresses to itself must not end in a propagation edge
+# between two elements of that agent without a shared-object marker
+@pytest.mark.parametrize("events", [
+    [_message("s1", "message_sent", 0, target_agent="a")],
+    [_message("r1", "message_received", 0, source_agent="a")],
+    [_message("s1", "message_sent", 0, message_id="m1"),
+     _message("r1", "message_received", 1, message_id="m1")],
+], ids=["send-to-self", "receive-from-self", "message-id-within-one-agent"])
+def test_self_addressed_messages_build_a_valid_graph(tmp_path, capsys, events):
+    manifest, trace = tmp_path / "manifest.json", tmp_path / "trace.jsonl"
+    manifest.write_text(json.dumps({"agents": [{"agent_id": "a"}, {"agent_id": "b"}]}))
+    trace.write_text("".join(json.dumps(e) + "\n" for e in events))
+    graph = tmp_path / "graph.json"
+    assert main(["build", "--manifest", str(manifest), "--trace", str(trace),
+                 "--out", str(graph)]) == 0
+    assert main(["validate", "--graph", str(graph)]) == 0
+    assert capsys.readouterr().out.startswith("graph valid: ")
+
+
 # a flagged agent node is an ASI10 entry, so the audit asks for its id
 _UNNAMED_FLAGGED_AGENT = {"node_id": "", "kind": "AgentNode",
                           "attributes": {"danger_flags": ["privilege_claim"]}}
@@ -268,6 +292,7 @@ _LOADED_GRAPH_FAILS_VALIDATION = ("audit-empty-node-id", "export-empty-node-id")
     _build_case(agent={"tools": [{"tool_name": "t", "permission_scope": "fs"}]}),
     _build_case(attrs={"danger_flags": "privilege_claim"}),
     _build_case(attrs={"basis": 5}),
+    _build_case(event_type=["external_input"]),
     ("matchers", {"patterns": 5}, None),
     _matchers_case(applies_to="content"),
     _matchers_case(applies_to=5),
@@ -289,7 +314,7 @@ _LOADED_GRAPH_FAILS_VALIDATION = ("audit-empty-node-id", "export-empty-node-id")
     "refs-not-a-list", "attrs-not-an-object", "tool-not-an-object",
     "skill-not-an-object", "memory-store-not-an-object", "code-dep-not-an-object",
     "model-not-an-object", "permission-scope-not-a-list",
-    "danger-flags-not-a-list", "basis-not-a-list",
+    "danger-flags-not-a-list", "basis-not-a-list", "event-type-a-list",
     "matcher-patterns-not-a-list", "matcher-applies-to-a-string",
     "matcher-applies-to-a-number", "rule-not-an-object", "rule-back-not-an-object",
     "rule-conditions-not-a-list", "and-args-not-a-list",

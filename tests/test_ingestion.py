@@ -412,14 +412,44 @@ def test_unpaired_receive_from_outside_synthesizes_a_shared_channel_origin():
     assert graph.has_element("e.sends_to.ext1.origin.ext1")
 
 
+def test_message_id_within_one_agent_synthesizes_both_ends():
+    events = [
+        _event("act1", "message_sent", "note", attrs={"message_id": "m-1"}),
+        _event("ext1", "message_received", "note", attrs={"message_id": "m-1"}),
+    ]
+    graph = assemble(_two_agents(), events)
+    assert graph.validate() == []
+    assert not graph.has_element("e.sends_to.act1.ext1")
+    for end in ("act1.sink", "ext1.origin"):
+        assert graph.nodes[end].agent_id == "a1"
+        assert graph.nodes[end].attr("shared_state") == "message_channel"
+    assert graph.has_element("e.sends_to.act1.act1.sink")
+    assert graph.has_element("e.sends_to.ext1.origin.ext1")
+
+
+def test_message_id_skips_a_send_declared_for_another_agent():
+    manifest = parse_manifest({"agents": [{"agent_id": a} for a in ("a1", "a2", "a3")]})
+    events = [
+        _event("act1", "message_sent", "ping",
+               attrs={"message_id": "m-1", "target_agent": "a3"}),
+        _event("act2", "message_sent", "pong", attrs={"message_id": "m-1"}),
+        _event("ext1", "message_received", "ping", agent="a2", trace="t2",
+               attrs={"message_id": "m-1"}),
+    ]
+    graph = assemble(manifest, events)
+    assert not graph.has_element("e.sends_to.act1.ext1")
+    assert graph.has_element("e.sends_to.act2.ext1")
+    assert graph.nodes["act1.sink"].agent_id == "a3"
+
+
 def _oracle_pairs(events):
     """Message pairing restated by hand, as (send id, receive id) pairs.
 
-    Receives with a message_id take the first unused send with that id, in
-    event order. Every receive still unpaired then takes, among unused
-    sends with the same content whose agents line up, the latest one not
-    after it, else the earliest one after it; equal times go by event_id.
-    Each send is used once.
+    Receives with a message_id take the first unused send with that id
+    whose agents line up, in event order. Every receive still unpaired then
+    takes, among unused sends with the same content whose agents line up,
+    the latest one not after it, else the earliest one after it; equal
+    times go by event_id. Each send is used once.
     """
     def when(event):
         return datetime.fromisoformat(event.timestamp.replace("Z", "+00:00"))
@@ -436,7 +466,8 @@ def _oracle_pairs(events):
         wanted = receive.attrs.get("message_id")
         for send in sends:
             if (wanted is not None and send.event_id not in used
-                    and send.attrs.get("message_id") == wanted):
+                    and send.attrs.get("message_id") == wanted
+                    and lines_up(send, receive)):
                 used |= {send.event_id, receive.event_id}
                 pairs.append((send.event_id, receive.event_id))
                 break

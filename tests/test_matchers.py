@@ -212,6 +212,11 @@ def test_round_trip_through_json():
     assert clone.scan(probe) == _M.scan(probe)
 
 
+def test_round_trip_through_a_dict():
+    # applies_to is a tuple on the pattern but must be a list in the document
+    assert DangerMatcher.from_dict(_M.to_dict()).patterns == _M.patterns
+
+
 def test_bad_regex_is_rejected_eagerly():
     with pytest.raises(IngestionError):
         DangerMatcher([DangerPattern("x", "(unclosed", ("content",))])

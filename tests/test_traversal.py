@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -186,6 +190,28 @@ def test_paths_sort_by_depth_then_elements():
 # ---------------------------------------------------------------------------
 # oracle comparison
 # ---------------------------------------------------------------------------
+
+_RANDOM_CORPUS = """
+import hashlib, random
+from _oracles import random_graph
+for seed in range(30):
+    text = random_graph(random.Random(seed)).to_json()
+    print(seed, hashlib.sha256(text.encode()).hexdigest())
+"""
+
+
+def test_random_graph_corpus_does_not_depend_on_the_hash_seed():
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(here.parent / "src"), str(here)])
+    outputs = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path)
+        proc = subprocess.run([sys.executable, "-c", _RANDOM_CORPUS], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+
 
 def test_trace_matches_brute_force_on_random_graphs():
     mismatches = []
