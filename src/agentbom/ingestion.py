@@ -29,7 +29,7 @@ from .errors import (
     TraceParseError,
     UnresolvedRefError,
 )
-from .graph import AgentBomGraph, AgentDescriptor, Edge, Node, parse_instant
+from .graph import AgentBomGraph, AgentDescriptor, Edge, Node, dump_json, parse_instant
 from .matchers import DangerMatcher, default_matcher
 from .schema import EdgeKind, NodeKind
 
@@ -87,7 +87,7 @@ class CapabilityManifest:
         return asdict(self)
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        return dump_json(self.to_dict())
 
 
 def parse_manifest(doc: dict) -> CapabilityManifest:
@@ -253,7 +253,7 @@ class TraceEvent:
         if self.refs:
             doc["refs"] = list(self.refs)
         if self.attrs:
-            doc["attrs"] = {k: self.attrs[k] for k in sorted(self.attrs)}
+            doc["attrs"] = dict(self.attrs)
         return doc
 
     @classmethod

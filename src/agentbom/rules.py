@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass, field
 
 from .errors import RulePackError
-from .graph import AgentBomGraph, Edge
+from .graph import AgentBomGraph, Edge, dump_json
 from .predicates import (
     And,
     AttrCmp,
@@ -229,9 +229,7 @@ def load_rules(text: str) -> list:
 
 
 def dump_rules(rules) -> str:
-    return json.dumps(
-        {"rules": [r.to_dict() for r in rules]}, indent=2, sort_keys=True
-    ) + "\n"
+    return dump_json({"rules": [r.to_dict() for r in rules]})
 
 
 # ===========================================================================
@@ -251,7 +249,7 @@ class EvidenceItem:
         return {
             "element": self.element_id,
             "clause": self.clause_index,
-            "attributes": {k: self.attributes[k] for k in sorted(self.attributes)},
+            "attributes": dict(self.attributes),
         }
 
 
@@ -305,7 +303,7 @@ class AuditReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        return dump_json(self.to_dict())
 
 
 # ===========================================================================

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
-from .graph import AgentBomGraph
+from .graph import AgentBomGraph, dump_json
 from .ingestion import CapabilityManifest, TraceEvent, assemble, parse_manifest
 from .matchers import DangerMatcher
 
@@ -203,9 +203,7 @@ class Fixture:
             "risk_ids": self.expected_risk_ids(),
             "findings": [asdict(e) for e in self.expected],
         }
-        paths["expected"].write_text(
-            json.dumps(report, indent=2, sort_keys=True) + "\n"
-        )
+        paths["expected"].write_text(dump_json(report))
         return paths
 
 
