@@ -10,6 +10,7 @@ evidence chain.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -320,9 +321,9 @@ def locate_entries(graph: AgentBomGraph, rule: AuditRule) -> list:
     return sorted(out)
 
 
-def _scope_elements(graph, scope, entry, back_paths, fwd_paths) -> list:
+def _scope_ids(scope, entry_id, back_paths, fwd_paths) -> list:
     if scope == "entry":
-        return [entry]
+        return [entry_id]
     if scope == "back_origin":
         ids = dict.fromkeys(p.origin for p in back_paths)
     elif scope == "back_path":
@@ -333,20 +334,20 @@ def _scope_elements(graph, scope, entry, back_paths, fwd_paths) -> list:
         ids = dict.fromkeys(e for p in fwd_paths for e in p.elements)
     # a traced path starts at the entry itself; the path scopes ask about
     # everything beyond it, so the entry never testifies for its own paths
-    entry_id = _element_id(entry)
-    return [graph.element(i) for i in ids if i != entry_id]
+    return [i for i in ids if i != entry_id]
 
 
 def _element_id(element) -> str:
     return element.edge_id if isinstance(element, Edge) else element.node_id
 
 
-def _asks(graph, clause, entry, element, answers) -> bool:
+def _asks(graph, clause, entry, element_id, answers) -> bool:
     """The clause's predicate on one element; answers holds one entry's
     answers by (clause identity, element id), so each is asked once."""
-    key = (id(clause), _element_id(element))
+    key = (id(clause), element_id)
     if key not in answers:
-        answers[key] = clause.predicate.evaluate(element, graph=graph, entry=entry)
+        answers[key] = clause.predicate.evaluate(graph.element(element_id),
+                                                 graph=graph, entry=entry)
     return answers[key]
 
 
@@ -354,9 +355,9 @@ def _holds(graph, clause, entry, back_paths, fwd_paths, answers) -> bool:
     """The clause's quantifier over its scope. exists over an empty scope is
     false and stops at the first match; forall over an empty scope is
     vacuously true."""
-    elements = _scope_elements(graph, clause.scope, entry, back_paths, fwd_paths)
+    ids = _scope_ids(clause.scope, _element_id(entry), back_paths, fwd_paths)
     quantifier = any if clause.quantifier == "exists" else all
-    return quantifier(_asks(graph, clause, entry, el, answers) for el in elements)
+    return quantifier(_asks(graph, clause, entry, i, answers) for i in ids)
 
 
 def _evaluate_clause(graph, clause, index, entry, back_paths, fwd_paths, answers):
@@ -364,12 +365,12 @@ def _evaluate_clause(graph, clause, index, entry, back_paths, fwd_paths, answers
     elements, for forall every scope element."""
     if not _holds(graph, clause, entry, back_paths, fwd_paths, answers):
         return False, []
-    elements = _scope_elements(graph, clause.scope, entry, back_paths, fwd_paths)
+    ids = _scope_ids(clause.scope, _element_id(entry), back_paths, fwd_paths)
     if clause.quantifier == "exists":
-        elements = [el for el in elements if _asks(graph, clause, entry, el, answers)]
+        ids = [i for i in ids if _asks(graph, clause, entry, i, answers)]
     keys = clause.predicate.referenced_keys()
-    return True, [EvidenceItem(_element_id(el), index, _snapshot(el, keys))
-                  for el in elements]
+    return True, [EvidenceItem(i, index, _snapshot(graph.element(i), keys))
+                  for i in ids]
 
 
 def _snapshot(element, keys) -> dict:
@@ -379,15 +380,24 @@ def _snapshot(element, keys) -> dict:
 _BACK_SCOPES = ("back_origin", "back_path")
 _FWD_SCOPES = ("fwd_terminus", "fwd_path")
 
+# what each path scope holds when one path stands on both sides
+_LONE_PATH_IDS = {
+    "back_origin": lambda path: (path.origin,),
+    "back_path": lambda path: path.elements,
+    "fwd_terminus": lambda path: (path.terminus,),
+    "fwd_path": lambda path: path.elements,
+}
+
 
 def _keeps(graph, clauses, entry, scopes, answers):
     """The test that every exists-clause of the given scopes holds on one
-    path alone."""
-    exists_clauses = [c for c in clauses
-                      if c.quantifier == "exists" and c.scope in scopes]
-    # a lone path stands on both sides; only its own scopes are asked
-    return lambda path: all(_holds(graph, c, entry, [path], [path], answers)
-                            for c in exists_clauses)
+    path alone; like _holds, it skips the entry and asks no scope list."""
+    entry_id = _element_id(entry)
+    tests = [(c, _LONE_PATH_IDS[c.scope]) for c in clauses
+             if c.quantifier == "exists" and c.scope in scopes]
+    return lambda path: all(
+        any(i != entry_id and _asks(graph, clause, entry, i, answers) for i in ids(path))
+        for clause, ids in tests)
 
 
 def _phase_label(entry) -> str:
@@ -429,7 +439,10 @@ def evaluate_rule(graph: AgentBomGraph, rule: AuditRule, stats=None) -> list:
         if not all(_holds(graph, c, entry, [], [], answers)
                    for c in rule.conditions if c.scope == "entry"):
             continue
-        kept = _keeps(graph, rule.conditions, entry, _FWD_SCOPES, answers)
+        # trace asks stop on the paths it could extend; the filter below
+        # reuses those answers and asks only the rest
+        kept = functools.cache(
+            _keeps(graph, rule.conditions, entry, _FWD_SCOPES, answers))
         fwd = trace(graph, entry_id, rule.fwd, stop=kept)
         explored += len(fwd)
         fwd = [p for p in fwd if kept(p)]

@@ -450,14 +450,21 @@ _EDGE_PROPAGATION_KEYS = frozenset(
 )
 
 
+# The full key set of each kind, built once.
+_NODE_KEYS = {kind: _NODE_COMMON_KEYS | extra for kind, extra in _NODE_EXTRA_KEYS.items()}
+_EDGE_KEYS = {
+    kind: (_EDGE_COMMON_KEYS | _EDGE_PROPAGATION_KEYS
+           if family_of(kind) is EdgeFamily.PROPAGATION else _EDGE_COMMON_KEYS)
+    for kind in EdgeKind
+}
+
+
 def allowed_node_keys(kind: NodeKind) -> frozenset[str]:
-    return _NODE_COMMON_KEYS | _NODE_EXTRA_KEYS[kind]
+    return _NODE_KEYS[kind]
 
 
 def allowed_edge_keys(kind: EdgeKind) -> frozenset[str]:
-    if family_of(kind) is EdgeFamily.PROPAGATION:
-        return _EDGE_COMMON_KEYS | _EDGE_PROPAGATION_KEYS
-    return _EDGE_COMMON_KEYS
+    return _EDGE_KEYS[kind]
 
 
 def attribute_spec(key: str) -> AttributeSpec | None:

@@ -11,6 +11,12 @@ stored in flow order: elements[0] is the most upstream element. For a
 backward trace that upstream end is the origin the walk discovered, and the
 terminal predicate applies to it; for a forward trace the predicate applies
 to the downstream terminus.
+
+Within one trace a node below which a walk found nothing, never cut short
+by a node already on its path, is marked dead for the steps that walk had
+left; a later arrival with no more steps left does not walk on from it.
+That keeps a trace that finds nothing from walking every path below it,
+which on a diamond chain is Fibonacci-many.
 """
 
 from __future__ import annotations
@@ -159,9 +165,19 @@ def trace(graph: AgentBomGraph, start: str, spec: PathSpec, *, stop=None) -> lis
     Each node's steps, terminal answer and passability are computed once,
     in tables local to this call: predicates are pure functions of (element,
     graph, entry), and the graph does not change during an audit.
+
+    A walk on from a node that found no path and never met a node already
+    on the current path has covered every walk of up to its remaining
+    steps from that node, and none ends at a terminal. The node is then
+    dead for that many steps (the "blocked" idea of Johnson, "Finding all
+    the elementary circuits of a directed graph", SIAM J. Comput. 1975): a
+    later arrival with at most that many steps left still records the
+    node's own terminal path but does not walk on from it. ``stop`` is
+    asked only on found paths, so it never fires below a dead node.
     """
     entry = graph.element(start)
     anchor = _start_node(graph, start, spec.direction)
+    max_depth = spec.max_depth
     found: list[AuditPath] = []
     # discovery order: anchor first, walking outward; flow order for a
     # backward trace is the reverse of that
@@ -169,12 +185,18 @@ def trace(graph: AgentBomGraph, start: str, spec: PathSpec, *, stop=None) -> lis
     visited = {anchor}
     steps = {}     # node id -> its (edge id, next node id) pairs
     arrivals = {}  # node id -> (terminal holds there, walk may pass through)
+    dead = {}      # node id -> steps within which a walk on from it finds nothing
 
-    def descend(node_id: str, depth: int):
+    def descend(node_id: str, depth: int) -> tuple:
+        """Walks on from node_id, depth steps from the anchor; returns
+        (a path was found, a node on the current path cut the walk)."""
         if node_id not in steps:
             steps[node_id] = _steps(graph, node_id, spec)
+        fruitful = cut = False
+        left = max_depth - depth - 1  # steps a walk on from the next node may take
         for edge_id, nxt in steps[node_id]:
             if nxt in visited:
+                cut = True
                 continue
             if nxt not in arrivals:
                 node = graph.nodes[nxt]
@@ -182,11 +204,13 @@ def trace(graph: AgentBomGraph, start: str, spec: PathSpec, *, stop=None) -> lis
                                  spec.allowed_node_kinds is None
                                  or node.kind in spec.allowed_node_kinds)
             terminal, passable = arrivals[nxt]
+            extend = passable and left > dead.get(nxt, 0)
+            if not (terminal or extend):
+                continue
             stack_elements.append(edge_id)
             stack_elements.append(nxt)
-            visited.add(nxt)
-            extend = passable and depth + 1 < spec.max_depth
             if terminal:
+                fruitful = True
                 if spec.direction == BACKWARD:
                     elements = tuple(reversed(stack_elements))
                 else:
@@ -196,10 +220,16 @@ def trace(graph: AgentBomGraph, start: str, spec: PathSpec, *, stop=None) -> lis
                 if extend and stop is not None:
                     extend = not stop(path)
             if extend:
-                descend(nxt, depth + 1)
-            visited.discard(nxt)
+                visited.add(nxt)
+                below_found, below_cut = descend(nxt, depth + 1)
+                fruitful = fruitful or below_found
+                cut = cut or below_cut
+                visited.discard(nxt)
             stack_elements.pop()
             stack_elements.pop()
+        if not (fruitful or cut):
+            dead[node_id] = max_depth - depth
+        return fruitful, cut
 
     descend(anchor, 0)
     found.sort(key=lambda p: (p.depth, p.elements))

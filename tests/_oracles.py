@@ -210,6 +210,38 @@ def random_graph(rng: random.Random, max_nodes: int = 50,
     return graph
 
 
+def random_dag(rng: random.Random, nodes: int = 24) -> AgentBomGraph:
+    """A graph whose content flow is acyclic apart from invokes.
+
+    Runtime nodes n0..n{nodes-1} of one agent; each node after the first
+    is fed by one to three earlier ones over flows_to or influences, so
+    paths multiply as in a diamond chain. Actions invoke one of two shared
+    tools, and invokes couples both ways, so a tool with several invokers
+    closes cycles among them.
+    """
+    graph = AgentBomGraph()
+    graph.add_agent(AgentDescriptor("a0", "worker", ""))
+    runtime = sorted((k for k in NodeKind if layer_of(k) is Layer.RUNTIME),
+                     key=lambda k: k.value)
+    for t in range(2):
+        graph.add_node(Node(node_id=f"tool{t}", kind=NodeKind.TOOL))
+    count = 0
+    for i in range(nodes):
+        kind = NodeKind.ACTION if rng.random() < 0.3 else rng.choice(runtime)
+        graph.add_node(Node(node_id=f"n{i}", kind=kind, agent_id="a0",
+                            trace_id="t0", timestamp=_STAMP))
+        for j in sorted(rng.sample(range(i), min(i, rng.randint(1, 3)))):
+            kind_of_edge = rng.choice((EdgeKind.FLOWS_TO, EdgeKind.INFLUENCES))
+            graph.add_edge(Edge(f"e{count:03d}", kind_of_edge, f"n{j}", f"n{i}"))
+            count += 1
+        if kind is NodeKind.ACTION and rng.random() < 0.8:
+            graph.add_edge(Edge(f"e{count:03d}", EdgeKind.INVOKES, f"n{i}",
+                                f"tool{rng.randrange(2)}"))
+            count += 1
+    graph.freeze()
+    return graph
+
+
 def random_spec_params(rng: random.Random, graph: AgentBomGraph) -> dict:
     """Random traversal parameters exercising every spec dimension."""
     all_kinds = [k.value for k in EdgeKind]

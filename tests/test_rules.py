@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import json
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -679,7 +684,8 @@ def _diamond_chain(depth):
 
     def event(event_type, refs=(), **attrs):
         event_id = f"s{len(events):02d}"
-        stamp = f"2026-03-01T10:{len(events):02d}:00Z"
+        hour, minute = divmod(len(events), 60)
+        stamp = f"2026-03-01T{10 + hour:02d}:{minute:02d}:00Z"
         events.append(TraceEvent(event_id, "t1", "a", stamp, event_type,
                                  "acts with full authority", refs=list(refs),
                                  attrs=attrs))
@@ -734,6 +740,27 @@ def test_each_terminal_and_clause_is_asked_once_per_trace_and_entry():
     assert max(tally.values()) == 1
 
 
+def test_each_forward_path_is_tested_for_keeping_once(monkeypatch):
+    """trace asks the forward keep-test as stop and evaluate_rule filters
+    with it again; each (entry, path) is still tested once."""
+    tally = Counter()
+    real_keeps = rules_mod._keeps
+
+    def counting_keeps(graph, clauses, entry, scopes, answers):
+        keep = real_keeps(graph, clauses, entry, scopes, answers)
+
+        def counted(path):
+            tally[(scopes, rules_mod._element_id(entry), path.elements)] += 1
+            return keep(path)
+        return counted
+
+    monkeypatch.setattr(rules_mod, "_keeps", counting_keeps)
+    audit(_diamond_chain(12))
+    forward = [n for (scopes, _, _), n in tally.items() if "fwd_path" in scopes]
+    assert len(forward) > 100
+    assert max(forward) == 1
+
+
 def test_audit_traces_only_what_a_report_can_use(monkeypatch):
     """On a diamond chain, ASI03's entries fail on the forward side, so no
     backward path is traced for them, and ASI01's forward traces return
@@ -759,3 +786,31 @@ def test_audit_traces_only_what_a_report_can_use(monkeypatch):
     assert all(report.stats[risk]["paths_explored"]
                == returned[(risk, BACKWARD)] + returned[(risk, FORWARD)]
                for risk in RISK_IDS)
+
+
+_UNFLAGGED_DIAMOND = """
+import json
+from test_rules import _diamond_chain
+from agentbom.rules import audit, builtin_rules
+rules = [rule for rule in builtin_rules() if rule.risk_id != "ASI01"]
+report = audit(_diamond_chain(60), rules)
+print(json.dumps({"findings": len(report.findings), "stats": report.stats}))
+"""
+
+
+def test_dead_forward_walks_on_a_deep_diamond_stay_cheap():
+    """Without ASI01, a diamond chain of depth 60 leaves only forward walks
+    that find nothing: ASI03's from each reasoning step and ASI09's from
+    the external input. Re-walking them would take Fibonacci(60) steps, so
+    the audit runs in a child process that a timeout ends."""
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(here.parent / "src"), str(here)])
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-c", _UNFLAGGED_DIAMOND], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["findings"] == 0
+    stats = result["stats"]
+    assert stats["ASI03"]["entries"] == 60 and stats["ASI09"]["entries"] == 1
+    assert all(s["paths_explored"] == 0 for s in stats.values())

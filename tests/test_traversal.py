@@ -8,7 +8,13 @@ from pathlib import Path
 
 import pytest
 
-from _oracles import enumerate_paths, random_graph, random_spec_params, stopped_paths
+from _oracles import (
+    enumerate_paths,
+    random_dag,
+    random_graph,
+    random_spec_params,
+    stopped_paths,
+)
 from agentbom.graph import AgentBomGraph, AgentDescriptor, Edge, Node
 from agentbom.predicates import AttrCmp, EntryAttr, NeighborMatch
 from agentbom.schema import EdgeKind, NodeKind
@@ -275,6 +281,70 @@ def test_trace_with_stop_matches_brute_force_on_random_graphs():
                 mismatches.append((seed, start))
     assert mismatches == []
     assert pruned > 1500
+
+
+def _fruitless_revisits(walks, found, direction):
+    """How many walks end at a node where an earlier walk already ended,
+    neither of them a proper prefix of a found path: the arrivals below
+    which a trace would only walk a dead branch again."""
+    if direction == BACKWARD:
+        walks = [w[::-1] for w in walks]
+        found = [f[::-1] for f in found]
+    fruitful = {f[:end] for f in found for end in range(3, len(f), 2)}
+    ended, revisits = set(), 0
+    for walk in walks:
+        if walk not in fruitful:
+            revisits += walk[-1] in ended
+            ended.add(walk[-1])
+    return revisits
+
+
+def test_trace_matches_brute_force_where_branches_run_dry():
+    """Sparse terminals, walks of up to ten steps, diamond-like flow and
+    invokes cycles: walks keep arriving at nodes below which nothing is
+    found, some of them first reached while a node on the path cut the
+    walk short. With and without stop, trace equals the brute-force list."""
+    mismatches = []
+    revisits = pruned = 0
+    for seed in range(100):
+        rng = random.Random(71_000 + seed)
+        graph = random_dag(rng)
+        goals = set(rng.sample(sorted(graph.nodes), rng.randint(1, 3)))
+        marked = set(rng.sample(sorted(graph.nodes), 4))
+        params = {
+            "direction": rng.choice((FORWARD, BACKWARD)),
+            "edge_kinds": rng.choice(({"flows_to", "influences", "invokes"},
+                                      {"flows_to", "invokes"})),
+            "node_kinds": rng.choice((None, {k.value for k in rng.sample(list(NodeKind), 12)})),
+            "terminal": lambda node: node.node_id in goals,
+            "max_depth": rng.randint(6, 10),
+            "cross_agent": False,
+        }
+        spec = PathSpec(
+            direction=params["direction"],
+            allowed_edge_kinds=frozenset(params["edge_kinds"]),
+            allowed_node_kinds=params["node_kinds"],
+            terminal=params["terminal"],
+            max_depth=params["max_depth"],
+        )
+        stop = rng.choice((
+            lambda elements: True,
+            lambda elements: len(elements) >= 7,
+            lambda elements: bool(marked.intersection(elements)),
+        ))
+        for start in rng.sample(sorted(graph.nodes), 3):
+            full = enumerate_paths(graph, start, **params)
+            walks = enumerate_paths(graph, start, **dict(params, terminal=None))
+            revisits += _fruitless_revisits(walks, full, params["direction"])
+            want = stopped_paths(full, params["direction"], stop)
+            pruned += len(full) - len(want)
+            got = [p.elements for p in trace(graph, start, spec)]
+            got_stopped = [p.elements for p in
+                           trace(graph, start, spec, stop=lambda path: stop(path.elements))]
+            if got != full or got_stopped != want:
+                mismatches.append((seed, start))
+    assert mismatches == []
+    assert revisits > 10_000 and pruned > 50
 
 
 def _flags(element):
