@@ -1,9 +1,10 @@
 """Reconstruct LLM-agent executions as attributed graphs and audit them.
 
 The pipeline: parse a capability manifest and a normalized event trace
-(ingestion), assemble them into a two-layer graph (graph, schema), trace
-content flow along it (traversal), and adjudicate audit rules that pair a
-backward provenance question with a forward impact one (rules, predicates).
+(ingestion), assemble them into a two-layer graph (graph, schema), count
+the paths content flows along it forward in time (traversal), and
+adjudicate audit rules that pair a backward provenance question with a
+forward impact one (rules, predicates).
 Deterministic fixtures live in scenarios; DOT rendering in dot; the CLI
 in cli.
 """
@@ -37,7 +38,7 @@ from .rules import (
 )
 from .scenarios import SCENARIO_IDS, Fixture, generate
 from .schema import EdgeFamily, EdgeKind, Flow, Layer, NodeKind
-from .traversal import AuditPath, PathSpec, trace
+from .traversal import AuditPath, PathSpec, Trace, trace
 from .dot import finding_to_dot, to_dot
 
 __version__ = "0.1.0"
@@ -66,6 +67,7 @@ __all__ = [
     "PathSpec",
     "RuleError",
     "SCENARIO_IDS",
+    "Trace",
     "TraceEvent",
     "Violation",
     "assemble",

@@ -5,12 +5,13 @@ and a conjunction of scoped clauses. The engine localizes entries, traces
 from each the directions its clauses still need, and emits one finding per
 entry whose clauses all hold. Kept paths are the ones that satisfy the
 exists-clauses of their scope, so a finding's paths are themselves the
-evidence chain.
+evidence chain: it reports one witness path per endpoint with the number
+of kept paths that end there, and its clauses read every element of every
+kept path.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import dataclass, field
 
@@ -31,7 +32,7 @@ from .predicates import (
     predicate_from_dict,
 )
 from . import schema
-from .traversal import BACKWARD, FORWARD, PathSpec, select_paths, trace
+from .traversal import BACKWARD, FORWARD, PathSpec, Trace, trace
 
 RISK_IDS = tuple(f"ASI{n:02d}" for n in range(1, 11))
 
@@ -256,6 +257,13 @@ class EvidenceItem:
 
 @dataclass
 class Finding:
+    """One entry whose clauses all hold.
+
+    ``back_paths`` and ``fwd_paths`` hold one witness per endpoint, each
+    with its count; ``back_scope`` and ``fwd_scope`` hold every element of
+    every kept path on that side, witnesses or not.
+    """
+
     risk_id: str
     risk_name: str
     entry: str
@@ -265,6 +273,8 @@ class Finding:
     trace_id: str = ""
     agents_involved: list = field(default_factory=list)
     phase_label: str = ""
+    back_scope: tuple = ()
+    fwd_scope: tuple = ()
 
     def to_dict(self) -> dict:
         return {
@@ -280,11 +290,8 @@ class Finding:
         }
 
     def element_ids(self) -> set:
-        """Every element id on the entry or either path set."""
-        ids = {self.entry}
-        for path in list(self.back_paths) + list(self.fwd_paths):
-            ids.update(path.elements)
-        return ids
+        """The entry and every element of every kept path on either side."""
+        return {self.entry, *self.back_scope, *self.fwd_scope}
 
 
 @dataclass
@@ -321,17 +328,17 @@ def locate_entries(graph: AgentBomGraph, rule: AuditRule) -> list:
     return sorted(out)
 
 
-def _scope_ids(scope, entry_id, back_paths, fwd_paths) -> list:
+def _scope_ids(scope, entry_id, back: Trace, fwd: Trace) -> list:
     if scope == "entry":
         return [entry_id]
     if scope == "back_origin":
-        ids = dict.fromkeys(p.origin for p in back_paths)
+        ids = [p.origin for p in back.paths]
     elif scope == "back_path":
-        ids = dict.fromkeys(e for p in back_paths for e in p.elements)
+        ids = back.scope
     elif scope == "fwd_terminus":
-        ids = dict.fromkeys(p.terminus for p in fwd_paths)
+        ids = [p.terminus for p in fwd.paths]
     else:  # fwd_path
-        ids = dict.fromkeys(e for p in fwd_paths for e in p.elements)
+        ids = fwd.scope
     # a traced path starts at the entry itself; the path scopes ask about
     # everything beyond it, so the entry never testifies for its own paths
     return [i for i in ids if i != entry_id]
@@ -351,21 +358,21 @@ def _asks(graph, clause, entry, element_id, answers) -> bool:
     return answers[key]
 
 
-def _holds(graph, clause, entry, back_paths, fwd_paths, answers) -> bool:
+def _holds(graph, clause, entry, back, fwd, answers) -> bool:
     """The clause's quantifier over its scope. exists over an empty scope is
     false and stops at the first match; forall over an empty scope is
     vacuously true."""
-    ids = _scope_ids(clause.scope, _element_id(entry), back_paths, fwd_paths)
+    ids = _scope_ids(clause.scope, _element_id(entry), back, fwd)
     quantifier = any if clause.quantifier == "exists" else all
     return quantifier(_asks(graph, clause, entry, i, answers) for i in ids)
 
 
-def _evaluate_clause(graph, clause, index, entry, back_paths, fwd_paths, answers):
+def _evaluate_clause(graph, clause, index, entry, back, fwd, answers):
     """Returns (satisfied, evidence items): for exists the matching scope
     elements, for forall every scope element."""
-    if not _holds(graph, clause, entry, back_paths, fwd_paths, answers):
+    if not _holds(graph, clause, entry, back, fwd, answers):
         return False, []
-    ids = _scope_ids(clause.scope, _element_id(entry), back_paths, fwd_paths)
+    ids = _scope_ids(clause.scope, _element_id(entry), back, fwd)
     if clause.quantifier == "exists":
         ids = [i for i in ids if _asks(graph, clause, entry, i, answers)]
     keys = clause.predicate.referenced_keys()
@@ -379,25 +386,23 @@ def _snapshot(element, keys) -> dict:
 
 _BACK_SCOPES = ("back_origin", "back_path")
 _FWD_SCOPES = ("fwd_terminus", "fwd_path")
-
-# what each path scope holds when one path stands on both sides
-_LONE_PATH_IDS = {
-    "back_origin": lambda path: (path.origin,),
-    "back_path": lambda path: path.elements,
-    "fwd_terminus": lambda path: (path.terminus,),
-    "fwd_path": lambda path: path.elements,
-}
+_END_SCOPES = ("back_origin", "fwd_terminus")
+_NOTHING = Trace()
 
 
-def _keeps(graph, clauses, entry, scopes, answers):
-    """The test that every exists-clause of the given scopes holds on one
-    path alone; like _holds, it skips the entry and asks no scope list."""
+def _keep_tests(graph, clauses, entry, scopes, answers) -> dict:
+    """trace's keep tests for the exists-clauses of the given scopes: the
+    endpoint clauses hold on a path's end, and each path clause on one of
+    its elements. Like _holds, they skip the entry and share its answers."""
     entry_id = _element_id(entry)
-    tests = [(c, _LONE_PATH_IDS[c.scope]) for c in clauses
-             if c.quantifier == "exists" and c.scope in scopes]
-    return lambda path: all(
-        any(i != entry_id and _asks(graph, clause, entry, i, answers) for i in ids(path))
-        for clause, ids in tests)
+
+    def test(clause):
+        return lambda i: i != entry_id and _asks(graph, clause, entry, i, answers)
+
+    exists = [c for c in clauses if c.quantifier == "exists" and c.scope in scopes]
+    ends = [test(c) for c in exists if c.scope in _END_SCOPES]
+    return {"keep_end": lambda i: all(end(i) for end in ends),
+            "keep_marks": [test(c) for c in exists if c.scope not in _END_SCOPES]}
 
 
 def _phase_label(entry) -> str:
@@ -410,21 +415,22 @@ def _phase_label(entry) -> str:
 def evaluate_rule(graph: AgentBomGraph, rule: AuditRule, stats=None) -> list:
     """Run one rule over the whole graph; returns its findings.
 
-    A finding reports the maximal satisfying backward paths (deepest reach
-    toward the origin) and the minimal satisfying forward ones (nearest
-    realized impact); the clauses are then adjudicated over exactly those
-    reported paths, so the evidence and the reported chains agree. Each
-    entry yields at most one finding, and findings come in entry order.
+    A finding reports the deepest kept backward paths (reach toward the
+    origin) and the nearest kept forward ones (realized impact), one
+    witness per endpoint with a count; the clauses are then adjudicated
+    over every element of those kept paths, so the evidence and the
+    reported chains agree. Each entry yields at most one finding, and
+    findings come in entry order.
 
     Each entry is settled in this order, stopping at the first failure:
     the entry-scope clauses; the forward trace, which does not extend a
-    path that is kept (every forward exists-clause holds on it alone), so
-    its kept paths are already the nearest; the forward-scope clauses over
-    those paths; and only then the backward trace, its deepest kept paths
-    and every clause with its evidence, in clause order.
+    kept path (every forward exists-clause holds on it alone), so its kept
+    paths are the nearest; the forward-scope clauses; and only then the
+    backward trace, whose kept paths that no kept path extends are the
+    deepest, and every clause with its evidence, in clause order.
 
     When a ``stats`` dict is given, it receives the rule's ``entries``,
-    ``paths_explored`` (the paths the traces returned, before filtering)
+    ``paths_explored`` (the terminal paths the traces walked, kept or not)
     and ``findings`` counts.
 
     Each clause predicate is asked once per (entry, element): predicates are
@@ -433,26 +439,22 @@ def evaluate_rule(graph: AgentBomGraph, rule: AuditRule, stats=None) -> list:
     """
     entries = locate_entries(graph, rule)
     findings, explored = [], 0
+    fwd_steps, back_steps = {}, {}  # each node's steps, shared by the entries
     for entry_id in entries:
         entry = graph.element(entry_id)
         answers = {}
-        if not all(_holds(graph, c, entry, [], [], answers)
+        if not all(_holds(graph, c, entry, _NOTHING, _NOTHING, answers)
                    for c in rule.conditions if c.scope == "entry"):
             continue
-        # trace asks stop on the paths it could extend; the filter below
-        # reuses those answers and asks only the rest
-        kept = functools.cache(
-            _keeps(graph, rule.conditions, entry, _FWD_SCOPES, answers))
-        fwd = trace(graph, entry_id, rule.fwd, stop=kept)
-        explored += len(fwd)
-        fwd = [p for p in fwd if kept(p)]
-        if not all(_holds(graph, c, entry, [], fwd, answers)
+        fwd = trace(graph, entry_id, rule.fwd, steps=fwd_steps,
+                    **_keep_tests(graph, rule.conditions, entry, _FWD_SCOPES, answers))
+        explored += fwd.explored
+        if not all(_holds(graph, c, entry, _NOTHING, fwd, answers)
                    for c in rule.conditions if c.scope in _FWD_SCOPES):
             continue
-        kept = _keeps(graph, rule.conditions, entry, _BACK_SCOPES, answers)
-        back = trace(graph, entry_id, rule.back)
-        explored += len(back)
-        back = select_paths([p for p in back if kept(p)])
+        back = trace(graph, entry_id, rule.back, steps=back_steps,
+                     **_keep_tests(graph, rule.conditions, entry, _BACK_SCOPES, answers))
+        explored += back.explored
 
         evidence = []
         satisfied = True
@@ -468,11 +470,13 @@ def evaluate_rule(graph: AgentBomGraph, rule: AuditRule, stats=None) -> list:
             risk_id=rule.risk_id,
             risk_name=rule.name,
             entry=entry_id,
-            back_paths=back,
-            fwd_paths=fwd,
+            back_paths=list(back.paths),
+            fwd_paths=list(fwd.paths),
             evidence=evidence,
-            trace_id=_finding_trace_id(graph, entry, back, fwd),
+            trace_id=_finding_trace_id(graph, entry, back.paths, fwd.paths),
             phase_label=_phase_label(entry),
+            back_scope=back.scope,
+            fwd_scope=fwd.scope,
         )
         finding.agents_involved = _agents_involved(graph, finding)
         findings.append(finding)

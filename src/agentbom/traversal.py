@@ -1,4 +1,4 @@
-"""Path tracing over the graph, following content flow rather than arrows.
+"""Path tracing over the graph, following content flow forward in time.
 
 Each edge kind has a flow orientation (schema.FLOW_OF_KIND): most arrows
 point the way content moves, access-style arrows (reads_from, selects, the
@@ -6,26 +6,57 @@ structural loads) point the other way, and invokes couples its endpoints in
 both directions. A forward trace follows flow away from the start node; a
 backward trace walks flow in reverse toward provenance.
 
-Paths are simple (no repeated node), contain at least one edge, and are
-stored in flow order: elements[0] is the most upstream element. For a
-backward trace that upstream end is the origin the walk discovered, and the
-terminal predicate applies to it; for a forward trace the predicate applies
-to the downstream terminus.
+Time. Along flow order, timestamps never decrease: paths are the temporal
+paths of Kempe, Kleinberg & Kumar ("Connectivity and Inference Problems
+for Temporal Networks", STOC 2000). A walk carries a time: forward, the
+latest timestamp it has passed; backward, the earliest. A runtime node or
+a timestamped edge must not break flow order, and then sets the carried
+time; a static node or an untimestamped edge passes it on unchanged. A
+walk is in a state (node, carried time), and a path never visits a state
+twice. A runtime node always carries its own time, so it occurs once; a
+static node such as a memory store or a tool may recur at another time.
+Nor does a path step straight back over the edge it has just crossed:
+invokes couples an action and its tool both ways, and a path from the
+tool into the action and straight back would have the one call feed the
+tool its own result, doubling the paths through a shared tool with every
+session that calls it.
 
-Within one trace a node below which a walk found nothing, never cut short
-by a node already on its path, is marked dead for the steps that walk had
-left; a later arrival with no more steps left does not walk on from it.
-That keeps a trace that finds nothing from walking every path below it,
-which on a diamond chain is Fibonacci-many.
+Paths contain at least one edge and at most ``max_depth``, end at a node
+the terminal predicate accepts, pass only through allowed node kinds (the
+endpoints are exempt), and are stored in flow order: elements[0] is the
+most upstream element. For a backward trace that upstream end is the
+origin the walk discovered; for a forward trace it is the anchor, and the
+downstream terminus is the discovered end.
+
+Counting, not listing. A trace does not list its paths: on a diamond chain
+they are Fibonacci-many, and on a long replay with a shared memory store
+and tool they multiply with every session. Counting simple paths is
+#P-complete in general (Valiant, SIAM J. Comput. 1979), but the carried
+time never runs back, so a path can return to a state only while the time
+stands still, and only to a state it visited at that instant. In the
+graphs ingestion builds such a cycle is an action and the tool it invokes.
+The trace therefore walks layers of keys, one layer per step: a key is a
+node, the carried time, which keep-marks the path has met, the nodes it
+visited since the time last moved, and the edge it may not step straight
+back over. Paths with the same key at the same depth have the same
+continuations, so one pass out over the layers and one pass back give,
+for each endpoint, the exact number of kept paths and the first of them
+under (depth, elements) order; the elements of all kept paths; and the
+number of terminal paths walked. The work grows with the number of keys
+times the steps from them, depth included, not with the number of paths.
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
+import math
 from dataclasses import dataclass
+from datetime import datetime, timedelta, timezone
 
 from . import schema
-from .graph import AgentBomGraph
-from .schema import Flow, NodeKind
+from .graph import AgentBomGraph, parse_instant
+from .schema import Flow, Layer, NodeKind
 
 BACKWARD = "backward"
 FORWARD = "forward"
@@ -75,10 +106,15 @@ class PathSpec:
 
 @dataclass(frozen=True)
 class AuditPath:
-    """One traced path: alternating node and edge ids in flow order."""
+    """One traced path: alternating node and edge ids in flow order.
+
+    A reported path is the witness for its endpoint: ``count`` is the
+    number of kept paths of its trace that end there, itself included.
+    """
 
     direction: str
     elements: tuple
+    count: int = 1
 
     @property
     def origin(self) -> str:
@@ -101,17 +137,56 @@ class AuditPath:
         return self.elements[1::2]
 
     def to_dict(self) -> dict:
-        return {"direction": self.direction, "elements": list(self.elements)}
+        doc = {"direction": self.direction, "elements": list(self.elements)}
+        if self.count > 1:
+            doc["count"] = self.count
+        return doc
+
+
+@dataclass(frozen=True)
+class Trace:
+    """What one trace found.
+
+    ``paths`` holds one witness per endpoint (origin backward, terminus
+    forward) in (depth, elements) order, each with its endpoint's count.
+    ``scope`` holds every element of every kept path: the witnesses'
+    elements in first-seen order, then the others sorted. ``explored`` is
+    the number of terminal paths the walk went through, kept or not. The
+    size of a trace is the number of paths it reports.
+    """
+
+    paths: tuple = ()
+    scope: tuple = ()
+    explored: int = 0
+
+    def __len__(self) -> int:
+        return len(self.paths)
 
 
 # ===========================================================================
 # stepping
 # ===========================================================================
 
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_MICROSECOND = timedelta(microseconds=1)
+
+
+@functools.lru_cache(maxsize=1 << 16)
+def _instant(stamp):
+    """A timestamp as whole microseconds since the epoch, or None."""
+    if not stamp:
+        return None
+    return (parse_instant(stamp) - _EPOCH) // _MICROSECOND
+
+
+def _node_time(node):
+    """Only runtime nodes carry time; a static node passes it on."""
+    return _instant(node.timestamp) if node.layer is Layer.RUNTIME else None
+
 
 def _steps(graph: AgentBomGraph, node_id: str, spec: PathSpec) -> list:
-    """The (edge_id, next_node_id) pairs leaving node_id in spec's
-    direction, sorted by edge id."""
+    """The (edge, next_node_id) pairs leaving node_id in spec's direction,
+    sorted by edge id."""
     forward = spec.direction == FORWARD
     out = []
     for edges, along, far_end in ((graph.out_edges(node_id), Flow.WITH, "target"),
@@ -124,9 +199,9 @@ def _steps(graph: AgentBomGraph, node_id: str, spec: PathSpec) -> list:
                 continue
             if not spec.cross_agent and edge.family is schema.EdgeFamily.PROPAGATION:
                 continue
-            out.append((edge.edge_id, getattr(edge, far_end)))
-    out.sort()
-    return out
+            out.append((edge.edge_id, getattr(edge, far_end), edge))
+    out.sort(key=lambda step: step[:2])
+    return [(edge, nxt) for _, nxt, edge in out]
 
 
 def _terminal_ok(spec: PathSpec, graph: AgentBomGraph, element, entry) -> bool:
@@ -151,100 +226,297 @@ def _start_node(graph: AgentBomGraph, start: str, direction: str) -> str:
 # ===========================================================================
 
 
-def trace(graph: AgentBomGraph, start: str, spec: PathSpec, *, stop=None) -> list:
-    """Enumerate every satisfying simple path from start under spec.
+def trace(graph: AgentBomGraph, start: str, spec: PathSpec, *,
+          keep_end=None, keep_marks=(), steps=None) -> Trace:
+    """Count the paths from start under spec and pick one witness per endpoint.
 
-    Returns paths ordered by (depth, lexical element sequence). The entry
-    element passed to terminal predicates is the start element itself, so
-    predicates may compare against the entry's attributes.
+    A terminal path is kept when ``keep_end`` (an element id -> bool
+    callable, None for always) holds on its discovered end and each of
+    ``keep_marks`` (element id -> bool callables) holds on at least one of
+    its elements. A forward walk does not extend a kept path, so the kept
+    forward paths are the nearest. Of the kept backward paths, those that
+    another kept path extends are dropped, so the rest are the deepest.
+    ``explored`` counts the terminal paths walked before that choice.
 
-    ``stop`` is an optional callable on a found path: a path on which it
-    holds is still returned, but the walk does not extend it, so no path
-    with it as a proper prefix from the anchor is returned.
-
-    Each node's steps, terminal answer and passability are computed once,
-    in tables local to this call: predicates are pure functions of (element,
-    graph, entry), and the graph does not change during an audit.
-
-    A walk on from a node that found no path and never met a node already
-    on the current path has covered every walk of up to its remaining
-    steps from that node, and none ends at a terminal. The node is then
-    dead for that many steps (the "blocked" idea of Johnson, "Finding all
-    the elementary circuits of a directed graph", SIAM J. Comput. 1975): a
-    later arrival with at most that many steps left still records the
-    node's own terminal path but does not walk on from it. ``stop`` is
-    asked only on found paths, so it never fires below a dead node.
+    The entry element passed to terminal predicates is the start element
+    itself, so predicates may compare against the entry's attributes. Each
+    node's terminal answer, passability and marks, and each edge's marks,
+    are computed once per call: predicates are pure functions of (element,
+    graph, entry), and the graph does not change during an audit. A node's
+    steps and their timestamps depend on neither the entry nor the keep
+    tests, so traces of one spec over a graph that no longer changes may
+    share them in one ``steps`` dict.
     """
-    entry = graph.element(start)
-    anchor = _start_node(graph, start, spec.direction)
-    max_depth = spec.max_depth
-    found: list[AuditPath] = []
-    # discovery order: anchor first, walking outward; flow order for a
-    # backward trace is the reverse of that
-    stack_elements = [anchor]
-    visited = {anchor}
-    steps = {}     # node id -> its (edge id, next node id) pairs
-    arrivals = {}  # node id -> (terminal holds there, walk may pass through)
-    dead = {}      # node id -> steps within which a walk on from it finds nothing
+    counting = _Count(graph, start, spec, keep_end, keep_marks,
+                      {} if steps is None else steps)
+    return counting.settle(*counting.walk())
 
-    def descend(node_id: str, depth: int) -> tuple:
-        """Walks on from node_id, depth steps from the anchor; returns
-        (a path was found, a node on the current path cut the walk)."""
-        if node_id not in steps:
-            steps[node_id] = _steps(graph, node_id, spec)
-        fruitful = cut = False
-        left = max_depth - depth - 1  # steps a walk on from the next node may take
-        for edge_id, nxt in steps[node_id]:
-            if nxt in visited:
-                cut = True
+
+class _Key:
+    """What the paths that share one key at one depth have in common.
+
+    A key is (node, carried time, marks met, the nodes visited since the
+    carried time last changed or None when that is the node alone, the
+    edge the path may not step straight back over or None): two paths with
+    the same key at the same depth have the same continuations.
+    """
+
+    __slots__ = ("paths", "first", "edge", "rank", "onward", "node",
+                 "kept", "extended", "live")
+
+    def __init__(self, paths, first, edge, node):
+        self.paths = paths    # the number of paths to the key
+        self.first = first    # the _Key the first of them comes from
+        self.edge = edge      # the edge between the two
+        self.rank = 0         # its place in its layer, in (elements) order
+        self.onward = []      # (edge id, _Key) steps taken one key at a time
+        self.node = node
+        self.kept = self.extended = self.live = False
+
+
+class _Count:
+    """One trace: layers of keys walked out from the anchor, one per step,
+    then settled from the deepest layer back."""
+
+    def __init__(self, graph, start, spec, keep_end, keep_marks, steps):
+        self.graph, self.spec, self.steps = graph, spec, steps
+        self.entry = graph.element(start)
+        self.anchor = _start_node(graph, start, spec.direction)
+        self.forward = spec.direction == FORWARD
+        self.keep_end, self.keep_marks = keep_end, keep_marks
+        self.full = (1 << len(keep_marks)) - 1
+        self.node_facts = {}  # node id -> (marks, terminal, passable, kept end, time)
+        self.edge_marks = {}  # edge id -> marks
+        self.moves = {}       # (node id, carried time, instant only) -> moves
+
+    # -- per element, once ---------------------------------------------------
+
+    def marks_of(self, element_id) -> int:
+        return sum(1 << i for i, mark in enumerate(self.keep_marks) if mark(element_id))
+
+    def facts(self, node_id) -> tuple:
+        if node_id not in self.node_facts:
+            node, spec = self.graph.nodes[node_id], self.spec
+            terminal = _terminal_ok(spec, self.graph, node, self.entry)
+            self.node_facts[node_id] = (
+                self.marks_of(node_id),
+                terminal,
+                spec.allowed_node_kinds is None or node.kind in spec.allowed_node_kinds,
+                terminal and (self.keep_end is None or self.keep_end(node_id)),
+                _node_time(node),
+            )
+        return self.node_facts[node_id]
+
+    def arrival(self, edge_id, nxt):
+        """The marks met on stepping over edge_id into nxt, or None if no
+        path ends or passes there."""
+        marks, terminal, passable, _, _ = self.facts(nxt)
+        if not (terminal or passable):
+            return None
+        if self.keep_marks:
+            if edge_id not in self.edge_marks:
+                self.edge_marks[edge_id] = self.marks_of(edge_id)
+            marks |= self.edge_marks[edge_id]
+        return marks
+
+    # -- time ------------------------------------------------------------------
+    #
+    # A step that meets a timestamp sets the carried time to the last one it
+    # meets, whatever the time before, provided that time does not come after
+    # (forward) or before (backward) the first one it meets.
+
+    def later(self, a, b) -> bool:
+        return a > b if self.forward else a < b
+
+    def position(self, carried):
+        """Where a carried time sorts: the least constraining first."""
+        if carried is None:
+            return -math.inf
+        return carried if self.forward else -carried
+
+    def steps_from(self, node_id) -> tuple:
+        """(timed steps, untimed steps) from node_id, each in edge order. A
+        step holds its edge id, the next node id and the edge a path must
+        not step straight back over next (the edge itself if it can be
+        crossed both ways, else None); a timed step also the first and the
+        last timestamp it meets."""
+        if node_id not in self.steps:
+            timed, untimed = [], []
+            for edge, nxt in _steps(self.graph, node_id, self.spec):
+                stamps = [t for t in (_instant(edge.timestamp),
+                                      _node_time(self.graph.nodes[nxt])) if t is not None]
+                back = edge.edge_id if schema.FLOW_OF_KIND[edge.kind] is Flow.BOTH else None
+                if not stamps:
+                    untimed.append((edge.edge_id, nxt, back))
+                elif not self.later(stamps[0], stamps[-1]):
+                    timed.append((edge.edge_id, nxt, back, stamps[0], stamps[-1]))
+            self.steps[node_id] = timed, untimed
+        return self.steps[node_id]
+
+    def moves_of(self, node_id, carried, instant_only) -> list:
+        """(edge id, next node id, back, time after, marks) of the steps
+        open at that time, in edge order; with instant_only, only those that
+        leave the time as it is."""
+        state = (node_id, carried, instant_only)
+        if state not in self.moves:
+            timed, untimed = self.steps_from(node_id)
+            open_steps = [(edge_id, nxt, back, carried) for edge_id, nxt, back in untimed]
+            open_steps += [
+                (edge_id, nxt, back, last) for edge_id, nxt, back, first, last in timed
+                if (first == last == carried if instant_only
+                    else carried is None or not self.later(carried, first))]
+            self.moves[state] = sorted(
+                (edge_id, nxt, back, now, marks) for edge_id, nxt, back, now in open_steps
+                if (marks := self.arrival(edge_id, nxt)) is not None)
+        return self.moves[state]
+
+    # -- walking out -----------------------------------------------------------
+
+    def arrive(self, layer, after, paths, first, edge_id) -> _Key:
+        into = layer.get(after)
+        if into is None:
+            into = layer[after] = _Key(paths, first, edge_id, after[0])
+        else:
+            into.paths += paths
+            if ((first.rank, edge_id) < (into.first.rank, into.edge) if self.forward
+                    else (edge_id, first.rank) < (into.edge, into.first.rank)):
+                into.first, into.edge = first, edge_id
+        return into
+
+    def step_on(self, layer, key, record, moves) -> None:
+        """Take moves from one key; a move at the same instant must not
+        return to a node visited at that instant, nor straight back over
+        the edge the key was reached by."""
+        node_id, carried, met, run, no_return = key
+        for edge_id, nxt, back, now, marks in moves:
+            if edge_id == no_return:
                 continue
-            if nxt not in arrivals:
-                node = graph.nodes[nxt]
-                arrivals[nxt] = (_terminal_ok(spec, graph, node, entry),
-                                 spec.allowed_node_kinds is None
-                                 or node.kind in spec.allowed_node_kinds)
-            terminal, passable = arrivals[nxt]
-            extend = passable and left > dead.get(nxt, 0)
-            if not (terminal or extend):
+            if now != carried:
+                run_after = None
+            elif run is None:
+                if nxt == node_id:
+                    continue
+                run_after = frozenset((node_id, nxt))
+            elif nxt in run:
                 continue
-            stack_elements.append(edge_id)
-            stack_elements.append(nxt)
-            if terminal:
-                fruitful = True
-                if spec.direction == BACKWARD:
-                    elements = tuple(reversed(stack_elements))
+            else:
+                run_after = run | {nxt}
+            into = self.arrive(layer, (nxt, now, met | marks, run_after, back),
+                               record.paths, record, edge_id)
+            record.onward.append((edge_id, into))
+
+    def share(self, layer, node_id, met, members) -> list:
+        """Take the timed steps from keys that differ only in time and
+        visited nodes. Such a step is open to the keys whose time sorts
+        before a cut and moves them all to one key, so it is taken once for
+        all of them: a static node such as a shared tool, reached at many
+        times and stepping to many timed neighbours, costs their sum, not
+        their product. Returns the (edge id, cut, _Key) steps taken; members
+        is left sorted by time."""
+        members.sort(key=lambda member: self.position(member[0][1]))
+        cuts = [self.position(key[1]) for key, _ in members]
+        totals, firsts = [0], [None]  # paths and first record of each prefix
+        for _, record in members:
+            totals.append(totals[-1] + record.paths)
+            first = firsts[-1]
+            firsts.append(record if first is None or record.rank < first.rank else first)
+        taken = []
+        # stepping straight back over the edge a key was reached by leaves
+        # the time as it is, so no shared step is one
+        for edge_id, nxt, back, first, last in self.steps_from(node_id)[0]:
+            bound = self.position(first)
+            cut = (bisect.bisect_right(cuts, bound) if first != last
+                   else bisect.bisect_left(cuts, bound))
+            if cut and (marks := self.arrival(edge_id, nxt)) is not None:
+                into = self.arrive(layer, (nxt, last, met | marks, None, back),
+                                   totals[cut], firsts[cut], edge_id)
+                taken.append((edge_id, cut, into))
+        return taken
+
+    def walk(self) -> tuple:
+        """(layers of {key: _Key}, per layer the shared steps taken from it
+        as (members, steps))."""
+        anchor = self.anchor
+        first = (anchor, _node_time(self.graph.nodes[anchor]), self.facts(anchor)[0],
+                 None, None)
+        layers, shared = [{first: _Key(1, None, None, anchor)}], []
+        for depth in range(self.spec.max_depth):
+            layer, moved, groups = {}, [], {}
+            for key, record in layers[-1].items():
+                node_id, carried, met, _, _ = key
+                _, _, passable, kept_end, time = self.node_facts[node_id]
+                if depth and (not passable
+                              or self.forward and kept_end and met == self.full):
+                    continue
+                if time is None:  # only a node without a time of its own varies in time
+                    groups.setdefault((node_id, met), []).append((key, record))
                 else:
-                    elements = tuple(stack_elements)
-                path = AuditPath(spec.direction, elements)
-                found.append(path)
-                if extend and stop is not None:
-                    extend = not stop(path)
-            if extend:
-                visited.add(nxt)
-                below_found, below_cut = descend(nxt, depth + 1)
-                fruitful = fruitful or below_found
-                cut = cut or below_cut
-                visited.discard(nxt)
-            stack_elements.pop()
-            stack_elements.pop()
-        if not (fruitful or cut):
-            dead[node_id] = max_depth - depth
-        return fruitful, cut
+                    self.step_on(layer, key, record, self.moves_of(node_id, carried, False))
+            for (node_id, met), members in groups.items():
+                for key, record in members:
+                    self.step_on(layer, key, record, self.moves_of(node_id, key[1], True))
+                moved.append((members, self.share(layer, node_id, met, members)))
+            if not layer:
+                break
+            if self.forward:  # flow order reads from the anchor
+                order = sorted(layer.values(), key=lambda k: (k.first.rank, k.edge))
+            else:             # flow order ends at the anchor: the new node comes first
+                order = sorted(layer.values(), key=lambda k: (k.node, k.edge, k.first.rank))
+            for rank, record in enumerate(order):
+                record.rank = rank
+            layers.append(layer)
+            shared.append(moved)
+        return layers, shared
 
-    descend(anchor, 0)
-    found.sort(key=lambda p: (p.depth, p.elements))
-    return found
+    # -- settling back ---------------------------------------------------------
 
+    def settle(self, layers, shared) -> Trace:
+        """From the deepest layer back: is a key kept, does a kept path
+        extend it, does it lie on a reported path; then the witnesses."""
+        explored = 0
+        ends = {}  # endpoint -> [paths, ((depth, rank), _Key) of its first]
+        scope = set()
+        for depth in range(len(layers) - 1, -1, -1):
+            for members, taken in shared[depth] if depth < len(shared) else ():
+                extended = live = 0
+                for edge_id, cut, into in taken:
+                    if into.kept or into.extended:
+                        extended = max(extended, cut)
+                    if into.live:
+                        live = max(live, cut)
+                        scope.add(edge_id)
+                for index, (_, record) in enumerate(members[:max(extended, live)]):
+                    record.extended = record.extended or index < extended
+                    record.live = record.live or index < live
+            for (node_id, _, met, _, _), record in layers[depth].items():
+                _, terminal, _, kept_end, _ = self.node_facts[node_id]
+                terminal = terminal and depth > 0
+                for edge_id, after in record.onward:
+                    record.extended = record.extended or after.kept or after.extended
+                    if after.live:
+                        record.live = True
+                        scope.add(edge_id)
+                record.kept = terminal and kept_end and met == self.full
+                if terminal:
+                    explored += record.paths
+                if record.kept and (self.forward or not record.extended):
+                    record.live = True
+                    end = ends.setdefault(node_id, [0, ((depth, record.rank), record)])
+                    end[0] += record.paths
+                    end[1] = min(end[1], ((depth, record.rank), record),
+                                 key=lambda pair: pair[0])
+                if record.live:
+                    scope.add(node_id)
 
-def select_paths(paths) -> list:
-    """Of paths from one trace, the deepest (no other given path extends
-    them), in their given order.
-
-    Every path of one trace is simple and starts at the same anchor, so one
-    path's element set lies strictly inside another's exactly when it is a
-    proper prefix of the other, read from the anchor.
-    """
-    walks = [p.elements[::-1] if p.direction == BACKWARD else p.elements
-             for p in paths]
-    extended = {walk[:end] for walk in walks for end in range(3, len(walk), 2)}
-    return [p for p, walk in zip(paths, walks) if walk not in extended]
+        witnesses = []
+        for node_id, (count, (order, record)) in ends.items():
+            walked = [node_id]  # from the endpoint back to the anchor
+            while record.first is not None:
+                walked += (record.edge, record.first.node)
+                record = record.first
+            elements = tuple(reversed(walked)) if self.forward else tuple(walked)
+            witnesses.append((order, AuditPath(self.spec.direction, elements, count)))
+        paths = tuple(path for _, path in sorted(witnesses, key=lambda pair: pair[0]))
+        first_seen = dict.fromkeys(e for path in paths for e in path.elements)
+        rest = sorted(scope.difference(first_seen))
+        return Trace(paths, tuple(first_seen) + tuple(rest), explored)

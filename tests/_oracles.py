@@ -1,15 +1,18 @@
 """Independent reference implementations the tests compare against.
 
-Nothing here imports the traversal module's tables. The flow orientations
-and the propagation family are restated by hand from the documented
-contract, and the path enumerator is a plain recursive walk over the raw
-edge store, so a bug in the production adjacency indices or stepping
-logic cannot cancel out.
+Nothing here imports the traversal module's tables. The flow orientations,
+the propagation family and the time rule are restated by hand from the
+documented contract, and the path enumerator is a plain recursive walk over
+the raw edge store, so a bug in the production adjacency indices, stepping
+or counting logic cannot cancel out. The report's reduction of a side's
+paths (one witness per endpoint, its count, the scope) is restated over
+the enumerated list.
 """
 
 from __future__ import annotations
 
 import random
+from datetime import datetime, timezone
 
 from agentbom.graph import AgentBomGraph, AgentDescriptor, Edge, Node
 from agentbom.schema import ENDPOINT_TABLE, EdgeKind, Layer, NodeKind, layer_of
@@ -46,9 +49,33 @@ ORACLE_PROPAGATION = frozenset(
 )
 
 
+def _instant(text):
+    """An ISO-8601 instant, restated: a trailing Z means UTC."""
+    if text.endswith("Z"):
+        text = text[:-1] + "+00:00"
+    parsed = datetime.fromisoformat(text)
+    return parsed if parsed.tzinfo else parsed.replace(tzinfo=timezone.utc)
+
+
+def _time_of_node(node):
+    """Only runtime nodes carry time; a static node passes time through."""
+    if layer_of(node.kind) is Layer.RUNTIME and node.timestamp:
+        return _instant(node.timestamp)
+    return None
+
+
 def enumerate_paths(graph, start_id, direction, edge_kinds, node_kinds,
                     terminal, max_depth, cross_agent):
-    """Brute-force all satisfying simple paths, as (element-tuple) list.
+    """Brute-force all satisfying paths, as (element-tuple) list.
+
+    Restated from the time rule by hand. Along flow order, timestamps never
+    decrease. A walk carries a time: forward, the latest timestamp it has
+    passed; backward (against flow), the earliest. An untimestamped edge or
+    a static node passes that time on unchanged. A path may not visit the
+    same (node, carried time) state twice, so a static node may recur at a
+    later carried time, and a runtime node, which always carries its own
+    time, never recurs. Nor may it step straight back over the edge it has
+    just crossed, as invokes would allow.
 
     Tuples are in flow order and the list is sorted by (edge count,
     elements), matching the production ordering contract. ``terminal`` is
@@ -80,13 +107,28 @@ def enumerate_paths(graph, start_id, direction, edge_kinds, node_kinds,
                     out.append((edge, edge.source))
         return out
 
+    def carried_after(carried, edge, node_id):
+        """The time carried past edge and node, or None if either breaks
+        flow order; the walk meets the edge first."""
+        stamps = [_instant(edge.timestamp) if edge.timestamp else None,
+                  _time_of_node(graph.nodes[node_id])]
+        for stamp in stamps:
+            if stamp is None:
+                continue
+            if carried is not None and (stamp < carried if forward else stamp > carried):
+                return False, None
+            carried = stamp
+        return True, carried
+
     found = []
 
-    def walk(node_id, elements, visited, depth):
+    def walk(node_id, carried, elements, visited, depth):
         if depth >= max_depth:
             return
+        last_edge = elements[-2] if depth else None
         for edge, nxt in options(node_id):
-            if nxt in visited:
+            ok, now = carried_after(carried, edge, nxt)
+            if not ok or (nxt, now) in visited or edge.edge_id == last_edge:
                 continue
             seq = elements + [edge.edge_id, nxt]
             if terminal is None or terminal(graph.nodes[nxt]):
@@ -97,53 +139,129 @@ def enumerate_paths(graph, start_id, direction, edge_kinds, node_kinds,
                 or graph.nodes[nxt].kind.value in node_kinds
             )
             if kind_ok:
-                walk(nxt, seq, visited | {nxt}, depth + 1)
+                walk(nxt, now, seq, visited | {(nxt, now)}, depth + 1)
 
-    walk(anchor, [anchor], {anchor}, 0)
+    start = _time_of_node(graph.nodes[anchor])
+    walk(anchor, start, [anchor], {(anchor, start)}, 0)
     found.sort(key=lambda t: ((len(t) - 1) // 2, t))
     return found
 
 
-def deepest_paths(paths):
-    """The element tuples whose element set lies strictly inside no other's.
+def _walk_order(path, direction):
+    """A flow-order tuple read from the anchor outward."""
+    return path if direction == "forward" else path[::-1]
+
+
+def _walk_prefixes(path, direction):
+    """The proper prefixes of a path, read from the anchor, that are paths
+    themselves, in flow order again."""
+    walk = _walk_order(path, direction)
+    return [_walk_order(walk[:end], direction) for end in range(3, len(walk), 2)]
+
+
+def deepest_paths(paths, direction):
+    """The element tuples no other given tuple extends from the anchor.
 
     Restated from the report contract ("deepest satisfying backward
-    chains") as plain pairwise set inclusion; input order is kept.
+    chains"): a path is dropped when another path starts with it, read
+    from the anchor. Input order is kept.
     """
-    sets = [set(p) for p in paths]
-    return [p for p, mine in zip(paths, sets) if not any(mine < s for s in sets)]
-
-
-def nearest_paths(paths):
-    """The element tuples whose element set holds no other's strictly inside.
-
-    Restated from the report contract ("nearest realized forward impact")
-    as plain pairwise set inclusion; input order is kept.
-    """
-    sets = [set(p) for p in paths]
-    return [p for p, mine in zip(paths, sets) if not any(s < mine for s in sets)]
+    extended = {q for p in paths for q in _walk_prefixes(p, direction)}
+    return [p for p in paths if p not in extended]
 
 
 def stopped_paths(paths, direction, stop):
-    """The element tuples a trace with ``stop`` returns: the full list minus
-    every path that has a proper anchor-prefix in the list on which ``stop``
-    holds.
+    """The element tuples a walk that does not extend a path on which
+    ``stop`` holds finds: the full list minus every path that has a proper
+    anchor-prefix in the list on which ``stop`` holds.
 
-    Restated from the trace contract ("a path on which stop holds is
-    returned but not extended"). ``paths`` are in flow order, so the anchor
-    is the first element of a forward path and the last of a backward one;
-    ``stop`` is a plain element-tuple -> bool callable. Input order is kept.
+    ``paths`` are in flow order; ``stop`` is a plain element-tuple -> bool
+    callable. Input order is kept.
     """
     given = set(paths)
-
-    def anchor_prefixes(path):
-        ends = range(3, len(path), 2)
-        if direction == "forward":
-            return [path[:end] for end in ends]
-        return [path[-end:] for end in ends]
-
     return [p for p in paths
-            if not any(q in given and stop(q) for q in anchor_prefixes(p))]
+            if not any(q in given and stop(q) for q in _walk_prefixes(p, direction))]
+
+
+def endpoint(path, direction):
+    """The end a trace discovered: the origin backward, the terminus forward."""
+    return path[-1] if direction == "forward" else path[0]
+
+
+def witnesses(paths, direction):
+    """The report's reduction of one side's paths, restated by hand.
+
+    ``paths`` are the side's reported element tuples, sorted by (edge
+    count, elements). Returns (endpoints, counts, scope, first):
+    endpoints in the order of their first path; counts maps each endpoint
+    to its number of paths; scope holds every element of every path, the
+    first paths' elements in first-seen order and then the rest sorted;
+    first maps each endpoint to its first path.
+    """
+    first, counts = {}, {}
+    for path in paths:
+        end = endpoint(path, direction)
+        first.setdefault(end, path)
+        counts[end] = counts.get(end, 0) + 1
+    seen = dict.fromkeys(e for path in first.values() for e in path)
+    rest = sorted({e for path in paths for e in path} - set(seen))
+    return list(first), counts, tuple(seen) + tuple(rest), first
+
+
+def side_oracle(graph, start_id, params, kept=lambda path: True):
+    """(reported paths, explored count) of one trace side, by brute force.
+
+    ``kept`` is a plain element-tuple -> bool callable. A forward walk does
+    not extend a kept terminal path, and reports the kept paths it finds
+    (the nearest). A backward walk finds every terminal path and reports
+    the kept ones no kept path extends (the deepest).
+    """
+    direction = params["direction"]
+    every = enumerate_paths(graph, start_id, **params)
+    if direction == "forward":
+        walked = stopped_paths(every, direction, kept)
+        return [p for p in walked if kept(p)], len(walked)
+    return deepest_paths([p for p in every if kept(p)], direction), len(every)
+
+
+def as_reported(paths, direction):
+    """A side's reported paths as the report lists them: (elements, count)
+    of each endpoint's first path, in order."""
+    ends, counts, _, first = witnesses(paths, direction)
+    return [(first[end], counts[end]) for end in ends]
+
+
+def oracle_trace(graph, start_id, params, kept=lambda path: True):
+    """What one trace should return, by brute force: (the witnesses as
+    (elements, count) pairs in order, the scope, the explored count)."""
+    paths, explored = side_oracle(graph, start_id, params, kept)
+    scope = witnesses(paths, params["direction"])[2]
+    return as_reported(paths, params["direction"]), scope, explored
+
+
+def traced(result):
+    """A production trace result in oracle_trace's shape."""
+    return ([(path.elements, path.count) for path in result.paths],
+            result.scope, result.explored)
+
+
+def spec_params(spec, graph=None, entry_id=None):
+    """The oracle parameters of a production PathSpec. A predicate terminal
+    is bound to the entry as a plain node -> bool callable."""
+    terminal = spec.terminal
+    if terminal is not None and hasattr(terminal, "evaluate"):
+        predicate, entry = terminal, graph.element(entry_id)
+        terminal = lambda node: bool(  # noqa: E731
+            predicate.evaluate(node, graph=graph, entry=entry))
+    return {
+        "direction": spec.direction,
+        "edge_kinds": {k.value for k in spec.allowed_edge_kinds},
+        "node_kinds": (None if spec.allowed_node_kinds is None
+                       else {k.value for k in spec.allowed_node_kinds}),
+        "terminal": terminal,
+        "max_depth": spec.max_depth,
+        "cross_agent": spec.cross_agent,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -151,11 +269,19 @@ def stopped_paths(paths, direction, stop):
 # ---------------------------------------------------------------------------
 
 _STAMP = "2026-03-01T00:00:00Z"
+# three instants for timed corpora; the Z-less, offset and Z spellings
+# also check that times compare as instants, not as text
+_STAMPS = ("2026-03-01T00:00:00Z", "2026-03-01T02:00:00+01:00", "2026-03-01T01:30:00")
 
 
 def random_graph(rng: random.Random, max_nodes: int = 50,
-                 max_edges: int = 70) -> AgentBomGraph:
-    """A random graph that satisfies every construction invariant."""
+                 max_edges: int = 70, timed: bool = False) -> AgentBomGraph:
+    """A random graph that satisfies every construction invariant.
+
+    Untimed, every runtime node carries one instant and no edge carries
+    any. Timed, runtime nodes carry one of three instants and a third of
+    the edges one too, drawn independently, so some edges run back in time.
+    """
     graph = AgentBomGraph()
     agents = [f"a{i}" for i in range(rng.randint(1, 3))]
     for agent_id in agents:
@@ -174,7 +300,7 @@ def random_graph(rng: random.Random, max_nodes: int = 50,
         if layer_of(kind) is Layer.RUNTIME:
             node.agent_id = rng.choice(agents)
             node.trace_id = "t0"
-            node.timestamp = _STAMP
+            node.timestamp = rng.choice(_STAMPS) if timed else _STAMP
         graph.add_node(node)
 
     by_kind = {}
@@ -202,15 +328,19 @@ def random_graph(rng: random.Random, max_nodes: int = 50,
             tgt_agent = graph.nodes[target].agent_id
             if src_agent is not None and src_agent == tgt_agent:
                 continue  # would need a shared-object marker; just skip
+        stamp = None
+        if timed and rng.random() < 1 / 3:
+            stamp = rng.choice(_STAMPS)
         graph.add_edge(Edge(edge_id=f"e{added}", kind=kind,
-                            source=source, target=target))
+                            source=source, target=target, timestamp=stamp))
         added += 1
 
     graph.freeze()
     return graph
 
 
-def random_dag(rng: random.Random, nodes: int = 24) -> AgentBomGraph:
+def random_dag(rng: random.Random, nodes: int = 24,
+               timed: bool = False) -> AgentBomGraph:
     """A graph whose content flow is acyclic apart from invokes.
 
     Runtime nodes n0..n{nodes-1} of one agent; each node after the first
@@ -218,6 +348,10 @@ def random_dag(rng: random.Random, nodes: int = 24) -> AgentBomGraph:
     paths multiply as in a diamond chain. Actions invoke one of two shared
     tools, and invokes couples both ways, so a tool with several invokers
     closes cycles among them.
+
+    Timed, node n{i} carries the i-th third of three instants, except that
+    one node in five carries a random one and so runs back in time, and
+    half of the invokes edges carry their action's instant.
     """
     graph = AgentBomGraph()
     graph.add_agent(AgentDescriptor("a0", "worker", ""))
@@ -228,15 +362,20 @@ def random_dag(rng: random.Random, nodes: int = 24) -> AgentBomGraph:
     count = 0
     for i in range(nodes):
         kind = NodeKind.ACTION if rng.random() < 0.3 else rng.choice(runtime)
+        stamp = _STAMP
+        if timed:
+            stamp = (rng.choice(_STAMPS) if rng.random() < 0.2
+                     else _STAMPS[i * 3 // nodes])
         graph.add_node(Node(node_id=f"n{i}", kind=kind, agent_id="a0",
-                            trace_id="t0", timestamp=_STAMP))
+                            trace_id="t0", timestamp=stamp))
         for j in sorted(rng.sample(range(i), min(i, rng.randint(1, 3)))):
             kind_of_edge = rng.choice((EdgeKind.FLOWS_TO, EdgeKind.INFLUENCES))
             graph.add_edge(Edge(f"e{count:03d}", kind_of_edge, f"n{j}", f"n{i}"))
             count += 1
         if kind is NodeKind.ACTION and rng.random() < 0.8:
             graph.add_edge(Edge(f"e{count:03d}", EdgeKind.INVOKES, f"n{i}",
-                                f"tool{rng.randrange(2)}"))
+                                f"tool{rng.randrange(2)}",
+                                timestamp=stamp if timed and rng.random() < 0.5 else None))
             count += 1
     graph.freeze()
     return graph

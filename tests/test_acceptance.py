@@ -23,7 +23,13 @@ from agentbom.scenarios import SCENARIO_IDS, generate
 from agentbom.schema import ENDPOINT_TABLE, EdgeKind, Layer, NodeKind, layer_of
 from agentbom.traversal import PathSpec, trace
 
-from _oracles import enumerate_paths, random_graph, random_spec_params
+from _oracles import (
+    enumerate_paths,
+    oracle_trace,
+    random_graph,
+    random_spec_params,
+    traced,
+)
 
 ATTACKS = tuple(s for s in SCENARIO_IDS if s != "benign_baseline")
 
@@ -77,12 +83,16 @@ def test_benign_baseline_audits_clean(graphs):
 
 
 def test_trace_agrees_with_brute_force_on_random_graphs():
+    """Each trace's witnesses, their counts, its scope and its explored
+    count equal the reduction of brute-force enumeration, and a trace that
+    keeps nothing walks exactly the enumerated paths. Every other graph is
+    timed, with edges that run back in time."""
     checked_graphs = 0
     checked_paths = 0
     mismatches = []
     for seed in range(1000):
         rng = random.Random(31_000 + seed)
-        graph = random_graph(rng)
+        graph = random_graph(rng, timed=seed % 2 == 1)
         params = random_spec_params(rng, graph)
         starts = rng.sample(sorted(graph.nodes), min(2, len(graph.nodes)))
         if graph.edges:
@@ -96,11 +106,13 @@ def test_trace_agrees_with_brute_force_on_random_graphs():
                 max_depth=params["max_depth"],
                 cross_agent=params["cross_agent"],
             )
-            got = [p.elements for p in trace(graph, start, spec)]
-            want = enumerate_paths(graph, start, **params)
-            if got != want:
+            got = traced(trace(graph, start, spec))
+            want = oracle_trace(graph, start, params)
+            every = len(enumerate_paths(graph, start, **params))
+            walked = traced(trace(graph, start, spec, keep_end=lambda i: False))
+            if got != want or walked != ([], (), every):
                 mismatches.append((seed, start))
-            checked_paths += len(want)
+            checked_paths += every
         checked_graphs += 1
     assert mismatches == []
     assert checked_graphs >= 1000

@@ -20,7 +20,7 @@ from agentbom.scenarios import SCENARIO_IDS
 PINNED = {
     "memory_poisoning_tool_misuse": (
         "f6f39f8c22af43a6acd7bc3f08be75f20af953dbc6b2475e1317cb6fe08beb7e",
-        "5cc5d1f6df2cf33a1efaac9bb40734598ee3a9a2433569dcae75515ee129268e",
+        "d556ca74134e1da0cda2dc9727ac4f3141da2c2dd353dbd1e37596f1d16a92af",
         "c0812dd6ebf0fe223162d79bb2d80ac43cf0147532654ceca1801a7132c32e13",
     ),
     "supply_chain_code_exec": (
@@ -35,7 +35,7 @@ PINNED = {
     ),
     "privilege_trust_abuse": (
         "f14848e03d8604c8401edaaedf4d2545b3bbc0517c4d81b9e360c1c566a96c4f",
-        "5f816764abd980318a7e123712cf7efc313fcab4a3560f3a5758a7ad5f72470b",
+        "802596c9ca239195baa9fa62cd6b48fac0b8889d286c6ee204f2235b6b54a95e",
         "bec5732aaa3628bbf618d11ac1c922188de05bb20db06484e121cbb809be1906",
     ),
     "benign_baseline": (

@@ -2,19 +2,21 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import random
 import subprocess
 import sys
 from collections import Counter
+from datetime import timedelta
 from pathlib import Path
 
 import pytest
 
 from agentbom import rules as rules_mod
 from agentbom.errors import RulePackError
-from agentbom.graph import AgentBomGraph, AgentDescriptor, Edge, Node
+from agentbom.graph import AgentBomGraph, AgentDescriptor, Edge, Node, parse_instant
 from agentbom.ingestion import TraceEvent, assemble, parse_manifest
 from agentbom.predicates import AttrCmp, EntryAttr, HasFlag, KindIs, Not, Predicate
 from agentbom.rules import (
@@ -30,40 +32,44 @@ from agentbom.rules import (
     load_rules,
     locate_entries,
 )
-from agentbom.schema import EdgeKind, NodeKind
-from agentbom.traversal import BACKWARD, FORWARD, PathSpec, trace
+from agentbom.scenarios import generate
+from agentbom.schema import EdgeKind, Layer, NodeKind
+from agentbom.traversal import BACKWARD, FORWARD, PathSpec
 
 from _oracles import (
-    deepest_paths,
-    nearest_paths,
+    as_reported,
+    enumerate_paths,
     random_graph,
     random_spec_params,
+    side_oracle,
+    spec_params,
     stopped_paths,
+    witnesses,
 )
 
 ALWAYS = Not(AttrCmp("no_such_attribute", "==", "x"))
 
 
-def _rt(node_id, kind, **attrs):
+def _rt(node_id, kind, minute, **attrs):
     return Node(node_id=node_id, kind=kind, agent_id="a1", trace_id="t1",
-                timestamp=f"2026-03-01T09:0{len(node_id) % 10}:00Z",
-                attributes=attrs)
+                timestamp=f"2026-03-01T09:{minute:02d}:00Z", attributes=attrs)
 
 
 def _chain():
-    """ext -> goal -> ctx -> rea -> dec -> act -> obs -> out, all flows_to."""
+    """ext -> goal -> ctx -> rea -> dec -> act -> obs -> out, all flows_to,
+    one minute apart."""
     g = AgentBomGraph()
     g.add_agent(AgentDescriptor("a1", "worker", ""))
-    g.add_node(_rt("ext", NodeKind.EXTERNAL, trust_level="untrusted",
+    g.add_node(_rt("ext", NodeKind.EXTERNAL, 0, trust_level="untrusted",
                    danger_flags=["seed"]))
-    g.add_node(_rt("goal", NodeKind.GOAL))
-    g.add_node(_rt("ctx", NodeKind.CONTEXT))
-    g.add_node(_rt("rea", NodeKind.REASONING))
-    g.add_node(_rt("dec", NodeKind.DECISION, danger_flags=["seed"]))
-    g.add_node(_rt("act", NodeKind.ACTION, danger_flags=["seed"]))
-    g.add_node(_rt("obs", NodeKind.OBSERVATION,
+    g.add_node(_rt("goal", NodeKind.GOAL, 1))
+    g.add_node(_rt("ctx", NodeKind.CONTEXT, 2))
+    g.add_node(_rt("rea", NodeKind.REASONING, 3))
+    g.add_node(_rt("dec", NodeKind.DECISION, 4, danger_flags=["seed"]))
+    g.add_node(_rt("act", NodeKind.ACTION, 5, danger_flags=["seed"]))
+    g.add_node(_rt("obs", NodeKind.OBSERVATION, 6,
                    environment_state_change="sandbox wiped"))
-    g.add_node(_rt("out", NodeKind.OUTPUT))
+    g.add_node(_rt("out", NodeKind.OUTPUT, 7))
     order = ["ext", "goal", "ctx", "rea", "dec", "act", "obs", "out"]
     for i in range(len(order) - 1):
         g.add_edge(Edge(f"e{i + 1}", EdgeKind.FLOWS_TO, order[i], order[i + 1]))
@@ -275,8 +281,8 @@ def test_edge_entries_take_the_propagation_phase_label():
     g = AgentBomGraph()
     g.add_agent(AgentDescriptor("a1", "sender", ""))
     g.add_agent(AgentDescriptor("a2", "receiver", ""))
-    g.add_node(_rt("dec1", NodeKind.DECISION))
-    g.add_node(_rt("act1", NodeKind.ACTION))
+    g.add_node(_rt("dec1", NodeKind.DECISION, 1))
+    g.add_node(_rt("act1", NodeKind.ACTION, 2))
     g.add_node(Node(node_id="ext2", kind=NodeKind.EXTERNAL, agent_id="a2",
                     trace_id="t1", timestamp="2026-03-01T09:09:00Z"))
     g.add_edge(Edge("e1", EdgeKind.FLOWS_TO, "dec1", "act1"))
@@ -367,24 +373,34 @@ def _random_spec(rng, graph, direction):
 def _holds_alone(graph, clause, entry_id, elements):
     """The clause asked of one path in flow order, restated by hand: the
     origin is the upstream end, the terminus the downstream end, and the
-    entry never testifies on the path scopes."""
+    entry never testifies, not even where a path returns to it."""
     if clause.scope == "back_origin":
         candidates = [elements[0]]
     elif clause.scope == "fwd_terminus":
         candidates = [elements[-1]]
     else:
-        candidates = [e for e in elements if e != entry_id]
+        candidates = elements
+    candidates = [e for e in candidates if e != entry_id]
     entry = graph.element(entry_id)
     return any(clause.predicate.evaluate(graph.element(e), graph=graph, entry=entry)
                for e in candidates)
 
 
+def _reported(finding):
+    """A finding's paths as (elements, count) pairs, side by side."""
+    return ([(p.elements, p.count) for p in finding.back_paths],
+            [(p.elements, p.count) for p in finding.fwd_paths])
+
+
 def test_reported_paths_match_the_inclusion_oracle_on_random_graphs():
     """Deepest back paths and nearest forward paths, as reported by
-    evaluate_rule, equal pairwise set-inclusion selection over the traced
-    paths that satisfy the rule's one path clause on their own."""
+    evaluate_rule, equal the brute-force selection over the enumerated
+    paths that satisfy the rule's one path clause on their own: a back
+    path is dropped when a kept path extends it from the anchor, and a
+    forward walk does not extend a kept path. The report holds one witness
+    per endpoint and the number of paths behind it."""
     mismatches = []
-    trimmed = findings_seen = 0
+    trimmed = findings_seen = counted = 0
     for seed in range(150):
         rng = random.Random(47_000 + seed)
         graph = random_graph(rng, max_nodes=30, max_edges=50)
@@ -399,47 +415,49 @@ def test_reported_paths_match_the_inclusion_oracle_on_random_graphs():
             fwd=_random_spec(rng, graph, FORWARD),
             conditions=[Clause("entry", "exists", ALWAYS), clause],
         )
-        got = {f.entry: ([p.elements for p in f.back_paths],
-                         [p.elements for p in f.fwd_paths])
-               for f in evaluate_rule(graph, rule)}
+        got = {f.entry: _reported(f) for f in evaluate_rule(graph, rule)}
         want = {}
         for entry_id in locate_entries(graph, rule):
-            back = [p.elements for p in trace(graph, entry_id, rule.back)]
-            fwd = [p.elements for p in trace(graph, entry_id, rule.fwd)]
-            if clause.scope.startswith("back"):
-                back = [p for p in back if _holds_alone(graph, clause, entry_id, p)]
-                side = back
-            else:
-                fwd = [p for p in fwd if _holds_alone(graph, clause, entry_id, p)]
-                side = fwd
-            if side:
-                want[entry_id] = (deepest_paths(back), nearest_paths(fwd))
-                trimmed += (len(back) + len(fwd)
-                            - len(want[entry_id][0]) - len(want[entry_id][1]))
+            kept = {BACKWARD: lambda p: True, FORWARD: lambda p: True}
+            side = BACKWARD if clause.scope.startswith("back") else FORWARD
+            kept[side] = lambda p, e=entry_id: _holds_alone(graph, clause, e, p)
+            back, _ = side_oracle(graph, entry_id, spec_params(rule.back),
+                                  kept[BACKWARD])
+            fwd, _ = side_oracle(graph, entry_id, spec_params(rule.fwd), kept[FORWARD])
+            if back if clause.scope.startswith("back") else fwd:
+                want[entry_id] = (as_reported(back, BACKWARD),
+                                  as_reported(fwd, FORWARD))
+                for spec, chosen in ((rule.back, back), (rule.fwd, fwd)):
+                    every = enumerate_paths(graph, entry_id, **spec_params(spec))
+                    trimmed += sum(map(kept[spec.direction], every)) - len(chosen)
+                counted += len(back) + len(fwd) - sum(map(len, want[entry_id]))
         findings_seen += len(want)
         if got != want:
             mismatches.append(seed)
     assert mismatches == []
-    # the selection must actually have had paths to drop
-    assert findings_seen > 300 and trimmed > 300
+    # the selection must actually have had paths to drop, and the report
+    # paths to fold into counts
+    assert findings_seen > 300 and trimmed > 300 and counted > 100
 
 
 _QUANTIFIERS = ("exists", "forall")
 
 
 def _scope_ids(scope, entry_id, back, fwd):
-    """A clause scope over reported element tuples in flow order, restated by
-    hand: first-seen order, and the entry never testifies for its paths."""
+    """A clause scope over every kept element tuple in flow order, sorted
+    by (depth, elements), restated by hand: the endpoints in the order of
+    their first paths, or the path scope of the report's reduction; the
+    entry never testifies for its paths."""
     if scope == "entry":
         return [entry_id]
     if scope == "back_origin":
         ids = [p[0] for p in back]
     elif scope == "back_path":
-        ids = [e for p in back for e in p]
+        ids = witnesses(back, BACKWARD)[2]
     elif scope == "fwd_terminus":
         ids = [p[-1] for p in fwd]
     else:
-        ids = [e for p in fwd for e in p]
+        ids = witnesses(fwd, FORWARD)[2]
     return [i for i in dict.fromkeys(ids) if i != entry_id]
 
 
@@ -461,23 +479,25 @@ def _oracle_holds(graph, clause, entry_id, back, fwd):
     return bool(matching) if clause.quantifier == "exists" else matching == scope
 
 
-def _oracle_kept(graph, rule, entry_id, paths, scopes):
-    """The element tuples on which every exists-clause of the scopes holds
-    when the path stands alone on both sides."""
-    return [p for p in paths if all(
+def _oracle_keeps(graph, rule, entry_id, scopes):
+    """Whether every exists-clause of the scopes holds on an element tuple
+    standing alone on both sides."""
+    return lambda p: all(
         _oracle_holds(graph, c, entry_id, [p], [p]) for c in rule.conditions
-        if c.quantifier == "exists" and c.scope in scopes)]
+        if c.quantifier == "exists" and c.scope in scopes)
+
+
+def _oracle_side(graph, rule, entry_id, spec, scopes):
+    """(reported element tuples, explored count) of one side, by brute force."""
+    return side_oracle(graph, entry_id, spec_params(spec, graph, entry_id),
+                       _oracle_keeps(graph, rule, entry_id, scopes))
 
 
 def _oracle_finding(graph, rule, entry_id):
-    """(back paths, fwd paths, evidence dicts) for one entry, or None, from
-    trace output, the inclusion oracle and direct predicate calls."""
-    back = deepest_paths(_oracle_kept(
-        graph, rule, entry_id, [p.elements for p in trace(graph, entry_id, rule.back)],
-        _BACK_SCOPES))
-    fwd = nearest_paths(_oracle_kept(
-        graph, rule, entry_id, [p.elements for p in trace(graph, entry_id, rule.fwd)],
-        _FWD_SCOPES))
+    """(back witnesses, fwd witnesses, evidence dicts) for one entry, or
+    None, from brute-force enumeration and direct predicate calls."""
+    back, _ = _oracle_side(graph, rule, entry_id, rule.back, _BACK_SCOPES)
+    fwd, _ = _oracle_side(graph, rule, entry_id, rule.fwd, _FWD_SCOPES)
     evidence = []
     for index, clause in enumerate(rule.conditions):
         scope, matching = _oracle_matching(graph, clause, entry_id, back, fwd)
@@ -490,7 +510,7 @@ def _oracle_finding(graph, rule, entry_id):
             attributes = graph.element(element_id).attributes
             evidence.append({"element": element_id, "clause": index, "attributes":
                              {k: attributes[k] for k in keys if k in attributes}})
-    return back, fwd, evidence
+    return as_reported(back, BACKWARD), as_reported(fwd, FORWARD), evidence
 
 
 def test_findings_and_evidence_match_the_oracle_with_mixed_clauses():
@@ -530,9 +550,7 @@ def test_findings_and_evidence_match_the_oracle_with_mixed_clauses():
             fwd=_random_spec(rng, graph, FORWARD),
             conditions=clauses,
         )
-        got = {f.entry: ([p.elements for p in f.back_paths],
-                         [p.elements for p in f.fwd_paths],
-                         [e.to_dict() for e in f.evidence])
+        got = {f.entry: (*_reported(f), [e.to_dict() for e in f.evidence])
                for f in evaluate_rule(graph, rule)}
         want = {}
         for entry_id in entry_ids:
@@ -591,11 +609,11 @@ def _proper_prefixes(elements):
 
 
 def _oracle_sides(graph, rule, entry_id):
-    """(entry clauses hold, the full forward trace, its kept paths, the
-    forward clauses hold over the nearest kept paths) for one entry."""
-    traced = [p.elements for p in trace(graph, entry_id, rule.fwd)]
-    kept = _oracle_kept(graph, rule, entry_id, traced, _FWD_SCOPES)
-    nearest = nearest_paths(kept)
+    """(entry clauses hold, every forward path, its kept paths, the forward
+    clauses hold over the nearest kept paths) for one entry."""
+    traced = enumerate_paths(graph, entry_id, **spec_params(rule.fwd, graph, entry_id))
+    kept = list(filter(_oracle_keeps(graph, rule, entry_id, _FWD_SCOPES), traced))
+    nearest, _ = _oracle_side(graph, rule, entry_id, rule.fwd, _FWD_SCOPES)
     return (
         all(_oracle_holds(graph, c, entry_id, [], []) for c in rule.conditions
             if c.scope == "entry"),
@@ -618,9 +636,7 @@ def test_findings_match_the_oracle_where_the_forward_side_decides():
         rng = random.Random(59_000 + seed)
         graph = random_graph(rng, max_nodes=30, max_edges=50)
         rule, entry_ids = _forward_deciding_rule(rng, graph)
-        got = {f.entry: ([p.elements for p in f.back_paths],
-                         [p.elements for p in f.fwd_paths],
-                         [e.to_dict() for e in f.evidence])
+        got = {f.entry: (*_reported(f), [e.to_dict() for e in f.evidence])
                for f in evaluate_rule(graph, rule)}
         want = {}
         for entry_id in entry_ids:
@@ -633,7 +649,8 @@ def test_findings_match_the_oracle_where_the_forward_side_decides():
                                for p in traced)
             past_kept += sum(any(q in kept for q in _proper_prefixes(p))
                              for p in traced)
-            if entry_holds and not fwd_holds and trace(graph, entry_id, rule.back):
+            if entry_holds and not fwd_holds and enumerate_paths(
+                    graph, entry_id, **spec_params(rule.back, graph, entry_id)):
                 forward_failed += 1
         findings_seen += len(want)
         if got != want:
@@ -645,8 +662,8 @@ def test_findings_match_the_oracle_where_the_forward_side_decides():
 
 def test_paths_explored_counts_the_paths_the_traces_return():
     """Restated by hand: no path for an entry whose entry clauses fail;
-    otherwise the forward paths left when the full trace stops at kept
-    paths, plus every backward path when the forward clauses hold."""
+    otherwise the forward paths left when a full walk stops at kept paths,
+    plus every backward path when the forward clauses hold."""
     mismatches = []
     skipped_entries = skipped_back = 0
     for seed in range(150):
@@ -663,7 +680,8 @@ def test_paths_explored_counts_the_paths_the_traces_return():
                 continue
             want += len(stopped_paths(traced, FORWARD, set(kept).__contains__))
             if fwd_holds:
-                want += len(trace(graph, entry_id, rule.back))
+                want += len(enumerate_paths(
+                    graph, entry_id, **spec_params(rule.back, graph, entry_id)))
             else:
                 skipped_back += 1
         if stats["paths_explored"] != want:
@@ -735,36 +753,58 @@ def test_each_terminal_and_clause_is_asked_once_per_trace_and_entry():
     report = audit(graph, counted)
     assert report.to_json() == audit(graph).to_json()
     assert report.risk_ids() == ["ASI01"]
-    assert len(report.findings[0].fwd_paths) > 100
+    assert sum(p.count for p in report.findings[0].fwd_paths) > 100
     assert sum(tally.values()) > 50
     assert max(tally.values()) == 1
 
 
-def test_each_forward_path_is_tested_for_keeping_once(monkeypatch):
-    """trace asks the forward keep-test as stop and evaluate_rule filters
-    with it again; each (entry, path) is still tested once."""
+def test_each_element_is_tested_for_keeping_once_per_trace(monkeypatch):
+    """A trace asks its keep tests of elements, not of paths: on a diamond
+    chain, whose paths pass through every node many times, a rule with
+    path clauses on both sides has each keep test asked at most once per
+    (trace, element)."""
+    rule = _rule(
+        [
+            Clause("entry", "exists", HasFlag()),
+            Clause("back_path", "exists", HasFlag()),
+            Clause("fwd_terminus", "exists", KindIs(("ActionNode",))),
+            Clause("fwd_path", "exists", HasFlag()),
+        ],
+        entry=EntrySelector("node", ("GoalNode",), HasFlag()),
+        back=PathSpec(BACKWARD, ("evolution",)),
+        fwd=PathSpec(FORWARD, ("evolution",), terminal=KindIs(("ActionNode",))),
+    )
     tally = Counter()
-    real_keeps = rules_mod._keeps
+    traces = iter(range(1_000_000))
+    real_keep_tests = rules_mod._keep_tests
 
-    def counting_keeps(graph, clauses, entry, scopes, answers):
-        keep = real_keeps(graph, clauses, entry, scopes, answers)
+    def counting_keep_tests(graph, clauses, entry, scopes, answers):
+        tests = real_keep_tests(graph, clauses, entry, scopes, answers)
+        which = next(traces)
 
-        def counted(path):
-            tally[(scopes, rules_mod._element_id(entry), path.elements)] += 1
-            return keep(path)
-        return counted
+        def counted(name, test):
+            def ask(element_id):
+                tally[(which, name, element_id)] += 1
+                return test(element_id)
+            return ask
 
-    monkeypatch.setattr(rules_mod, "_keeps", counting_keeps)
-    audit(_diamond_chain(12))
-    forward = [n for (scopes, _, _), n in tally.items() if "fwd_path" in scopes]
-    assert len(forward) > 100
-    assert max(forward) == 1
+        return {"keep_end": counted("end", tests["keep_end"]),
+                "keep_marks": [counted(i, mark)
+                               for i, mark in enumerate(tests["keep_marks"])]}
+
+    monkeypatch.setattr(rules_mod, "_keep_tests", counting_keep_tests)
+    graph = _diamond_chain(12)
+    [finding] = evaluate_rule(graph, rule)
+    assert sum(p.count for p in finding.fwd_paths) > 100
+    assert len(tally) > 40
+    assert max(tally.values()) == 1
 
 
 def test_audit_traces_only_what_a_report_can_use(monkeypatch):
     """On a diamond chain, ASI03's entries fail on the forward side, so no
-    backward path is traced for them, and ASI01's forward traces return
-    exactly the forward paths it reports."""
+    backward path is traced for them, ASI01's forward traces count exactly
+    the forward paths it reports, and paths_explored adds up what the
+    traces walked."""
     graph = _diamond_chain(12)
     checked = builtin_rules()
     side = {id(spec): (rule.risk_id, spec.direction)
@@ -773,18 +813,21 @@ def test_audit_traces_only_what_a_report_can_use(monkeypatch):
     real_trace = rules_mod.trace
 
     def counting_trace(graph, start, spec, **kwargs):
-        paths = real_trace(graph, start, spec, **kwargs)
-        returned[side[id(spec)]] += len(paths)
-        return paths
+        result = real_trace(graph, start, spec, **kwargs)
+        returned[side[id(spec)]] += sum(p.count for p in result.paths)
+        explored[side[id(spec)]] += result.explored
+        return result
 
+    explored = Counter()
     monkeypatch.setattr(rules_mod, "trace", counting_trace)
     report = audit(graph, checked)
     asi01 = [f for f in report.findings if f.risk_id == "ASI01"]
     assert report.stats["ASI03"]["entries"] > 0
-    assert returned[("ASI03", BACKWARD)] == 0
-    assert returned[("ASI01", FORWARD)] == sum(len(f.fwd_paths) for f in asi01) > 100
+    assert returned[("ASI03", BACKWARD)] == explored[("ASI03", BACKWARD)] == 0
+    assert returned[("ASI01", FORWARD)] == sum(
+        p.count for f in asi01 for p in f.fwd_paths) > 100
     assert all(report.stats[risk]["paths_explored"]
-               == returned[(risk, BACKWARD)] + returned[(risk, FORWARD)]
+               == explored[(risk, BACKWARD)] + explored[(risk, FORWARD)]
                for risk in RISK_IDS)
 
 
@@ -814,3 +857,92 @@ def test_dead_forward_walks_on_a_deep_diamond_stay_cheap():
     stats = result["stats"]
     assert stats["ASI03"]["entries"] == 60 and stats["ASI09"]["entries"] == 1
     assert all(s["paths_explored"] == 0 for s in stats.values())
+
+
+def _replay(sessions):
+    """memory_poisoning_tool_misuse replayed as day-apart sessions that
+    share its memory store and its exec tool: every session writes the
+    poisoned rule and reads it back."""
+    base = generate("memory_poisoning_tool_misuse", 0)
+    events = []
+    for i in range(sessions):
+        for event in base.events:
+            moment = parse_instant(event.timestamp) + timedelta(days=i)
+            events.append(dataclasses.replace(
+                event, event_id=f"r{i}.{event.event_id}",
+                trace_id=f"r{i}.{event.trace_id}",
+                timestamp=moment.strftime("%Y-%m-%dT%H:%M:%SZ"),
+                refs=[f"r{i}.{ref}" for ref in event.refs]))
+    return assemble(base.manifest, events)
+
+
+def _backward_in_time(graph, path):
+    """The steps of a reported path, in flow order, from a timestamped
+    element to an earlier one: runtime nodes and edges carry time."""
+    stamps = []
+    for element_id in path.elements:
+        element = graph.element(element_id)
+        if element.timestamp and (element_id in graph.edges
+                                  or element.layer is Layer.RUNTIME):
+            stamps.append(parse_instant(element.timestamp))
+    return sum(b < a for a, b in zip(stamps, stamps[1:]))
+
+
+def test_reported_paths_on_a_replay_run_forward_in_time():
+    """Three sessions share one memory store and one tool. Every path the
+    audit reports keeps its timestamps in flow order, although the store
+    and the tool join each session to the others both ways."""
+    graph = _replay(3)
+    report = audit(graph)
+    paths = [p for f in report.findings for p in f.back_paths + f.fwd_paths]
+    assert report.risk_ids() == ["ASI02", "ASI06"]
+    assert len(paths) > 10
+    assert sum(_backward_in_time(graph, p) for p in paths) == 0
+    # a poisoned write reaches the reads of its own and later sessions only
+    reads = {f.entry: sorted(p.terminus for p in f.fwd_paths)
+             for f in report.findings if f.risk_id == "ASI06"}
+    assert reads["r1.act.assistant.06"] == ["r1.ctx.assistant.11", "r2.ctx.assistant.11"]
+    # and the store and the tool join sessions into more paths than witnesses
+    assert any(p.count > 1 for p in paths)
+
+
+_SCALING = """
+import json, sys, time
+from test_rules import _diamond_chain, _replay
+from agentbom.rules import audit
+out = {}
+for name, graph in (("diamond16", _diamond_chain(16)), ("diamond24", _diamond_chain(24)),
+                    ("replay160", _replay(160))):
+    started = time.perf_counter()
+    report = audit(graph)
+    report.to_json()
+    out[name] = {"seconds": time.perf_counter() - started,
+                 "witnesses": sum(len(f.back_paths) + len(f.fwd_paths)
+                                  for f in report.findings),
+                 "asi06_fwd": sum(len(f.fwd_paths) for f in report.findings
+                                  if f.risk_id == "ASI06"),
+                 "paths": sum(p.count for f in report.findings
+                              for p in f.back_paths + f.fwd_paths)}
+print(json.dumps(out))
+"""
+
+
+def test_witness_reports_grow_with_endpoints_not_paths():
+    """Forward paths on a diamond chain grow like the Fibonacci numbers and
+    replayed sessions multiply the paths through the shared store, but the
+    report holds one witness per endpoint. The audits run in a child
+    process that a timeout ends, so only an exponential regression fails
+    here; the times are printed (run with -s to see them)."""
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(here.parent / "src"), str(here)])
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-c", _SCALING], env=env,
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    print({name: round(r["seconds"], 3) for name, r in result.items()})
+    assert result["diamond16"]["witnesses"] == result["diamond24"]["witnesses"]
+    assert result["diamond24"]["paths"] > 40 * result["diamond16"]["paths"]
+    # ASI06: session i's poisoned write reaches the reads of sessions i..n
+    n = 160
+    assert result["replay160"]["asi06_fwd"] == n * (n + 1) // 2

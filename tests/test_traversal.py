@@ -10,12 +10,13 @@ import pytest
 
 from _oracles import (
     enumerate_paths,
+    oracle_trace,
     random_dag,
     random_graph,
     random_spec_params,
-    stopped_paths,
+    traced,
 )
-from agentbom.graph import AgentBomGraph, AgentDescriptor, Edge, Node
+from agentbom.graph import AgentBomGraph, AgentDescriptor, Edge, Node, parse_instant
 from agentbom.predicates import AttrCmp, EntryAttr, NeighborMatch
 from agentbom.schema import EdgeKind, NodeKind
 from agentbom.traversal import BACKWARD, FORWARD, AuditPath, PathSpec, trace
@@ -65,6 +66,39 @@ def _spec(direction, kinds, **kw):
     return PathSpec(direction=direction, allowed_edge_kinds=frozenset(kinds), **kw)
 
 
+
+
+def _only(node_id):
+    """A terminal that accepts one node."""
+    return lambda node: node.node_id == node_id
+
+
+def _reached(graph, start, direction, kinds, **kw):
+    """The nodes a trace finds a path to when each in turn is its only
+    terminal: a forward trace stops at its first terminal, so this is how
+    far flow reaches."""
+    return {node_id for node_id in graph.nodes
+            if trace(graph, start, _spec(direction, kinds, terminal=_only(node_id),
+                                         **kw)).paths}
+
+
+def _random_keep(rng, graph, direction):
+    """Random keep tests: (keep_end, keep_marks, the brute-force kept test
+    on flow-order element tuples). Half the time every path is kept."""
+    if rng.random() < 0.5:
+        return None, [], lambda path: True
+    ids = sorted(graph.nodes) + sorted(graph.edges)
+    ends = set(rng.sample(sorted(graph.nodes), max(1, len(graph.nodes) * 2 // 3)))
+    marks = [set(rng.sample(ids, max(1, len(ids) // rng.randint(2, 6))))
+             for _ in range(rng.randint(0, 2))]
+
+    def kept(path):
+        end = path[-1] if direction == FORWARD else path[0]
+        return end in ends and all(mark.intersection(path) for mark in marks)
+
+    return ends.__contains__, [mark.__contains__ for mark in marks], kept
+
+
 # ---------------------------------------------------------------------------
 # AuditPath and PathSpec basics
 # ---------------------------------------------------------------------------
@@ -76,6 +110,14 @@ def test_path_accessors():
     assert path.depth == 2
     assert path.node_ids == ("a", "b", "c")
     assert path.edge_ids == ("e1", "e2")
+
+
+def test_a_path_states_its_count_only_above_one():
+    elements = ("a", "e1", "b")
+    assert AuditPath(FORWARD, elements).to_dict() == {
+        "direction": FORWARD, "elements": ["a", "e1", "b"]}
+    assert AuditPath(FORWARD, elements, 3).to_dict() == {
+        "direction": FORWARD, "elements": ["a", "e1", "b"], "count": 3}
 
 
 def test_spec_rejects_bad_direction_and_depth():
@@ -98,18 +140,21 @@ def test_spec_expands_family_aliases():
 
 def test_forward_walks_with_the_flow():
     graph = _chain_graph()
-    paths = trace(graph, "ext", _spec(FORWARD, {"flows_to"}))
-    termini = {p.terminus for p in paths}
-    assert termini == {"goal", "ctx", "rea", "dec", "act"}
-    longest = max(paths, key=lambda p: p.depth)
+    assert _reached(graph, "ext", FORWARD, {"flows_to"}) == {
+        "goal", "ctx", "rea", "dec", "act"}
+    [longest] = trace(graph, "ext", _spec(FORWARD, {"flows_to"},
+                                          terminal=_only("act"))).paths
     assert longest.elements[0] == "ext"
     assert longest.elements[-1] == "act"
+    # without a terminal every node ends a path, and the walk stops at the
+    # nearest
+    nearest = trace(graph, "ext", _spec(FORWARD, {"flows_to"})).paths
+    assert [p.elements for p in nearest] == [("ext", "f.ext.goal", "goal")]
 
 
 def test_backward_paths_are_stored_in_flow_order():
     graph = _chain_graph()
-    paths = trace(graph, "act", _spec(BACKWARD, {"flows_to"}))
-    deepest = max(paths, key=lambda p: p.depth)
+    [deepest] = trace(graph, "act", _spec(BACKWARD, {"flows_to"})).paths
     # origin is the most upstream element even though the walk started at act
     assert deepest.origin == "ext"
     assert deepest.terminus == "act"
@@ -120,57 +165,58 @@ def test_reads_from_carries_content_against_the_arrow():
     graph = _chain_graph()
     # backward from ctx: the read arrow points ctx -> mem.m, but the store
     # is upstream provenance, so the walk crosses it
-    back = trace(graph, "ctx", _spec(BACKWARD, {"reads_from"}))
+    back = trace(graph, "ctx", _spec(BACKWARD, {"reads_from"})).paths
     assert [p.origin for p in back] == ["mem.m"]
     # and forward from the store reaches the reader
-    fwd = trace(graph, "mem.m", _spec(FORWARD, {"reads_from"}))
+    fwd = trace(graph, "mem.m", _spec(FORWARD, {"reads_from"})).paths
     assert [p.terminus for p in fwd] == ["ctx"]
 
 
 def test_invokes_couples_both_directions():
     graph = _chain_graph()
-    back = trace(graph, "tool.t", _spec(BACKWARD, {"invokes"}))
-    fwd = trace(graph, "tool.t", _spec(FORWARD, {"invokes"}))
-    assert [p.origin for p in back] == ["act"]
-    assert [p.terminus for p in fwd] == ["act"]
+    assert _reached(graph, "tool.t", BACKWARD, {"invokes"}) >= {"act"}
+    assert _reached(graph, "tool.t", FORWARD, {"invokes"}) >= {"act"}
+    back = trace(graph, "tool.t", _spec(BACKWARD, {"invokes"}, terminal=_only("act")))
+    fwd = trace(graph, "tool.t", _spec(FORWARD, {"invokes"}, terminal=_only("act")))
+    assert [p.elements for p in back.paths] == [("act", "b.invoke", "tool.t")]
+    assert [p.elements for p in fwd.paths] == [("tool.t", "b.invoke", "act")]
 
 
 def test_propagation_needs_cross_agent():
     graph = _chain_graph()
     closed = trace(graph, "act", _spec(FORWARD, {"sends_to"}))
-    assert closed == []
+    assert closed.paths == ()
     open_spec = _spec(FORWARD, {"sends_to"}, cross_agent=True)
-    assert [p.terminus for p in trace(graph, "act", open_spec)] == ["ext2"]
+    assert [p.terminus for p in trace(graph, "act", open_spec).paths] == ["ext2"]
 
 
 def test_node_kinds_gate_passage_but_not_arrival():
     graph = _chain_graph()
-    spec = _spec(FORWARD, {"flows_to"},
-                 allowed_node_kinds=frozenset({NodeKind.GOAL}))
-    paths = trace(graph, "ext", spec)
     # the walk may arrive at ctx through goal but cannot continue past it
-    assert {p.terminus for p in paths} == {"goal", "ctx"}
+    assert _reached(graph, "ext", FORWARD, {"flows_to"},
+                    allowed_node_kinds=frozenset({NodeKind.GOAL})) == {"goal", "ctx"}
 
 
 def test_max_depth_limits_edge_count():
     graph = _chain_graph()
-    spec = _spec(FORWARD, {"flows_to"}, max_depth=2)
-    assert max(p.depth for p in trace(graph, "ext", spec)) == 2
+    assert _reached(graph, "ext", FORWARD, {"flows_to"}, max_depth=2) == {"goal", "ctx"}
+    [deepest] = trace(graph, "act", _spec(BACKWARD, {"flows_to"}, max_depth=2)).paths
+    assert deepest.depth == 2 and deepest.origin == "rea"
 
 
 def test_terminal_filters_recorded_paths():
     graph = _chain_graph()
     spec = _spec(FORWARD, {"flows_to"},
                  terminal=lambda node: node.kind is NodeKind.DECISION)
-    assert [p.terminus for p in trace(graph, "ext", spec)] == ["dec"]
+    assert [p.terminus for p in trace(graph, "ext", spec).paths] == ["dec"]
 
 
 def test_edge_start_anchors_by_direction():
     graph = _chain_graph()
     fwd = trace(graph, "p.send", _spec(FORWARD, {"flows_to"}))
-    assert fwd == []  # anchored at ext2, which has no outgoing flow
+    assert fwd.paths == ()  # anchored at ext2, which has no outgoing flow
     back = trace(graph, "p.send", _spec(BACKWARD, {"flows_to"}))
-    assert max(p.depth for p in back) == 5  # anchored at act, walks to ext
+    assert [p.depth for p in back.paths] == [5]  # anchored at act, walks to ext
 
 
 def test_a_spec_traced_again_sees_edges_added_since():
@@ -180,17 +226,161 @@ def test_a_spec_traced_again_sees_edges_added_since():
                           ("ctx", NodeKind.CONTEXT)]:
         graph.add_node(_runtime(node_id, kind))
     graph.add_edge(Edge("f1", EdgeKind.FLOWS_TO, "ext", "goal"))
-    spec = _spec(FORWARD, {"flows_to"})
-    assert [p.terminus for p in trace(graph, "ext", spec)] == ["goal"]
+    spec = _spec(FORWARD, {"flows_to"}, terminal=_only("ctx"))
+    assert trace(graph, "ext", spec).paths == ()
     graph.add_edge(Edge("f2", EdgeKind.FLOWS_TO, "goal", "ctx"))
-    assert [p.terminus for p in trace(graph, "ext", spec)] == ["goal", "ctx"]
+    assert [p.terminus for p in trace(graph, "ext", spec).paths] == ["ctx"]
 
 
 def test_paths_sort_by_depth_then_elements():
     graph = _chain_graph()
-    paths = trace(graph, "ext", _spec(FORWARD, {"flows_to"}))
+    spec = _spec(BACKWARD, {"flows_to", "reads_from"},
+                 terminal=lambda node: node.kind in (NodeKind.EXTERNAL,
+                                                     NodeKind.LONG_TERM_MEMORY))
+    paths = trace(graph, "act", spec).paths
+    assert [p.origin for p in paths] == ["mem.m", "ext"]
     keys = [(p.depth, p.elements) for p in paths]
     assert keys == sorted(keys)
+
+
+# ---------------------------------------------------------------------------
+# time order
+# ---------------------------------------------------------------------------
+
+def _two_sessions():
+    """One agent's store, read in session one and written in session two.
+
+    Session one (09:00-09:02): ext1 -> ctx1, and ctx1 reads mem.m.
+    Session two (10:00-10:03): ext2 -> dec2 -> act2, act2 writes mem.m at
+    10:02, and ctx2 reads mem.m at 10:03. The write comes after the first
+    read, so no content flows from act2 to ctx1.
+    """
+    graph = AgentBomGraph()
+    graph.add_agent(AgentDescriptor("a1", "worker", ""))
+    graph.add_node(Node(node_id="mem.m", kind=NodeKind.LONG_TERM_MEMORY))
+
+    def runtime(node_id, kind, stamp, **attrs):
+        graph.add_node(Node(node_id=node_id, kind=kind, agent_id="a1",
+                            trace_id=node_id[-1], timestamp=stamp, attributes=attrs))
+
+    runtime("ext1", NodeKind.EXTERNAL, "2026-03-01T09:00:00Z")
+    runtime("ctx1", NodeKind.CONTEXT, "2026-03-01T09:02:00Z")
+    runtime("ext2", NodeKind.EXTERNAL, "2026-03-01T10:00:00Z",
+            trust_level="untrusted")
+    runtime("dec2", NodeKind.DECISION, "2026-03-01T10:01:00Z")
+    runtime("act2", NodeKind.ACTION, "2026-03-01T10:02:00Z", type="memory_write")
+    runtime("ctx2", NodeKind.CONTEXT, "2026-03-01T10:03:00Z")
+    graph.add_edge(Edge("f.ext1.ctx1", EdgeKind.FLOWS_TO, "ext1", "ctx1",
+                        timestamp="2026-03-01T09:02:00Z"))
+    graph.add_edge(Edge("b.read1", EdgeKind.READS_FROM, "ctx1", "mem.m",
+                        timestamp="2026-03-01T09:02:00Z"))
+    graph.add_edge(Edge("f.ext2.dec2", EdgeKind.FLOWS_TO, "ext2", "dec2"))
+    graph.add_edge(Edge("f.dec2.act2", EdgeKind.FLOWS_TO, "dec2", "act2"))
+    graph.add_edge(Edge("b.write2", EdgeKind.WRITES_TO, "act2", "mem.m",
+                        timestamp="2026-03-01T10:02:00Z"))
+    graph.add_edge(Edge("b.read2", EdgeKind.READS_FROM, "ctx2", "mem.m",
+                        timestamp="2026-03-01T10:03:00Z"))
+    graph.freeze()
+    return graph
+
+
+def test_a_later_write_does_not_reach_an_earlier_read():
+    graph = _two_sessions()
+    kinds = {"writes_to", "reads_from", "flows_to"}
+    assert trace(graph, "act2", _spec(FORWARD, kinds, terminal=_only("ctx1"))).paths == ()
+    assert _reached(graph, "act2", FORWARD, kinds) == {"mem.m", "ctx2"}
+    assert "act2" not in _reached(graph, "ctx1", BACKWARD, kinds)
+    assert _reached(graph, "ctx2", BACKWARD, kinds) == {
+        "mem.m", "act2", "dec2", "ext2"}
+    # the earlier read still takes what session one put in context
+    assert _reached(graph, "ctx1", BACKWARD, kinds) == {"mem.m", "ext1"}
+    [write_to_read] = trace(graph, "ctx2", _spec(BACKWARD, kinds,
+                                                 terminal=_only("ext2"))).paths
+    assert write_to_read.node_ids == ("ext2", "dec2", "act2", "mem.m", "ctx2")
+
+
+def test_a_static_node_may_recur_at_a_later_time():
+    """ctx1 -> mem.m is untimed here, so a walk from ext2 can pass the
+    store at 10:02 only; from the store at no time yet, it reaches both
+    reads, and the paths through it stay simple in (node, time) states."""
+    graph = _two_sessions()
+    fwd = trace(graph, "mem.m", _spec(FORWARD, {"reads_from"}))
+    assert [p.terminus for p in fwd.paths] == ["ctx1", "ctx2"]
+    back = trace(graph, "mem.m", _spec(BACKWARD, {"writes_to", "flows_to"}))
+    assert [p.origin for p in back.paths] == ["ext2"]
+
+
+def _shared_tool():
+    """One tool invoked by act1 at 09:01 and act2 at 09:02, each fed by its
+    own decision; every invokes edge carries its call's time."""
+    graph = AgentBomGraph()
+    graph.add_agent(AgentDescriptor("a1", "worker", ""))
+    graph.add_node(Node(node_id="tool.t", kind=NodeKind.TOOL))
+    for i in (1, 2):
+        for node_id, kind in ((f"dec{i}", NodeKind.DECISION), (f"act{i}", NodeKind.ACTION)):
+            graph.add_node(Node(node_id=node_id, kind=kind, agent_id="a1", trace_id="t1",
+                                timestamp=f"2026-03-01T09:0{i}:00Z"))
+        graph.add_edge(Edge(f"f.dec{i}.act{i}", EdgeKind.FLOWS_TO, f"dec{i}", f"act{i}"))
+        graph.add_edge(Edge(f"b.invoke{i}", EdgeKind.INVOKES, f"act{i}", "tool.t",
+                            timestamp=f"2026-03-01T09:0{i}:00Z"))
+    graph.freeze()
+    return graph
+
+
+def test_a_path_does_not_step_straight_back_over_an_edge():
+    """The earlier call reaches the later one through the tool, but a path
+    from the tool does not run into a call and straight back into the tool,
+    although the tool at the call's time is a new state."""
+    graph = _shared_tool()
+    kinds = {"invokes", "flows_to"}
+    [through] = trace(graph, "act1", _spec(FORWARD, kinds, terminal=_only("act2"))).paths
+    assert through.elements == ("act1", "b.invoke1", "tool.t", "b.invoke2", "act2")
+    fwd = trace(graph, "tool.t", _spec(FORWARD, kinds, terminal=_only("act2")))
+    assert [(p.elements, p.count) for p in fwd.paths] == [
+        (("tool.t", "b.invoke2", "act2"), 1)]
+    back = trace(graph, "tool.t", _spec(BACKWARD, kinds, terminal=_only("dec1")))
+    assert [(p.elements, p.count) for p in back.paths] == [
+        (("dec1", "f.dec1.act1", "act1", "b.invoke1", "tool.t"), 1)]
+    assert _reached(graph, "tool.t", BACKWARD, kinds) == {"act1", "act2", "dec1", "dec2"}
+
+
+def _stamps_in_flow_order(graph, elements):
+    """The runtime timestamps of a flow-order element tuple, as instants:
+    edges and runtime nodes that carry one."""
+    out = []
+    for element_id in elements:
+        element = graph.element(element_id)
+        is_edge = element_id in graph.edges
+        if element.timestamp and (is_edge or element.layer.value == "runtime"):
+            out.append(parse_instant(element.timestamp))
+    return out
+
+
+def test_every_traced_witness_runs_forward_in_time():
+    """On timed random graphs, where many edges run back in time, every
+    witness a trace reports keeps its timestamps in flow order."""
+    checked = backwards = 0
+    for seed in range(300):
+        rng = random.Random(83_000 + seed)
+        graph = random_graph(rng, timed=True) if seed % 2 else random_dag(rng, timed=True)
+        params = random_spec_params(rng, graph)
+        params["max_depth"] = max(params["max_depth"], 4)
+        spec = PathSpec(direction=params["direction"],
+                        allowed_edge_kinds=frozenset(params["edge_kinds"]),
+                        allowed_node_kinds=params["node_kinds"],
+                        terminal=params["terminal"], max_depth=params["max_depth"],
+                        cross_agent=params["cross_agent"])
+        for start in rng.sample(sorted(graph.nodes), min(3, len(graph.nodes))):
+            for path in trace(graph, start, spec).paths:
+                stamps = _stamps_in_flow_order(graph, path.elements)
+                assert stamps == sorted(stamps), (seed, path.elements)
+                checked += 1
+        backwards += sum(
+            1 for edge in graph.edges.values()
+            if graph.nodes[edge.source].timestamp and graph.nodes[edge.target].timestamp
+            and parse_instant(graph.nodes[edge.source].timestamp)
+            > parse_instant(graph.nodes[edge.target].timestamp))
+    assert checked > 500 and backwards > 500
 
 
 # ---------------------------------------------------------------------------
@@ -199,10 +389,13 @@ def test_paths_sort_by_depth_then_elements():
 
 _RANDOM_CORPUS = """
 import hashlib, random
-from _oracles import random_graph
+from _oracles import random_dag, random_graph
 for seed in range(30):
-    text = random_graph(random.Random(seed)).to_json()
-    print(seed, hashlib.sha256(text.encode()).hexdigest())
+    for timed in (False, True):
+        text = random_graph(random.Random(seed), timed=timed).to_json()
+        print(seed, timed, hashlib.sha256(text.encode()).hexdigest())
+        text = random_dag(random.Random(seed), timed=timed).to_json()
+        print(seed, timed, hashlib.sha256(text.encode()).hexdigest())
 """
 
 
@@ -219,8 +412,17 @@ def test_random_graph_corpus_does_not_depend_on_the_hash_seed():
     assert outputs[0] == outputs[1]
 
 
+def _compare(graph, start, spec, params, keep_end=None, keep_marks=(),
+             kept=lambda path: True):
+    """(production result, brute-force result) in one shape: the witnesses
+    with their counts, the scope and the explored count."""
+    got = traced(trace(graph, start, spec, keep_end=keep_end, keep_marks=keep_marks))
+    return got, oracle_trace(graph, start, params, kept)
+
+
 def test_trace_matches_brute_force_on_random_graphs():
     mismatches = []
+    multiple = 0
     for seed in range(150):
         rng = random.Random(seed)
         graph = random_graph(rng)
@@ -237,29 +439,28 @@ def test_trace_matches_brute_force_on_random_graphs():
                 max_depth=params["max_depth"],
                 cross_agent=params["cross_agent"],
             )
-            got = [p.elements for p in trace(graph, start, spec)]
-            want = enumerate_paths(graph, start, **params)
+            got, want = _compare(graph, start, spec, params)
+            multiple += any(count > 1 for _, count in want[0])
             if got != want:
                 mismatches.append((seed, start))
     assert mismatches == []
+    assert multiple > 20
 
 
-def test_trace_with_stop_matches_brute_force_on_random_graphs():
-    """A path on which stop holds is returned but not extended: trace equals
-    the brute-force list less every path with such a proper anchor-prefix."""
+def test_trace_counts_match_brute_force_on_timed_corpora():
+    """The referee for the counting pass. Timed random graphs and timed
+    random DAGs, where some edges run back in time, both directions, every
+    spec dimension and random keep tests: the witnesses, their counts, the
+    scope and the explored count all equal brute-force enumeration and the
+    report's reduction of it."""
     mismatches = []
-    pruned = 0
-    for seed in range(150):
-        rng = random.Random(67_000 + seed)
-        graph = random_graph(rng)
+    multiple = kept_some = pruned = 0
+    for seed in range(400):
+        rng = random.Random(89_000 + seed)
+        graph = random_graph(rng, timed=True) if seed % 2 else random_dag(rng, timed=True)
         params = random_spec_params(rng, graph)
-        marked = set(rng.sample(sorted(graph.nodes), max(1, len(graph.nodes) // 4)))
-        stop = rng.choice((
-            lambda elements: True,
-            lambda elements: elements[0] in marked or elements[-1] in marked,
-            lambda elements: bool(marked.intersection(elements)),
-            lambda elements: len(elements) >= 5,
-        ))
+        if seed % 4 == 0:
+            params["max_depth"] = rng.randint(6, 9)
         spec = PathSpec(
             direction=params["direction"],
             allowed_edge_kinds=frozenset(params["edge_kinds"]),
@@ -268,25 +469,57 @@ def test_trace_with_stop_matches_brute_force_on_random_graphs():
             max_depth=params["max_depth"],
             cross_agent=params["cross_agent"],
         )
+        keep_end, keep_marks, kept = _random_keep(rng, graph, params["direction"])
         starts = rng.sample(sorted(graph.nodes), min(2, len(graph.nodes)))
         if graph.edges:
             starts.append(rng.choice(sorted(graph.edges)))
         for start in starts:
-            got = [p.elements for p in
-                   trace(graph, start, spec, stop=lambda path: stop(path.elements))]
-            full = enumerate_paths(graph, start, **params)
-            want = stopped_paths(full, params["direction"], stop)
-            pruned += len(full) - len(want)
+            got, want = _compare(graph, start, spec, params, keep_end, keep_marks, kept)
+            multiple += any(count > 1 for _, count in want[0])
+            kept_some += bool(want[0]) and keep_end is not None
+            pruned += want[2] - sum(count for _, count in want[0])
             if got != want:
                 mismatches.append((seed, start))
     assert mismatches == []
-    assert pruned > 1500
+    assert multiple > 50 and kept_some > 50 and pruned > 500
+
+
+def test_trace_with_stop_matches_brute_force_on_random_graphs():
+    """A forward walk stops at a kept path: it is reported, and no path
+    that extends it is walked. With random keep tests the explored count
+    equals the brute-force list less every path with a kept proper
+    anchor-prefix, and the witnesses are the kept paths among the rest."""
+    mismatches = []
+    stopped = 0
+    for seed in range(400):
+        rng = random.Random(67_000 + seed)
+        graph = random_graph(rng)
+        params = dict(random_spec_params(rng, graph), direction=FORWARD)
+        spec = PathSpec(
+            direction=FORWARD,
+            allowed_edge_kinds=frozenset(params["edge_kinds"]),
+            allowed_node_kinds=params["node_kinds"],
+            terminal=params["terminal"],
+            max_depth=params["max_depth"],
+            cross_agent=params["cross_agent"],
+        )
+        keep_end, keep_marks, kept = _random_keep(rng, graph, FORWARD)
+        starts = rng.sample(sorted(graph.nodes), min(2, len(graph.nodes)))
+        if graph.edges:
+            starts.append(rng.choice(sorted(graph.edges)))
+        for start in starts:
+            got, want = _compare(graph, start, spec, params, keep_end, keep_marks, kept)
+            stopped += len(enumerate_paths(graph, start, **params)) - want[2]
+            if got != want:
+                mismatches.append((seed, start))
+    assert mismatches == []
+    assert stopped > 1500
 
 
 def _fruitless_revisits(walks, found, direction):
     """How many walks end at a node where an earlier walk already ended,
-    neither of them a proper prefix of a found path: the arrivals below
-    which a trace would only walk a dead branch again."""
+    neither of them a proper prefix of a found path: the arrivals whose
+    continuations a counting pass must share rather than walk again."""
     if direction == BACKWARD:
         walks = [w[::-1] for w in walks]
         found = [f[::-1] for f in found]
@@ -302,15 +535,14 @@ def _fruitless_revisits(walks, found, direction):
 def test_trace_matches_brute_force_where_branches_run_dry():
     """Sparse terminals, walks of up to ten steps, diamond-like flow and
     invokes cycles: walks keep arriving at nodes below which nothing is
-    found, some of them first reached while a node on the path cut the
-    walk short. With and without stop, trace equals the brute-force list."""
+    found. With and without keep tests, and with and without time, the
+    trace equals the brute-force reduction."""
     mismatches = []
-    revisits = pruned = 0
+    revisits = stopped = 0
     for seed in range(100):
         rng = random.Random(71_000 + seed)
-        graph = random_dag(rng)
+        graph = random_dag(rng, timed=seed % 2 == 1)
         goals = set(rng.sample(sorted(graph.nodes), rng.randint(1, 3)))
-        marked = set(rng.sample(sorted(graph.nodes), 4))
         params = {
             "direction": rng.choice((FORWARD, BACKWARD)),
             "edge_kinds": rng.choice(({"flows_to", "influences", "invokes"},
@@ -327,24 +559,18 @@ def test_trace_matches_brute_force_where_branches_run_dry():
             terminal=params["terminal"],
             max_depth=params["max_depth"],
         )
-        stop = rng.choice((
-            lambda elements: True,
-            lambda elements: len(elements) >= 7,
-            lambda elements: bool(marked.intersection(elements)),
-        ))
+        keep_end, keep_marks, kept = _random_keep(rng, graph, params["direction"])
         for start in rng.sample(sorted(graph.nodes), 3):
             full = enumerate_paths(graph, start, **params)
             walks = enumerate_paths(graph, start, **dict(params, terminal=None))
             revisits += _fruitless_revisits(walks, full, params["direction"])
-            want = stopped_paths(full, params["direction"], stop)
-            pruned += len(full) - len(want)
-            got = [p.elements for p in trace(graph, start, spec)]
-            got_stopped = [p.elements for p in
-                           trace(graph, start, spec, stop=lambda path: stop(path.elements))]
-            if got != full or got_stopped != want:
+            plain = _compare(graph, start, spec, params)
+            with_keep = _compare(graph, start, spec, params, keep_end, keep_marks, kept)
+            stopped += len(full) - with_keep[1][2]
+            if plain[0] != plain[1] or with_keep[0] != with_keep[1]:
                 mismatches.append((seed, start))
     assert mismatches == []
-    assert revisits > 10_000 and pruned > 50
+    assert revisits > 10_000 and stopped > 50
 
 
 def _flags(element):
@@ -396,9 +622,8 @@ def test_entry_reading_terminal_matches_brute_force_per_entry():
             starts.append(rng.choice(sorted(graph.edges)))
         for start in starts:
             params["terminal"] = _restated(predicate, graph, graph.element(start))
-            got = [p.elements for p in trace(graph, start, spec)]
-            want = enumerate_paths(graph, start, **params)
-            found += len(want)
+            got, want = _compare(graph, start, spec, params)
+            found += want[2]
             if got != want:
                 mismatches.append((seed, start))
     assert mismatches == []
