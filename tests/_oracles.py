@@ -89,23 +89,22 @@ def enumerate_paths(graph, start_id, direction, edge_kinds, node_kinds,
     else:
         anchor = start_id
 
+    # every step from every node, restated from the raw edge store in one
+    # pass over it
+    steps = {}
+    for edge in graph.edges.values():
+        if edge.kind.value not in edge_kinds:
+            continue
+        if not cross_agent and edge.kind.value in ORACLE_PROPAGATION:
+            continue
+        flow = ORACLE_FLOW[edge.kind.value]
+        if flow in (("with", "both") if forward else ("inv", "both")):
+            steps.setdefault(edge.source, []).append((edge, edge.target))
+        if flow in (("inv", "both") if forward else ("with", "both")):
+            steps.setdefault(edge.target, []).append((edge, edge.source))
+
     def options(node_id):
-        out = []
-        for edge in graph.edges.values():
-            if edge.kind.value not in edge_kinds:
-                continue
-            if not cross_agent and edge.kind.value in ORACLE_PROPAGATION:
-                continue
-            flow = ORACLE_FLOW[edge.kind.value]
-            if edge.source == node_id:
-                wanted = ("with", "both") if forward else ("inv", "both")
-                if flow in wanted:
-                    out.append((edge, edge.target))
-            if edge.target == node_id:
-                wanted = ("inv", "both") if forward else ("with", "both")
-                if flow in wanted:
-                    out.append((edge, edge.source))
-        return out
+        return steps.get(node_id, ())
 
     def carried_after(carried, edge, node_id):
         """The time carried past edge and node, or None if either breaks
