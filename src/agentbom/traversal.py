@@ -268,10 +268,12 @@ class _Key:
         self.paths = paths    # the number of paths to the key
         self.first = first    # the _Key the first of them comes from
         self.edge = edge      # the edge between the two
-        self.rank = 0         # its place in its layer, in (elements) order
+        self.rank = 0         # its place in its layer, by its first path's elements
         self.onward = []      # (edge id, _Key) steps taken one key at a time
         self.node = node
-        self.kept = self.extended = self.live = False
+        self.kept = False     # its paths are kept terminal paths
+        self.extended = False  # a kept path extends its paths
+        self.live = False     # its paths lie on reported paths
 
 
 class _Count:
