@@ -143,7 +143,6 @@ class AuditPath:
         return doc
 
 
-@dataclass(frozen=True)
 class Trace:
     """What one trace found.
 
@@ -152,12 +151,14 @@ class Trace:
     ``scope`` holds every element of every kept path: the witnesses'
     elements in first-seen order, then the others sorted. ``explored`` is
     the number of terminal paths the walk went through, kept or not. The
-    size of a trace is the number of paths it reports.
+    size of a trace is the number of paths it reports. (A plain class: a
+    dataclass would add about a millisecond to every CLI start.)
     """
 
-    paths: tuple = ()
-    scope: tuple = ()
-    explored: int = 0
+    __slots__ = ("paths", "scope", "explored")
+
+    def __init__(self, paths: tuple = (), scope: tuple = (), explored: int = 0):
+        self.paths, self.scope, self.explored = paths, scope, explored
 
     def __len__(self) -> int:
         return len(self.paths)
