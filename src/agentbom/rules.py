@@ -439,20 +439,19 @@ def evaluate_rule(graph: AgentBomGraph, rule: AuditRule, stats=None) -> list:
     """
     entries = locate_entries(graph, rule)
     findings, explored = [], 0
-    fwd_steps, back_steps = {}, {}  # each node's steps, shared by the entries
     for entry_id in entries:
         entry = graph.element(entry_id)
         answers = {}
         if not all(_holds(graph, c, entry, _NOTHING, _NOTHING, answers)
                    for c in rule.conditions if c.scope == "entry"):
             continue
-        fwd = trace(graph, entry_id, rule.fwd, steps=fwd_steps,
+        fwd = trace(graph, entry_id, rule.fwd,
                     **_keep_tests(graph, rule.conditions, entry, _FWD_SCOPES, answers))
         explored += fwd.explored
         if not all(_holds(graph, c, entry, _NOTHING, fwd, answers)
                    for c in rule.conditions if c.scope in _FWD_SCOPES):
             continue
-        back = trace(graph, entry_id, rule.back, steps=back_steps,
+        back = trace(graph, entry_id, rule.back,
                      **_keep_tests(graph, rule.conditions, entry, _BACK_SCOPES, answers))
         explored += back.explored
 

@@ -28,22 +28,27 @@ most upstream element. For a backward trace that upstream end is the
 origin the walk discovered; for a forward trace it is the anchor, and the
 downstream terminus is the discovered end.
 
-Counting, not listing. A trace does not list its paths: on a diamond chain
-they are Fibonacci-many, and on a long replay with a shared memory store
-and tool they multiply with every session. Counting simple paths is
-#P-complete in general (Valiant, SIAM J. Comput. 1979), but the carried
-time never runs back, so a path can return to a state only while the time
-stands still, and only to a state it visited at that instant. In the
-graphs ingestion builds such a cycle is an action and the tool it invokes.
-The trace therefore walks layers of keys, one layer per step: a key is a
-node, the carried time, which keep-marks the path has met, the nodes it
-visited since the time last moved, and the edge it may not step straight
-back over. Paths with the same key at the same depth have the same
-continuations, so one pass out over the layers and one pass back give,
-for each endpoint, the exact number of kept paths and the first of them
-under (depth, elements) order; the elements of all kept paths; and the
-number of terminal paths walked. The work grows with the number of keys
-times the steps from them, depth included, not with the number of paths.
+Counting, not listing. A trace does not list its paths: on a diamond
+chain they are Fibonacci-many, and on a long replay with a shared memory
+store and tool they multiply with every session. Counting simple paths
+is #P-complete in general (Valiant, SIAM J. Comput. 1979), but the
+carried time never runs back, so a path can return to a state only while
+the time stands still, and only to a state it visited at that instant.
+Such cycles lie inside the strongly connected components of the steps
+that leave a given time as it is; in the graphs ingestion builds they
+are an action and the tool it invokes. The trace therefore walks layers
+of keys, one layer per step: a key is a node, the carried time, which
+keep-marks the path has met, the nodes of the node's component it
+visited since it entered that component at that time, and the edge it
+may not step straight back over. Outside such a cycle the visited nodes
+are the node alone, so paths that reach one node at one time by
+different routes share a key. Paths with the same key at the same depth
+have the same continuations, so one pass out over the layers and one
+pass back give, for each endpoint, the exact number of kept paths and
+the first of them under (depth, elements) order; the elements of all
+kept paths; and the number of terminal paths walked. The work grows with
+the number of keys times the steps from them, depth included, not with
+the number of paths.
 """
 
 from __future__ import annotations
@@ -228,7 +233,7 @@ def _start_node(graph: AgentBomGraph, start: str, direction: str) -> str:
 
 
 def trace(graph: AgentBomGraph, start: str, spec: PathSpec, *,
-          keep_end=None, keep_marks=(), steps=None) -> Trace:
+          keep_end=None, keep_marks=()) -> Trace:
     """Count the paths from start under spec and pick one witness per endpoint.
 
     A terminal path is kept when ``keep_end`` (an element id -> bool
@@ -243,23 +248,20 @@ def trace(graph: AgentBomGraph, start: str, spec: PathSpec, *,
     itself, so predicates may compare against the entry's attributes. Each
     node's terminal answer, passability and marks, and each edge's marks,
     are computed once per call: predicates are pure functions of (element,
-    graph, entry), and the graph does not change during an audit. A node's
-    steps and their timestamps depend on neither the entry nor the keep
-    tests, so traces of one spec over a graph that no longer changes may
-    share them in one ``steps`` dict.
+    graph, entry), and the graph does not change during an audit.
     """
-    counting = _Count(graph, start, spec, keep_end, keep_marks,
-                      {} if steps is None else steps)
+    counting = _Count(graph, start, spec, keep_end, keep_marks)
     return counting.settle(*counting.walk())
 
 
 class _Key:
     """What the paths that share one key at one depth have in common.
 
-    A key is (node, carried time, marks met, the nodes visited since the
-    carried time last changed or None when that is the node alone, the
-    edge the path may not step straight back over or None): two paths with
-    the same key at the same depth have the same continuations.
+    A key is (node, carried time, marks met, the nodes of the node's
+    component visited since the path entered it at that time or None when
+    that is the node alone, the edge the path may not step straight back
+    over or None): two paths with the same key at the same depth have the
+    same continuations.
     """
 
     __slots__ = ("paths", "first", "edge", "rank", "onward", "node",
@@ -281,8 +283,8 @@ class _Count:
     """One trace: layers of keys walked out from the anchor, one per step,
     then settled from the deepest layer back."""
 
-    def __init__(self, graph, start, spec, keep_end, keep_marks, steps):
-        self.graph, self.spec, self.steps = graph, spec, steps
+    def __init__(self, graph, start, spec, keep_end, keep_marks):
+        self.graph, self.spec = graph, spec
         self.entry = graph.element(start)
         self.anchor = _start_node(graph, start, spec.direction)
         self.forward = spec.direction == FORWARD
@@ -290,7 +292,9 @@ class _Count:
         self.full = (1 << len(keep_marks)) - 1
         self.node_facts = {}  # node id -> (marks, terminal, passable, kept end, time)
         self.edge_marks = {}  # edge id -> marks
+        self.steps = {}       # node id -> (timed steps, untimed steps)
         self.moves = {}       # (node id, carried time, instant only) -> moves
+        self.components = {}  # (node id, carried time) -> its component or None
 
     # -- per element, once ---------------------------------------------------
 
@@ -373,6 +377,44 @@ class _Count:
                 if (marks := self.arrival(edge_id, nxt)) is not None)
         return self.moves[state]
 
+    def component(self, node_id, carried):
+        """The nodes that node_id shares a cycle with among the steps that
+        leave the time at carried, or None when there are none: only such
+        a node can recur on a path at one time. Tarjan's algorithm (SIAM J.
+        Comput. 1972), run from node_id over what those steps reach."""
+        if (node_id, carried) in self.components:
+            return self.components[node_id, carried]
+        index, low, stack = {node_id: 0}, {node_id: 0}, [node_id]
+        work = [(node_id, self.moves_of(node_id, carried, True))]
+        positions = [0]
+        while work:
+            node, moves = work[-1]
+            while positions[-1] < len(moves):
+                nxt = moves[positions[-1]][1]
+                positions[-1] += 1
+                if (nxt, carried) in self.components:
+                    continue  # in a component already settled
+                if nxt not in index:
+                    index[nxt] = low[nxt] = len(index)
+                    stack.append(nxt)
+                    work.append((nxt, self.moves_of(nxt, carried, True)))
+                    positions.append(0)
+                    break
+                low[node] = min(low[node], index[nxt])  # nxt is on the stack
+            else:
+                work.pop()
+                positions.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == index[node]:
+                    members = stack[stack.index(node):]
+                    del stack[len(stack) - len(members):]
+                    shared = frozenset(members) if len(members) > 1 else None
+                    for member in members:
+                        self.components[member, carried] = shared
+        return self.components[node_id, carried]
+
     # -- walking out -----------------------------------------------------------
 
     def arrive(self, layer, after, paths, first, edge_id) -> _Key:
@@ -396,14 +438,12 @@ class _Count:
                 continue
             if now != carried:
                 run_after = None
-            elif run is None:
-                if nxt == node_id:
-                    continue
-                run_after = frozenset((node_id, nxt))
-            elif nxt in run:
+            elif nxt == node_id or run is not None and nxt in run:
                 continue
+            elif (shared := self.component(nxt, now)) is None or node_id not in shared:
+                run_after = None  # the path cannot come back to nxt at this time
             else:
-                run_after = run | {nxt}
+                run_after = (run or frozenset((node_id,))) | {nxt}
             into = self.arrive(layer, (nxt, now, met | marks, run_after, back),
                                record.paths, record, edge_id)
             record.onward.append((edge_id, into))

@@ -694,17 +694,18 @@ def test_paths_explored_counts_the_paths_the_traces_return():
 # work bound
 # ---------------------------------------------------------------------------
 
-def _diamond_chain(depth):
+def _diamond_chain(depth, stamp=None):
     """ext -> goal -> context -> depth reasoning steps -> decision -> action;
     step i refs steps i-1 and i-2, so forward paths grow like the Fibonacci
-    numbers. Every step repeats the untrusted input's privilege claim."""
+    numbers. Every step repeats the untrusted input's privilege claim. The
+    events are a minute apart, or all at ``stamp`` when it is given."""
     events = []
 
     def event(event_type, refs=(), **attrs):
         event_id = f"s{len(events):02d}"
         hour, minute = divmod(len(events), 60)
-        stamp = f"2026-03-01T{10 + hour:02d}:{minute:02d}:00Z"
-        events.append(TraceEvent(event_id, "t1", "a", stamp, event_type,
+        at = stamp or f"2026-03-01T{10 + hour:02d}:{minute:02d}:00Z"
+        events.append(TraceEvent(event_id, "t1", "a", at, event_type,
                                  "acts with full authority", refs=list(refs),
                                  attrs=attrs))
         return event_id
@@ -832,24 +833,20 @@ def test_audit_traces_only_what_a_report_can_use(monkeypatch):
 
 
 _UNFLAGGED_DIAMOND = """
-import json
+import json, sys
 from test_rules import _diamond_chain
 from agentbom.rules import audit, builtin_rules
 rules = [rule for rule in builtin_rules() if rule.risk_id != "ASI01"]
-report = audit(_diamond_chain(60), rules)
+report = audit(_diamond_chain(60, *sys.argv[1:]), rules)
 print(json.dumps({"findings": len(report.findings), "stats": report.stats}))
 """
 
 
-def test_dead_forward_walks_on_a_deep_diamond_stay_cheap():
-    """Without ASI01, a diamond chain of depth 60 leaves only forward walks
-    that find nothing: ASI03's from each reasoning step and ASI09's from
-    the external input. Re-walking them would take Fibonacci(60) steps, so
-    the audit runs in a child process that a timeout ends."""
+def _audit_unflagged_diamond(*stamp):
     here = Path(__file__).resolve().parent
     path = os.pathsep.join([str(here.parent / "src"), str(here)])
     env = dict(os.environ, PYTHONPATH=path)
-    proc = subprocess.run([sys.executable, "-c", _UNFLAGGED_DIAMOND], env=env,
+    proc = subprocess.run([sys.executable, "-c", _UNFLAGGED_DIAMOND, *stamp], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
@@ -857,6 +854,21 @@ def test_dead_forward_walks_on_a_deep_diamond_stay_cheap():
     stats = result["stats"]
     assert stats["ASI03"]["entries"] == 60 and stats["ASI09"]["entries"] == 1
     assert all(s["paths_explored"] == 0 for s in stats.values())
+
+
+def test_dead_forward_walks_on_a_deep_diamond_stay_cheap():
+    """Without ASI01, a diamond chain of depth 60 leaves only forward walks
+    that find nothing: ASI03's from each reasoning step and ASI09's from
+    the external input. Re-walking them would take Fibonacci(60) steps, so
+    the audit runs in a child process that a timeout ends."""
+    _audit_unflagged_diamond()
+
+
+def test_dead_forward_walks_on_a_deep_diamond_at_one_instant_stay_cheap():
+    """The same walks when every event carries one timestamp: the carried
+    time then never moves, and paths that reach a step by different routes
+    must still share one key, since no route can come back to a step."""
+    _audit_unflagged_diamond("2026-03-01T10:00:00Z")
 
 
 def _replay(sessions):
