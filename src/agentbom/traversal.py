@@ -190,26 +190,6 @@ def _node_time(node):
     return _instant(node.timestamp) if node.layer is Layer.RUNTIME else None
 
 
-def _steps(graph: AgentBomGraph, node_id: str, spec: PathSpec) -> list:
-    """The (edge, next_node_id) pairs leaving node_id in spec's direction,
-    sorted by edge id."""
-    forward = spec.direction == FORWARD
-    out = []
-    for edges, along, far_end in ((graph.out_edges(node_id), Flow.WITH, "target"),
-                                  (graph.in_edges(node_id), Flow.INV, "source")):
-        for edge in edges:
-            flow = schema.FLOW_OF_KIND[edge.kind]
-            if flow is not Flow.BOTH and (flow is along) != forward:
-                continue
-            if edge.kind not in spec.allowed_edge_kinds:
-                continue
-            if not spec.cross_agent and edge.family is schema.EdgeFamily.PROPAGATION:
-                continue
-            out.append((edge.edge_id, getattr(edge, far_end), edge))
-    out.sort(key=lambda step: step[:2])
-    return [(edge, nxt) for _, nxt, edge in out]
-
-
 def _terminal_ok(spec: PathSpec, graph: AgentBomGraph, element, entry) -> bool:
     terminal = spec.terminal
     if terminal is None:
@@ -288,6 +268,9 @@ class _Count:
         self.entry = graph.element(start)
         self.anchor = _start_node(graph, start, spec.direction)
         self.forward = spec.direction == FORWARD
+        self.flows = {  # edge kind -> its flow, for the kinds the spec may cross
+            kind: schema.FLOW_OF_KIND[kind] for kind in spec.allowed_edge_kinds
+            if spec.cross_agent or schema.family_of(kind) is not schema.EdgeFamily.PROPAGATION}
         self.keep_end, self.keep_marks = keep_end, keep_marks
         self.full = (1 << len(keep_marks)) - 1
         self.node_facts = {}  # node id -> (marks, terminal, passable, kept end, time)
@@ -342,21 +325,30 @@ class _Count:
         return carried if self.forward else -carried
 
     def steps_from(self, node_id) -> tuple:
-        """(timed steps, untimed steps) from node_id, each in edge order. A
+        """(timed steps, untimed steps) from node_id over the edges the spec
+        may cross in its direction, each in (edge id, next node id) order. A
         step holds its edge id, the next node id and the edge a path must
         not step straight back over next (the edge itself if it can be
         crossed both ways, else None); a timed step also the first and the
         last timestamp it meets."""
         if node_id not in self.steps:
+            graph, found = self.graph, []
+            for edges, along, far_end in ((graph.out_edges(node_id), Flow.WITH, "target"),
+                                          (graph.in_edges(node_id), Flow.INV, "source")):
+                for edge in edges:
+                    flow = self.flows.get(edge.kind)
+                    if flow is Flow.BOTH or flow is not None and (flow is along) == self.forward:
+                        found.append((edge.edge_id, getattr(edge, far_end), edge, flow))
+            found.sort(key=lambda step: step[:2])
             timed, untimed = [], []
-            for edge, nxt in _steps(self.graph, node_id, self.spec):
-                stamps = [t for t in (_instant(edge.timestamp),
-                                      _node_time(self.graph.nodes[nxt])) if t is not None]
-                back = edge.edge_id if schema.FLOW_OF_KIND[edge.kind] is Flow.BOTH else None
+            for edge_id, nxt, edge, flow in found:
+                stamps = [t for t in (_instant(edge.timestamp), _node_time(graph.nodes[nxt]))
+                          if t is not None]
+                back = edge_id if flow is Flow.BOTH else None
                 if not stamps:
-                    untimed.append((edge.edge_id, nxt, back))
+                    untimed.append((edge_id, nxt, back))
                 elif not self.later(stamps[0], stamps[-1]):
-                    timed.append((edge.edge_id, nxt, back, stamps[0], stamps[-1]))
+                    timed.append((edge_id, nxt, back, stamps[0], stamps[-1]))
             self.steps[node_id] = timed, untimed
         return self.steps[node_id]
 
@@ -385,31 +377,27 @@ class _Count:
         if (node_id, carried) in self.components:
             return self.components[node_id, carried]
         index, low, stack = {node_id: 0}, {node_id: 0}, [node_id]
-        work = [(node_id, self.moves_of(node_id, carried, True))]
-        positions = [0]
+        work = [(node_id, iter(self.moves_of(node_id, carried, True)))]
         while work:
             node, moves = work[-1]
-            while positions[-1] < len(moves):
-                nxt = moves[positions[-1]][1]
-                positions[-1] += 1
+            for _, nxt, _, _, _ in moves:
                 if (nxt, carried) in self.components:
                     continue  # in a component already settled
                 if nxt not in index:
                     index[nxt] = low[nxt] = len(index)
                     stack.append(nxt)
-                    work.append((nxt, self.moves_of(nxt, carried, True)))
-                    positions.append(0)
+                    work.append((nxt, iter(self.moves_of(nxt, carried, True))))
                     break
                 low[node] = min(low[node], index[nxt])  # nxt is on the stack
             else:
                 work.pop()
-                positions.pop()
                 if work:
                     parent = work[-1][0]
                     low[parent] = min(low[parent], low[node])
                 if low[node] == index[node]:
-                    members = stack[stack.index(node):]
-                    del stack[len(stack) - len(members):]
+                    at = stack.index(node)
+                    members = stack[at:]
+                    del stack[at:]
                     shared = frozenset(members) if len(members) > 1 else None
                     for member in members:
                         self.components[member, carried] = shared
