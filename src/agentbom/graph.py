@@ -8,15 +8,24 @@ needs no validate() afterwards. validate() is the gate for deserialized
 documents, which skip the insertion checks: from_dict rejects a malformed
 document outright, and validate() reports every broken invariant of a
 well-formed one.
+
+Insertion and validate() share one check per element class. Each reads its
+kind's record, compiled from the schema tables once at import: the layer or
+the endpoint kinds, and a (predicate, message) pair per allowed attribute
+key, so checking an element is a few lookups and one predicate call per
+attribute.
 """
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii as _quote
+from typing import NamedTuple
 
 from . import schema
 from .errors import (
@@ -31,7 +40,7 @@ from .errors import (
     UnknownAgentError,
     UnknownKindError,
 )
-from .schema import EdgeKind, Layer, NodeKind
+from .schema import EdgeKind, Layer, NodeKind, ValueKind
 
 # ===========================================================================
 # helpers
@@ -49,8 +58,37 @@ def parse_instant(value: str) -> datetime:
     return parsed
 
 
+def _is_instant(text: str) -> bool:
+    try:
+        parse_instant(text)
+    except ValueError:
+        return False
+    return True
+
+
 def _is_uri(text: str) -> bool:
     return "://" in text
+
+
+@contextmanager
+def _collector_paused():
+    """Keep CPython's cycle collector out of one bulk conversion between a
+    graph and its JSON document.
+
+    Such a conversion allocates a few containers per element (about a
+    hundred thousand for a 12k-node graph), none of them in a reference
+    cycle, and the allocation count alone sets off collections that walk
+    them (and, in a full collection, every other live object) to find
+    nothing. The collector's prior state is restored on the way out, so a
+    caller that had it off keeps it off.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _check_fields(doc, what: str, required: tuple, optional: tuple) -> None:
@@ -86,9 +124,9 @@ class AgentDescriptor:
     def from_dict(cls, doc: dict) -> "AgentDescriptor":
         _check_fields(doc, "agent", ("agent_id",), ("role", "policy_boundary"))
         return cls(
-            agent_id=str(doc["agent_id"]),
-            role=str(doc.get("role", "")),
-            policy_boundary=str(doc.get("policy_boundary", "")),
+            agent_id=doc["agent_id"],
+            role=doc.get("role") or "",
+            policy_boundary=doc.get("policy_boundary") or "",
         )
 
 
@@ -126,7 +164,7 @@ class Node:
         _check_fields(doc, "node", ("node_id", "kind"),
                       ("agent_id", "trace_id", "timestamp"))
         return cls(
-            node_id=str(doc["node_id"]),
+            node_id=doc["node_id"],
             kind=schema.parse_node_kind(doc["kind"]),
             agent_id=doc.get("agent_id"),
             trace_id=doc.get("trace_id"),
@@ -170,10 +208,10 @@ class Edge:
         _check_fields(doc, "edge", ("edge_id", "kind", "source", "target"),
                       ("timestamp",))
         return cls(
-            edge_id=str(doc["edge_id"]),
+            edge_id=doc["edge_id"],
             kind=schema.parse_edge_kind(doc["kind"]),
-            source=str(doc["source"]),
-            target=str(doc["target"]),
+            source=doc["source"],
+            target=doc["target"],
             timestamp=doc.get("timestamp"),
             attributes=dict(doc.get("attributes", {})),
         )
@@ -201,6 +239,91 @@ _ERROR_OF_CODE = {
     "cross_agent": EndpointKindError,
     "unresolved_reference": AttributeSchemaError,
 }
+
+
+# ===========================================================================
+# per-kind check records
+# ===========================================================================
+
+
+def _is_text(value) -> bool:
+    return isinstance(value, str)
+
+
+def _is_string_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def _is_string_map(value) -> bool:
+    return isinstance(value, dict) and all(
+        isinstance(k, str) and isinstance(v, str) for k, v in value.items()
+    )
+
+
+_VALUE_CHECKS = {
+    ValueKind.TEXT: (_is_text, "must be a string"),
+    ValueKind.STRING_LIST: (_is_string_list, "must be a list of strings"),
+    ValueKind.KEY_VALUE_MAP: (_is_string_map, "must be a string-to-string map"),
+}
+
+
+def _value_check(spec: schema.AttributeSpec) -> tuple:
+    """The (predicate, message) pair of one registered key; the message
+    completes "<element> attribute <key> ..." for a value that fails."""
+    if spec.value_kind is ValueKind.ENUM:
+        tokens = spec.tokens
+        return (lambda value: isinstance(value, str) and value in tokens,
+                f"must be one of {list(tokens)}")
+    return _VALUE_CHECKS[spec.value_kind]
+
+
+def _key_checks(allowed: frozenset) -> dict:
+    """Key -> (predicate, message) for the registered keys a kind allows;
+    any other key is unregistered on that kind."""
+    return {key: _value_check(schema.ATTRIBUTE_SPECS[key])
+            for key in allowed if key in schema.ATTRIBUTE_SPECS}
+
+
+class _NodeChecks(NamedTuple):
+    layer: Layer
+    keys: dict
+
+
+class _EdgeChecks(NamedTuple):
+    sources: frozenset
+    targets: frozenset
+    propagation: bool
+    keys: dict
+
+
+_NODE_CHECKS = {
+    kind: _NodeChecks(schema.layer_of(kind), _key_checks(schema.allowed_node_keys(kind)))
+    for kind in NodeKind
+}
+_EDGE_CHECKS = {
+    kind: _EdgeChecks(*schema.ENDPOINT_TABLE[kind],
+                      schema.family_of(kind) is schema.EdgeFamily.PROPAGATION,
+                      _key_checks(schema.allowed_edge_keys(kind)))
+    for kind in EdgeKind
+}
+
+
+def _attribute_violations(element_id: str, attributes: dict, keys: dict) -> list:
+    """Attribute violations in key order; only failing keys are sorted."""
+    failing = []
+    for key, value in attributes.items():
+        check = keys.get(key)
+        if check is None or not check[0](value):
+            failing.append(key)
+    if not failing:
+        return failing
+    out = []
+    for key in sorted(failing):
+        check = keys.get(key)
+        message = (f"{element_id!r} carries unregistered key {key!r}" if check is None
+                   else f"{element_id!r} attribute {key!r} {check[1]}")
+        out.append(Violation("attribute_schema", element_id, message))
+    return out
 
 
 # ===========================================================================
@@ -260,8 +383,6 @@ class AgentBomGraph:
 
     def _index_node(self, node: Node) -> None:
         self.nodes[node.node_id] = node
-        self._out.setdefault(node.node_id, [])
-        self._in.setdefault(node.node_id, [])
         self._by_node_kind[node.kind].append(node.node_id)
 
     def _index_edge(self, edge: Edge) -> None:
@@ -321,7 +442,6 @@ class AgentBomGraph:
         return violations
 
     def _node_violations(self, node: Node, check_duplicate: bool = False):
-        out: list[Violation] = []
         nid = node.node_id
         if not nid:
             return [Violation("empty_id", nid, "a node id must not be empty")]
@@ -329,57 +449,29 @@ class AgentBomGraph:
             return [Violation("duplicate_id", nid, f"element id {nid!r} already in use")]
         if not isinstance(node.kind, NodeKind):
             return [Violation("unknown_kind", nid, f"node {nid!r} kind is not a NodeKind")]
-        layer = node.layer
+        layer, keys = _NODE_CHECKS[node.kind]
+        out: list[Violation] = []
         if layer is Layer.RUNTIME:
             if not node.trace_id or not node.timestamp:
-                out.append(
-                    Violation(
-                        "layer_metadata",
-                        nid,
-                        f"runtime node {nid!r} requires trace_id and timestamp",
-                    )
-                )
+                out.append(Violation("layer_metadata", nid, f"runtime node {nid!r} "
+                                     "requires trace_id and timestamp"))
             if not node.agent_id:
-                out.append(
-                    Violation(
-                        "layer_metadata", nid, f"runtime node {nid!r} requires agent_id"
-                    )
-                )
+                out.append(Violation("layer_metadata", nid,
+                                     f"runtime node {nid!r} requires agent_id"))
             elif node.agent_id not in self.agents:
-                out.append(
-                    Violation(
-                        "unknown_agent",
-                        nid,
-                        f"runtime node {nid!r} names unregistered agent {node.agent_id!r}",
-                    )
-                )
+                out.append(Violation("unknown_agent", nid, f"runtime node {nid!r} names "
+                                     f"unregistered agent {node.agent_id!r}"))
         elif layer is Layer.STATIC and node.trace_id is not None:
-            out.append(
-                Violation(
-                    "layer_metadata", nid, f"static node {nid!r} must not carry trace_id"
-                )
-            )
-        if node.timestamp is not None:
-            try:
-                parse_instant(node.timestamp)
-            except ValueError:
-                out.append(
-                    Violation(
-                        "attribute_schema",
-                        nid,
-                        f"node {nid!r} timestamp {node.timestamp!r} is not ISO-8601",
-                    )
-                )
-        out.extend(
-            self._attribute_violations(
-                nid, node.attributes, schema.allowed_node_keys(node.kind)
-            )
-        )
-        out.extend(self._reference_violations(nid, node.attributes, skip_self=nid))
+            out.append(Violation("layer_metadata", nid,
+                                 f"static node {nid!r} must not carry trace_id"))
+        if node.timestamp is not None and not _is_instant(node.timestamp):
+            out.append(Violation("attribute_schema", nid, f"node {nid!r} timestamp "
+                                 f"{node.timestamp!r} is not ISO-8601"))
+        out.extend(_attribute_violations(nid, node.attributes, keys))
+        out.extend(self._reference_violations(nid, node.attributes))
         return out
 
     def _edge_violations(self, edge: Edge, check_duplicate: bool = False):
-        out: list[Violation] = []
         eid = edge.edge_id
         if not eid:
             return [Violation("empty_id", eid, "an edge id must not be empty")]
@@ -387,118 +479,31 @@ class AgentBomGraph:
             return [Violation("duplicate_id", eid, f"element id {eid!r} already in use")]
         if not isinstance(edge.kind, EdgeKind):
             return [Violation("unknown_kind", eid, f"edge {eid!r} kind is not an EdgeKind")]
+        sources, targets, propagation, keys = _EDGE_CHECKS[edge.kind]
         src = self.nodes.get(edge.source)
         tgt = self.nodes.get(edge.target)
         if src is None or tgt is None:
             missing = edge.source if src is None else edge.target
-            out.append(
-                Violation(
-                    "dangling_endpoint",
-                    eid,
-                    f"edge {eid!r} endpoint {missing!r} is not in the graph",
-                )
-            )
-            return out
-        allowed_src, allowed_tgt = schema.ENDPOINT_TABLE[edge.kind]
-        if src.kind not in allowed_src or tgt.kind not in allowed_tgt:
-            out.append(
-                Violation(
-                    "endpoint_kind",
-                    eid,
-                    f"edge kind {edge.kind.value} does not permit "
-                    f"{src.kind.value} -> {tgt.kind.value}",
-                )
-            )
-            return out
-        if schema.family_of(edge.kind) is schema.EdgeFamily.PROPAGATION:
-            same_agent = (
-                src.agent_id is not None
-                and tgt.agent_id is not None
-                and src.agent_id == tgt.agent_id
-            )
-            shared = "shared_state" in src.attributes or "shared_state" in tgt.attributes
-            if same_agent and not shared:
-                out.append(
-                    Violation(
-                        "cross_agent",
-                        eid,
-                        f"propagation edge {eid!r} joins two elements of agent "
-                        f"{src.agent_id!r} with no shared-object marker",
-                    )
-                )
-        out.extend(
-            self._attribute_violations(
-                eid, edge.attributes, schema.allowed_edge_keys(edge.kind)
-            )
-        )
-        if edge.timestamp is not None:
-            try:
-                parse_instant(edge.timestamp)
-            except ValueError:
-                out.append(
-                    Violation(
-                        "attribute_schema",
-                        eid,
-                        f"edge {eid!r} timestamp {edge.timestamp!r} is not ISO-8601",
-                    )
-                )
+            return [Violation("dangling_endpoint", eid,
+                              f"edge {eid!r} endpoint {missing!r} is not in the graph")]
+        if src.kind not in sources or tgt.kind not in targets:
+            return [Violation("endpoint_kind", eid, f"edge kind {edge.kind.value} does not "
+                              f"permit {src.kind.value} -> {tgt.kind.value}")]
+        out: list[Violation] = []
+        if (propagation and src.agent_id is not None and src.agent_id == tgt.agent_id
+                and "shared_state" not in src.attributes
+                and "shared_state" not in tgt.attributes):
+            out.append(Violation("cross_agent", eid, f"propagation edge {eid!r} joins two "
+                                 f"elements of agent {src.agent_id!r} with no "
+                                 "shared-object marker"))
+        out.extend(_attribute_violations(eid, edge.attributes, keys))
+        if edge.timestamp is not None and not _is_instant(edge.timestamp):
+            out.append(Violation("attribute_schema", eid, f"edge {eid!r} timestamp "
+                                 f"{edge.timestamp!r} is not ISO-8601"))
         return out
 
-    def _attribute_violations(self, element_id, attributes, allowed_keys):
-        out = []
-        for key in sorted(attributes):
-            value = attributes[key]
-            spec = schema.attribute_spec(key)
-            if spec is None or key not in allowed_keys:
-                out.append(
-                    Violation(
-                        "attribute_schema",
-                        element_id,
-                        f"{element_id!r} carries unregistered key {key!r}",
-                    )
-                )
-                continue
-            problem = self._value_problem(spec, value)
-            if problem:
-                out.append(
-                    Violation(
-                        "attribute_schema",
-                        element_id,
-                        f"{element_id!r} attribute {key!r} {problem}",
-                    )
-                )
-        return out
-
-    @staticmethod
-    def _value_problem(spec, value) -> str | None:
-        kind = spec.value_kind
-        if kind is schema.ValueKind.TEXT:
-            if not isinstance(value, str):
-                return "must be a string"
-        elif kind is schema.ValueKind.ENUM:
-            if not isinstance(value, str) or value not in spec.tokens:
-                return f"must be one of {list(spec.tokens)}"
-        elif kind is schema.ValueKind.BOOL:
-            if not isinstance(value, bool):
-                return "must be a boolean"
-        elif kind is schema.ValueKind.INSTANT:
-            if not isinstance(value, str):
-                return "must be an ISO-8601 string"
-            try:
-                parse_instant(value)
-            except ValueError:
-                return "must be an ISO-8601 string"
-        elif kind is schema.ValueKind.STRING_LIST:
-            if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-                return "must be a list of strings"
-        elif kind is schema.ValueKind.KEY_VALUE_MAP:
-            if not isinstance(value, dict) or not all(
-                isinstance(k, str) and isinstance(v, str) for k, v in value.items()
-            ):
-                return "must be a string-to-string map"
-        return None
-
-    def _reference_violations(self, element_id, attributes, skip_self):
+    def _reference_violations(self, element_id, attributes):
+        """References that name no node; an element may name itself."""
         out = []
         for key in schema.REFERENCE_LIST_KEYS:
             refs = attributes.get(key)
@@ -507,24 +512,14 @@ class AgentBomGraph:
             for ref in refs:
                 if not isinstance(ref, str):
                     continue  # already reported as a type problem
-                if ref != skip_self and ref not in self.nodes:
-                    out.append(
-                        Violation(
-                            "unresolved_reference",
-                            element_id,
-                            f"{element_id!r} {key} entry {ref!r} does not resolve",
-                        )
-                    )
+                if ref != element_id and ref not in self.nodes:
+                    out.append(Violation("unresolved_reference", element_id,
+                                         f"{element_id!r} {key} entry {ref!r} does not resolve"))
         source = attributes.get("source")
-        if isinstance(source, str) and source and not _is_uri(source):
-            if source != skip_self and source not in self.nodes:
-                out.append(
-                    Violation(
-                        "unresolved_reference",
-                        element_id,
-                        f"{element_id!r} source {source!r} does not resolve",
-                    )
-                )
+        if (isinstance(source, str) and source and not _is_uri(source)
+                and source != element_id and source not in self.nodes):
+            out.append(Violation("unresolved_reference", element_id,
+                                 f"{element_id!r} source {source!r} does not resolve"))
         return out
 
     # ------------------------------------------------------------------
@@ -539,10 +534,12 @@ class AgentBomGraph:
         }
 
     def to_json(self) -> str:
-        return dump_json(self.to_dict())
+        with _collector_paused():
+            return dump_json(self.to_dict())
 
     def digest(self) -> str:
-        canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        with _collector_paused():
+            canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
     @classmethod
@@ -561,6 +558,8 @@ class AgentBomGraph:
         graph = cls()
         for agent_doc in doc["agents"]:
             descriptor = AgentDescriptor.from_dict(agent_doc)
+            if descriptor.agent_id in graph.agents:
+                raise DuplicateIdError(f"agent id {descriptor.agent_id!r} appears twice")
             graph.agents[descriptor.agent_id] = descriptor
         for node_doc in doc["nodes"]:
             node = Node.from_dict(node_doc)
@@ -577,7 +576,8 @@ class AgentBomGraph:
 
     @classmethod
     def from_json(cls, text: str) -> "AgentBomGraph":
-        return cls.from_dict(json.loads(text))
+        with _collector_paused():
+            return cls.from_dict(json.loads(text))
 
 
 # ===========================================================================

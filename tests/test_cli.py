@@ -280,6 +280,7 @@ _LOADED_GRAPH_FAILS_VALIDATION = ("audit-empty-node-id", "export-empty-node-id")
     _graph_case("validate", dict(_GRAPH, nodes=[dict(_GRAPH["nodes"][0],
                                                      timestamp=5)])),
     _graph_case("validate", dict(_GRAPH, nodes=[_UNNAMED_FLAGGED_AGENT])),
+    _graph_case("validate", dict(_GRAPH, agents=[{"agent_id": "a"}] * 2)),
     _graph_case("audit", dict(_GRAPH, nodes=[_UNNAMED_FLAGGED_AGENT])),
     _graph_case("export", dict(_GRAPH, nodes=[_UNNAMED_FLAGGED_AGENT])),
     _build_case(refs=5),
@@ -310,7 +311,8 @@ _LOADED_GRAPH_FAILS_VALIDATION = ("audit-empty-node-id", "export-empty-node-id")
     "audit-node-without-kind", "validate-node-without-kind",
     "export-node-without-kind", "audit-graph-is-a-list", "validate-graph-is-a-list",
     "export-graph-is-a-list", "graph-without-edges", "node-timestamp-not-a-string",
-    "validate-empty-node-id", "audit-empty-node-id", "export-empty-node-id",
+    "validate-empty-node-id", "validate-duplicate-agent-id", "audit-empty-node-id",
+    "export-empty-node-id",
     "refs-not-a-list", "attrs-not-an-object", "tool-not-an-object",
     "skill-not-an-object", "memory-store-not-an-object", "code-dep-not-an-object",
     "model-not-an-object", "permission-scope-not-a-list",

@@ -1,14 +1,22 @@
 from __future__ import annotations
 
+import copy
+import gc
+import json
+
 import pytest
 
 from agentbom.errors import (
     AttributeSchemaError,
+    DanglingEndpointError,
     DuplicateIdError,
     EndpointKindError,
     FrozenGraphError,
+    GraphDocumentError,
+    GraphError,
     MissingTraceIdError,
     UnknownAgentError,
+    UnknownKindError,
 )
 from agentbom.graph import AgentBomGraph, AgentDescriptor, Edge, Node
 from agentbom.schema import EdgeKind, Layer, NodeKind
@@ -177,6 +185,54 @@ def test_digest_is_content_addressed():
     assert other.digest() != _small_graph().digest()
 
 
+def test_null_agent_role_and_boundary_load_as_absent():
+    doc = {"agents": [{"agent_id": "a", "role": None, "policy_boundary": None}],
+           "nodes": [], "edges": []}
+    graph = AgentBomGraph.from_dict(doc)
+    assert graph.agents["a"] == AgentDescriptor("a", "", "")
+    assert json.loads(graph.to_json())["agents"] == [
+        {"agent_id": "a", "policy_boundary": "", "role": ""}
+    ]
+
+
+def test_duplicate_agent_ids_in_a_document_are_rejected():
+    doc = {"agents": [{"agent_id": "a", "role": "one"}, {"agent_id": "a", "role": "two"}],
+           "nodes": [], "edges": []}
+    with pytest.raises(DuplicateIdError, match="agent id 'a' appears twice"):
+        AgentBomGraph.from_dict(doc)
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+@pytest.mark.parametrize("text, error", [
+    (None, None),
+    ('{"agents": [], "nodes": []}', GraphDocumentError),
+    ('{"agents": [', json.JSONDecodeError),
+], ids=["loads", "bad-document", "bad-json"])
+def test_from_json_restores_the_collector_state(monkeypatch, enabled, text, error):
+    seen = []
+    from_dict = AgentBomGraph.from_dict.__func__
+
+    def recording(cls, doc):
+        seen.append(gc.isenabled())
+        return from_dict(cls, doc)
+
+    monkeypatch.setattr(AgentBomGraph, "from_dict", classmethod(recording))
+    text = _small_graph().to_json() if text is None else text
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if error is None:
+            AgentBomGraph.from_json(text)
+        else:
+            with pytest.raises(error):
+                AgentBomGraph.from_json(text)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    # the collector is paused while the document is turned into a graph
+    assert seen == ([] if error is json.JSONDecodeError else [False])
+
+
 def test_validate_reports_problems_in_permissively_loaded_graphs():
     doc = _small_graph().to_dict()
     doc["nodes"][0]["attributes"]["made_up"] = "x"  # act.1 after sorting
@@ -191,3 +247,295 @@ def test_validate_catches_dangling_edges():
     loaded = AgentBomGraph.from_dict(doc)
     codes = {v.code for v in loaded.validate()}
     assert "dangling_endpoint" in codes
+
+
+# ---------------------------------------------------------------------------
+# exact violations: every code and message, in validate()'s order, and the
+# error that insertion raises for the same fault
+# ---------------------------------------------------------------------------
+
+_PIN_DOC = {
+    "agents": [{"agent_id": "a1", "role": "worker"}, {"agent_id": "a2"}],
+    "nodes": [
+        {"node_id": "agent.a1", "kind": "AgentNode", "attributes": {"role": "worker"}},
+        {"node_id": "tool.t", "kind": "ToolNode",
+         "attributes": {"tool_name": "t", "permission_scope": ["fs"]}},
+        {"node_id": "ext.1", "kind": "ExternalNode", "agent_id": "a1",
+         "trace_id": "t1", "timestamp": _STAMP,
+         "attributes": {"content": "hi", "source": "https://example.org/x",
+                        "trust_level": "untrusted"}},
+        {"node_id": "ctx.1", "kind": "ContextNode", "agent_id": "a1",
+         "trace_id": "t1", "timestamp": _STAMP, "attributes": {"basis": ["ext.1"]}},
+        {"node_id": "act.1", "kind": "ActionNode", "agent_id": "a1",
+         "trace_id": "t1", "timestamp": _STAMP,
+         "attributes": {"parameters": {"path": "/tmp"}, "tool_name": "t",
+                        "parameter_source": ["ctx.1", "act.1"]}},
+        {"node_id": "ext.2", "kind": "ExternalNode", "agent_id": "a2",
+         "trace_id": "t2", "timestamp": _STAMP, "attributes": {"source": "act.1"}},
+    ],
+    "edges": [
+        {"edge_id": "e.flows", "kind": "flows_to", "source": "ext.1",
+         "target": "ctx.1", "timestamp": _STAMP, "attributes": {}},
+        {"edge_id": "e.invokes", "kind": "invokes", "source": "act.1",
+         "target": "tool.t", "attributes": {"trace_id": "t1"}},
+        {"edge_id": "e.sends", "kind": "sends_to", "source": "act.1",
+         "target": "ext.2", "attributes": {"propagation_status": "delivered"}},
+    ],
+}
+
+
+def _element(doc, element_id):
+    return next(e for e in doc["nodes"] + doc["edges"]
+                if e.get("node_id", e.get("edge_id")) == element_id)
+
+
+def _set(element_id, **fields):
+    def edit(doc):
+        _element(doc, element_id).update(fields)
+    return edit
+
+
+def _drop(element_id, *names):
+    def edit(doc):
+        for name in names:
+            del _element(doc, element_id)[name]
+    return edit
+
+
+def _attrs(element_id, **attributes):
+    def edit(doc):
+        _element(doc, element_id)["attributes"].update(attributes)
+    return edit
+
+
+def _append(section, element):
+    def edit(doc):
+        doc[section].append(element)
+    return edit
+
+
+def _both(*edits):
+    def edit(doc):
+        for one in edits:
+            one(doc)
+    return edit
+
+
+def _insert_all(doc):
+    graph = AgentBomGraph()
+    for agent_doc in doc["agents"]:
+        graph.add_agent(AgentDescriptor.from_dict(agent_doc))
+    for node_doc in doc["nodes"]:
+        graph.add_node(Node.from_dict(node_doc))
+    for edge_doc in doc["edges"]:
+        graph.add_edge(Edge.from_dict(edge_doc))
+    return graph
+
+
+_TRUST = "must be one of ['trusted', 'untrusted', 'unknown']"
+
+# id, edit of _PIN_DOC, validate() as (code, element id, message), and the
+# error type and message of inserting the edited document in order
+_PIN_CASES = [
+    ("empty-node-id", _append("nodes", {"node_id": "", "kind": "ToolNode"}),
+     [("empty_id", "", "a node id must not be empty")],
+     GraphError, "a node id must not be empty"),
+    ("empty-edge-id", _append("edges", {"edge_id": "", "kind": "invokes",
+                                        "source": "act.1", "target": "tool.t"}),
+     [("empty_id", "", "an edge id must not be empty")],
+     GraphError, "an edge id must not be empty"),
+    ("runtime-without-trace-id", _drop("ctx.1", "trace_id"),
+     [("layer_metadata", "ctx.1", "runtime node 'ctx.1' requires trace_id and timestamp")],
+     MissingTraceIdError, "runtime node 'ctx.1' requires trace_id and timestamp"),
+    ("runtime-without-agent", _drop("ctx.1", "agent_id"),
+     [("layer_metadata", "ctx.1", "runtime node 'ctx.1' requires agent_id")],
+     MissingTraceIdError, "runtime node 'ctx.1' requires agent_id"),
+    ("static-with-trace-id", _set("tool.t", trace_id="t1"),
+     [("layer_metadata", "tool.t", "static node 'tool.t' must not carry trace_id")],
+     MissingTraceIdError, "static node 'tool.t' must not carry trace_id"),
+    ("unregistered-agent", _set("ctx.1", agent_id="ghost"),
+     [("unknown_agent", "ctx.1", "runtime node 'ctx.1' names unregistered agent 'ghost'")],
+     UnknownAgentError, "runtime node 'ctx.1' names unregistered agent 'ghost'"),
+    ("node-timestamp", _set("ctx.1", timestamp="yesterday"),
+     [("attribute_schema", "ctx.1", "node 'ctx.1' timestamp 'yesterday' is not ISO-8601")],
+     AttributeSchemaError, "node 'ctx.1' timestamp 'yesterday' is not ISO-8601"),
+    ("edge-timestamp", _set("e.flows", timestamp="soon"),
+     [("attribute_schema", "e.flows", "edge 'e.flows' timestamp 'soon' is not ISO-8601")],
+     AttributeSchemaError, "edge 'e.flows' timestamp 'soon' is not ISO-8601"),
+    ("unregistered-key", _attrs("tool.t", favourite_color="green"),
+     [("attribute_schema", "tool.t", "'tool.t' carries unregistered key 'favourite_color'")],
+     AttributeSchemaError, "'tool.t' carries unregistered key 'favourite_color'"),
+    ("key-of-another-kind", _attrs("tool.t", basis=[]),
+     [("attribute_schema", "tool.t", "'tool.t' carries unregistered key 'basis'")],
+     AttributeSchemaError, "'tool.t' carries unregistered key 'basis'"),
+    ("node-key-on-an-edge", _attrs("e.flows", basis=["ext.9"]),
+     [("attribute_schema", "e.flows", "'e.flows' carries unregistered key 'basis'")],
+     AttributeSchemaError, "'e.flows' carries unregistered key 'basis'"),
+    ("text-value", _attrs("ext.1", content=5),
+     [("attribute_schema", "ext.1", "'ext.1' attribute 'content' must be a string")],
+     AttributeSchemaError, "'ext.1' attribute 'content' must be a string"),
+    ("enum-value", _attrs("ext.1", trust_level="mostly"),
+     [("attribute_schema", "ext.1", f"'ext.1' attribute 'trust_level' {_TRUST}")],
+     AttributeSchemaError, f"'ext.1' attribute 'trust_level' {_TRUST}"),
+    ("enum-value-not-a-string", _attrs("ext.1", trust_level=["trusted"]),
+     [("attribute_schema", "ext.1", f"'ext.1' attribute 'trust_level' {_TRUST}")],
+     AttributeSchemaError, f"'ext.1' attribute 'trust_level' {_TRUST}"),
+    ("edge-enum-value", _attrs("e.sends", propagation_status="lost"),
+     [("attribute_schema", "e.sends", "'e.sends' attribute 'propagation_status' must be "
+       "one of ['delivered', 'tampered', 'dropped']")],
+     AttributeSchemaError, "'e.sends' attribute 'propagation_status' must be "
+                           "one of ['delivered', 'tampered', 'dropped']"),
+    ("string-list-value", _attrs("tool.t", permission_scope="fs"),
+     [("attribute_schema", "tool.t",
+       "'tool.t' attribute 'permission_scope' must be a list of strings")],
+     AttributeSchemaError, "'tool.t' attribute 'permission_scope' must be a list of strings"),
+    ("string-list-entry", _attrs("tool.t", permission_scope=["fs", 1]),
+     [("attribute_schema", "tool.t",
+       "'tool.t' attribute 'permission_scope' must be a list of strings")],
+     AttributeSchemaError, "'tool.t' attribute 'permission_scope' must be a list of strings"),
+    ("key-value-map-value", _attrs("act.1", parameters=["path"]),
+     [("attribute_schema", "act.1",
+       "'act.1' attribute 'parameters' must be a string-to-string map")],
+     AttributeSchemaError, "'act.1' attribute 'parameters' must be a string-to-string map"),
+    ("key-value-map-entry", _attrs("act.1", parameters={"path": 1}),
+     [("attribute_schema", "act.1",
+       "'act.1' attribute 'parameters' must be a string-to-string map")],
+     AttributeSchemaError, "'act.1' attribute 'parameters' must be a string-to-string map"),
+    ("edge-trace-id-value", _attrs("e.invokes", trace_id=5),
+     [("attribute_schema", "e.invokes", "'e.invokes' attribute 'trace_id' must be a string")],
+     AttributeSchemaError, "'e.invokes' attribute 'trace_id' must be a string"),
+    ("dangling-source", _set("e.invokes", source="act.9"),
+     [("dangling_endpoint", "e.invokes", "edge 'e.invokes' endpoint 'act.9' is not in the graph")],
+     DanglingEndpointError, "edge 'e.invokes' endpoint 'act.9' is not in the graph"),
+    ("dangling-both", _set("e.invokes", source="act.9", target="tool.9"),
+     [("dangling_endpoint", "e.invokes", "edge 'e.invokes' endpoint 'act.9' is not in the graph")],
+     DanglingEndpointError, "edge 'e.invokes' endpoint 'act.9' is not in the graph"),
+    ("dangling-target", _set("e.invokes", target="tool.9"),
+     [("dangling_endpoint", "e.invokes", "edge 'e.invokes' endpoint 'tool.9' is not in the graph")],
+     DanglingEndpointError, "edge 'e.invokes' endpoint 'tool.9' is not in the graph"),
+    ("endpoint-kind", _set("e.invokes", source="ctx.1"),
+     [("endpoint_kind", "e.invokes", "edge kind invokes does not permit ContextNode -> ToolNode")],
+     EndpointKindError, "edge kind invokes does not permit ContextNode -> ToolNode"),
+    ("cross-agent", _set("ext.2", agent_id="a1"),
+     [("cross_agent", "e.sends", "propagation edge 'e.sends' joins two elements of agent "
+                                 "'a1' with no shared-object marker")],
+     EndpointKindError, "propagation edge 'e.sends' joins two elements of agent 'a1' "
+                        "with no shared-object marker"),
+    ("cross-agent-shared", _both(_set("ext.2", agent_id="a1"),
+                                 _attrs("ext.2", shared_state="channel")),
+     [], None, None),
+    ("unresolved-basis", _attrs("ctx.1", basis=["ext.1", "ext.9"]),
+     [("unresolved_reference", "ctx.1", "'ctx.1' basis entry 'ext.9' does not resolve")],
+     AttributeSchemaError, "'ctx.1' basis entry 'ext.9' does not resolve"),
+    ("unresolved-parameter-source", _attrs("act.1", parameter_source=["ctx.9"]),
+     [("unresolved_reference", "act.1",
+       "'act.1' parameter_source entry 'ctx.9' does not resolve")],
+     AttributeSchemaError, "'act.1' parameter_source entry 'ctx.9' does not resolve"),
+    ("unresolved-source", _attrs("ext.2", source="ext.9"),
+     [("unresolved_reference", "ext.2", "'ext.2' source 'ext.9' does not resolve")],
+     AttributeSchemaError, "'ext.2' source 'ext.9' does not resolve"),
+    ("self-references-resolve", _both(_attrs("ctx.1", basis=["ctx.1"]),
+                                      _attrs("ext.2", source="ext.2")),
+     [], None, None),
+    ("reference-list-of-the-wrong-type", _attrs("ctx.1", basis=[5, "ext.9"]),
+     [("attribute_schema", "ctx.1", "'ctx.1' attribute 'basis' must be a list of strings"),
+      ("unresolved_reference", "ctx.1", "'ctx.1' basis entry 'ext.9' does not resolve")],
+     AttributeSchemaError, "'ctx.1' attribute 'basis' must be a list of strings"),
+    ("reference-on-a-kind-without-the-key", _attrs("tool.t", basis=["ext.9"], source="x"),
+     [("attribute_schema", "tool.t", "'tool.t' carries unregistered key 'basis'"),
+      ("unresolved_reference", "tool.t", "'tool.t' basis entry 'ext.9' does not resolve"),
+      ("unresolved_reference", "tool.t", "'tool.t' source 'x' does not resolve")],
+     AttributeSchemaError, "'tool.t' carries unregistered key 'basis'"),
+    ("two-bad-keys-sorted", _attrs("ext.1", zeta=1, content=5),
+     [("attribute_schema", "ext.1", "'ext.1' attribute 'content' must be a string"),
+      ("attribute_schema", "ext.1", "'ext.1' carries unregistered key 'zeta'")],
+     AttributeSchemaError, "'ext.1' attribute 'content' must be a string"),
+    ("every-node-check-in-order",
+     _both(_drop("ctx.1", "trace_id"), _set("ctx.1", agent_id="ghost", timestamp="x"),
+           _attrs("ctx.1", basis=["ext.9"], aa=1)),
+     [("layer_metadata", "ctx.1", "runtime node 'ctx.1' requires trace_id and timestamp"),
+      ("unknown_agent", "ctx.1", "runtime node 'ctx.1' names unregistered agent 'ghost'"),
+      ("attribute_schema", "ctx.1", "node 'ctx.1' timestamp 'x' is not ISO-8601"),
+      ("attribute_schema", "ctx.1", "'ctx.1' carries unregistered key 'aa'"),
+      ("unresolved_reference", "ctx.1", "'ctx.1' basis entry 'ext.9' does not resolve")],
+     MissingTraceIdError, "runtime node 'ctx.1' requires trace_id and timestamp"),
+    ("every-edge-check-in-order",
+     _both(_set("ext.2", agent_id="a1"), _set("e.sends", timestamp="x"),
+           _attrs("e.sends", propagation_status="lost", aa=1)),
+     [("cross_agent", "e.sends", "propagation edge 'e.sends' joins two elements of agent "
+                                 "'a1' with no shared-object marker"),
+      ("attribute_schema", "e.sends", "'e.sends' carries unregistered key 'aa'"),
+      ("attribute_schema", "e.sends", "'e.sends' attribute 'propagation_status' must be "
+                                      "one of ['delivered', 'tampered', 'dropped']"),
+      ("attribute_schema", "e.sends", "edge 'e.sends' timestamp 'x' is not ISO-8601")],
+     EndpointKindError, "propagation edge 'e.sends' joins two elements of agent 'a1' "
+                        "with no shared-object marker"),
+    ("endpoint-kind-hides-the-rest",
+     _both(_set("e.invokes", source="ctx.1", timestamp="x"), _attrs("e.invokes", aa=1)),
+     [("endpoint_kind", "e.invokes", "edge kind invokes does not permit ContextNode -> ToolNode")],
+     EndpointKindError, "edge kind invokes does not permit ContextNode -> ToolNode"),
+    ("nodes-then-edges-each-by-id",
+     _both(_attrs("tool.t", zz=1), _attrs("ext.1", zz=1), _attrs("e.flows", zz=1),
+           _attrs("e.sends", zz=1)),
+     [("attribute_schema", "ext.1", "'ext.1' carries unregistered key 'zz'"),
+      ("attribute_schema", "tool.t", "'tool.t' carries unregistered key 'zz'"),
+      ("attribute_schema", "e.flows", "'e.flows' carries unregistered key 'zz'"),
+      ("attribute_schema", "e.sends", "'e.sends' carries unregistered key 'zz'")],
+     AttributeSchemaError, "'tool.t' carries unregistered key 'zz'"),
+]
+
+
+@pytest.mark.parametrize("edit, violations, error, message",
+                         [case[1:] for case in _PIN_CASES],
+                         ids=[case[0] for case in _PIN_CASES])
+def test_violations_and_insertion_errors_are_pinned(edit, violations, error, message):
+    assert AgentBomGraph.from_dict(copy.deepcopy(_PIN_DOC)).validate() == []
+    doc = copy.deepcopy(_PIN_DOC)
+    edit(doc)
+    got = AgentBomGraph.from_dict(copy.deepcopy(doc)).validate()
+    assert [(v.code, v.element_id, v.message) for v in got] == violations
+    if error is None:
+        _insert_all(doc)
+        return
+    with pytest.raises(GraphError) as raised:
+        _insert_all(doc)
+    assert type(raised.value) is error
+    assert str(raised.value) == message
+
+
+def test_duplicate_and_unknown_kind_errors_are_pinned():
+    graph = _insert_all(_PIN_DOC)
+    cases = [
+        (lambda g: g.add_node(Node(node_id="tool.t", kind=NodeKind.SKILL)),
+         DuplicateIdError, "element id 'tool.t' already in use"),
+        (lambda g: g.add_edge(Edge("tool.t", EdgeKind.INVOKES, "act.1", "tool.t")),
+         DuplicateIdError, "element id 'tool.t' already in use"),
+        (lambda g: g.add_node(Node(node_id="n", kind="ToolNode")),
+         UnknownKindError, "node 'n' kind is not a NodeKind"),
+        (lambda g: g.add_edge(Edge("e", "invokes", "act.1", "tool.t")),
+         UnknownKindError, "edge 'e' kind is not an EdgeKind"),
+    ]
+    for insert, error, message in cases:
+        with pytest.raises(GraphError) as raised:
+            insert(graph)
+        assert type(raised.value) is error
+        assert str(raised.value) == message
+    documents = [
+        (_append("nodes", {"node_id": "tool.t", "kind": "SkillNode"}),
+         DuplicateIdError, "node id 'tool.t' appears twice"),
+        (_append("edges", {"edge_id": "tool.t", "kind": "invokes",
+                           "source": "act.1", "target": "tool.t"}),
+         DuplicateIdError, "edge id 'tool.t' appears twice"),
+        (_append("nodes", {"node_id": "n", "kind": "GadgetNode"}),
+         UnknownKindError, "unknown node kind 'GadgetNode'"),
+        (_append("edges", {"edge_id": "e", "kind": "teleports_to",
+                           "source": "act.1", "target": "tool.t"}),
+         UnknownKindError, "unknown edge kind 'teleports_to'"),
+    ]
+    for edit, error, message in documents:
+        doc = copy.deepcopy(_PIN_DOC)
+        edit(doc)
+        with pytest.raises(GraphError) as raised:
+            AgentBomGraph.from_dict(doc)
+        assert type(raised.value) is error
+        assert str(raised.value) == message

@@ -45,6 +45,33 @@ def test_parse_edge_kind_round_trip_and_rejection():
         schema.parse_edge_kind("teleports_to")
 
 
+@pytest.mark.parametrize("parse, name, message", [
+    (schema.parse_node_kind, "GadgetNode", "unknown node kind 'GadgetNode'"),
+    (schema.parse_node_kind, ["ToolNode"], "unknown node kind ['ToolNode']"),
+    (schema.parse_node_kind, "toolnode", "unknown node kind 'toolnode'"),
+    (schema.parse_edge_kind, "teleports_to", "unknown edge kind 'teleports_to'"),
+    (schema.parse_edge_kind, {"invokes": 1}, "unknown edge kind {'invokes': 1}"),
+    (schema.parse_edge_kind, None, "unknown edge kind None"),
+])
+def test_unknown_kind_names_keep_their_message(parse, name, message):
+    with pytest.raises(UnknownKindError) as raised:
+        parse(name)
+    assert str(raised.value) == message
+
+
+def test_every_wire_name_parses_to_its_kind():
+    assert [schema.parse_node_kind(k.value) for k in NodeKind] == list(NodeKind)
+    assert [schema.parse_edge_kind(k.value) for k in EdgeKind] == list(EdgeKind)
+
+
+def test_schema_enums_hash_by_identity():
+    for vocabulary in (Layer, NodeKind, EdgeFamily, EdgeKind, Flow, schema.ValueKind):
+        for member in vocabulary:
+            assert hash(member) == object.__hash__(member)
+            assert member == member and member != member.value
+    assert {NodeKind.TOOL: 1}[NodeKind.TOOL] == 1
+
+
 def test_expand_edge_kinds_accepts_names_enums_and_aliases():
     expanded = schema.expand_edge_kinds(["flows_to", EdgeKind.INVOKES])
     assert expanded == frozenset({EdgeKind.FLOWS_TO, EdgeKind.INVOKES})
