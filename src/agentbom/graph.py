@@ -58,7 +58,9 @@ def parse_instant(value: str) -> datetime:
     return parsed
 
 
-def _is_instant(text: str) -> bool:
+def _is_instant(text) -> bool:
+    if not isinstance(text, str):
+        return False
     try:
         parse_instant(text)
     except ValueError:

@@ -13,8 +13,8 @@ free send with its content, and either way only a send whose agents line
 up with it (different agents, declared counterparts agreeing); a send or
 receive left over gets a synthesized counterpart. Every element is
 checked as it is inserted, so the assembled graph needs no second,
-whole-graph validation. Content is scanned once, here, by the danger
-matcher; every later stage reads only the recorded flags.
+whole-graph validation. Content is scanned here, by a per-build copy of
+the danger matcher; every later stage reads only the recorded flags.
 """
 
 from __future__ import annotations
@@ -114,7 +114,7 @@ def _parse_agent(raw: dict) -> ManifestAgent:
     tools = [
         ToolSpec(
             tool_name=str(entry["tool_name"]),
-            input_schema=str(entry.get("input_schema", "")),
+            input_schema=_text(entry, "input_schema", agent_id),
             permission_scope=_typed(entry, "permission_scope", list, agent_id),
             provenance=_typed(entry, "provenance", dict, agent_id),
         )
@@ -123,24 +123,24 @@ def _parse_agent(raw: dict) -> ManifestAgent:
     skills = [
         SkillSpec(
             skill_name=str(entry["skill_name"]),
-            declared_function=str(entry.get("declared_function", "")),
-            implementation_summary=str(entry.get("implementation_summary", "")),
+            declared_function=_text(entry, "declared_function", agent_id),
+            implementation_summary=_text(entry, "implementation_summary", agent_id),
             provenance=_typed(entry, "provenance", dict, agent_id),
         )
         for entry in _entries(raw, agent_id, "skills", "skill_name", unique=True)
     ]
     memories = [
-        MemorySpec(store_id=str(m["store_id"]), type=str(m.get("type", "")))
+        MemorySpec(store_id=str(m["store_id"]), type=_text(m, "type", agent_id))
         for m in _entries(raw, agent_id, "memory_stores", "store_id")
     ]
     code = [
-        CodeSpec(name=str(c["name"]), version=str(c.get("version", "")))
+        CodeSpec(name=str(c["name"]), version=_text(c, "version", agent_id))
         for c in _entries(raw, agent_id, "code_dependencies", "name")
     ]
     return ManifestAgent(
         agent_id=agent_id,
-        role=str(raw.get("role", "")),
-        policy_boundary=str(raw.get("policy_boundary", "")),
+        role=_text(raw, "role", agent_id),
+        policy_boundary=_text(raw, "policy_boundary", agent_id),
         system_prompt=_typed(raw, "system_prompt", dict, agent_id),
         model=_typed(raw, "model", dict, agent_id),
         tools=tools,
@@ -157,6 +157,16 @@ def _typed(doc: dict, key: str, kind: type, agent_id: str):
         raise ManifestParseError(f"agent {agent_id!r}: {key} must be a JSON "
                                  f"{'object' if kind is dict else 'array'}")
     return kind(value)
+
+
+def _text(doc: dict, key: str, agent_id: str) -> str:
+    """``doc[key]``, which must be a string; absent or null is empty."""
+    value = doc.get(key)
+    if value is None:
+        return ""
+    if not isinstance(value, str):
+        raise ManifestParseError(f"agent {agent_id!r}: {key} must be a JSON string")
+    return value
 
 
 def _entries(raw: dict, agent_id: str, section: str, name_key: str,
@@ -773,8 +783,12 @@ def _synth_endpoint(graph, node_id, kind, event, counterpart_agent) -> str:
 
 def assemble(manifest: CapabilityManifest, events,
              matcher: DangerMatcher | None = None) -> AgentBomGraph:
-    """Build the full graph, checking each element as it goes in, and freeze it."""
-    matcher = matcher or default_matcher()
+    """Build the full graph, checking each element as it goes in, and freeze it.
+
+    Content is scanned through a fresh copy of ``matcher``, whose table of
+    scanned texts lives for this build only.
+    """
+    matcher = (matcher or default_matcher()).fresh()
     graph = AgentBomGraph()
     extract_static(manifest, graph, matcher)
     normalize_events(graph, events, matcher)

@@ -1,13 +1,26 @@
 """Deterministic content scanning that turns text into danger flags.
 
 A matcher holds a list of case-insensitive regex patterns, each tagged with
-the flag it raises and the attribute keys it applies to. Scanning happens
-once, at ingestion time; the audit rules afterwards only ever look at the
-resulting danger_flags lists, never at raw text.
+the flag it raises and the attribute keys it applies to. Scanning happens at
+ingestion time; the audit rules afterwards only ever look at the resulting
+danger_flags lists, never at raw text.
+
+A pattern raises its flag when any text under any of its keys matches, so
+the flags of an element are the union, over its (key, text) pairs, of the
+flags each pair raises. The matcher groups its patterns by key once and
+keeps, per key, a table of the flags each text it has scanned raised, so a
+text repeated under one key (a message's content on its send node, its
+receive node and its edge; a recurring job's events) costs the regex engine
+once. The table lives for one build: assemble() scans with fresh(), a copy
+of the caller's matcher with empty tables. A matcher reused across builds
+thus neither grows without bound in a long-lived process nor lets a later
+build skip the scanning an earlier one did. Code that calls scan() itself
+fills the matcher's own tables and can take fresh() per batch instead.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import re
 from dataclasses import dataclass
@@ -34,7 +47,7 @@ class DangerMatcher:
 
     def __init__(self, patterns):
         self.patterns = tuple(patterns)
-        self._compiled = []
+        groups = {}
         for item in self.patterns:
             try:
                 compiled = re.compile(item.pattern, re.IGNORECASE)
@@ -42,22 +55,34 @@ class DangerMatcher:
                 raise IngestionError(
                     f"bad danger pattern for flag {item.flag!r}: {exc}"
                 ) from None
-            self._compiled.append((item, compiled))
+            for key in item.applies_to:
+                groups.setdefault(key, []).append((item.flag, compiled))
+        # attribute key -> the (flag, compiled pattern) pairs that read it
+        self._groups = {key: tuple(group) for key, group in groups.items()}
+        # attribute key -> {text: the flags its group raises on that text}
+        self._flags = {key: {} for key in self._groups}
+
+    def fresh(self) -> "DangerMatcher":
+        """This matcher with an empty flag table, for one build."""
+        clone = copy.copy(self)
+        clone._flags = {key: {} for key in self._groups}
+        return clone
 
     def scan(self, attributes: dict) -> list:
         """Return the sorted set of flags raised by the given attributes."""
         hits = set()
-        for item, compiled in self._compiled:
-            for key in item.applies_to:
-                value = attributes.get(key)
-                if value is None:
-                    continue
-                for text in _texts_of(value):
-                    if compiled.search(text):
-                        hits.add(item.flag)
-                        break
-                if item.flag in hits:
-                    break
+        for key, group in self._groups.items():
+            value = attributes.get(key)
+            if value is None:
+                continue
+            seen = self._flags[key]
+            for text in _texts_of(value):
+                flags = seen.get(text)
+                if flags is None:
+                    flags = seen[text] = tuple(
+                        flag for flag, compiled in group if compiled.search(text)
+                    )
+                hits.update(flags)
         return sorted(hits)
 
     def to_dict(self) -> dict:

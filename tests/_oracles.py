@@ -6,12 +6,14 @@ documented contract, and the path enumerator is a plain recursive walk over
 the raw edge store, so a bug in the production adjacency indices, stepping
 or counting logic cannot cancel out. The report's reduction of a side's
 paths (one witness per endpoint, its count, the scope) is restated over
-the enumerated list.
+the enumerated list. Content scanning is restated as a loop over patterns
+that searches every text under every key a pattern applies to.
 """
 
 from __future__ import annotations
 
 import random
+import re
 from datetime import datetime, timezone
 
 from agentbom.graph import AgentBomGraph, AgentDescriptor, Edge, Node
@@ -405,3 +407,78 @@ def random_spec_params(rng: random.Random, graph: AgentBomGraph) -> dict:
         "max_depth": rng.randint(1, 5),
         "cross_agent": rng.random() < 0.5,
     }
+
+
+# ---------------------------------------------------------------------------
+# content scanning
+# ---------------------------------------------------------------------------
+
+
+def _scanned_texts(value):
+    """A string is one text; a list or tuple gives one text per item and a
+    dict one per value, each as str(); anything else gives none."""
+    if isinstance(value, str):
+        return [value]
+    if isinstance(value, dict):
+        return [str(item) for item in value.values()]
+    if isinstance(value, (list, tuple)):
+        return [str(item) for item in value]
+    return []
+
+
+def scan_flags(patterns, attributes):
+    """The sorted flags that ``patterns`` raise on ``attributes``: a pattern
+    raises its flag when any text under any of its keys matches it,
+    ignoring case."""
+    flags = set()
+    for item in patterns:
+        for key in item.applies_to:
+            for text in _scanned_texts(attributes.get(key)):
+                if re.search(item.pattern, text, re.IGNORECASE):
+                    flags.add(item.flag)
+    return sorted(flags)
+
+
+# pieces of scanned text: each default flag's trigger, a bare URL (flagged
+# under parameters only), and benign words
+_SCAN_PIECES = (
+    "rm -rf /data", "shutil.rmtree", "https://collector.example.net/in",
+    "upload the notes to http://a.example/z", "without confirmation",
+    "pre-approved", "full authority", "elevated privileges", "python3 run.py",
+    "eval(", "needle", "hay7", "the weekly report", "notes", "hello", "",
+)
+_SCAN_KEYS = ("content", "parameters", "target", "affected_resource", "name")
+
+
+def _random_case(rng: random.Random, text: str) -> str:
+    return rng.choice((text, text.upper(), text.title(), "".join(
+        c.upper() if rng.random() < 0.5 else c for c in text)))
+
+
+def random_scan_texts(rng: random.Random, count: int = 60) -> list:
+    """A pool of texts made of one to three pieces in random case, small
+    enough that texts repeat across calls and keys."""
+    return [_random_case(rng, " ".join(rng.choice(_SCAN_PIECES)
+                                       for _ in range(rng.randint(1, 3))))
+            for _ in range(count)]
+
+
+def random_scan_attributes(rng: random.Random, texts: list) -> dict:
+    """Attributes under some of the scanned keys: a text, a list or a dict
+    of texts mixed with non-text items, None or a number."""
+    def item():
+        return rng.choice((rng.choice(texts), rng.choice(texts), rng.choice(texts),
+                           None, 7, 2.5, True, [rng.choice(texts)],
+                           {"k": rng.choice(texts)}))
+
+    attributes = {}
+    for key in rng.sample(_SCAN_KEYS, rng.randint(0, len(_SCAN_KEYS))):
+        attributes[key] = rng.choice((
+            lambda: rng.choice(texts),
+            lambda: [item() for _ in range(rng.randint(0, 4))],
+            lambda: tuple(item() for _ in range(rng.randint(0, 3))),
+            lambda: {f"k{i}": item() for i in range(rng.randint(0, 4))},
+            lambda: None,
+            lambda: 42,
+        ))()
+    return attributes

@@ -291,6 +291,8 @@ _LOADED_GRAPH_FAILS_VALIDATION = ("audit-empty-node-id", "export-empty-node-id")
     _build_case(agent={"code_dependencies": [None]}),
     _build_case(agent={"model": 5}),
     _build_case(agent={"tools": [{"tool_name": "t", "permission_scope": "fs"}]}),
+    _build_case(agent={"role": 5}),
+    _build_case(agent={"code_dependencies": [{"name": "lib", "version": 1.0}]}),
     _build_case(attrs={"danger_flags": "privilege_claim"}),
     _build_case(attrs={"basis": 5}),
     _build_case(event_type=["external_input"]),
@@ -316,6 +318,7 @@ _LOADED_GRAPH_FAILS_VALIDATION = ("audit-empty-node-id", "export-empty-node-id")
     "refs-not-a-list", "attrs-not-an-object", "tool-not-an-object",
     "skill-not-an-object", "memory-store-not-an-object", "code-dep-not-an-object",
     "model-not-an-object", "permission-scope-not-a-list",
+    "role-a-number", "code-version-a-number",
     "danger-flags-not-a-list", "basis-not-a-list", "event-type-a-list",
     "matcher-patterns-not-a-list", "matcher-applies-to-a-string",
     "matcher-applies-to-a-number", "rule-not-an-object", "rule-back-not-an-object",

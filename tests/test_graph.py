@@ -539,3 +539,24 @@ def test_duplicate_and_unknown_kind_errors_are_pinned():
             AgentBomGraph.from_dict(doc)
         assert type(raised.value) is error
         assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("timestamp", [5, 1.5, [_STAMP], {"at": _STAMP}])
+def test_a_timestamp_that_is_not_a_string_is_a_schema_problem(timestamp):
+    graph = _insert_all(_PIN_DOC)
+    with pytest.raises(AttributeSchemaError) as raised:
+        graph.add_node(Node("x", NodeKind.EXTERNAL, "a1", "t1", timestamp))
+    assert str(raised.value) == f"node 'x' timestamp {timestamp!r} is not ISO-8601"
+    with pytest.raises(AttributeSchemaError) as raised:
+        graph.add_edge(Edge("e.x", EdgeKind.FLOWS_TO, "ext.1", "ctx.1", timestamp))
+    assert str(raised.value) == f"edge 'e.x' timestamp {timestamp!r} is not ISO-8601"
+    assert not graph.has_element("x") and not graph.has_element("e.x")
+    # a document cannot carry one, so validate() meets it on a built graph
+    loaded = AgentBomGraph.from_dict(copy.deepcopy(_PIN_DOC))
+    loaded.nodes["ctx.1"].timestamp = timestamp
+    loaded.edges["e.flows"].timestamp = timestamp
+    assert [(v.code, v.element_id, v.message) for v in loaded.validate()] == [
+        ("attribute_schema", "ctx.1", f"node 'ctx.1' timestamp {timestamp!r} is not ISO-8601"),
+        ("attribute_schema", "e.flows",
+         f"edge 'e.flows' timestamp {timestamp!r} is not ISO-8601"),
+    ]

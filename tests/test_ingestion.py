@@ -113,6 +113,44 @@ def test_manifest_json_parse_failure():
         parse_manifest_json("{not json")
 
 
+# every manifest text field: the agent section that holds it (None for the
+# agent itself) and its key, which is also the parsed field's name
+_TEXT_FIELDS = [
+    (None, "role"), (None, "policy_boundary"), ("tools", "input_schema"),
+    ("skills", "declared_function"), ("skills", "implementation_summary"),
+    ("memory_stores", "type"), ("code_dependencies", "version"),
+]
+_NAME_KEY = {"tools": "tool_name", "skills": "skill_name",
+             "memory_stores": "store_id", "code_dependencies": "name"}
+
+
+_ABSENT = object()
+
+
+def _text_field_doc(section, key, value):
+    field = {} if value is _ABSENT else {key: value}
+    if section is None:
+        return {"agents": [dict(field, agent_id="a1")]}
+    entry = dict(field, **{_NAME_KEY[section]: "x"})
+    return {"agents": [{"agent_id": "a1", section: [entry]}]}
+
+
+def _text_field(manifest, section, key):
+    agent = manifest.agents[0]
+    return getattr(agent if section is None else getattr(agent, section)[0], key)
+
+
+@pytest.mark.parametrize("section, key", _TEXT_FIELDS)
+def test_manifest_text_fields_take_strings_and_load_null_as_absent(section, key):
+    for value, parsed in ((_ABSENT, ""), (None, ""), ("kept", "kept")):
+        manifest = parse_manifest(_text_field_doc(section, key, value))
+        assert _text_field(manifest, section, key) == parsed
+    for bad in (5, 1.5, True, ["x"], {"a": "b"}):
+        with pytest.raises(ManifestParseError) as raised:
+            parse_manifest(_text_field_doc(section, key, bad))
+        assert str(raised.value) == f"agent 'a1': {key} must be a JSON string"
+
+
 # ---------------------------------------------------------------------------
 # trace parsing and stream checks
 # ---------------------------------------------------------------------------

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
 import json
+import random
+import re
 
 import pytest
 
+from _oracles import random_scan_attributes, random_scan_texts, scan_flags
 from agentbom.errors import IngestionError
+from agentbom.ingestion import assemble
 from agentbom.matchers import (
     DangerMatcher,
     DangerPattern,
@@ -15,6 +19,7 @@ from agentbom.matchers import (
     FLAG_PRIVILEGE_CLAIM,
     default_matcher,
 )
+from agentbom.scenarios import generate
 
 _M = default_matcher()
 
@@ -237,3 +242,71 @@ def test_applies_to_must_be_a_list_of_keys(applies_to):
 def test_pattern_entry_names_its_missing_field():
     with pytest.raises(IngestionError, match="missing field 'pattern'"):
         DangerMatcher.from_dict({"patterns": [{"flag": "f", "applies_to": []}]})
+
+
+# ---------------------------------------------------------------------------
+# the per-build table of scanned texts
+# ---------------------------------------------------------------------------
+
+# two patterns raise one flag under different keys, patterns share keys,
+# and one pattern lists its key twice
+_SHARED_FLAG_PACK = (
+    DangerPattern("shared", r"needle", ("content",)),
+    DangerPattern("shared", r"hay\d", ("target", "affected_resource")),
+    DangerPattern("link", r"https?://\S+", ("target", "content")),
+    DangerPattern("report", r"weekly\s+report", ("name", "name")),
+)
+
+
+@pytest.mark.parametrize("patterns", [_M.patterns, _SHARED_FLAG_PACK],
+                         ids=["default-pack", "shared-flag-pack"])
+def test_scan_agrees_with_the_per_pattern_loop(patterns):
+    rng = random.Random(1303)
+    texts = random_scan_texts(rng)
+    matcher = DangerMatcher(patterns)  # one matcher, so later calls hit its table
+    raised = set()
+    for _ in range(2500):
+        attributes = random_scan_attributes(rng, texts)
+        flags = matcher.scan(attributes)
+        assert flags == scan_flags(patterns, attributes), attributes
+        raised.update(flags)
+    assert raised == {p.flag for p in patterns}
+
+
+class _CountingPattern:
+    """A compiled pattern that records every search."""
+
+    def __init__(self, compiled, searches):
+        self._compiled = compiled
+        self._searches = searches
+
+    def search(self, text):
+        self._searches.append(text)
+        return self._compiled.search(text)
+
+
+def test_each_build_scans_with_a_table_of_its_own(monkeypatch):
+    searches = []
+    compile_ = re.compile
+    with monkeypatch.context() as patch:
+        patch.setattr(re, "compile", lambda pattern, flags=0:
+                      _CountingPattern(compile_(pattern, flags), searches))
+        matcher = default_matcher()
+    fixture = generate("ecosystem_hijacking")  # repeats 3 of its 20 texts
+    counts, graphs = [], []
+    for _ in range(2):
+        before = len(searches)
+        graphs.append(assemble(fixture.manifest, fixture.events, matcher).to_json())
+        counts.append(len(searches) - before)
+    assert counts[0] == counts[1] > 0
+    assert graphs[0] == graphs[1]
+    assert not any(matcher._flags.values())  # the caller's matcher kept nothing
+    # one matcher searches a (key, text) pair once; a fresh copy again
+    probe = {"content": "rm -rf /x", "parameters": ["rm -rf /x", "rm -rf /x"]}
+    before = len(searches)
+    assert matcher.scan(probe) == [FLAG_DESTRUCTIVE]
+    first = len(searches) - before
+    assert matcher.scan(probe) == [FLAG_DESTRUCTIVE]
+    assert len(searches) - before == first
+    assert matcher.fresh().scan(probe) == [FLAG_DESTRUCTIVE]
+    assert len(searches) - before == 2 * first
