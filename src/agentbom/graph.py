@@ -40,7 +40,7 @@ from .errors import (
     UnknownAgentError,
     UnknownKindError,
 )
-from .schema import EdgeKind, Layer, NodeKind, ValueKind
+from .schema import EdgeKind, Layer, NodeKind
 
 # ===========================================================================
 # helpers
@@ -248,42 +248,10 @@ _ERROR_OF_CODE = {
 # ===========================================================================
 
 
-def _is_text(value) -> bool:
-    return isinstance(value, str)
-
-
-def _is_string_list(value) -> bool:
-    return isinstance(value, list) and all(isinstance(v, str) for v in value)
-
-
-def _is_string_map(value) -> bool:
-    return isinstance(value, dict) and all(
-        isinstance(k, str) and isinstance(v, str) for k, v in value.items()
-    )
-
-
-_VALUE_CHECKS = {
-    ValueKind.TEXT: (_is_text, "must be a string"),
-    ValueKind.STRING_LIST: (_is_string_list, "must be a list of strings"),
-    ValueKind.KEY_VALUE_MAP: (_is_string_map, "must be a string-to-string map"),
-}
-
-
-def _value_check(spec: schema.AttributeSpec) -> tuple:
-    """The (predicate, message) pair of one registered key; the message
-    completes "<element> attribute <key> ..." for a value that fails."""
-    if spec.value_kind is ValueKind.ENUM:
-        tokens = spec.tokens
-        return (lambda value: isinstance(value, str) and value in tokens,
-                f"must be one of {list(tokens)}")
-    return _VALUE_CHECKS[spec.value_kind]
-
-
 def _key_checks(allowed: frozenset) -> dict:
-    """Key -> (predicate, message) for the registered keys a kind allows;
-    any other key is unregistered on that kind."""
-    return {key: _value_check(schema.ATTRIBUTE_SPECS[key])
-            for key in allowed if key in schema.ATTRIBUTE_SPECS}
+    """Key -> (predicate, message) for the keys a kind allows; any other key
+    is unregistered on that kind."""
+    return {key: schema.ATTRIBUTE_CHECKS[key] for key in allowed}
 
 
 class _NodeChecks(NamedTuple):

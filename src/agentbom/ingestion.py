@@ -110,10 +110,12 @@ def parse_manifest(doc: dict) -> CapabilityManifest:
 def _parse_agent(raw: dict) -> ManifestAgent:
     if not isinstance(raw, dict) or not raw.get("agent_id"):
         raise ManifestParseError("every manifest agent needs an agent_id")
-    agent_id = str(raw["agent_id"])
+    agent_id = raw["agent_id"]
+    if not isinstance(agent_id, str):
+        raise ManifestParseError(f"agent {agent_id!r}: agent_id must be a JSON string")
     tools = [
         ToolSpec(
-            tool_name=str(entry["tool_name"]),
+            tool_name=entry["tool_name"],
             input_schema=_text(entry, "input_schema", agent_id),
             permission_scope=_typed(entry, "permission_scope", list, agent_id),
             provenance=_typed(entry, "provenance", dict, agent_id),
@@ -122,7 +124,7 @@ def _parse_agent(raw: dict) -> ManifestAgent:
     ]
     skills = [
         SkillSpec(
-            skill_name=str(entry["skill_name"]),
+            skill_name=entry["skill_name"],
             declared_function=_text(entry, "declared_function", agent_id),
             implementation_summary=_text(entry, "implementation_summary", agent_id),
             provenance=_typed(entry, "provenance", dict, agent_id),
@@ -130,11 +132,11 @@ def _parse_agent(raw: dict) -> ManifestAgent:
         for entry in _entries(raw, agent_id, "skills", "skill_name", unique=True)
     ]
     memories = [
-        MemorySpec(store_id=str(m["store_id"]), type=_text(m, "type", agent_id))
+        MemorySpec(store_id=m["store_id"], type=_text(m, "type", agent_id))
         for m in _entries(raw, agent_id, "memory_stores", "store_id")
     ]
     code = [
-        CodeSpec(name=str(c["name"]), version=_text(c, "version", agent_id))
+        CodeSpec(name=c["name"], version=_text(c, "version", agent_id))
         for c in _entries(raw, agent_id, "code_dependencies", "name")
     ]
     return ManifestAgent(
@@ -171,7 +173,7 @@ def _text(doc: dict, key: str, agent_id: str) -> str:
 
 def _entries(raw: dict, agent_id: str, section: str, name_key: str,
              unique: bool = False) -> list:
-    """The objects listed under ``section``, each named by ``name_key``."""
+    """The objects listed under ``section``, each named by a ``name_key`` string."""
     entries = raw.get(section, [])
     if not isinstance(entries, list):
         raise ManifestParseError(f"agent {agent_id!r}: {section} must be a list")
@@ -181,7 +183,9 @@ def _entries(raw: dict, agent_id: str, section: str, name_key: str,
             raise ManifestParseError(
                 f"agent {agent_id!r}: {section} entry without {name_key}"
             )
-        name = str(entry[name_key])
+        name = entry[name_key]
+        if not isinstance(name, str):
+            raise ManifestParseError(f"agent {agent_id!r}: {name_key} must be a JSON string")
         if unique and name in names:
             raise ManifestParseError(
                 f"agent {agent_id!r}: {name_key} {name!r} declared twice"
@@ -236,10 +240,6 @@ _EDGE_DIRECTIVE_KEYS = frozenset(
 _MESSAGE_EVENTS = frozenset({"message_sent", "message_received", "delegation"})
 
 
-def _is_string_list(value) -> bool:
-    return isinstance(value, list) and all(isinstance(v, str) for v in value)
-
-
 @dataclass
 class TraceEvent:
     event_id: str
@@ -273,22 +273,28 @@ class TraceEvent:
         for key in ("event_id", "trace_id", "agent_id", "timestamp", "event_type"):
             if not doc.get(key):
                 raise TraceParseError(f"trace event is missing {key!r}: {doc!r}")
-        # an unhashable type would make the table lookup raise TypeError
-        if not isinstance(doc["event_type"], str) or doc["event_type"] not in _EVENT_KIND:
+            if not isinstance(doc[key], str):
+                raise TraceParseError(f"trace event {key} must be a string, "
+                                      f"got {doc[key]!r}")
+        if doc["event_type"] not in _EVENT_KIND:
             raise TraceParseError(f"unknown event type {doc['event_type']!r}")
         refs, attrs = doc.get("refs", []), doc.get("attrs", {})
-        if not _is_string_list(refs):
+        content = doc.get("content")
+        if content is not None and not isinstance(content, str):
+            raise TraceParseError(f"event {doc['event_id']!r}: content must be a string "
+                                  f"or null")
+        if not schema.is_string_list(refs):
             raise TraceParseError(f"event {doc['event_id']!r}: refs must be a list "
                                   f"of event ids")
         if not isinstance(attrs, dict):
             raise TraceParseError(f"event {doc['event_id']!r}: attrs must be an object")
         return cls(
-            event_id=str(doc["event_id"]),
-            trace_id=str(doc["trace_id"]),
-            agent_id=str(doc["agent_id"]),
-            timestamp=str(doc["timestamp"]),
+            event_id=doc["event_id"],
+            trace_id=doc["trace_id"],
+            agent_id=doc["agent_id"],
+            timestamp=doc["timestamp"],
             event_type=doc["event_type"],
-            content=str(doc.get("content", "")),
+            content=content or "",
             refs=list(refs),
             attrs=dict(attrs),
         )
@@ -319,7 +325,11 @@ def check_event_stream(events) -> None:
         raise TraceParseError("event_ids are not unique within the trace")
     previous = None
     for event in events:
-        stamp = parse_instant(event.timestamp)
+        try:
+            stamp = parse_instant(event.timestamp)
+        except ValueError:
+            raise TraceParseError(f"event {event.event_id!r}: timestamp "
+                                  f"{event.timestamp!r} is not ISO-8601") from None
         if previous is not None and stamp < previous:
             raise OutOfOrderTimestampError(
                 f"event {event.event_id!r} precedes its predecessor in time"
@@ -478,7 +488,7 @@ def _add_static(graph, matcher, node_id, kind, agent_id, attrs):
 
 def _merge_flags(attrs: dict, matcher: DangerMatcher) -> None:
     declared = attrs.get("danger_flags", [])
-    if not _is_string_list(declared):
+    if not schema.is_string_list(declared):
         return  # left in place for the attribute-schema check to reject
     merged = sorted(set(matcher.scan(attrs)) | set(declared))
     if merged:
@@ -522,7 +532,7 @@ def normalize_events(graph: AgentBomGraph, events, matcher: DangerMatcher) -> No
         kind = _EVENT_KIND[event.event_type]
         attrs = _node_attrs(event, kind)
         declared = attrs.get("basis", [])
-        if _is_string_list(declared) and "basis" in schema.allowed_node_keys(kind):
+        if schema.is_string_list(declared) and "basis" in schema.allowed_node_keys(kind):
             basis = list(dict.fromkeys(list(event.refs) + declared))
             if basis:
                 attrs["basis"] = basis

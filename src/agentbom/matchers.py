@@ -104,26 +104,30 @@ class DangerMatcher:
                     raise IngestionError(
                         f"matcher pattern entry is missing field {key!r}"
                     )
-            applies_to = entry["applies_to"]
+            flag, pattern, applies_to = entry["flag"], entry["pattern"], entry["applies_to"]
+            if not isinstance(flag, str) or not flag:
+                raise IngestionError(f"matcher pattern flag must be a non-empty string, "
+                                     f"got {flag!r}")
+            if not isinstance(pattern, str):
+                raise IngestionError(f"matcher pattern for flag {flag!r}: pattern must "
+                                     f"be a string, got {pattern!r}")
             if not isinstance(applies_to, list) or not all(
                 isinstance(key, str) for key in applies_to
             ):
                 raise IngestionError(
-                    f"matcher pattern for flag {entry['flag']!r}: applies_to must be "
+                    f"matcher pattern for flag {flag!r}: applies_to must be "
                     f"a list of attribute keys"
                 )
-            patterns.append(
-                DangerPattern(
-                    flag=str(entry["flag"]),
-                    pattern=str(entry["pattern"]),
-                    applies_to=tuple(applies_to),
-                )
-            )
+            patterns.append(DangerPattern(flag, pattern, tuple(applies_to)))
         return cls(patterns)
 
     @classmethod
     def from_json(cls, text: str) -> "DangerMatcher":
-        return cls.from_dict(json.loads(text))
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise IngestionError(f"matcher pack is not valid JSON: {exc}") from None
+        return cls.from_dict(doc)
 
 
 def _texts_of(value):

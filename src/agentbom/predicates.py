@@ -203,17 +203,17 @@ class NeighborMatch(Predicate):
         self.edge_kinds = tuple(
             k.value if hasattr(k, "value") else str(k) for k in edge_kinds
         )
+        self._kinds = frozenset(parse_edge_kind(k) for k in self.edge_kinds)
         self.node = node
         self.edge = edge
 
     def evaluate(self, element, graph=None, entry=None) -> bool:
         if graph is None or not hasattr(element, "node_id"):
             return False
-        kinds = {parse_edge_kind(k) for k in self.edge_kinds}
         if self.direction == "in":
-            edges = graph.in_edges(element.node_id, kinds)
+            edges = graph.in_edges(element.node_id, self._kinds)
         else:
-            edges = graph.out_edges(element.node_id, kinds)
+            edges = graph.out_edges(element.node_id, self._kinds)
         for candidate in edges:
             if self.edge is not None and not self.edge.evaluate(
                 candidate, graph=graph, entry=entry
@@ -303,13 +303,10 @@ def predicate_from_dict(doc: dict) -> Predicate:
             parts = [predicate_from_dict(d) for d in args]
             return And(parts) if op == "and" else Or(parts)
         if op == "neighbor":
-            edge_kinds = expect_json(doc["edge_kinds"], list,
-                                     "predicate op 'neighbor': edge_kinds", of=str)
-            for name in edge_kinds:
-                parse_edge_kind(name)
             return NeighborMatch(
                 doc["direction"],
-                edge_kinds,
+                expect_json(doc["edge_kinds"], list,
+                            "predicate op 'neighbor': edge_kinds", of=str),
                 node=predicate_from_dict(doc["node"]) if "node" in doc else None,
                 edge=predicate_from_dict(doc["edge"]) if "edge" in doc else None,
             )

@@ -181,9 +181,12 @@ class AuditRule:
         try:
             conditions = expect_json(doc["conditions"], list, "rule conditions",
                                      RulePackError)
+            for key in ("risk_id", "name"):
+                if not isinstance(doc.get(key, ""), str):
+                    raise RulePackError(f"rule {key} must be a string, got {doc[key]!r}")
             return cls(
-                risk_id=str(doc["risk_id"]),
-                name=str(doc.get("name", "")),
+                risk_id=doc["risk_id"],
+                name=doc.get("name", ""),
                 entry=EntrySelector.from_dict(doc["entry"]),
                 back=_spec_from_dict(doc["back"], BACKWARD),
                 fwd=_spec_from_dict(doc["fwd"], FORWARD),
@@ -197,6 +200,9 @@ def _spec_from_dict(doc: dict, expected_direction: str) -> PathSpec:
     what = f"rule {expected_direction} spec"
     expect_json(doc, dict, what, RulePackError)
     direction = doc.get("direction", expected_direction)
+    if direction not in (BACKWARD, FORWARD):
+        raise RulePackError(f"{what} direction must be backward or forward, "
+                            f"got {direction!r}")
     terminal = None
     if "terminal" in doc:
         terminal = predicate_from_dict(doc["terminal"])
@@ -204,8 +210,13 @@ def _spec_from_dict(doc: dict, expected_direction: str) -> PathSpec:
     if node_kinds is not None:
         expect_json(node_kinds, list, f"{what} node_kinds", RulePackError, of=str)
     max_depth = doc.get("max_depth", 32)
-    if not isinstance(max_depth, int):
-        raise RulePackError(f"{what} max_depth must be an integer, got {max_depth!r}")
+    if not isinstance(max_depth, int) or isinstance(max_depth, bool) or max_depth < 1:
+        raise RulePackError(f"{what} max_depth must be a positive integer, "
+                            f"got {max_depth!r}")
+    cross_agent = doc.get("cross_agent", False)
+    if not isinstance(cross_agent, bool):
+        raise RulePackError(f"{what} cross_agent must be true or false, "
+                            f"got {cross_agent!r}")
     return PathSpec(
         direction=direction,
         allowed_edge_kinds=expect_json(doc["edge_kinds"], list, f"{what} edge_kinds",
@@ -213,7 +224,7 @@ def _spec_from_dict(doc: dict, expected_direction: str) -> PathSpec:
         allowed_node_kinds=node_kinds,
         terminal=terminal,
         max_depth=max_depth,
-        cross_agent=bool(doc.get("cross_agent", False)),
+        cross_agent=cross_agent,
     )
 
 
@@ -328,17 +339,17 @@ def locate_entries(graph: AgentBomGraph, rule: AuditRule) -> list:
     return sorted(out)
 
 
-def _scope_ids(scope, entry_id, back: Trace, fwd: Trace) -> list:
+def _scope_ids(scope, entry_id, side: Trace | None) -> list:
+    """The element ids a clause of ``scope`` reads: the entry, or the
+    endpoints or path elements of ``side``, the trace of its direction."""
     if scope == "entry":
         return [entry_id]
     if scope == "back_origin":
-        ids = [p.origin for p in back.paths]
-    elif scope == "back_path":
-        ids = back.scope
+        ids = [p.origin for p in side.paths]
     elif scope == "fwd_terminus":
-        ids = [p.terminus for p in fwd.paths]
-    else:  # fwd_path
-        ids = fwd.scope
+        ids = [p.terminus for p in side.paths]
+    else:  # back_path, fwd_path
+        ids = side.scope
     # a traced path starts at the entry itself; the path scopes ask about
     # everything beyond it, so the entry never testifies for its own paths
     return [i for i in ids if i != entry_id]
@@ -358,26 +369,30 @@ def _asks(graph, clause, entry, element_id, answers) -> bool:
     return answers[key]
 
 
-def _holds(graph, clause, entry, back, fwd, answers) -> bool:
-    """The clause's quantifier over its scope. exists over an empty scope is
-    false and stops at the first match; forall over an empty scope is
-    vacuously true."""
-    ids = _scope_ids(clause.scope, _element_id(entry), back, fwd)
-    quantifier = any if clause.quantifier == "exists" else all
-    return quantifier(_asks(graph, clause, entry, i, answers) for i in ids)
+def _settle(graph, rule, scopes, entry, side, answers, evidence) -> bool:
+    """Settle the rule's clauses of the given scopes over ``side`` (None for
+    the entry scope), in clause order, stopping at the first that fails.
 
-
-def _evaluate_clause(graph, clause, index, entry, back, fwd, answers):
-    """Returns (satisfied, evidence items): for exists the matching scope
-    elements, for forall every scope element."""
-    if not _holds(graph, clause, entry, back, fwd, answers):
-        return False, []
-    ids = _scope_ids(clause.scope, _element_id(entry), back, fwd)
-    if clause.quantifier == "exists":
-        ids = [i for i in ids if _asks(graph, clause, entry, i, answers)]
-    keys = clause.predicate.referenced_keys()
-    return True, [EvidenceItem(i, index, _snapshot(graph.element(i), keys))
-                  for i in ids]
+    exists fails over an empty scope; its evidence is the scope elements that
+    match. forall holds over an empty scope and stops at the first element
+    that fails it; its evidence is every scope element. A clause that holds
+    leaves its evidence items under its index in ``evidence``.
+    """
+    entry_id = _element_id(entry)
+    for index, clause in enumerate(rule.conditions):
+        if clause.scope not in scopes:
+            continue
+        ids = _scope_ids(clause.scope, entry_id, side)
+        if clause.quantifier == "exists":
+            ids = [i for i in ids if _asks(graph, clause, entry, i, answers)]
+            if not ids:
+                return False
+        elif not all(_asks(graph, clause, entry, i, answers) for i in ids):
+            return False
+        keys = clause.predicate.referenced_keys()
+        evidence[index] = [EvidenceItem(i, index, _snapshot(graph.element(i), keys))
+                           for i in ids]
+    return True
 
 
 def _snapshot(element, keys) -> dict:
@@ -387,13 +402,12 @@ def _snapshot(element, keys) -> dict:
 _BACK_SCOPES = ("back_origin", "back_path")
 _FWD_SCOPES = ("fwd_terminus", "fwd_path")
 _END_SCOPES = ("back_origin", "fwd_terminus")
-_NOTHING = Trace()
 
 
 def _keep_tests(graph, clauses, entry, scopes, answers) -> dict:
     """trace's keep tests for the exists-clauses of the given scopes: the
     endpoint clauses hold on a path's end, and each path clause on one of
-    its elements. Like _holds, they skip the entry and share its answers."""
+    its elements. Like _settle, they skip the entry and share its answers."""
     entry_id = _element_id(entry)
 
     def test(clause):
@@ -417,17 +431,18 @@ def evaluate_rule(graph: AgentBomGraph, rule: AuditRule, stats=None) -> list:
 
     A finding reports the deepest kept backward paths (reach toward the
     origin) and the nearest kept forward ones (realized impact), one
-    witness per endpoint with a count; the clauses are then adjudicated
-    over every element of those kept paths, so the evidence and the
-    reported chains agree. Each entry yields at most one finding, and
-    findings come in entry order.
+    witness per endpoint with a count; each side's clauses are settled
+    over every element of its kept paths, so the evidence and the reported
+    chains agree. Each entry yields at most one finding, and findings come
+    in entry order.
 
     Each entry is settled in this order, stopping at the first failure:
     the entry-scope clauses; the forward trace, which does not extend a
     kept path (every forward exists-clause holds on it alone), so its kept
     paths are the nearest; the forward-scope clauses; and only then the
     backward trace, whose kept paths that no kept path extends are the
-    deepest, and every clause with its evidence, in clause order.
+    deepest, and the backward-scope clauses. Each clause is settled once,
+    and a finding lists its evidence in clause order.
 
     When a ``stats`` dict is given, it receives the rule's ``entries``,
     ``paths_explored`` (the terminal paths the traces walked, kept or not)
@@ -441,29 +456,18 @@ def evaluate_rule(graph: AgentBomGraph, rule: AuditRule, stats=None) -> list:
     findings, explored = [], 0
     for entry_id in entries:
         entry = graph.element(entry_id)
-        answers = {}
-        if not all(_holds(graph, c, entry, _NOTHING, _NOTHING, answers)
-                   for c in rule.conditions if c.scope == "entry"):
+        answers, evidence = {}, {}
+        if not _settle(graph, rule, ("entry",), entry, None, answers, evidence):
             continue
         fwd = trace(graph, entry_id, rule.fwd,
                     **_keep_tests(graph, rule.conditions, entry, _FWD_SCOPES, answers))
         explored += fwd.explored
-        if not all(_holds(graph, c, entry, _NOTHING, fwd, answers)
-                   for c in rule.conditions if c.scope in _FWD_SCOPES):
+        if not _settle(graph, rule, _FWD_SCOPES, entry, fwd, answers, evidence):
             continue
         back = trace(graph, entry_id, rule.back,
                      **_keep_tests(graph, rule.conditions, entry, _BACK_SCOPES, answers))
         explored += back.explored
-
-        evidence = []
-        satisfied = True
-        for index, clause in enumerate(rule.conditions):
-            ok, items = _evaluate_clause(graph, clause, index, entry, back, fwd, answers)
-            if not ok:
-                satisfied = False
-                break
-            evidence.extend(items)
-        if not satisfied:
+        if not _settle(graph, rule, _BACK_SCOPES, entry, back, answers, evidence):
             continue
         finding = Finding(
             risk_id=rule.risk_id,
@@ -471,7 +475,7 @@ def evaluate_rule(graph: AgentBomGraph, rule: AuditRule, stats=None) -> list:
             entry=entry_id,
             back_paths=list(back.paths),
             fwd_paths=list(fwd.paths),
-            evidence=evidence,
+            evidence=[item for index in sorted(evidence) for item in evidence[index]],
             trace_id=_finding_trace_id(graph, entry, back.paths, fwd.paths),
             phase_label=_phase_label(entry),
             back_scope=back.scope,

@@ -342,72 +342,43 @@ EXECUTION_STATUSES = ("succeeded", "failed", "blocked")
 SANDBOX_STATUSES = ("sandboxed", "unsandboxed")
 
 
-class ValueKind(_Vocabulary):
-    TEXT = "text"
-    ENUM = "enum"
-    STRING_LIST = "string_list"
-    KEY_VALUE_MAP = "key_value_map"
+def is_string_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
 
-class AttributeSpec:
-    """Declares one attribute key: its value kind and, for enums, tokens."""
-
-    __slots__ = ("key", "value_kind", "tokens")
-
-    def __init__(self, key: str, value_kind: ValueKind, tokens: tuple[str, ...] = ()):
-        self.key = key
-        self.value_kind = value_kind
-        self.tokens = tokens
-
-
-def _text(key):
-    return AttributeSpec(key, ValueKind.TEXT)
-
-
-def _enum(key, tokens):
-    return AttributeSpec(key, ValueKind.ENUM, tokens)
-
-
-def _slist(key):
-    return AttributeSpec(key, ValueKind.STRING_LIST)
-
-
-ATTRIBUTE_SPECS: dict[str, AttributeSpec] = {
-    spec.key: spec
-    for spec in (
-        _text("content"),
-        _text("source"),
-        _enum("trust_level", TRUST_LEVELS),
-        _enum("integrity_status", INTEGRITY_STATUSES),
-        _enum("authentication_status", AUTHENTICATION_STATUSES),
-        _enum("confirmation_status", CONFIRMATION_STATUSES),
-        _enum("propagation_status", PROPAGATION_STATUSES),
-        _enum("execution_status", EXECUTION_STATUSES),
-        _enum("sandbox_status", SANDBOX_STATUSES),
-        _slist("basis"),
-        _text("action_intent"),
-        _slist("selected_tools"),
-        AttributeSpec("parameters", ValueKind.KEY_VALUE_MAP),
-        _slist("parameter_source"),
-        _text("tool_name"),
-        _text("input_schema"),
-        _slist("permission_scope"),
-        _text("target"),
-        _slist("affected_resource"),
-        _text("environment_state_change"),
-        _slist("side_effects"),
-        _text("execution_environment"),
-        _text("code_file"),
-        _text("type"),
-        _text("role"),
-        _text("source_agent"),
-        _text("target_agent"),
-        _text("agent_id"),
-        _text("task_dependency"),
-        _text("shared_state"),
-        _slist("danger_flags"),
-        _text("trace_id"),
+def _is_string_map(value) -> bool:
+    return isinstance(value, dict) and all(
+        isinstance(k, str) and isinstance(v, str) for k, v in value.items()
     )
+
+
+def _one_of(tokens):
+    return (lambda value: isinstance(value, str) and value in tokens,
+            f"must be one of {list(tokens)}")
+
+
+# Attribute key -> (predicate, message): the check every value under that
+# key must pass; the message completes "<element> attribute <key> ..." for
+# a value that fails.
+ATTRIBUTE_CHECKS: dict[str, tuple] = {
+    **dict.fromkeys(
+        ("content", "source", "action_intent", "tool_name", "input_schema", "target",
+         "environment_state_change", "execution_environment", "code_file", "type",
+         "role", "source_agent", "target_agent", "agent_id", "task_dependency",
+         "shared_state", "trace_id"),
+        (lambda value: isinstance(value, str), "must be a string")),
+    **dict.fromkeys(
+        ("basis", "selected_tools", "parameter_source", "permission_scope",
+         "affected_resource", "side_effects", "danger_flags"),
+        (is_string_list, "must be a list of strings")),
+    "parameters": (_is_string_map, "must be a string-to-string map"),
+    "trust_level": _one_of(TRUST_LEVELS),
+    "integrity_status": _one_of(INTEGRITY_STATUSES),
+    "authentication_status": _one_of(AUTHENTICATION_STATUSES),
+    "confirmation_status": _one_of(CONFIRMATION_STATUSES),
+    "propagation_status": _one_of(PROPAGATION_STATUSES),
+    "execution_status": _one_of(EXECUTION_STATUSES),
+    "sandbox_status": _one_of(SANDBOX_STATUSES),
 }
 
 # Keys any node kind may carry.
@@ -483,9 +454,6 @@ def allowed_node_keys(kind: NodeKind) -> frozenset[str]:
 def allowed_edge_keys(kind: EdgeKind) -> frozenset[str]:
     return _EDGE_KEYS[kind]
 
-
-def attribute_spec(key: str) -> AttributeSpec | None:
-    return ATTRIBUTE_SPECS.get(key)
 
 # Attribute keys whose string-list entries name other graph elements and
 # must resolve when they are present.

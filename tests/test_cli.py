@@ -167,6 +167,17 @@ def test_unparsable_manifest_is_a_single_line_error(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_unparsable_matcher_pack_is_a_single_line_error(workdir, tmp_path, capsys):
+    bad = tmp_path / "matchers.json"
+    bad.write_text("{bad")
+    fx = workdir / "fx"
+    assert main(["build", "--manifest", str(fx / "manifest.json"),
+                 "--trace", str(fx / "trace.jsonl"), "--matchers", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: matcher pack is not valid JSON")
+    assert err.count("\n") == 1
+
+
 def test_outputs_are_byte_deterministic(workdir, tmp_path):
     for args, name in [
         (["scenario", "--id", "ecosystem_hijacking", "--seed", "4"],
@@ -296,12 +307,26 @@ _LOADED_GRAPH_FAILS_VALIDATION = ("audit-empty-node-id", "export-empty-node-id")
     _build_case(attrs={"danger_flags": "privilege_claim"}),
     _build_case(attrs={"basis": 5}),
     _build_case(event_type=["external_input"]),
+    _build_case(timestamp="garbage"),
+    _build_case(timestamp=20260301),
+    _build_case(event_id=7),
+    _build_case(content=5),
+    _build_case(agent={"agent_id": 5}),
+    _build_case(agent={"tools": [{"tool_name": ["x"]}]}),
+    _build_case(agent={"code_dependencies": [{"name": 5}]}),
     ("matchers", {"patterns": 5}, None),
     _matchers_case(applies_to="content"),
     _matchers_case(applies_to=5),
+    _matchers_case(flag=["x"]),
+    _matchers_case(pattern=5),
     ("rules", [5], None),
     _rules_case(back=5),
     _rules_case(conditions=5),
+    _rules_case(risk_id=1),
+    _rules_case(back=dict(_RULE["back"], cross_agent="false")),
+    _rules_case(back=dict(_RULE["back"], max_depth=True)),
+    _rules_case(fwd=dict(_RULE["fwd"], max_depth=0)),
+    _rules_case(fwd=dict(_RULE["fwd"], direction="sideways")),
     _predicate_case({"op": "and", "args": 5}),
     _predicate_case({"op": "neighbor", "direction": "in", "edge_kinds": 5}),
     _predicate_case({"op": "flags", "any_of": "privilege_claim"}),
@@ -320,9 +345,14 @@ _LOADED_GRAPH_FAILS_VALIDATION = ("audit-empty-node-id", "export-empty-node-id")
     "model-not-an-object", "permission-scope-not-a-list",
     "role-a-number", "code-version-a-number",
     "danger-flags-not-a-list", "basis-not-a-list", "event-type-a-list",
+    "timestamp-garbage", "timestamp-a-number", "event-id-a-number",
+    "content-a-number", "agent-id-a-number", "tool-name-a-list", "code-name-a-number",
     "matcher-patterns-not-a-list", "matcher-applies-to-a-string",
-    "matcher-applies-to-a-number", "rule-not-an-object", "rule-back-not-an-object",
-    "rule-conditions-not-a-list", "and-args-not-a-list",
+    "matcher-applies-to-a-number", "matcher-flag-a-list", "matcher-pattern-a-number",
+    "rule-not-an-object", "rule-back-not-an-object",
+    "rule-conditions-not-a-list", "rule-risk-id-a-number", "rule-cross-agent-a-string",
+    "rule-max-depth-a-boolean", "rule-max-depth-zero", "rule-direction-sideways",
+    "and-args-not-a-list",
     "neighbor-edge-kinds-not-a-list", "flags-any-of-a-string",
     "attr-value-a-nested-list", "attr-value-a-list-of-maps",
 ])

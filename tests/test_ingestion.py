@@ -173,6 +173,51 @@ def test_trace_event_rejects_unknown_type_and_missing_fields():
         TraceEvent.from_dict({"event_id": "ev1"})
 
 
+_EVENT_DOC = {"event_id": "ev1", "trace_id": "t1", "agent_id": "a1",
+              "timestamp": "2026-03-01T10:00:00Z", "event_type": "external_input"}
+
+
+@pytest.mark.parametrize("key", ["event_id", "trace_id", "agent_id", "timestamp",
+                                 "event_type"])
+@pytest.mark.parametrize("bad", [7, 20260301, 1.5, True, ["x"], {"x": "y"}])
+def test_trace_event_ids_and_stamps_must_be_strings(key, bad):
+    doc = dict(_EVENT_DOC, **{key: bad})
+    with pytest.raises(TraceParseError, match=f"{key} must be a string"):
+        TraceEvent.from_dict(doc)
+    with pytest.raises(TraceParseError, match="line 1"):
+        parse_trace_jsonl(json.dumps(doc) + "\n")
+
+
+def test_trace_event_content_is_a_string_or_null():
+    for doc, content in ((_EVENT_DOC, ""), (dict(_EVENT_DOC, content=None), ""),
+                         (dict(_EVENT_DOC, content="hi"), "hi")):
+        assert TraceEvent.from_dict(doc).content == content
+    for bad in (5, ["hi"], {"text": "hi"}, False):
+        with pytest.raises(TraceParseError, match="content must be a string or null"):
+            TraceEvent.from_dict(dict(_EVENT_DOC, content=bad))
+
+
+def test_a_timestamp_that_does_not_parse_names_its_event():
+    events = parse_trace_jsonl(json.dumps(dict(_EVENT_DOC, timestamp="garbage")))
+    with pytest.raises(TraceParseError) as raised:
+        check_event_stream(events)
+    assert str(raised.value) == "event 'ev1': timestamp 'garbage' is not ISO-8601"
+
+
+@pytest.mark.parametrize("section", [None, *_NAME_KEY])
+@pytest.mark.parametrize("bad", [5, 1.5, True, ["x"], {"a": "b"}])
+def test_manifest_names_must_be_strings(section, bad):
+    if section is None:
+        doc, key = {"agents": [{"agent_id": bad}]}, "agent_id"
+    else:
+        key = _NAME_KEY[section]
+        doc = {"agents": [{"agent_id": "a1", section: [{key: bad}]}]}
+    with pytest.raises(ManifestParseError) as raised:
+        parse_manifest(doc)
+    agent = bad if section is None else "a1"
+    assert str(raised.value) == f"agent {agent!r}: {key} must be a JSON string"
+
+
 def test_stream_check_rejects_duplicate_ids():
     events = [_event("ev1", "external_input"), _event("ev1", "goal_formed")]
     with pytest.raises(TraceParseError):

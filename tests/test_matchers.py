@@ -239,6 +239,21 @@ def test_applies_to_must_be_a_list_of_keys(applies_to):
         DangerMatcher.from_dict({"patterns": [entry]})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("flag", ["x"]), ("flag", 5), ("flag", ""), ("pattern", 5), ("pattern", ["x"]),
+])
+def test_flag_and_pattern_must_be_strings(field, value):
+    entry = dict({"flag": "f", "pattern": "x", "applies_to": ["content"]},
+                 **{field: value})
+    with pytest.raises(IngestionError, match=f"{field} must be"):
+        DangerMatcher.from_dict({"patterns": [entry]})
+
+
+def test_a_pack_that_is_not_json_is_an_ingestion_error():
+    with pytest.raises(IngestionError, match="not valid JSON"):
+        DangerMatcher.from_json("{bad")
+
+
 def test_pattern_entry_names_its_missing_field():
     with pytest.raises(IngestionError, match="missing field 'pattern'"):
         DangerMatcher.from_dict({"patterns": [{"flag": "f", "applies_to": []}]})

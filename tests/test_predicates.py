@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from agentbom.errors import PredicateError
+from agentbom.errors import PredicateError, UnknownKindError
 from agentbom.graph import AgentBomGraph, AgentDescriptor, Edge, Node
 from agentbom.predicates import (
     And,
@@ -151,6 +151,18 @@ def test_neighbor_match_needs_a_graph_and_a_node():
     assert not pred.evaluate(graph.edges["e1"], graph=graph)
     with pytest.raises(PredicateError):
         NeighborMatch("sideways", ("invokes",))
+
+
+def test_neighbor_match_resolves_its_edge_kinds_when_built():
+    with pytest.raises(UnknownKindError):
+        NeighborMatch("in", ("invokes", "teleports_to"))
+    with pytest.raises(UnknownKindError):
+        predicate_from_dict({"op": "neighbor", "direction": "in",
+                             "edge_kinds": ["teleports_to"]})
+    pred = NeighborMatch("out", (EdgeKind.INVOKES, "selects"))
+    assert pred.to_dict()["edge_kinds"] == ["invokes", "selects"]
+    graph = _neighbor_graph()
+    assert pred.evaluate(graph.nodes["act"], graph=graph)
 
 
 @pytest.mark.parametrize(

@@ -145,6 +145,29 @@ def test_load_rules_rejects_junk():
         load_rules("[]")
 
 
+_ASI01 = json.loads(dump_rules(builtin_rules()[:1]))["rules"][0]
+
+
+@pytest.mark.parametrize("field, value, side", [
+    ("risk_id", 1, None),
+    ("name", 5, None),
+    ("cross_agent", "false", "back"),
+    ("cross_agent", 0, "fwd"),
+    ("max_depth", True, "back"),
+    ("max_depth", 0, "fwd"),
+    ("max_depth", -3, "back"),
+    ("direction", "sideways", "fwd"),
+])
+def test_load_rules_rejects_mistyped_fields(field, value, side):
+    rule = dict(_ASI01)
+    if side is None:
+        rule[field] = value
+    else:
+        rule[side] = dict(rule[side], **{field: value})
+    with pytest.raises(RulePackError, match=field):
+        load_rules(json.dumps([rule]))
+
+
 def test_builtin_pack_shape_and_round_trip():
     rules = builtin_rules()
     assert [r.risk_id for r in rules] == list(RISK_IDS)
@@ -757,6 +780,77 @@ def test_each_terminal_and_clause_is_asked_once_per_trace_and_entry():
     assert sum(p.count for p in report.findings[0].fwd_paths) > 100
     assert sum(tally.values()) > 50
     assert max(tally.values()) == 1
+
+
+# clauses listed out of scope order: a forward-path clause, the entry, the
+# backward origin, the forward terminus and a backward-path forall
+_UNORDERED_PACK = {"rules": [{
+    "risk_id": "T02", "name": "unordered",
+    "entry": {"element_class": "node", "kinds": ["ActionNode"],
+              "predicate": {"op": "flags"}},
+    "back": {"direction": "backward", "edge_kinds": ["evolution"]},
+    "fwd": {"direction": "forward", "edge_kinds": ["evolution"]},
+    "conditions": [
+        {"scope": "fwd_path", "quantifier": "exists",
+         "predicate": {"op": "kind", "any_of": ["ObservationNode"]}},
+        {"scope": "entry", "quantifier": "exists", "predicate": {"op": "flags"}},
+        {"scope": "back_origin", "quantifier": "exists",
+         "predicate": {"op": "attr", "key": "trust_level", "cmp": "==",
+                       "value": "untrusted"}},
+        {"scope": "fwd_terminus", "quantifier": "exists",
+         "predicate": {"op": "kind", "any_of": ["OutputNode"]}},
+        {"scope": "back_path", "quantifier": "forall",
+         "predicate": {"op": "not", "arg": {"op": "kind", "any_of": ["ToolNode"]}}},
+    ],
+}]}
+
+
+def test_evidence_of_an_unordered_pack_comes_in_clause_order():
+    [rule] = load_rules(json.dumps(_UNORDERED_PACK))
+    [finding] = evaluate_rule(_chain(), rule)
+    assert finding.entry == "act"
+    assert [p.elements for p in finding.fwd_paths] == [("act", "e6", "obs", "e7", "out")]
+    assert [(i.element_id, i.clause_index) for i in finding.evidence] == [
+        ("obs", 0), ("act", 1), ("ext", 2), ("out", 3),
+        *((i, 4) for i in ("ext", "e1", "goal", "e2", "ctx", "e3", "rea", "e4",
+                           "dec", "e5")),
+    ]
+    assert finding.evidence[1].attributes == {"danger_flags": ["seed"]}
+    assert finding.evidence[2].attributes == {"trust_level": "untrusted"}
+
+
+@pytest.mark.parametrize("failing, never_asked", [
+    # the entry clause fails: neither side is traced or asked
+    (1, {0, 2, 3, 4}),
+    # the forward-path clause fails: the backward side is never traced
+    (0, {2, 4}),
+    # the backward-path forall fails; every other clause was already settled
+    (4, set()),
+])
+def test_clauses_settle_side_by_side_and_stop_at_the_first_failure(failing, never_asked):
+    [rule] = load_rules(json.dumps(_UNORDERED_PACK))
+    tally = Counter()
+    for index, clause in enumerate(rule.conditions):
+        inner = Not(ALWAYS) if index == failing else clause.predicate
+        clause.predicate = _Counted(inner, tally, index)
+    assert evaluate_rule(_chain(), rule) == []
+    asked = {use for use, _, _ in tally}
+    assert failing in asked
+    assert asked.isdisjoint(never_asked)
+
+
+def test_a_failing_forall_stops_its_side_before_the_next_clause():
+    rule = _rule([
+        Clause("fwd_path", "forall", Not(ALWAYS)),
+        Clause("entry", "exists", HasFlag()),
+        Clause("fwd_path", "forall", ALWAYS),
+    ])
+    tally = Counter()
+    for index, clause in enumerate(rule.conditions):
+        clause.predicate = _Counted(clause.predicate, tally, index)
+    assert evaluate_rule(_chain(), rule) == []
+    assert {use for use, _, _ in tally} == {0, 1}
+    assert sum(n for (use, _, _), n in tally.items() if use == 0) == 1
 
 
 def test_each_element_is_tested_for_keeping_once_per_trace(monkeypatch):

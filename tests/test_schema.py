@@ -65,7 +65,7 @@ def test_every_wire_name_parses_to_its_kind():
 
 
 def test_schema_enums_hash_by_identity():
-    for vocabulary in (Layer, NodeKind, EdgeFamily, EdgeKind, Flow, schema.ValueKind):
+    for vocabulary in (Layer, NodeKind, EdgeFamily, EdgeKind, Flow):
         for member in vocabulary:
             assert hash(member) == object.__hash__(member)
             assert member == member and member != member.value
@@ -148,9 +148,26 @@ def test_propagation_edges_get_the_channel_keys():
     assert "trace_id" in schema.allowed_edge_keys(EdgeKind.FLOWS_TO)
 
 
-def test_attribute_spec_lookup():
-    assert schema.attribute_spec("trust_level").tokens == schema.TRUST_LEVELS
-    assert schema.attribute_spec("danger_flags").value_kind is (
-        schema.ValueKind.STRING_LIST
-    )
-    assert schema.attribute_spec("made_up_key") is None
+def test_trust_level_check_takes_exactly_its_tokens():
+    accepts, message = schema.ATTRIBUTE_CHECKS["trust_level"]
+    assert all(accepts(token) for token in schema.TRUST_LEVELS)
+    for bad in ("Trusted", "", "verified", 1, None, ["trusted"]):
+        assert not accepts(bad)
+    assert message == "must be one of ['trusted', 'untrusted', 'unknown']"
+
+
+def test_danger_flags_check_takes_a_list_of_strings():
+    accepts, message = schema.ATTRIBUTE_CHECKS["danger_flags"]
+    assert accepts(["privilege_claim", "confirmation_bypass"]) and accepts([])
+    for bad in ("privilege_claim", ("privilege_claim",), [5], None):
+        assert not accepts(bad)
+    assert message == "must be a list of strings"
+
+
+def test_every_allowed_key_has_a_check_and_every_check_is_allowed_somewhere():
+    allowed = set()
+    for kind in NodeKind:
+        allowed |= schema.allowed_node_keys(kind)
+    for kind in EdgeKind:
+        allowed |= schema.allowed_edge_keys(kind)
+    assert allowed == set(schema.ATTRIBUTE_CHECKS)
