@@ -48,7 +48,8 @@ class FrozenGraphError(GraphError):
 
 
 class GraphDocumentError(GraphError):
-    """A serialized graph is missing a section or has a mistyped field."""
+    """A serialized graph is missing a section, or a graph element or
+    document has a mistyped field."""
 
 
 class GraphValidationError(GraphError):

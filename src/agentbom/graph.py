@@ -13,7 +13,14 @@ Insertion and validate() share one check per element class. Each reads its
 kind's record, compiled from the schema tables once at import: the layer or
 the endpoint kinds, and a (predicate, message) pair per allowed attribute
 key, so checking an element is a few lookups and one predicate call per
-attribute.
+attribute. An id, agent id, trace id, role or policy boundary that is not a
+string is a field_type problem, worded as on loading a document.
+
+to_json writes each element's text straight from its fields, with no
+to_dict() copy, and joins the document once; the bytes are those of
+dump_json(to_dict()). The bulk conversions (trace parsing and assembly in
+ingestion, and to_json, from_json and digest here) run with the cycle
+collector paused, since none of them makes a reference cycle.
 """
 
 from __future__ import annotations
@@ -74,15 +81,17 @@ def _is_uri(text: str) -> bool:
 
 @contextmanager
 def _collector_paused():
-    """Keep CPython's cycle collector out of one bulk conversion between a
-    graph and its JSON document.
+    """Keep CPython's cycle collector out of one bulk conversion: parsing a
+    trace, assembling a graph, and turning a graph into its JSON document or
+    digest and back.
 
-    Such a conversion allocates a few containers per element (about a
-    hundred thousand for a 12k-node graph), none of them in a reference
-    cycle, and the allocation count alone sets off collections that walk
-    them (and, in a full collection, every other live object) to find
-    nothing. The collector's prior state is restored on the way out, so a
-    caller that had it off keeps it off.
+    Such a conversion allocates a few containers per event or element
+    (about a hundred thousand for a 12k-node graph), none of them in a
+    reference cycle, and the allocation count alone sets off collections
+    that walk them (and, in a full collection, every other live object) to
+    find nothing. The collector's prior state is restored on the way out, so
+    a caller that had it off keeps it off. An audit is not paused: its
+    traversal records do form cycles.
     """
     enabled = gc.isenabled()
     gc.disable()
@@ -93,15 +102,22 @@ def _collector_paused():
             gc.enable()
 
 
+def _mistyped_fields(what: str, field_of, required: tuple, optional: tuple) -> list:
+    """Messages for the fields that are not strings; an optional one may be None."""
+    out = []
+    for key in required + optional:
+        value = field_of(key)
+        if not isinstance(value, str) and (key in required or value is not None):
+            out.append(f"{what} field {key!r} must be a string, got {value!r}")
+    return out
+
+
 def _check_fields(doc, what: str, required: tuple, optional: tuple) -> None:
     """Reject an element document whose fields have the wrong JSON types."""
     if not isinstance(doc, dict):
         raise GraphDocumentError(f"every {what} must be an object, got {doc!r}")
-    for key in required + optional:
-        value = doc.get(key)
-        if not isinstance(value, str) and (key in required or value is not None):
-            raise GraphDocumentError(f"{what} field {key!r} must be a string, "
-                                     f"got {value!r}")
+    for message in _mistyped_fields(what, doc.get, required, optional):
+        raise GraphDocumentError(message)
     if not isinstance(doc.get("attributes", {}), dict):
         raise GraphDocumentError(f"{what} field 'attributes' must be an object")
 
@@ -230,6 +246,7 @@ class Violation:
 
 # A violation code outranks none; insertion maps codes to raised errors.
 _ERROR_OF_CODE = {
+    "field_type": GraphDocumentError,
     "empty_id": GraphError,
     "duplicate_id": DuplicateIdError,
     "unknown_kind": UnknownKindError,
@@ -278,6 +295,22 @@ _EDGE_CHECKS = {
 }
 
 
+_TEXT_OR_NONE = (str, type(None))
+
+
+def _field_type_violations(what: str, element, required: tuple, optional: tuple = ()):
+    """A field_type violation per element field that is not a string, as a
+    document's fields are checked on loading."""
+    element_id = getattr(element, required[0])
+    return [Violation("field_type", element_id, message) for message in
+            _mistyped_fields(what, lambda key: getattr(element, key), required, optional)]
+
+
+def _agent_violations(descriptor: AgentDescriptor) -> list:
+    return _field_type_violations("agent", descriptor,
+                                  ("agent_id", "role", "policy_boundary"))
+
+
 def _attribute_violations(element_id: str, attributes: dict, keys: dict) -> list:
     """Attribute violations in key order; only failing keys are sorted."""
     failing = []
@@ -320,6 +353,8 @@ class AgentBomGraph:
 
     def add_agent(self, descriptor: AgentDescriptor) -> str:
         self._ensure_open()
+        for violation in _agent_violations(descriptor):
+            raise _ERROR_OF_CODE[violation.code](violation.message)
         if descriptor.agent_id in self.agents:
             raise DuplicateIdError(f"agent {descriptor.agent_id!r} already registered")
         self.agents[descriptor.agent_id] = descriptor
@@ -405,6 +440,8 @@ class AgentBomGraph:
     def validate(self) -> list[Violation]:
         """Re-check every graph invariant; returns all violations found."""
         violations: list[Violation] = []
+        for agent_id in sorted(self.agents):
+            violations.extend(_agent_violations(self.agents[agent_id]))
         for node_id in sorted(self.nodes):
             violations.extend(self._node_violations(self.nodes[node_id]))
         for edge_id in sorted(self.edges):
@@ -413,6 +450,10 @@ class AgentBomGraph:
 
     def _node_violations(self, node: Node, check_duplicate: bool = False):
         nid = node.node_id
+        if not (isinstance(nid, str) and isinstance(node.agent_id, _TEXT_OR_NONE)
+                and isinstance(node.trace_id, _TEXT_OR_NONE)):
+            return _field_type_violations("node", node, ("node_id",),
+                                          ("agent_id", "trace_id"))
         if not nid:
             return [Violation("empty_id", nid, "a node id must not be empty")]
         if check_duplicate and self.has_element(nid):
@@ -443,6 +484,9 @@ class AgentBomGraph:
 
     def _edge_violations(self, edge: Edge, check_duplicate: bool = False):
         eid = edge.edge_id
+        if not (isinstance(eid, str) and isinstance(edge.source, str)
+                and isinstance(edge.target, str)):
+            return _field_type_violations("edge", edge, ("edge_id", "source", "target"))
         if not eid:
             return [Violation("empty_id", eid, "an edge id must not be empty")]
         if check_duplicate and self.has_element(eid):
@@ -504,8 +548,22 @@ class AgentBomGraph:
         }
 
     def to_json(self) -> str:
+        """``dump_json(self.to_dict())``, written straight from the elements.
+
+        Each node and edge becomes one text whose field keys are constant
+        and sorted; field values, attributes and agents take dump_json's
+        paths. The document is put together by one final join.
+        """
         with _collector_paused():
-            return dump_json(self.to_dict())
+            agents = [self.agents[a].to_dict() for a in sorted(self.agents)]
+            nodes, edges = self.nodes, self.edges
+            return "".join([
+                '{\n  "agents": ', _json_text(agents, "\n  "), ',\n  "edges": ',
+                *_element_array([_edge_text(edges[e]) for e in sorted(edges)]),
+                ',\n  "nodes": ',
+                *_element_array([_node_text(nodes[n]) for n in sorted(nodes)]),
+                "\n}\n",
+            ])
 
     def digest(self) -> str:
         with _collector_paused():
@@ -570,6 +628,56 @@ def dump_json(doc) -> str:
     string keys, and a stray one should fail, not change the bytes.
     """
     return _json_text(doc, "\n") + "\n"
+
+
+# Element fields sit three levels deep in a graph document. This is
+# dump_json's newline at that depth, which the element texts below also
+# spell out.
+_FIELD = "\n      "
+
+
+def _element_array(texts: list) -> list:
+    """The parts of a graph document's array of these element texts."""
+    if not texts:
+        return ["[]"]
+    parts = [",\n    "] * (2 * len(texts))
+    parts[0] = "[\n    "
+    parts[1::2] = texts
+    parts.append("\n  ]")
+    return parts
+
+
+def _field_text(value) -> str:
+    return _quote(value) if type(value) is str else _json_text(value, _FIELD)
+
+
+def _attributes_text(attributes) -> str:
+    # to_dict() copies the attributes into a plain dict
+    if type(attributes) is not dict:
+        attributes = dict(attributes)
+    return _json_text(attributes, _FIELD)
+
+
+def _node_text(node: Node) -> str:
+    """The text dump_json gives ``node.to_dict()`` at element depth."""
+    agent, stamp, trace = node.agent_id, node.timestamp, node.trace_id
+    head = "{" if agent is None else '{\n      "agent_id": ' + _field_text(agent) + ","
+    tail = ("" if stamp is None else ',\n      "timestamp": ' + _field_text(stamp)) + (
+        "" if trace is None else ',\n      "trace_id": ' + _field_text(trace))
+    return (f'{head}\n      "attributes": {_attributes_text(node.attributes)},'
+            f'\n      "kind": {_field_text(node.kind.value)},'
+            f'\n      "node_id": {_field_text(node.node_id)}{tail}\n    }}')
+
+
+def _edge_text(edge: Edge) -> str:
+    """The text dump_json gives ``edge.to_dict()`` at element depth."""
+    stamp = edge.timestamp
+    tail = "" if stamp is None else ',\n      "timestamp": ' + _field_text(stamp)
+    return (f'{{\n      "attributes": {_attributes_text(edge.attributes)},'
+            f'\n      "edge_id": {_field_text(edge.edge_id)},'
+            f'\n      "kind": {_field_text(edge.kind.value)},'
+            f'\n      "source": {_field_text(edge.source)},'
+            f'\n      "target": {_field_text(edge.target)}{tail}\n    }}')
 
 
 def _json_text(value, newline: str) -> str:

@@ -29,7 +29,15 @@ from .errors import (
     TraceParseError,
     UnresolvedRefError,
 )
-from .graph import AgentBomGraph, AgentDescriptor, Edge, Node, dump_json, parse_instant
+from .graph import (
+    AgentBomGraph,
+    AgentDescriptor,
+    Edge,
+    Node,
+    _collector_paused,
+    dump_json,
+    parse_instant,
+)
 from .matchers import DangerMatcher, default_matcher
 from .schema import EdgeKind, NodeKind
 
@@ -301,19 +309,25 @@ class TraceEvent:
 
 
 def parse_trace_jsonl(text: str) -> list:
-    """Parse one JSON event per line; blank lines are ignored."""
+    """Parse one JSON event per line; blank lines are ignored.
+
+    Lines end at a newline only. JSON allows U+2028, U+2029 and U+0085 raw
+    inside a string, where str.splitlines() would break the line, and a
+    carriage return before the newline is JSON whitespace.
+    """
     events = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            doc = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise TraceParseError(f"trace line {lineno}: not valid JSON: {exc}") from None
-        try:
-            events.append(TraceEvent.from_dict(doc))
-        except TraceParseError as exc:
-            raise TraceParseError(f"trace line {lineno}: {exc}") from None
+    with _collector_paused():
+        for lineno, line in enumerate(text.split("\n"), start=1):
+            if not line.strip():
+                continue
+            try:
+                doc = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise TraceParseError(f"trace line {lineno}: not valid JSON: {exc}") from None
+            try:
+                events.append(TraceEvent.from_dict(doc))
+            except TraceParseError as exc:
+                raise TraceParseError(f"trace line {lineno}: {exc}") from None
     return events
 
 
@@ -800,8 +814,9 @@ def assemble(manifest: CapabilityManifest, events,
     """
     matcher = (matcher or default_matcher()).fresh()
     graph = AgentBomGraph()
-    extract_static(manifest, graph, matcher)
-    normalize_events(graph, events, matcher)
-    bind_cross_layer(graph, events, matcher)
+    with _collector_paused():
+        extract_static(manifest, graph, matcher)
+        normalize_events(graph, events, matcher)
+        bind_cross_layer(graph, events, matcher)
     graph.freeze()
     return graph

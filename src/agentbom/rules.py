@@ -238,7 +238,18 @@ def load_rules(text: str) -> list:
         doc = doc.get("rules")
     if not isinstance(doc, list) or not doc:
         raise RulePackError("rule pack must contain a non-empty rules list")
-    return [AuditRule.from_dict(entry) for entry in doc]
+    rules = [AuditRule.from_dict(entry) for entry in doc]
+    _check_risk_ids(rules)
+    return rules
+
+
+def _check_risk_ids(rules) -> None:
+    """A report keys its stats by risk_id, so no two rules may share one."""
+    seen = set()
+    for rule in rules:
+        if rule.risk_id in seen:
+            raise RulePackError(f"rule risk_id {rule.risk_id!r} appears twice")
+        seen.add(rule.risk_id)
 
 
 def dump_rules(rules) -> str:
@@ -515,6 +526,7 @@ def audit(graph: AgentBomGraph, rules=None) -> AuditReport:
     """
     if rules is None:
         rules = builtin_rules()
+    _check_risk_ids(rules)
     all_findings = []
     stats = {}
     for rule in rules:

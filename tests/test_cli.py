@@ -245,6 +245,20 @@ def test_self_addressed_messages_build_a_valid_graph(tmp_path, capsys, events):
     assert capsys.readouterr().out.startswith("graph valid: ")
 
 
+def test_a_line_separator_inside_content_builds(tmp_path, capsys):
+    # JSON allows U+2028 raw inside a string; the trace line must not break there
+    manifest, trace = tmp_path / "manifest.json", tmp_path / "trace.jsonl"
+    manifest.write_text(json.dumps({"agents": [{"agent_id": "a"}]}))
+    event = dict(_EVENT, content="one\u2028two")
+    trace.write_text(json.dumps(event, ensure_ascii=False) + "\n", encoding="utf-8")
+    graph = tmp_path / "graph.json"
+    assert main(["build", "--manifest", str(manifest), "--trace", str(trace),
+                 "--out", str(graph)]) == 0
+    assert json.loads(graph.read_text())["nodes"][-1]["attributes"]["content"] == "one\u2028two"
+    assert main(["validate", "--graph", str(graph)]) == 0
+    assert capsys.readouterr().out.startswith("graph valid: ")
+
+
 # a flagged agent node is an ASI10 entry, so the audit asks for its id
 _UNNAMED_FLAGGED_AGENT = {"node_id": "", "kind": "AgentNode",
                           "attributes": {"danger_flags": ["privilege_claim"]}}
@@ -323,6 +337,7 @@ _LOADED_GRAPH_FAILS_VALIDATION = ("audit-empty-node-id", "export-empty-node-id")
     _rules_case(back=5),
     _rules_case(conditions=5),
     _rules_case(risk_id=1),
+    ("rules", [_RULE, _RULE], None),
     _rules_case(back=dict(_RULE["back"], cross_agent="false")),
     _rules_case(back=dict(_RULE["back"], max_depth=True)),
     _rules_case(fwd=dict(_RULE["fwd"], max_depth=0)),
@@ -350,7 +365,8 @@ _LOADED_GRAPH_FAILS_VALIDATION = ("audit-empty-node-id", "export-empty-node-id")
     "matcher-patterns-not-a-list", "matcher-applies-to-a-string",
     "matcher-applies-to-a-number", "matcher-flag-a-list", "matcher-pattern-a-number",
     "rule-not-an-object", "rule-back-not-an-object",
-    "rule-conditions-not-a-list", "rule-risk-id-a-number", "rule-cross-agent-a-string",
+    "rule-conditions-not-a-list", "rule-risk-id-a-number", "rule-risk-id-repeated",
+    "rule-cross-agent-a-string",
     "rule-max-depth-a-boolean", "rule-max-depth-zero", "rule-direction-sideways",
     "and-args-not-a-list",
     "neighbor-edge-kinds-not-a-list", "flags-any-of-a-string",

@@ -560,3 +560,95 @@ def test_a_timestamp_that_is_not_a_string_is_a_schema_problem(timestamp):
         ("attribute_schema", "e.flows",
          f"edge 'e.flows' timestamp {timestamp!r} is not ISO-8601"),
     ]
+
+
+# ---------------------------------------------------------------------------
+# fields that must be strings: insertion raises what a document would, and
+# validate() reports the same fault once the field is set after insertion
+# ---------------------------------------------------------------------------
+
+def _field(section, element_id, /, **fields):
+    def edit(graph):
+        for name, value in fields.items():
+            setattr(getattr(graph, section)[element_id], name, value)
+    return edit
+
+
+_MISTYPED_CASES = [
+    ("node-id-a-number",
+     lambda g: g.add_node(Node(5, NodeKind.TOOL)),
+     _field("nodes", "tool.t", node_id=5),
+     [("field_type", 5, "node field 'node_id' must be a string, got 5")]),
+    ("node-id-a-list",
+     lambda g: g.add_node(Node(["x"], NodeKind.TOOL)),
+     _field("nodes", "tool.t", node_id=["x"]),
+     [("field_type", ["x"], "node field 'node_id' must be a string, got ['x']")]),
+    ("runtime-trace-id-a-number",
+     lambda g: g.add_node(Node("x", NodeKind.EXTERNAL, "a1", 5, _STAMP)),
+     _field("nodes", "ctx.1", trace_id=5),
+     [("field_type", "ctx.1", "node field 'trace_id' must be a string, got 5")]),
+    ("runtime-agent-id-a-list",
+     lambda g: g.add_node(Node("x", NodeKind.EXTERNAL, ["a1"], "t1", _STAMP)),
+     _field("nodes", "ctx.1", agent_id=["a1"]),
+     [("field_type", "ctx.1", "node field 'agent_id' must be a string, got ['a1']")]),
+    ("static-agent-id-a-number",
+     lambda g: g.add_node(Node("tool.x", NodeKind.TOOL, agent_id=7)),
+     _field("nodes", "tool.t", agent_id=7),
+     [("field_type", "tool.t", "node field 'agent_id' must be a string, got 7")]),
+    ("edge-id-a-number",
+     lambda g: g.add_edge(Edge(5, EdgeKind.FLOWS_TO, "ext.1", "ctx.1")),
+     _field("edges", "e.flows", edge_id=5),
+     [("field_type", 5, "edge field 'edge_id' must be a string, got 5")]),
+    ("edge-source-a-number",
+     lambda g: g.add_edge(Edge("e.x", EdgeKind.FLOWS_TO, 5, "ctx.1")),
+     _field("edges", "e.flows", source=5),
+     [("field_type", "e.flows", "edge field 'source' must be a string, got 5")]),
+    ("edge-target-a-list",
+     lambda g: g.add_edge(Edge("e.x", EdgeKind.FLOWS_TO, "ext.1", ["ctx.1"])),
+     _field("edges", "e.flows", target=["ctx.1"]),
+     [("field_type", "e.flows", "edge field 'target' must be a string, got ['ctx.1']")]),
+    ("agent-id-a-number",
+     lambda g: g.add_agent(AgentDescriptor(5)),
+     _field("agents", "a2", agent_id=5),
+     [("field_type", 5, "agent field 'agent_id' must be a string, got 5")]),
+    ("agent-id-a-list",
+     lambda g: g.add_agent(AgentDescriptor(["a9"])),
+     _field("agents", "a2", agent_id=["a9"]),
+     [("field_type", ["a9"], "agent field 'agent_id' must be a string, got ['a9']")]),
+    ("agent-role-none",
+     lambda g: g.add_agent(AgentDescriptor("a9", None)),
+     _field("agents", "a2", role=None),
+     [("field_type", "a2", "agent field 'role' must be a string, got None")]),
+    ("agent-boundary-a-number",
+     lambda g: g.add_agent(AgentDescriptor("a9", "worker", 3)),
+     _field("agents", "a2", policy_boundary=3),
+     [("field_type", "a2", "agent field 'policy_boundary' must be a string, got 3")]),
+]
+
+
+@pytest.mark.parametrize("insert, edit, violations",
+                         [case[1:] for case in _MISTYPED_CASES],
+                         ids=[case[0] for case in _MISTYPED_CASES])
+def test_fields_that_are_not_strings_are_graph_errors(insert, edit, violations):
+    graph = _insert_all(_PIN_DOC)
+    before = graph.to_json()
+    with pytest.raises(GraphError) as raised:
+        insert(graph)
+    assert type(raised.value) is GraphDocumentError
+    assert str(raised.value) == violations[0][2]
+    assert graph.to_json() == before
+    loaded = AgentBomGraph.from_dict(copy.deepcopy(_PIN_DOC))
+    edit(loaded)
+    assert [(v.code, v.element_id, v.message) for v in loaded.validate()] == violations
+
+
+def test_a_mistyped_node_reports_every_mistyped_field():
+    graph = _insert_all(_PIN_DOC)
+    with pytest.raises(GraphDocumentError, match="'node_id' must be a string, got 5"):
+        graph.add_node(Node(5, NodeKind.EXTERNAL, 6, 7, _STAMP))
+    loaded = AgentBomGraph.from_dict(copy.deepcopy(_PIN_DOC))
+    _field("nodes", "ext.1", agent_id=6, trace_id=7)(loaded)
+    assert [v.message for v in loaded.validate()] == [
+        "node field 'agent_id' must be a string, got 6",
+        "node field 'trace_id' must be a string, got 7",
+    ]

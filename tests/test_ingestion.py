@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import gc
 import json
 import random
 from datetime import datetime
 
 import pytest
 
+from agentbom import ingestion, scenarios
 from agentbom.errors import (
     ManifestParseError,
     OutOfOrderTimestampError,
@@ -162,6 +164,20 @@ def test_trace_jsonl_skips_blank_lines_and_reports_line_numbers():
 
     with pytest.raises(TraceParseError, match="line 2"):
         parse_trace_jsonl(good + "\n{broken\n")
+
+
+@pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85"])
+def test_trace_lines_end_at_a_newline_only(separator):
+    # JSON allows these raw inside a string; str.splitlines() breaks at them
+    content = f"one{separator}two"
+    first = json.dumps(dict(_EVENT_DOC, content=content), ensure_ascii=False)
+    second = first.replace('"ev1"', '"ev2"')
+    events = parse_trace_jsonl(f"{first}\n\n{second}\n")
+    assert [(e.event_id, e.content) for e in events] == [("ev1", content), ("ev2", content)]
+    # CRLF line ends still parse, and line numbers still count newlines
+    assert parse_trace_jsonl(f"{first}\r\n\r\n{second}\r\n") == events
+    with pytest.raises(TraceParseError, match="^trace line 3: not valid JSON"):
+        parse_trace_jsonl(f"{first}\r\n{second}\r\n{{broken\r\n")
 
 
 def test_trace_event_rejects_unknown_type_and_missing_fields():
@@ -681,3 +697,72 @@ def test_binding_follows_event_order_within_each_trace():
     ]
     invokes = [e.edge_id for e in graph.edges.values() if e.kind is EdgeKind.INVOKES]
     assert invokes == ["e.invokes.act1.tool.exec"]
+
+
+# ---------------------------------------------------------------------------
+# the paused cycle collector
+# ---------------------------------------------------------------------------
+
+_STAGES = ("extract_static", "normalize_events", "bind_cross_layer")
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+@pytest.mark.parametrize("fails", [False, True], ids=["succeeds", "fails"])
+def test_parsing_and_assembly_restore_the_collector_state(monkeypatch, enabled, fails):
+    seen = []
+
+    def recording(name, original):
+        def stage(*args):
+            seen.append((name, gc.isenabled()))
+            return original(*args)
+        return stage
+
+    for name in _STAGES:
+        monkeypatch.setattr(ingestion, name, recording(name, getattr(ingestion, name)))
+    from_dict = TraceEvent.from_dict.__func__
+    monkeypatch.setattr(TraceEvent, "from_dict",
+                        classmethod(recording("from_dict", from_dict)))
+    tool = "mystery" if fails else "exec"
+    text = json.dumps(_event("act1", "tool_invocation", attrs={"tool_name": tool}).to_dict())
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if fails:
+            with pytest.raises(TraceParseError):
+                parse_trace_jsonl(text + "\n{broken\n")
+            assert gc.isenabled() is enabled
+        events = parse_trace_jsonl(text)
+        assert gc.isenabled() is enabled
+        if fails:
+            with pytest.raises(UnresolvedRefError):
+                assemble(_manifest(), events)
+        else:
+            assemble(_manifest(), events)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    # every event was parsed, and every stage ran, with the collector paused
+    names = [name for name, _ in seen]
+    assert names == ["from_dict"] * (2 if fails else 1) + list(_STAGES)
+    assert {state for _, state in seen} == {False}
+
+
+@pytest.mark.parametrize("scenario_id", scenarios.SCENARIO_IDS)
+def test_parsing_and_assembly_leave_no_reference_cycles(scenario_id):
+    fixture = scenarios.generate(scenario_id, seed=0)
+    manifest_text = fixture.manifest.to_json()
+    trace_text = "".join(json.dumps(e.to_dict()) + "\n" for e in fixture.events)
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        manifest = parse_manifest_json(manifest_text)
+        events = parse_trace_jsonl(trace_text)
+        after_parsing = gc.collect()
+        graph = assemble(manifest, events)
+        after_assembly = gc.collect()
+    finally:
+        if was:
+            gc.enable()
+    assert (after_parsing, after_assembly) == (0, 0)
+    assert graph.to_json() == fixture.build().to_json()

@@ -145,6 +145,20 @@ def test_load_rules_rejects_junk():
         load_rules("[]")
 
 
+def test_a_repeated_risk_id_is_rejected_by_load_rules_and_audit(graphs):
+    # a report keys its stats by risk_id: the second rule's would replace the first's
+    asi02, asi06 = (r for r in builtin_rules() if r.risk_id in ("ASI02", "ASI06"))
+    renamed = json.loads(dump_rules([asi06]))["rules"][0]
+    renamed["risk_id"] = "ASI02"
+    pack = json.loads(dump_rules([asi02]))["rules"] + [renamed]
+    with pytest.raises(RulePackError) as raised:
+        load_rules(json.dumps(pack))
+    assert str(raised.value) == "rule risk_id 'ASI02' appears twice"
+    with pytest.raises(RulePackError, match="^rule risk_id 'ASI02' appears twice$"):
+        audit(graphs["memory_poisoning_tool_misuse"], [asi02, asi02])
+    assert load_rules(json.dumps(pack[:1]))[0].risk_id == "ASI02"
+
+
 _ASI01 = json.loads(dump_rules(builtin_rules()[:1]))["rules"][0]
 
 
