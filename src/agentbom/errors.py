@@ -48,8 +48,8 @@ class FrozenGraphError(GraphError):
 
 
 class GraphDocumentError(GraphError):
-    """A serialized graph is missing a section, or a graph element or
-    document has a mistyped field."""
+    """A serialized graph, or one of its elements, does not fit its field
+    table: a field is missing, mistyped or unknown."""
 
 
 class GraphValidationError(GraphError):

@@ -14,7 +14,8 @@ kind's record, compiled from the schema tables once at import: the layer or
 the endpoint kinds, and a (predicate, message) pair per allowed attribute
 key, so checking an element is a few lookups and one predicate call per
 attribute. An id, agent id, trace id, role or policy boundary that is not a
-string is a field_type problem, worded as on loading a document.
+string is a field_type problem, judged by the document's field table and
+worded as on loading a document.
 
 to_json writes each element's text straight from its fields, with no
 to_dict() copy, and joins the document once; the bytes are those of
@@ -102,26 +103,6 @@ def _collector_paused():
             gc.enable()
 
 
-def _mistyped_fields(what: str, field_of, required: tuple, optional: tuple) -> list:
-    """Messages for the fields that are not strings; an optional one may be None."""
-    out = []
-    for key in required + optional:
-        value = field_of(key)
-        if not isinstance(value, str) and (key in required or value is not None):
-            out.append(f"{what} field {key!r} must be a string, got {value!r}")
-    return out
-
-
-def _check_fields(doc, what: str, required: tuple, optional: tuple) -> None:
-    """Reject an element document whose fields have the wrong JSON types."""
-    if not isinstance(doc, dict):
-        raise GraphDocumentError(f"every {what} must be an object, got {doc!r}")
-    for message in _mistyped_fields(what, doc.get, required, optional):
-        raise GraphDocumentError(message)
-    if not isinstance(doc.get("attributes", {}), dict):
-        raise GraphDocumentError(f"{what} field 'attributes' must be an object")
-
-
 # ===========================================================================
 # elements
 # ===========================================================================
@@ -140,12 +121,9 @@ class AgentDescriptor:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "AgentDescriptor":
-        _check_fields(doc, "agent", ("agent_id",), ("role", "policy_boundary"))
-        return cls(
-            agent_id=doc["agent_id"],
-            role=doc.get("role") or "",
-            policy_boundary=doc.get("policy_boundary") or "",
-        )
+        schema.check_fields(doc, schema.GRAPH_AGENT, "agent", GraphDocumentError)
+        # the table names exactly these fields; a null one takes its default
+        return cls(**{key: value for key, value in doc.items() if value is not None})
 
 
 @dataclass
@@ -179,16 +157,12 @@ class Node:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Node":
-        _check_fields(doc, "node", ("node_id", "kind"),
-                      ("agent_id", "trace_id", "timestamp"))
-        return cls(
-            node_id=doc["node_id"],
-            kind=schema.parse_node_kind(doc["kind"]),
-            agent_id=doc.get("agent_id"),
-            trace_id=doc.get("trace_id"),
-            timestamp=doc.get("timestamp"),
-            attributes=dict(doc.get("attributes", {})),
-        )
+        schema.check_fields(doc, schema.GRAPH_NODE, "node", GraphDocumentError)
+        # the table names exactly these fields, and a null one is None anyway;
+        # the node keeps the document's attributes object
+        node = cls(**doc)
+        node.kind = schema.parse_node_kind(node.kind)
+        return node
 
 
 @dataclass
@@ -223,16 +197,10 @@ class Edge:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Edge":
-        _check_fields(doc, "edge", ("edge_id", "kind", "source", "target"),
-                      ("timestamp",))
-        return cls(
-            edge_id=doc["edge_id"],
-            kind=schema.parse_edge_kind(doc["kind"]),
-            source=doc["source"],
-            target=doc["target"],
-            timestamp=doc.get("timestamp"),
-            attributes=dict(doc.get("attributes", {})),
-        )
+        schema.check_fields(doc, schema.GRAPH_EDGE, "edge", GraphDocumentError)
+        edge = cls(**doc)  # as Node.from_dict
+        edge.kind = schema.parse_edge_kind(edge.kind)
+        return edge
 
 
 @dataclass(frozen=True)
@@ -298,21 +266,33 @@ _EDGE_CHECKS = {
 _TEXT_OR_NONE = (str, type(None))
 
 
-def _field_type_violations(what: str, element, required: tuple, optional: tuple = ()):
-    """A field_type violation per element field that is not a string, as a
-    document's fields are checked on loading."""
-    element_id = getattr(element, required[0])
-    return [Violation("field_type", element_id, message) for message in
-            _mistyped_fields(what, lambda key: getattr(element, key), required, optional)]
+def _field_type_violations(what: str, element, table, keys: tuple, none_is_absent=True):
+    """A field_type violation per listed field of ``element`` (the first is its
+    id) that its document table would not load. None stands for an absent
+    field where the table lets null, unless ``none_is_absent`` is false: an
+    agent's fields hold strings, as its document writes every field."""
+    out = []
+    for key in keys:
+        value = getattr(element, key)
+        json_type = table.fields[key][0]
+        if type(value) not in (table.accepts[key] if none_is_absent else json_type.types):
+            out.append(Violation("field_type", getattr(element, keys[0]),
+                                 schema.mistyped(what, key, json_type, value)))
+    return out
 
 
 def _agent_violations(descriptor: AgentDescriptor) -> list:
-    return _field_type_violations("agent", descriptor,
-                                  ("agent_id", "role", "policy_boundary"))
+    return _field_type_violations("agent", descriptor, schema.GRAPH_AGENT,
+                                  ("agent_id", "role", "policy_boundary"),
+                                  none_is_absent=False)
 
 
 def _attribute_violations(element_id: str, attributes: dict, keys: dict) -> list:
-    """Attribute violations in key order; only failing keys are sorted."""
+    """Attribute violations in key order; only failing keys are sorted, a
+    key that is not a string by its text."""
+    if not isinstance(attributes, dict):
+        return [Violation("attribute_schema", element_id, f"{element_id!r} attributes "
+                          f"must be an object, got {attributes!r}")]
     failing = []
     for key, value in attributes.items():
         check = keys.get(key)
@@ -321,7 +301,7 @@ def _attribute_violations(element_id: str, attributes: dict, keys: dict) -> list
     if not failing:
         return failing
     out = []
-    for key in sorted(failing):
+    for key in sorted(failing, key=str):
         check = keys.get(key)
         message = (f"{element_id!r} carries unregistered key {key!r}" if check is None
                    else f"{element_id!r} attribute {key!r} {check[1]}")
@@ -450,10 +430,11 @@ class AgentBomGraph:
 
     def _node_violations(self, node: Node, check_duplicate: bool = False):
         nid = node.node_id
-        if not (isinstance(nid, str) and isinstance(node.agent_id, _TEXT_OR_NONE)
-                and isinstance(node.trace_id, _TEXT_OR_NONE)):
-            return _field_type_violations("node", node, ("node_id",),
-                                          ("agent_id", "trace_id"))
+        # a fast pre-test of what the table check reports
+        if not (type(nid) is str and type(node.agent_id) in _TEXT_OR_NONE
+                and type(node.trace_id) in _TEXT_OR_NONE):
+            return _field_type_violations("node", node, schema.GRAPH_NODE,
+                                          ("node_id", "agent_id", "trace_id"))
         if not nid:
             return [Violation("empty_id", nid, "a node id must not be empty")]
         if check_duplicate and self.has_element(nid):
@@ -484,9 +465,9 @@ class AgentBomGraph:
 
     def _edge_violations(self, edge: Edge, check_duplicate: bool = False):
         eid = edge.edge_id
-        if not (isinstance(eid, str) and isinstance(edge.source, str)
-                and isinstance(edge.target, str)):
-            return _field_type_violations("edge", edge, ("edge_id", "source", "target"))
+        if not (type(eid) is str and type(edge.source) is str and type(edge.target) is str):
+            return _field_type_violations("edge", edge, schema.GRAPH_EDGE,
+                                          ("edge_id", "source", "target"))
         if not eid:
             return [Violation("empty_id", eid, "an edge id must not be empty")]
         if check_duplicate and self.has_element(eid):
@@ -504,9 +485,11 @@ class AgentBomGraph:
             return [Violation("endpoint_kind", eid, f"edge kind {edge.kind.value} does not "
                               f"permit {src.kind.value} -> {tgt.kind.value}")]
         out: list[Violation] = []
+        # an endpoint whose attributes are not a map carries no marker (and
+        # is reported itself)
         if (propagation and src.agent_id is not None and src.agent_id == tgt.agent_id
-                and "shared_state" not in src.attributes
-                and "shared_state" not in tgt.attributes):
+                and not any(isinstance(n.attributes, dict) and "shared_state" in n.attributes
+                            for n in (src, tgt))):
             out.append(Violation("cross_agent", eid, f"propagation edge {eid!r} joins two "
                                  f"elements of agent {src.agent_id!r} with no "
                                  "shared-object marker"))
@@ -519,6 +502,8 @@ class AgentBomGraph:
     def _reference_violations(self, element_id, attributes):
         """References that name no node; an element may name itself."""
         out = []
+        if not isinstance(attributes, dict):
+            return out  # already reported as an attribute_schema problem
         for key in schema.REFERENCE_LIST_KEYS:
             refs = attributes.get(key)
             if not isinstance(refs, list):
@@ -576,13 +561,10 @@ class AgentBomGraph:
 
         The document must be well-formed: three lists of objects whose fields
         have the right JSON types, and kind names that parse. Everything
-        else is left to validate().
+        else is left to validate(). The elements keep the document's
+        attribute objects.
         """
-        if not isinstance(doc, dict) or not all(
-            isinstance(doc.get(section), list) for section in ("agents", "nodes", "edges")
-        ):
-            raise GraphDocumentError("a graph document is an object with agents, "
-                                     "nodes and edges lists")
+        schema.check_fields(doc, schema.GRAPH, "graph document", GraphDocumentError)
         graph = cls()
         for agent_doc in doc["agents"]:
             descriptor = AgentDescriptor.from_dict(agent_doc)

@@ -19,6 +19,7 @@ the danger matcher; every later stage reads only the recorded flags.
 
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import asdict, dataclass, field
 
@@ -100,114 +101,69 @@ class CapabilityManifest:
 
 def parse_manifest(doc: dict) -> CapabilityManifest:
     """Parse and cross-check a manifest document."""
-    if not isinstance(doc, dict) or not isinstance(doc.get("agents"), list):
-        raise ManifestParseError("manifest must be an object with an agents list")
+    schema.check_fields(doc, schema.MANIFEST, "manifest", ManifestParseError)
     if not doc["agents"]:
         raise ManifestParseError("manifest declares no agents")
-    agents = []
-    seen_ids = set()
-    for raw in doc["agents"]:
-        agent = _parse_agent(raw)
-        if agent.agent_id in seen_ids:
-            raise ManifestParseError(f"agent_id {agent.agent_id!r} declared twice")
-        seen_ids.add(agent.agent_id)
-        agents.append(agent)
-    return CapabilityManifest(agents=agents)
+    agents = _entries(doc, "manifest", "agents", schema.MANIFEST_AGENT, "agent_id", unique=True)
+    return CapabilityManifest(agents=[_parse_agent(raw) for _, raw in agents])
+
+
+# section of an agent -> its entries' table, their name key, whether names are
+# unique, and the spec an entry becomes
+_SECTIONS = {
+    "tools": (schema.MANIFEST_TOOL, "tool_name", True, ToolSpec),
+    "skills": (schema.MANIFEST_SKILL, "skill_name", True, SkillSpec),
+    "memory_stores": (schema.MANIFEST_MEMORY, "store_id", False, MemorySpec),
+    "code_dependencies": (schema.MANIFEST_CODE, "name", False, CodeSpec),
+}
+# field -> the table of the object under it
+_OBJECTS = {"system_prompt": schema.MANIFEST_PROMPT, "model": schema.MANIFEST_MODEL,
+            "provenance": schema.MANIFEST_PROVENANCE}
 
 
 def _parse_agent(raw: dict) -> ManifestAgent:
-    if not isinstance(raw, dict) or not raw.get("agent_id"):
-        raise ManifestParseError("every manifest agent needs an agent_id")
-    agent_id = raw["agent_id"]
-    if not isinstance(agent_id, str):
-        raise ManifestParseError(f"agent {agent_id!r}: agent_id must be a JSON string")
-    tools = [
-        ToolSpec(
-            tool_name=entry["tool_name"],
-            input_schema=_text(entry, "input_schema", agent_id),
-            permission_scope=_typed(entry, "permission_scope", list, agent_id),
-            provenance=_typed(entry, "provenance", dict, agent_id),
-        )
-        for entry in _entries(raw, agent_id, "tools", "tool_name", unique=True)
-    ]
-    skills = [
-        SkillSpec(
-            skill_name=entry["skill_name"],
-            declared_function=_text(entry, "declared_function", agent_id),
-            implementation_summary=_text(entry, "implementation_summary", agent_id),
-            provenance=_typed(entry, "provenance", dict, agent_id),
-        )
-        for entry in _entries(raw, agent_id, "skills", "skill_name", unique=True)
-    ]
-    memories = [
-        MemorySpec(store_id=m["store_id"], type=_text(m, "type", agent_id))
-        for m in _entries(raw, agent_id, "memory_stores", "store_id")
-    ]
-    code = [
-        CodeSpec(name=c["name"], version=_text(c, "version", agent_id))
-        for c in _entries(raw, agent_id, "code_dependencies", "name")
-    ]
-    return ManifestAgent(
-        agent_id=agent_id,
-        role=_text(raw, "role", agent_id),
-        policy_boundary=_text(raw, "policy_boundary", agent_id),
-        system_prompt=_typed(raw, "system_prompt", dict, agent_id),
-        model=_typed(raw, "model", dict, agent_id),
-        tools=tools,
-        skills=skills,
-        memory_stores=memories,
-        code_dependencies=code,
-    )
+    what = f"agent {raw['agent_id']!r}"
+    fields = _spec_fields(raw, what)
+    for section, (table, name_key, unique, spec) in _SECTIONS.items():
+        fields[section] = [spec(**_spec_fields(entry, where)) for where, entry
+                           in _entries(raw, what, section, table, name_key, unique)]
+    return ManifestAgent(**fields)
 
 
-def _typed(doc: dict, key: str, kind: type, agent_id: str):
-    """A copy of ``doc[key]`` (empty when absent), which must be a ``kind``."""
-    value = doc.get(key, kind())
-    if not isinstance(value, kind):
-        raise ManifestParseError(f"agent {agent_id!r}: {key} must be a JSON "
-                                 f"{'object' if kind is dict else 'array'}")
-    return kind(value)
+def _spec_fields(doc: dict, what: str) -> dict:
+    """The fields of a checked manifest object, as its spec takes them: a null
+    one is left out, for the spec's default, and a list or object is copied,
+    an object once checked against its table. The tables name exactly the
+    specs' fields."""
+    fields = {}
+    for key, value in doc.items():
+        if key in _OBJECTS:
+            schema.check_fields(value, _OBJECTS[key], f"{what} {key}", ManifestParseError)
+        if value is not None:
+            fields[key] = copy.copy(value)
+    return fields
 
 
-def _text(doc: dict, key: str, agent_id: str) -> str:
-    """``doc[key]``, which must be a string; absent or null is empty."""
-    value = doc.get(key)
-    if value is None:
-        return ""
-    if not isinstance(value, str):
-        raise ManifestParseError(f"agent {agent_id!r}: {key} must be a JSON string")
-    return value
-
-
-def _entries(raw: dict, agent_id: str, section: str, name_key: str,
+def _entries(doc: dict, what: str, section: str, table, name_key: str,
              unique: bool = False) -> list:
-    """The objects listed under ``section``, each named by a ``name_key`` string."""
-    entries = raw.get(section, [])
-    if not isinstance(entries, list):
-        raise ManifestParseError(f"agent {agent_id!r}: {section} must be a list")
-    names = set()
-    for entry in entries:
-        if not isinstance(entry, dict) or not entry.get(name_key):
-            raise ManifestParseError(
-                f"agent {agent_id!r}: {section} entry without {name_key}"
-            )
+    """(where, entry) for each object listed under ``section`` of ``doc``,
+    checked against ``table`` and named by a non-empty ``name_key``."""
+    names, out = set(), []
+    for index, entry in enumerate(doc.get(section, [])):
+        where = f"{what} {section}[{index}]"
+        schema.check_fields(entry, table, where, ManifestParseError)
         name = entry[name_key]
-        if not isinstance(name, str):
-            raise ManifestParseError(f"agent {agent_id!r}: {name_key} must be a JSON string")
+        if not name:
+            raise ManifestParseError(f"{where} field {name_key!r} must be a non-empty string")
         if unique and name in names:
-            raise ManifestParseError(
-                f"agent {agent_id!r}: {name_key} {name!r} declared twice"
-            )
+            raise ManifestParseError(f"{what}: {name_key} {name!r} declared twice")
         names.add(name)
-    return entries
+        out.append((where, entry))
+    return out
 
 
 def parse_manifest_json(text: str) -> CapabilityManifest:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ManifestParseError(f"manifest is not valid JSON: {exc}") from None
-    return parse_manifest(doc)
+    return parse_manifest(schema.load_json(text, "manifest", ManifestParseError))
 
 
 # ===========================================================================
@@ -276,36 +232,18 @@ class TraceEvent:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TraceEvent":
-        if not isinstance(doc, dict):
-            raise TraceParseError(f"trace event must be an object: {doc!r}")
-        for key in ("event_id", "trace_id", "agent_id", "timestamp", "event_type"):
-            if not doc.get(key):
-                raise TraceParseError(f"trace event is missing {key!r}: {doc!r}")
-            if not isinstance(doc[key], str):
-                raise TraceParseError(f"trace event {key} must be a string, "
-                                      f"got {doc[key]!r}")
+        schema.check_fields(doc, schema.TRACE_EVENT, "trace event", TraceParseError)
+        if not (doc["event_id"] and doc["trace_id"] and doc["agent_id"]):
+            empty = next(k for k in ("event_id", "trace_id", "agent_id") if not doc[k])
+            raise TraceParseError(f"trace event field {empty!r} must be a non-empty string")
         if doc["event_type"] not in _EVENT_KIND:
             raise TraceParseError(f"unknown event type {doc['event_type']!r}")
-        refs, attrs = doc.get("refs", []), doc.get("attrs", {})
-        content = doc.get("content")
-        if content is not None and not isinstance(content, str):
-            raise TraceParseError(f"event {doc['event_id']!r}: content must be a string "
-                                  f"or null")
-        if not schema.is_string_list(refs):
-            raise TraceParseError(f"event {doc['event_id']!r}: refs must be a list "
-                                  f"of event ids")
-        if not isinstance(attrs, dict):
-            raise TraceParseError(f"event {doc['event_id']!r}: attrs must be an object")
-        return cls(
-            event_id=doc["event_id"],
-            trace_id=doc["trace_id"],
-            agent_id=doc["agent_id"],
-            timestamp=doc["timestamp"],
-            event_type=doc["event_type"],
-            content=content or "",
-            refs=list(refs),
-            attrs=dict(attrs),
-        )
+        # the table names exactly these fields; the event keeps the document's
+        # refs list and attrs object
+        event = cls(**doc)
+        if event.content is None:
+            event.content = ""
+        return event
 
 
 def parse_trace_jsonl(text: str) -> list:

@@ -21,11 +21,11 @@ fills the matcher's own tables and can take fresh() per batch instead.
 from __future__ import annotations
 
 import copy
-import json
 import re
 from dataclasses import dataclass
 
 from .errors import IngestionError
+from .schema import MATCHER_PACK, MATCHER_PATTERN, check_fields, load_json
 
 
 @dataclass(frozen=True)
@@ -90,44 +90,20 @@ class DangerMatcher:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "DangerMatcher":
-        raw = doc.get("patterns") if isinstance(doc, dict) else None
-        if not isinstance(raw, list):
-            raise IngestionError("matcher pack needs a patterns list")
+        check_fields(doc, MATCHER_PACK, "matcher pack", IngestionError)
         patterns = []
-        for entry in raw:
-            if not isinstance(entry, dict):
-                raise IngestionError(
-                    f"matcher pattern entry must be an object: {entry!r}"
-                )
-            for key in ("flag", "pattern", "applies_to"):
-                if key not in entry:
-                    raise IngestionError(
-                        f"matcher pattern entry is missing field {key!r}"
-                    )
-            flag, pattern, applies_to = entry["flag"], entry["pattern"], entry["applies_to"]
-            if not isinstance(flag, str) or not flag:
-                raise IngestionError(f"matcher pattern flag must be a non-empty string, "
-                                     f"got {flag!r}")
-            if not isinstance(pattern, str):
-                raise IngestionError(f"matcher pattern for flag {flag!r}: pattern must "
-                                     f"be a string, got {pattern!r}")
-            if not isinstance(applies_to, list) or not all(
-                isinstance(key, str) for key in applies_to
-            ):
-                raise IngestionError(
-                    f"matcher pattern for flag {flag!r}: applies_to must be "
-                    f"a list of attribute keys"
-                )
-            patterns.append(DangerPattern(flag, pattern, tuple(applies_to)))
+        for entry in doc["patterns"]:
+            check_fields(entry, MATCHER_PATTERN, "matcher pattern", IngestionError)
+            if not entry["flag"]:
+                raise IngestionError("matcher pattern field 'flag' must be a non-empty "
+                                     "string")
+            patterns.append(DangerPattern(entry["flag"], entry["pattern"],
+                                          tuple(entry["applies_to"])))
         return cls(patterns)
 
     @classmethod
     def from_json(cls, text: str) -> "DangerMatcher":
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise IngestionError(f"matcher pack is not valid JSON: {exc}") from None
-        return cls.from_dict(doc)
+        return cls.from_dict(load_json(text, "matcher pack", IngestionError))
 
 
 def _texts_of(value):

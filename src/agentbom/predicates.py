@@ -11,7 +11,8 @@ it tests the incident edges of a node, which entry selection needs.
 from __future__ import annotations
 
 from .errors import PredicateError
-from .schema import layer_of, parse_edge_kind, parse_node_kind, Layer
+from .schema import (ENTRY_ATTR, PREDICATE_OPS, Layer, check_fields, layer_of,
+                     parse_edge_kind, parse_node_kind)
 
 _COMPARATORS = ("==", "!=", "contains", "intersects")
 _LAYER_NAMES = tuple(layer.value for layer in Layer)
@@ -246,28 +247,15 @@ class NeighborMatch(Predicate):
 # ===========================================================================
 
 
-def expect_json(value, kind, what, error=PredicateError, of=object):
-    """``value`` itself, which must be a JSON object (``kind`` dict) or a
-    JSON array (``kind`` list) whose items are all ``of``."""
-    if kind is dict:
-        ok, noun = isinstance(value, dict), "an object"
-    else:
-        ok = isinstance(value, list) and all(isinstance(v, of) for v in value)
-        noun = "a list of names" if of is str else "a list"
-    if not ok:
-        raise error(f"{what} must be {noun}, got {value!r}")
-    return value
-
-
 def _parse_value(raw):
     """A comparison value: a JSON scalar, a list of scalars or an entry_attr."""
     if isinstance(raw, dict):
-        if set(raw) == {"entry_attr"} and isinstance(raw["entry_attr"], str):
-            return EntryAttr(raw["entry_attr"])
-    elif all(isinstance(v, _SCALARS) for v in (raw if isinstance(raw, list) else [raw])):
-        return raw
-    raise PredicateError(f"comparison value must be a JSON scalar, a list of scalars "
-                         f"or {{\"entry_attr\": key}}, got {raw!r}")
+        check_fields(raw, ENTRY_ATTR, "comparison value", PredicateError)
+        return EntryAttr(raw["entry_attr"])
+    if not all(isinstance(v, _SCALARS) for v in (raw if isinstance(raw, list) else [raw])):
+        raise PredicateError(f"comparison value must be a JSON scalar, a list of scalars "
+                             f"or {{\"entry_attr\": key}}, got {raw!r}")
+    return raw
 
 
 def predicate_from_dict(doc: dict) -> Predicate:
@@ -275,44 +263,33 @@ def predicate_from_dict(doc: dict) -> Predicate:
     if not isinstance(doc, dict) or "op" not in doc:
         raise PredicateError(f"predicate document needs an op field: {doc!r}")
     op = doc["op"]
-    try:
-        if op == "attr":
-            if not isinstance(doc["key"], str):
-                raise PredicateError(f"predicate op 'attr': key must be a string, "
-                                     f"got {doc['key']!r}")
-            return AttrCmp(doc["key"], doc["cmp"], _parse_value(doc["value"]))
-        if op == "flags":
-            any_of = doc.get("any_of")
-            if any_of is not None:
-                expect_json(any_of, list, "predicate op 'flags': any_of", of=str)
-            return HasFlag(any_of)
-        if op == "kind":
-            names = expect_json(doc["any_of"], list, "predicate op 'kind': any_of",
-                                of=str)
-            for name in names:
-                _require_known_kind(name)
-            return KindIs(names)
-        if op == "layer":
-            if doc["layer"] not in _LAYER_NAMES:
-                raise PredicateError(f"unknown layer {doc['layer']!r}")
-            return LayerIs(doc["layer"])
-        if op == "not":
-            return Not(predicate_from_dict(doc["arg"]))
-        if op in ("and", "or"):
-            args = expect_json(doc["args"], list, f"predicate op {op!r}: args")
-            parts = [predicate_from_dict(d) for d in args]
-            return And(parts) if op == "and" else Or(parts)
-        if op == "neighbor":
-            return NeighborMatch(
-                doc["direction"],
-                expect_json(doc["edge_kinds"], list,
-                            "predicate op 'neighbor': edge_kinds", of=str),
-                node=predicate_from_dict(doc["node"]) if "node" in doc else None,
-                edge=predicate_from_dict(doc["edge"]) if "edge" in doc else None,
-            )
-    except KeyError as missing:
-        raise PredicateError(f"predicate op {op!r} is missing field {missing}") from None
-    raise PredicateError(f"unknown predicate op {op!r}")
+    table = PREDICATE_OPS.get(op) if type(op) is str else None
+    if table is None:
+        raise PredicateError(f"unknown predicate op {op!r}")
+    check_fields(doc, table, f"predicate op {op!r}", PredicateError)
+    if op == "attr":
+        return AttrCmp(doc["key"], doc["cmp"], _parse_value(doc["value"]))
+    if op == "flags":
+        return HasFlag(doc.get("any_of"))
+    if op == "kind":
+        for name in doc["any_of"]:
+            _require_known_kind(name)
+        return KindIs(doc["any_of"])
+    if op == "layer":
+        if doc["layer"] not in _LAYER_NAMES:
+            raise PredicateError(f"unknown layer {doc['layer']!r}")
+        return LayerIs(doc["layer"])
+    if op == "not":
+        return Not(predicate_from_dict(doc["arg"]))
+    if op == "neighbor":
+        return NeighborMatch(
+            doc["direction"],
+            doc["edge_kinds"],
+            node=predicate_from_dict(doc["node"]) if "node" in doc else None,
+            edge=predicate_from_dict(doc["edge"]) if "edge" in doc else None,
+        )
+    parts = [predicate_from_dict(d) for d in doc["args"]]
+    return And(parts) if op == "and" else Or(parts)
 
 
 def _require_known_kind(name: str):

@@ -12,7 +12,6 @@ kept path.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from .errors import RulePackError
@@ -28,7 +27,6 @@ from .predicates import (
     Not,
     Or,
     Predicate,
-    expect_json,
     predicate_from_dict,
 )
 from . import schema
@@ -100,16 +98,10 @@ class EntrySelector:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "EntrySelector":
-        expect_json(doc, dict, "rule entry", RulePackError)
-        predicate = None
-        if "predicate" in doc:
-            predicate = predicate_from_dict(doc["predicate"])
-        return cls(
-            element_class=doc["element_class"],
-            kinds=tuple(expect_json(doc["kinds"], list, "entry kinds", RulePackError,
-                                    of=str)),
-            predicate=predicate,
-        )
+        schema.check_fields(doc, schema.RULE_ENTRY, "rule entry", RulePackError)
+        predicate = predicate_from_dict(doc["predicate"]) if "predicate" in doc else None
+        return cls(element_class=doc["element_class"], kinds=tuple(doc["kinds"]),
+                   predicate=predicate)
 
 
 @dataclass
@@ -135,7 +127,7 @@ class Clause:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Clause":
-        expect_json(doc, dict, "rule condition", RulePackError)
+        schema.check_fields(doc, schema.RULE_CLAUSE, "rule condition", RulePackError)
         return cls(
             scope=doc["scope"],
             quantifier=doc["quantifier"],
@@ -177,65 +169,45 @@ class AuditRule:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "AuditRule":
-        expect_json(doc, dict, "rule", RulePackError)
-        try:
-            conditions = expect_json(doc["conditions"], list, "rule conditions",
-                                     RulePackError)
-            for key in ("risk_id", "name"):
-                if not isinstance(doc.get(key, ""), str):
-                    raise RulePackError(f"rule {key} must be a string, got {doc[key]!r}")
-            return cls(
-                risk_id=doc["risk_id"],
-                name=doc.get("name", ""),
-                entry=EntrySelector.from_dict(doc["entry"]),
-                back=_spec_from_dict(doc["back"], BACKWARD),
-                fwd=_spec_from_dict(doc["fwd"], FORWARD),
-                conditions=[Clause.from_dict(c) for c in conditions],
-            )
-        except KeyError as missing:
-            raise RulePackError(f"rule document is missing field {missing}") from None
+        schema.check_fields(doc, schema.RULE, "rule", RulePackError)
+        return cls(
+            risk_id=doc["risk_id"],
+            name=doc.get("name", ""),
+            entry=EntrySelector.from_dict(doc["entry"]),
+            back=_spec_from_dict(doc["back"], BACKWARD),
+            fwd=_spec_from_dict(doc["fwd"], FORWARD),
+            conditions=[Clause.from_dict(c) for c in doc["conditions"]],
+        )
 
 
 def _spec_from_dict(doc: dict, expected_direction: str) -> PathSpec:
     what = f"rule {expected_direction} spec"
-    expect_json(doc, dict, what, RulePackError)
+    schema.check_fields(doc, schema.RULE_SPEC, what, RulePackError)
     direction = doc.get("direction", expected_direction)
     if direction not in (BACKWARD, FORWARD):
         raise RulePackError(f"{what} direction must be backward or forward, "
                             f"got {direction!r}")
-    terminal = None
-    if "terminal" in doc:
-        terminal = predicate_from_dict(doc["terminal"])
-    node_kinds = doc.get("node_kinds")
-    if node_kinds is not None:
-        expect_json(node_kinds, list, f"{what} node_kinds", RulePackError, of=str)
+    terminal = predicate_from_dict(doc["terminal"]) if "terminal" in doc else None
     max_depth = doc.get("max_depth", 32)
-    if not isinstance(max_depth, int) or isinstance(max_depth, bool) or max_depth < 1:
+    if max_depth < 1:
         raise RulePackError(f"{what} max_depth must be a positive integer, "
                             f"got {max_depth!r}")
-    cross_agent = doc.get("cross_agent", False)
-    if not isinstance(cross_agent, bool):
-        raise RulePackError(f"{what} cross_agent must be true or false, "
-                            f"got {cross_agent!r}")
     return PathSpec(
         direction=direction,
-        allowed_edge_kinds=expect_json(doc["edge_kinds"], list, f"{what} edge_kinds",
-                                       RulePackError, of=str),
-        allowed_node_kinds=node_kinds,
+        allowed_edge_kinds=doc["edge_kinds"],
+        allowed_node_kinds=doc.get("node_kinds"),
         terminal=terminal,
         max_depth=max_depth,
-        cross_agent=cross_agent,
+        cross_agent=doc.get("cross_agent", False),
     )
 
 
 def load_rules(text: str) -> list:
     """Load a rule pack from JSON: either a list or {"rules": [...]}."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise RulePackError(f"rule pack is not valid JSON: {exc}") from None
+    doc = schema.load_json(text, "rule pack", RulePackError)
     if isinstance(doc, dict):
-        doc = doc.get("rules")
+        schema.check_fields(doc, schema.RULE_PACK, "rule pack", RulePackError)
+        doc = doc["rules"]
     if not isinstance(doc, list) or not doc:
         raise RulePackError("rule pack must contain a non-empty rules list")
     rules = [AuditRule.from_dict(entry) for entry in doc]

@@ -1,15 +1,20 @@
-"""Closed vocabularies for the two-layer agent graph.
+"""Closed vocabularies for the two-layer agent graph and its input documents.
 
 Everything the graph may contain is declared here as data: node kinds and
 their layers, edge kinds and their families, the endpoint-constraint table,
 the per-kind attribute registries, and the flow-orientation table used by
 path traversal. Keeping these as module-level tables means the construction
 checks, the validators, and the traversal engine all read from one place.
+So are the fields of every JSON document the program reads (manifest, trace
+event, graph, rule pack, predicate, matcher pack): one field table per kind
+of object, checked by check_fields.
 """
 
 from __future__ import annotations
 
 import enum
+import json
+from typing import NamedTuple
 
 from .errors import UnknownKindError
 
@@ -458,3 +463,145 @@ def allowed_edge_keys(kind: EdgeKind) -> frozenset[str]:
 # Attribute keys whose string-list entries name other graph elements and
 # must resolve when they are present.
 REFERENCE_LIST_KEYS = ("basis", "parameter_source")
+
+
+# ===========================================================================
+# input document fields
+# ===========================================================================
+
+
+class JsonType(NamedTuple):
+    """A JSON value type: the exact types json.loads gives its values (so
+    true is not an integer), the noun that completes "must be ...", and the
+    exact type of every item of an array, where it is fixed."""
+
+    noun: str
+    types: tuple
+    items: type | None = None
+
+
+STRING = JsonType("a string", (str,))
+INTEGER = JsonType("an integer", (int,))
+BOOLEAN = JsonType("true or false", (bool,))
+OBJECT = JsonType("an object", (dict,))
+ARRAY = JsonType("a list", (list,))
+STRINGS = JsonType("a list of strings", (list,), str)
+ANY = JsonType("a JSON value", (str, int, float, bool, list, dict, type(None)))
+
+# Field presence; a NULL_AS_ABSENT field is optional, and null stands for leaving it out.
+REQUIRED, OPTIONAL, NULL_AS_ABSENT = "required", "optional", "null as absent"
+
+
+class FieldTable:
+    """The fields one kind of document object may carry, name -> (JsonType,
+    presence), and the views check_fields reads: the exact types each field
+    accepts, the arrays whose items are typed, and the required names."""
+
+    def __init__(self, **fields):
+        self.fields = fields
+        self.accepts = {key: t.types + ((type(None),) if p == NULL_AS_ABSENT else ())
+                        for key, (t, p) in fields.items()}
+        self.typed_arrays = tuple((key, t.items) for key, (t, _) in fields.items() if t.items)
+        self.required = frozenset(key for key, (_, p) in fields.items() if p == REQUIRED)
+
+
+def load_json(text: str, what: str, error):
+    """The document ``text`` holds; ``error`` names ``what`` if it is not JSON."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise error(f"{what} is not valid JSON: {exc}") from None
+
+
+def mistyped(what: str, key: str, json_type: JsonType, value) -> str:
+    return f"{what} field {key!r} must be {json_type.noun}, got {value!r}"
+
+
+def check_fields(doc, table: FieldTable, what: str, error) -> None:
+    """Raise ``error``, its message naming the object ``what``, unless ``doc``
+    is an object whose every key is in ``table`` with a value of that
+    field's type, and which carries every required field."""
+    if not isinstance(doc, dict):
+        raise error(f"{what} must be an object, got {doc!r}")
+    accepts = table.accepts
+    for key, value in doc.items():
+        types = accepts.get(key)
+        if types is None:
+            raise error(f"{what} has unknown field {key!r}")
+        if type(value) not in types:
+            raise error(mistyped(what, key, table.fields[key][0], value))
+    for key, items in table.typed_arrays:
+        value = doc.get(key)
+        if value and not all(type(item) is items for item in value):
+            raise error(mistyped(what, key, table.fields[key][0], value))
+    if not doc.keys() >= table.required:
+        missing = next(key for key in table.fields
+                       if key in table.required and key not in doc)
+        raise error(f"{what} is missing field {missing!r}")
+
+
+# the commonest two fields: a required string, and a string that null leaves out
+_STR = (STRING, REQUIRED)
+_TEXT = (STRING, NULL_AS_ABSENT)
+
+# -- capability manifest; values under system_prompt, model and provenance
+# become node attributes, typed by ATTRIBUTE_CHECKS, and an empty one is left out
+MANIFEST = FieldTable(agents=(ARRAY, REQUIRED))
+MANIFEST_AGENT = FieldTable(
+    agent_id=_STR, role=_TEXT, policy_boundary=_TEXT, system_prompt=(OBJECT, OPTIONAL),
+    model=(OBJECT, OPTIONAL), tools=(ARRAY, OPTIONAL), skills=(ARRAY, OPTIONAL),
+    memory_stores=(ARRAY, OPTIONAL), code_dependencies=(ARRAY, OPTIONAL))
+MANIFEST_PROMPT = FieldTable(content=(ANY, OPTIONAL), source=(ANY, OPTIONAL),
+                             trust_level=(ANY, OPTIONAL))
+MANIFEST_MODEL = FieldTable(name=(ANY, OPTIONAL), provider=(ANY, OPTIONAL))
+MANIFEST_TOOL = FieldTable(tool_name=_STR, input_schema=_TEXT,
+                           permission_scope=(ARRAY, OPTIONAL), provenance=(OBJECT, OPTIONAL))
+MANIFEST_SKILL = FieldTable(skill_name=_STR, declared_function=_TEXT,
+                            implementation_summary=_TEXT, provenance=(OBJECT, OPTIONAL))
+MANIFEST_PROVENANCE = FieldTable(source=(ANY, OPTIONAL), integrity_status=(ANY, OPTIONAL),
+                                 trust_level=(ANY, OPTIONAL))
+MANIFEST_MEMORY = FieldTable(store_id=_STR, type=_TEXT)
+MANIFEST_CODE = FieldTable(name=_STR, version=_TEXT)
+
+# -- trace event; attrs is the extension slot, its keys become node attributes
+TRACE_EVENT = FieldTable(
+    event_id=_STR, trace_id=_STR, agent_id=_STR, timestamp=_STR, event_type=_STR, content=_TEXT,
+    refs=(STRINGS, OPTIONAL), attrs=(OBJECT, OPTIONAL))
+
+# -- graph document; attributes is checked key by key by ATTRIBUTE_CHECKS
+GRAPH = FieldTable(agents=(ARRAY, REQUIRED), nodes=(ARRAY, REQUIRED),
+                   edges=(ARRAY, REQUIRED))
+GRAPH_AGENT = FieldTable(agent_id=_STR, role=_TEXT, policy_boundary=_TEXT)
+GRAPH_NODE = FieldTable(node_id=_STR, kind=_STR, agent_id=_TEXT, trace_id=_TEXT,
+                        timestamp=_TEXT, attributes=(OBJECT, OPTIONAL))
+GRAPH_EDGE = FieldTable(edge_id=_STR, kind=_STR, source=_STR, target=_STR, timestamp=_TEXT,
+                        attributes=(OBJECT, OPTIONAL))
+
+# -- rule pack, and its predicates with one table per op
+RULE_PACK = FieldTable(rules=(ARRAY, REQUIRED))
+RULE = FieldTable(risk_id=_STR, name=(STRING, OPTIONAL), entry=(OBJECT, REQUIRED),
+                  back=(OBJECT, REQUIRED), fwd=(OBJECT, REQUIRED),
+                  conditions=(ARRAY, REQUIRED))
+RULE_ENTRY = FieldTable(element_class=_STR, kinds=(STRINGS, REQUIRED),
+                        predicate=(OBJECT, OPTIONAL))
+RULE_SPEC = FieldTable(
+    direction=(STRING, OPTIONAL), edge_kinds=(STRINGS, REQUIRED),
+    node_kinds=(STRINGS, NULL_AS_ABSENT), terminal=(OBJECT, OPTIONAL),
+    max_depth=(INTEGER, OPTIONAL), cross_agent=(BOOLEAN, OPTIONAL))
+RULE_CLAUSE = FieldTable(scope=_STR, quantifier=_STR, predicate=(OBJECT, REQUIRED))
+PREDICATE_OPS = {
+    "attr": FieldTable(op=_STR, key=_STR, cmp=_STR, value=(ANY, REQUIRED)),
+    "flags": FieldTable(op=_STR, any_of=(STRINGS, NULL_AS_ABSENT)),
+    "kind": FieldTable(op=_STR, any_of=(STRINGS, REQUIRED)),
+    "layer": FieldTable(op=_STR, layer=_STR),
+    "not": FieldTable(op=_STR, arg=(OBJECT, REQUIRED)),
+    "and": FieldTable(op=_STR, args=(ARRAY, REQUIRED)),
+    "or": FieldTable(op=_STR, args=(ARRAY, REQUIRED)),
+    "neighbor": FieldTable(op=_STR, direction=_STR, edge_kinds=(STRINGS, REQUIRED),
+                           node=(OBJECT, OPTIONAL), edge=(OBJECT, OPTIONAL)),
+}
+ENTRY_ATTR = FieldTable(entry_attr=_STR)  # a comparison value read from the entry
+
+# -- danger matcher pack
+MATCHER_PACK = FieldTable(patterns=(ARRAY, REQUIRED))
+MATCHER_PATTERN = FieldTable(flag=_STR, pattern=_STR, applies_to=(STRINGS, REQUIRED))

@@ -290,6 +290,11 @@ def _predicate_case(predicate):
     return _rules_case(entry=dict(_RULE["entry"], predicate=predicate))
 
 
+# a key no field table declares, by the case that carries it
+_UNKNOWN_KEY = {"manifest-tols-misspelled": "tols", "trace-contnet-misspelled": "contnet",
+                "graph-atributes-misspelled": "atributes",
+                "rule-max-dept-misspelled": "max_dept", "matcher-entry-extra-key": "flags"}
+
 # a graph file that loads but fails validation was read, not assembled
 _LOADED_GRAPH_FAILS_VALIDATION = ("audit-empty-node-id", "export-empty-node-id")
 
@@ -349,6 +354,12 @@ _LOADED_GRAPH_FAILS_VALIDATION = ("audit-empty-node-id", "export-empty-node-id")
                      "value": [[1]]}),
     _predicate_case({"op": "attr", "key": "content", "cmp": "contains",
                      "value": [{"entry_attr": "content"}]}),
+    _build_case(agent={"tols": [{"tool_name": "exec"}]}),
+    _build_case(contnet="rm -rf /"),
+    _graph_case("validate", dict(_GRAPH, nodes=[{"node_id": "agent.a", "kind": "AgentNode",
+                                                 "atributes": {}}])),
+    _rules_case(fwd=dict(_RULE["fwd"], max_dept=3)),
+    _matchers_case(flags=["f"]),
 ], ids=[
     "audit-node-without-kind", "validate-node-without-kind",
     "export-node-without-kind", "audit-graph-is-a-list", "validate-graph-is-a-list",
@@ -371,6 +382,8 @@ _LOADED_GRAPH_FAILS_VALIDATION = ("audit-empty-node-id", "export-empty-node-id")
     "and-args-not-a-list",
     "neighbor-edge-kinds-not-a-list", "flags-any-of-a-string",
     "attr-value-a-nested-list", "attr-value-a-list-of-maps",
+    "manifest-tols-misspelled", "trace-contnet-misspelled", "graph-atributes-misspelled",
+    "rule-max-dept-misspelled", "matcher-entry-extra-key",
 ])
 def test_malformed_input_is_a_single_line_error(tmp_path, capsys, request,
                                                 command, doc, event):
@@ -399,3 +412,5 @@ def test_malformed_input_is_a_single_line_error(tmp_path, capsys, request,
     if request.node.callspec.id in _LOADED_GRAPH_FAILS_VALIDATION:
         assert "graph failed validation" in err
         assert "assembled" not in err
+    if request.node.callspec.id in _UNKNOWN_KEY:
+        assert f"unknown field {_UNKNOWN_KEY[request.node.callspec.id]!r}" in err

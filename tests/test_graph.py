@@ -110,10 +110,41 @@ def test_reference_attributes_must_resolve_at_insertion():
 
 
 def test_unregistered_attribute_key_rejected():
+    # an unregistered key, attributes that are not a map, and a key that is
+    # not a string: insertion raises the first fault, and validate() reports
+    # them all once the attributes are set after insertion
+    for attributes, messages in [
+        ({"favourite_color": "green"}, ["{} carries unregistered key 'favourite_color'"]),
+        ([("tool_name", "t")], ["{} attributes must be an object, got [('tool_name', 't')]"]),
+        ({5: "t", "zz": 1}, ["{} carries unregistered key 5",
+                             "{} carries unregistered key 'zz'"]),
+    ]:
+        graph = _graph_with_agent()
+        graph.add_node(_runtime("act.1", NodeKind.ACTION))
+        with pytest.raises(AttributeSchemaError) as raised:
+            graph.add_node(Node(node_id="t", kind=NodeKind.TOOL, attributes=attributes))
+        assert str(raised.value) == messages[0].format("'t'")
+        graph.add_node(Node(node_id="t", kind=NodeKind.TOOL))
+        with pytest.raises(AttributeSchemaError) as raised:
+            graph.add_edge(Edge("e1", EdgeKind.INVOKES, "act.1", "t", attributes=attributes))
+        assert str(raised.value) == messages[0].format("'e1'")
+        graph.add_edge(Edge("e1", EdgeKind.INVOKES, "act.1", "t"))
+        graph.nodes["t"].attributes = attributes
+        graph.edges["e1"].attributes = attributes
+        assert [(v.element_id, v.message) for v in graph.validate()] == [
+            (element, message.format(repr(element)))
+            for element in ("t", "e1") for message in messages
+        ]
+        assert {v.code for v in graph.validate()} == {"attribute_schema"}
+    # such an endpoint of a propagation edge within one agent carries no
+    # shared-object marker
     graph = _graph_with_agent()
-    with pytest.raises(AttributeSchemaError):
-        graph.add_node(Node(node_id="t", kind=NodeKind.TOOL,
-                            attributes={"favourite_color": "green"}))
+    graph.add_node(_runtime("out.1", NodeKind.OUTPUT, shared_state="channel"))
+    graph.add_node(_runtime("ctx.1", NodeKind.CONTEXT))
+    graph.add_edge(Edge("e.sends", EdgeKind.SENDS_TO, "out.1", "ctx.1"))
+    graph.nodes["out.1"].attributes = 5
+    assert [(v.code, v.element_id) for v in graph.validate()] == [
+        ("attribute_schema", "out.1"), ("cross_agent", "e.sends")]
 
 
 def test_enum_attribute_value_checked():

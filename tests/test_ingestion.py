@@ -137,6 +137,11 @@ def _text_field_doc(section, key, value):
     return {"agents": [{"agent_id": "a1", section: [entry]}]}
 
 
+def _what(section):
+    """How a message names the manifest object that holds a field."""
+    return "manifest agents[0]" if section is None else f"agent 'a1' {section}[0]"
+
+
 def _text_field(manifest, section, key):
     agent = manifest.agents[0]
     return getattr(agent if section is None else getattr(agent, section)[0], key)
@@ -150,7 +155,8 @@ def test_manifest_text_fields_take_strings_and_load_null_as_absent(section, key)
     for bad in (5, 1.5, True, ["x"], {"a": "b"}):
         with pytest.raises(ManifestParseError) as raised:
             parse_manifest(_text_field_doc(section, key, bad))
-        assert str(raised.value) == f"agent 'a1': {key} must be a JSON string"
+        assert str(raised.value) == (f"{_what(section)} field {key!r} must be a string, "
+                                     f"got {bad!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +204,7 @@ _EVENT_DOC = {"event_id": "ev1", "trace_id": "t1", "agent_id": "a1",
 @pytest.mark.parametrize("bad", [7, 20260301, 1.5, True, ["x"], {"x": "y"}])
 def test_trace_event_ids_and_stamps_must_be_strings(key, bad):
     doc = dict(_EVENT_DOC, **{key: bad})
-    with pytest.raises(TraceParseError, match=f"{key} must be a string"):
+    with pytest.raises(TraceParseError, match=f"'{key}' must be a string"):
         TraceEvent.from_dict(doc)
     with pytest.raises(TraceParseError, match="line 1"):
         parse_trace_jsonl(json.dumps(doc) + "\n")
@@ -209,7 +215,7 @@ def test_trace_event_content_is_a_string_or_null():
                          (dict(_EVENT_DOC, content="hi"), "hi")):
         assert TraceEvent.from_dict(doc).content == content
     for bad in (5, ["hi"], {"text": "hi"}, False):
-        with pytest.raises(TraceParseError, match="content must be a string or null"):
+        with pytest.raises(TraceParseError, match="'content' must be a string"):
             TraceEvent.from_dict(dict(_EVENT_DOC, content=bad))
 
 
@@ -230,8 +236,7 @@ def test_manifest_names_must_be_strings(section, bad):
         doc = {"agents": [{"agent_id": "a1", section: [{key: bad}]}]}
     with pytest.raises(ManifestParseError) as raised:
         parse_manifest(doc)
-    agent = bad if section is None else "a1"
-    assert str(raised.value) == f"agent {agent!r}: {key} must be a JSON string"
+    assert str(raised.value) == f"{_what(section)} field {key!r} must be a string, got {bad!r}"
 
 
 def test_stream_check_rejects_duplicate_ids():

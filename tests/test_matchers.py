@@ -235,7 +235,7 @@ def test_pack_without_patterns_list_is_rejected():
 @pytest.mark.parametrize("applies_to", ["content", 5, [5]])
 def test_applies_to_must_be_a_list_of_keys(applies_to):
     entry = {"flag": "f", "pattern": "x", "applies_to": applies_to}
-    with pytest.raises(IngestionError, match="applies_to must be a list"):
+    with pytest.raises(IngestionError, match="'applies_to' must be a list"):
         DangerMatcher.from_dict({"patterns": [entry]})
 
 
@@ -245,7 +245,7 @@ def test_applies_to_must_be_a_list_of_keys(applies_to):
 def test_flag_and_pattern_must_be_strings(field, value):
     entry = dict({"flag": "f", "pattern": "x", "applies_to": ["content"]},
                  **{field: value})
-    with pytest.raises(IngestionError, match=f"{field} must be"):
+    with pytest.raises(IngestionError, match=f"'{field}' must be"):
         DangerMatcher.from_dict({"patterns": [entry]})
 
 
