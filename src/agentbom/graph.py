@@ -587,7 +587,7 @@ class AgentBomGraph:
     @classmethod
     def from_json(cls, text: str) -> "AgentBomGraph":
         with _collector_paused():
-            return cls.from_dict(json.loads(text))
+            return cls.from_dict(schema.load_json(text, "graph document", GraphDocumentError))
 
 
 # ===========================================================================

@@ -20,7 +20,6 @@ the danger matcher; every later stage reads only the recorded flags.
 from __future__ import annotations
 
 import copy
-import json
 from dataclasses import asdict, dataclass, field
 
 from . import schema
@@ -258,10 +257,7 @@ def parse_trace_jsonl(text: str) -> list:
         for lineno, line in enumerate(text.split("\n"), start=1):
             if not line.strip():
                 continue
-            try:
-                doc = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise TraceParseError(f"trace line {lineno}: not valid JSON: {exc}") from None
+            doc = schema.load_json(line, f"trace line {lineno}", TraceParseError)
             try:
                 events.append(TraceEvent.from_dict(doc))
             except TraceParseError as exc:

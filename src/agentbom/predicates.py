@@ -6,17 +6,26 @@ current entry element's attributes ({"entry_attr": key}), which lets a rule
 ask questions like "does this element share a danger flag with the entry".
 The neighbor atom is the one predicate that looks past the element itself:
 it tests the incident edges of a node, which entry selection needs.
+
+A predicate is a pure function of the element, the graph and the entry
+attributes it reads (``entry_keys``), so an ``Answers`` table may hand one
+entry the answers another entry got, when the two agree on those
+attributes.
 """
 
 from __future__ import annotations
 
-from .errors import PredicateError
+from .errors import PredicateError, UnknownKindError
 from .schema import (ENTRY_ATTR, PREDICATE_OPS, Layer, check_fields, layer_of,
                      parse_edge_kind, parse_node_kind)
 
 _COMPARATORS = ("==", "!=", "contains", "intersects")
 _LAYER_NAMES = tuple(layer.value for layer in Layer)
 _SCALARS = (str, int, float, bool, type(None))
+
+# Evaluating a predicate takes up to two stack frames per level, and the
+# interpreter allows 1,000 in all, so a document may nest no deeper than this.
+MAX_DEPTH = 100
 
 
 class EntryAttr:
@@ -51,6 +60,12 @@ class Predicate:
     def referenced_keys(self) -> frozenset:
         """Attribute keys this predicate reads on the element under test."""
         return frozenset()
+
+    def entry_keys(self) -> frozenset | None:
+        """Attribute keys this predicate reads on the entry, through EntryAttr;
+        None when it may read anything of the entry, which is what a
+        subclass that does not say is taken to do."""
+        return None
 
 
 class AttrCmp(Predicate):
@@ -93,6 +108,9 @@ class AttrCmp(Predicate):
     def referenced_keys(self):
         return frozenset({self.key})
 
+    def entry_keys(self):
+        return frozenset({self.value.key}) if isinstance(self.value, EntryAttr) else frozenset()
+
 
 class HasFlag(Predicate):
     """True when danger_flags is non-empty, or intersects any_of if given."""
@@ -117,6 +135,9 @@ class HasFlag(Predicate):
     def referenced_keys(self):
         return frozenset({"danger_flags"})
 
+    def entry_keys(self):
+        return frozenset()
+
 
 class KindIs(Predicate):
     """True when the element's kind name is one of the given names."""
@@ -129,6 +150,9 @@ class KindIs(Predicate):
 
     def to_dict(self) -> dict:
         return {"op": "kind", "any_of": list(self.names)}
+
+    def entry_keys(self):
+        return frozenset()
 
 
 class LayerIs(Predicate):
@@ -147,6 +171,9 @@ class LayerIs(Predicate):
     def to_dict(self) -> dict:
         return {"op": "layer", "layer": self.layer.value}
 
+    def entry_keys(self):
+        return frozenset()
+
 
 class Not(Predicate):
     def __init__(self, inner: Predicate):
@@ -161,6 +188,9 @@ class Not(Predicate):
     def referenced_keys(self):
         return self.inner.referenced_keys()
 
+    def entry_keys(self):
+        return self.inner.entry_keys()
+
 
 class _Junction(Predicate):
     def __init__(self, parts):
@@ -171,6 +201,9 @@ class _Junction(Predicate):
         for part in self.parts:
             keys |= part.referenced_keys()
         return keys
+
+    def entry_keys(self):
+        return _union(part.entry_keys() for part in self.parts)
 
 
 class And(_Junction):
@@ -204,7 +237,10 @@ class NeighborMatch(Predicate):
         self.edge_kinds = tuple(
             k.value if hasattr(k, "value") else str(k) for k in edge_kinds
         )
-        self._kinds = frozenset(parse_edge_kind(k) for k in self.edge_kinds)
+        try:
+            self._kinds = frozenset(parse_edge_kind(k) for k in self.edge_kinds)
+        except UnknownKindError as exc:
+            raise PredicateError(f"neighbor predicate: {exc}") from None
         self.node = node
         self.edge = edge
 
@@ -241,6 +277,79 @@ class NeighborMatch(Predicate):
             doc["edge"] = self.edge.to_dict()
         return doc
 
+    def entry_keys(self):
+        return _union(part.entry_keys() for part in (self.node, self.edge)
+                      if part is not None)
+
+
+def _union(key_sets):
+    """The keys of all the sets, or None when any is None."""
+    keys = frozenset()
+    for part in key_sets:
+        if part is None:
+            return None
+        keys |= part
+    return keys
+
+
+# ===========================================================================
+# answers
+# ===========================================================================
+
+
+def _frozen(value):
+    """An attribute value as a dict key, equal to another's only when the
+    two values are equal: a list or a map becomes its type paired with its
+    frozen items."""
+    if isinstance(value, list):
+        return list, tuple(map(_frozen, value))
+    if isinstance(value, dict):
+        return dict, frozenset((k, _frozen(v)) for k, v in value.items())
+    return value
+
+
+class Answers:
+    """Predicate answers over one graph, asked once per (predicate, element
+    id, the entry's values of the predicate's entry_keys()).
+
+    Entries that agree on the attributes a predicate reads get its answers
+    from one table. A predicate that does not say which entry attributes it
+    reads keeps one table per entry. Meant to live for one rule's
+    evaluation; it holds the predicates and the graph.
+    """
+
+    __slots__ = ("graph", "tables", "reads")
+
+    def __init__(self, graph):
+        self.graph = graph
+        self.tables = {}  # key -> {element id: answer}
+        self.reads = {}   # predicate -> its entry_keys(), sorted, or None
+
+    def key(self, predicate, entry) -> tuple:
+        """What the predicate's answers depend on, besides the element."""
+        if predicate not in self.reads:
+            keys = predicate.entry_keys()
+            self.reads[predicate] = None if keys is None else sorted(keys)
+        keys = self.reads[predicate]
+        if keys is None:
+            return predicate, entry.node_id if hasattr(entry, "node_id") else entry.edge_id
+        attributes = entry.attributes
+        return predicate, tuple(_frozen(attributes.get(k)) for k in keys)
+
+    def asker(self, predicate, entry):
+        """element id -> the predicate's answer for that element and entry."""
+        table = self.tables.setdefault(self.key(predicate, entry), {})
+        graph, element = self.graph, self.graph.element
+
+        def ask(element_id) -> bool:
+            answer = table.get(element_id)
+            if answer is None:
+                answer = table[element_id] = bool(
+                    predicate.evaluate(element(element_id), graph=graph, entry=entry))
+            return answer
+
+        return ask
+
 
 # ===========================================================================
 # deserialization
@@ -258,8 +367,11 @@ def _parse_value(raw):
     return raw
 
 
-def predicate_from_dict(doc: dict) -> Predicate:
-    """Build a predicate tree from its JSON document."""
+def predicate_from_dict(doc: dict, depth: int = 1) -> Predicate:
+    """Build a predicate tree from its JSON document, which sits ``depth``
+    levels deep in the tree."""
+    if depth > MAX_DEPTH:
+        raise PredicateError(f"predicate nests deeper than {MAX_DEPTH} levels")
     if not isinstance(doc, dict) or "op" not in doc:
         raise PredicateError(f"predicate document needs an op field: {doc!r}")
     op = doc["op"]
@@ -280,15 +392,15 @@ def predicate_from_dict(doc: dict) -> Predicate:
             raise PredicateError(f"unknown layer {doc['layer']!r}")
         return LayerIs(doc["layer"])
     if op == "not":
-        return Not(predicate_from_dict(doc["arg"]))
+        return Not(predicate_from_dict(doc["arg"], depth + 1))
     if op == "neighbor":
         return NeighborMatch(
             doc["direction"],
             doc["edge_kinds"],
-            node=predicate_from_dict(doc["node"]) if "node" in doc else None,
-            edge=predicate_from_dict(doc["edge"]) if "edge" in doc else None,
+            node=predicate_from_dict(doc["node"], depth + 1) if "node" in doc else None,
+            edge=predicate_from_dict(doc["edge"], depth + 1) if "edge" in doc else None,
         )
-    parts = [predicate_from_dict(d) for d in doc["args"]]
+    parts = [predicate_from_dict(d, depth + 1) for d in doc["args"]]
     return And(parts) if op == "and" else Or(parts)
 
 
@@ -296,6 +408,9 @@ def _require_known_kind(name: str):
     try:
         parse_node_kind(name)
         return
-    except Exception:
+    except UnknownKindError:
         pass
-    parse_edge_kind(name)
+    try:
+        parse_edge_kind(name)
+    except UnknownKindError:
+        raise PredicateError(f"kind predicate: unknown node or edge kind {name!r}") from None

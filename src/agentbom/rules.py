@@ -14,10 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import RulePackError
+from .errors import RulePackError, UnknownKindError
 from .graph import AgentBomGraph, Edge, dump_json
 from .predicates import (
     And,
+    Answers,
     AttrCmp,
     EntryAttr,
     HasFlag,
@@ -30,7 +31,7 @@ from .predicates import (
     predicate_from_dict,
 )
 from . import schema
-from .traversal import BACKWARD, FORWARD, PathSpec, Trace, trace
+from .traversal import BACKWARD, FORWARD, PathSpec, Trace, TraceContext, trace
 
 RISK_IDS = tuple(f"ASI{n:02d}" for n in range(1, 11))
 
@@ -170,12 +171,18 @@ class AuditRule:
     @classmethod
     def from_dict(cls, doc: dict) -> "AuditRule":
         schema.check_fields(doc, schema.RULE, "rule", RulePackError)
+        try:
+            entry = EntrySelector.from_dict(doc["entry"])
+            back = _spec_from_dict(doc["back"], BACKWARD)
+            fwd = _spec_from_dict(doc["fwd"], FORWARD)
+        except UnknownKindError as exc:
+            raise RulePackError(f"rule {doc['risk_id']!r}: {exc}") from None
         return cls(
             risk_id=doc["risk_id"],
             name=doc.get("name", ""),
-            entry=EntrySelector.from_dict(doc["entry"]),
-            back=_spec_from_dict(doc["back"], BACKWARD),
-            fwd=_spec_from_dict(doc["fwd"], FORWARD),
+            entry=entry,
+            back=back,
+            fwd=fwd,
             conditions=[Clause.from_dict(c) for c in doc["conditions"]],
         )
 
@@ -342,16 +349,6 @@ def _element_id(element) -> str:
     return element.edge_id if isinstance(element, Edge) else element.node_id
 
 
-def _asks(graph, clause, entry, element_id, answers) -> bool:
-    """The clause's predicate on one element; answers holds one entry's
-    answers by (clause identity, element id), so each is asked once."""
-    key = (id(clause), element_id)
-    if key not in answers:
-        answers[key] = clause.predicate.evaluate(graph.element(element_id),
-                                                 graph=graph, entry=entry)
-    return answers[key]
-
-
 def _settle(graph, rule, scopes, entry, side, answers, evidence) -> bool:
     """Settle the rule's clauses of the given scopes over ``side`` (None for
     the entry scope), in clause order, stopping at the first that fails.
@@ -366,11 +363,12 @@ def _settle(graph, rule, scopes, entry, side, answers, evidence) -> bool:
         if clause.scope not in scopes:
             continue
         ids = _scope_ids(clause.scope, entry_id, side)
+        ask = answers.asker(clause.predicate, entry)
         if clause.quantifier == "exists":
-            ids = [i for i in ids if _asks(graph, clause, entry, i, answers)]
+            ids = [i for i in ids if ask(i)]
             if not ids:
                 return False
-        elif not all(_asks(graph, clause, entry, i, answers) for i in ids):
+        elif not all(map(ask, ids)):
             return False
         keys = clause.predicate.referenced_keys()
         evidence[index] = [EvidenceItem(i, index, _snapshot(graph.element(i), keys))
@@ -387,14 +385,15 @@ _FWD_SCOPES = ("fwd_terminus", "fwd_path")
 _END_SCOPES = ("back_origin", "fwd_terminus")
 
 
-def _keep_tests(graph, clauses, entry, scopes, answers) -> dict:
+def _keep_tests(clauses, entry, scopes, answers) -> dict:
     """trace's keep tests for the exists-clauses of the given scopes: the
     endpoint clauses hold on a path's end, and each path clause on one of
-    its elements. Like _settle, they skip the entry and share its answers."""
+    its elements. Like _settle, they skip the entry and read ``answers``."""
     entry_id = _element_id(entry)
 
     def test(clause):
-        return lambda i: i != entry_id and _asks(graph, clause, entry, i, answers)
+        ask = answers.asker(clause.predicate, entry)
+        return lambda i: i != entry_id and ask(i)
 
     exists = [c for c in clauses if c.quantifier == "exists" and c.scope in scopes]
     ends = [test(c) for c in exists if c.scope in _END_SCOPES]
@@ -431,24 +430,33 @@ def evaluate_rule(graph: AgentBomGraph, rule: AuditRule, stats=None) -> list:
     ``paths_explored`` (the terminal paths the traces walked, kept or not)
     and ``findings`` counts.
 
-    Each clause predicate is asked once per (entry, element): predicates are
-    pure functions of (element, graph, entry), and the graph does not change
-    during an audit.
+    What does not depend on the entry is worked out once for all entries.
+    One Answers table holds the answers of the clause predicates and the
+    path terminals, asked once per (predicate, element, the entry's values
+    of the attributes the predicate reads), so a terminal that is also an
+    endpoint clause is asked once per element. One TraceContext per side
+    holds the steps, node facts and same-instant components its traces
+    share. That is sound because predicates are pure functions of the
+    element, the graph and the entry attributes they read, and the graph
+    does not change during an audit. Both live for this call only.
     """
     entries = locate_entries(graph, rule)
     findings, explored = [], 0
+    answers = Answers(graph)
+    fwd_context = TraceContext(graph, rule.fwd, answers)
+    back_context = TraceContext(graph, rule.back, answers)
     for entry_id in entries:
         entry = graph.element(entry_id)
-        answers, evidence = {}, {}
+        evidence = {}
         if not _settle(graph, rule, ("entry",), entry, None, answers, evidence):
             continue
-        fwd = trace(graph, entry_id, rule.fwd,
-                    **_keep_tests(graph, rule.conditions, entry, _FWD_SCOPES, answers))
+        fwd = trace(graph, entry_id, rule.fwd, context=fwd_context,
+                    **_keep_tests(rule.conditions, entry, _FWD_SCOPES, answers))
         explored += fwd.explored
         if not _settle(graph, rule, _FWD_SCOPES, entry, fwd, answers, evidence):
             continue
-        back = trace(graph, entry_id, rule.back,
-                     **_keep_tests(graph, rule.conditions, entry, _BACK_SCOPES, answers))
+        back = trace(graph, entry_id, rule.back, context=back_context,
+                     **_keep_tests(rule.conditions, entry, _BACK_SCOPES, answers))
         explored += back.explored
         if not _settle(graph, rule, _BACK_SCOPES, entry, back, answers, evidence):
             continue

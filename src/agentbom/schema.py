@@ -506,11 +506,14 @@ class FieldTable:
 
 
 def load_json(text: str, what: str, error):
-    """The document ``text`` holds; ``error`` names ``what`` if it is not JSON."""
+    """The document ``text`` holds; ``error`` names ``what`` if it is not
+    JSON, or nests too deep for the decoder."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise error(f"{what} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise error(f"{what} nests too deep to decode") from None
 
 
 def mistyped(what: str, key: str, json_type: JsonType, value) -> str:

@@ -49,6 +49,19 @@ the first of them under (depth, elements) order; the elements of all
 kept paths; and the number of terminal paths walked. The work grows with
 the number of keys times the steps from them, depth included, not with
 the number of paths.
+
+Shared across entries. A rule traces each side from every entry with one
+spec, and much of a trace does not depend on where it starts. A
+TraceContext, made once per (graph, spec) for one rule evaluation, holds
+each node's steps, time and passability. It also holds, per terminal
+answer key, each node's terminal answer, the same-instant components and,
+for traces without keep marks, the moves. That key is the terminal and
+the entry's values of the attributes the terminal reads, so entries that
+agree on them share one set. This is sound because predicates are pure
+functions of the element, the graph and the entry attributes they read,
+and the graph does not change during an audit. A move depends on the
+entry only through the terminal answer of the node it reaches and, with
+keep marks, the marks it meets; a component only through its moves.
 """
 
 from __future__ import annotations
@@ -61,6 +74,7 @@ from datetime import datetime, timedelta, timezone
 
 from . import schema
 from .graph import AgentBomGraph, parse_instant
+from .predicates import Answers
 from .schema import Flow, Layer, NodeKind
 
 BACKWARD = "backward"
@@ -190,15 +204,6 @@ def _node_time(node):
     return _instant(node.timestamp) if node.layer is Layer.RUNTIME else None
 
 
-def _terminal_ok(spec: PathSpec, graph: AgentBomGraph, element, entry) -> bool:
-    terminal = spec.terminal
-    if terminal is None:
-        return True
-    if hasattr(terminal, "evaluate"):
-        return bool(terminal.evaluate(element, graph=graph, entry=entry))
-    return bool(terminal(element))
-
-
 def _start_node(graph: AgentBomGraph, start: str, direction: str) -> str:
     """An edge start anchors at its source (backward) or target (forward)."""
     if start in graph.edges:
@@ -213,7 +218,7 @@ def _start_node(graph: AgentBomGraph, start: str, direction: str) -> str:
 
 
 def trace(graph: AgentBomGraph, start: str, spec: PathSpec, *,
-          keep_end=None, keep_marks=()) -> Trace:
+          keep_end=None, keep_marks=(), context=None) -> Trace:
     """Count the paths from start under spec and pick one witness per endpoint.
 
     A terminal path is kept when ``keep_end`` (an element id -> bool
@@ -225,89 +230,53 @@ def trace(graph: AgentBomGraph, start: str, spec: PathSpec, *,
     ``explored`` counts the terminal paths walked before that choice.
 
     The entry element passed to terminal predicates is the start element
-    itself, so predicates may compare against the entry's attributes. Each
-    node's terminal answer, passability and marks, and each edge's marks,
-    are computed once per call: predicates are pure functions of (element,
-    graph, entry), and the graph does not change during an audit.
+    itself, so predicates may compare against the entry's attributes.
+    ``context`` is the TraceContext of (graph, spec) that the traces of
+    one rule side share; without one, the trace makes its own. Each node's
+    steps are computed once per context, and its terminal answer and
+    passability and the same-instant components once per context and
+    terminal answer key; each element's marks, and keep_end on each
+    terminal node, once per call.
     """
-    counting = _Count(graph, start, spec, keep_end, keep_marks)
+    if context is None:
+        context = TraceContext(graph, spec)
+    elif context.graph is not graph or context.spec is not spec:
+        raise ValueError("the trace context belongs to another graph or spec")
+    counting = _Count(context, start, keep_end, keep_marks)
     return counting.settle(*counting.walk())
 
 
-class _Key:
-    """What the paths that share one key at one depth have in common.
+class TraceContext:
+    """What the traces of one spec over one graph share, whatever their
+    start (see the module docstring). A rule evaluation makes one per side;
+    the keep tests of a trace may read anything of its entry, so what they
+    decide stays with the trace."""
 
-    A key is (node, carried time, marks met, the nodes of the node's
-    component visited since the path entered it at that time or None when
-    that is the node alone, the edge the path may not step straight back
-    over or None): two paths with the same key at the same depth have the
-    same continuations.
-    """
-
-    __slots__ = ("paths", "first", "edge", "rank", "onward", "node",
-                 "kept", "extended", "live")
-
-    def __init__(self, paths, first, edge, node):
-        self.paths = paths    # the number of paths to the key
-        self.first = first    # the _Key the first of them comes from
-        self.edge = edge      # the edge between the two
-        self.rank = 0         # its place in its layer, by its first path's elements
-        self.onward = []      # (edge id, _Key) steps taken one key at a time
-        self.node = node
-        self.kept = False     # its paths are kept terminal paths
-        self.extended = False  # a kept path extends its paths
-        self.live = False     # its paths lie on reported paths
-
-
-class _Count:
-    """One trace: layers of keys walked out from the anchor, one per step,
-    then settled from the deepest layer back."""
-
-    def __init__(self, graph, start, spec, keep_end, keep_marks):
+    def __init__(self, graph: AgentBomGraph, spec: PathSpec,
+                 answers: Answers | None = None):
         self.graph, self.spec = graph, spec
-        self.entry = graph.element(start)
-        self.anchor = _start_node(graph, start, spec.direction)
+        self.answers = Answers(graph) if answers is None else answers
         self.forward = spec.direction == FORWARD
         self.flows = {  # edge kind -> its flow, for the kinds the spec may cross
             kind: schema.FLOW_OF_KIND[kind] for kind in spec.allowed_edge_kinds
             if spec.cross_agent or schema.family_of(kind) is not schema.EdgeFamily.PROPAGATION}
-        self.keep_end, self.keep_marks = keep_end, keep_marks
-        self.full = (1 << len(keep_marks)) - 1
-        self.node_facts = {}  # node id -> (marks, terminal, passable, kept end, time)
-        self.edge_marks = {}  # edge id -> marks
-        self.steps = {}       # node id -> (timed steps, untimed steps)
-        self.moves = {}       # (node id, carried time, instant only) -> moves
-        self.components = {}  # (node id, carried time) -> its component or None
+        self.steps = {}   # node id -> (timed steps, untimed steps)
+        # terminal answer key (see predicates.Answers.key) -> (node facts,
+        # components, moves of traces without keep marks)
+        self.shared = {}
 
-    # -- per element, once ---------------------------------------------------
-
-    def marks_of(self, element_id) -> int:
-        return sum(1 << i for i, mark in enumerate(self.keep_marks) if mark(element_id))
-
-    def facts(self, node_id) -> tuple:
-        if node_id not in self.node_facts:
-            node, spec = self.graph.nodes[node_id], self.spec
-            terminal = _terminal_ok(spec, self.graph, node, self.entry)
-            self.node_facts[node_id] = (
-                self.marks_of(node_id),
-                terminal,
-                spec.allowed_node_kinds is None or node.kind in spec.allowed_node_kinds,
-                terminal and (self.keep_end is None or self.keep_end(node_id)),
-                _node_time(node),
-            )
-        return self.node_facts[node_id]
-
-    def arrival(self, edge_id, nxt):
-        """The marks met on stepping over edge_id into nxt, or None if no
-        path ends or passes there."""
-        marks, terminal, passable, _, _ = self.facts(nxt)
-        if not (terminal or passable):
-            return None
-        if self.keep_marks:
-            if edge_id not in self.edge_marks:
-                self.edge_marks[edge_id] = self.marks_of(edge_id)
-            marks |= self.edge_marks[edge_id]
-        return marks
+    def terminal_for(self, entry) -> tuple:
+        """(node id -> the terminal's answer for entry, the shared tables of
+        entry's terminal answer key)."""
+        terminal, key = self.spec.terminal, None
+        if terminal is None:
+            ask = lambda node_id: True  # noqa: E731
+        elif hasattr(terminal, "evaluate"):
+            ask, key = self.answers.asker(terminal, entry), self.answers.key(terminal, entry)
+        else:  # a plain node -> bool callable, which reads nothing of the entry
+            nodes = self.graph.nodes
+            ask = lambda node_id: bool(terminal(nodes[node_id]))  # noqa: E731
+        return ask, self.shared.setdefault(key, ({}, {}, {}))
 
     # -- time ------------------------------------------------------------------
     #
@@ -351,6 +320,93 @@ class _Count:
                     timed.append((edge_id, nxt, back, stamps[0], stamps[-1]))
             self.steps[node_id] = timed, untimed
         return self.steps[node_id]
+
+
+class _Key:
+    """What the paths that share one key at one depth have in common.
+
+    A key is (node, carried time, marks met, the nodes of the node's
+    component visited since the path entered it at that time or None when
+    that is the node alone, the edge the path may not step straight back
+    over or None): two paths with the same key at the same depth have the
+    same continuations.
+    """
+
+    __slots__ = ("paths", "first", "edge", "rank", "onward", "node",
+                 "kept", "extended", "live")
+
+    def __init__(self, paths, first, edge, node):
+        self.paths = paths    # the number of paths to the key
+        self.first = first    # the _Key the first of them comes from
+        self.edge = edge      # the edge between the two
+        self.rank = 0         # its place in its layer, by its first path's elements
+        self.onward = []      # (edge id, _Key) steps taken one key at a time
+        self.node = node
+        self.kept = False     # its paths are kept terminal paths
+        self.extended = False  # a kept path extends its paths
+        self.live = False     # its paths lie on reported paths
+
+
+class _Count:
+    """One trace: layers of keys walked out from the anchor, one per step,
+    then settled from the deepest layer back."""
+
+    def __init__(self, context, start, keep_end, keep_marks):
+        self.graph, self.spec = context.graph, context.spec
+        self.entry = self.graph.element(start)
+        self.anchor = _start_node(self.graph, start, self.spec.direction)
+        self.forward = context.forward
+        self.later, self.position = context.later, context.position
+        self.steps_from = context.steps_from
+        self.keep_end, self.keep_marks = keep_end, keep_marks
+        self.full = (1 << len(keep_marks)) - 1
+        self.terminal, (facts, components, moves) = context.terminal_for(self.entry)
+        self.node_facts = facts       # node id -> (terminal, passable, time)
+        self.components = components  # (node id, carried time) -> its component or None
+        # (node id, carried time, instant only) -> moves; without keep marks no
+        # move meets a mark, so they are those of every trace that shares facts
+        self.moves = {} if keep_marks else moves
+        self.marks = {}       # element id -> marks
+        self.kept_ends = {}   # terminal node id -> whether keep_end holds
+
+    # -- per element, once ---------------------------------------------------
+
+    def marks_of(self, element_id) -> int:
+        marks = self.marks.get(element_id)
+        if marks is None:
+            marks = self.marks[element_id] = sum(
+                1 << i for i, mark in enumerate(self.keep_marks) if mark(element_id))
+        return marks
+
+    def facts(self, node_id) -> tuple:
+        """(terminal, passable, time) of node_id."""
+        facts = self.node_facts.get(node_id)
+        if facts is None:
+            node, kinds = self.graph.nodes[node_id], self.spec.allowed_node_kinds
+            facts = self.node_facts[node_id] = (
+                self.terminal(node_id),
+                kinds is None or node.kind in kinds,
+                _node_time(node),
+            )
+        return facts
+
+    def kept_end(self, node_id) -> bool:
+        """Whether keep_end holds on node_id, a terminal node."""
+        kept = self.kept_ends.get(node_id)
+        if kept is None:
+            kept = self.kept_ends[node_id] = (self.keep_end is None
+                                              or bool(self.keep_end(node_id)))
+        return kept
+
+    def arrival(self, edge_id, nxt):
+        """The marks met on stepping over edge_id into nxt, or None if no
+        path ends or passes there."""
+        terminal, passable, _ = self.facts(nxt)
+        if not (terminal or passable):
+            return None
+        if self.keep_marks:
+            return self.marks_of(nxt) | self.marks_of(edge_id)
+        return 0
 
     def moves_of(self, node_id, carried, instant_only) -> list:
         """(edge id, next node id, back, time after, marks) of the steps
@@ -467,17 +523,16 @@ class _Count:
     def walk(self) -> tuple:
         """(layers of {key: _Key}, per layer the shared steps taken from it
         as (members, steps))."""
-        anchor = self.anchor
-        first = (anchor, _node_time(self.graph.nodes[anchor]), self.facts(anchor)[0],
-                 None, None)
+        anchor, facts, full = self.anchor, self.node_facts, self.full
+        first = (anchor, self.facts(anchor)[2], self.marks_of(anchor), None, None)
         layers, shared = [{first: _Key(1, None, None, anchor)}], []
         for depth in range(self.spec.max_depth):
             layer, moved, groups = {}, [], {}
             for key, record in layers[-1].items():
                 node_id, carried, met, _, _ = key
-                _, _, passable, kept_end, time = self.node_facts[node_id]
-                if depth and (not passable
-                              or self.forward and kept_end and met == self.full):
+                terminal, passable, time = facts[node_id]
+                if depth and (not passable or self.forward and terminal and met == full
+                              and self.kept_end(node_id)):
                     continue
                 if time is None:  # only a node without a time of its own varies in time
                     groups.setdefault((node_id, met), []).append((key, record))
@@ -504,7 +559,7 @@ class _Count:
     def settle(self, layers, shared) -> Trace:
         """From the deepest layer back: is a key kept, does a kept path
         extend it, does it lie on a reported path; then the witnesses."""
-        explored = 0
+        explored, facts, full = 0, self.node_facts, self.full
         ends = {}  # endpoint -> [paths, ((depth, rank), _Key) of its first]
         scope = set()
         for depth in range(len(layers) - 1, -1, -1):
@@ -520,14 +575,13 @@ class _Count:
                     record.extended = record.extended or index < extended
                     record.live = record.live or index < live
             for (node_id, _, met, _, _), record in layers[depth].items():
-                _, terminal, _, kept_end, _ = self.node_facts[node_id]
-                terminal = terminal and depth > 0
+                terminal = depth > 0 and facts[node_id][0]
                 for edge_id, after in record.onward:
                     record.extended = record.extended or after.kept or after.extended
                     if after.live:
                         record.live = True
                         scope.add(edge_id)
-                record.kept = terminal and kept_end and met == self.full
+                record.kept = terminal and met == full and self.kept_end(node_id)
                 if terminal:
                     explored += record.paths
                 if record.kept and (self.forward or not record.extended):

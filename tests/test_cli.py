@@ -295,6 +295,15 @@ _UNKNOWN_KEY = {"manifest-tols-misspelled": "tols", "trace-contnet-misspelled": 
                 "graph-atributes-misspelled": "atributes",
                 "rule-max-dept-misspelled": "max_dept", "matcher-entry-extra-key": "flags"}
 
+# an unknown kind in a rule pack is the pack's error, naming the rule or
+# the predicate, and the kind
+_UNKNOWN_KIND = {
+    "rule-entry-kind-unknown": "rule 'ASI01': unknown node kind 'GadgetNode'",
+    "rule-edge-kind-unknown": "rule 'ASI01': unknown edge kind 'teleports'",
+    "kind-predicate-kind-unknown": "kind predicate: unknown node or edge kind 'GadgetNode'",
+    "neighbor-predicate-kind-unknown": "neighbor predicate: unknown edge kind 'teleports'",
+}
+
 # a graph file that loads but fails validation was read, not assembled
 _LOADED_GRAPH_FAILS_VALIDATION = ("audit-empty-node-id", "export-empty-node-id")
 
@@ -360,6 +369,10 @@ _LOADED_GRAPH_FAILS_VALIDATION = ("audit-empty-node-id", "export-empty-node-id")
                                                  "atributes": {}}])),
     _rules_case(fwd=dict(_RULE["fwd"], max_dept=3)),
     _matchers_case(flags=["f"]),
+    _rules_case(entry=dict(_RULE["entry"], kinds=["GadgetNode"])),
+    _rules_case(back=dict(_RULE["back"], edge_kinds=["teleports"])),
+    _predicate_case({"op": "kind", "any_of": ["GadgetNode"]}),
+    _predicate_case({"op": "neighbor", "direction": "in", "edge_kinds": ["teleports"]}),
 ], ids=[
     "audit-node-without-kind", "validate-node-without-kind",
     "export-node-without-kind", "audit-graph-is-a-list", "validate-graph-is-a-list",
@@ -384,6 +397,8 @@ _LOADED_GRAPH_FAILS_VALIDATION = ("audit-empty-node-id", "export-empty-node-id")
     "attr-value-a-nested-list", "attr-value-a-list-of-maps",
     "manifest-tols-misspelled", "trace-contnet-misspelled", "graph-atributes-misspelled",
     "rule-max-dept-misspelled", "matcher-entry-extra-key",
+    "rule-entry-kind-unknown", "rule-edge-kind-unknown", "kind-predicate-kind-unknown",
+    "neighbor-predicate-kind-unknown",
 ])
 def test_malformed_input_is_a_single_line_error(tmp_path, capsys, request,
                                                 command, doc, event):
@@ -414,3 +429,50 @@ def test_malformed_input_is_a_single_line_error(tmp_path, capsys, request,
         assert "assembled" not in err
     if request.node.callspec.id in _UNKNOWN_KEY:
         assert f"unknown field {_UNKNOWN_KEY[request.node.callspec.id]!r}" in err
+    if request.node.callspec.id in _UNKNOWN_KIND:
+        assert _UNKNOWN_KIND[request.node.callspec.id] in err
+
+
+def _nested(depth, opening, closing, inner):
+    return opening * depth + inner + closing * depth
+
+
+def _with(doc, key, text):
+    """doc as JSON text, with ``text`` as the value of key."""
+    return json.dumps(dict(doc, **{key: "VALUE"})).replace('"VALUE"', text)
+
+
+# documents that nest a thousand levels deep, beyond what the JSON decoder
+# of CPython 3.11 takes, and a rule pack it can decode whose predicate nests
+# beyond predicates.MAX_DEPTH
+_ARRAYS = _nested(1000, "[", "]", "")
+_NOTS = _nested(1000, '{"op": "not", "arg": ', "}", '{"op": "flags"}')
+_ANDS = _nested(450, '{"op": "and", "args": [', "]}", '{"op": "flags"}')
+
+
+@pytest.mark.parametrize("command, deep", [
+    ("rules", '{"rules": [%s]}' % _with(_RULE, "entry", _with(_RULE["entry"], "predicate", _NOTS))),
+    ("rules", '{"rules": [%s]}' % _with(_RULE, "entry", _with(_RULE["entry"], "predicate", _ANDS))),
+    ("graph", _with(_GRAPH, "nodes", _ARRAYS)),
+    ("manifest", '{"agents": %s}' % _ARRAYS),
+    ("matchers", '{"patterns": %s}' % _ARRAYS),
+    ("trace", _with(_EVENT, "event_id", _ARRAYS) + "\n"),
+], ids=["rule-pack-1000-nots", "rule-pack-450-ands", "graph", "manifest", "matcher-pack",
+        "trace-line"])
+def test_deeply_nested_input_is_a_single_line_error(tmp_path, capsys, command, deep):
+    """Each input format ends in exit code 2 and one error line, not a
+    RecursionError traceback."""
+    texts = {"graph": json.dumps(_GRAPH), "manifest": json.dumps({"agents": [{"agent_id": "a"}]}),
+             "trace": json.dumps(_EVENT) + "\n", command: deep}
+    for name, text in texts.items():
+        (tmp_path / name).write_text(text)
+    if command in ("rules", "graph"):
+        argv = ["audit", "--graph", str(tmp_path / "graph")]
+    else:
+        argv = ["build", "--manifest", str(tmp_path / "manifest"),
+                "--trace", str(tmp_path / "trace")]
+    if command in ("rules", "matchers"):
+        argv += [f"--{command}", str(tmp_path / command)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -234,12 +234,12 @@ def test_duplicate_agent_ids_in_a_document_are_rejected():
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
-@pytest.mark.parametrize("text, error", [
-    (None, None),
-    ('{"agents": [], "nodes": []}', GraphDocumentError),
-    ('{"agents": [', json.JSONDecodeError),
+@pytest.mark.parametrize("text, error, parsed", [
+    (None, None, True),
+    ('{"agents": [], "nodes": []}', GraphDocumentError, True),
+    ('{"agents": [', GraphDocumentError, False),  # not a bare JSONDecodeError
 ], ids=["loads", "bad-document", "bad-json"])
-def test_from_json_restores_the_collector_state(monkeypatch, enabled, text, error):
+def test_from_json_restores_the_collector_state(monkeypatch, enabled, text, error, parsed):
     seen = []
     from_dict = AgentBomGraph.from_dict.__func__
 
@@ -261,7 +261,7 @@ def test_from_json_restores_the_collector_state(monkeypatch, enabled, text, erro
     finally:
         (gc.enable if was else gc.disable)()
     # the collector is paused while the document is turned into a graph
-    assert seen == ([] if error is json.JSONDecodeError else [False])
+    assert seen == ([False] if parsed else [])
 
 
 def test_validate_reports_problems_in_permissively_loaded_graphs():

@@ -182,7 +182,7 @@ def test_trace_lines_end_at_a_newline_only(separator):
     assert [(e.event_id, e.content) for e in events] == [("ev1", content), ("ev2", content)]
     # CRLF line ends still parse, and line numbers still count newlines
     assert parse_trace_jsonl(f"{first}\r\n\r\n{second}\r\n") == events
-    with pytest.raises(TraceParseError, match="^trace line 3: not valid JSON"):
+    with pytest.raises(TraceParseError, match="^trace line 3 is not valid JSON"):
         parse_trace_jsonl(f"{first}\r\n{second}\r\n{{broken\r\n")
 
 

@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import pytest
 
-from agentbom.errors import PredicateError, UnknownKindError
+from agentbom.errors import PredicateError
 from agentbom.graph import AgentBomGraph, AgentDescriptor, Edge, Node
 from agentbom.predicates import (
+    MAX_DEPTH,
     And,
+    Answers,
     AttrCmp,
     EntryAttr,
     HasFlag,
@@ -14,6 +16,7 @@ from agentbom.predicates import (
     NeighborMatch,
     Not,
     Or,
+    Predicate,
     predicate_from_dict,
 )
 from agentbom.schema import EdgeKind, NodeKind
@@ -154,9 +157,10 @@ def test_neighbor_match_needs_a_graph_and_a_node():
 
 
 def test_neighbor_match_resolves_its_edge_kinds_when_built():
-    with pytest.raises(UnknownKindError):
+    # a rule pack's unknown kind is a predicate error, not a graph error
+    with pytest.raises(PredicateError, match="'teleports_to'"):
         NeighborMatch("in", ("invokes", "teleports_to"))
-    with pytest.raises(UnknownKindError):
+    with pytest.raises(PredicateError, match="'teleports_to'"):
         predicate_from_dict({"op": "neighbor", "direction": "in",
                              "edge_kinds": ["teleports_to"]})
     pred = NeighborMatch("out", (EdgeKind.INVOKES, "selects"))
@@ -191,7 +195,8 @@ def test_deserialization_rejects_unknown_ops_and_kinds():
         predicate_from_dict({"op": "telepathy"})
     with pytest.raises(PredicateError):
         predicate_from_dict({"op": "attr", "key": "x"})  # missing fields
-    with pytest.raises(Exception):
+    # a rule pack's unknown kind is a predicate error, not a graph error
+    with pytest.raises(PredicateError, match="'NotAKind'"):
         predicate_from_dict({"op": "kind", "any_of": ["NotAKind"]})
     with pytest.raises(PredicateError):
         predicate_from_dict({"op": "attr", "key": "x", "cmp": "==",
@@ -204,3 +209,61 @@ def test_referenced_keys_collects_from_the_whole_tree():
         Or([HasFlag(), Not(AttrCmp("content", "contains", "x"))]),
     ])
     assert pred.referenced_keys() == {"trust_level", "danger_flags", "content"}
+
+
+def test_a_predicate_document_nests_at_most_max_depth_levels():
+    doc = {"op": "flags"}
+    for _ in range(MAX_DEPTH - 1):
+        doc = {"op": "not", "arg": doc}
+    assert predicate_from_dict(doc).to_dict() == doc
+    for deeper in ({"op": "not", "arg": doc}, {"op": "and", "args": [doc]},
+                   {"op": "neighbor", "direction": "in", "edge_kinds": [], "node": doc}):
+        with pytest.raises(PredicateError, match=f"deeper than {MAX_DEPTH} levels"):
+            predicate_from_dict(deeper)
+
+
+class _Opaque(Predicate):
+    """A predicate that does not say what it reads of the entry."""
+
+    def __init__(self, calls):
+        self.calls = calls
+
+    def evaluate(self, element, graph=None, entry=None):
+        self.calls.append((entry.node_id, element.node_id))
+        return True
+
+
+def test_entry_keys_collects_what_the_tree_reads_of_the_entry():
+    pred = And([
+        AttrCmp("danger_flags", "intersects", EntryAttr("danger_flags")),
+        Or([HasFlag(), Not(AttrCmp("content", "==", EntryAttr("content")))]),
+        NeighborMatch("in", ("invokes",), node=AttrCmp("type", "==", EntryAttr("type"))),
+    ])
+    assert pred.entry_keys() == {"danger_flags", "content", "type"}
+    assert And([HasFlag(), KindIs(("ToolNode",)), LayerIs("static"),
+                AttrCmp("type", "==", "x")]).entry_keys() == frozenset()
+    # one part that does not say makes the whole tree read all of the entry
+    assert Or([HasFlag(), _Opaque([])]).entry_keys() is None
+
+
+def test_answers_are_shared_by_entries_that_agree_on_what_is_read():
+    graph = AgentBomGraph()
+    graph.add_agent(AgentDescriptor("a1", "worker", ""))
+    flags = {"e1": ["x"], "e2": ["x"], "e3": ("x",), "e4": ["y"]}
+    for node_id, value in flags.items():
+        graph.add_node(_node(node_id, danger_flags=list(value)))
+        graph.nodes[node_id].attributes["danger_flags"] = value
+    graph.add_node(_node("n", danger_flags=["x"]))
+    shares = AttrCmp("danger_flags", "intersects", EntryAttr("danger_flags"))
+    answers, opaque_calls = Answers(graph), []
+    opaque = _Opaque(opaque_calls)
+    keys = {entry_id: answers.key(shares, graph.nodes[entry_id]) for entry_id in flags}
+    # equal values share a key; a tuple is not equal to a list
+    assert keys["e1"] == keys["e2"]
+    assert len({keys["e1"], keys["e3"], keys["e4"]}) == 3
+    for entry_id in flags:
+        ask = answers.asker(shares, graph.nodes[entry_id])
+        assert ask("n") is (entry_id != "e4")
+        assert answers.asker(opaque, graph.nodes[entry_id])("n") is True
+    assert len(answers.tables) == 3 + len(flags)
+    assert opaque_calls == [(entry_id, "n") for entry_id in flags]

@@ -8,6 +8,7 @@ import os
 import random
 import subprocess
 import sys
+import weakref
 from collections import Counter
 from datetime import timedelta
 from pathlib import Path
@@ -15,10 +16,10 @@ from pathlib import Path
 import pytest
 
 from agentbom import rules as rules_mod
-from agentbom.errors import RulePackError
+from agentbom.errors import GraphError, PredicateError, RulePackError
 from agentbom.graph import AgentBomGraph, AgentDescriptor, Edge, Node, parse_instant
 from agentbom.ingestion import TraceEvent, assemble, parse_manifest
-from agentbom.predicates import AttrCmp, EntryAttr, HasFlag, KindIs, Not, Predicate
+from agentbom.predicates import And, AttrCmp, EntryAttr, HasFlag, KindIs, Not, Or, Predicate
 from agentbom.rules import (
     RISK_IDS,
     RISK_NAMES,
@@ -180,6 +181,28 @@ def test_load_rules_rejects_mistyped_fields(field, value, side):
         rule[side] = dict(rule[side], **{field: value})
     with pytest.raises(RulePackError, match=field):
         load_rules(json.dumps([rule]))
+
+
+@pytest.mark.parametrize("part, fields, kind, error", [
+    ("entry", {"kinds": ["GadgetNode"]}, "GadgetNode", RulePackError),
+    ("entry", {"element_class": "edge", "kinds": ["teleports"]}, "teleports", RulePackError),
+    ("back", {"edge_kinds": ["teleports"]}, "teleports", RulePackError),
+    ("fwd", {"node_kinds": ["GadgetNode"]}, "GadgetNode", RulePackError),
+    ("entry", {"predicate": {"op": "kind", "any_of": ["GadgetNode"]}}, "GadgetNode",
+     PredicateError),
+    ("fwd", {"terminal": {"op": "neighbor", "direction": "in", "edge_kinds": ["teleports"]}},
+     "teleports", PredicateError),
+])
+def test_an_unknown_kind_in_a_rule_pack_is_a_rule_error(part, fields, kind, error):
+    """Not the graph's UnknownKindError: the rule pack is at fault, and the
+    message names the rule, or the predicate, and the kind."""
+    rule = dict(_ASI01, **{part: dict(_ASI01[part], **fields)})
+    with pytest.raises(error) as raised:
+        load_rules(json.dumps([rule]))
+    assert not isinstance(raised.value, GraphError)
+    assert repr(kind) in str(raised.value)
+    if error is RulePackError:
+        assert str(raised.value).startswith("rule 'ASI01': ")
 
 
 def test_builtin_pack_shape_and_round_trip():
@@ -727,6 +750,87 @@ def test_paths_explored_counts_the_paths_the_traces_return():
     assert skipped_entries > 300 and skipped_back > 300
 
 
+def _entry_reading_rule(rng, graph):
+    """A random rule over every node whose path terminals read the entry's
+    danger flags or trust level, with node-kind-filtered specs; its endpoint
+    clauses are often its terminals, as in the builtin pack, and its other
+    clauses exists or forall over a pool that reads the entry too."""
+    node_names = [k.value for k in NodeKind]
+    names = node_names + [k.value for k in EdgeKind]
+    shares_flag = AttrCmp("danger_flags", "intersects", EntryAttr("danger_flags"))
+    terminals = (
+        shares_flag,
+        And([KindIs(tuple(rng.sample(node_names, 10))), shares_flag]),
+        Or([KindIs(tuple(rng.sample(node_names, 4))),
+            AttrCmp("trust_level", "==", EntryAttr("trust_level"))]),
+        Not(shares_flag),
+    )
+    pool = [HasFlag(), ALWAYS, KindIs(tuple(rng.sample(names, 20))), shares_flag,
+            Not(shares_flag), AttrCmp("trust_level", "==", EntryAttr("trust_level"))]
+    specs = {}
+    for direction in (BACKWARD, FORWARD):
+        params = random_spec_params(rng, graph)
+        specs[direction] = PathSpec(
+            direction=direction,
+            allowed_edge_kinds=frozenset(params["edge_kinds"]),
+            allowed_node_kinds=(rng.sample(node_names, 8) if rng.random() < 0.8
+                                else None),
+            terminal=rng.choice(terminals),
+            max_depth=rng.randint(2, 5),
+            cross_agent=params["cross_agent"],
+        )
+    clauses = [Clause("entry", "exists", rng.choice((ALWAYS, ALWAYS, HasFlag())))]
+    for scope, spec in (("back_origin", specs[BACKWARD]), ("fwd_terminus", specs[FORWARD])):
+        if rng.random() < 0.6:
+            clauses.append(Clause(scope, "exists", spec.terminal))
+    more = rng.randint(0 if len(clauses) > 1 else 1, 2)  # a clause beyond the entry's
+    clauses += [Clause(rng.choice(_BACK_SCOPES + _FWD_SCOPES), rng.choice(_QUANTIFIERS),
+                       rng.choice(pool)) for _ in range(more)]
+    return AuditRule(risk_id="T01", name="test_rule",
+                     entry=EntrySelector("node", tuple(node_names)),
+                     back=specs[BACKWARD], fwd=specs[FORWARD], conditions=clauses)
+
+
+def test_entries_that_share_a_rule_evaluation_match_the_oracle_alone():
+    """evaluate_rule shares terminal answers, node facts, components and
+    moves among the entries of one rule whose terminal reads the same entry
+    attribute values, and clause answers likewise. The oracle traces every
+    entry alone. Each finding's witnesses, counts and evidence, and the
+    rule's paths_explored, equal the oracle's; entries that agree on their
+    flags and entries that do not both occur often."""
+    mismatches = []
+    findings_seen = agreeing = differing = 0
+    for seed in range(300):
+        rng = random.Random(67_000 + seed)
+        graph = random_graph(rng, max_nodes=30, max_edges=50, timed=rng.random() < 0.3)
+        rule = _entry_reading_rule(rng, graph)
+        stats = {}
+        got = {f.entry: (*_reported(f), [e.to_dict() for e in f.evidence])
+               for f in evaluate_rule(graph, rule, stats)}
+        want, explored, flags = {}, 0, Counter()
+        for entry_id in sorted(graph.nodes):
+            if not all(_oracle_holds(graph, c, entry_id, [], []) for c in rule.conditions
+                       if c.scope == "entry"):
+                continue
+            attributes = graph.nodes[entry_id].attributes
+            flags[repr((attributes.get("danger_flags"), attributes.get("trust_level")))] += 1
+            fwd, fwd_explored = _oracle_side(graph, rule, entry_id, rule.fwd, _FWD_SCOPES)
+            explored += fwd_explored
+            if all(_oracle_holds(graph, c, entry_id, [], fwd) for c in rule.conditions
+                   if c.scope in _FWD_SCOPES):
+                explored += _oracle_side(graph, rule, entry_id, rule.back, _BACK_SCOPES)[1]
+            finding = _oracle_finding(graph, rule, entry_id)
+            if finding is not None:
+                want[entry_id] = finding
+        agreeing += sum(flags.values()) - len(flags)
+        differing += len(flags) - 1 if flags else 0
+        findings_seen += len(want)
+        if got != want or stats["paths_explored"] != explored:
+            mismatches.append(seed)
+    assert mismatches == []
+    assert findings_seen > 350 and agreeing > 2000 and differing > 800
+
+
 # ---------------------------------------------------------------------------
 # work bound
 # ---------------------------------------------------------------------------
@@ -794,6 +898,65 @@ def test_each_terminal_and_clause_is_asked_once_per_trace_and_entry():
     assert sum(p.count for p in report.findings[0].fwd_paths) > 100
     assert sum(tally.values()) > 50
     assert max(tally.values()) == 1
+
+
+class _CountedByElement(_Counted):
+    """A _Counted that says what it reads of the entry, as its inner does."""
+
+    def entry_keys(self):
+        return self.inner.entry_keys()
+
+
+def test_a_rule_evaluation_shares_its_work_among_entries(monkeypatch):
+    """ASI03 traces forward from each of the sixteen reasoning steps of a
+    diamond chain. Each node's steps are built at most once per side,
+    counted by the graph's out_edges and in_edges calls; each (predicate,
+    element) is asked at most once, since none of ASI03's terminals and
+    clauses reads the entry (locate_entries asks the entry selector on
+    its own, so it stays unwrapped); and the trace contexts, one per side,
+    are gone when evaluate_rule returns."""
+    graph = _diamond_chain(16)
+    rule = next(r for r in builtin_rules() if r.risk_id == "ASI03")
+    tally, wrapped = Counter(), {}
+
+    def counted(predicate):
+        if predicate not in wrapped:
+            wrapped[predicate] = _CountedByElement(predicate, tally, len(wrapped))
+        return wrapped[predicate]
+
+    for spec in (rule.back, rule.fwd):
+        spec.terminal = counted(spec.terminal)
+    for clause in rule.conditions:
+        clause.predicate = counted(clause.predicate)
+
+    built = Counter()
+    for name in ("out_edges", "in_edges"):
+        def edges(node_id, kinds=None, real=getattr(graph, name), name=name):
+            built[(name, node_id)] += 1
+            return real(node_id, kinds)
+        monkeypatch.setattr(graph, name, edges)
+
+    contexts, last = [], {}
+    real_trace = rules_mod.trace
+
+    def tracing(graph, start, spec, **kwargs):
+        context = kwargs["context"]
+        previous = last.get(spec.direction)
+        contexts.append((spec.direction, previous is not None and previous() is context))
+        last[spec.direction] = weakref.ref(context)
+        return real_trace(graph, start, spec, **kwargs)
+
+    monkeypatch.setattr(rules_mod, "trace", tracing)
+    stats = {}
+    assert evaluate_rule(graph, rule, stats) == []
+    assert stats["entries"] == 16
+    assert contexts == [(FORWARD, False)] + [(FORWARD, True)] * 15
+    assert all(ref() is None for ref in last.values())
+    assert len(built) > 30 and max(built.values()) == 1
+    asked = Counter()
+    for (use, _, element_id), calls in tally.items():
+        asked[(use, element_id)] += calls
+    assert len(asked) > 20 and max(asked.values()) == 1
 
 
 # clauses listed out of scope order: a forward-path clause, the entry, the
@@ -887,8 +1050,8 @@ def test_each_element_is_tested_for_keeping_once_per_trace(monkeypatch):
     traces = iter(range(1_000_000))
     real_keep_tests = rules_mod._keep_tests
 
-    def counting_keep_tests(graph, clauses, entry, scopes, answers):
-        tests = real_keep_tests(graph, clauses, entry, scopes, answers)
+    def counting_keep_tests(*args):
+        tests = real_keep_tests(*args)
         which = next(traces)
 
         def counted(name, test):
