@@ -16,7 +16,7 @@ from pathlib import Path
 from . import scenarios
 from .dot import finding_to_dot, to_dot
 from .errors import AgentBomError, GraphValidationError
-from .graph import AgentBomGraph
+from .graph import AgentBomGraph, _collector_paused
 from .ingestion import assemble, parse_manifest_json, parse_trace_jsonl
 from .matchers import DangerMatcher, default_matcher
 from .rules import audit, builtin_rules, load_rules
@@ -50,10 +50,12 @@ def _load_graph(path: str) -> AgentBomGraph:
 
 
 def _cmd_build(args) -> int:
-    manifest = parse_manifest_json(_read(args.manifest))
-    events = parse_trace_jsonl(_read(args.trace))
-    graph = assemble(manifest, events, matcher=_matcher_from(args.matchers))
-    _emit(graph.to_json(), args.out)
+    # parsing, assembly and writing allocate many containers and no cycles
+    with _collector_paused():
+        manifest = parse_manifest_json(_read(args.manifest))
+        events = parse_trace_jsonl(_read(args.trace))
+        graph = assemble(manifest, events, matcher=_matcher_from(args.matchers))
+        _emit(graph.to_json(), args.out)
     return 0
 
 

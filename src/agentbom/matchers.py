@@ -16,13 +16,30 @@ of the caller's matcher with empty tables. A matcher reused across builds
 thus neither grows without bound in a long-lived process nor lets a later
 build skip the scanning an earlier one did. Code that calls scan() itself
 fills the matcher's own tables and can take fresh() per batch instead.
+
+Most texts match no pattern, so a text new to a key is first checked
+against each pattern's required literals: a set of lowercase ASCII strings,
+read off the pattern's parse tree, of which every match contains one ("http"
+for the URL pattern below). An ASCII text is lowercased once, and a pattern
+none of whose strings occur in it is not searched. A text that is not ASCII
+is always searched, since ignoring case equates some ASCII letters with
+other letters (s with the long s, k with the Kelvin sign), and so is a
+pattern with no required literal, such as one made only of digit classes.
+The literals are worked out once per pattern per process, when a text first
+needs them, so neither import nor default_matcher() pays for them.
 """
 
 from __future__ import annotations
 
 import copy
+import functools
 import re
 from dataclasses import dataclass
+
+try:
+    from re import _parser as _sre  # Python 3.11+
+except ImportError:  # Python 3.10; importing it on 3.11+ is deprecated
+    import sre_parse as _sre
 
 from .errors import IngestionError
 from .schema import MATCHER_PACK, MATCHER_PATTERN, check_fields, load_json
@@ -56,11 +73,15 @@ class DangerMatcher:
                     f"bad danger pattern for flag {item.flag!r}: {exc}"
                 ) from None
             for key in item.applies_to:
-                groups.setdefault(key, []).append((item.flag, compiled))
-        # attribute key -> the (flag, compiled pattern) pairs that read it
+                groups.setdefault(key, []).append((item.flag, compiled, item.pattern))
+        # attribute key -> the (flag, compiled pattern, source) triples that read it
         self._groups = {key: tuple(group) for key, group in groups.items()}
         # attribute key -> {text: the flags its group raises on that text}
         self._flags = {key: {} for key in self._groups}
+        # attribute key -> its group's (flag, compiled pattern, required
+        # literals) triples, made when a text new to the key first needs
+        # them and shared with every fresh() copy
+        self._searches = {}
 
     def fresh(self) -> "DangerMatcher":
         """This matcher with an empty flag table, for one build."""
@@ -71,19 +92,39 @@ class DangerMatcher:
     def scan(self, attributes: dict) -> list:
         """Return the sorted set of flags raised by the given attributes."""
         hits = set()
-        for key, group in self._groups.items():
+        for key, seen in self._flags.items():
             value = attributes.get(key)
             if value is None:
                 continue
-            seen = self._flags[key]
             for text in _texts_of(value):
                 flags = seen.get(text)
                 if flags is None:
-                    flags = seen[text] = tuple(
-                        flag for flag, compiled in group if compiled.search(text)
-                    )
+                    flags = seen[text] = self._search(key, text)
                 hits.update(flags)
         return sorted(hits)
+
+    def _search(self, key, text) -> tuple:
+        """The flags the patterns under ``key`` raise on ``text``, searching
+        only the patterns whose required literals the text holds."""
+        searches = self._searches.get(key)
+        if searches is None:
+            searches = self._searches[key] = tuple(
+                (flag, compiled, _required_literals(source))
+                for flag, compiled, source in self._groups[key])
+        if not text.isascii():
+            return tuple(flag for flag, compiled, _ in searches if compiled.search(text))
+        lowered = text.lower()
+        flags = []
+        for flag, compiled, literals in searches:
+            if literals is not None:
+                for literal in literals:
+                    if literal in lowered:
+                        break
+                else:
+                    continue
+            if compiled.search(text):
+                flags.append(flag)
+        return tuple(flags)
 
     def to_dict(self) -> dict:
         return {"patterns": [p.to_dict() for p in self.patterns]}
@@ -115,6 +156,62 @@ def _texts_of(value):
     elif isinstance(value, (list, tuple)):
         for item in value:
             yield str(item)
+
+
+# ---------------------------------------------------------------------------
+# required literals
+# ---------------------------------------------------------------------------
+
+_REPEATS = {_sre.MAX_REPEAT, _sre.MIN_REPEAT, getattr(_sre, "POSSESSIVE_REPEAT", None)}
+
+
+@functools.lru_cache(maxsize=None)
+def _required_literals(pattern: str):
+    """Lowercase ASCII strings of which every match of ``pattern``, searched
+    ignoring case in an ASCII text, contains one; None if there are none."""
+    literals = _sequence_literals(_sre.parse(pattern, re.IGNORECASE))
+    return None if literals is None else tuple(sorted(literals))
+
+
+def _sequence_literals(items):
+    """The required literals of a parsed sequence: of the sets its items
+    require, the one whose shortest string is longest (then the smallest).
+    Adjacent ASCII literals join into one string; any other item ends the
+    run, and items that may match without consuming a required literal
+    (classes, anchors, lookarounds, backreferences, optional repeats,
+    non-ASCII literals) require nothing."""
+    candidates, run = [], []
+    for op, value in items:
+        if op == _sre.LITERAL and value < 128:
+            run.append(chr(value).lower())
+            continue
+        if run:
+            candidates.append(frozenset(("".join(run),)))
+            run = []
+        literals = _item_literals(op, value)
+        if literals is not None:
+            candidates.append(literals)
+    if run:
+        candidates.append(frozenset(("".join(run),)))
+    return max(candidates, key=lambda c: (min(map(len, c)), -len(c)), default=None)
+
+
+def _item_literals(op, value):
+    if op == _sre.SUBPATTERN:  # (group, add flags, del flags, body)
+        return _sequence_literals(value[-1])
+    if op == getattr(_sre, "ATOMIC_GROUP", None):
+        return _sequence_literals(value)
+    if op in _REPEATS:  # (min, max, body)
+        return _sequence_literals(value[2]) if value[0] >= 1 else None
+    if op == _sre.BRANCH:  # (None, branches): a match takes one branch
+        union = set()
+        for branch in value[1]:
+            literals = _sequence_literals(branch)
+            if literals is None:
+                return None
+            union |= literals
+        return frozenset(union)
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -336,9 +336,13 @@ class Answers:
         attributes = entry.attributes
         return predicate, tuple(_frozen(attributes.get(k)) for k in keys)
 
+    def table(self, predicate, entry) -> dict:
+        """The predicate's answers for this entry: {element id: answer}."""
+        return self.tables.setdefault(self.key(predicate, entry), {})
+
     def asker(self, predicate, entry):
         """element id -> the predicate's answer for that element and entry."""
-        table = self.tables.setdefault(self.key(predicate, entry), {})
+        table = self.table(predicate, entry)
         graph, element = self.graph, self.graph.element
 
         def ask(element_id) -> bool:

@@ -86,11 +86,6 @@ class EntrySelector:
         for kind in sorted(self._kind_set, key=lambda k: k.value):
             yield from of_kind(kind)
 
-    def matches(self, element, graph: AgentBomGraph) -> bool:
-        if self.predicate is None:
-            return True
-        return self.predicate.evaluate(element, graph=graph, entry=element)
-
     def to_dict(self) -> dict:
         doc = {"element_class": self.element_class, "kinds": list(self.kinds)}
         if self.predicate is not None:
@@ -320,12 +315,21 @@ class AuditReport:
 # ===========================================================================
 
 
-def locate_entries(graph: AgentBomGraph, rule: AuditRule) -> list:
-    """All element ids matching the rule's entry selector, sorted."""
+def locate_entries(graph: AgentBomGraph, rule: AuditRule, answers=None) -> list:
+    """All element ids matching the rule's entry selector, sorted.
+
+    The selector's predicate is asked of each candidate, as its own entry.
+    Each entry's answer goes into ``answers``, when given, so an entry
+    clause with the same predicate reuses it instead of asking again.
+    """
+    predicate = rule.entry.predicate
     out = []
     for element in rule.entry.candidates(graph):
-        if rule.entry.matches(element, graph):
-            out.append(_element_id(element))
+        if predicate is None or predicate.evaluate(element, graph=graph, entry=element):
+            element_id = _element_id(element)
+            if answers is not None and predicate is not None:
+                answers.table(predicate, element)[element_id] = True
+            out.append(element_id)
     return sorted(out)
 
 
@@ -440,9 +444,9 @@ def evaluate_rule(graph: AgentBomGraph, rule: AuditRule, stats=None) -> list:
     element, the graph and the entry attributes they read, and the graph
     does not change during an audit. Both live for this call only.
     """
-    entries = locate_entries(graph, rule)
-    findings, explored = [], 0
     answers = Answers(graph)
+    entries = locate_entries(graph, rule, answers)
+    findings, explored = [], 0
     fwd_context = TraceContext(graph, rule.fwd, answers)
     back_context = TraceContext(graph, rule.back, answers)
     for entry_id in entries:

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import subprocess
 import sys
 
 import pytest
 
+from agentbom import cli
 from agentbom.cli import main
+from agentbom.ingestion import assemble, parse_manifest_json, parse_trace_jsonl
 from agentbom.matchers import default_matcher
 from agentbom.rules import builtin_rules, dump_rules
 
@@ -48,6 +51,47 @@ def test_build_to_stdout_matches_the_file(workdir, capsys):
                  "--manifest", str(workdir / "fx" / "manifest.json"),
                  "--trace", str(workdir / "fx" / "trace.jsonl")]) == 0
     assert capsys.readouterr().out == (workdir / "graph.json").read_text()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+@pytest.mark.parametrize("fails", [False, True], ids=["succeeds", "fails"])
+def test_build_pauses_the_collector_and_restores_it(workdir, capsys, monkeypatch,
+                                                    enabled, fails):
+    """build keeps the cycle collector paused from reading the manifest to
+    writing the graph, puts back the state it found, whether or not the
+    build fails, and writes the bytes the library builds."""
+    fx = workdir / "fx"
+    trace = fx / "trace.jsonl"
+    if fails:
+        trace = workdir / "bad.jsonl"
+        trace.write_text("{broken\n")
+    seen = []
+
+    def recording(name, original):
+        def stage(*args):
+            seen.append((name, gc.isenabled()))
+            return original(*args)
+        return stage
+
+    for name in ("parse_manifest_json", "_emit"):
+        monkeypatch.setattr(cli, name, recording(name, getattr(cli, name)))
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        rc = main(["build", "--manifest", str(fx / "manifest.json"),
+                   "--trace", str(trace)])
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    out = capsys.readouterr().out
+    if fails:
+        assert rc == 2 and seen == [("parse_manifest_json", False)]
+        return
+    assert rc == 0
+    assert seen == [("parse_manifest_json", False), ("_emit", False)]
+    built = assemble(parse_manifest_json((fx / "manifest.json").read_text()),
+                     parse_trace_jsonl(trace.read_text()))
+    assert out == built.to_json() == (workdir / "graph.json").read_text()
 
 
 def test_audit_report_and_summary(workdir, capsys):

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
 import json
+import os
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -17,11 +21,13 @@ from agentbom.matchers import (
     FLAG_DESTRUCTIVE,
     FLAG_EXFILTRATION,
     FLAG_PRIVILEGE_CLAIM,
+    _required_literals,
     default_matcher,
 )
 from agentbom.scenarios import generate
 
 _M = default_matcher()
+_SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _flags(**attributes):
@@ -325,3 +331,183 @@ def test_each_build_scans_with_a_table_of_its_own(monkeypatch):
     assert len(searches) - before == first
     assert matcher.fresh().scan(probe) == [FLAG_DESTRUCTIVE]
     assert len(searches) - before == 2 * first
+
+
+
+# ---------------------------------------------------------------------------
+# the required-literal prefilter, against random patterns
+# ---------------------------------------------------------------------------
+
+# ASCII letters that ignoring case ties to non-ASCII ones, and those ones:
+# s and the long s, k and the Kelvin sign, i and the dotless i and the dotted
+# capital I; the micro sign and Greek mu are a non-ASCII pair of their own
+_LETTERS = "abiks-"
+_OTHER_LETTERS = "\u00b5\u03bc\u017f\u212a\u0131\u0130\u00e9"
+_TWINS = {"s": "\u017f", "k": "\u212a", "i": "\u0131\u0130",
+          "\u00b5": "\u03bc\u039c", "\u03bc": "\u00b5"}
+# (regex, characters it matches)
+_CLASSES = ((r"\d", "0123456789"), (r"\w", "az_9\u00e9"), (r"\s", " \t"),
+            ("[a-c]", "abcABC"), ("[^x]", "ab -"), (".", "ab-\u017f"))
+
+
+def _random_literal(rng):
+    return "".join(rng.choice(_OTHER_LETTERS) if rng.random() < 0.1
+                   else rng.choice(_LETTERS) for _ in range(rng.randint(1, 3)))
+
+
+def _random_node(rng, groups, depth=0):
+    """A random pattern tree. ``groups`` is [capturing groups opened so far,
+    numbers of those closed]; a backreference names a closed one."""
+    roll = rng.random() if depth < 3 else 0.0
+    if roll < 0.30:
+        return ("lit", _random_literal(rng))
+    if roll < 0.40:
+        return ("class",) + rng.choice(_CLASSES)
+    if roll < 0.50:
+        return ("seq", [_random_node(rng, groups, depth + 1)
+                        for _ in range(rng.randint(2, 3))])
+    if roll < 0.62:
+        return ("alt", [_random_node(rng, groups, depth + 1)
+                        for _ in range(rng.randint(2, 3))])
+    if roll < 0.68:
+        groups[0] += 1
+        number = groups[0]
+        body = _random_node(rng, groups, depth + 1)
+        groups[1].append(number)
+        return ("group", number, body)
+    if roll < 0.80:
+        lo, hi, suffix = rng.choice(((0, 1, "?"), (0, 3, "*"), (1, 3, "+"), None)) \
+            or _random_bounds(rng)
+        if rng.random() < 0.3:
+            suffix += "?"  # lazy
+        return ("repeat", _random_node(rng, groups, depth + 1), lo, hi, suffix)
+    if roll < 0.84:
+        return ("bound",)
+    if roll < 0.90:
+        kind = rng.choice(("?=", "?!", "?<=", "?<!"))
+        body = (("lit", _random_literal(rng)) if "<" in kind  # fixed width
+                else _random_node(rng, groups, depth + 1))
+        return ("look", kind, body)
+    if roll < 0.94 and groups[1]:
+        return ("backref", rng.choice(groups[1]))
+    return ("exact", _random_node(rng, groups, depth + 1))
+
+
+def _random_bounds(rng):
+    lo = rng.randint(0, 2)
+    hi = rng.randint(lo, 3)
+    return lo, hi, f"{{{lo},{hi}}}"
+
+
+def _render(node) -> str:
+    tag = node[0]
+    if tag == "lit":
+        return re.escape(node[1])
+    if tag == "class":
+        return node[1]
+    if tag == "seq":
+        return "".join(map(_render, node[1]))
+    if tag == "alt":
+        return "(?:" + "|".join(map(_render, node[1])) + ")"
+    if tag == "group":
+        return "(" + _render(node[2]) + ")"
+    if tag == "repeat":
+        return "(?:" + _render(node[1]) + ")" + node[4]
+    if tag == "bound":
+        return r"\b"
+    if tag == "look":
+        return "(" + node[1] + _render(node[2]) + ")"
+    if tag == "backref":
+        return f"\\{node[1]}"
+    return "(?-i:" + _render(node[1]) + ")"  # exact
+
+
+def _sample(rng, node, captured, exact=False) -> str:
+    """A text the node likely matches, in random case where case is ignored,
+    with some letters swapped for the non-ASCII letters ignoring case ties
+    them to."""
+    tag = node[0]
+    if tag == "lit":
+        if exact:
+            return node[1]
+        out = []
+        for char in node[1]:
+            roll = rng.random()
+            if roll < 0.25 and char in _TWINS:
+                char = rng.choice(_TWINS[char])
+            elif roll < 0.6:
+                char = char.upper()
+            out.append(char)
+        return "".join(out)
+    if tag == "class":
+        return rng.choice(node[2])
+    if tag == "seq":
+        return "".join(_sample(rng, item, captured, exact) for item in node[1])
+    if tag == "alt":
+        return _sample(rng, rng.choice(node[1]), captured, exact)
+    if tag == "group":
+        captured[node[1]] = _sample(rng, node[2], captured, exact)
+        return captured[node[1]]
+    if tag == "repeat":
+        count = rng.randint(node[2], node[3])
+        return "".join(_sample(rng, node[1], captured, exact) for _ in range(count))
+    if tag == "backref":
+        return captured.get(node[1], "")
+    if tag == "exact":
+        return _sample(rng, node[1], captured, exact=True)
+    return ""  # bound, look
+
+
+def test_required_literals_are_worked_out_lazily_and_once():
+    """Neither importing the package nor default_matcher() parses a pattern;
+    the first text that needs a pattern's literals does, once per process,
+    and fresh() copies reuse them."""
+    probe = ("import agentbom, agentbom.matchers as m; agentbom.default_matcher(); "
+             "print(m._required_literals.cache_info().currsize)")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": str(_SRC)})
+    assert done.stdout.strip() == "0"
+    _required_literals.cache_clear()
+    matcher = default_matcher()
+    assert _required_literals.cache_info().currsize == 0
+    matcher.scan({"content": "plain words"})
+    read = {key: {p.pattern for p in matcher.patterns if key in p.applies_to}
+            for key in ("content", "parameters")}
+    assert _required_literals.cache_info().misses == len(read["content"])
+    for clone in (matcher.fresh(), default_matcher().fresh()):
+        clone.scan({"content": "other words", "parameters": ["more words"]})
+    assert _required_literals.cache_info().misses == len(read["content"] | read["parameters"])
+    assert matcher.fresh()._searches is matcher._searches
+
+
+# texts made of the letters ignoring case ties to others
+_TWIN_TEXTS = ("", "\u017f", "\u212a", "\u0131", "\u0130", "\u00b5", "kiss", "SKI",
+               "a\u017fk", "\u212aI-\u0131", "b\u00b5\u03bcs", "sik ab")
+
+
+def test_the_prefilter_agrees_with_searching_every_pattern():
+    """Random patterns (literals, alternations, groups, repeats, classes,
+    word boundaries, lookarounds, backreferences, case-sensitive groups,
+    non-ASCII literals), each scanned over texts sampled from it and texts
+    with the long s, the Kelvin sign, the dotless i, the dotted capital I and
+    the micro sign: the matcher raises what searching every pattern
+    raises."""
+    rng = random.Random(1818)
+    checked = matched = 0
+    for _ in range(600):
+        tree = _random_node(rng, [0, []])
+        patterns = [DangerPattern("hit", _render(tree), ("content",))]
+        matcher = DangerMatcher(patterns)
+        texts = set(rng.sample(_TWIN_TEXTS, 2))
+        for _ in range(5):
+            sample = _sample(rng, tree, {})
+            texts.add(rng.choice(("", "x ", "Q-", "\u00e9 ", "\u017f")) + sample
+                      + rng.choice(("", " y", "-z")))
+        for text in sorted(texts):
+            attributes = {"content": text}
+            flags = matcher.scan(attributes)
+            assert flags == scan_flags(patterns, attributes), (patterns[0].pattern, text)
+            checked += 1
+            matched += bool(flags)
+    # most samples match their pattern
+    assert checked > 3000 and matched > checked // 3

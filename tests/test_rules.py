@@ -912,9 +912,9 @@ def test_a_rule_evaluation_shares_its_work_among_entries(monkeypatch):
     diamond chain. Each node's steps are built at most once per side,
     counted by the graph's out_edges and in_edges calls; each (predicate,
     element) is asked at most once, since none of ASI03's terminals and
-    clauses reads the entry (locate_entries asks the entry selector on
-    its own, so it stays unwrapped); and the trace contexts, one per side,
-    are gone when evaluate_rule returns."""
+    clauses reads the entry (the entry selector stays unwrapped, so the
+    answers locate_entries records under it are not counted); and the trace
+    contexts, one per side, are gone when evaluate_rule returns."""
     graph = _diamond_chain(16)
     rule = next(r for r in builtin_rules() if r.risk_id == "ASI03")
     tally, wrapped = Counter(), {}
@@ -957,6 +957,33 @@ def test_a_rule_evaluation_shares_its_work_among_entries(monkeypatch):
     for (use, _, element_id), calls in tally.items():
         asked[(use, element_id)] += calls
     assert len(asked) > 20 and max(asked.values()) == 1
+
+
+def test_the_entry_selector_is_asked_once_per_candidate():
+    """ASI06's entry selector is also its entry clause, as in every builtin
+    rule. On forty replayed sessions it is asked once of each of the 200
+    candidates: locate_entries records each entry's answer in the rule's
+    Answers table, and the entry clause reads it there instead of asking
+    the 40 entries again. The findings and the paths explored do not
+    change."""
+    graph = _replay(40)
+
+    def asi06():
+        return next(r for r in builtin_rules() if r.risk_id == "ASI06")
+
+    rule, tally = asi06(), Counter()
+    selector = rule.entry.predicate
+    rule.entry.predicate = _CountedByElement(selector, tally, "selector")
+    for clause in rule.conditions:
+        if clause.predicate is selector:
+            clause.predicate = rule.entry.predicate
+    stats, plain_stats = {}, {}
+    findings = evaluate_rule(graph, rule, stats)
+    plain = evaluate_rule(graph, asi06(), plain_stats)
+    assert [f.to_dict() for f in findings] == [f.to_dict() for f in plain]
+    assert stats == plain_stats
+    assert stats["entries"] == 40 and stats["findings"] == 40
+    assert sum(tally.values()) == len(tally) == 200
 
 
 # clauses listed out of scope order: a forward-path clause, the entry, the
