@@ -30,7 +30,6 @@ import gc
 import hashlib
 import json
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii as _quote
 from typing import NamedTuple
@@ -48,6 +47,7 @@ from .errors import (
     UnknownAgentError,
     UnknownKindError,
 )
+from .record import FRESH, FrozenRecord, Record
 from .schema import EdgeKind, Layer, NodeKind
 
 # ===========================================================================
@@ -108,16 +108,17 @@ def _collector_paused():
 # ===========================================================================
 
 
-@dataclass
-class AgentDescriptor:
+class AgentDescriptor(Record):
     """Registry entry for one agent taking part in the execution."""
 
-    agent_id: str
-    role: str = ""
-    policy_boundary: str = ""
+    __slots__ = ("agent_id", "role", "policy_boundary")
+
+    def __init__(self, agent_id: str, role: str = "", policy_boundary: str = ""):
+        self.agent_id, self.role, self.policy_boundary = agent_id, role, policy_boundary
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {"agent_id": self.agent_id, "role": self.role,
+                "policy_boundary": self.policy_boundary}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "AgentDescriptor":
@@ -126,16 +127,20 @@ class AgentDescriptor:
         return cls(**{key: value for key, value in doc.items() if value is not None})
 
 
-@dataclass
-class Node:
+class Node(Record):
     """One graph node. Runtime nodes carry trace metadata, static ones must not."""
 
-    node_id: str
-    kind: NodeKind
-    agent_id: str | None = None
-    trace_id: str | None = None
-    timestamp: str | None = None
-    attributes: dict = field(default_factory=dict)
+    __slots__ = ("node_id", "kind", "agent_id", "trace_id", "timestamp", "attributes")
+
+    def __init__(self, node_id: str, kind: NodeKind, agent_id: str | None = None,
+                 trace_id: str | None = None, timestamp: str | None = None,
+                 attributes: dict = FRESH):
+        self.node_id = node_id
+        self.kind = kind
+        self.agent_id = agent_id
+        self.trace_id = trace_id
+        self.timestamp = timestamp
+        self.attributes = {} if attributes is FRESH else attributes
 
     @property
     def layer(self) -> Layer:
@@ -165,16 +170,19 @@ class Node:
         return node
 
 
-@dataclass
-class Edge:
+class Edge(Record):
     """One directed, kind-tagged edge between two node ids."""
 
-    edge_id: str
-    kind: EdgeKind
-    source: str
-    target: str
-    timestamp: str | None = None
-    attributes: dict = field(default_factory=dict)
+    __slots__ = ("edge_id", "kind", "source", "target", "timestamp", "attributes")
+
+    def __init__(self, edge_id: str, kind: EdgeKind, source: str, target: str,
+                 timestamp: str | None = None, attributes: dict = FRESH):
+        self.edge_id = edge_id
+        self.kind = kind
+        self.source = source
+        self.target = target
+        self.timestamp = timestamp
+        self.attributes = {} if attributes is FRESH else attributes
 
     @property
     def family(self) -> schema.EdgeFamily:
@@ -203,13 +211,16 @@ class Edge:
         return edge
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(FrozenRecord):
     """One violated invariant reported by validate()."""
 
-    code: str
-    element_id: str
-    message: str
+    __slots__ = ("code", "element_id", "message")
+
+    def __init__(self, code: str, element_id: str, message: str):
+        _set = object.__setattr__
+        _set(self, "code", code)
+        _set(self, "element_id", element_id)
+        _set(self, "message", message)
 
 
 # A violation code outranks none; insertion maps codes to raised errors.

@@ -20,7 +20,6 @@ the danger matcher; every later stage reads only the recorded flags.
 from __future__ import annotations
 
 import copy
-from dataclasses import asdict, dataclass, field
 
 from . import schema
 from .errors import (
@@ -39,6 +38,7 @@ from .graph import (
     parse_instant,
 )
 from .matchers import DangerMatcher, default_matcher
+from .record import FRESH, Record
 from .schema import EdgeKind, NodeKind
 
 # ===========================================================================
@@ -46,56 +46,82 @@ from .schema import EdgeKind, NodeKind
 # ===========================================================================
 
 
-@dataclass
-class ToolSpec:
-    tool_name: str
-    input_schema: str = ""
-    permission_scope: list = field(default_factory=list)
-    provenance: dict = field(default_factory=dict)
+class ToolSpec(Record):
+    __slots__ = ("tool_name", "input_schema", "permission_scope", "provenance")
+
+    def __init__(self, tool_name: str, input_schema: str = "",
+                 permission_scope: list = FRESH, provenance: dict = FRESH):
+        self.tool_name = tool_name
+        self.input_schema = input_schema
+        self.permission_scope = [] if permission_scope is FRESH else permission_scope
+        self.provenance = {} if provenance is FRESH else provenance
 
 
-@dataclass
-class SkillSpec:
-    skill_name: str
-    declared_function: str = ""
-    implementation_summary: str = ""
-    provenance: dict = field(default_factory=dict)
+class SkillSpec(Record):
+    __slots__ = ("skill_name", "declared_function", "implementation_summary", "provenance")
+
+    def __init__(self, skill_name: str, declared_function: str = "",
+                 implementation_summary: str = "", provenance: dict = FRESH):
+        self.skill_name = skill_name
+        self.declared_function = declared_function
+        self.implementation_summary = implementation_summary
+        self.provenance = {} if provenance is FRESH else provenance
 
 
-@dataclass
-class MemorySpec:
-    store_id: str
-    type: str = ""
+class MemorySpec(Record):
+    __slots__ = ("store_id", "type")
+
+    def __init__(self, store_id: str, type: str = ""):
+        self.store_id, self.type = store_id, type
 
 
-@dataclass
-class CodeSpec:
-    name: str
-    version: str = ""
+class CodeSpec(Record):
+    __slots__ = ("name", "version")
+
+    def __init__(self, name: str, version: str = ""):
+        self.name, self.version = name, version
 
 
-@dataclass
-class ManifestAgent:
-    agent_id: str
-    role: str = ""
-    policy_boundary: str = ""
-    system_prompt: dict = field(default_factory=dict)
-    model: dict = field(default_factory=dict)
-    tools: list = field(default_factory=list)
-    skills: list = field(default_factory=list)
-    memory_stores: list = field(default_factory=list)
-    code_dependencies: list = field(default_factory=list)
+class ManifestAgent(Record):
+    __slots__ = ("agent_id", "role", "policy_boundary", "system_prompt", "model", "tools",
+                 "skills", "memory_stores", "code_dependencies")
+
+    def __init__(self, agent_id: str, role: str = "", policy_boundary: str = "",
+                 system_prompt: dict = FRESH, model: dict = FRESH, tools: list = FRESH,
+                 skills: list = FRESH, memory_stores: list = FRESH,
+                 code_dependencies: list = FRESH):
+        self.agent_id = agent_id
+        self.role = role
+        self.policy_boundary = policy_boundary
+        self.system_prompt = {} if system_prompt is FRESH else system_prompt
+        self.model = {} if model is FRESH else model
+        self.tools = [] if tools is FRESH else tools
+        self.skills = [] if skills is FRESH else skills
+        self.memory_stores = [] if memory_stores is FRESH else memory_stores
+        self.code_dependencies = [] if code_dependencies is FRESH else code_dependencies
 
 
-@dataclass
-class CapabilityManifest:
-    agents: list
+class CapabilityManifest(Record):
+    __slots__ = ("agents",)
+
+    def __init__(self, agents: list):
+        self.agents = agents
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return _plain(self)
 
     def to_json(self) -> str:
         return dump_json(self.to_dict())
+
+
+def _plain(value):
+    """A manifest value as JSON data: a record as the object of its fields,
+    a list item by item, and anything else copied deep."""
+    if isinstance(value, Record):
+        return {name: _plain(getattr(value, name)) for name in value.__slots__}
+    if isinstance(value, list):
+        return [_plain(item) for item in value]
+    return copy.deepcopy(value)
 
 
 def parse_manifest(doc: dict) -> CapabilityManifest:
@@ -203,16 +229,21 @@ _EDGE_DIRECTIVE_KEYS = frozenset(
 _MESSAGE_EVENTS = frozenset({"message_sent", "message_received", "delegation"})
 
 
-@dataclass
-class TraceEvent:
-    event_id: str
-    trace_id: str
-    agent_id: str
-    timestamp: str
-    event_type: str
-    content: str = ""
-    refs: list = field(default_factory=list)
-    attrs: dict = field(default_factory=dict)
+class TraceEvent(Record):
+    __slots__ = ("event_id", "trace_id", "agent_id", "timestamp", "event_type", "content",
+                 "refs", "attrs")
+
+    def __init__(self, event_id: str, trace_id: str, agent_id: str, timestamp: str,
+                 event_type: str, content: str = "", refs: list = FRESH,
+                 attrs: dict = FRESH):
+        self.event_id = event_id
+        self.trace_id = trace_id
+        self.agent_id = agent_id
+        self.timestamp = timestamp
+        self.event_type = event_type
+        self.content = content
+        self.refs = [] if refs is FRESH else refs
+        self.attrs = {} if attrs is FRESH else attrs
 
     def to_dict(self) -> dict:
         doc = {

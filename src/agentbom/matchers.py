@@ -24,7 +24,8 @@ for the URL pattern below). An ASCII text is lowercased once, and a pattern
 none of whose strings occur in it is not searched. A text that is not ASCII
 is always searched, since ignoring case equates some ASCII letters with
 other letters (s with the long s, k with the Kelvin sign), and so is a
-pattern with no required literal, such as one made only of digit classes.
+pattern with no required literal, such as one made only of digit classes,
+or one that nests too deep to parse again where the literals are needed.
 The literals are worked out once per pattern per process, when a text first
 needs them, so neither import nor default_matcher() pays for them.
 """
@@ -34,7 +35,6 @@ from __future__ import annotations
 import copy
 import functools
 import re
-from dataclasses import dataclass
 
 try:
     from re import _parser as _sre  # Python 3.11+
@@ -42,14 +42,18 @@ except ImportError:  # Python 3.10; importing it on 3.11+ is deprecated
     import sre_parse as _sre
 
 from .errors import IngestionError
+from .record import FrozenRecord
 from .schema import MATCHER_PACK, MATCHER_PATTERN, check_fields, load_json
 
 
-@dataclass(frozen=True)
-class DangerPattern:
-    flag: str
-    pattern: str
-    applies_to: tuple
+class DangerPattern(FrozenRecord):
+    __slots__ = ("flag", "pattern", "applies_to")
+
+    def __init__(self, flag: str, pattern: str, applies_to: tuple):
+        _set = object.__setattr__
+        _set(self, "flag", flag)
+        _set(self, "pattern", pattern)
+        _set(self, "applies_to", applies_to)
 
     def to_dict(self) -> dict:
         return {
@@ -71,6 +75,10 @@ class DangerMatcher:
             except re.error as exc:
                 raise IngestionError(
                     f"bad danger pattern for flag {item.flag!r}: {exc}"
+                ) from None
+            except RecursionError:
+                raise IngestionError(
+                    f"bad danger pattern for flag {item.flag!r}: nests too deep to compile"
                 ) from None
             for key in item.applies_to:
                 groups.setdefault(key, []).append((item.flag, compiled, item.pattern))
@@ -168,8 +176,13 @@ _REPEATS = {_sre.MAX_REPEAT, _sre.MIN_REPEAT, getattr(_sre, "POSSESSIVE_REPEAT",
 @functools.lru_cache(maxsize=None)
 def _required_literals(pattern: str):
     """Lowercase ASCII strings of which every match of ``pattern``, searched
-    ignoring case in an ASCII text, contains one; None if there are none."""
-    literals = _sequence_literals(_sre.parse(pattern, re.IGNORECASE))
+    ignoring case in an ASCII text, contains one; None if there are none,
+    or if the pattern nests too deep to parse again here, which leaves it
+    searched on every text."""
+    try:
+        literals = _sequence_literals(_sre.parse(pattern, re.IGNORECASE))
+    except RecursionError:
+        return None
     return None if literals is None else tuple(sorted(literals))
 
 

@@ -12,7 +12,6 @@ kept path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 
 from .errors import RulePackError, UnknownKindError
 from .graph import AgentBomGraph, Edge, dump_json
@@ -31,6 +30,7 @@ from .predicates import (
     predicate_from_dict,
 )
 from . import schema
+from .record import FRESH, Record
 from .traversal import BACKWARD, FORWARD, PathSpec, Trace, TraceContext, trace
 
 RISK_IDS = tuple(f"ASI{n:02d}" for n in range(1, 11))
@@ -59,23 +59,22 @@ _PROPAGATION_KIND_NAMES = tuple(sorted(k.value for k in schema.PROPAGATION_KINDS
 # ===========================================================================
 
 
-@dataclass
-class EntrySelector:
+class EntrySelector(Record):
     """Which elements may open a candidate risk chain."""
 
-    element_class: str  # "node" | "edge"
-    kinds: tuple
-    predicate: Predicate | None = None
+    __slots__ = ("element_class", "kinds", "predicate", "_kind_set")
 
-    def __post_init__(self):
-        if self.element_class not in ("node", "edge"):
+    def __init__(self, element_class: str, kinds: tuple, predicate: Predicate | None = None):
+        if element_class not in ("node", "edge"):
             raise RulePackError(
-                f"entry element_class must be node or edge, got {self.element_class!r}"
+                f"entry element_class must be node or edge, got {element_class!r}"
             )
-        self.kinds = tuple(self.kinds)
+        self.element_class = element_class
+        self.kinds = tuple(kinds)
         if not self.kinds:
             raise RulePackError("entry selector needs at least one kind")
-        if self.element_class == "node":
+        self.predicate = predicate
+        if element_class == "node":
             self._kind_set = frozenset(schema.parse_node_kind(k) for k in self.kinds)
         else:
             self._kind_set = schema.expand_edge_kinds(self.kinds)
@@ -100,19 +99,17 @@ class EntrySelector:
                    predicate=predicate)
 
 
-@dataclass
-class Clause:
+class Clause(Record):
     """One scoped, quantified predicate; all of a rule's clauses conjoin."""
 
-    scope: str
-    quantifier: str
-    predicate: Predicate
+    __slots__ = ("scope", "quantifier", "predicate")
 
-    def __post_init__(self):
-        if self.scope not in CLAUSE_SCOPES:
-            raise RulePackError(f"unknown clause scope {self.scope!r}")
-        if self.quantifier not in QUANTIFIERS:
-            raise RulePackError(f"unknown quantifier {self.quantifier!r}")
+    def __init__(self, scope: str, quantifier: str, predicate: Predicate):
+        if scope not in CLAUSE_SCOPES:
+            raise RulePackError(f"unknown clause scope {scope!r}")
+        if quantifier not in QUANTIFIERS:
+            raise RulePackError(f"unknown quantifier {quantifier!r}")
+        self.scope, self.quantifier, self.predicate = scope, quantifier, predicate
 
     def to_dict(self) -> dict:
         return {
@@ -131,27 +128,24 @@ class Clause:
         )
 
 
-@dataclass
-class AuditRule:
-    risk_id: str
-    name: str
-    entry: EntrySelector
-    back: PathSpec
-    fwd: PathSpec
-    conditions: list
+class AuditRule(Record):
+    __slots__ = ("risk_id", "name", "entry", "back", "fwd", "conditions")
 
-    def __post_init__(self):
-        if not self.conditions:
-            raise RulePackError(f"rule {self.risk_id}: conditions must be non-empty")
-        scopes = {c.scope for c in self.conditions}
+    def __init__(self, risk_id: str, name: str, entry: EntrySelector, back: PathSpec,
+                 fwd: PathSpec, conditions: list):
+        if not conditions:
+            raise RulePackError(f"rule {risk_id}: conditions must be non-empty")
+        scopes = {c.scope for c in conditions}
         if "entry" not in scopes:
-            raise RulePackError(f"rule {self.risk_id}: needs an entry clause")
+            raise RulePackError(f"rule {risk_id}: needs an entry clause")
         if not scopes & {"back_origin", "back_path", "fwd_terminus", "fwd_path"}:
             raise RulePackError(
-                f"rule {self.risk_id}: needs a backward or forward clause"
+                f"rule {risk_id}: needs a backward or forward clause"
             )
-        if self.back.direction != BACKWARD or self.fwd.direction != FORWARD:
-            raise RulePackError(f"rule {self.risk_id}: path specs point the wrong way")
+        if back.direction != BACKWARD or fwd.direction != FORWARD:
+            raise RulePackError(f"rule {risk_id}: path specs point the wrong way")
+        self.risk_id, self.name, self.entry = risk_id, name, entry
+        self.back, self.fwd, self.conditions = back, fwd, conditions
 
     def to_dict(self) -> dict:
         return {
@@ -235,13 +229,15 @@ def dump_rules(rules) -> str:
 # ===========================================================================
 
 
-@dataclass
-class EvidenceItem:
+class EvidenceItem(Record):
     """One element that satisfied (or was covered by) a clause."""
 
-    element_id: str
-    clause_index: int
-    attributes: dict = field(default_factory=dict)
+    __slots__ = ("element_id", "clause_index", "attributes")
+
+    def __init__(self, element_id: str, clause_index: int, attributes: dict = FRESH):
+        self.element_id = element_id
+        self.clause_index = clause_index
+        self.attributes = {} if attributes is FRESH else attributes
 
     def to_dict(self) -> dict:
         return {
@@ -251,8 +247,7 @@ class EvidenceItem:
         }
 
 
-@dataclass
-class Finding:
+class Finding(Record):
     """One entry whose clauses all hold.
 
     ``back_paths`` and ``fwd_paths`` hold one witness per endpoint, each
@@ -260,17 +255,19 @@ class Finding:
     every kept path on that side, witnesses or not.
     """
 
-    risk_id: str
-    risk_name: str
-    entry: str
-    back_paths: list
-    fwd_paths: list
-    evidence: list
-    trace_id: str = ""
-    agents_involved: list = field(default_factory=list)
-    phase_label: str = ""
-    back_scope: tuple = ()
-    fwd_scope: tuple = ()
+    __slots__ = ("risk_id", "risk_name", "entry", "back_paths", "fwd_paths", "evidence",
+                 "trace_id", "agents_involved", "phase_label", "back_scope", "fwd_scope")
+
+    def __init__(self, risk_id: str, risk_name: str, entry: str, back_paths: list,
+                 fwd_paths: list, evidence: list, trace_id: str = "",
+                 agents_involved: list = FRESH, phase_label: str = "",
+                 back_scope: tuple = (), fwd_scope: tuple = ()):
+        self.risk_id, self.risk_name, self.entry = risk_id, risk_name, entry
+        self.back_paths, self.fwd_paths, self.evidence = back_paths, fwd_paths, evidence
+        self.trace_id = trace_id
+        self.agents_involved = [] if agents_involved is FRESH else agents_involved
+        self.phase_label = phase_label
+        self.back_scope, self.fwd_scope = back_scope, fwd_scope
 
     def to_dict(self) -> dict:
         return {
@@ -290,11 +287,11 @@ class Finding:
         return {self.entry, *self.back_scope, *self.fwd_scope}
 
 
-@dataclass
-class AuditReport:
-    graph_digest: str
-    findings: list
-    stats: dict
+class AuditReport(Record):
+    __slots__ = ("graph_digest", "findings", "stats")
+
+    def __init__(self, graph_digest: str, findings: list, stats: dict):
+        self.graph_digest, self.findings, self.stats = graph_digest, findings, stats
 
     def risk_ids(self) -> list:
         return sorted({f.risk_id for f in self.findings})

@@ -14,13 +14,13 @@ depends on absolute times.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 from .graph import AgentBomGraph, dump_json
 from .ingestion import CapabilityManifest, TraceEvent, assemble, parse_manifest
 from .matchers import DangerMatcher
+from .record import FrozenRecord, Record
 
 __all__ = ["SCENARIO_IDS", "ExpectedFinding", "Fixture", "generate"]
 
@@ -28,8 +28,7 @@ _STAMP_FORMAT = "%Y-%m-%dT%H:%M:%SZ"
 _EPOCH = datetime(2026, 3, 1, tzinfo=timezone.utc)
 
 
-@dataclass(frozen=True)
-class ExpectedFinding:
+class ExpectedFinding(FrozenRecord):
     """One predicted finding: the entry plus its documented reach.
 
     ``back_reaches`` names the origin the backward evidence should arrive
@@ -37,11 +36,20 @@ class ExpectedFinding:
     ``fwd_reaches`` the terminus of the nearest reported impact path.
     """
 
-    risk_id: str
-    entry: str
-    phase: str
-    back_reaches: str | None = None
-    fwd_reaches: str | None = None
+    __slots__ = ("risk_id", "entry", "phase", "back_reaches", "fwd_reaches")
+
+    def __init__(self, risk_id: str, entry: str, phase: str,
+                 back_reaches: str | None = None, fwd_reaches: str | None = None):
+        _set = object.__setattr__
+        _set(self, "risk_id", risk_id)
+        _set(self, "entry", entry)
+        _set(self, "phase", phase)
+        _set(self, "back_reaches", back_reaches)
+        _set(self, "fwd_reaches", fwd_reaches)
+
+    def to_dict(self) -> dict:
+        return {"risk_id": self.risk_id, "entry": self.entry, "phase": self.phase,
+                "back_reaches": self.back_reaches, "fwd_reaches": self.fwd_reaches}
 
 
 class _Script:
@@ -69,15 +77,15 @@ class _Script:
         return event_id
 
 
-@dataclass
-class Fixture:
+class Fixture(Record):
     """A scenario frozen into concrete inputs plus expectations."""
 
-    scenario_id: str
-    seed: int
-    manifest: CapabilityManifest
-    events: list
-    expected: tuple = ()
+    __slots__ = ("scenario_id", "seed", "manifest", "events", "expected")
+
+    def __init__(self, scenario_id: str, seed: int, manifest: CapabilityManifest,
+                 events: list, expected: tuple = ()):
+        self.scenario_id, self.seed, self.manifest = scenario_id, seed, manifest
+        self.events, self.expected = events, expected
 
     def build(self, matcher: DangerMatcher | None = None) -> AgentBomGraph:
         return assemble(self.manifest, self.events, matcher=matcher)
@@ -201,7 +209,7 @@ class Fixture:
         report = {
             "scenario": self.scenario_id,
             "risk_ids": self.expected_risk_ids(),
-            "findings": [asdict(e) for e in self.expected],
+            "findings": [e.to_dict() for e in self.expected],
         }
         paths["expected"].write_text(dump_json(report))
         return paths

@@ -69,12 +69,12 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 
 from . import schema
 from .graph import AgentBomGraph, parse_instant
 from .predicates import Answers
+from .record import FrozenRecord, Record
 from .schema import Flow, Layer, NodeKind
 
 BACKWARD = "backward"
@@ -86,28 +86,30 @@ FORWARD = "forward"
 # ===========================================================================
 
 
-@dataclass
-class PathSpec:
+class PathSpec(Record):
     """What a single trace is allowed to touch and where it may stop."""
 
-    direction: str
-    allowed_edge_kinds: frozenset
-    allowed_node_kinds: frozenset | None = None
-    terminal: object = None
-    max_depth: int = 32
-    cross_agent: bool = False
+    __slots__ = ("direction", "allowed_edge_kinds", "allowed_node_kinds", "terminal",
+                 "max_depth", "cross_agent")
 
-    def __post_init__(self):
-        if self.direction not in (BACKWARD, FORWARD):
-            raise ValueError(f"direction must be backward or forward, got {self.direction!r}")
-        self.allowed_edge_kinds = schema.expand_edge_kinds(self.allowed_edge_kinds)
-        if self.allowed_node_kinds is not None:
-            self.allowed_node_kinds = frozenset(
+    def __init__(self, direction: str, allowed_edge_kinds: frozenset,
+                 allowed_node_kinds: frozenset | None = None, terminal: object = None,
+                 max_depth: int = 32, cross_agent: bool = False):
+        if direction not in (BACKWARD, FORWARD):
+            raise ValueError(f"direction must be backward or forward, got {direction!r}")
+        self.direction = direction
+        self.allowed_edge_kinds = schema.expand_edge_kinds(allowed_edge_kinds)
+        if allowed_node_kinds is not None:
+            allowed_node_kinds = frozenset(
                 k if isinstance(k, NodeKind) else schema.parse_node_kind(k)
-                for k in self.allowed_node_kinds
+                for k in allowed_node_kinds
             )
-        if self.max_depth < 1:
+        self.allowed_node_kinds = allowed_node_kinds
+        self.terminal = terminal
+        if max_depth < 1:
             raise ValueError("max_depth must be at least 1")
+        self.max_depth = max_depth
+        self.cross_agent = cross_agent
 
     def to_dict(self) -> dict:
         doc = {
@@ -123,17 +125,20 @@ class PathSpec:
         return doc
 
 
-@dataclass(frozen=True)
-class AuditPath:
+class AuditPath(FrozenRecord):
     """One traced path: alternating node and edge ids in flow order.
 
     A reported path is the witness for its endpoint: ``count`` is the
     number of kept paths of its trace that end there, itself included.
     """
 
-    direction: str
-    elements: tuple
-    count: int = 1
+    __slots__ = ("direction", "elements", "count")
+
+    def __init__(self, direction: str, elements: tuple, count: int = 1):
+        _set = object.__setattr__
+        _set(self, "direction", direction)
+        _set(self, "elements", elements)
+        _set(self, "count", count)
 
     @property
     def origin(self) -> str:
@@ -170,8 +175,8 @@ class Trace:
     ``scope`` holds every element of every kept path: the witnesses'
     elements in first-seen order, then the others sorted. ``explored`` is
     the number of terminal paths the walk went through, kept or not. The
-    size of a trace is the number of paths it reports. (A plain class: a
-    dataclass would add about a millisecond to every CLI start.)
+    size of a trace is the number of paths it reports. (A plain class with
+    slots, like every record of the package; see ``record``.)
     """
 
     __slots__ = ("paths", "scope", "explored")

@@ -6,6 +6,7 @@ import gc
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -258,6 +259,20 @@ def test_module_is_runnable_as_a_script(workdir):
     assert proc.stdout.startswith("graph valid: ")
 
 
+def test_start_up_loads_neither_dataclasses_nor_inspect():
+    """Every CLI run pays for what importing the package and its CLI loads;
+    dataclasses (which pulls in inspect) and generating its methods would
+    more than double that."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import agentbom, agentbom.cli; "
+             "print(agentbom.__file__); print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-I", "-c", probe, str(src)],
+                          capture_output=True, text=True, check=True)
+    where, loaded = proc.stdout.splitlines()
+    assert Path(where).parent == src / "agentbom"
+    assert loaded == "[]"
+
+
 _EVENT = {"event_id": "x1", "trace_id": "t1", "agent_id": "a",
           "timestamp": "2026-03-01T10:00:00Z", "event_type": "external_input"}
 _GRAPH = {"agents": [{"agent_id": "a"}],
@@ -487,8 +502,9 @@ def _with(doc, key, text):
 
 
 # documents that nest a thousand levels deep, beyond what the JSON decoder
-# of CPython 3.11 takes, and a rule pack it can decode whose predicate nests
-# beyond predicates.MAX_DEPTH
+# of CPython 3.11 takes, a rule pack it can decode whose predicate nests
+# beyond predicates.MAX_DEPTH, and a matcher pack whose pattern nests
+# beyond what re.compile takes
 _ARRAYS = _nested(1000, "[", "]", "")
 _NOTS = _nested(1000, '{"op": "not", "arg": ', "}", '{"op": "flags"}')
 _ANDS = _nested(450, '{"op": "and", "args": [', "]}", '{"op": "flags"}')
@@ -500,9 +516,11 @@ _ANDS = _nested(450, '{"op": "and", "args": [', "]}", '{"op": "flags"}')
     ("graph", _with(_GRAPH, "nodes", _ARRAYS)),
     ("manifest", '{"agents": %s}' % _ARRAYS),
     ("matchers", '{"patterns": %s}' % _ARRAYS),
+    ("matchers", json.dumps({"patterns": [{"flag": "deep", "pattern": _nested(600, "(", ")", "a"),
+                                           "applies_to": ["content"]}]})),
     ("trace", _with(_EVENT, "event_id", _ARRAYS) + "\n"),
 ], ids=["rule-pack-1000-nots", "rule-pack-450-ands", "graph", "manifest", "matcher-pack",
-        "trace-line"])
+        "matcher-pattern-600-groups", "trace-line"])
 def test_deeply_nested_input_is_a_single_line_error(tmp_path, capsys, command, deep):
     """Each input format ends in exit code 2 and one error line, not a
     RecursionError traceback."""

@@ -233,6 +233,30 @@ def test_bad_regex_is_rejected_eagerly():
         DangerMatcher([DangerPattern("x", "(unclosed", ("content",))])
 
 
+def test_a_pattern_too_deep_to_compile_is_rejected_with_its_flag():
+    with pytest.raises(IngestionError, match="flag 'x': nests too deep to compile"):
+        DangerMatcher([DangerPattern("x", "(" * 600 + "a" + ")" * 600, ("content",))])
+
+
+def test_a_pattern_too_deep_to_parse_again_is_searched_on_every_text():
+    """The required literals of a pattern that compiled are worked out deep
+    in a build's stack; where parsing it again would overflow the stack, the
+    pattern gets none and is searched."""
+    pattern = "(" * 300 + "rm" + ")" * 300 + " -rf deep"
+    matcher = DangerMatcher([DangerPattern("hit", pattern, ("content",))])
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+
+    def near_the_limit(frames_left):
+        if frames_left > 150:
+            return near_the_limit(frames_left - 1)
+        return [matcher.scan({"content": text}) for text in ("rm -rf deep", "rm -rf")]
+
+    assert near_the_limit(sys.getrecursionlimit() - depth) == [["hit"], []]
+    assert _required_literals(pattern) is None
+
+
 def test_pack_without_patterns_list_is_rejected():
     with pytest.raises(IngestionError):
         DangerMatcher.from_dict({"rules": []})

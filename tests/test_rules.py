@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import random
@@ -1178,11 +1177,11 @@ def _replay(sessions):
     for i in range(sessions):
         for event in base.events:
             moment = parse_instant(event.timestamp) + timedelta(days=i)
-            events.append(dataclasses.replace(
-                event, event_id=f"r{i}.{event.event_id}",
-                trace_id=f"r{i}.{event.trace_id}",
-                timestamp=moment.strftime("%Y-%m-%dT%H:%M:%SZ"),
-                refs=[f"r{i}.{ref}" for ref in event.refs]))
+            events.append(TraceEvent.from_dict({
+                **event.to_dict(), "event_id": f"r{i}.{event.event_id}",
+                "trace_id": f"r{i}.{event.trace_id}",
+                "timestamp": moment.strftime("%Y-%m-%dT%H:%M:%SZ"),
+                "refs": [f"r{i}.{ref}" for ref in event.refs]}))
     return assemble(base.manifest, events)
 
 

@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-from dataclasses import fields
-
 import pytest
 
 from agentbom import schema
@@ -193,4 +191,4 @@ def test_field_tables_name_exactly_the_fields_of_what_is_built_from_them():
         (AgentDescriptor, schema.GRAPH_AGENT), (Node, schema.GRAPH_NODE),
         (Edge, schema.GRAPH_EDGE),
     ]:
-        assert [f.name for f in fields(cls)] == list(table.fields), cls
+        assert cls.__slots__ == tuple(table.fields), cls
