@@ -50,12 +50,13 @@ def _load_graph(path: str) -> AgentBomGraph:
 
 
 def _cmd_build(args) -> int:
-    # parsing, assembly and writing allocate many containers and no cycles
+    # parsing, assembly and writing allocate many containers and no cycles;
+    # one statement lets them all die before the collector resumes, which
+    # would otherwise walk them at once to find nothing
     with _collector_paused():
-        manifest = parse_manifest_json(_read(args.manifest))
-        events = parse_trace_jsonl(_read(args.trace))
-        graph = assemble(manifest, events, matcher=_matcher_from(args.matchers))
-        _emit(graph.to_json(), args.out)
+        _emit(assemble(parse_manifest_json(_read(args.manifest)),
+                       parse_trace_jsonl(_read(args.trace)),
+                       matcher=_matcher_from(args.matchers)).to_json(), args.out)
     return 0
 
 

@@ -15,6 +15,11 @@ receive left over gets a synthesized counterpart. Every element is
 checked as it is inserted, so the assembled graph needs no second,
 whole-graph validation. Content is scanned here, by a per-build copy of
 the danger matcher; every later stage reads only the recorded flags.
+
+A parsed manifest is its checked document: each agent, and each entry of
+its tools, skills, memory stores and code dependencies, is a plain dict
+holding every field of its table in schema.py, a field left out or null
+holding the empty value of its type.
 """
 
 from __future__ import annotations
@@ -46,82 +51,20 @@ from .schema import EdgeKind, NodeKind
 # ===========================================================================
 
 
-class ToolSpec(Record):
-    __slots__ = ("tool_name", "input_schema", "permission_scope", "provenance")
-
-    def __init__(self, tool_name: str, input_schema: str = "",
-                 permission_scope: list = FRESH, provenance: dict = FRESH):
-        self.tool_name = tool_name
-        self.input_schema = input_schema
-        self.permission_scope = [] if permission_scope is FRESH else permission_scope
-        self.provenance = {} if provenance is FRESH else provenance
-
-
-class SkillSpec(Record):
-    __slots__ = ("skill_name", "declared_function", "implementation_summary", "provenance")
-
-    def __init__(self, skill_name: str, declared_function: str = "",
-                 implementation_summary: str = "", provenance: dict = FRESH):
-        self.skill_name = skill_name
-        self.declared_function = declared_function
-        self.implementation_summary = implementation_summary
-        self.provenance = {} if provenance is FRESH else provenance
-
-
-class MemorySpec(Record):
-    __slots__ = ("store_id", "type")
-
-    def __init__(self, store_id: str, type: str = ""):
-        self.store_id, self.type = store_id, type
-
-
-class CodeSpec(Record):
-    __slots__ = ("name", "version")
-
-    def __init__(self, name: str, version: str = ""):
-        self.name, self.version = name, version
-
-
-class ManifestAgent(Record):
-    __slots__ = ("agent_id", "role", "policy_boundary", "system_prompt", "model", "tools",
-                 "skills", "memory_stores", "code_dependencies")
-
-    def __init__(self, agent_id: str, role: str = "", policy_boundary: str = "",
-                 system_prompt: dict = FRESH, model: dict = FRESH, tools: list = FRESH,
-                 skills: list = FRESH, memory_stores: list = FRESH,
-                 code_dependencies: list = FRESH):
-        self.agent_id = agent_id
-        self.role = role
-        self.policy_boundary = policy_boundary
-        self.system_prompt = {} if system_prompt is FRESH else system_prompt
-        self.model = {} if model is FRESH else model
-        self.tools = [] if tools is FRESH else tools
-        self.skills = [] if skills is FRESH else skills
-        self.memory_stores = [] if memory_stores is FRESH else memory_stores
-        self.code_dependencies = [] if code_dependencies is FRESH else code_dependencies
-
-
 class CapabilityManifest(Record):
+    """A checked manifest: each agent, and each entry of its sections, is a
+    dict holding every field of its table."""
+
     __slots__ = ("agents",)
 
     def __init__(self, agents: list):
         self.agents = agents
 
     def to_dict(self) -> dict:
-        return _plain(self)
+        return {"agents": copy.deepcopy(self.agents)}
 
     def to_json(self) -> str:
         return dump_json(self.to_dict())
-
-
-def _plain(value):
-    """A manifest value as JSON data: a record as the object of its fields,
-    a list item by item, and anything else copied deep."""
-    if isinstance(value, Record):
-        return {name: _plain(getattr(value, name)) for name in value.__slots__}
-    if isinstance(value, list):
-        return [_plain(item) for item in value]
-    return copy.deepcopy(value)
 
 
 def parse_manifest(doc: dict) -> CapabilityManifest:
@@ -130,43 +73,44 @@ def parse_manifest(doc: dict) -> CapabilityManifest:
     if not doc["agents"]:
         raise ManifestParseError("manifest declares no agents")
     agents = _entries(doc, "manifest", "agents", schema.MANIFEST_AGENT, "agent_id", unique=True)
-    return CapabilityManifest(agents=[_parse_agent(raw) for _, raw in agents])
+    return CapabilityManifest([_filled(raw, schema.MANIFEST_AGENT, f"agent {raw['agent_id']!r}")
+                               for _, raw in agents])
 
 
-# section of an agent -> its entries' table, their name key, whether names are
-# unique, and the spec an entry becomes
+# section of an agent -> its entries' table, their name key, and whether names
+# are unique
 _SECTIONS = {
-    "tools": (schema.MANIFEST_TOOL, "tool_name", True, ToolSpec),
-    "skills": (schema.MANIFEST_SKILL, "skill_name", True, SkillSpec),
-    "memory_stores": (schema.MANIFEST_MEMORY, "store_id", False, MemorySpec),
-    "code_dependencies": (schema.MANIFEST_CODE, "name", False, CodeSpec),
+    "tools": (schema.MANIFEST_TOOL, "tool_name", True),
+    "skills": (schema.MANIFEST_SKILL, "skill_name", True),
+    "memory_stores": (schema.MANIFEST_MEMORY, "store_id", False),
+    "code_dependencies": (schema.MANIFEST_CODE, "name", False),
 }
 # field -> the table of the object under it
 _OBJECTS = {"system_prompt": schema.MANIFEST_PROMPT, "model": schema.MANIFEST_MODEL,
             "provenance": schema.MANIFEST_PROVENANCE}
 
 
-def _parse_agent(raw: dict) -> ManifestAgent:
-    what = f"agent {raw['agent_id']!r}"
-    fields = _spec_fields(raw, what)
-    for section, (table, name_key, unique, spec) in _SECTIONS.items():
-        fields[section] = [spec(**_spec_fields(entry, where)) for where, entry
-                           in _entries(raw, what, section, table, name_key, unique)]
-    return ManifestAgent(**fields)
-
-
-def _spec_fields(doc: dict, what: str) -> dict:
-    """The fields of a checked manifest object, as its spec takes them: a null
-    one is left out, for the spec's default, and a list or object is copied,
-    an object once checked against its table. The tables name exactly the
-    specs' fields."""
-    fields = {}
+def _filled(doc: dict, table, what: str) -> dict:
+    """Every field of ``table`` for the checked manifest object ``doc``: the
+    document's value copied deep, or, for a field left out or null, the empty
+    value of its type. An object under system_prompt, model or provenance is
+    first checked against its table, and each section's entries are filled
+    the same way."""
     for key, value in doc.items():
         if key in _OBJECTS:
             schema.check_fields(value, _OBJECTS[key], f"{what} {key}", ManifestParseError)
-        if value is not None:
-            fields[key] = copy.copy(value)
-    return fields
+    filled = {}
+    for key, (json_type, _) in table.fields.items():
+        value = doc.get(key)
+        if value is None:
+            filled[key] = json_type.types[0]()
+        elif key in _SECTIONS:
+            section_table, name_key, unique = _SECTIONS[key]
+            filled[key] = [_filled(entry, section_table, where) for where, entry
+                           in _entries(doc, what, key, section_table, name_key, unique)]
+        else:
+            filled[key] = copy.deepcopy(value)
+    return filled
 
 
 def _entries(doc: dict, what: str, section: str, table, name_key: str,
@@ -174,7 +118,7 @@ def _entries(doc: dict, what: str, section: str, table, name_key: str,
     """(where, entry) for each object listed under ``section`` of ``doc``,
     checked against ``table`` and named by a non-empty ``name_key``."""
     names, out = set(), []
-    for index, entry in enumerate(doc.get(section, [])):
+    for index, entry in enumerate(doc[section]):
         where = f"{what} {section}[{index}]"
         schema.check_fields(entry, table, where, ManifestParseError)
         name = entry[name_key]
@@ -345,85 +289,88 @@ def extract_static(manifest: CapabilityManifest, graph: AgentBomGraph,
     shared = _shared_capabilities(manifest)
 
     for agent in manifest.agents:
-        graph.add_agent(
-            AgentDescriptor(agent.agent_id, agent.role, agent.policy_boundary)
-        )
-        agent_node = f"agent.{agent.agent_id}"
-        _add_static(graph, matcher, agent_node, NodeKind.AGENT, agent.agent_id,
-                    {"role": agent.role} if agent.role else {})
+        agent_id, role = agent["agent_id"], agent["role"]
+        graph.add_agent(AgentDescriptor(agent_id, role, agent["policy_boundary"]))
+        agent_node = f"agent.{agent_id}"
+        _add_static(graph, matcher, agent_node, NodeKind.AGENT, agent_id,
+                    {"role": role} if role else {})
 
-        if agent.system_prompt:
-            prompt_node = f"prompt.{agent.agent_id}"
+        prompt = agent["system_prompt"]
+        if prompt:
+            prompt_node = f"prompt.{agent_id}"
             attrs = _optional(
-                content=agent.system_prompt.get("content"),
-                source=agent.system_prompt.get("source"),
-                trust_level=agent.system_prompt.get("trust_level"),
+                content=prompt.get("content"),
+                source=prompt.get("source"),
+                trust_level=prompt.get("trust_level"),
             )
-            _add_static(graph, matcher, prompt_node, NodeKind.PROMPT,
-                        agent.agent_id, attrs)
+            _add_static(graph, matcher, prompt_node, NodeKind.PROMPT, agent_id, attrs)
             _add_edge(graph, EdgeKind.HAS_PROMPT, agent_node, prompt_node)
 
-        if agent.model:
-            llm_node = f"llm.{agent.agent_id}"
-            attrs = _optional(type=agent.model.get("name"))
-            provider = agent.model.get("provider")
+        model = agent["model"]
+        if model:
+            llm_node = f"llm.{agent_id}"
+            attrs = _optional(type=model.get("name"))
+            provider = model.get("provider")
             if provider:
                 attrs["source"] = f"provider://{provider}"
-            _add_static(graph, matcher, llm_node, NodeKind.LLM, agent.agent_id, attrs)
+            _add_static(graph, matcher, llm_node, NodeKind.LLM, agent_id, attrs)
             _add_edge(graph, EdgeKind.USES_MODEL, agent_node, llm_node)
 
-        for tool in agent.tools:
-            node_id = f"tool.{tool.tool_name}"
+        for tool in agent["tools"]:
+            node_id = f"tool.{tool['tool_name']}"
             _add_capability(graph, matcher, node_id, NodeKind.TOOL,
-                            agent.agent_id, shared, _tool_attrs(tool))
+                            agent_id, shared, _tool_attrs(tool))
             _add_edge(graph, EdgeKind.LOADS_TOOL, agent_node, node_id)
 
-        for skill in agent.skills:
-            node_id = f"skill.{skill.skill_name}"
+        for skill in agent["skills"]:
+            node_id = f"skill.{skill['skill_name']}"
             _add_capability(graph, matcher, node_id, NodeKind.SKILL,
-                            agent.agent_id, shared, _skill_attrs(skill))
+                            agent_id, shared, _skill_attrs(skill))
             _add_edge(graph, EdgeKind.LOADS_SKILL, agent_node, node_id)
 
-        for store in agent.memory_stores:
-            node_id = f"mem.{store.store_id}"
+        for store in agent["memory_stores"]:
+            node_id = f"mem.{store['store_id']}"
             # memory stores persist across sessions and may be shared, so
             # they never belong to a single agent
             if node_id not in graph.nodes:
                 _add_static(graph, matcher, node_id, NodeKind.LONG_TERM_MEMORY,
-                            None, _optional(type=store.type))
+                            None, _optional(type=store["type"]))
             _add_edge(graph, EdgeKind.SHARES_MEMORY_WITH, agent_node, node_id)
 
-        for dep in agent.code_dependencies:
-            node_id = f"code.{dep.name}"
-            attrs = {"code_file": dep.name}
-            if dep.version:
-                attrs["content"] = f"{dep.name}=={dep.version}"
+        for dep in agent["code_dependencies"]:
+            name, version = dep["name"], dep["version"]
+            node_id = f"code.{name}"
+            attrs = {"code_file": name}
+            if version:
+                attrs["content"] = f"{name}=={version}"
             _add_capability(graph, matcher, node_id, NodeKind.CODE,
-                            agent.agent_id, shared, attrs)
+                            agent_id, shared, attrs)
             _add_edge(graph, EdgeKind.DEPENDS_ON, agent_node, node_id)
 
 
-def _tool_attrs(tool: ToolSpec) -> dict:
+def _tool_attrs(tool: dict) -> dict:
+    provenance = tool["provenance"]
     attrs = _optional(
-        tool_name=tool.tool_name,
-        input_schema=tool.input_schema,
-        source=tool.provenance.get("source"),
-        integrity_status=tool.provenance.get("integrity_status"),
-        trust_level=tool.provenance.get("trust_level"),
+        tool_name=tool["tool_name"],
+        input_schema=tool["input_schema"],
+        source=provenance.get("source"),
+        integrity_status=provenance.get("integrity_status"),
+        trust_level=provenance.get("trust_level"),
     )
-    if tool.permission_scope:
-        attrs["permission_scope"] = list(tool.permission_scope)
+    if tool["permission_scope"]:
+        attrs["permission_scope"] = list(tool["permission_scope"])
     return attrs
 
 
-def _skill_attrs(skill: SkillSpec) -> dict:
+def _skill_attrs(skill: dict) -> dict:
+    provenance = skill["provenance"]
     return _optional(
-        tool_name=skill.skill_name,
-        type=skill.declared_function,
-        content=skill.implementation_summary,
-        source=skill.provenance.get("source"),
-        integrity_status=skill.provenance.get("integrity_status"),
-        trust_level=skill.provenance.get("trust_level"),
+        tool_name=skill["skill_name"],
+        type=skill["declared_function"],
+        content=skill["implementation_summary"],
+        source=provenance.get("source"),
+        integrity_status=provenance.get("integrity_status"),
+        trust_level=provenance.get("trust_level"),
     )
 
 
@@ -435,12 +382,13 @@ def _shared_capabilities(manifest: CapabilityManifest) -> set:
     """Node ids of tools/skills/code declared by more than one agent."""
     owners: dict[str, set] = {}
     for agent in manifest.agents:
-        for tool in agent.tools:
-            owners.setdefault(f"tool.{tool.tool_name}", set()).add(agent.agent_id)
-        for skill in agent.skills:
-            owners.setdefault(f"skill.{skill.skill_name}", set()).add(agent.agent_id)
-        for dep in agent.code_dependencies:
-            owners.setdefault(f"code.{dep.name}", set()).add(agent.agent_id)
+        agent_id = agent["agent_id"]
+        for tool in agent["tools"]:
+            owners.setdefault(f"tool.{tool['tool_name']}", set()).add(agent_id)
+        for skill in agent["skills"]:
+            owners.setdefault(f"skill.{skill['skill_name']}", set()).add(agent_id)
+        for dep in agent["code_dependencies"]:
+            owners.setdefault(f"code.{dep['name']}", set()).add(agent_id)
     return {node_id for node_id, who in owners.items() if len(who) > 1}
 
 

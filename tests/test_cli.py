@@ -6,12 +6,15 @@ import gc
 import json
 import subprocess
 import sys
+from contextlib import contextmanager
+from datetime import timedelta
 from pathlib import Path
 
 import pytest
 
-from agentbom import cli
+from agentbom import cli, scenarios
 from agentbom.cli import main
+from agentbom.graph import parse_instant
 from agentbom.ingestion import assemble, parse_manifest_json, parse_trace_jsonl
 from agentbom.matchers import default_matcher
 from agentbom.rules import builtin_rules, dump_rules
@@ -93,6 +96,57 @@ def test_build_pauses_the_collector_and_restores_it(workdir, capsys, monkeypatch
     built = assemble(parse_manifest_json((fx / "manifest.json").read_text()),
                      parse_trace_jsonl(trace.read_text()))
     assert out == built.to_json() == (workdir / "graph.json").read_text()
+
+
+def test_build_frees_what_it_built_before_the_collector_resumes(tmp_path, monkeypatch):
+    """The manifest, events and graph die inside build's pause, so no
+    collection starts once the collector resumes: it would walk the whole
+    build to find no cycle. A small input would leave too few objects behind
+    for a collection to start either way, so this one has over 300 events."""
+    base = scenarios.generate("memory_poisoning_tool_misuse", 0)
+    docs = []
+    for i in range(20):
+        for event in base.events:
+            moment = parse_instant(event.timestamp) + timedelta(days=i)
+            docs.append({**event.to_dict(), "event_id": f"r{i}.{event.event_id}",
+                         "trace_id": f"r{i}.{event.trace_id}",
+                         "timestamp": moment.strftime("%Y-%m-%dT%H:%M:%SZ"),
+                         "refs": [f"r{i}.{ref}" for ref in event.refs]})
+    assert len(docs) >= 300
+    (tmp_path / "manifest.json").write_text(base.manifest.to_json())
+    (tmp_path / "trace.jsonl").write_text("".join(json.dumps(d) + "\n" for d in docs))
+    argv = ["build", "--manifest", str(tmp_path / "manifest.json"),
+            "--trace", str(tmp_path / "trace.jsonl"), "--out", str(tmp_path / "graph.json")]
+    # a first build fills what is meant to outlive it: the default matcher
+    # and the compiled patterns
+    assert main(argv) == 0
+    log = []
+
+    @contextmanager
+    def recording_pause():
+        gc.disable()
+        try:
+            yield
+        finally:
+            log.append("resumed")
+            gc.enable()
+
+    def on_collection(phase, info):
+        if phase == "start":
+            log.append("collection")
+
+    monkeypatch.setattr(cli, "_collector_paused", recording_pause)
+    was = gc.isenabled()
+    gc.enable()
+    gc.collect()
+    gc.callbacks.append(on_collection)
+    try:
+        rc = main(argv)
+    finally:
+        gc.callbacks.remove(on_collection)
+        (gc.enable if was else gc.disable)()
+    assert rc == 0
+    assert log == ["resumed"]
 
 
 def test_audit_report_and_summary(workdir, capsys):

@@ -7,7 +7,7 @@ from datetime import datetime
 
 import pytest
 
-from agentbom import ingestion, scenarios
+from agentbom import ingestion, scenarios, schema
 from agentbom.errors import (
     ManifestParseError,
     OutOfOrderTimestampError,
@@ -115,6 +115,73 @@ def test_manifest_json_parse_failure():
         parse_manifest_json("{not json")
 
 
+# each object of a parsed manifest -> its table: the agent, then the entries
+# of each section
+_MANIFEST_TABLES = [
+    (None, schema.MANIFEST_AGENT), ("tools", schema.MANIFEST_TOOL),
+    ("skills", schema.MANIFEST_SKILL), ("memory_stores", schema.MANIFEST_MEMORY),
+    ("code_dependencies", schema.MANIFEST_CODE),
+]
+
+
+def _manifest_objects(manifest, section):
+    for agent in manifest.agents:
+        yield from [agent] if section is None else agent[section]
+
+
+# the empty value a field of each type holds when it is left out
+_EMPTY = {schema.STRING: "", schema.ARRAY: [], schema.OBJECT: {}}
+
+
+@pytest.mark.parametrize("section, table", _MANIFEST_TABLES,
+                         ids=[section or "agents" for section, _ in _MANIFEST_TABLES])
+def test_manifest_objects_hold_exactly_their_tables_fields(fixtures, section, table):
+    """Every field of the table is there, in its order, and one left out
+    holds the empty value of its type."""
+    name_key = "agent_id" if section is None else _NAME_KEY[section]
+    agent = {"agent_id": "x"}
+    if section is not None:
+        agent = {"agent_id": "a1", section: [{name_key: "x"}]}
+    bare = next(_manifest_objects(parse_manifest({"agents": [agent]}), section))
+    assert bare == {key: "x" if key == name_key else _EMPTY[json_type]
+                    for key, (json_type, _) in table.fields.items()}
+    objects = [bare]
+    for fx in fixtures.values():
+        objects += _manifest_objects(fx.manifest, section)
+    for obj in objects:
+        assert list(obj) == list(table.fields)
+
+
+def _scribble(value):
+    """Change every list and object under ``value`` in place."""
+    if isinstance(value, dict):
+        for item in list(value.values()):
+            _scribble(item)
+        value["scribbled"] = True
+    elif isinstance(value, list):
+        for item in list(value):
+            _scribble(item)
+        value.append("scribbled")
+
+
+# values nested below the fields, where only a deep copy shares nothing
+_NESTED_MANIFEST = {"agents": [{
+    "agent_id": "a1", "system_prompt": {"content": ["be", {"careful": True}]},
+    "tools": [{"tool_name": "t", "provenance": {"source": {"registry": ["r"]}}}]}]}
+
+
+@pytest.mark.parametrize("source", [*scenarios.SCENARIO_IDS, "nested"])
+def test_a_manifest_shares_nothing_with_its_document_or_its_dict(fixtures, source):
+    doc = (json.loads(json.dumps(_NESTED_MANIFEST)) if source == "nested"
+           else fixtures[source].manifest.to_dict())
+    manifest = parse_manifest(doc)
+    text = manifest.to_json()
+    _scribble(doc)
+    assert manifest.to_json() == text
+    _scribble(manifest.to_dict())
+    assert manifest.to_json() == text
+
+
 # every manifest text field: the agent section that holds it (None for the
 # agent itself) and its key, which is also the parsed field's name
 _TEXT_FIELDS = [
@@ -144,7 +211,7 @@ def _what(section):
 
 def _text_field(manifest, section, key):
     agent = manifest.agents[0]
-    return getattr(agent if section is None else getattr(agent, section)[0], key)
+    return (agent if section is None else agent[section][0])[key]
 
 
 @pytest.mark.parametrize("section, key", _TEXT_FIELDS)

@@ -2,6 +2,8 @@
 
 Graph JSON, report JSON and DOT are the replay contract, so refactors of
 ingestion, graph, rules or the builtin pack must leave these hashes alone.
+So is each fixture's manifest JSON, which fixtures and the bench's inputs
+are written from.
 The collision fixture is the only input that makes edge ids need a suffix.
 """
 
@@ -60,6 +62,21 @@ FINDING_DOT_PINNED = {
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
 }
 
+# scenario -> sha256 of its manifest JSON at seed 0: the manifest.json that
+# `agentbom scenario` writes, and the manifest the bench builds its inputs from
+MANIFEST_PINNED = {
+    "memory_poisoning_tool_misuse":
+        "22c96b6b2977cfe323713a72d29244cc28904eb8862c7b04661d265b8a3b8113",
+    "supply_chain_code_exec":
+        "d3f2cbd7afef01db012b23ffdf2894257d0af8f9988ef1d46e7394f930144119",
+    "ecosystem_hijacking":
+        "0da5de0fc4bb554bc030ecf5fc92a6bbb8207cdff914f1cb6baf0ffd499e933e",
+    "privilege_trust_abuse":
+        "1a899e7788fc03ba12b0c0a30d644d32e463634199ec93e9df25c55e8dad0d9c",
+    "benign_baseline":
+        "e28ba4b84086c392f9af8d7df18e5cde20c49949573b01e45d0b6553cd878d32",
+}
+
 BUILTIN_PACK_SHA256 = "3dc262981a251f9175b4f3f986643be810ee58fa40c025c0fc2cddae0f19f3ff"
 
 
@@ -70,6 +87,7 @@ def _sha256(text: str) -> str:
 def test_every_scenario_is_pinned():
     assert sorted(PINNED) == sorted(SCENARIO_IDS)
     assert sorted(FINDING_DOT_PINNED) == sorted(SCENARIO_IDS)
+    assert sorted(MANIFEST_PINNED) == sorted(SCENARIO_IDS)
 
 
 @pytest.mark.parametrize("scenario_id", sorted(PINNED))
@@ -85,6 +103,11 @@ def test_finding_dot_bytes_are_pinned(graphs, scenario_id):
     graph = graphs[scenario_id]
     text = "".join(finding_to_dot(graph, f) for f in audit(graph).findings)
     assert _sha256(text) == FINDING_DOT_PINNED[scenario_id]
+
+
+@pytest.mark.parametrize("scenario_id", sorted(MANIFEST_PINNED))
+def test_manifest_bytes_are_pinned(fixtures, scenario_id):
+    assert _sha256(fixtures[scenario_id].manifest.to_json()) == MANIFEST_PINNED[scenario_id]
 
 
 def test_builtin_pack_bytes_are_pinned():

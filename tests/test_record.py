@@ -12,15 +12,7 @@ import re
 import pytest
 
 from agentbom.graph import AgentDescriptor, Edge, Node, Violation
-from agentbom.ingestion import (
-    CapabilityManifest,
-    CodeSpec,
-    ManifestAgent,
-    MemorySpec,
-    SkillSpec,
-    ToolSpec,
-    TraceEvent,
-)
+from agentbom.ingestion import CapabilityManifest, TraceEvent
 from agentbom.matchers import DangerPattern
 from agentbom.predicates import HasFlag
 from agentbom.record import FRESH, FrozenRecord, Record
@@ -37,9 +29,12 @@ _ENTRY = EntrySelector("node", ("LongTermMemoryNode",), _FLAGGED)
 _CLAUSES = [Clause("entry", "exists", _FLAGGED), Clause("fwd_path", "forall", _FLAGGED)]
 _EVENT = TraceEvent("e1", "t1", "a", "2026-03-01T10:00:00Z", "memory_write", "hi",
                     ["e0"], {"store_id": "m"})
-_AGENT = ManifestAgent("a", "planner", "pb", {"content": "be nice"}, {"name": "m"},
-                       [ToolSpec("exec")], [SkillSpec("brief")], [MemorySpec("m")],
-                       [CodeSpec("lib")])
+_AGENT = {"agent_id": "a", "role": "planner", "policy_boundary": "pb",
+          "system_prompt": {"content": "be nice"}, "model": {"name": "m"},
+          "tools": [{"tool_name": "exec", "input_schema": "", "permission_scope": [],
+                     "provenance": {}}],
+          "skills": [], "memory_stores": [{"store_id": "m", "type": ""}],
+          "code_dependencies": []}
 _PATH = AuditPath(FORWARD, ("n1", "e1", "n2"), 2)
 
 # class -> every field's value, in order, and one field changed
@@ -54,19 +49,6 @@ _RECORDS = {
            dict(target="n3")),
     Violation: (dict(code="empty_id", element_id="n", message="empty"),
                 dict(message="other")),
-    ToolSpec: (dict(tool_name="exec", input_schema="cmd", permission_scope=["shell"],
-                    provenance={"source": "vendor"}),
-               dict(permission_scope=[])),
-    SkillSpec: (dict(skill_name="brief", declared_function="summarize",
-                     implementation_summary="reads", provenance={"source": "hub"}),
-                dict(declared_function="other")),
-    MemorySpec: (dict(store_id="m", type="vector"), dict(type="kv")),
-    CodeSpec: (dict(name="lib", version="1.0"), dict(version="2.0")),
-    ManifestAgent: (dict(agent_id="a", role="planner", policy_boundary="pb",
-                         system_prompt={"content": "be nice"}, model={"name": "m"},
-                         tools=[ToolSpec("exec")], skills=[SkillSpec("brief")],
-                         memory_stores=[MemorySpec("m")], code_dependencies=[CodeSpec("lib")]),
-                    dict(tools=[ToolSpec("other")])),
     CapabilityManifest: (dict(agents=[_AGENT]), dict(agents=[])),
     TraceEvent: (dict(event_id="e1", trace_id="t1", agent_id="a",
                       timestamp="2026-03-01T10:00:00Z", event_type="memory_write",

@@ -112,7 +112,7 @@ def test_runtime_removal_ripples_through_references(fixtures):
 def test_static_removal_prunes_manifest_and_usages(fixtures):
     fx = fixtures["memory_poisoning_tool_misuse"]
     pruned = fx.without_node("tool.exec")
-    assert all(not a.tools for a in pruned.manifest.agents)
+    assert all(not a["tools"] for a in pruned.manifest.agents)
     survivors = {e.event_id for e in pruned.events}
     assert "act.assistant.14" not in survivors  # the invocation
     assert "obs.assistant.15" not in survivors  # and its observation
