@@ -19,15 +19,18 @@ worded as on loading a document.
 
 to_json writes each element's text straight from its fields, with no
 to_dict() copy, and joins the document once; the bytes are those of
-dump_json(to_dict()). The bulk conversions (trace parsing and assembly in
-ingestion, and to_json, from_json and digest here) run with the cycle
-collector paused, since none of them makes a reference cycle.
+dump_json(to_dict()). digest() hashes the compact, key-sorted text of
+to_dict() a batch of elements at a time, so neither that copy nor that text
+is ever whole, and it imports hashlib on its first call: building a graph,
+writing a scenario or exporting DOT never hash. The bulk conversions (trace
+parsing and assembly in ingestion, and to_json, from_json and digest here)
+run with the cycle collector paused, since none of them makes a reference
+cycle.
 """
 
 from __future__ import annotations
 
 import gc
-import hashlib
 import json
 from contextlib import contextmanager
 from datetime import datetime, timezone
@@ -562,9 +565,31 @@ class AgentBomGraph:
             ])
 
     def digest(self) -> str:
+        """The sha256 of ``json.dumps(self.to_dict(), sort_keys=True,
+        separators=(",", ":"))``, hashed a batch of elements at a time.
+
+        Each table's elements go through the canonical encoder in id order,
+        ``_DIGEST_BATCH`` at a time; a batch's text is hashed without its
+        brackets, and the hash object is fed the commas and the framing the
+        whole text would have around it. Neither the to_dict() copy nor the
+        canonical text is ever whole.
+        """
+        import hashlib  # only validate and audit hash; loading it costs every start
+
+        sha = hashlib.sha256(b"{")
         with _collector_paused():
-            canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+            for opening, table in ((b'"agents":[', self.agents), (b'],"edges":[', self.edges),
+                                   (b'],"nodes":[', self.nodes)):
+                sha.update(opening)
+                ids = sorted(table)
+                for start in range(0, len(ids), _DIGEST_BATCH):
+                    if start:
+                        sha.update(b",")
+                    text = _CANONICAL.encode(
+                        [table[i].to_dict() for i in ids[start:start + _DIGEST_BATCH]])
+                    sha.update(memoryview(text.encode("utf-8"))[1:-1])
+        sha.update(b"]}")
+        return sha.hexdigest()
 
     @classmethod
     def from_dict(cls, doc: dict) -> "AgentBomGraph":
@@ -605,6 +630,12 @@ class AgentBomGraph:
 # JSON text
 # ===========================================================================
 
+# The encoder whose text of to_dict() a graph's digest hashes, and the
+# elements it encodes at a time: enough that the per-call cost vanishes,
+# few enough that a batch's copies stay small.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+_DIGEST_BATCH = 1000
+
 
 def dump_json(doc) -> str:
     """The text ``json.dumps`` gives ``doc`` with an indent of 2 and sorted
@@ -613,8 +644,10 @@ def dump_json(doc) -> str:
     Every indented JSON document the program writes goes through here. Asked
     to indent, ``json.dumps`` on CPython 3.10-3.13 leaves its C encoder for a
     generator-based pure-Python one; building each container with one
-    ``join`` instead takes about half the time. Scalars other than plain strings are encoded by
-    ``json.dumps`` itself, so their text is the stdlib's.
+    ``join`` instead takes about half the time. A plain int is written as its
+    repr, which is what ``json.dumps`` writes for it; every other scalar that
+    is not a plain string is encoded by ``json.dumps`` itself, so its text is
+    the stdlib's.
 
     Unlike ``json.dumps``, a dict key that is not a string raises
     ``TypeError`` instead of being converted: every document written here has
@@ -629,26 +662,29 @@ def dump_json(doc) -> str:
 _FIELD = "\n      "
 
 
-def _element_array(texts: list) -> list:
-    """The parts of a graph document's array of these element texts."""
+def _element_array(texts: list, newline: str = "\n  ") -> list:
+    """The parts of the array of these texts, already written at the depth
+    of its items, that dump_json writes where its newline is ``newline``; by
+    default, a graph document's array of element texts."""
     if not texts:
         return ["[]"]
-    parts = [",\n    "] * (2 * len(texts))
-    parts[0] = "[\n    "
+    inner = newline + "  "
+    parts = ["," + inner] * (2 * len(texts))
+    parts[0] = "[" + inner
     parts[1::2] = texts
-    parts.append("\n  ]")
+    parts.append(newline + "]")
     return parts
 
 
-def _field_text(value) -> str:
-    return _quote(value) if type(value) is str else _json_text(value, _FIELD)
+def _field_text(value, newline: str = _FIELD) -> str:
+    return _quote(value) if type(value) is str else _json_text(value, newline)
 
 
-def _attributes_text(attributes) -> str:
+def _attributes_text(attributes, newline: str = _FIELD) -> str:
     # to_dict() copies the attributes into a plain dict
     if type(attributes) is not dict:
         attributes = dict(attributes)
-    return _json_text(attributes, _FIELD)
+    return _json_text(attributes, newline)
 
 
 def _node_text(node: Node) -> str:
@@ -691,4 +727,6 @@ def _json_text(value, newline: str) -> str:
             _quote(v) if type(v) is str else _json_text(v, inner) for v in value
         ])
         return f"[{inner}{body}{newline}]"
+    if type(value) is int:
+        return repr(value)  # the text json.dumps writes for an int, without its call
     return json.dumps(value)

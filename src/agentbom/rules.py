@@ -14,7 +14,16 @@ from __future__ import annotations
 
 
 from .errors import RulePackError, UnknownKindError
-from .graph import AgentBomGraph, Edge, dump_json
+from .graph import (
+    AgentBomGraph,
+    Edge,
+    _attributes_text,
+    _element_array,
+    _field_text,
+    _json_text,
+    _quote,
+    dump_json,
+)
 from .predicates import (
     And,
     Answers,
@@ -31,7 +40,7 @@ from .predicates import (
 )
 from . import schema
 from .record import FRESH, Record
-from .traversal import BACKWARD, FORWARD, PathSpec, Trace, TraceContext, trace
+from .traversal import BACKWARD, FORWARD, AuditPath, PathSpec, Trace, TraceContext, trace
 
 RISK_IDS = tuple(f"ASI{n:02d}" for n in range(1, 11))
 
@@ -304,7 +313,61 @@ class AuditReport(Record):
         }
 
     def to_json(self) -> str:
-        return dump_json(self.to_dict())
+        """``dump_json(self.to_dict())``, written straight from the findings.
+
+        Each path, evidence item and finding becomes one text whose field
+        keys are constant and sorted, as graph elements do in
+        AgentBomGraph.to_json; a path's elements, which are element ids,
+        are quoted in one join. The document is put together by one final
+        join.
+        """
+        return "".join([
+            '{\n  "findings": ', *_element_array([_finding_text(f) for f in self.findings]),
+            ',\n  "graph_digest": ', _field_text(self.graph_digest, "\n  "),
+            ',\n  "stats": ', _json_text(self.stats, "\n  "), "\n}\n",
+        ])
+
+
+# dump_json's newlines in a report document at the fields of a finding, and
+# at the fields of each of its paths and evidence items
+_FINDING = "\n      "
+_ITEM = "\n          "
+
+
+def _path_text(path: AuditPath) -> str:
+    """The text dump_json gives ``path.to_dict()`` in a report."""
+    elements, count = path.elements, path.count
+    listed = ("[\n            " + ",\n            ".join(map(_quote, elements))
+              + "\n          ]") if elements else "[]"
+    head = ('{\n          "count": ' + _json_text(count, _ITEM) + ",") if count > 1 else "{"
+    return (f'{head}\n          "direction": {_field_text(path.direction, _ITEM)},'
+            f'\n          "elements": {listed}\n        }}')
+
+
+def _evidence_text(item: EvidenceItem) -> str:
+    """The text dump_json gives ``item.to_dict()`` in a report."""
+    return (f'{{\n          "attributes": {_attributes_text(item.attributes, _ITEM)},'
+            f'\n          "clause": {_json_text(item.clause_index, _ITEM)},'
+            f'\n          "element": {_field_text(item.element_id, _ITEM)}\n        }}')
+
+
+def _finding_text(finding: Finding) -> str:
+    """The text dump_json gives ``finding.to_dict()`` in a report."""
+    return "".join([
+        '{\n      "agents_involved": ', _json_text(list(finding.agents_involved), _FINDING),
+        ',\n      "back_paths": ',
+        *_element_array([_path_text(p) for p in finding.back_paths], _FINDING),
+        ',\n      "entry": ', _field_text(finding.entry, _FINDING),
+        ',\n      "evidence": ',
+        *_element_array([_evidence_text(e) for e in finding.evidence], _FINDING),
+        ',\n      "fwd_paths": ',
+        *_element_array([_path_text(p) for p in finding.fwd_paths], _FINDING),
+        ',\n      "phase_label": ', _field_text(finding.phase_label, _FINDING),
+        ',\n      "risk_id": ', _field_text(finding.risk_id, _FINDING),
+        ',\n      "risk_name": ', _field_text(finding.risk_name, _FINDING),
+        ',\n      "trace_id": ', _field_text(finding.trace_id, _FINDING),
+        "\n    }",
+    ])
 
 
 # ===========================================================================

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import json
+import os
 import subprocess
 import sys
 from contextlib import contextmanager
@@ -303,27 +304,35 @@ def test_outputs_are_byte_deterministic(workdir, tmp_path):
     assert r1.read_bytes() == r2.read_bytes()
 
 
+_SRC = Path(__file__).resolve().parent.parent / "src"
+
+
 def test_module_is_runnable_as_a_script(workdir):
+    # pytest's own pythonpath setting reaches only its process, so the child
+    # is given this checkout's sources ahead of whatever PYTHONPATH holds
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(_SRC), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "agentbom.cli", "validate",
          "--graph", str(workdir / "graph.json")],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
-    assert proc.returncode == 0
+    assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("graph valid: ")
 
 
 def test_start_up_loads_neither_dataclasses_nor_inspect():
     """Every CLI run pays for what importing the package and its CLI loads;
     dataclasses (which pulls in inspect) and generating its methods would
-    more than double that."""
-    src = Path(__file__).resolve().parent.parent / "src"
+    more than double that. Nor does it load hashlib and OpenSSL's _hashlib,
+    which only a digest needs: build, scenario and export never hash."""
     probe = ("import sys; sys.path.insert(0, sys.argv[1]); import agentbom, agentbom.cli; "
-             "print(agentbom.__file__); print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
-    proc = subprocess.run([sys.executable, "-I", "-c", probe, str(src)],
+             "agentbom.default_matcher(); agentbom.builtin_rules(); print(agentbom.__file__); "
+             "print(sorted({'dataclasses', 'inspect', 'hashlib', '_hashlib'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-I", "-c", probe, str(_SRC)],
                           capture_output=True, text=True, check=True)
     where, loaded = proc.stdout.splitlines()
-    assert Path(where).parent == src / "agentbom"
+    assert Path(where).parent == _SRC / "agentbom"
     assert loaded == "[]"
 
 

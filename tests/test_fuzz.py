@@ -8,11 +8,13 @@ into it. Each mutant is made from a fixture's manifest, trace or graph, the
 builtin rule pack or the default matcher pack, and must either load or raise
 an ``AgentBomError``; a mutant the tables rule out must be rejected when it
 loads. What loads is built and audited, which may fail only with an
-``AgentBomError`` before the audit, and never in it.
+``AgentBomError`` before the audit, and never in it; the report's graph
+digest and its text must be those of the whole documents they stand for.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 import zlib
@@ -21,7 +23,7 @@ import pytest
 
 from agentbom import scenarios, schema
 from agentbom.errors import AgentBomError
-from agentbom.graph import AgentBomGraph
+from agentbom.graph import AgentBomGraph, dump_json
 from agentbom.ingestion import assemble, parse_manifest, parse_trace_jsonl
 from agentbom.matchers import DangerMatcher, default_matcher
 from agentbom.rules import audit, builtin_rules, dump_rules, load_rules
@@ -232,6 +234,10 @@ def test_mutants_load_or_raise_an_agentbom_error(case, kind, text, table, sid):
             continue
         for graph in graphs:
             report = audit(graph, loaded if kind == "rules" else None)
-            report.to_json()
+            # the batched digest and the report written from its findings
+            # give the bytes of their whole documents
+            canonical = json.dumps(graph.to_dict(), sort_keys=True, separators=(",", ":"))
+            assert report.graph_digest == hashlib.sha256(canonical.encode()).hexdigest(), where
+            assert report.to_json() == dump_json(report.to_dict()), where
     # both outcomes occur, so the mutants reach past the loader
     assert outcomes["loaded"] and outcomes["rejected"], outcomes
