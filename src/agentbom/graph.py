@@ -11,17 +11,22 @@ well-formed one.
 
 Insertion and validate() share one check per element class. Each reads its
 kind's record, compiled from the schema tables once at import: the layer or
-the endpoint kinds, and a (predicate, message) pair per allowed attribute
-key, so checking an element is a few lookups and one predicate call per
-attribute. An id, agent id, trace id, role or policy boundary that is not a
-string is a field_type problem, judged by the document's field table and
-worded as on loading a document.
+the endpoint kinds, the allowed attribute keys whose values must be strings,
+and a (predicate, message) pair per other allowed key. A string under a
+string key is accepted inline, so a clean element costs a few lookups and
+one predicate call per non-string attribute, and its references are walked
+only when it carries a reference key. An id, agent id, trace id, role or
+policy boundary that is not a string is a field_type problem, judged by the
+document's field table and worded as on loading a document.
 
 to_json writes each element's text straight from its fields, with no
 to_dict() copy, and joins the document once; the bytes are those of
 dump_json(to_dict()). digest() hashes the compact, key-sorted text of
-to_dict() a batch of elements at a time, so neither that copy nor that text
-is ever whole, and it imports hashlib on its first call: building a graph,
+to_dict() a batch of elements at a time, encoding documents built around
+the elements' own attribute dicts, so neither a copy of the graph nor that
+text is ever whole. Its encoder does not look for cycles: an attribute value
+that contains itself runs into the recursion limit, which digest() reports
+as ValueError. It imports hashlib on its first call: building a graph,
 writing a scenario or exporting DOT never hash. The bulk conversions (trace
 parsing and assembly in ingestion, and to_json, from_json and digest here)
 run with the cycle collector paused, since none of them makes a reference
@@ -153,14 +158,21 @@ class Node(Record):
         return self.attributes.get(key, default)
 
     def to_dict(self) -> dict:
-        doc = {"node_id": self.node_id, "kind": self.kind.value}
+        return {**self._document(), "attributes": dict(self.attributes)}
+
+    def _document(self) -> dict:
+        """to_dict() around the node's own attributes dict, copied only when
+        it is not a plain dict; the digest encodes it. The kind's _value_ is
+        its value, read without the Python call of the enum's property."""
+        doc = {"node_id": self.node_id, "kind": self.kind._value_}
         if self.agent_id is not None:
             doc["agent_id"] = self.agent_id
         if self.trace_id is not None:
             doc["trace_id"] = self.trace_id
         if self.timestamp is not None:
             doc["timestamp"] = self.timestamp
-        doc["attributes"] = dict(self.attributes)
+        attributes = self.attributes
+        doc["attributes"] = attributes if type(attributes) is dict else dict(attributes)
         return doc
 
     @classmethod
@@ -195,15 +207,20 @@ class Edge(Record):
         return self.attributes.get(key, default)
 
     def to_dict(self) -> dict:
+        return {**self._document(), "attributes": dict(self.attributes)}
+
+    def _document(self) -> dict:
+        """to_dict() around the edge's own attributes dict, as Node's."""
         doc = {
             "edge_id": self.edge_id,
-            "kind": self.kind.value,
+            "kind": self.kind._value_,
             "source": self.source,
             "target": self.target,
         }
         if self.timestamp is not None:
             doc["timestamp"] = self.timestamp
-        doc["attributes"] = dict(self.attributes)
+        attributes = self.attributes
+        doc["attributes"] = attributes if type(attributes) is dict else dict(attributes)
         return doc
 
     @classmethod
@@ -226,7 +243,8 @@ class Violation(FrozenRecord):
         _set(self, "message", message)
 
 
-# A violation code outranks none; insertion maps codes to raised errors.
+# A violation code outranks none; insertion raises the error of the first
+# violation's code.
 _ERROR_OF_CODE = {
     "field_type": GraphDocumentError,
     "empty_id": GraphError,
@@ -242,85 +260,106 @@ _ERROR_OF_CODE = {
 }
 
 
+def _raise_first(violations: list) -> None:
+    if violations:
+        raise _ERROR_OF_CODE[violations[0].code](violations[0].message)
+
+
 # ===========================================================================
 # per-kind check records
 # ===========================================================================
 
 
-def _key_checks(allowed: frozenset) -> dict:
-    """Key -> (predicate, message) for the keys a kind allows; any other key
-    is unregistered on that kind."""
-    return {key: schema.ATTRIBUTE_CHECKS[key] for key in allowed}
+_STRING_KEYS = frozenset(key for key, check in schema.ATTRIBUTE_CHECKS.items()
+                         if check is schema.STRING_CHECK)
+
+
+def _key_checks(allowed: frozenset) -> tuple:
+    """The keys a kind allows, split in two: those whose values must be
+    strings, and a dict of the rest, key -> (predicate, message). Any other
+    key is unregistered on that kind."""
+    return allowed & _STRING_KEYS, {key: schema.ATTRIBUTE_CHECKS[key]
+                                    for key in allowed - _STRING_KEYS}
 
 
 class _NodeChecks(NamedTuple):
     layer: Layer
-    keys: dict
+    strings: frozenset
+    others: dict
 
 
 class _EdgeChecks(NamedTuple):
     sources: frozenset
     targets: frozenset
     propagation: bool
-    keys: dict
+    strings: frozenset
+    others: dict
 
 
 _NODE_CHECKS = {
-    kind: _NodeChecks(schema.layer_of(kind), _key_checks(schema.allowed_node_keys(kind)))
+    kind: _NodeChecks(schema.layer_of(kind), *_key_checks(schema.allowed_node_keys(kind)))
     for kind in NodeKind
 }
 _EDGE_CHECKS = {
     kind: _EdgeChecks(*schema.ENDPOINT_TABLE[kind],
                       schema.family_of(kind) is schema.EdgeFamily.PROPAGATION,
-                      _key_checks(schema.allowed_edge_keys(kind)))
+                      *_key_checks(schema.allowed_edge_keys(kind)))
     for kind in EdgeKind
 }
+
+# The attribute keys whose values name nodes; a node carrying none of them
+# has no reference to resolve.
+_REFERENCE_KEYS = frozenset((*schema.REFERENCE_LIST_KEYS, "source"))
 
 
 _TEXT_OR_NONE = (str, type(None))
 
 
-def _field_type_violations(what: str, element, table, keys: tuple, none_is_absent=True):
-    """A field_type violation per listed field of ``element`` (the first is its
-    id) that its document table would not load. None stands for an absent
-    field where the table lets null, unless ``none_is_absent`` is false: an
-    agent's fields hold strings, as its document writes every field."""
-    out = []
+def _field_type_violations(what: str, element, table, keys: tuple, out: list,
+                           none_is_absent=True) -> None:
+    """Append a field_type violation per listed field of ``element`` (the
+    first is its id) that its document table would not load. None stands
+    for an absent field where the table lets null, unless ``none_is_absent``
+    is false: an agent's fields hold strings, as its document writes every
+    field."""
     for key in keys:
         value = getattr(element, key)
         json_type = table.fields[key][0]
         if type(value) not in (table.accepts[key] if none_is_absent else json_type.types):
             out.append(Violation("field_type", getattr(element, keys[0]),
                                  schema.mistyped(what, key, json_type, value)))
-    return out
 
 
-def _agent_violations(descriptor: AgentDescriptor) -> list:
-    return _field_type_violations("agent", descriptor, schema.GRAPH_AGENT,
-                                  ("agent_id", "role", "policy_boundary"),
-                                  none_is_absent=False)
+def _agent_violations(descriptor: AgentDescriptor, out: list) -> None:
+    _field_type_violations("agent", descriptor, schema.GRAPH_AGENT,
+                           ("agent_id", "role", "policy_boundary"), out, none_is_absent=False)
 
 
-def _attribute_violations(element_id: str, attributes: dict, keys: dict) -> list:
-    """Attribute violations in key order; only failing keys are sorted, a
-    key that is not a string by its text."""
+def _attribute_violations(element_id: str, attributes: dict, strings: frozenset,
+                          others: dict, out: list) -> None:
+    """Append the attribute violations in key order; only failing keys are
+    sorted, a key that is not a string by its text. A value under one of
+    the ``strings`` keys passes when it is a string, tested inline; any
+    other allowed value meets its predicate in ``others``."""
     if not isinstance(attributes, dict):
-        return [Violation("attribute_schema", element_id, f"{element_id!r} attributes "
-                          f"must be an object, got {attributes!r}")]
+        out.append(Violation("attribute_schema", element_id, f"{element_id!r} attributes "
+                             f"must be an object, got {attributes!r}"))
+        return
     failing = []
     for key, value in attributes.items():
-        check = keys.get(key)
-        if check is None or not check[0](value):
-            failing.append(key)
-    if not failing:
-        return failing
-    out = []
+        if key in strings:
+            if type(value) is str or isinstance(value, str):
+                continue
+        else:
+            check = others.get(key)
+            if check is not None and check[0](value):
+                continue
+        failing.append(key)
     for key in sorted(failing, key=str):
-        check = keys.get(key)
-        message = (f"{element_id!r} carries unregistered key {key!r}" if check is None
-                   else f"{element_id!r} attribute {key!r} {check[1]}")
+        message = (f"{element_id!r} attribute {key!r} {schema.ATTRIBUTE_CHECKS[key][1]}"
+                   if key in strings or key in others
+                   else f"{element_id!r} carries unregistered key {key!r}")
         out.append(Violation("attribute_schema", element_id, message))
-    return out
 
 
 # ===========================================================================
@@ -347,8 +386,9 @@ class AgentBomGraph:
 
     def add_agent(self, descriptor: AgentDescriptor) -> str:
         self._ensure_open()
-        for violation in _agent_violations(descriptor):
-            raise _ERROR_OF_CODE[violation.code](violation.message)
+        violations = []
+        _agent_violations(descriptor, violations)
+        _raise_first(violations)
         if descriptor.agent_id in self.agents:
             raise DuplicateIdError(f"agent {descriptor.agent_id!r} already registered")
         self.agents[descriptor.agent_id] = descriptor
@@ -356,15 +396,17 @@ class AgentBomGraph:
 
     def add_node(self, node: Node) -> str:
         self._ensure_open()
-        for violation in self._node_violations(node, check_duplicate=True):
-            raise _ERROR_OF_CODE[violation.code](violation.message)
+        violations = []
+        self._node_violations(node, violations, check_duplicate=True)
+        _raise_first(violations)
         self._index_node(node)
         return node.node_id
 
     def add_edge(self, edge: Edge) -> str:
         self._ensure_open()
-        for violation in self._edge_violations(edge, check_duplicate=True):
-            raise _ERROR_OF_CODE[violation.code](violation.message)
+        violations = []
+        self._edge_violations(edge, violations, check_duplicate=True)
+        _raise_first(violations)
         self._index_edge(edge)
         return edge.edge_id
 
@@ -434,29 +476,36 @@ class AgentBomGraph:
     def validate(self) -> list[Violation]:
         """Re-check every graph invariant; returns all violations found."""
         violations: list[Violation] = []
-        for agent_id in sorted(self.agents):
-            violations.extend(_agent_violations(self.agents[agent_id]))
-        for node_id in sorted(self.nodes):
-            violations.extend(self._node_violations(self.nodes[node_id]))
-        for edge_id in sorted(self.edges):
-            violations.extend(self._edge_violations(self.edges[edge_id]))
+        agents, nodes, edges = self.agents, self.nodes, self.edges
+        for agent_id in sorted(agents):
+            _agent_violations(agents[agent_id], violations)
+        check = self._node_violations
+        for node_id in sorted(nodes):
+            check(nodes[node_id], violations)
+        check = self._edge_violations
+        for edge_id in sorted(edges):
+            check(edges[edge_id], violations)
         return violations
 
-    def _node_violations(self, node: Node, check_duplicate: bool = False):
+    def _node_violations(self, node: Node, out: list, check_duplicate: bool = False) -> None:
+        """Append the node's violations to ``out``."""
         nid = node.node_id
         # a fast pre-test of what the table check reports
         if not (type(nid) is str and type(node.agent_id) in _TEXT_OR_NONE
                 and type(node.trace_id) in _TEXT_OR_NONE):
-            return _field_type_violations("node", node, schema.GRAPH_NODE,
-                                          ("node_id", "agent_id", "trace_id"))
+            _field_type_violations("node", node, schema.GRAPH_NODE,
+                                   ("node_id", "agent_id", "trace_id"), out)
+            return
         if not nid:
-            return [Violation("empty_id", nid, "a node id must not be empty")]
+            out.append(Violation("empty_id", nid, "a node id must not be empty"))
+            return
         if check_duplicate and self.has_element(nid):
-            return [Violation("duplicate_id", nid, f"element id {nid!r} already in use")]
+            out.append(Violation("duplicate_id", nid, f"element id {nid!r} already in use"))
+            return
         if not isinstance(node.kind, NodeKind):
-            return [Violation("unknown_kind", nid, f"node {nid!r} kind is not a NodeKind")]
-        layer, keys = _NODE_CHECKS[node.kind]
-        out: list[Violation] = []
+            out.append(Violation("unknown_kind", nid, f"node {nid!r} kind is not a NodeKind"))
+            return
+        layer, strings, others = _NODE_CHECKS[node.kind]
         if layer is Layer.RUNTIME:
             if not node.trace_id or not node.timestamp:
                 out.append(Violation("layer_metadata", nid, f"runtime node {nid!r} "
@@ -473,32 +522,39 @@ class AgentBomGraph:
         if node.timestamp is not None and not _is_instant(node.timestamp):
             out.append(Violation("attribute_schema", nid, f"node {nid!r} timestamp "
                                  f"{node.timestamp!r} is not ISO-8601"))
-        out.extend(_attribute_violations(nid, node.attributes, keys))
-        out.extend(self._reference_violations(nid, node.attributes))
-        return out
+        attributes = node.attributes
+        _attribute_violations(nid, attributes, strings, others, out)
+        if isinstance(attributes, dict) and not _REFERENCE_KEYS.isdisjoint(attributes):
+            self._reference_violations(nid, attributes, out)
 
-    def _edge_violations(self, edge: Edge, check_duplicate: bool = False):
+    def _edge_violations(self, edge: Edge, out: list, check_duplicate: bool = False) -> None:
+        """Append the edge's violations to ``out``."""
         eid = edge.edge_id
         if not (type(eid) is str and type(edge.source) is str and type(edge.target) is str):
-            return _field_type_violations("edge", edge, schema.GRAPH_EDGE,
-                                          ("edge_id", "source", "target"))
+            _field_type_violations("edge", edge, schema.GRAPH_EDGE,
+                                   ("edge_id", "source", "target"), out)
+            return
         if not eid:
-            return [Violation("empty_id", eid, "an edge id must not be empty")]
+            out.append(Violation("empty_id", eid, "an edge id must not be empty"))
+            return
         if check_duplicate and self.has_element(eid):
-            return [Violation("duplicate_id", eid, f"element id {eid!r} already in use")]
+            out.append(Violation("duplicate_id", eid, f"element id {eid!r} already in use"))
+            return
         if not isinstance(edge.kind, EdgeKind):
-            return [Violation("unknown_kind", eid, f"edge {eid!r} kind is not an EdgeKind")]
-        sources, targets, propagation, keys = _EDGE_CHECKS[edge.kind]
+            out.append(Violation("unknown_kind", eid, f"edge {eid!r} kind is not an EdgeKind"))
+            return
+        sources, targets, propagation, strings, others = _EDGE_CHECKS[edge.kind]
         src = self.nodes.get(edge.source)
         tgt = self.nodes.get(edge.target)
         if src is None or tgt is None:
             missing = edge.source if src is None else edge.target
-            return [Violation("dangling_endpoint", eid,
-                              f"edge {eid!r} endpoint {missing!r} is not in the graph")]
+            out.append(Violation("dangling_endpoint", eid,
+                                 f"edge {eid!r} endpoint {missing!r} is not in the graph"))
+            return
         if src.kind not in sources or tgt.kind not in targets:
-            return [Violation("endpoint_kind", eid, f"edge kind {edge.kind.value} does not "
-                              f"permit {src.kind.value} -> {tgt.kind.value}")]
-        out: list[Violation] = []
+            out.append(Violation("endpoint_kind", eid, f"edge kind {edge.kind.value} does "
+                                 f"not permit {src.kind.value} -> {tgt.kind.value}"))
+            return
         # an endpoint whose attributes are not a map carries no marker (and
         # is reported itself)
         if (propagation and src.agent_id is not None and src.agent_id == tgt.agent_id
@@ -507,17 +563,14 @@ class AgentBomGraph:
             out.append(Violation("cross_agent", eid, f"propagation edge {eid!r} joins two "
                                  f"elements of agent {src.agent_id!r} with no "
                                  "shared-object marker"))
-        out.extend(_attribute_violations(eid, edge.attributes, keys))
+        _attribute_violations(eid, edge.attributes, strings, others, out)
         if edge.timestamp is not None and not _is_instant(edge.timestamp):
             out.append(Violation("attribute_schema", eid, f"edge {eid!r} timestamp "
                                  f"{edge.timestamp!r} is not ISO-8601"))
-        return out
 
-    def _reference_violations(self, element_id, attributes):
-        """References that name no node; an element may name itself."""
-        out = []
-        if not isinstance(attributes, dict):
-            return out  # already reported as an attribute_schema problem
+    def _reference_violations(self, element_id, attributes: dict, out: list) -> None:
+        """Append the references that name no node; an element may name
+        itself."""
         for key in schema.REFERENCE_LIST_KEYS:
             refs = attributes.get(key)
             if not isinstance(refs, list):
@@ -533,7 +586,6 @@ class AgentBomGraph:
                 and source != element_id and source not in self.nodes):
             out.append(Violation("unresolved_reference", element_id,
                                  f"{element_id!r} source {source!r} does not resolve"))
-        return out
 
     # ------------------------------------------------------------------
     # serialization
@@ -569,24 +621,34 @@ class AgentBomGraph:
         separators=(",", ":"))``, hashed a batch of elements at a time.
 
         Each table's elements go through the canonical encoder in id order,
-        ``_DIGEST_BATCH`` at a time; a batch's text is hashed without its
-        brackets, and the hash object is fed the commas and the framing the
-        whole text would have around it. Neither the to_dict() copy nor the
-        canonical text is ever whole.
+        ``_DIGEST_BATCH`` at a time, as documents that hold the elements' own
+        attribute dicts; a batch's text is hashed without its brackets, and
+        the hash object is fed the commas and the framing the whole text
+        would have around it. Neither the to_dict() copy nor the canonical
+        text is ever whole. An attribute value that contains itself, or
+        nests deeper than the interpreter's recursion limit, raises
+        ValueError.
         """
         import hashlib  # only validate and audit hash; loading it costs every start
 
         sha = hashlib.sha256(b"{")
         with _collector_paused():
-            for opening, table in ((b'"agents":[', self.agents), (b'],"edges":[', self.edges),
-                                   (b'],"nodes":[', self.nodes)):
+            for opening, table, document in (
+                    (b'"agents":[', self.agents, AgentDescriptor.to_dict),
+                    (b'],"edges":[', self.edges, Edge._document),
+                    (b'],"nodes":[', self.nodes, Node._document)):
                 sha.update(opening)
                 ids = sorted(table)
                 for start in range(0, len(ids), _DIGEST_BATCH):
                     if start:
                         sha.update(b",")
-                    text = _CANONICAL.encode(
-                        [table[i].to_dict() for i in ids[start:start + _DIGEST_BATCH]])
+                    batch = map(table.__getitem__, ids[start:start + _DIGEST_BATCH])
+                    try:
+                        text = _CANONICAL.encode(list(map(document, batch)))
+                    except RecursionError:
+                        # what the encoder raises on a cycle, as it does not look for one
+                        raise ValueError("an attribute value contains itself or nests "
+                                         "too deeply to digest") from None
                     sha.update(memoryview(text.encode("utf-8"))[1:-1])
         sha.update(b"]}")
         return sha.hexdigest()
@@ -632,8 +694,9 @@ class AgentBomGraph:
 
 # The encoder whose text of to_dict() a graph's digest hashes, and the
 # elements it encodes at a time: enough that the per-call cost vanishes,
-# few enough that a batch's copies stay small.
-_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+# few enough that a batch's documents stay small. It keeps no record of the
+# containers it is inside; a cycle runs into the recursion limit instead.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
 _DIGEST_BATCH = 1000
 
 

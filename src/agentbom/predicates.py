@@ -16,12 +16,13 @@ attributes.
 from __future__ import annotations
 
 from .errors import PredicateError, UnknownKindError
-from .schema import (ENTRY_ATTR, PREDICATE_OPS, Layer, check_fields, layer_of,
-                     parse_edge_kind, parse_node_kind)
+from .schema import (ENTRY_ATTR, PREDICATE_OPS, EdgeKind, Layer, NodeKind, check_fields,
+                     layer_of, parse_edge_kind, parse_node_kind)
 
 _COMPARATORS = ("==", "!=", "contains", "intersects")
 _LAYER_NAMES = tuple(layer.value for layer in Layer)
 _SCALARS = (str, int, float, bool, type(None))
+_KIND_OF_NAME = {kind.value: kind for kind in (*NodeKind, *EdgeKind)}
 
 # Evaluating a predicate takes up to two stack frames per level, and the
 # interpreter allows 1,000 in all, so a document may nest no deeper than this.
@@ -49,7 +50,8 @@ def _resolve_value(value, entry):
 
 
 class Predicate:
-    """Base class; subclasses implement evaluate and to_dict."""
+    """Base class; subclasses implement evaluate and to_dict. The engine
+    calls ``evaluate(element, graph, entry)`` with positional arguments."""
 
     def evaluate(self, element, graph=None, entry=None) -> bool:
         raise NotImplementedError
@@ -144,9 +146,12 @@ class KindIs(Predicate):
 
     def __init__(self, names):
         self.names = tuple(names)
+        # the kinds so named, tested by identity
+        self._kinds = frozenset(_KIND_OF_NAME[name] for name in self.names
+                                if name in _KIND_OF_NAME)
 
     def evaluate(self, element, graph=None, entry=None) -> bool:
-        return element.kind.value in self.names
+        return element.kind in self._kinds
 
     def to_dict(self) -> dict:
         return {"op": "kind", "any_of": list(self.names)}
@@ -180,7 +185,7 @@ class Not(Predicate):
         self.inner = inner
 
     def evaluate(self, element, graph=None, entry=None) -> bool:
-        return not self.inner.evaluate(element, graph=graph, entry=entry)
+        return not self.inner.evaluate(element, graph, entry)
 
     def to_dict(self) -> dict:
         return {"op": "not", "arg": self.inner.to_dict()}
@@ -208,7 +213,10 @@ class _Junction(Predicate):
 
 class And(_Junction):
     def evaluate(self, element, graph=None, entry=None) -> bool:
-        return all(p.evaluate(element, graph=graph, entry=entry) for p in self.parts)
+        for part in self.parts:
+            if not part.evaluate(element, graph, entry):
+                return False
+        return True
 
     def to_dict(self) -> dict:
         return {"op": "and", "args": [p.to_dict() for p in self.parts]}
@@ -216,7 +224,10 @@ class And(_Junction):
 
 class Or(_Junction):
     def evaluate(self, element, graph=None, entry=None) -> bool:
-        return any(p.evaluate(element, graph=graph, entry=entry) for p in self.parts)
+        for part in self.parts:
+            if part.evaluate(element, graph, entry):
+                return True
+        return False
 
     def to_dict(self) -> dict:
         return {"op": "or", "args": [p.to_dict() for p in self.parts]}
@@ -252,15 +263,11 @@ class NeighborMatch(Predicate):
         else:
             edges = graph.out_edges(element.node_id, self._kinds)
         for candidate in edges:
-            if self.edge is not None and not self.edge.evaluate(
-                candidate, graph=graph, entry=entry
-            ):
+            if self.edge is not None and not self.edge.evaluate(candidate, graph, entry):
                 continue
             other_id = candidate.source if self.direction == "in" else candidate.target
-            other = graph.nodes[other_id]
             if self.node is not None and not self.node.evaluate(
-                other, graph=graph, entry=entry
-            ):
+                    graph.nodes[other_id], graph, entry):
                 continue
             return True
         return False
@@ -349,7 +356,7 @@ class Answers:
             answer = table.get(element_id)
             if answer is None:
                 answer = table[element_id] = bool(
-                    predicate.evaluate(element(element_id), graph=graph, entry=entry))
+                    predicate.evaluate(element(element_id), graph, entry))
             return answer
 
         return ask

@@ -385,7 +385,7 @@ def locate_entries(graph: AgentBomGraph, rule: AuditRule, answers=None) -> list:
     predicate = rule.entry.predicate
     out = []
     for element in rule.entry.candidates(graph):
-        if predicate is None or predicate.evaluate(element, graph=graph, entry=element):
+        if predicate is None or predicate.evaluate(element, graph, element):
             element_id = _element_id(element)
             if answers is not None and predicate is not None:
                 answers.table(predicate, element)[element_id] = True

@@ -348,7 +348,13 @@ SANDBOX_STATUSES = ("sandboxed", "unsandboxed")
 
 
 def is_string_list(value) -> bool:
-    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+    # a loop, not all() over a generator: this runs for most runtime nodes
+    if not isinstance(value, list):
+        return False
+    for item in value:
+        if not isinstance(item, str):
+            return False
+    return True
 
 
 def _is_string_map(value) -> bool:
@@ -362,6 +368,10 @@ def _one_of(tokens):
             f"must be one of {list(tokens)}")
 
 
+# The check of a text attribute, by identity: the graph's element check
+# accepts an exact str under such a key without calling its predicate.
+STRING_CHECK = (lambda value: isinstance(value, str), "must be a string")
+
 # Attribute key -> (predicate, message): the check every value under that
 # key must pass; the message completes "<element> attribute <key> ..." for
 # a value that fails.
@@ -371,7 +381,7 @@ ATTRIBUTE_CHECKS: dict[str, tuple] = {
          "environment_state_change", "execution_environment", "code_file", "type",
          "role", "source_agent", "target_agent", "agent_id", "task_dependency",
          "shared_state", "trace_id"),
-        (lambda value: isinstance(value, str), "must be a string")),
+        STRING_CHECK),
     **dict.fromkeys(
         ("basis", "selected_tools", "parameter_source", "permission_scope",
          "affected_resource", "side_effects", "danger_flags"),

@@ -683,3 +683,20 @@ def test_a_mistyped_node_reports_every_mistyped_field():
         "node field 'agent_id' must be a string, got 6",
         "node field 'trace_id' must be a string, got 7",
     ]
+
+
+def test_validate_and_digest_see_every_change_to_a_loaded_graph(graphs):
+    """Neither answer is kept between calls: freezing stops appends, not
+    changes to an element's attribute dict."""
+    graph = AgentBomGraph.from_json(graphs["memory_poisoning_tool_misuse"].to_json())
+    node = next(n for n in graph.nodes.values() if "content" in n.attributes)
+    answers = [(graph.validate(), graph.digest())]
+    node.attributes["content"] = 5
+    answers.append((graph.validate(), graph.digest()))
+    del node.attributes["content"]
+    answers.append((graph.validate(), graph.digest()))
+    (clean, first), (mistyped, second), (dropped, third) = answers
+    assert clean == dropped == []
+    assert [v.message for v in mistyped] == [
+        f"{node.node_id!r} attribute 'content' must be a string"]
+    assert len({first, second, third}) == 3

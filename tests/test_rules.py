@@ -18,7 +18,8 @@ from agentbom import rules as rules_mod
 from agentbom.errors import GraphError, PredicateError, RulePackError
 from agentbom.graph import AgentBomGraph, AgentDescriptor, Edge, Node, parse_instant
 from agentbom.ingestion import TraceEvent, assemble, parse_manifest
-from agentbom.predicates import And, AttrCmp, EntryAttr, HasFlag, KindIs, Not, Or, Predicate
+from agentbom.predicates import (And, AttrCmp, EntryAttr, HasFlag, KindIs, NeighborMatch, Not,
+                                 Or, Predicate)
 from agentbom.rules import (
     RISK_IDS,
     RISK_NAMES,
@@ -983,6 +984,52 @@ def test_the_entry_selector_is_asked_once_per_candidate():
     assert stats == plain_stats
     assert stats["entries"] == 40 and stats["findings"] == 40
     assert sum(tally.values()) == len(tally) == 200
+
+
+class _Custom(_Counted):
+    """A user predicate that names no entry keys and tallies its calls by
+    the combinator it sits under."""
+
+    def evaluate(self, element, graph=None, entry=None):
+        self.tally[self.use] += 1
+        return self.inner.evaluate(element, graph, entry)
+
+
+def _under_combinators(predicate, tally):
+    """The same test, with a _Custom right under an Or, an And and a Not
+    around each atom, and right under NeighborMatch around each of its node
+    and edge tests."""
+    if isinstance(predicate, (And, Or)):
+        return type(predicate)([_under_combinators(p, tally) for p in predicate.parts])
+    if isinstance(predicate, Not):
+        return Not(_under_combinators(predicate.inner, tally))
+    if isinstance(predicate, NeighborMatch):
+        node, edge = (None if p is None else _Custom(_under_combinators(p, tally), tally,
+                                                     "neighbor")
+                      for p in (predicate.node, predicate.edge))
+        return NeighborMatch(predicate.direction, predicate.edge_kinds, node, edge)
+    negated = Not(_Custom(Not(predicate), tally, "not"))
+    return Or([_Custom(And([_Custom(negated, tally, "and")]), tally, "or")])
+
+
+def test_a_user_predicate_works_under_every_combinator_and_as_an_entry(graphs):
+    """A Predicate subclass from outside the library, under And, Or, Not
+    and NeighborMatch and as the entry selector, yields the findings of the
+    unwrapped pack on every fixture."""
+    tally = Counter()
+    wrapped = builtin_rules()
+    for rule in wrapped:
+        rule.entry.predicate = _Custom(_under_combinators(rule.entry.predicate, tally),
+                                       tally, "entry")
+        for spec in (rule.back, rule.fwd):
+            if spec.terminal is not None:
+                spec.terminal = _under_combinators(spec.terminal, tally)
+        for clause in rule.conditions:
+            clause.predicate = _under_combinators(clause.predicate, tally)
+    for sid, graph in graphs.items():
+        found = audit(graph, wrapped).findings
+        assert [f.to_dict() for f in found] == [f.to_dict() for f in audit(graph).findings], sid
+    assert sorted(tally) == ["and", "entry", "neighbor", "not", "or"]
 
 
 # clauses listed out of scope order: a forward-path clause, the entry, the
