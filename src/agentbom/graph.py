@@ -9,6 +9,13 @@ documents, which skip the insertion checks: from_dict rejects a malformed
 document outright, and validate() reports every broken invariant of a
 well-formed one.
 
+from_dict and from_json share one loader, which keeps one string object
+per repeated agent or trace id, and names an edge's endpoints by its nodes'
+own id objects. from_json owns the document it decodes and drops each
+element's document as soon as the element exists, so the decoded document
+and the graph built from it are never both whole; from_dict hands the
+loader copies of its lists and leaves its document as it was.
+
 Insertion and validate() share one check per element class. Each reads its
 kind's record, compiled from the schema tables once at import: the layer or
 the endpoint kinds, the allowed attribute keys whose values must be strings,
@@ -30,7 +37,8 @@ as ValueError. It imports hashlib on its first call: building a graph,
 writing a scenario or exporting DOT never hash. The bulk conversions (trace
 parsing and assembly in ingestion, and to_json, from_json and digest here)
 run with the cycle collector paused, since none of them makes a reference
-cycle.
+cycle, and hand their survivors to the oldest generation, so that resuming
+the collector does not walk them.
 """
 
 from __future__ import annotations
@@ -101,6 +109,13 @@ def _collector_paused():
     find nothing. The collector's prior state is restored on the way out, so
     a caller that had it off keeps it off. An audit is not paused: its
     traversal records do form cycles.
+
+    The conversion's survivors would still be young when the collector
+    resumes, and the next allocation would set off a walk of all of them.
+    So, before resuming, every tracked object is moved to the oldest
+    generation by gc.freeze() and gc.unfreeze(), which a full collection
+    still walks. That is skipped while the caller holds frozen objects, as
+    gc.unfreeze() would release them too.
     """
     enabled = gc.isenabled()
     gc.disable()
@@ -108,6 +123,9 @@ def _collector_paused():
         yield
     finally:
         if enabled:
+            if not gc.get_freeze_count():
+                gc.freeze()
+                gc.unfreeze()
             gc.enable()
 
 
@@ -551,6 +569,8 @@ class AgentBomGraph:
             out.append(Violation("dangling_endpoint", eid,
                                  f"edge {eid!r} endpoint {missing!r} is not in the graph"))
             return
+        if type(src.kind) is not NodeKind or type(tgt.kind) is not NodeKind:
+            return  # not judged: the endpoint reports its own unknown_kind
         if src.kind not in sources or tgt.kind not in targets:
             out.append(Violation("endpoint_kind", eid, f"edge kind {edge.kind.value} does "
                                  f"not permit {src.kind.value} -> {tgt.kind.value}"))
@@ -660,32 +680,65 @@ class AgentBomGraph:
         The document must be well-formed: three lists of objects whose fields
         have the right JSON types, and kind names that parse. Everything
         else is left to validate(). The elements keep the document's
-        attribute objects.
+        attribute objects, and the document itself is never altered: the
+        loader is handed copies of its three lists.
         """
         schema.check_fields(doc, schema.GRAPH, "graph document", GraphDocumentError)
-        graph = cls()
-        for agent_doc in doc["agents"]:
-            descriptor = AgentDescriptor.from_dict(agent_doc)
-            if descriptor.agent_id in graph.agents:
-                raise DuplicateIdError(f"agent id {descriptor.agent_id!r} appears twice")
-            graph.agents[descriptor.agent_id] = descriptor
-        for node_doc in doc["nodes"]:
-            node = Node.from_dict(node_doc)
-            if node.node_id in graph.nodes:
-                raise DuplicateIdError(f"node id {node.node_id!r} appears twice")
-            graph._index_node(node)
-        for edge_doc in doc["edges"]:
-            edge = Edge.from_dict(edge_doc)
-            if graph.has_element(edge.edge_id):
-                raise DuplicateIdError(f"edge id {edge.edge_id!r} appears twice")
-            graph._index_edge(edge)
-        graph.freeze()
-        return graph
+        return cls._load(list(doc["agents"]), list(doc["nodes"]), list(doc["edges"]))
 
     @classmethod
     def from_json(cls, text: str) -> "AgentBomGraph":
+        """from_dict of the document ``text`` holds. The document is the
+        load's own, so no element document outlives its element."""
         with _collector_paused():
-            return cls.from_dict(schema.load_json(text, "graph document", GraphDocumentError))
+            doc = schema.load_json(text, "graph document", GraphDocumentError)
+            schema.check_fields(doc, schema.GRAPH, "graph document", GraphDocumentError)
+            return cls._load(doc["agents"], doc["nodes"], doc["edges"])
+
+    @classmethod
+    def _load(cls, agents: list, nodes: list, edges: list) -> "AgentBomGraph":
+        """The frozen graph of these element documents, converted agents
+        first, then nodes, then edges, each in list order.
+
+        The lists are the loader's own: each entry is dropped as soon as its
+        element exists. Equal agent and trace ids share one string object, an
+        edge's endpoints are its loaded nodes' own ids, and an edge stamped
+        at its target's time shares the target's timestamp. Fields hold
+        exact strings or None once checked, so sharing changes no value.
+        """
+        graph = cls()
+        share = {}.setdefault
+        for index, agent_doc in enumerate(agents):
+            agents[index] = None
+            descriptor = AgentDescriptor.from_dict(agent_doc)
+            if descriptor.agent_id in graph.agents:
+                raise DuplicateIdError(f"agent id {descriptor.agent_id!r} appears twice")
+            share(descriptor.agent_id, descriptor.agent_id)  # the object nodes take
+            graph.agents[descriptor.agent_id] = descriptor
+        for index, node_doc in enumerate(nodes):
+            nodes[index] = None
+            node = Node.from_dict(node_doc)
+            if node.node_id in graph.nodes:
+                raise DuplicateIdError(f"node id {node.node_id!r} appears twice")
+            node.agent_id = share(node.agent_id, node.agent_id)
+            node.trace_id = share(node.trace_id, node.trace_id)
+            graph._index_node(node)
+        node_of = graph.nodes.get
+        for index, edge_doc in enumerate(edges):
+            edges[index] = None
+            edge = Edge.from_dict(edge_doc)
+            if graph.has_element(edge.edge_id):
+                raise DuplicateIdError(f"edge id {edge.edge_id!r} appears twice")
+            source, target = node_of(edge.source), node_of(edge.target)
+            if source is not None:
+                edge.source = source.node_id
+            if target is not None:
+                edge.target = target.node_id
+                if edge.timestamp == target.timestamp:
+                    edge.timestamp = target.timestamp
+            graph._index_edge(edge)
+        graph.freeze()
+        return graph
 
 
 # ===========================================================================

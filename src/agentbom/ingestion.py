@@ -16,6 +16,11 @@ checked as it is inserted, so the assembled graph needs no second,
 whole-graph validation. Content is scanned here, by a per-build copy of
 the danger matcher; every later stage reads only the recorded flags.
 
+Trace parsing keeps one string object per repeated trace id, agent id and
+event type, and makes each event ref the id object of the event it names,
+so a long trace holds each such value once; a line is decoded by the JSON
+decoder's C scanner unless it needs json.loads to be read the same way.
+
 A parsed manifest is its checked document: each agent, and each entry of
 its tools, skills, memory stores and code dependencies, is a plain dict
 holding every field of its table in schema.py, a field left out or null
@@ -25,6 +30,7 @@ holding the empty value of its type.
 from __future__ import annotations
 
 import copy
+import json
 
 from . import schema
 from .errors import (
@@ -220,23 +226,47 @@ class TraceEvent(Record):
         return event
 
 
+# the stdlib decoder's C scanner: one JSON value from a given index
+_SCAN = json.JSONDecoder().scan_once
+
+
 def parse_trace_jsonl(text: str) -> list:
     """Parse one JSON event per line; blank lines are ignored.
 
     Lines end at a newline only. JSON allows U+2028, U+2029 and U+0085 raw
     inside a string, where str.splitlines() would break the line, and a
     carriage return before the newline is JSON whitespace.
+
+    A line is decoded by the C scanner when that takes it whole; any other
+    line (padded, ending in a carriage return, holding more than one value,
+    or not JSON) goes through json.loads, so every event and every error is
+    the one json.loads gives. Equal trace ids, agent ids and event types
+    share one string object, and a ref is the id object of the earlier
+    event it names.
     """
     events = []
+    share = {}.setdefault
     with _collector_paused():
         for lineno, line in enumerate(text.split("\n"), start=1):
             if not line.strip():
                 continue
-            doc = schema.load_json(line, f"trace line {lineno}", TraceParseError)
             try:
-                events.append(TraceEvent.from_dict(doc))
+                doc, end = _SCAN(line, 0)
+            except (StopIteration, ValueError, RecursionError):
+                end = -1
+            if end != len(line):
+                doc = schema.load_json(line, f"trace line {lineno}", TraceParseError)
+            try:
+                event = TraceEvent.from_dict(doc)
             except TraceParseError as exc:
                 raise TraceParseError(f"trace line {lineno}: {exc}") from None
+            event.event_id = share(event.event_id, event.event_id)
+            event.trace_id = share(event.trace_id, event.trace_id)
+            event.agent_id = share(event.agent_id, event.agent_id)
+            event.event_type = share(event.event_type, event.event_type)
+            if event.refs:
+                event.refs = [share(ref, ref) for ref in event.refs]
+            events.append(event)
     return events
 
 

@@ -234,20 +234,22 @@ def test_duplicate_agent_ids_in_a_document_are_rejected():
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
-@pytest.mark.parametrize("text, error, parsed", [
+@pytest.mark.parametrize("text, error, converted", [
     (None, None, True),
-    ('{"agents": [], "nodes": []}', GraphDocumentError, True),
+    # a document whose fields are wrong never reaches the element loader
+    ('{"agents": [], "nodes": []}', GraphDocumentError, False),
+    ('{"agents": [], "nodes": [{}], "edges": []}', GraphDocumentError, True),
     ('{"agents": [', GraphDocumentError, False),  # not a bare JSONDecodeError
-], ids=["loads", "bad-document", "bad-json"])
-def test_from_json_restores_the_collector_state(monkeypatch, enabled, text, error, parsed):
+], ids=["loads", "bad-document", "bad-element", "bad-json"])
+def test_from_json_restores_the_collector_state(monkeypatch, enabled, text, error, converted):
     seen = []
-    from_dict = AgentBomGraph.from_dict.__func__
+    load = AgentBomGraph._load.__func__
 
-    def recording(cls, doc):
+    def recording(cls, agents, nodes, edges):
         seen.append(gc.isenabled())
-        return from_dict(cls, doc)
+        return load(cls, agents, nodes, edges)
 
-    monkeypatch.setattr(AgentBomGraph, "from_dict", classmethod(recording))
+    monkeypatch.setattr(AgentBomGraph, "_load", classmethod(recording))
     text = _small_graph().to_json() if text is None else text
     was = gc.isenabled()
     (gc.enable if enabled else gc.disable)()
@@ -261,7 +263,7 @@ def test_from_json_restores_the_collector_state(monkeypatch, enabled, text, erro
     finally:
         (gc.enable if was else gc.disable)()
     # the collector is paused while the document is turned into a graph
-    assert seen == ([False] if parsed else [])
+    assert seen == ([False] if converted else [])
 
 
 def test_validate_reports_problems_in_permissively_loaded_graphs():
