@@ -24,8 +24,9 @@ from .rules import audit, builtin_rules, load_rules
 __all__ = ["main"]
 
 
-def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+def _read(path: str, newline: str | None = None) -> str:
+    with open(path, encoding="utf-8", newline=newline) as handle:
+        return handle.read()
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -55,7 +56,9 @@ def _cmd_build(args) -> int:
     # would otherwise walk them at once to find nothing
     with _collector_paused():
         _emit(assemble(parse_manifest_json(_read(args.manifest)),
-                       parse_trace_jsonl(_read(args.trace)),
+                       # a trace line ends at a line feed alone: a lone carriage
+                       # return is JSON whitespace, not a line break
+                       parse_trace_jsonl(_read(args.trace, newline="")),
                        matcher=_matcher_from(args.matchers)).to_json(), args.out)
     return 0
 

@@ -11,10 +11,15 @@ well-formed one.
 
 from_dict and from_json share one loader, which keeps one string object
 per repeated agent or trace id, and names an edge's endpoints by its nodes'
-own id objects. from_json owns the document it decodes and drops each
-element's document as soon as the element exists, so the decoded document
-and the graph built from it are never both whole; from_dict hands the
-loader copies of its lists and leaves its document as it was.
+own id objects. from_json decodes text in to_json's layout a slice of each
+element array at a time, converting each slice before it decodes the next,
+so no more than a slice of the document is ever decoded at once. Any other
+text, or any text on which that raises, is decoded whole, so every graph
+and every error is the whole document's. Either way the documents are
+from_json's own: the loader drops each one as soon as its element exists,
+and shares equal attribute keys and string values as well. from_dict hands
+the loader copies of its lists and leaves its document, attribute dicts
+included, as it was.
 
 Insertion and validate() share one check per element class. Each reads its
 kind's record, compiled from the schema tables once at import: the layer or
@@ -195,10 +200,21 @@ class Node(Record):
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Node":
-        schema.check_fields(doc, schema.GRAPH_NODE, "node", GraphDocumentError)
         # the table names exactly these fields, and a null one is None anyway;
-        # the node keeps the document's attributes object
-        node = cls(**doc)
+        # the node keeps the document's attributes object. A dict that the
+        # constructor takes, with the table's types, passes check_fields,
+        # which is left to word what is wrong with any other document.
+        try:
+            node = cls(**doc) if type(doc) is dict else None
+        except TypeError:
+            node = None
+        if node is None or not (type(node.node_id) is str and type(node.kind) is str
+                                and type(node.agent_id) in _TEXT_OR_NONE
+                                and type(node.trace_id) in _TEXT_OR_NONE
+                                and type(node.timestamp) in _TEXT_OR_NONE
+                                and type(node.attributes) is dict):
+            schema.check_fields(doc, schema.GRAPH_NODE, "node", GraphDocumentError)
+            node = cls(**doc)
         node.kind = schema.parse_node_kind(node.kind)
         return node
 
@@ -243,8 +259,16 @@ class Edge(Record):
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Edge":
-        schema.check_fields(doc, schema.GRAPH_EDGE, "edge", GraphDocumentError)
-        edge = cls(**doc)  # as Node.from_dict
+        try:  # as Node.from_dict
+            edge = cls(**doc) if type(doc) is dict else None
+        except TypeError:
+            edge = None
+        if edge is None or not (type(edge.edge_id) is str and type(edge.kind) is str
+                                and type(edge.source) is str and type(edge.target) is str
+                                and type(edge.timestamp) in _TEXT_OR_NONE
+                                and type(edge.attributes) is dict):
+            schema.check_fields(doc, schema.GRAPH_EDGE, "edge", GraphDocumentError)
+            edge = cls(**doc)
         edge.kind = schema.parse_edge_kind(edge.kind)
         return edge
 
@@ -688,44 +712,130 @@ class AgentBomGraph:
 
     @classmethod
     def from_json(cls, text: str) -> "AgentBomGraph":
-        """from_dict of the document ``text`` holds. The document is the
-        load's own, so no element document outlives its element."""
+        """from_dict of the document ``text`` holds.
+
+        Text in to_json's layout is decoded a slice of each element array at
+        a time, and each slice's elements are converted before the next is
+        decoded (see _load_slices). Any other text, and any text on which
+        that raises, is decoded whole and loaded as from_dict loads, so every
+        graph and every error is the whole document's. The documents are the
+        load's own: none outlives its element, and equal attribute keys and
+        string values share one object.
+        """
         with _collector_paused():
-            doc = schema.load_json(text, "graph document", GraphDocumentError)
-            schema.check_fields(doc, schema.GRAPH, "graph document", GraphDocumentError)
-            return cls._load(doc["agents"], doc["nodes"], doc["edges"])
+            try:
+                graph = cls._load_slices(text)
+            except Exception:  # the whole document's load raises its own error
+                graph = None
+            if graph is None:
+                doc = schema.load_json(text, "graph document", GraphDocumentError)
+                schema.check_fields(doc, schema.GRAPH, "graph document", GraphDocumentError)
+                graph = cls._load(doc["agents"], doc["nodes"], doc["edges"], own=True)
+            return graph
 
     @classmethod
-    def _load(cls, agents: list, nodes: list, edges: list) -> "AgentBomGraph":
-        """The frozen graph of these element documents, converted agents
-        first, then nodes, then edges, each in list order.
+    def _load(cls, agents: list, nodes: list, edges: list, own: bool = False) -> "AgentBomGraph":
+        """The frozen graph of these element documents (see _Loader)."""
+        load = _Loader(cls(), own)
+        load.agents(agents)
+        load.nodes(nodes)
+        load.edges(edges)
+        load.graph.freeze()
+        return load.graph
 
-        The lists are the loader's own: each entry is dropped as soon as its
-        element exists. Equal agent and trace ids share one string object, an
-        edge's endpoints are its loaded nodes' own ids, and an edge stamped
-        at its target's time shares the target's timestamp. Fields hold
-        exact strings or None once checked, so sharing changes no value.
+    @classmethod
+    def _load_slices(cls, text) -> "AgentBomGraph | None":
+        """The frozen graph of ``text`` in to_json's layout, decoded and
+        converted a slice at a time; None for text in any other layout.
+
+        Each array is cut about _SLICE characters apart, only where to_json
+        writes the gap between two elements, and a slice is decoded as the
+        array of its elements. A text that is the layout's frame around the
+        three arrays, each the join of its slices with commas, where every
+        slice decodes whole, is a JSON document that decodes to those
+        arrays, whatever the slices hold; any other text takes the whole
+        path. A slice is decoded inside _PAD arrays it does not need, which
+        put its elements deeper than the whole document and the frames of
+        its decoder's calls do, so an element nested too deep to decode
+        there fails to decode here too, and takes the whole path.
         """
-        graph = cls()
-        share = {}.setdefault
-        for index, agent_doc in enumerate(agents):
-            agents[index] = None
+        spans = _array_spans(text)
+        if spans is None:
+            return None
+        (agents, edges, nodes), find = spans, text.find
+        load = _Loader(cls(), True)
+        for convert, (start, end) in ((load.agents, agents), (load.nodes, nodes),
+                                      (load.edges, edges)):
+            while start < end:
+                cut = find(_GAP, min(start + _SLICE, end), end)
+                stop = end if cut < 0 else cut + 6  # the gap's "\n    }"
+                chunk = _OPEN + text[start:stop] + _CLOSE
+                docs, used = schema.scan_once(chunk, 0)
+                if used != len(chunk):
+                    return None
+                for _ in range(_PAD):
+                    if len(docs) != 1:
+                        return None
+                    docs = docs[0]
+                del chunk
+                convert(docs)
+                start = stop + 1  # past the gap's comma
+        load.graph.freeze()
+        return load.graph
+
+
+class _Loader:
+    """Turns element documents into a graph with no insertion checks:
+    agents, then nodes, then edges, each list in order, as many lists of a
+    kind as the caller hands in.
+
+    Each list is the loader's own: an entry is dropped as soon as its
+    element exists. Equal agent and trace ids share one string object, an
+    edge's endpoints are its loaded nodes' own ids, and an edge stamped at
+    its target's time shares the target's timestamp. When the documents are
+    the loader's own as well (``own``), each attribute dict is rebuilt with
+    its keys and string values taken from the same memo; a caller's
+    attribute dicts are left as they are. Fields hold exact strings or None
+    once checked, and only strings are shared, so sharing changes no value.
+    """
+
+    __slots__ = ("graph", "_share", "_own")
+
+    def __init__(self, graph: AgentBomGraph, own: bool):
+        self.graph = graph
+        self._share = {}.setdefault
+        self._own = own
+
+    def agents(self, docs: list) -> None:
+        agents, share = self.graph.agents, self._share
+        for index, agent_doc in enumerate(docs):
+            docs[index] = None
             descriptor = AgentDescriptor.from_dict(agent_doc)
-            if descriptor.agent_id in graph.agents:
+            if descriptor.agent_id in agents:
                 raise DuplicateIdError(f"agent id {descriptor.agent_id!r} appears twice")
             share(descriptor.agent_id, descriptor.agent_id)  # the object nodes take
-            graph.agents[descriptor.agent_id] = descriptor
-        for index, node_doc in enumerate(nodes):
-            nodes[index] = None
+            agents[descriptor.agent_id] = descriptor
+
+    def nodes(self, docs: list) -> None:
+        graph, share, own = self.graph, self._share, self._own
+        nodes = graph.nodes
+        for index, node_doc in enumerate(docs):
+            docs[index] = None
             node = Node.from_dict(node_doc)
-            if node.node_id in graph.nodes:
+            if node.node_id in nodes:
                 raise DuplicateIdError(f"node id {node.node_id!r} appears twice")
             node.agent_id = share(node.agent_id, node.agent_id)
             node.trace_id = share(node.trace_id, node.trace_id)
+            if own and node.attributes:
+                node.attributes = {share(key, key): share(value, value) if type(value) is str
+                                   else value for key, value in node.attributes.items()}
             graph._index_node(node)
+
+    def edges(self, docs: list) -> None:
+        graph, share, own = self.graph, self._share, self._own
         node_of = graph.nodes.get
-        for index, edge_doc in enumerate(edges):
-            edges[index] = None
+        for index, edge_doc in enumerate(docs):
+            docs[index] = None
             edge = Edge.from_dict(edge_doc)
             if graph.has_element(edge.edge_id):
                 raise DuplicateIdError(f"edge id {edge.edge_id!r} appears twice")
@@ -736,9 +846,48 @@ class AgentBomGraph:
                 edge.target = target.node_id
                 if edge.timestamp == target.timestamp:
                     edge.timestamp = target.timestamp
+            if own and edge.attributes:
+                edge.attributes = {share(key, key): share(value, value) if type(value) is str
+                                   else value for key, value in edge.attributes.items()}
             graph._index_edge(edge)
-        graph.freeze()
-        return graph
+
+
+# from_json's slices: about this many characters of an element array each;
+# a slice adds two to three times its own size to from_json's peak.
+# RFC 8259 lets no raw line feed sit inside a JSON string, so to_json's gap
+# between two elements, found in the text, is where a slice may end. A slice
+# is decoded inside _PAD more arrays than it needs, as _load_slices explains.
+_SLICE = 32 * 1024
+_GAP = "\n    },\n    {"
+_PAD = 8
+_OPEN, _CLOSE = "[" * (_PAD + 1), "]" * (_PAD + 1)
+# to_json's frame: its text before the agents array, and after each array
+_HEAD = '{\n  "agents": '
+_AFTER = (',\n  "edges": ', ',\n  "nodes": ', "\n}\n")
+
+
+def _array_spans(text) -> list | None:
+    """The (start, end) of each element array's inside, agents, edges and
+    nodes, in a text of to_json's frame; None for any other text. An inside
+    runs from the line feed after "[" to the one before the closing "  ]",
+    or is empty."""
+    if type(text) is not str or not text.startswith(_HEAD):
+        return None
+    spans, at = [], len(_HEAD)
+    for after in _AFTER:
+        if text.startswith("[]" + after, at):
+            spans.append((at + 1, at + 1))
+            at += 2 + len(after)
+            continue
+        if not text.startswith("[\n    {", at):
+            return None
+        # the nodes array closes at the end of the text, where rfind starts
+        close = (text.rfind if after == _AFTER[-1] else text.find)("\n  ]" + after, at)
+        if close < 0:
+            return None
+        spans.append((at + 1, close))
+        at = close + 4 + len(after)
+    return spans if at == len(text) else None
 
 
 # ===========================================================================

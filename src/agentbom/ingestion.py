@@ -16,10 +16,11 @@ checked as it is inserted, so the assembled graph needs no second,
 whole-graph validation. Content is scanned here, by a per-build copy of
 the danger matcher; every later stage reads only the recorded flags.
 
-Trace parsing keeps one string object per repeated trace id, agent id and
-event type, and makes each event ref the id object of the event it names,
-so a long trace holds each such value once; a line is decoded by the JSON
-decoder's C scanner unless it needs json.loads to be read the same way.
+Trace parsing keeps one string object per repeated trace id, agent id,
+event type, content, attrs key and string attrs value, and makes each event
+ref the id object of the event it names, so a long trace holds each such
+value once; a line is decoded by the JSON decoder's C scanner unless it
+needs json.loads to be read the same way.
 
 A parsed manifest is its checked document: each agent, and each entry of
 its tools, skills, memory stores and code dependencies, is a plain dict
@@ -30,7 +31,6 @@ holding the empty value of its type.
 from __future__ import annotations
 
 import copy
-import json
 
 from . import schema
 from .errors import (
@@ -44,6 +44,7 @@ from .graph import (
     AgentDescriptor,
     Edge,
     Node,
+    _TEXT_OR_NONE,
     _collector_paused,
     dump_json,
     parse_instant,
@@ -212,22 +213,30 @@ class TraceEvent(Record):
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TraceEvent":
-        schema.check_fields(doc, schema.TRACE_EVENT, "trace event", TraceParseError)
+        # the table names exactly these fields; the event keeps the document's
+        # refs list and attrs object. A dict that the constructor takes, with
+        # the table's types, passes check_fields, which is left to word what
+        # is wrong with any other document.
+        try:
+            event = cls(**doc) if type(doc) is dict else None
+        except TypeError:
+            event = None
+        if event is None or not (
+                type(event.event_id) is str and type(event.trace_id) is str
+                and type(event.agent_id) is str and type(event.timestamp) is str
+                and type(event.event_type) is str and type(event.content) in _TEXT_OR_NONE
+                and type(event.refs) is list and type(event.attrs) is dict
+                and all([type(ref) is str for ref in event.refs])):
+            schema.check_fields(doc, schema.TRACE_EVENT, "trace event", TraceParseError)
+            event = cls(**doc)
         if not (doc["event_id"] and doc["trace_id"] and doc["agent_id"]):
             empty = next(k for k in ("event_id", "trace_id", "agent_id") if not doc[k])
             raise TraceParseError(f"trace event field {empty!r} must be a non-empty string")
         if doc["event_type"] not in _EVENT_KIND:
             raise TraceParseError(f"unknown event type {doc['event_type']!r}")
-        # the table names exactly these fields; the event keeps the document's
-        # refs list and attrs object
-        event = cls(**doc)
         if event.content is None:
             event.content = ""
         return event
-
-
-# the stdlib decoder's C scanner: one JSON value from a given index
-_SCAN = json.JSONDecoder().scan_once
 
 
 def parse_trace_jsonl(text: str) -> list:
@@ -240,9 +249,9 @@ def parse_trace_jsonl(text: str) -> list:
     A line is decoded by the C scanner when that takes it whole; any other
     line (padded, ending in a carriage return, holding more than one value,
     or not JSON) goes through json.loads, so every event and every error is
-    the one json.loads gives. Equal trace ids, agent ids and event types
-    share one string object, and a ref is the id object of the earlier
-    event it names.
+    the one json.loads gives. Equal trace ids, agent ids, event types,
+    contents, attrs keys and string attrs values share one string object,
+    and a ref is the id object of the earlier event it names.
     """
     events = []
     share = {}.setdefault
@@ -251,7 +260,7 @@ def parse_trace_jsonl(text: str) -> list:
             if not line.strip():
                 continue
             try:
-                doc, end = _SCAN(line, 0)
+                doc, end = schema.scan_once(line, 0)
             except (StopIteration, ValueError, RecursionError):
                 end = -1
             if end != len(line):
@@ -264,8 +273,12 @@ def parse_trace_jsonl(text: str) -> list:
             event.trace_id = share(event.trace_id, event.trace_id)
             event.agent_id = share(event.agent_id, event.agent_id)
             event.event_type = share(event.event_type, event.event_type)
+            event.content = share(event.content, event.content)
             if event.refs:
                 event.refs = [share(ref, ref) for ref in event.refs]
+            if event.attrs:
+                event.attrs = {share(key, key): share(value, value) if type(value) is str
+                               else value for key, value in event.attrs.items()}
             events.append(event)
     return events
 

@@ -515,6 +515,11 @@ class FieldTable:
         self.required = frozenset(key for key, (_, p) in fields.items() if p == REQUIRED)
 
 
+# the stdlib decoder's C scanner: (value, end) of one JSON value that starts
+# at a given index, with nothing before it
+scan_once = json.JSONDecoder().scan_once
+
+
 def load_json(text: str, what: str, error):
     """The document ``text`` holds; ``error`` names ``what`` if it is not
     JSON, or nests too deep for the decoder."""

@@ -381,6 +381,21 @@ def test_a_line_separator_inside_content_builds(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("graph valid: ")
 
 
+def test_a_lone_carriage_return_in_a_trace_line_is_whitespace(workdir):
+    # JSON whitespace between two tokens, where universal newlines would
+    # break the line; json.dumps writes '", "' only between tokens
+    fx = workdir / "fx"
+    text = (fx / "trace.jsonl").read_bytes()
+    lone_cr = workdir / "lone_cr.jsonl"
+    lone_cr.write_bytes(text.replace(b', "', b',\r"'))
+    assert text.count(b"\n") == lone_cr.read_bytes().count(b"\n")
+    assert lone_cr.read_bytes().count(b"\r") > text.count(b"\n")
+    graph = workdir / "lone_cr.json"
+    assert main(["build", "--manifest", str(fx / "manifest.json"), "--trace", str(lone_cr),
+                 "--out", str(graph)]) == 0
+    assert graph.read_bytes() == (workdir / "graph.json").read_bytes()
+
+
 # a flagged agent node is an ASI10 entry, so the audit asks for its id
 _UNNAMED_FLAGGED_AGENT = {"node_id": "", "kind": "AgentNode",
                           "attributes": {"danger_flags": ["privilege_claim"]}}

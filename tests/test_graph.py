@@ -18,7 +18,7 @@ from agentbom.errors import (
     UnknownAgentError,
     UnknownKindError,
 )
-from agentbom.graph import AgentBomGraph, AgentDescriptor, Edge, Node
+from agentbom.graph import AgentBomGraph, AgentDescriptor, Edge, Node, _Loader
 from agentbom.schema import EdgeKind, Layer, NodeKind
 
 _STAMP = "2026-03-01T09:00:00Z"
@@ -243,13 +243,14 @@ def test_duplicate_agent_ids_in_a_document_are_rejected():
 ], ids=["loads", "bad-document", "bad-element", "bad-json"])
 def test_from_json_restores_the_collector_state(monkeypatch, enabled, text, error, converted):
     seen = []
-    load = AgentBomGraph._load.__func__
+    load = _Loader.nodes
 
-    def recording(cls, agents, nodes, edges):
+    def recording(loader, docs):
         seen.append(gc.isenabled())
-        return load(cls, agents, nodes, edges)
+        return load(loader, docs)
 
-    monkeypatch.setattr(AgentBomGraph, "_load", classmethod(recording))
+    # both of from_json's paths convert nodes here, the sliced one per slice
+    monkeypatch.setattr(_Loader, "nodes", recording)
     text = _small_graph().to_json() if text is None else text
     was = gc.isenabled()
     (gc.enable if enabled else gc.disable)()

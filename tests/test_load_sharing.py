@@ -1,9 +1,11 @@
 """What loading keeps, and what it leaves behind.
 
 Parsed events and loaded graphs keep one string object per repeated id,
-from_dict leaves its document as it was, from_json never holds its decoded
-document and a graph built from it both whole, and the bulk conversions
-hand the collector back with no young objects to walk.
+from_json's graphs and parsed events one per repeated attribute key, string
+attribute value and content, from_dict leaves its document as it was,
+from_json never holds its decoded document and a graph built from it both
+whole, and the bulk conversions hand the collector back with no young
+objects to walk.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+from agentbom import graph as graph_mod
 from agentbom import scenarios
 from agentbom.errors import GraphDocumentError
 from agentbom.graph import AgentBomGraph
@@ -92,6 +95,52 @@ def test_a_loaded_graph_shares_its_ids(replay, load):
     assert graph.to_json() == replay["text"]
 
 
+def _attribute_strings(graph):
+    """(every attribute key, every string attribute value) of the graph."""
+    attributes = [e.attributes for e in (*graph.nodes.values(), *graph.edges.values())]
+    return ([key for a in attributes for key in a],
+            [value for a in attributes for value in a.values() if type(value) is str])
+
+
+@pytest.mark.parametrize("slice_size", [None, 1], ids=["default-slices", "one-byte-slices"])
+def test_from_json_shares_attribute_keys_and_string_values(replay, monkeypatch, slice_size):
+    if slice_size is not None:
+        monkeypatch.setattr(graph_mod, "_SLICE", slice_size)
+    keys, values = _attribute_strings(AgentBomGraph.from_json(replay["text"]))
+    assert len(keys) > len(set(keys)) and len(values) > len(set(values))
+    assert _one_object_per_value(keys)
+    assert _one_object_per_value(values)
+    # so does the whole-document path, which other layouts take
+    keys, values = _attribute_strings(AgentBomGraph.from_json(replay["text"].replace("\n", "\r\n")))
+    assert _one_object_per_value(keys) and _one_object_per_value(values)
+
+
+def test_from_dict_keeps_the_callers_attribute_objects(replay):
+    doc = json.loads(replay["text"])
+    elements = {e.get("node_id", e.get("edge_id")): e for e in (*doc["nodes"], *doc["edges"])}
+    held = {element_id: (e["attributes"], list(e["attributes"].items()))
+            for element_id, e in elements.items()}
+    graph = AgentBomGraph.from_dict(doc)
+    for element_id, (attributes, items) in held.items():
+        element = graph.element(element_id)
+        assert element.attributes is attributes
+        assert len(attributes) == len(items)
+        assert all(key is k and value is v
+                   for (key, value), (k, v) in zip(attributes.items(), items))
+
+
+def test_parsed_events_share_attrs_and_content(replay):
+    events = parse_trace_jsonl(replay["trace"])
+    keys = [key for e in events for key in e.attrs]
+    values = [value for e in events for value in e.attrs.values() if type(value) is str]
+    contents = [e.content for e in events]
+    assert len(keys) > len(set(keys)) and len(values) > len(set(values))
+    assert len(contents) > len(set(contents))
+    assert _one_object_per_value(keys)
+    assert _one_object_per_value(values)
+    assert _one_object_per_value(contents)
+
+
 def test_a_dangling_endpoint_keeps_the_documents_id():
     doc = {"agents": [], "nodes": [{"node_id": "tool.t", "kind": "ToolNode"}],
            "edges": [{"edge_id": "e", "kind": "loads_tool", "source": "agent.gone",
@@ -145,6 +194,15 @@ def test_from_json_peaks_at_its_decoded_document(replay):
     # building the graph while the whole document is alive took a quarter
     # of the graph's size on top of the decode's own peak
     assert load_peak - decode_peak < 0.05 * size, (load_peak, decode_peak, size)
+
+
+def test_from_json_peaks_near_the_graph_it_builds(replay):
+    text = replay["text"]
+    graph, load_peak, size = _traced(lambda: AgentBomGraph.from_json(text))
+    assert len(graph.nodes) == len(replay["graph"].nodes)
+    # decoding the whole document before converting it peaked at 1.37
+    # times the graph; a slice at a time, the graph is most of the peak
+    assert load_peak <= 1.1 * size, (load_peak, size)
 
 
 # ---------------------------------------------------------------------------
