@@ -9,7 +9,6 @@ out in the rendered figure.
 
 from __future__ import annotations
 
-from . import schema
 from .graph import AgentBomGraph
 from .schema import EdgeFamily, Layer, NodeKind
 
@@ -58,7 +57,7 @@ def _node_line(node, marked: bool) -> str:
 
 
 def _edge_line(edge, marked: bool) -> str:
-    family = schema.family_of(edge.kind)
+    family = edge.kind.family
     color = _HIGHLIGHT if marked else _FAMILY_COLOR[family]
     styles = []
     if family is EdgeFamily.BINDING:

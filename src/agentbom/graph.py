@@ -21,13 +21,14 @@ and shares equal attribute keys and string values as well. from_dict hands
 the loader copies of its lists and leaves its document, attribute dicts
 included, as it was.
 
-Insertion and validate() share one check per element class. Each reads its
-kind's record, compiled from the schema tables once at import: the layer or
-the endpoint kinds, the allowed attribute keys whose values must be strings,
-and a (predicate, message) pair per other allowed key. A string under a
-string key is accepted inline, so a clean element costs a few lookups and
-one predicate call per non-string attribute, and its references are walked
-only when it carries a reference key. An id, agent id, trace id, role or
+Insertion and validate() share one check per element class. Each reads
+the element's kind, which carries its layer or its family and endpoint
+kinds, and the kind's key checks, compiled from the schema's attribute
+registry once at import: the allowed attribute keys whose values must be
+strings, and a (predicate, message) pair per other allowed key. A string
+under a string key is accepted inline, so a clean element costs a few
+lookups and one predicate call per non-string attribute, and its
+references are walked only when it carries a reference key. An id, agent id, trace id, role or
 policy boundary that is not a string is a field_type problem, judged by the
 document's field table and worded as on loading a document.
 
@@ -53,7 +54,6 @@ import json
 from contextlib import contextmanager
 from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii as _quote
-from typing import NamedTuple
 
 from . import schema
 from .errors import (
@@ -69,7 +69,7 @@ from .errors import (
     UnknownKindError,
 )
 from .record import FRESH, FrozenRecord, Record
-from .schema import EdgeKind, Layer, NodeKind
+from .schema import EdgeFamily, EdgeKind, Layer, NodeKind
 
 # ===========================================================================
 # helpers
@@ -119,8 +119,9 @@ def _collector_paused():
     resumes, and the next allocation would set off a walk of all of them.
     So, before resuming, every tracked object is moved to the oldest
     generation by gc.freeze() and gc.unfreeze(), which a full collection
-    still walks. That is skipped while the caller holds frozen objects, as
-    gc.unfreeze() would release them too.
+    still walks. gc.unfreeze() releases every frozen object, so that is done
+    only at a freeze count in _UNFROZEN. Objects a caller freezes after
+    import stay frozen.
     """
     enabled = gc.isenabled()
     gc.disable()
@@ -128,10 +129,17 @@ def _collector_paused():
         yield
     finally:
         if enabled:
-            if not gc.get_freeze_count():
+            if gc.get_freeze_count() in _UNFROZEN:
                 gc.freeze()
                 gc.unfreeze()
             gc.enable()
+
+
+# The freeze counts at which no caller holds frozen objects: 0, as a handoff
+# leaves it, and the count at import. Objects frozen before import count as
+# the interpreter's: a fresh 3.12.1 holds 375, and each full collection
+# freezes them again.
+_UNFROZEN = frozenset({0, gc.get_freeze_count()})
 
 
 # ===========================================================================
@@ -175,7 +183,7 @@ class Node(Record):
 
     @property
     def layer(self) -> Layer:
-        return schema.layer_of(self.kind)
+        return self.kind.layer
 
     def attr(self, key: str, default=None):
         return self.attributes.get(key, default)
@@ -232,10 +240,6 @@ class Edge(Record):
         self.target = target
         self.timestamp = timestamp
         self.attributes = {} if attributes is FRESH else attributes
-
-    @property
-    def family(self) -> schema.EdgeFamily:
-        return schema.family_of(self.kind)
 
     def attr(self, key: str, default=None):
         return self.attributes.get(key, default)
@@ -308,7 +312,7 @@ def _raise_first(violations: list) -> None:
 
 
 # ===========================================================================
-# per-kind check records
+# per-kind key checks
 # ===========================================================================
 
 
@@ -324,29 +328,10 @@ def _key_checks(allowed: frozenset) -> tuple:
                                     for key in allowed - _STRING_KEYS}
 
 
-class _NodeChecks(NamedTuple):
-    layer: Layer
-    strings: frozenset
-    others: dict
-
-
-class _EdgeChecks(NamedTuple):
-    sources: frozenset
-    targets: frozenset
-    propagation: bool
-    strings: frozenset
-    others: dict
-
-
-_NODE_CHECKS = {
-    kind: _NodeChecks(schema.layer_of(kind), *_key_checks(schema.allowed_node_keys(kind)))
-    for kind in NodeKind
-}
-_EDGE_CHECKS = {
-    kind: _EdgeChecks(*schema.ENDPOINT_TABLE[kind],
-                      schema.family_of(kind) is schema.EdgeFamily.PROPAGATION,
-                      *_key_checks(schema.allowed_edge_keys(kind)))
-    for kind in EdgeKind
+# kind -> its _key_checks, for every node and edge kind
+_KEY_CHECKS = {
+    **{kind: _key_checks(schema.allowed_node_keys(kind)) for kind in NodeKind},
+    **{kind: _key_checks(schema.allowed_edge_keys(kind)) for kind in EdgeKind},
 }
 
 # The attribute keys whose values name nodes; a node carrying none of them
@@ -547,8 +532,9 @@ class AgentBomGraph:
         if not isinstance(node.kind, NodeKind):
             out.append(Violation("unknown_kind", nid, f"node {nid!r} kind is not a NodeKind"))
             return
-        layer, strings, others = _NODE_CHECKS[node.kind]
-        if layer is Layer.RUNTIME:
+        kind = node.kind
+        strings, others = _KEY_CHECKS[kind]
+        if kind.layer is Layer.RUNTIME:
             if not node.trace_id or not node.timestamp:
                 out.append(Violation("layer_metadata", nid, f"runtime node {nid!r} "
                                      "requires trace_id and timestamp"))
@@ -558,7 +544,7 @@ class AgentBomGraph:
             elif node.agent_id not in self.agents:
                 out.append(Violation("unknown_agent", nid, f"runtime node {nid!r} names "
                                      f"unregistered agent {node.agent_id!r}"))
-        elif layer is Layer.STATIC and node.trace_id is not None:
+        elif kind.layer is Layer.STATIC and node.trace_id is not None:
             out.append(Violation("layer_metadata", nid,
                                  f"static node {nid!r} must not carry trace_id"))
         if node.timestamp is not None and not _is_instant(node.timestamp):
@@ -585,7 +571,8 @@ class AgentBomGraph:
         if not isinstance(edge.kind, EdgeKind):
             out.append(Violation("unknown_kind", eid, f"edge {eid!r} kind is not an EdgeKind"))
             return
-        sources, targets, propagation, strings, others = _EDGE_CHECKS[edge.kind]
+        kind = edge.kind
+        strings, others = _KEY_CHECKS[kind]
         src = self.nodes.get(edge.source)
         tgt = self.nodes.get(edge.target)
         if src is None or tgt is None:
@@ -595,13 +582,14 @@ class AgentBomGraph:
             return
         if type(src.kind) is not NodeKind or type(tgt.kind) is not NodeKind:
             return  # not judged: the endpoint reports its own unknown_kind
-        if src.kind not in sources or tgt.kind not in targets:
-            out.append(Violation("endpoint_kind", eid, f"edge kind {edge.kind.value} does "
+        if src.kind not in kind.sources or tgt.kind not in kind.targets:
+            out.append(Violation("endpoint_kind", eid, f"edge kind {kind.value} does "
                                  f"not permit {src.kind.value} -> {tgt.kind.value}"))
             return
         # an endpoint whose attributes are not a map carries no marker (and
         # is reported itself)
-        if (propagation and src.agent_id is not None and src.agent_id == tgt.agent_id
+        if (kind.family is EdgeFamily.PROPAGATION
+                and src.agent_id is not None and src.agent_id == tgt.agent_id
                 and not any(isinstance(n.attributes, dict) and "shared_state" in n.attributes
                             for n in (src, tgt))):
             out.append(Violation("cross_agent", eid, f"propagation edge {eid!r} joins two "

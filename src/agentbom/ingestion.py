@@ -239,6 +239,26 @@ class TraceEvent(Record):
         return event
 
 
+# A line of n characters nests at most n // 2 levels. parse_trace_jsonl
+# decodes a line shorter than _SCANNED characters with the scanner only when
+# _probe shows that the scanner, called 8 calls deeper, can nest 8 levels
+# more than such a line: load_json's decoder runs four calls deeper
+# (load_json, json.loads, JSONDecoder.decode, raw_decode), and then cannot
+# reach the recursion limit on such a line either. A count of frames would
+# not do: entering Python from C code uses up the limit too, unseen.
+_SCANNED = 512
+_PROBE = (_SCANNED // 2 + 8) * "[" + (_SCANNED // 2 + 8) * "]"
+
+
+def _probe(calls: int = 8) -> None:
+    """Scan _PROBE ``calls`` calls below the caller; RecursionError if the
+    limit leaves no room for that."""
+    if calls:
+        _probe(calls - 1)
+    else:
+        schema.scan_once(_PROBE, 0)
+
+
 def parse_trace_jsonl(text: str) -> list:
     """Parse one JSON event per line; blank lines are ignored.
 
@@ -249,20 +269,29 @@ def parse_trace_jsonl(text: str) -> list:
     A line is decoded by the C scanner when that takes it whole; any other
     line (padded, ending in a carriage return, holding more than one value,
     or not JSON) goes through json.loads, so every event and every error is
-    the one json.loads gives. Equal trace ids, agent ids, event types,
-    contents, attrs keys and string attrs values share one string object,
-    and a ref is the id object of the earlier event it names.
+    the one json.loads gives. So does a line long enough to nest as deep as
+    the recursion limit might allow from here (see _SCANNED). Equal trace
+    ids, agent ids, event types, contents, attrs keys and string attrs
+    values share one string object, and a ref is the id object of the
+    earlier event it names.
     """
     events = []
     share = {}.setdefault
     with _collector_paused():
+        try:
+            _probe()
+            longest = _SCANNED
+        except RecursionError:
+            longest = 0
         for lineno, line in enumerate(text.split("\n"), start=1):
             if not line.strip():
                 continue
-            try:
-                doc, end = schema.scan_once(line, 0)
-            except (StopIteration, ValueError, RecursionError):
-                end = -1
+            end = -1
+            if len(line) < longest:
+                try:
+                    doc, end = schema.scan_once(line, 0)
+                except (StopIteration, ValueError, RecursionError):
+                    pass
             if end != len(line):
                 doc = schema.load_json(line, f"trace line {lineno}", TraceParseError)
             try:
@@ -516,10 +545,8 @@ def normalize_events(graph: AgentBomGraph, events, matcher: DangerMatcher) -> No
             continue
         for ref in dict.fromkeys(event.refs):
             src_kind = _EVENT_KIND[by_id[ref].event_type]
-            stage_src = schema.COGNITIVE_STAGES[src_kind]
-            stage_dst = schema.COGNITIVE_STAGES[kind]
             edge_kind = (
-                EdgeKind.FLOWS_TO if stage_dst == stage_src + 1 else EdgeKind.INFLUENCES
+                EdgeKind.FLOWS_TO if kind.stage == src_kind.stage + 1 else EdgeKind.INFLUENCES
             )
             _add_edge(graph, edge_kind, ref, event.event_id, event.timestamp,
                       {"trace_id": event.trace_id})

@@ -1,9 +1,10 @@
 """Boolean predicate trees evaluated against one graph element.
 
 Predicates are total: a comparison against a missing attribute, or one
-that would have to hash a map or a list, is false, never an error. Values in comparisons are literals or references to the
-current entry element's attributes ({"entry_attr": key}), which lets a rule
-ask questions like "does this element share a danger flag with the entry".
+that would have to hash a map or a list, is false, never an error. Values
+in comparisons are literals or references to the current entry element's
+attributes ({"entry_attr": key}), which lets a rule ask questions like
+"does this element share a danger flag with the entry".
 The neighbor atom is the one predicate that looks past the element itself:
 it tests the incident edges of a node, which entry selection needs.
 
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 from .errors import PredicateError, UnknownKindError
 from .schema import (ENTRY_ATTR, PREDICATE_OPS, EdgeKind, Layer, NodeKind, check_fields,
-                     layer_of, parse_edge_kind, parse_node_kind)
+                     parse_edge_kind, parse_node_kind)
 
 _COMPARATORS = ("==", "!=", "contains", "intersects")
 _LAYER_NAMES = tuple(layer.value for layer in Layer)
@@ -167,11 +168,7 @@ class LayerIs(Predicate):
         self.layer = Layer(layer) if not isinstance(layer, Layer) else layer
 
     def evaluate(self, element, graph=None, entry=None) -> bool:
-        kind = element.kind
-        try:
-            return layer_of(kind) is self.layer
-        except KeyError:
-            return False
+        return getattr(element.kind, "layer", None) is self.layer
 
     def to_dict(self) -> dict:
         return {"op": "layer", "layer": self.layer.value}

@@ -467,9 +467,7 @@ def _keep_tests(clauses, entry, scopes, answers) -> dict:
 
 def _phase_label(entry) -> str:
     """Where in the lifecycle the entry sits: a node's layer, an edge's family."""
-    if isinstance(entry, Edge):
-        return schema.family_of(entry.kind).value
-    return entry.layer.value
+    return (entry.kind.family if isinstance(entry, Edge) else entry.kind.layer).value
 
 
 def evaluate_rule(graph: AgentBomGraph, rule: AuditRule, stats=None) -> list:

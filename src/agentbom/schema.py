@@ -1,13 +1,14 @@
 """Closed vocabularies for the two-layer agent graph and its input documents.
 
-Everything the graph may contain is declared here as data: node kinds and
-their layers, edge kinds and their families, the endpoint-constraint table,
-the per-kind attribute registries, and the flow-orientation table used by
-path traversal. Keeping these as module-level tables means the construction
-checks, the validators, and the traversal engine all read from one place.
-So are the fields of every JSON document the program reads (manifest, trace
-event, graph, rule pack, predicate, matcher pack): one field table per kind
-of object, checked by check_fields.
+Everything the graph may contain is declared here as data. Each node kind
+is one enum row carrying its layer and runtime-loop stage, and each edge
+kind one row carrying its family, its flow orientation (which path
+traversal follows) and the node kinds its endpoints may have; the per-kind
+attribute registries follow. The construction checks, the validators and
+the traversal engine all read from this one place. So are the fields of
+every JSON document the program reads (manifest, trace event, graph, rule
+pack, predicate, matcher pack): one field table per kind of object, checked
+by check_fields.
 """
 
 from __future__ import annotations
@@ -45,59 +46,47 @@ class Layer(_Vocabulary):
 
 
 class NodeKind(_Vocabulary):
-    """Every node kind the graph accepts. The set is closed."""
+    """Every node kind the graph accepts, with its layer and, for a runtime
+    kind, its stage in the cognitive loop. The set is closed.
+
+    Two stages are "consecutive" when they differ by exactly one; that
+    decides whether a reference edge becomes flows_to or influences.
+    """
+
+    def __new__(cls, name: str, layer: Layer, stage: int | None = None):
+        kind = object.__new__(cls)
+        kind._value_ = name  # the wire name
+        kind.layer = layer
+        kind.stage = stage
+        return kind
 
     # -- static capability layer
-    AGENT = "AgentNode"                    # an agent's identity anchor
-    CODE = "CodeNode"                      # code module or dependency
-    LLM = "LLMNode"                        # backing language model
-    PROMPT = "PromptNode"                  # system / role prompt
-    TOOL = "ToolNode"                      # declared callable tool
-    SKILL = "SkillNode"                    # packaged skill bundle
-    LONG_TERM_MEMORY = "LongTermMemoryNode"  # persistent memory store
+    AGENT = "AgentNode", Layer.STATIC                   # an agent's identity anchor
+    CODE = "CodeNode", Layer.STATIC                     # code module or dependency
+    LLM = "LLMNode", Layer.STATIC                       # backing language model
+    PROMPT = "PromptNode", Layer.STATIC                 # system / role prompt
+    TOOL = "ToolNode", Layer.STATIC                     # declared callable tool
+    SKILL = "SkillNode", Layer.STATIC                   # packaged skill bundle
+    LONG_TERM_MEMORY = "LongTermMemoryNode", Layer.STATIC  # persistent memory store
 
-    # -- runtime semantic layer
-    EXTERNAL = "ExternalNode"              # content entering from outside
-    GOAL = "GoalNode"                      # formed task goal
-    CONTEXT = "ContextNode"                # assembled working context
-    REASONING = "ReasoningNode"            # reasoning step
-    DECISION = "DecisionNode"              # committed decision
-    ACTION = "ActionNode"                  # performed action
-    OBSERVATION = "ObservationNode"        # observed action result
-    OUTPUT = "OutputNode"                  # emitted output
+    # -- runtime semantic layer, in stage order
+    EXTERNAL = "ExternalNode", Layer.RUNTIME, 0         # content entering from outside
+    GOAL = "GoalNode", Layer.RUNTIME, 1                 # formed task goal
+    CONTEXT = "ContextNode", Layer.RUNTIME, 2           # assembled working context
+    REASONING = "ReasoningNode", Layer.RUNTIME, 3       # reasoning step
+    DECISION = "DecisionNode", Layer.RUNTIME, 4         # committed decision
+    ACTION = "ActionNode", Layer.RUNTIME, 5             # performed action
+    OBSERVATION = "ObservationNode", Layer.RUNTIME, 6   # observed action result
+    OUTPUT = "OutputNode", Layer.RUNTIME, 7             # emitted output
 
     # -- auxiliary objects
-    ENVIRONMENT = "EnvironmentNode"        # affected environment
-    ARTIFACT = "ArtifactNode"              # produced or touched artifact
+    ENVIRONMENT = "EnvironmentNode", Layer.AUXILIARY    # affected environment
+    ARTIFACT = "ArtifactNode", Layer.AUXILIARY          # produced or touched artifact
 
 
-_LAYER_OF_KIND = {
-    NodeKind.AGENT: Layer.STATIC,
-    NodeKind.CODE: Layer.STATIC,
-    NodeKind.LLM: Layer.STATIC,
-    NodeKind.PROMPT: Layer.STATIC,
-    NodeKind.TOOL: Layer.STATIC,
-    NodeKind.SKILL: Layer.STATIC,
-    NodeKind.LONG_TERM_MEMORY: Layer.STATIC,
-    NodeKind.EXTERNAL: Layer.RUNTIME,
-    NodeKind.GOAL: Layer.RUNTIME,
-    NodeKind.CONTEXT: Layer.RUNTIME,
-    NodeKind.REASONING: Layer.RUNTIME,
-    NodeKind.DECISION: Layer.RUNTIME,
-    NodeKind.ACTION: Layer.RUNTIME,
-    NodeKind.OBSERVATION: Layer.RUNTIME,
-    NodeKind.OUTPUT: Layer.RUNTIME,
-    NodeKind.ENVIRONMENT: Layer.AUXILIARY,
-    NodeKind.ARTIFACT: Layer.AUXILIARY,
-}
-
-STATIC_KINDS = frozenset(k for k, l in _LAYER_OF_KIND.items() if l is Layer.STATIC)
-RUNTIME_KINDS = frozenset(k for k, l in _LAYER_OF_KIND.items() if l is Layer.RUNTIME)
-AUXILIARY_KINDS = frozenset(k for k, l in _LAYER_OF_KIND.items() if l is Layer.AUXILIARY)
-
-
-def layer_of(kind: NodeKind) -> Layer:
-    return _LAYER_OF_KIND[kind]
+STATIC_KINDS = frozenset(k for k in NodeKind if k.layer is Layer.STATIC)
+RUNTIME_KINDS = frozenset(k for k in NodeKind if k.layer is Layer.RUNTIME)
+AUXILIARY_KINDS = frozenset(k for k in NodeKind if k.layer is Layer.AUXILIARY)
 
 
 _NODE_KIND_OF_NAME = {kind.value: kind for kind in NodeKind}
@@ -111,23 +100,8 @@ def parse_node_kind(name: str) -> NodeKind:
         raise UnknownKindError(f"unknown node kind {name!r}") from None
 
 
-# Stage order of the runtime cognitive loop. Two stages are "consecutive"
-# when their indices differ by exactly one; that choice decides whether a
-# reference edge becomes flows_to or influences.
-COGNITIVE_STAGES = {
-    NodeKind.EXTERNAL: 0,
-    NodeKind.GOAL: 1,
-    NodeKind.CONTEXT: 2,
-    NodeKind.REASONING: 3,
-    NodeKind.DECISION: 4,
-    NodeKind.ACTION: 5,
-    NodeKind.OBSERVATION: 6,
-    NodeKind.OUTPUT: 7,
-}
-
-
 # ===========================================================================
-# edge kinds, families, endpoint constraints
+# edge kinds: families, flow orientation, endpoint kinds
 # ===========================================================================
 
 
@@ -138,79 +112,78 @@ class EdgeFamily(_Vocabulary):
     PROPAGATION = "propagation"  # content crossing agent boundaries
 
 
+# Traversal follows content flow, not arrow direction. WITH means content
+# moves source -> target; INV means the arrow records an access and content
+# moves target -> source (reads_from: the reader points at the store, but
+# the store's content flows into the reader); BOTH couples the endpoints in
+# either direction (invokes: the invoking action is both the provenance and
+# the impact channel of the tool).
+
+
+class Flow(_Vocabulary):
+    WITH = "with"
+    INV = "inv"
+    BOTH = "both"
+
+
+_N = NodeKind
+_STRUCTURAL, _EVOLUTION = EdgeFamily.STRUCTURAL, EdgeFamily.EVOLUTION
+_BINDING, _PROPAGATION = EdgeFamily.BINDING, EdgeFamily.PROPAGATION
+
+
 class EdgeKind(_Vocabulary):
-    """Every edge kind the graph accepts. The set is closed."""
+    """Every edge kind the graph accepts, with its family, its flow, and the
+    node kinds its source and its target may have; add_edge rejects any
+    other pairing. The set is closed."""
 
-    # -- structural
-    HAS_PROMPT = "has_prompt"
-    USES_MODEL = "uses_model"
-    LOADS_TOOL = "loads_tool"
-    LOADS_SKILL = "loads_skill"
-    DEPENDS_ON = "depends_on"
+    def __new__(cls, name: str, family: EdgeFamily, flow: Flow, sources, targets):
+        kind = object.__new__(cls)
+        kind._value_ = name  # the wire name
+        kind.family = family
+        kind.flow = flow
+        kind.sources = frozenset(sources)
+        kind.targets = frozenset(targets)
+        return kind
 
-    # -- evolution
-    FLOWS_TO = "flows_to"
-    TRANSITIONS_TO = "transitions_to"
-    INFLUENCES = "influences"
-    ACTS_ON = "acts_on"
-    EMITS = "emits"
+    HAS_PROMPT = "has_prompt", _STRUCTURAL, Flow.INV, {_N.AGENT}, {_N.PROMPT}
+    USES_MODEL = "uses_model", _STRUCTURAL, Flow.INV, {_N.AGENT}, {_N.LLM}
+    LOADS_TOOL = "loads_tool", _STRUCTURAL, Flow.INV, {_N.AGENT}, {_N.TOOL}
+    LOADS_SKILL = "loads_skill", _STRUCTURAL, Flow.INV, {_N.AGENT}, {_N.SKILL}
+    DEPENDS_ON = "depends_on", _STRUCTURAL, Flow.INV, {_N.AGENT, _N.CODE}, {_N.CODE}
 
-    # -- binding
-    READS_FROM = "reads_from"
-    SELECTS = "selects"
-    INVOKES = "invokes"
-    WRITES_TO = "writes_to"
-    UPDATES = "updates"
+    FLOWS_TO = "flows_to", _EVOLUTION, Flow.WITH, RUNTIME_KINDS, RUNTIME_KINDS
+    TRANSITIONS_TO = "transitions_to", _EVOLUTION, Flow.WITH, RUNTIME_KINDS, RUNTIME_KINDS
+    INFLUENCES = "influences", _EVOLUTION, Flow.WITH, RUNTIME_KINDS, RUNTIME_KINDS
+    ACTS_ON = ("acts_on", _EVOLUTION, Flow.WITH, {_N.ACTION},
+               {_N.ENVIRONMENT, _N.ARTIFACT})
+    EMITS = "emits", _EVOLUTION, Flow.WITH, RUNTIME_KINDS, {_N.OBSERVATION}
 
-    # -- propagation
-    SENDS_TO = "sends_to"
-    DELEGATES_TO = "delegates_to"
-    RESPONDS_TO = "responds_to"
-    SHARES_CONTEXT_WITH = "shares_context_with"
-    SHARES_MEMORY_WITH = "shares_memory_with"
+    READS_FROM = ("reads_from", _BINDING, Flow.INV, {_N.CONTEXT, _N.REASONING},
+                  {_N.LONG_TERM_MEMORY})
+    SELECTS = "selects", _BINDING, Flow.INV, {_N.DECISION}, {_N.TOOL, _N.SKILL}
+    INVOKES = "invokes", _BINDING, Flow.BOTH, {_N.ACTION}, {_N.TOOL}
+    WRITES_TO = ("writes_to", _BINDING, Flow.WITH, {_N.ACTION, _N.OBSERVATION, _N.OUTPUT},
+                 {_N.LONG_TERM_MEMORY, _N.ARTIFACT})
+    UPDATES = "updates", _BINDING, Flow.WITH, RUNTIME_KINDS, STATIC_KINDS
+
+    SENDS_TO = ("sends_to", _PROPAGATION, Flow.WITH, {_N.OUTPUT, _N.ACTION},
+                {_N.EXTERNAL, _N.CONTEXT})
+    DELEGATES_TO = ("delegates_to", _PROPAGATION, Flow.WITH, {_N.AGENT, _N.DECISION},
+                    {_N.AGENT})
+    RESPONDS_TO = ("responds_to", _PROPAGATION, Flow.INV, {_N.OUTPUT, _N.ACTION},
+                   {_N.EXTERNAL, _N.CONTEXT, _N.GOAL})
+    SHARES_CONTEXT_WITH = ("shares_context_with", _PROPAGATION, Flow.WITH,
+                           {_N.AGENT, _N.CONTEXT}, {_N.AGENT, _N.CONTEXT})
+    SHARES_MEMORY_WITH = ("shares_memory_with", _PROPAGATION, Flow.INV, {_N.AGENT},
+                          {_N.LONG_TERM_MEMORY})
 
 
-_FAMILY_OF_KIND = {
-    EdgeKind.HAS_PROMPT: EdgeFamily.STRUCTURAL,
-    EdgeKind.USES_MODEL: EdgeFamily.STRUCTURAL,
-    EdgeKind.LOADS_TOOL: EdgeFamily.STRUCTURAL,
-    EdgeKind.LOADS_SKILL: EdgeFamily.STRUCTURAL,
-    EdgeKind.DEPENDS_ON: EdgeFamily.STRUCTURAL,
-    EdgeKind.FLOWS_TO: EdgeFamily.EVOLUTION,
-    EdgeKind.TRANSITIONS_TO: EdgeFamily.EVOLUTION,
-    EdgeKind.INFLUENCES: EdgeFamily.EVOLUTION,
-    EdgeKind.ACTS_ON: EdgeFamily.EVOLUTION,
-    EdgeKind.EMITS: EdgeFamily.EVOLUTION,
-    EdgeKind.READS_FROM: EdgeFamily.BINDING,
-    EdgeKind.SELECTS: EdgeFamily.BINDING,
-    EdgeKind.INVOKES: EdgeFamily.BINDING,
-    EdgeKind.WRITES_TO: EdgeFamily.BINDING,
-    EdgeKind.UPDATES: EdgeFamily.BINDING,
-    EdgeKind.SENDS_TO: EdgeFamily.PROPAGATION,
-    EdgeKind.DELEGATES_TO: EdgeFamily.PROPAGATION,
-    EdgeKind.RESPONDS_TO: EdgeFamily.PROPAGATION,
-    EdgeKind.SHARES_CONTEXT_WITH: EdgeFamily.PROPAGATION,
-    EdgeKind.SHARES_MEMORY_WITH: EdgeFamily.PROPAGATION,
-}
-
-PROPAGATION_KINDS = frozenset(
-    k for k, f in _FAMILY_OF_KIND.items() if f is EdgeFamily.PROPAGATION
-)
-
-# Family alias accepted wherever a set of edge kinds is written down.
+# Family aliases, accepted wherever a set of edge kinds is written down.
 AGENT_PROPAGATION_ALIAS = "AgentPropagationEdge"
 
-_FAMILY_ALIASES = {
-    AGENT_PROPAGATION_ALIAS: PROPAGATION_KINDS,
-    "structural": frozenset(k for k, f in _FAMILY_OF_KIND.items() if f is EdgeFamily.STRUCTURAL),
-    "evolution": frozenset(k for k, f in _FAMILY_OF_KIND.items() if f is EdgeFamily.EVOLUTION),
-    "binding": frozenset(k for k, f in _FAMILY_OF_KIND.items() if f is EdgeFamily.BINDING),
-    "propagation": PROPAGATION_KINDS,
-}
-
-
-def family_of(kind: EdgeKind) -> EdgeFamily:
-    return _FAMILY_OF_KIND[kind]
+_FAMILY_ALIASES = {family.value: frozenset(k for k in EdgeKind if k.family is family)
+                   for family in EdgeFamily}
+PROPAGATION_KINDS = _FAMILY_ALIASES[AGENT_PROPAGATION_ALIAS] = _FAMILY_ALIASES["propagation"]
 
 
 _EDGE_KIND_OF_NAME = {kind.value: kind for kind in EdgeKind}
@@ -234,104 +207,6 @@ def expand_edge_kinds(names) -> frozenset[EdgeKind]:
         else:
             out.add(parse_edge_kind(name))
     return frozenset(out)
-
-
-# Endpoint-constraint table: edge kind -> (allowed source kinds, allowed
-# target kinds). add_edge rejects any pairing outside this table.
-ENDPOINT_TABLE: dict[EdgeKind, tuple[frozenset[NodeKind], frozenset[NodeKind]]] = {
-    EdgeKind.HAS_PROMPT: (frozenset({NodeKind.AGENT}), frozenset({NodeKind.PROMPT})),
-    EdgeKind.USES_MODEL: (frozenset({NodeKind.AGENT}), frozenset({NodeKind.LLM})),
-    EdgeKind.LOADS_TOOL: (frozenset({NodeKind.AGENT}), frozenset({NodeKind.TOOL})),
-    EdgeKind.LOADS_SKILL: (frozenset({NodeKind.AGENT}), frozenset({NodeKind.SKILL})),
-    EdgeKind.DEPENDS_ON: (
-        frozenset({NodeKind.AGENT, NodeKind.CODE}),
-        frozenset({NodeKind.CODE}),
-    ),
-    EdgeKind.FLOWS_TO: (RUNTIME_KINDS, RUNTIME_KINDS),
-    EdgeKind.TRANSITIONS_TO: (RUNTIME_KINDS, RUNTIME_KINDS),
-    EdgeKind.INFLUENCES: (RUNTIME_KINDS, RUNTIME_KINDS),
-    EdgeKind.ACTS_ON: (
-        frozenset({NodeKind.ACTION}),
-        frozenset({NodeKind.ENVIRONMENT, NodeKind.ARTIFACT}),
-    ),
-    EdgeKind.EMITS: (RUNTIME_KINDS, frozenset({NodeKind.OBSERVATION})),
-    EdgeKind.READS_FROM: (
-        frozenset({NodeKind.CONTEXT, NodeKind.REASONING}),
-        frozenset({NodeKind.LONG_TERM_MEMORY}),
-    ),
-    EdgeKind.SELECTS: (
-        frozenset({NodeKind.DECISION}),
-        frozenset({NodeKind.TOOL, NodeKind.SKILL}),
-    ),
-    EdgeKind.INVOKES: (frozenset({NodeKind.ACTION}), frozenset({NodeKind.TOOL})),
-    EdgeKind.WRITES_TO: (
-        frozenset({NodeKind.ACTION, NodeKind.OBSERVATION, NodeKind.OUTPUT}),
-        frozenset({NodeKind.LONG_TERM_MEMORY, NodeKind.ARTIFACT}),
-    ),
-    EdgeKind.UPDATES: (RUNTIME_KINDS, STATIC_KINDS),
-    EdgeKind.SENDS_TO: (
-        frozenset({NodeKind.OUTPUT, NodeKind.ACTION}),
-        frozenset({NodeKind.EXTERNAL, NodeKind.CONTEXT}),
-    ),
-    EdgeKind.DELEGATES_TO: (
-        frozenset({NodeKind.AGENT, NodeKind.DECISION}),
-        frozenset({NodeKind.AGENT}),
-    ),
-    EdgeKind.RESPONDS_TO: (
-        frozenset({NodeKind.OUTPUT, NodeKind.ACTION}),
-        frozenset({NodeKind.EXTERNAL, NodeKind.CONTEXT, NodeKind.GOAL}),
-    ),
-    EdgeKind.SHARES_CONTEXT_WITH: (
-        frozenset({NodeKind.AGENT, NodeKind.CONTEXT}),
-        frozenset({NodeKind.AGENT, NodeKind.CONTEXT}),
-    ),
-    EdgeKind.SHARES_MEMORY_WITH: (
-        frozenset({NodeKind.AGENT}),
-        frozenset({NodeKind.LONG_TERM_MEMORY}),
-    ),
-}
-
-
-# ===========================================================================
-# flow orientation
-# ===========================================================================
-
-# Traversal follows content flow, not arrow direction. WITH means content
-# moves source -> target; INV means the arrow records an access and content
-# moves target -> source (reads_from: the reader points at the store, but
-# the store's content flows into the reader); BOTH couples the endpoints in
-# either direction (invokes: the invoking action is both the provenance and
-# the impact channel of the tool).
-
-
-class Flow(_Vocabulary):
-    WITH = "with"
-    INV = "inv"
-    BOTH = "both"
-
-
-FLOW_OF_KIND: dict[EdgeKind, Flow] = {
-    EdgeKind.HAS_PROMPT: Flow.INV,
-    EdgeKind.USES_MODEL: Flow.INV,
-    EdgeKind.LOADS_TOOL: Flow.INV,
-    EdgeKind.LOADS_SKILL: Flow.INV,
-    EdgeKind.DEPENDS_ON: Flow.INV,
-    EdgeKind.FLOWS_TO: Flow.WITH,
-    EdgeKind.TRANSITIONS_TO: Flow.WITH,
-    EdgeKind.INFLUENCES: Flow.WITH,
-    EdgeKind.ACTS_ON: Flow.WITH,
-    EdgeKind.EMITS: Flow.WITH,
-    EdgeKind.READS_FROM: Flow.INV,
-    EdgeKind.SELECTS: Flow.INV,
-    EdgeKind.INVOKES: Flow.BOTH,
-    EdgeKind.WRITES_TO: Flow.WITH,
-    EdgeKind.UPDATES: Flow.WITH,
-    EdgeKind.SENDS_TO: Flow.WITH,
-    EdgeKind.DELEGATES_TO: Flow.WITH,
-    EdgeKind.RESPONDS_TO: Flow.INV,
-    EdgeKind.SHARES_CONTEXT_WITH: Flow.WITH,
-    EdgeKind.SHARES_MEMORY_WITH: Flow.INV,
-}
 
 
 # ===========================================================================
@@ -457,7 +332,7 @@ _EDGE_PROPAGATION_KEYS = frozenset(
 _NODE_KEYS = {kind: _NODE_COMMON_KEYS | extra for kind, extra in _NODE_EXTRA_KEYS.items()}
 _EDGE_KEYS = {
     kind: (_EDGE_COMMON_KEYS | _EDGE_PROPAGATION_KEYS
-           if family_of(kind) is EdgeFamily.PROPAGATION else _EDGE_COMMON_KEYS)
+           if kind.family is EdgeFamily.PROPAGATION else _EDGE_COMMON_KEYS)
     for kind in EdgeKind
 }
 

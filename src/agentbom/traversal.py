@@ -1,6 +1,6 @@
 """Path tracing over the graph, following content flow forward in time.
 
-Each edge kind has a flow orientation (schema.FLOW_OF_KIND): most arrows
+Each edge kind has a flow orientation (its schema.Flow): most arrows
 point the way content moves, access-style arrows (reads_from, selects, the
 structural loads) point the other way, and invokes couples its endpoints in
 both directions. A forward trace follows flow away from the start node; a
@@ -263,8 +263,8 @@ class TraceContext:
         self.answers = Answers(graph) if answers is None else answers
         self.forward = spec.direction == FORWARD
         self.flows = {  # edge kind -> its flow, for the kinds the spec may cross
-            kind: schema.FLOW_OF_KIND[kind] for kind in spec.allowed_edge_kinds
-            if spec.cross_agent or schema.family_of(kind) is not schema.EdgeFamily.PROPAGATION}
+            kind: kind.flow for kind in spec.allowed_edge_kinds
+            if spec.cross_agent or kind.family is not schema.EdgeFamily.PROPAGATION}
         self.steps = {}   # node id -> (timed steps, untimed steps)
         # terminal answer key (see predicates.Answers.key) -> (node facts,
         # components, moves of traces without keep marks)

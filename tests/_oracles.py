@@ -17,7 +17,7 @@ import re
 from datetime import datetime, timezone
 
 from agentbom.graph import AgentBomGraph, AgentDescriptor, Edge, Node
-from agentbom.schema import ENDPOINT_TABLE, EdgeKind, Layer, NodeKind, layer_of
+from agentbom.schema import EdgeKind, Layer, NodeKind
 
 # Restated by hand: "with" means content moves along the arrow, "inv" means
 # the arrow records an access and content moves against it, "both" couples
@@ -61,7 +61,7 @@ def _instant(text):
 
 def _time_of_node(node):
     """Only runtime nodes carry time; a static node passes time through."""
-    if layer_of(node.kind) is Layer.RUNTIME and node.timestamp:
+    if node.kind.layer is Layer.RUNTIME and node.timestamp:
         return _instant(node.timestamp)
     return None
 
@@ -298,7 +298,7 @@ def random_graph(rng: random.Random, max_nodes: int = 50,
         if rng.random() < 0.25:
             attrs["trust_level"] = rng.choice(("trusted", "untrusted"))
         node = Node(node_id=f"n{i}", kind=kind, attributes=attrs)
-        if layer_of(kind) is Layer.RUNTIME:
+        if kind.layer is Layer.RUNTIME:
             node.agent_id = rng.choice(agents)
             node.trace_id = "t0"
             node.timestamp = rng.choice(_STAMPS) if timed else _STAMP
@@ -317,7 +317,7 @@ def random_graph(rng: random.Random, max_nodes: int = 50,
         # the table holds frozensets of enum members, which hash by name and
         # so iterate in an order that changes with PYTHONHASHSEED
         src_kinds, tgt_kinds = (sorted(kinds, key=lambda k: k.value)
-                                for kinds in ENDPOINT_TABLE[kind])
+                                for kinds in (kind.sources, kind.targets))
         src_pool = [n for k in src_kinds for n in by_kind.get(k, ())]
         tgt_pool = [n for k in tgt_kinds for n in by_kind.get(k, ())]
         if not src_pool or not tgt_pool:
@@ -356,7 +356,7 @@ def random_dag(rng: random.Random, nodes: int = 24,
     """
     graph = AgentBomGraph()
     graph.add_agent(AgentDescriptor("a0", "worker", ""))
-    runtime = sorted((k for k in NodeKind if layer_of(k) is Layer.RUNTIME),
+    runtime = sorted((k for k in NodeKind if k.layer is Layer.RUNTIME),
                      key=lambda k: k.value)
     for t in range(2):
         graph.add_node(Node(node_id=f"tool{t}", kind=NodeKind.TOOL))

@@ -1,9 +1,9 @@
 """The acceptance gauntlet for the whole pipeline.
 
 Eight checks, one test each, in a fixed order: scenario replay, benign
-silence, traversal versus brute force, edge insertion versus the endpoint
-table, finding self-verification, evidence ablation, byte determinism,
-and the builtin entry anchors. Every test prints a single PASS line with
+silence, traversal versus brute force, edge insertion versus each edge
+kind's endpoint kinds, finding self-verification, evidence ablation, byte
+determinism, and the builtin entry anchors. Every test prints a single PASS line with
 its numbers when it succeeds (run with -s to see them).
 """
 
@@ -20,9 +20,10 @@ from agentbom.errors import EndpointKindError
 from agentbom.graph import AgentBomGraph, AgentDescriptor, Edge, Node
 from agentbom.rules import audit, builtin_rules
 from agentbom.scenarios import SCENARIO_IDS, generate
-from agentbom.schema import ENDPOINT_TABLE, EdgeKind, Layer, NodeKind, layer_of
+from agentbom.schema import EdgeKind, Layer, NodeKind
 from agentbom.traversal import PathSpec, trace
 
+from _fixture_edits import without_node
 from _oracles import (
     enumerate_paths,
     oracle_trace,
@@ -126,7 +127,7 @@ def _endpoint_probe(src_kind, tgt_kind, edge_kind):
     graph.add_agent(AgentDescriptor("a2", "two", ""))
     for node_id, kind, agent in (("s", src_kind, "a1"), ("t", tgt_kind, "a2")):
         node = Node(node_id=node_id, kind=kind)
-        if layer_of(kind) is Layer.RUNTIME:
+        if kind.layer is Layer.RUNTIME:
             node.agent_id = agent
             node.trace_id = "t0"
             node.timestamp = "2026-03-01T00:00:00Z"
@@ -144,15 +145,14 @@ def test_edge_insertion_matches_the_endpoint_table():
         src = rng.choice(node_kinds)
         tgt = rng.choice(node_kinds)
         kind = rng.choice(edge_kinds)
-        allowed_src, allowed_tgt = ENDPOINT_TABLE[kind]
-        should_accept = src in allowed_src and tgt in allowed_tgt
+        should_accept = src in kind.sources and tgt in kind.targets
         if should_accept:
             _endpoint_probe(src, tgt, kind)  # raises on a false reject
             accepted += 1
         else:
             with pytest.raises(EndpointKindError):
                 _endpoint_probe(src, tgt, kind)
-    print(f"PASS edge insertion agreed with the endpoint table on "
+    print(f"PASS edge insertion agreed with the edge kinds' endpoint kinds on "
           f"{trials} random kind triples ({accepted} accepted)")
 
 
@@ -194,7 +194,7 @@ def test_removing_any_evidence_node_kills_the_finding(fixtures, graphs):
                 e for e in finding.element_ids() if e in graph.nodes
             )
             for node_id in nodes_on_path:
-                surviving = audit(fx.without_node(node_id).build()).findings
+                surviving = audit(without_node(fx, node_id).build()).findings
                 keys = {(f.risk_id, f.entry) for f in surviving}
                 assert (finding.risk_id, finding.entry) not in keys, (
                     sid, finding.risk_id, finding.entry, node_id,

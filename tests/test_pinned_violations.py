@@ -80,7 +80,7 @@ def _first(table: dict, test=lambda element: True):
 
 
 def _runtime(node) -> bool:
-    return schema.layer_of(node.kind) is Layer.RUNTIME
+    return node.kind.layer is Layer.RUNTIME
 
 
 class _Text(str):
@@ -157,8 +157,7 @@ def _endpoint_kind(graph):
     edge = _first(graph.edges)
     source, target = graph.nodes[edge.source].kind, graph.nodes[edge.target].kind
     edge.kind = next(kind for kind in EdgeKind
-                     if source not in schema.ENDPOINT_TABLE[kind][0]
-                     or target not in schema.ENDPOINT_TABLE[kind][1])
+                     if source not in kind.sources or target not in kind.targets)
 
 
 def _cross_agent(graph):

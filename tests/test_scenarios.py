@@ -15,6 +15,8 @@ from agentbom.ingestion import (
 from agentbom.rules import audit
 from agentbom.scenarios import SCENARIO_IDS, generate
 
+from _fixture_edits import without_node
+
 
 def test_scenario_roster():
     assert SCENARIO_IDS == (
@@ -88,17 +90,17 @@ def test_write_round_trips_and_is_byte_stable(tmp_path, fixtures):
 
 def test_removing_an_unknown_node_is_an_error(fixtures):
     with pytest.raises(ValueError):
-        fixtures["benign_baseline"].without_node("nothing.here")
+        without_node(fixtures["benign_baseline"], "nothing.here")
 
 
 def test_cannot_remove_the_only_agent(fixtures):
     with pytest.raises(ValueError):
-        fixtures["benign_baseline"].without_node("agent.assistant")
+        without_node(fixtures["benign_baseline"], "agent.assistant")
 
 
 def test_runtime_removal_ripples_through_references(fixtures):
     fx = fixtures["memory_poisoning_tool_misuse"]
-    pruned = fx.without_node("ext.assistant.01")
+    pruned = without_node(fx, "ext.assistant.01")
     survivors = {e.event_id for e in pruned.events}
     # the poison session dies outright; the replay session survives only
     # until the memory read that would have returned the dropped write
@@ -111,7 +113,7 @@ def test_runtime_removal_ripples_through_references(fixtures):
 
 def test_static_removal_prunes_manifest_and_usages(fixtures):
     fx = fixtures["memory_poisoning_tool_misuse"]
-    pruned = fx.without_node("tool.exec")
+    pruned = without_node(fx, "tool.exec")
     assert all(not a["tools"] for a in pruned.manifest.agents)
     survivors = {e.event_id for e in pruned.events}
     assert "act.assistant.14" not in survivors  # the invocation
@@ -123,7 +125,7 @@ def test_static_removal_prunes_manifest_and_usages(fixtures):
 
 def test_store_removal_takes_reads_and_writes_with_it(fixtures):
     fx = fixtures["benign_baseline"]
-    pruned = fx.without_node("mem.assistant_notes")
+    pruned = without_node(fx, "mem.assistant_notes")
     survivors = {e.event_id for e in pruned.events}
     assert "act.assistant.06" not in survivors
     assert "act.assistant.07" not in survivors
@@ -134,7 +136,7 @@ def test_store_removal_takes_reads_and_writes_with_it(fixtures):
 
 def test_prompt_removal_empties_the_manifest_entry(fixtures):
     fx = fixtures["privilege_trust_abuse"]
-    pruned = fx.without_node("prompt.planner")
+    pruned = without_node(fx, "prompt.planner")
     graph = pruned.build()
     assert "prompt.planner" not in graph.nodes
     assert "prompt.executor" in graph.nodes

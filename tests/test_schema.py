@@ -9,9 +9,77 @@ from agentbom.ingestion import TraceEvent
 from agentbom.schema import EdgeFamily, EdgeKind, Flow, Layer, NodeKind
 
 
-def test_every_node_kind_has_a_layer():
-    for kind in NodeKind:
-        assert schema.layer_of(kind) in Layer
+# Every kind's facts, written out by hand: a node kind's layer and stage in
+# the runtime loop, and an edge kind's family, flow and the node kinds its
+# source and target may have. Kinds go by their wire names.
+_RUNTIME = ("ExternalNode GoalNode ContextNode ReasoningNode DecisionNode ActionNode "
+            "ObservationNode OutputNode")
+_STATIC = "AgentNode CodeNode LLMNode PromptNode ToolNode SkillNode LongTermMemoryNode"
+
+NODE_FACTS = {
+    "AgentNode": ("static", None),
+    "CodeNode": ("static", None),
+    "LLMNode": ("static", None),
+    "PromptNode": ("static", None),
+    "ToolNode": ("static", None),
+    "SkillNode": ("static", None),
+    "LongTermMemoryNode": ("static", None),
+    "ExternalNode": ("runtime", 0),
+    "GoalNode": ("runtime", 1),
+    "ContextNode": ("runtime", 2),
+    "ReasoningNode": ("runtime", 3),
+    "DecisionNode": ("runtime", 4),
+    "ActionNode": ("runtime", 5),
+    "ObservationNode": ("runtime", 6),
+    "OutputNode": ("runtime", 7),
+    "EnvironmentNode": ("auxiliary", None),
+    "ArtifactNode": ("auxiliary", None),
+}
+
+EDGE_FACTS = {
+    "has_prompt": ("structural", "inv", "AgentNode", "PromptNode"),
+    "uses_model": ("structural", "inv", "AgentNode", "LLMNode"),
+    "loads_tool": ("structural", "inv", "AgentNode", "ToolNode"),
+    "loads_skill": ("structural", "inv", "AgentNode", "SkillNode"),
+    "depends_on": ("structural", "inv", "AgentNode CodeNode", "CodeNode"),
+    "flows_to": ("evolution", "with", _RUNTIME, _RUNTIME),
+    "transitions_to": ("evolution", "with", _RUNTIME, _RUNTIME),
+    "influences": ("evolution", "with", _RUNTIME, _RUNTIME),
+    "acts_on": ("evolution", "with", "ActionNode", "EnvironmentNode ArtifactNode"),
+    "emits": ("evolution", "with", _RUNTIME, "ObservationNode"),
+    "reads_from": ("binding", "inv", "ContextNode ReasoningNode", "LongTermMemoryNode"),
+    "selects": ("binding", "inv", "DecisionNode", "ToolNode SkillNode"),
+    "invokes": ("binding", "both", "ActionNode", "ToolNode"),
+    "writes_to": ("binding", "with", "ActionNode ObservationNode OutputNode",
+                  "LongTermMemoryNode ArtifactNode"),
+    "updates": ("binding", "with", _RUNTIME, _STATIC),
+    "sends_to": ("propagation", "with", "OutputNode ActionNode", "ExternalNode ContextNode"),
+    "delegates_to": ("propagation", "with", "AgentNode DecisionNode", "AgentNode"),
+    "responds_to": ("propagation", "inv", "OutputNode ActionNode",
+                    "ExternalNode ContextNode GoalNode"),
+    "shares_context_with": ("propagation", "with", "AgentNode ContextNode",
+                            "AgentNode ContextNode"),
+    "shares_memory_with": ("propagation", "inv", "AgentNode", "LongTermMemoryNode"),
+}
+
+
+def _node_facts(kind):
+    return kind.layer.value, kind.stage
+
+
+def _edge_facts(kind):
+    return (kind.family.value, kind.flow.value,
+            frozenset(k.value for k in kind.sources), frozenset(k.value for k in kind.targets))
+
+
+def test_every_node_kind_has_its_layer_and_stage():
+    assert {kind.value: _node_facts(kind) for kind in NodeKind} == NODE_FACTS
+
+
+def test_every_edge_kind_has_its_family_flow_and_endpoint_kinds():
+    assert {kind.value: _edge_facts(kind) for kind in EdgeKind} == {
+        name: (family, flow, frozenset(sources.split()), frozenset(targets.split()))
+        for name, (family, flow, sources, targets) in EDGE_FACTS.items()}
 
 
 def test_layer_partition_sizes():
@@ -21,18 +89,6 @@ def test_layer_partition_sizes():
     assert schema.STATIC_KINDS | schema.RUNTIME_KINDS | schema.AUXILIARY_KINDS == set(
         NodeKind
     )
-
-
-def test_every_edge_kind_has_a_family():
-    per_family = {family: 0 for family in EdgeFamily}
-    for kind in EdgeKind:
-        per_family[schema.family_of(kind)] += 1
-    assert per_family == {
-        EdgeFamily.STRUCTURAL: 5,
-        EdgeFamily.EVOLUTION: 5,
-        EdgeFamily.BINDING: 5,
-        EdgeFamily.PROPAGATION: 5,
-    }
 
 
 def test_parse_node_kind_round_trip_and_rejection():
@@ -95,18 +151,10 @@ def test_expand_edge_kinds_accepts_names_enums_and_aliases():
         schema.expand_edge_kinds(["no_such_family"])
 
 
-def test_endpoint_table_covers_every_edge_kind():
-    assert set(schema.ENDPOINT_TABLE) == set(EdgeKind)
-    for sources, targets in schema.ENDPOINT_TABLE.values():
-        assert sources and targets
-
-
 def test_flow_orientation_table():
     # The access-style arrows carry content against their direction; invokes
     # couples both ways; everything else flows with the arrow.
-    inverted = {
-        kind for kind, flow in schema.FLOW_OF_KIND.items() if flow is Flow.INV
-    }
+    inverted = {kind for kind in EdgeKind if kind.flow is Flow.INV}
     assert inverted == {
         EdgeKind.HAS_PROMPT,
         EdgeKind.USES_MODEL,
@@ -118,13 +166,12 @@ def test_flow_orientation_table():
         EdgeKind.RESPONDS_TO,
         EdgeKind.SHARES_MEMORY_WITH,
     }
-    both = {kind for kind, flow in schema.FLOW_OF_KIND.items() if flow is Flow.BOTH}
+    both = {kind for kind in EdgeKind if kind.flow is Flow.BOTH}
     assert both == {EdgeKind.INVOKES}
-    assert set(schema.FLOW_OF_KIND) == set(EdgeKind)
 
 
 def test_cognitive_stage_order():
-    ordered = sorted(schema.COGNITIVE_STAGES, key=schema.COGNITIVE_STAGES.get)
+    ordered = sorted(schema.RUNTIME_KINDS, key=lambda kind: kind.stage)
     assert ordered == [
         NodeKind.EXTERNAL,
         NodeKind.GOAL,
@@ -135,7 +182,7 @@ def test_cognitive_stage_order():
         NodeKind.OBSERVATION,
         NodeKind.OUTPUT,
     ]
-    assert set(schema.COGNITIVE_STAGES.values()) == set(range(8))
+    assert [kind.stage for kind in ordered] == list(range(8))
 
 
 def test_common_attribute_keys_are_allowed_everywhere():

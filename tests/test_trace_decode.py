@@ -20,7 +20,7 @@ import pytest
 
 from test_fuzz import _DOCUMENTS, MUTANTS_PER_DOCUMENT, _mutate
 
-from agentbom import scenarios, schema
+from agentbom import ingestion, scenarios, schema
 from agentbom.errors import AgentBomError, TraceParseError
 from agentbom.ingestion import TraceEvent, parse_trace_jsonl
 
@@ -144,3 +144,59 @@ def test_odd_lines_decode_as_the_referee(line):
 def test_crlf_trace_parses_as_its_lf_copy():
     text = _fixture_trace("benign_baseline", 0)
     assert parse_trace_jsonl(text.replace("\n", "\r\n")) == parse_trace_jsonl(text)
+
+
+def _deep_outcome(parse, text):
+    """The events' count and the nesting of the last one's attrs value, or
+    the error's class and message; repr and == would recurse past the
+    limit on such a value."""
+    try:
+        events = parse(text)
+    except AgentBomError as exc:
+        return type(exc).__name__, str(exc)
+    value, depth = events[-1].attrs["v"], 0
+    while isinstance(value, list):
+        value, depth = (value[0] if value else None), depth + 1
+    return len(events), depth
+
+
+def test_lines_nested_near_the_recursion_limit_decode_as_the_referee():
+    # the scanner alone runs a few frames shallower than json.loads, so on
+    # 3.11, whose decoder shares the recursion limit with Python frames, a
+    # line nested just short of the limit could parse while json.loads
+    # rejects it (953-956 deep when run under pytest). Where that falls
+    # depends on the caller's depth, so a wide band of depths is tried.
+    # A bare array nests as deep as its length allows.
+    differ = []
+    for depth in range(900, 1001):
+        for line in (_with_attr("[" * depth + "]" * depth), "[" * depth + "]" * depth):
+            text = _FIRST + "\n" + line + "\n"
+            if _deep_outcome(parse_trace_jsonl, text) != _deep_outcome(_referee, text):
+                differ.append(depth)
+    assert differ == []
+
+
+def _deeper(levels, call, *args):
+    """``call(*args)``, made ``levels`` nested calls below this one."""
+    return call(*args) if levels == 0 else _deeper(levels - 1, call, *args)
+
+
+def test_lines_parsed_near_the_recursion_limit_decode_as_the_referee():
+    # a line the scanner may take (shorter than _SCANNED) that nests nearly
+    # as deep as that allows, parsed from deeper and deeper callers, so the
+    # limit passes through the few calls by which json.loads runs deeper
+    nest = ingestion._SCANNED // 2 - 4
+    line = '{"v": ' + "[" * nest + "]" * nest + "}"
+    assert len(line) < ingestion._SCANNED
+    text = _FIRST + "\n" + line + "\n"
+    differ, levels = [], 0
+    while True:
+        try:
+            parsed, refereed = (_deeper(levels, _deep_outcome, parse, text)
+                                for parse in (parse_trace_jsonl, _referee))
+        except RecursionError:
+            break  # no room left to parse anything
+        if parsed != refereed:
+            differ.append(levels)
+        levels += 1
+    assert levels > ingestion._SCANNED // 2 and differ == []
