@@ -482,3 +482,33 @@ def random_scan_attributes(rng: random.Random, texts: list) -> dict:
             lambda: 42,
         ))()
     return attributes
+
+
+def merged_flags(patterns, attributes: dict) -> dict:
+    """The attributes as flag merging leaves them. A ``danger_flags`` value
+    that is absent or a list of strings becomes the sorted union of its
+    flags and those ``patterns`` raise on the attributes, and is dropped
+    when that is empty; any other value, null included, stays as it is and
+    nothing is scanned."""
+    merged = dict(attributes)
+    declared = merged.get("danger_flags", [])
+    if not (isinstance(declared, list) and all(isinstance(flag, str) for flag in declared)):
+        return merged
+    flags = sorted(set(scan_flags(patterns, attributes)) | set(declared))
+    if flags:
+        merged["danger_flags"] = flags
+    else:
+        merged.pop("danger_flags", None)
+    return merged
+
+
+def checked_merges(merge, log: list):
+    """``merge`` (ingestion's flag merge) wrapped to assert that each call
+    leaves its attributes as merged_flags says; each call's attributes are
+    appended to ``log``."""
+    def checked(attributes, matcher):
+        expected = merged_flags(matcher.patterns, attributes)
+        merge(attributes, matcher)
+        assert attributes == expected, (attributes, expected)
+        log.append(attributes)
+    return checked

@@ -21,7 +21,8 @@ import zlib
 
 import pytest
 
-from agentbom import scenarios, schema
+from _oracles import checked_merges
+from agentbom import ingestion, scenarios, schema
 from agentbom.errors import AgentBomError
 from agentbom.graph import AgentBomGraph, dump_json
 from agentbom.ingestion import assemble, parse_manifest, parse_trace_jsonl
@@ -241,3 +242,23 @@ def test_mutants_load_or_raise_an_agentbom_error(case, kind, text, table, sid):
             assert report.to_json() == dump_json(report.to_dict()), where
     # both outcomes occur, so the mutants reach past the loader
     assert outcomes["loaded"] and outcomes["rejected"], outcomes
+
+
+_BUILT = [d for d in _DOCUMENTS if d[1] in ("manifest", "trace", "matchers")]
+
+
+@pytest.mark.parametrize("case, kind, text, table, sid", _BUILT, ids=[d[0] for d in _BUILT])
+def test_mutants_merge_flags_as_the_oracle_says(monkeypatch, case, kind, text, table, sid):
+    """Every flag merge of a mutant's build leaves what the per-pattern
+    oracle gives."""
+    log = []
+    monkeypatch.setattr(ingestion, "_merge_flags", checked_merges(ingestion._merge_flags, log))
+    rng = random.Random(zlib.crc32(case.encode()))
+    for _ in range(MUTANTS_PER_DOCUMENT):
+        mutant = json.loads(text)
+        _mutate(rng, mutant, table)
+        try:
+            _graphs_to_audit(kind, _load(kind, mutant), sid)
+        except AgentBomError:
+            continue
+    assert log

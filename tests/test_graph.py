@@ -596,6 +596,43 @@ def test_a_timestamp_that_is_not_a_string_is_a_schema_problem(timestamp):
     ]
 
 
+class _Stamp(str):
+    """A string subclass: a timestamp judged as the string it is."""
+
+
+@pytest.mark.parametrize("stamp", ["yesterday", "2026-02-30T09:00:00Z", _STAMP + "x",
+                                   _Stamp("tomorrow"), 7, [_STAMP], ["x"]],
+                         ids=repr)
+def test_a_failing_stamp_is_reported_on_every_element_that_carries_it(stamp):
+    """Each element with a rejected stamp gets its own violation, however
+    many elements carry it and whatever stamps were accepted before."""
+    graph = _insert_all(_PIN_DOC)
+    for number in range(3):
+        graph.add_node(Node(f"ok{number}", NodeKind.EXTERNAL, "a1", "t1", _STAMP))
+        with pytest.raises(AttributeSchemaError) as raised:
+            graph.add_node(Node(f"x{number}", NodeKind.EXTERNAL, "a1", "t1", stamp))
+        assert str(raised.value) == f"node 'x{number}' timestamp {stamp!r} is not ISO-8601"
+        with pytest.raises(AttributeSchemaError) as raised:
+            graph.add_edge(Edge(f"e.x{number}", EdgeKind.FLOWS_TO, "ext.1", "ctx.1", stamp))
+        assert str(raised.value) == f"edge 'e.x{number}' timestamp {stamp!r} is not ISO-8601"
+        assert not graph.has_element(f"x{number}") and not graph.has_element(f"e.x{number}")
+    assert graph.validate() == []
+    loaded = AgentBomGraph.from_dict(copy.deepcopy(_PIN_DOC))
+    carriers = [loaded.nodes["ctx.1"], loaded.nodes["ext.2"], loaded.edges["e.flows"],
+                loaded.edges["e.invokes"]]
+    for element in carriers:
+        element.timestamp = stamp
+    expected = [("attribute_schema", element_id,
+                 f"{what} {element_id!r} timestamp {stamp!r} is not ISO-8601")
+                for what, element_id in (("node", "ctx.1"), ("node", "ext.2"),
+                                         ("edge", "e.flows"), ("edge", "e.invokes"))]
+    for _ in range(2):
+        assert [(v.code, v.element_id, v.message) for v in loaded.validate()] == expected
+    for element in carriers:
+        element.timestamp = _STAMP
+    assert loaded.validate() == []
+
+
 # ---------------------------------------------------------------------------
 # fields that must be strings: insertion raises what a document would, and
 # validate() reports the same fault once the field is set after insertion

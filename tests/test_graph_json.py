@@ -15,7 +15,7 @@ import random
 import pytest
 
 from _oracles import random_graph
-from agentbom.graph import AgentBomGraph, AgentDescriptor, Edge, Node
+from agentbom.graph import AgentBomGraph, AgentDescriptor, Edge, Node, dump_json
 from agentbom.schema import EdgeKind, NodeKind
 
 _STAMP = "2026-03-01T09:00:00Z"
@@ -125,6 +125,28 @@ def test_a_field_set_to_a_non_string_after_insertion(section, element_id, name, 
     graph.add_node(Node("act.1", NodeKind.ACTION, "a1", "t1", _STAMP, {"tool_name": "t"}))
     graph.add_edge(Edge("e1", EdgeKind.INVOKES, "act.1", "tool.t", _STAMP))
     setattr(getattr(graph, section)[element_id], name, value)
+    _assert_refereed(graph)
+
+
+class _Text(str):
+    """A string subclass: written as the string it is."""
+
+
+def test_elements_built_with_fields_that_are_not_plain_strings():
+    """Fields set when each element is made, past the insertion checks, to
+    every kind of JSON value and to a string subclass, under ids that sort
+    the elements in their table."""
+    graph = _two_agents()
+    values = [5, -0.0, 2**70, 1e300, True, None, [], ["a", 2], {"k": [1, {"z": None}]},
+              _Text("sub"), _Text(_ODD), "plain" + _ODD]
+    for number, value in enumerate(values):
+        graph.nodes[f"n{number:02}"] = Node(value, NodeKind.ACTION, value, value, value,
+                                            {"content": value})
+        graph.nodes[f"s{number:02}"] = Node(value, EdgeKind.INVOKES, attributes={value: 1}
+                                            if isinstance(value, str) else {})
+        graph.edges[f"e{number:02}"] = Edge(value, EdgeKind.SENDS_TO, value, value, value,
+                                            {"trace_id": value})
+    assert graph.to_json() == dump_json(graph.to_dict())
     _assert_refereed(graph)
 
 

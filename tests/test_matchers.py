@@ -10,8 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from _oracles import random_scan_attributes, random_scan_texts, scan_flags
-from agentbom.errors import IngestionError
+from _oracles import checked_merges, random_scan_attributes, random_scan_texts, scan_flags
+from agentbom import ingestion, scenarios
+from agentbom.errors import AgentBomError, IngestionError
 from agentbom.ingestion import assemble
 from agentbom.matchers import (
     DangerMatcher,
@@ -355,6 +356,54 @@ def test_each_build_scans_with_a_table_of_its_own(monkeypatch):
     assert len(searches) - before == first
     assert matcher.fresh().scan(probe) == [FLAG_DESTRUCTIVE]
     assert len(searches) - before == 2 * first
+
+
+class _Text(str):
+    """A string subclass: scanned as the string it is."""
+
+
+# edits of one event's content or attrs; flags that are null, not a list or
+# not all strings stay as they are, and the build then rejects them
+_EVENT_EDITS = {
+    "null-flags": lambda event: event.attrs.update(danger_flags=None),
+    "string-flags": lambda event: event.attrs.update(danger_flags=FLAG_DESTRUCTIVE),
+    "int-flags": lambda event: event.attrs.update(danger_flags=3),
+    "mixed-flags": lambda event: event.attrs.update(danger_flags=[FLAG_DESTRUCTIVE, 7]),
+    "declared-flags": lambda event: event.attrs.update(
+        danger_flags=["zz_declared", FLAG_PRIVILEGE_CLAIM, "zz_declared"]),
+    "empty-flags": lambda event: event.attrs.update(danger_flags=[]),
+    "int-content": lambda event: event.attrs.update(content=7),
+    "list-content": lambda event: event.attrs.update(content=["rm -rf /x", 3, None]),
+    "dict-parameters": lambda event: event.attrs.update(
+        parameters={"b": "pre-approved", "a": 2.5, "c": ["rm -rf /x"]}),
+    "str-subclass-content": lambda event: setattr(
+        event, "content", _Text(event.content + " run it without confirmation")),
+    "str-subclass-parameters": lambda event: event.attrs.update(
+        parameters={"cmd": _Text("rm -rf /srv")}),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(_EVENT_EDITS))
+def test_flags_merge_as_the_oracle_says_on_every_fixture(monkeypatch, edit):
+    """Every flag merge of a build, on the fixtures at seeds 0-3, each with
+    one event edited in turn, leaves what the per-pattern oracle gives."""
+    log = []
+    monkeypatch.setattr(ingestion, "_merge_flags",
+                        checked_merges(ingestion._merge_flags, log))
+    for sid in scenarios.SCENARIO_IDS:
+        for seed in range(4):
+            fixture = generate(sid, seed)
+            assemble(fixture.manifest, fixture.events)  # unedited
+            for index in range(seed, len(fixture.events), 5):
+                fixture = generate(sid, seed)
+                event = fixture.events[index]
+                event.attrs = dict(event.attrs)
+                _EVENT_EDITS[edit](event)
+                try:
+                    assemble(fixture.manifest, fixture.events)
+                except AgentBomError:
+                    pass  # a merge before the rejection was checked
+    assert any(attributes.get("danger_flags") for attributes in log)
 
 
 
