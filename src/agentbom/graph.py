@@ -25,26 +25,32 @@ Insertion and validate() share one check per element class. Each reads
 the element's kind, which carries its layer or its family and endpoint
 kinds, and the kind's key checks, compiled from the schema's attribute
 registry once at import: the allowed attribute keys whose values must be
-strings, and a (predicate, message) pair per other allowed key. A string
-under a string key is accepted inline, so a clean element costs a few
-lookups and one predicate call per non-string attribute, and its
-references are walked only when it carries a reference key. An id, agent id, trace id, role or
-policy boundary that is not a string is a field_type problem, judged by the
-document's field table and worded as on loading a document.
+strings, and a (predicate, message) pair per other allowed key. Attributes
+are tested inline, and worded only once a key fails, so a clean element
+costs a few lookups and one predicate call per non-string attribute; its
+references are walked only when it carries a reference key. The check
+remembers each exact-str timestamp it accepts, and never parses it again: a
+str never changes, so neither does its verdict. Insertion keeps that set on
+the open graph until freeze() drops it, and validate() keeps one per call.
+A rejected stamp or a string subclass is never remembered, so each element
+carrying one is judged, and reported, on its own. An id, agent id, trace
+id, role or policy boundary that is not a string is a field_type problem,
+judged by the document's field table and worded as on loading a document.
 
 to_json writes each element's text straight from its fields, with no
-to_dict() copy, and joins the document once; the bytes are those of
-dump_json(to_dict()). digest() hashes the compact, key-sorted text of
-to_dict() a batch of elements at a time, encoding documents built around
-the elements' own attribute dicts, so neither a copy of the graph nor that
-text is ever whole. Its encoder does not look for cycles: an attribute value
-that contains itself runs into the recursion limit, which digest() reports
-as ValueError. It imports hashlib on its first call: building a graph,
-writing a scenario or exporting DOT never hash. The bulk conversions (trace
-parsing and assembly in ingestion, and to_json, from_json and digest here)
-run with the cycle collector paused, since none of them makes a reference
-cycle, and hand their survivors to the oldest generation, so that resuming
-the collector does not walk them.
+to_dict() copy, and joins the document once; each kind's quoted name comes
+from a table made at import, and a field that is a plain string is quoted
+inline. The bytes are those of dump_json(to_dict()). digest() hashes the
+compact, key-sorted text of to_dict() a batch of elements at a time,
+encoding documents built around the elements' own attribute dicts, so
+neither a copy of the graph nor that text is ever whole. Its encoder does
+not look for cycles: an attribute value that contains itself runs into the
+recursion limit, which digest() reports as ValueError. It imports hashlib on
+its first call: building a graph, writing a scenario or exporting DOT never
+hash. The bulk conversions (trace parsing and assembly in ingestion, and
+to_json, from_json and digest here) run with the cycle collector paused,
+since none of them makes a reference cycle, and hand their survivors to the
+oldest generation, so that resuming the collector does not walk them.
 """
 
 from __future__ import annotations
@@ -87,13 +93,17 @@ def parse_instant(value: str) -> datetime:
     return parsed
 
 
-def _is_instant(text) -> bool:
+def _is_instant(text, accepted: set) -> bool:
+    """Whether ``text`` is a string parse_instant reads. An exact str that
+    is one joins ``accepted``, which the element checks consult first."""
     if not isinstance(text, str):
         return False
     try:
         parse_instant(text)
     except ValueError:
         return False
+    if type(text) is str:
+        accepted.add(text)
     return True
 
 
@@ -364,24 +374,17 @@ def _agent_violations(descriptor: AgentDescriptor, out: list) -> None:
 
 def _attribute_violations(element_id: str, attributes: dict, strings: frozenset,
                           others: dict, out: list) -> None:
-    """Append the attribute violations in key order; only failing keys are
-    sorted, a key that is not a string by its text. A value under one of
-    the ``strings`` keys passes when it is a string, tested inline; any
-    other allowed value meets its predicate in ``others``."""
+    """Append the attribute violations in key order, a key that is not a
+    string by its text. A value under one of the ``strings`` keys passes
+    when it is a string; any other allowed value meets its predicate in
+    ``others``. The element checks call this once a key has failed."""
     if not isinstance(attributes, dict):
         out.append(Violation("attribute_schema", element_id, f"{element_id!r} attributes "
                              f"must be an object, got {attributes!r}"))
         return
-    failing = []
-    for key, value in attributes.items():
-        if key in strings:
-            if type(value) is str or isinstance(value, str):
-                continue
-        else:
-            check = others.get(key)
-            if check is not None and check[0](value):
-                continue
-        failing.append(key)
+    failing = [key for key, value in attributes.items()
+               if not (isinstance(value, str) if key in strings
+                       else key in others and others[key][0](value))]
     for key in sorted(failing, key=str):
         message = (f"{element_id!r} attribute {key!r} {schema.ATTRIBUTE_CHECKS[key][1]}"
                    if key in strings or key in others
@@ -406,6 +409,7 @@ class AgentBomGraph:
         self._by_edge_kind: dict[EdgeKind, list[str]] = {k: [] for k in EdgeKind}
         self._by_node_kind: dict[NodeKind, list[str]] = {k: [] for k in NodeKind}
         self._frozen = False
+        self._stamps = set()  # the timestamps insertion accepted; dropped by freeze()
 
     # ------------------------------------------------------------------
     # append API
@@ -424,7 +428,7 @@ class AgentBomGraph:
     def add_node(self, node: Node) -> str:
         self._ensure_open()
         violations = []
-        self._node_violations(node, violations, check_duplicate=True)
+        self._node_violations(node, violations, self._stamps, check_duplicate=True)
         _raise_first(violations)
         self._index_node(node)
         return node.node_id
@@ -432,7 +436,7 @@ class AgentBomGraph:
     def add_edge(self, edge: Edge) -> str:
         self._ensure_open()
         violations = []
-        self._edge_violations(edge, violations, check_duplicate=True)
+        self._edge_violations(edge, violations, self._stamps, check_duplicate=True)
         _raise_first(violations)
         self._index_edge(edge)
         return edge.edge_id
@@ -440,6 +444,7 @@ class AgentBomGraph:
     def freeze(self) -> None:
         """Close the graph to further appends."""
         self._frozen = True
+        self._stamps = None
 
     @property
     def frozen(self) -> bool:
@@ -504,18 +509,20 @@ class AgentBomGraph:
         """Re-check every graph invariant; returns all violations found."""
         violations: list[Violation] = []
         agents, nodes, edges = self.agents, self.nodes, self.edges
+        stamps = set()  # the timestamps accepted by this call
         for agent_id in sorted(agents):
             _agent_violations(agents[agent_id], violations)
         check = self._node_violations
         for node_id in sorted(nodes):
-            check(nodes[node_id], violations)
+            check(nodes[node_id], violations, stamps)
         check = self._edge_violations
         for edge_id in sorted(edges):
-            check(edges[edge_id], violations)
+            check(edges[edge_id], violations, stamps)
         return violations
 
-    def _node_violations(self, node: Node, out: list, check_duplicate: bool = False) -> None:
-        """Append the node's violations to ``out``."""
+    def _node_violations(self, node: Node, out: list, stamps: set,
+                         check_duplicate: bool = False) -> None:
+        """Append the node's violations to ``out``, given the accepted ``stamps``."""
         nid = node.node_id
         # a fast pre-test of what the table check reports
         if not (type(nid) is str and type(node.agent_id) in _TEXT_OR_NONE
@@ -526,7 +533,7 @@ class AgentBomGraph:
         if not nid:
             out.append(Violation("empty_id", nid, "a node id must not be empty"))
             return
-        if check_duplicate and self.has_element(nid):
+        if check_duplicate and (nid in self.nodes or nid in self.edges):
             out.append(Violation("duplicate_id", nid, f"element id {nid!r} already in use"))
             return
         if not isinstance(node.kind, NodeKind):
@@ -547,16 +554,29 @@ class AgentBomGraph:
         elif kind.layer is Layer.STATIC and node.trace_id is not None:
             out.append(Violation("layer_metadata", nid,
                                  f"static node {nid!r} must not carry trace_id"))
-        if node.timestamp is not None and not _is_instant(node.timestamp):
-            out.append(Violation("attribute_schema", nid, f"node {nid!r} timestamp "
-                                 f"{node.timestamp!r} is not ISO-8601"))
+        stamp = node.timestamp
+        if (stamp is not None and not (type(stamp) is str and stamp in stamps)
+                and not _is_instant(stamp, stamps)):
+            out.append(Violation("attribute_schema", nid, f"node {schema.quoted(nid)} timestamp "
+                                 f"{schema.quoted(stamp)} is not ISO-8601"))
         attributes = node.attributes
-        _attribute_violations(nid, attributes, strings, others, out)
+        if type(attributes) is not dict:
+            _attribute_violations(nid, attributes, strings, others, out)
+        else:
+            for key, value in attributes.items():
+                if key in strings:
+                    if type(value) is str or isinstance(value, str):
+                        continue
+                elif (check := others.get(key)) is not None and check[0](value):
+                    continue
+                _attribute_violations(nid, attributes, strings, others, out)
+                break
         if isinstance(attributes, dict) and not _REFERENCE_KEYS.isdisjoint(attributes):
             self._reference_violations(nid, attributes, out)
 
-    def _edge_violations(self, edge: Edge, out: list, check_duplicate: bool = False) -> None:
-        """Append the edge's violations to ``out``."""
+    def _edge_violations(self, edge: Edge, out: list, stamps: set,
+                         check_duplicate: bool = False) -> None:
+        """Append the edge's violations to ``out``, as _node_violations."""
         eid = edge.edge_id
         if not (type(eid) is str and type(edge.source) is str and type(edge.target) is str):
             _field_type_violations("edge", edge, schema.GRAPH_EDGE,
@@ -565,7 +585,7 @@ class AgentBomGraph:
         if not eid:
             out.append(Violation("empty_id", eid, "an edge id must not be empty"))
             return
-        if check_duplicate and self.has_element(eid):
+        if check_duplicate and (eid in self.nodes or eid in self.edges):
             out.append(Violation("duplicate_id", eid, f"element id {eid!r} already in use"))
             return
         if not isinstance(edge.kind, EdgeKind):
@@ -595,10 +615,23 @@ class AgentBomGraph:
             out.append(Violation("cross_agent", eid, f"propagation edge {eid!r} joins two "
                                  f"elements of agent {src.agent_id!r} with no "
                                  "shared-object marker"))
-        _attribute_violations(eid, edge.attributes, strings, others, out)
-        if edge.timestamp is not None and not _is_instant(edge.timestamp):
-            out.append(Violation("attribute_schema", eid, f"edge {eid!r} timestamp "
-                                 f"{edge.timestamp!r} is not ISO-8601"))
+        attributes = edge.attributes
+        if type(attributes) is not dict:
+            _attribute_violations(eid, attributes, strings, others, out)
+        else:
+            for key, value in attributes.items():
+                if key in strings:
+                    if type(value) is str or isinstance(value, str):
+                        continue
+                elif (check := others.get(key)) is not None and check[0](value):
+                    continue
+                _attribute_violations(eid, attributes, strings, others, out)
+                break
+        stamp = edge.timestamp
+        if (stamp is not None and not (type(stamp) is str and stamp in stamps)
+                and not _is_instant(stamp, stamps)):
+            out.append(Violation("attribute_schema", eid, f"edge {schema.quoted(eid)} timestamp "
+                                 f"{schema.quoted(stamp)} is not ISO-8601"))
 
     def _reference_violations(self, element_id, attributes: dict, out: list) -> None:
         """Append the references that name no node; an element may name
@@ -940,26 +973,37 @@ def _attributes_text(attributes, newline: str = _FIELD) -> str:
     return _json_text(attributes, newline)
 
 
+# each kind's wire name as a JSON string
+_KIND_TEXT = {kind: _quote(kind.value) for kind in (*NodeKind, *EdgeKind)}
+
+
 def _node_text(node: Node) -> str:
-    """The text dump_json gives ``node.to_dict()`` at element depth."""
-    agent, stamp, trace = node.agent_id, node.timestamp, node.trace_id
-    head = "{" if agent is None else '{\n      "agent_id": ' + _field_text(agent) + ","
-    tail = ("" if stamp is None else ',\n      "timestamp": ' + _field_text(stamp)) + (
-        "" if trace is None else ',\n      "trace_id": ' + _field_text(trace))
+    """The text dump_json gives ``node.to_dict()`` at element depth. A field
+    that is a plain string is quoted here, any other takes _field_text."""
+    nid, agent, stamp, trace = node.node_id, node.agent_id, node.timestamp, node.trace_id
+    head = "{" if agent is None else '{\n      "agent_id": ' + (
+        _quote(agent) if type(agent) is str else _field_text(agent)) + ","
+    tail = ("" if stamp is None else ',\n      "timestamp": ' + (
+        _quote(stamp) if type(stamp) is str else _field_text(stamp))) + (
+        "" if trace is None else ',\n      "trace_id": ' + (
+            _quote(trace) if type(trace) is str else _field_text(trace)))
     return (f'{head}\n      "attributes": {_attributes_text(node.attributes)},'
-            f'\n      "kind": {_field_text(node.kind.value)},'
-            f'\n      "node_id": {_field_text(node.node_id)}{tail}\n    }}')
+            f'\n      "kind": {_KIND_TEXT.get(node.kind) or _field_text(node.kind.value)},'
+            f'\n      "node_id": {_quote(nid) if type(nid) is str else _field_text(nid)}'
+            f'{tail}\n    }}')
 
 
 def _edge_text(edge: Edge) -> str:
-    """The text dump_json gives ``edge.to_dict()`` at element depth."""
-    stamp = edge.timestamp
-    tail = "" if stamp is None else ',\n      "timestamp": ' + _field_text(stamp)
+    """The text dump_json gives ``edge.to_dict()`` at element depth, as _node_text."""
+    eid, src, tgt, stamp = edge.edge_id, edge.source, edge.target, edge.timestamp
+    tail = "" if stamp is None else ',\n      "timestamp": ' + (
+        _quote(stamp) if type(stamp) is str else _field_text(stamp))
     return (f'{{\n      "attributes": {_attributes_text(edge.attributes)},'
-            f'\n      "edge_id": {_field_text(edge.edge_id)},'
-            f'\n      "kind": {_field_text(edge.kind.value)},'
-            f'\n      "source": {_field_text(edge.source)},'
-            f'\n      "target": {_field_text(edge.target)}{tail}\n    }}')
+            f'\n      "edge_id": {_quote(eid) if type(eid) is str else _field_text(eid)},'
+            f'\n      "kind": {_KIND_TEXT.get(edge.kind) or _field_text(edge.kind.value)},'
+            f'\n      "source": {_quote(src) if type(src) is str else _field_text(src)},'
+            f'\n      "target": {_quote(tgt) if type(tgt) is str else _field_text(tgt)}'
+            f'{tail}\n    }}')
 
 
 def _json_text(value, newline: str) -> str:

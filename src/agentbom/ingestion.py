@@ -486,13 +486,18 @@ def _add_static(graph, matcher, node_id, kind, agent_id, attrs):
 
 
 def _merge_flags(attrs: dict, matcher: DangerMatcher) -> None:
-    declared = attrs.get("danger_flags", [])
+    if "danger_flags" not in attrs:
+        flags = matcher.scan(attrs)  # sorted and free of repeats already
+        if flags:
+            attrs["danger_flags"] = flags
+        return
+    declared = attrs["danger_flags"]
     if not schema.is_string_list(declared):
         return  # left in place for the attribute-schema check to reject
     merged = sorted(set(matcher.scan(attrs)) | set(declared))
     if merged:
         attrs["danger_flags"] = merged
-    elif "danger_flags" in attrs:
+    else:
         del attrs["danger_flags"]
 
 

@@ -98,18 +98,23 @@ class DangerMatcher:
         return clone
 
     def scan(self, attributes: dict) -> list:
-        """Return the sorted set of flags raised by the given attributes."""
-        hits = set()
+        """Return the sorted set of flags raised by the given attributes.
+
+        A plain string is looked up in the key's table as it is, and other
+        values give their texts through _texts_of. Most texts raise no flag,
+        so a set is made, and sorted, only once one does."""
+        hits = ()
         for key, seen in self._flags.items():
             value = attributes.get(key)
             if value is None:
                 continue
-            for text in _texts_of(value):
+            for text in (value,) if type(value) is str else _texts_of(value):
                 flags = seen.get(text)
                 if flags is None:
                     flags = seen[text] = self._search(key, text)
-                hits.update(flags)
-        return sorted(hits)
+                if flags:
+                    hits = {*hits, *flags}
+        return sorted(hits) if hits else []
 
     def _search(self, key, text) -> tuple:
         """The flags the patterns under ``key`` raise on ``text``, searching

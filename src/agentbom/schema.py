@@ -406,8 +406,15 @@ def load_json(text: str, what: str, error):
         raise error(f"{what} nests too deep to decode") from None
 
 
+def quoted(value, limit: int = 80) -> str:
+    """``repr(value)`` for an error message, cut to ``limit`` characters,
+    the last three an ellipsis, when it is longer."""
+    text = repr(value)
+    return text if len(text) <= limit else text[:limit - 3] + "..."
+
+
 def mistyped(what: str, key: str, json_type: JsonType, value) -> str:
-    return f"{what} field {key!r} must be {json_type.noun}, got {value!r}"
+    return f"{what} field {key!r} must be {json_type.noun}, got {quoted(value)}"
 
 
 def check_fields(doc, table: FieldTable, what: str, error) -> None:
@@ -415,12 +422,12 @@ def check_fields(doc, table: FieldTable, what: str, error) -> None:
     is an object whose every key is in ``table`` with a value of that
     field's type, and which carries every required field."""
     if not isinstance(doc, dict):
-        raise error(f"{what} must be an object, got {doc!r}")
+        raise error(f"{what} must be an object, got {quoted(doc)}")
     accepts = table.accepts
     for key, value in doc.items():
         types = accepts.get(key)
         if types is None:
-            raise error(f"{what} has unknown field {key!r}")
+            raise error(f"{what} has unknown field {quoted(key)}")
         if type(value) not in types:
             raise error(mistyped(what, key, table.fields[key][0], value))
     for key, items in table.typed_arrays:

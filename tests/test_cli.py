@@ -597,11 +597,14 @@ _ANDS = _nested(450, '{"op": "and", "args": [', "]}", '{"op": "flags"}')
     ("matchers", json.dumps({"patterns": [{"flag": "deep", "pattern": _nested(600, "(", ")", "a"),
                                            "applies_to": ["content"]}]})),
     ("trace", _with(_EVENT, "event_id", _ARRAYS) + "\n"),
+    ("trace", _nested(900, "[", "]", "") + "\n"),
+    ("trace", json.dumps("x" * 2**20) + "\n"),
 ], ids=["rule-pack-1000-nots", "rule-pack-450-ands", "graph", "manifest", "matcher-pack",
-        "matcher-pattern-600-groups", "trace-line"])
+        "matcher-pattern-600-groups", "trace-line", "trace-line-900-deep-array",
+        "trace-line-1mb-string"])
 def test_deeply_nested_input_is_a_single_line_error(tmp_path, capsys, command, deep):
-    """Each input format ends in exit code 2 and one error line, not a
-    RecursionError traceback."""
+    """Each input format ends in exit code 2 and one short error line, not a
+    RecursionError traceback; a huge or deep value is quoted cut short."""
     texts = {"graph": json.dumps(_GRAPH), "manifest": json.dumps({"agents": [{"agent_id": "a"}]}),
              "trace": json.dumps(_EVENT) + "\n", command: deep}
     for name, text in texts.items():
@@ -616,3 +619,4 @@ def test_deeply_nested_input_is_a_single_line_error(tmp_path, capsys, command, d
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert len(err.encode()) < 400

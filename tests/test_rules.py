@@ -1186,11 +1186,18 @@ print(json.dumps({"findings": len(report.findings), "stats": report.stats}))
 """
 
 
-def _audit_unflagged_diamond(*stamp):
+def _child_env() -> dict:
+    """The environment of a child interpreter that imports this checkout's
+    sources and tests; the caller's path comes last, as pytest may be found
+    there."""
     here = Path(__file__).resolve().parent
-    path = os.pathsep.join([str(here.parent / "src"), str(here)])
-    env = dict(os.environ, PYTHONPATH=path)
-    proc = subprocess.run([sys.executable, "-c", _UNFLAGGED_DIAMOND, *stamp], env=env,
+    path = os.pathsep.join(filter(None, [str(here.parent / "src"), str(here),
+                                         os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def _audit_unflagged_diamond(*stamp):
+    proc = subprocess.run([sys.executable, "-c", _UNFLAGGED_DIAMOND, *stamp], env=_child_env(),
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
@@ -1289,10 +1296,7 @@ def test_witness_reports_grow_with_endpoints_not_paths():
     report holds one witness per endpoint. The audits run in a child
     process that a timeout ends, so only an exponential regression fails
     here; the times are printed (run with -s to see them)."""
-    here = Path(__file__).resolve().parent
-    path = os.pathsep.join([str(here.parent / "src"), str(here)])
-    env = dict(os.environ, PYTHONPATH=path)
-    proc = subprocess.run([sys.executable, "-c", _SCALING], env=env,
+    proc = subprocess.run([sys.executable, "-c", _SCALING], env=_child_env(),
                           capture_output=True, text=True, timeout=30)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
