@@ -28,14 +28,11 @@ registry once at import: the allowed attribute keys whose values must be
 strings, and a (predicate, message) pair per other allowed key. Attributes
 are tested inline, and worded only once a key fails, so a clean element
 costs a few lookups and one predicate call per non-string attribute; its
-references are walked only when it carries a reference key. The check
-remembers each exact-str timestamp it accepts, and never parses it again: a
-str never changes, so neither does its verdict. Insertion keeps that set on
-the open graph until freeze() drops it, and validate() keeps one per call.
-A rejected stamp or a string subclass is never remembered, so each element
-carrying one is judged, and reported, on its own. An id, agent id, trace
-id, role or policy boundary that is not a string is a field_type problem,
-judged by the document's field table and worded as on loading a document.
+references are walked only when it carries a reference key. A timestamp
+is read by instant(), as every stamp in the program is. An id, agent id,
+trace id, role or policy boundary that is not a string is a field_type
+problem, judged by the document's field table and worded as on loading a
+document.
 
 to_json writes each element's text straight from its fields, with no
 to_dict() copy, and joins the document once; each kind's quoted name comes
@@ -55,10 +52,11 @@ oldest generation, so that resuming the collector does not walk them.
 
 from __future__ import annotations
 
+import functools
 import gc
 import json
 from contextlib import contextmanager
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from json.encoder import encode_basestring_ascii as _quote
 
 from . import schema
@@ -93,17 +91,31 @@ def parse_instant(value: str) -> datetime:
     return parsed
 
 
-def _is_instant(text, accepted: set) -> bool:
-    """Whether ``text`` is a string parse_instant reads. An exact str that
-    is one joins ``accepted``, which the element checks consult first."""
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_MICROSECOND = timedelta(microseconds=1)
+
+
+@functools.lru_cache(maxsize=1 << 16)
+def instant(text: str) -> int:
+    """A timestamp as whole microseconds since the epoch; ValueError for
+    text parse_instant cannot read.
+
+    Every reader of a stamp in the program asks here, so each distinct text
+    is parsed once while it is among the last 65,536 asked for. Only
+    strings are kept: the element checks test a stamp's type before they
+    ask, and any other value raises.
+    """
+    return (parse_instant(text) - _EPOCH) // _MICROSECOND
+
+
+def _is_instant(text) -> bool:
+    """Whether ``text`` is a string instant() reads."""
     if not isinstance(text, str):
         return False
     try:
-        parse_instant(text)
+        instant(text)
     except ValueError:
         return False
-    if type(text) is str:
-        accepted.add(text)
     return True
 
 
@@ -409,7 +421,6 @@ class AgentBomGraph:
         self._by_edge_kind: dict[EdgeKind, list[str]] = {k: [] for k in EdgeKind}
         self._by_node_kind: dict[NodeKind, list[str]] = {k: [] for k in NodeKind}
         self._frozen = False
-        self._stamps = set()  # the timestamps insertion accepted; dropped by freeze()
 
     # ------------------------------------------------------------------
     # append API
@@ -428,7 +439,7 @@ class AgentBomGraph:
     def add_node(self, node: Node) -> str:
         self._ensure_open()
         violations = []
-        self._node_violations(node, violations, self._stamps, check_duplicate=True)
+        self._node_violations(node, violations, check_duplicate=True)
         _raise_first(violations)
         self._index_node(node)
         return node.node_id
@@ -436,7 +447,7 @@ class AgentBomGraph:
     def add_edge(self, edge: Edge) -> str:
         self._ensure_open()
         violations = []
-        self._edge_violations(edge, violations, self._stamps, check_duplicate=True)
+        self._edge_violations(edge, violations, check_duplicate=True)
         _raise_first(violations)
         self._index_edge(edge)
         return edge.edge_id
@@ -444,7 +455,6 @@ class AgentBomGraph:
     def freeze(self) -> None:
         """Close the graph to further appends."""
         self._frozen = True
-        self._stamps = None
 
     @property
     def frozen(self) -> bool:
@@ -509,20 +519,18 @@ class AgentBomGraph:
         """Re-check every graph invariant; returns all violations found."""
         violations: list[Violation] = []
         agents, nodes, edges = self.agents, self.nodes, self.edges
-        stamps = set()  # the timestamps accepted by this call
         for agent_id in sorted(agents):
             _agent_violations(agents[agent_id], violations)
         check = self._node_violations
         for node_id in sorted(nodes):
-            check(nodes[node_id], violations, stamps)
+            check(nodes[node_id], violations)
         check = self._edge_violations
         for edge_id in sorted(edges):
-            check(edges[edge_id], violations, stamps)
+            check(edges[edge_id], violations)
         return violations
 
-    def _node_violations(self, node: Node, out: list, stamps: set,
-                         check_duplicate: bool = False) -> None:
-        """Append the node's violations to ``out``, given the accepted ``stamps``."""
+    def _node_violations(self, node: Node, out: list, check_duplicate: bool = False) -> None:
+        """Append the node's violations to ``out``."""
         nid = node.node_id
         # a fast pre-test of what the table check reports
         if not (type(nid) is str and type(node.agent_id) in _TEXT_OR_NONE
@@ -555,8 +563,7 @@ class AgentBomGraph:
             out.append(Violation("layer_metadata", nid,
                                  f"static node {nid!r} must not carry trace_id"))
         stamp = node.timestamp
-        if (stamp is not None and not (type(stamp) is str and stamp in stamps)
-                and not _is_instant(stamp, stamps)):
+        if stamp is not None and not _is_instant(stamp):
             out.append(Violation("attribute_schema", nid, f"node {schema.quoted(nid)} timestamp "
                                  f"{schema.quoted(stamp)} is not ISO-8601"))
         attributes = node.attributes
@@ -574,8 +581,7 @@ class AgentBomGraph:
         if isinstance(attributes, dict) and not _REFERENCE_KEYS.isdisjoint(attributes):
             self._reference_violations(nid, attributes, out)
 
-    def _edge_violations(self, edge: Edge, out: list, stamps: set,
-                         check_duplicate: bool = False) -> None:
+    def _edge_violations(self, edge: Edge, out: list, check_duplicate: bool = False) -> None:
         """Append the edge's violations to ``out``, as _node_violations."""
         eid = edge.edge_id
         if not (type(eid) is str and type(edge.source) is str and type(edge.target) is str):
@@ -628,8 +634,7 @@ class AgentBomGraph:
                 _attribute_violations(eid, attributes, strings, others, out)
                 break
         stamp = edge.timestamp
-        if (stamp is not None and not (type(stamp) is str and stamp in stamps)
-                and not _is_instant(stamp, stamps)):
+        if stamp is not None and not _is_instant(stamp):
             out.append(Violation("attribute_schema", eid, f"edge {schema.quoted(eid)} timestamp "
                                  f"{schema.quoted(stamp)} is not ISO-8601"))
 
@@ -674,11 +679,11 @@ class AgentBomGraph:
             agents = [self.agents[a].to_dict() for a in sorted(self.agents)]
             nodes, edges = self.nodes, self.edges
             return "".join([
-                '{\n  "agents": ', _json_text(agents, "\n  "), ',\n  "edges": ',
+                _HEAD, _json_text(agents, "\n  "), _AFTER[0],
                 *_element_array([_edge_text(edges[e]) for e in sorted(edges)]),
-                ',\n  "nodes": ',
+                _AFTER[1],
                 *_element_array([_node_text(nodes[n]) for n in sorted(nodes)]),
-                "\n}\n",
+                _AFTER[2],
             ])
 
     def digest(self) -> str:
@@ -882,7 +887,8 @@ _SLICE = 32 * 1024
 _GAP = "\n    },\n    {"
 _PAD = 8
 _OPEN, _CLOSE = "[" * (_PAD + 1), "]" * (_PAD + 1)
-# to_json's frame: its text before the agents array, and after each array
+# to_json's frame, which it writes and _array_spans reads: its text before
+# the agents array, and after each array
 _HEAD = '{\n  "agents": '
 _AFTER = (',\n  "edges": ', ',\n  "nodes": ', "\n}\n")
 

@@ -47,7 +47,7 @@ from .graph import (
     _TEXT_OR_NONE,
     _collector_paused,
     dump_json,
-    parse_instant,
+    instant,
 )
 from .matchers import DangerMatcher, default_matcher
 from .record import FRESH, Record
@@ -80,8 +80,9 @@ def parse_manifest(doc: dict) -> CapabilityManifest:
     if not doc["agents"]:
         raise ManifestParseError("manifest declares no agents")
     agents = _entries(doc, "manifest", "agents", schema.MANIFEST_AGENT, "agent_id", unique=True)
-    return CapabilityManifest([_filled(raw, schema.MANIFEST_AGENT, f"agent {raw['agent_id']!r}")
-                               for _, raw in agents])
+    return CapabilityManifest([
+        _filled(raw, schema.MANIFEST_AGENT, f"agent {schema.quoted(raw['agent_id'])}")
+        for _, raw in agents])
 
 
 # section of an agent -> its entries' table, their name key, and whether names
@@ -132,7 +133,7 @@ def _entries(doc: dict, what: str, section: str, table, name_key: str,
         if not name:
             raise ManifestParseError(f"{where} field {name_key!r} must be a non-empty string")
         if unique and name in names:
-            raise ManifestParseError(f"{what}: {name_key} {name!r} declared twice")
+            raise ManifestParseError(f"{what}: {name_key} {schema.quoted(name)} declared twice")
         names.add(name)
         out.append((where, entry))
     return out
@@ -233,7 +234,7 @@ class TraceEvent(Record):
             empty = next(k for k in ("event_id", "trace_id", "agent_id") if not doc[k])
             raise TraceParseError(f"trace event field {empty!r} must be a non-empty string")
         if doc["event_type"] not in _EVENT_KIND:
-            raise TraceParseError(f"unknown event type {doc['event_type']!r}")
+            raise TraceParseError(f"unknown event type {schema.quoted(doc['event_type'])}")
         if event.content is None:
             event.content = ""
         return event
@@ -321,32 +322,29 @@ def check_event_stream(events) -> None:
     previous = None
     for event in events:
         try:
-            stamp = parse_instant(event.timestamp)
+            stamp = instant(event.timestamp)
         except ValueError:
-            raise TraceParseError(f"event {event.event_id!r}: timestamp "
-                                  f"{event.timestamp!r} is not ISO-8601") from None
+            raise TraceParseError(f"event {schema.quoted(event.event_id)}: timestamp "
+                                  f"{schema.quoted(event.timestamp)} is not ISO-8601") from None
         if previous is not None and stamp < previous:
             raise OutOfOrderTimestampError(
-                f"event {event.event_id!r} precedes its predecessor in time"
+                f"event {schema.quoted(event.event_id)} precedes its predecessor in time"
             )
         previous = stamp
         for ref in event.refs:
             if ref not in seen:
                 if ref in all_ids:
-                    raise OutOfOrderTimestampError(
-                        f"event {event.event_id!r} refs later event {ref!r}"
-                    )
-                raise UnresolvedRefError(
-                    f"event {event.event_id!r} refs unknown event {ref!r}"
-                )
+                    raise OutOfOrderTimestampError(f"event {schema.quoted(event.event_id)} "
+                                                   f"refs later event {schema.quoted(ref)}")
+                raise UnresolvedRefError(f"event {schema.quoted(event.event_id)} "
+                                         f"refs unknown event {schema.quoted(ref)}")
             referenced = seen[ref]
             if referenced.trace_id != event.trace_id and not (
                 event.event_type == "message_received"
                 and referenced.event_type == "message_sent"
             ):
-                raise UnresolvedRefError(
-                    f"event {event.event_id!r} refs {ref!r} in another trace"
-                )
+                raise UnresolvedRefError(f"event {schema.quoted(event.event_id)} "
+                                         f"refs {schema.quoted(ref)} in another trace")
         seen[event.event_id] = event
 
 
@@ -471,7 +469,7 @@ def _add_capability(graph, matcher, node_id, kind, agent_id, shared, attrs):
         flagless = {k: v for k, v in existing.attributes.items() if k != "danger_flags"}
         if flagless != attrs:
             raise ManifestParseError(
-                f"{node_id!r} is declared inconsistently by multiple agents"
+                f"{schema.quoted(node_id)} is declared inconsistently by multiple agents"
             )
         return
     owner = None if node_id in shared else agent_id
@@ -627,11 +625,11 @@ def _named_node(graph, event, key, prefix, noun) -> str:
     """The declared node ``<prefix>.<name>`` that ``event.attrs[key]`` names."""
     name = event.attrs.get(key)
     if not name:
-        raise TraceParseError(f"{event.event_type} {event.event_id!r} lacks {key}")
+        raise TraceParseError(f"{event.event_type} {schema.quoted(event.event_id)} lacks {key}")
     node_id = f"{prefix}.{name}"
     if node_id not in graph.nodes:
         raise UnresolvedRefError(
-            f"event {event.event_id!r} names undeclared {noun} {name!r}"
+            f"event {schema.quoted(event.event_id)} names undeclared {noun} {schema.quoted(name)}"
         )
     return node_id
 
@@ -722,10 +720,9 @@ def _pair_messages(graph, events, matcher):
             continue
         candidates = free_senders(by_content.get(event.content, ()), event)
         if candidates:
-            recv_stamp = parse_instant(event.timestamp)
-            stamp_key = lambda c: (parse_instant(c.timestamp), c.event_id)
-            not_after = [c for c in candidates
-                         if parse_instant(c.timestamp) <= recv_stamp]
+            recv_stamp = instant(event.timestamp)
+            stamp_key = lambda c: (instant(c.timestamp), c.event_id)
+            not_after = [c for c in candidates if instant(c.timestamp) <= recv_stamp]
             pair(max(not_after, key=stamp_key) if not_after
                  else min(candidates, key=stamp_key), event)
 

@@ -67,12 +67,10 @@ keep marks, the marks it meets; a component only through its moves.
 from __future__ import annotations
 
 import bisect
-import functools
 import math
-from datetime import datetime, timedelta, timezone
 
 from . import schema
-from .graph import AgentBomGraph, parse_instant
+from .graph import AgentBomGraph, instant
 from .predicates import Answers
 from .record import FrozenRecord, Record
 from .schema import Flow, Layer, NodeKind
@@ -192,21 +190,14 @@ class Trace:
 # stepping
 # ===========================================================================
 
-_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
-_MICROSECOND = timedelta(microseconds=1)
-
-
-@functools.lru_cache(maxsize=1 << 16)
-def _instant(stamp):
-    """A timestamp as whole microseconds since the epoch, or None."""
-    if not stamp:
-        return None
-    return (parse_instant(stamp) - _EPOCH) // _MICROSECOND
+def _time(stamp):
+    """A timestamp's instant(); None for an empty or missing one."""
+    return instant(stamp) if stamp else None
 
 
 def _node_time(node):
     """Only runtime nodes carry time; a static node passes it on."""
-    return _instant(node.timestamp) if node.layer is Layer.RUNTIME else None
+    return _time(node.timestamp) if node.layer is Layer.RUNTIME else None
 
 
 def _start_node(graph: AgentBomGraph, start: str, direction: str) -> str:
@@ -316,7 +307,7 @@ class TraceContext:
             found.sort(key=lambda step: step[:2])
             timed, untimed = [], []
             for edge_id, nxt, edge, flow in found:
-                stamps = [t for t in (_instant(edge.timestamp), _node_time(graph.nodes[nxt]))
+                stamps = [t for t in (_time(edge.timestamp), _node_time(graph.nodes[nxt]))
                           if t is not None]
                 back = edge_id if flow is Flow.BOTH else None
                 if not stamps:

@@ -1,0 +1,112 @@
+"""Run the CLI on every fixture under other interpreters and compare bytes.
+
+    python tests/cross_python.py PYTHON...
+
+For the calling interpreter and each PYTHON given, under PYTHONHASHSEED 0
+and 1, this runs ``agentbom scenario``, ``build``, ``validate``, ``audit``
+and ``export`` (the whole graph, and finding 0) on the five fixtures at
+seeds 0-3, each step in its own child process with this checkout's src/ as
+its only PYTHONPATH. Every step's exit code, the sha256 of its stdout and
+stderr, and the sha256 of every file the steps write are compared with the
+calling interpreter's run under hash seed 0. It prints one line per
+difference and a summary, and exits 1 if anything differs.
+
+It needs nothing beyond the standard library, so it runs on interpreters
+that have no pytest. The tier-1 suite runs a one-fixture slice of it with
+the calling interpreter alone.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+HASH_SEEDS = ("0", "1")
+SEEDS = (0, 1, 2, 3)
+
+
+def _scenario_ids() -> tuple:
+    sys.path.insert(0, str(SRC))
+    try:
+        from agentbom.scenarios import SCENARIO_IDS
+    finally:
+        sys.path.remove(str(SRC))
+    return SCENARIO_IDS
+
+
+def _steps(scenario_id: str, seed: int) -> list:
+    """(name, CLI arguments) of each step, all paths relative to the run's
+    directory, so that no output names where it ran."""
+    return [
+        ("scenario", ["scenario", "--id", scenario_id, "--seed", str(seed), "--out", "fx"]),
+        ("build", ["build", "--manifest", "fx/manifest.json", "--trace", "fx/trace.jsonl",
+                   "--out", "graph.json"]),
+        ("validate", ["validate", "--graph", "graph.json"]),
+        ("audit", ["audit", "--graph", "graph.json", "--out", "report.json"]),
+        ("export", ["export", "--graph", "graph.json", "--out", "graph.dot"]),
+        ("export-finding", ["export", "--graph", "graph.json", "--finding", "0",
+                            "--out", "finding.dot"]),
+    ]
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run(python: str, hash_seed: str, scenario_ids, seeds) -> dict:
+    """What one interpreter under one hash seed gives: a map from each step,
+    and each file written, to its exit code and output hashes."""
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED=hash_seed)
+    results = {}
+    for scenario_id in scenario_ids:
+        for seed in seeds:
+            with tempfile.TemporaryDirectory() as tmp:
+                for name, args in _steps(scenario_id, seed):
+                    done = subprocess.run([python, "-m", "agentbom.cli", *args], cwd=tmp,
+                                          env=env, capture_output=True, timeout=300)
+                    results[f"{scenario_id} seed {seed} {name}"] = (
+                        f"exit {done.returncode} stdout {_sha(done.stdout)} "
+                        f"stderr {_sha(done.stderr)}")
+                for path in sorted(Path(tmp).rglob("*")):
+                    if path.is_file():
+                        results[f"{scenario_id} seed {seed} file {path.relative_to(tmp)}"] = (
+                            _sha(path.read_bytes()))
+    return results
+
+
+def differences(pythons, scenario_ids=None, seeds=SEEDS) -> tuple:
+    """(a line naming each difference from the calling interpreter's run
+    under the first hash seed, that run, the number of other runs)."""
+    scenario_ids = _scenario_ids() if scenario_ids is None else scenario_ids
+    reference = run(sys.executable, HASH_SEEDS[0], scenario_ids, seeds)
+    others = [(python, hash_seed) for python in [sys.executable, *pythons]
+              for hash_seed in HASH_SEEDS][1:]
+    lines = []
+    for python, hash_seed in others:
+        got = run(python, hash_seed, scenario_ids, seeds)
+        for key in sorted(reference.keys() | got.keys()):
+            if got.get(key) != reference.get(key):
+                lines.append(f"{python} PYTHONHASHSEED={hash_seed}: {key}: "
+                             f"{got.get(key)} != {reference.get(key)}")
+    return lines, reference, len(others)
+
+
+def main(argv=None) -> int:
+    lines, reference, runs = differences(sys.argv[1:] if argv is None else argv)
+    for line in lines:
+        print(line)
+    failed = sum(" stdout " in value and not value.startswith("exit 0 ")
+                 for value in reference.values())
+    print(f"{len(lines)} difference(s): {runs} run(s) of {len(reference)} steps and files "
+          f"each against {sys.executable} ({sys.version.split()[0]}) under "
+          f"PYTHONHASHSEED={HASH_SEEDS[0]}, where {failed} step(s) exit nonzero")
+    return 1 if lines else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

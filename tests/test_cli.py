@@ -20,6 +20,8 @@ from agentbom.ingestion import assemble, parse_manifest_json, parse_trace_jsonl
 from agentbom.matchers import default_matcher
 from agentbom.rules import builtin_rules, dump_rules
 
+import cross_python
+
 
 @pytest.fixture()
 def workdir(tmp_path):
@@ -584,6 +586,14 @@ def _with(doc, key, text):
 # beyond predicates.MAX_DEPTH, and a matcher pack whose pattern nests
 # beyond what re.compile takes
 _ARRAYS = _nested(1000, "[", "]", "")
+# a value far longer than any error line may be
+_HUGE = "x" * 2**20
+
+
+def _lines(*events):
+    return "".join(json.dumps(event) + "\n" for event in events)
+
+
 _NOTS = _nested(1000, '{"op": "not", "arg": ', "}", '{"op": "flags"}')
 _ANDS = _nested(450, '{"op": "and", "args": [', "]}", '{"op": "flags"}')
 
@@ -598,13 +608,34 @@ _ANDS = _nested(450, '{"op": "and", "args": [', "]}", '{"op": "flags"}')
                                            "applies_to": ["content"]}]})),
     ("trace", _with(_EVENT, "event_id", _ARRAYS) + "\n"),
     ("trace", _nested(900, "[", "]", "") + "\n"),
-    ("trace", json.dumps("x" * 2**20) + "\n"),
+    ("trace", json.dumps(_HUGE) + "\n"),
+    ("trace", _lines(dict(_EVENT, timestamp=_HUGE))),
+    ("trace", _lines(dict(_EVENT, refs=[_HUGE]))),
+    ("trace", _lines(dict(_EVENT, event_type=_HUGE))),
+    ("trace", _lines(dict(_EVENT, event_id=_HUGE, timestamp="soon"))),
+    ("trace", _lines(dict(_EVENT, timestamp="2026-03-01T11:00:00Z"), dict(_EVENT, event_id=_HUGE))),
+    ("trace", _lines(dict(_EVENT, refs=[_HUGE]), dict(_EVENT, event_id=_HUGE))),
+    ("trace", _lines(_EVENT, dict(_EVENT, event_id=_HUGE, trace_id="t2", refs=["x1"]))),
+    ("trace", _lines(dict(_EVENT, event_type="tool_invocation", attrs={"tool_name": _HUGE}))),
+    ("trace", _lines(dict(_EVENT, event_id=_HUGE, event_type="tool_invocation"))),
+    ("manifest", json.dumps({"agents": [{"agent_id": _HUGE}, {"agent_id": _HUGE}]})),
+    ("manifest", json.dumps({"agents": [{"agent_id": _HUGE, "model": {"nope": 1}}]})),
+    ("manifest", json.dumps({"agents": [{"agent_id": "a", "tools": [{"tool_name": _HUGE}] * 2}]})),
+    ("manifest", json.dumps({"agents": [
+        {"agent_id": "a", "tools": [{"tool_name": _HUGE, "input_schema": "p"}]},
+        {"agent_id": "b", "tools": [{"tool_name": _HUGE, "input_schema": "q"}]}]})),
 ], ids=["rule-pack-1000-nots", "rule-pack-450-ands", "graph", "manifest", "matcher-pack",
         "matcher-pattern-600-groups", "trace-line", "trace-line-900-deep-array",
-        "trace-line-1mb-string"])
+        "trace-line-1mb-string", "trace-1mb-timestamp", "trace-1mb-ref", "trace-1mb-event-type",
+        "trace-1mb-event-id-bad-stamp", "trace-1mb-event-id-out-of-order",
+        "trace-1mb-ref-to-later-event", "trace-1mb-event-id-ref-across-traces",
+        "trace-1mb-tool-name", "trace-1mb-event-id-lacks-tool",
+        "manifest-1mb-agent-twice", "manifest-1mb-agent-bad-model", "manifest-1mb-tool-twice",
+        "manifest-1mb-tool-declared-inconsistently"])
 def test_deeply_nested_input_is_a_single_line_error(tmp_path, capsys, command, deep):
     """Each input format ends in exit code 2 and one short error line, not a
-    RecursionError traceback; a huge or deep value is quoted cut short."""
+    RecursionError traceback; a huge or deep value, id or name is quoted cut
+    short."""
     texts = {"graph": json.dumps(_GRAPH), "manifest": json.dumps({"agents": [{"agent_id": "a"}]}),
              "trace": json.dumps(_EVENT) + "\n", command: deep}
     for name, text in texts.items():
@@ -620,3 +651,16 @@ def test_deeply_nested_input_is_a_single_line_error(tmp_path, capsys, command, d
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert len(err.encode()) < 400
+
+
+def test_the_cross_python_runner_finds_no_difference_on_one_fixture():
+    """tests/cross_python.py on one fixture and seed, with this interpreter
+    alone: every step succeeds, and its bytes do not depend on the hash
+    seed."""
+    lines, reference, runs = cross_python.differences([], ["memory_poisoning_tool_misuse"], [0])
+    assert lines == [] and runs == 1
+    steps = [value for key, value in reference.items() if " file " not in key]
+    assert len(steps) == 6 and all(value.startswith("exit 0 ") for value in steps)
+    assert sorted(key.split(" file ")[1] for key in reference if " file " in key) == [
+        "finding.dot", "fx/expected_report.json", "fx/manifest.json", "fx/trace.jsonl",
+        "graph.dot", "graph.json", "report.json"]

@@ -18,7 +18,7 @@ from agentbom.errors import (
     UnknownAgentError,
     UnknownKindError,
 )
-from agentbom.graph import AgentBomGraph, AgentDescriptor, Edge, Node, _Loader
+from agentbom.graph import AgentBomGraph, AgentDescriptor, Edge, Node, _Loader, instant
 from agentbom.schema import EdgeKind, Layer, NodeKind
 
 _STAMP = "2026-03-01T09:00:00Z"
@@ -631,6 +631,28 @@ def test_a_failing_stamp_is_reported_on_every_element_that_carries_it(stamp):
     for element in carriers:
         element.timestamp = _STAMP
     assert loaded.validate() == []
+
+
+def test_instant_counts_microseconds_and_keeps_only_strings():
+    """instant() reads a stamp as whole microseconds since the epoch, in any
+    offset; an unreadable text raises ValueError and is not kept, and the
+    element checks never hand it a value that is not a string."""
+    assert instant("1970-01-01T00:00:00Z") == 0
+    assert instant("2026-03-01T09:00:00.000001Z") == 1772355600000001
+    assert instant("2026-03-01T10:00:00+01:00") == instant(_STAMP) == instant(_STAMP[:-1])
+    assert instant("1969-12-31T23:59:59.999999Z") == -1
+    instant.cache_clear()
+    for text in ("soon", "2026-02-30T09:00:00Z", ""):
+        with pytest.raises(ValueError):
+            instant(text)
+    assert instant.cache_info().currsize == 0
+    loaded = AgentBomGraph.from_dict(copy.deepcopy(_PIN_DOC))
+    assert loaded.validate() == [] and instant.cache_info().currsize == 1  # _STAMP
+    for stamp in (7, 1.5, [_STAMP], {"at": _STAMP}):
+        loaded.nodes["ctx.1"].timestamp = stamp
+        loaded.edges["e.flows"].timestamp = stamp
+        assert len(loaded.validate()) == 2
+    assert instant.cache_info().currsize == 1
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from datetime import datetime
 
 import pytest
 
+from agentbom import graph as graph_module
 from agentbom import ingestion, scenarios, schema
 from agentbom.errors import (
     ManifestParseError,
@@ -22,6 +23,7 @@ from agentbom.ingestion import (
     parse_manifest_json,
     parse_trace_jsonl,
 )
+from agentbom.rules import audit
 from agentbom.schema import EdgeKind, NodeKind
 
 
@@ -838,3 +840,23 @@ def test_parsing_and_assembly_leave_no_reference_cycles(scenario_id):
             gc.enable()
     assert (after_parsing, after_assembly) == (0, 0)
     assert graph.to_json() == fixture.build().to_json()
+
+
+@pytest.mark.parametrize("scenario_id", scenarios.SCENARIO_IDS)
+def test_each_distinct_stamp_is_parsed_once_per_process(monkeypatch, scenario_id):
+    """Every reader of a stamp asks graph.instant, so a build parses each
+    distinct stamp once, and reloading, validating and auditing its graph in
+    the same process parses none."""
+    fixture = scenarios.generate(scenario_id, seed=0)
+    parsed = []
+    parse = graph_module.parse_instant
+    monkeypatch.setattr(graph_module, "parse_instant",
+                        lambda text: parsed.append(text) or parse(text))
+    graph_module.instant.cache_clear()
+    graph = fixture.build()
+    assert sorted(parsed) == sorted({event.timestamp for event in fixture.events})
+    parsed.clear()
+    loaded = graph_module.AgentBomGraph.from_json(graph.to_json())
+    assert loaded.validate() == []
+    assert audit(loaded).risk_ids() == fixture.expected_risk_ids()
+    assert parsed == []

@@ -327,6 +327,26 @@ def _shared_tool():
     return graph
 
 
+def test_trace_reads_the_stamps_of_an_unvalidated_graph_through_instant():
+    """trace reads stamps through graph.instant: on a graph changed after
+    insertion, an unreadable stamp raises ValueError, and an empty or
+    missing one leaves its element untimed."""
+    kinds = {"invokes", "flows_to"}
+    # act1 and its call are earlier than act2, so act2 cannot reach act1
+    assert _reached(_shared_tool(), "act2", FORWARD, kinds) == {"tool.t"}
+    for bad in ("soon", "2026-02-30T09:00:00Z"):
+        for element_id in ("act1", "b.invoke1"):
+            graph = _shared_tool()
+            graph.element(element_id).timestamp = bad
+            with pytest.raises(ValueError):
+                trace(graph, "act2", _spec(FORWARD, kinds))
+    for empty in ("", None):
+        graph = _shared_tool()
+        graph.nodes["act1"].timestamp = empty
+        graph.edges["b.invoke1"].timestamp = empty
+        assert _reached(graph, "act2", FORWARD, kinds) == {"tool.t", "act1"}
+
+
 def test_a_path_does_not_step_straight_back_over_an_edge():
     """The earlier call reaches the later one through the tool, but a path
     from the tool does not run into a call and straight back into the tool,
