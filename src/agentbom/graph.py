@@ -7,7 +7,8 @@ and nothing is removed later), so a graph built through add_node / add_edge
 needs no validate() afterwards. validate() is the gate for deserialized
 documents, which skip the insertion checks: from_dict rejects a malformed
 document outright, and validate() reports every broken invariant of a
-well-formed one.
+well-formed one. Neither inserting nor loading builds an adjacency index;
+the first query does (see AgentBomGraph).
 
 from_dict and from_json share one loader, which keeps one string object
 per repeated agent or trace id, and names an edge's endpoints by its nodes'
@@ -35,19 +36,20 @@ problem, judged by the document's field table and worded as on loading a
 document.
 
 to_json writes each element's text straight from its fields, with no
-to_dict() copy, and joins the document once; each kind's quoted name comes
-from a table made at import, and a field that is a plain string is quoted
-inline. The bytes are those of dump_json(to_dict()). digest() hashes the
-compact, key-sorted text of to_dict() a batch of elements at a time,
-encoding documents built around the elements' own attribute dicts, so
-neither a copy of the graph nor that text is ever whole. Its encoder does
-not look for cycles: an attribute value that contains itself runs into the
-recursion limit, which digest() reports as ValueError. It imports hashlib on
-its first call: building a graph, writing a scenario or exporting DOT never
-hash. The bulk conversions (trace parsing and assembly in ingestion, and
-to_json, from_json and digest here) run with the cycle collector paused,
-since none of them makes a reference cycle, and hand their survivors to the
-oldest generation, so that resuming the collector does not walk them.
+to_dict() copy, and joins the document once; each kind's and registered
+attribute key's quoted text comes from a table made at import, and a plain
+string, or a list of them, is quoted inline. The bytes are those of
+dump_json(to_dict()). digest() hashes the compact, key-sorted text of
+to_dict() a batch of elements at a time, encoding documents built around
+the elements' own attribute dicts, so neither a copy of the graph nor that
+text is ever whole. Its encoder does not look for cycles: an attribute
+value that contains itself runs into the recursion limit, which digest()
+reports as ValueError. It imports hashlib on its first call: building a
+graph, writing a scenario or exporting DOT never hash. The bulk conversions
+(trace parsing and assembly in ingestion, and to_json, from_json and digest
+here) run with the cycle collector paused, since none of them makes a
+reference cycle, and hand their survivors to the oldest generation, so that
+resuming the collector does not walk them.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ from __future__ import annotations
 import functools
 import gc
 import json
+from collections import namedtuple
 from contextlib import contextmanager
 from datetime import datetime, timedelta, timezone
 from json.encoder import encode_basestring_ascii as _quote
@@ -73,7 +76,7 @@ from .errors import (
     UnknownKindError,
 )
 from .record import FRESH, FrozenRecord, Record
-from .schema import EdgeFamily, EdgeKind, Layer, NodeKind
+from .schema import EdgeFamily, EdgeKind, Layer, NodeKind, quoted
 
 # ===========================================================================
 # helpers
@@ -327,10 +330,11 @@ _ERROR_OF_CODE = {
     "unresolved_reference": AttributeSchemaError,
 }
 
+_FROZEN = "graph is frozen; no further appends allowed"
+
 
 def _raise_first(violations: list) -> None:
-    if violations:
-        raise _ERROR_OF_CODE[violations[0].code](violations[0].message)
+    raise _ERROR_OF_CODE[violations[0].code](violations[0].message)
 
 
 # ===========================================================================
@@ -362,6 +366,9 @@ _REFERENCE_KEYS = frozenset((*schema.REFERENCE_LIST_KEYS, "source"))
 
 
 _TEXT_OR_NONE = (str, type(None))
+# the members the element checks compare kinds with, read once: on 3.11 each
+# read through the enum class, such as Layer.RUNTIME, costs a Python call
+_RUNTIME, _STATIC, _PROPAGATION = Layer.RUNTIME, Layer.STATIC, EdgeFamily.PROPAGATION
 
 
 def _field_type_violations(what: str, element, table, keys: tuple, out: list,
@@ -391,16 +398,16 @@ def _attribute_violations(element_id: str, attributes: dict, strings: frozenset,
     when it is a string; any other allowed value meets its predicate in
     ``others``. The element checks call this once a key has failed."""
     if not isinstance(attributes, dict):
-        out.append(Violation("attribute_schema", element_id, f"{element_id!r} attributes "
-                             f"must be an object, got {attributes!r}"))
+        out.append(Violation("attribute_schema", element_id, f"{quoted(element_id)} attributes "
+                             f"must be an object, got {quoted(attributes)}"))
         return
     failing = [key for key, value in attributes.items()
                if not (isinstance(value, str) if key in strings
                        else key in others and others[key][0](value))]
     for key in sorted(failing, key=str):
-        message = (f"{element_id!r} attribute {key!r} {schema.ATTRIBUTE_CHECKS[key][1]}"
+        message = (f"{quoted(element_id)} attribute {quoted(key)} {schema.ATTRIBUTE_CHECKS[key][1]}"
                    if key in strings or key in others
-                   else f"{element_id!r} carries unregistered key {key!r}")
+                   else f"{quoted(element_id)} carries unregistered key {quoted(key)}")
         out.append(Violation("attribute_schema", element_id, message))
 
 
@@ -408,18 +415,21 @@ def _attribute_violations(element_id: str, attributes: dict, strings: frozenset,
 # the graph
 # ===========================================================================
 
+# a graph's edge ids by source and by target, and its element ids by kind
+_Index = namedtuple("_Index", ("out", "into", "by_edge_kind", "by_node_kind"))
+
 
 class AgentBomGraph:
-    """Append-only two-layer graph with per-edge-kind adjacency indices."""
+    """Append-only two-layer graph. Its index of edges by endpoint and of
+    elements by kind is built by the first query, in insertion order, and
+    kept current by every append after that: it reflects each element's
+    endpoints and kind as of its first query."""
 
     def __init__(self):
         self.agents: dict[str, AgentDescriptor] = {}
         self.nodes: dict[str, Node] = {}
         self.edges: dict[str, Edge] = {}
-        self._out: dict[str, list[str]] = {}
-        self._in: dict[str, list[str]] = {}
-        self._by_edge_kind: dict[EdgeKind, list[str]] = {k: [] for k in EdgeKind}
-        self._by_node_kind: dict[NodeKind, list[str]] = {k: [] for k in NodeKind}
+        self._index: _Index | None = None
         self._frozen = False
 
     # ------------------------------------------------------------------
@@ -427,29 +437,39 @@ class AgentBomGraph:
     # ------------------------------------------------------------------
 
     def add_agent(self, descriptor: AgentDescriptor) -> str:
-        self._ensure_open()
+        if self._frozen:
+            raise FrozenGraphError(_FROZEN)
         violations = []
         _agent_violations(descriptor, violations)
-        _raise_first(violations)
+        if violations:
+            _raise_first(violations)
         if descriptor.agent_id in self.agents:
-            raise DuplicateIdError(f"agent {descriptor.agent_id!r} already registered")
+            raise DuplicateIdError(f"agent {quoted(descriptor.agent_id)} already registered")
         self.agents[descriptor.agent_id] = descriptor
         return descriptor.agent_id
 
     def add_node(self, node: Node) -> str:
-        self._ensure_open()
+        if self._frozen:
+            raise FrozenGraphError(_FROZEN)
         violations = []
         self._node_violations(node, violations, check_duplicate=True)
-        _raise_first(violations)
-        self._index_node(node)
+        if violations:
+            _raise_first(violations)
+        self.nodes[node.node_id] = node
+        if self._index is not None:
+            self._index.by_node_kind[node.kind].append(node.node_id)
         return node.node_id
 
     def add_edge(self, edge: Edge) -> str:
-        self._ensure_open()
+        if self._frozen:
+            raise FrozenGraphError(_FROZEN)
         violations = []
         self._edge_violations(edge, violations, check_duplicate=True)
-        _raise_first(violations)
-        self._index_edge(edge)
+        if violations:
+            _raise_first(violations)
+        self.edges[edge.edge_id] = edge
+        if self._index is not None:
+            self._index_edge(edge)
         return edge.edge_id
 
     def freeze(self) -> None:
@@ -460,23 +480,25 @@ class AgentBomGraph:
     def frozen(self) -> bool:
         return self._frozen
 
-    def _ensure_open(self):
-        if self._frozen:
-            raise FrozenGraphError("graph is frozen; no further appends allowed")
-
-    def _index_node(self, node: Node) -> None:
-        self.nodes[node.node_id] = node
-        self._by_node_kind[node.kind].append(node.node_id)
-
-    def _index_edge(self, edge: Edge) -> None:
-        self.edges[edge.edge_id] = edge
-        self._out.setdefault(edge.source, []).append(edge.edge_id)
-        self._in.setdefault(edge.target, []).append(edge.edge_id)
-        self._by_edge_kind[edge.kind].append(edge.edge_id)
-
     # ------------------------------------------------------------------
     # lookups
     # ------------------------------------------------------------------
+
+    def _indexed(self) -> _Index:
+        if self._index is None:
+            self._index = _Index({}, {}, {kind: [] for kind in EdgeKind},
+                                 {kind: [] for kind in NodeKind})
+            for node in self.nodes.values():
+                self._index.by_node_kind[node.kind].append(node.node_id)
+            for edge in self.edges.values():
+                self._index_edge(edge)
+        return self._index
+
+    def _index_edge(self, edge: Edge) -> None:
+        out, into, by_edge_kind, _ = self._index
+        out.setdefault(edge.source, []).append(edge.edge_id)
+        into.setdefault(edge.target, []).append(edge.edge_id)
+        by_edge_kind[edge.kind].append(edge.edge_id)
 
     def element(self, element_id: str):
         """Resolve an element id to its node or edge."""
@@ -488,22 +510,22 @@ class AgentBomGraph:
         return element_id in self.nodes or element_id in self.edges
 
     def out_edges(self, node_id: str, kinds=None) -> list[Edge]:
-        edges = [self.edges[e] for e in self._out.get(node_id, ())]
+        edges = [self.edges[e] for e in (self._index or self._indexed()).out.get(node_id, ())]
         if kinds is not None:
             edges = [e for e in edges if e.kind in kinds]
         return edges
 
     def in_edges(self, node_id: str, kinds=None) -> list[Edge]:
-        edges = [self.edges[e] for e in self._in.get(node_id, ())]
+        edges = [self.edges[e] for e in (self._index or self._indexed()).into.get(node_id, ())]
         if kinds is not None:
             edges = [e for e in edges if e.kind in kinds]
         return edges
 
     def nodes_of_kind(self, kind: NodeKind) -> list[Node]:
-        return [self.nodes[n] for n in self._by_node_kind[kind]]
+        return [self.nodes[n] for n in (self._index or self._indexed()).by_node_kind[kind]]
 
     def edges_of_kind(self, kind: EdgeKind) -> list[Edge]:
-        return [self.edges[e] for e in self._by_edge_kind[kind]]
+        return [self.edges[e] for e in (self._index or self._indexed()).by_edge_kind[kind]]
 
     def layer_counts(self) -> dict[Layer, int]:
         counts = {layer: 0 for layer in Layer}
@@ -542,30 +564,30 @@ class AgentBomGraph:
             out.append(Violation("empty_id", nid, "a node id must not be empty"))
             return
         if check_duplicate and (nid in self.nodes or nid in self.edges):
-            out.append(Violation("duplicate_id", nid, f"element id {nid!r} already in use"))
+            out.append(Violation("duplicate_id", nid, f"element id {quoted(nid)} already in use"))
             return
         if not isinstance(node.kind, NodeKind):
-            out.append(Violation("unknown_kind", nid, f"node {nid!r} kind is not a NodeKind"))
+            out.append(Violation("unknown_kind", nid, f"node {quoted(nid)} kind is not a NodeKind"))
             return
         kind = node.kind
         strings, others = _KEY_CHECKS[kind]
-        if kind.layer is Layer.RUNTIME:
+        if kind.layer is _RUNTIME:
             if not node.trace_id or not node.timestamp:
-                out.append(Violation("layer_metadata", nid, f"runtime node {nid!r} "
+                out.append(Violation("layer_metadata", nid, f"runtime node {quoted(nid)} "
                                      "requires trace_id and timestamp"))
             if not node.agent_id:
                 out.append(Violation("layer_metadata", nid,
-                                     f"runtime node {nid!r} requires agent_id"))
+                                     f"runtime node {quoted(nid)} requires agent_id"))
             elif node.agent_id not in self.agents:
-                out.append(Violation("unknown_agent", nid, f"runtime node {nid!r} names "
-                                     f"unregistered agent {node.agent_id!r}"))
-        elif kind.layer is Layer.STATIC and node.trace_id is not None:
+                out.append(Violation("unknown_agent", nid, f"runtime node {quoted(nid)} names "
+                                     f"unregistered agent {quoted(node.agent_id)}"))
+        elif kind.layer is _STATIC and node.trace_id is not None:
             out.append(Violation("layer_metadata", nid,
-                                 f"static node {nid!r} must not carry trace_id"))
+                                 f"static node {quoted(nid)} must not carry trace_id"))
         stamp = node.timestamp
         if stamp is not None and not _is_instant(stamp):
-            out.append(Violation("attribute_schema", nid, f"node {schema.quoted(nid)} timestamp "
-                                 f"{schema.quoted(stamp)} is not ISO-8601"))
+            out.append(Violation("attribute_schema", nid, f"node {quoted(nid)} timestamp "
+                                 f"{quoted(stamp)} is not ISO-8601"))
         attributes = node.attributes
         if type(attributes) is not dict:
             _attribute_violations(nid, attributes, strings, others, out)
@@ -592,10 +614,11 @@ class AgentBomGraph:
             out.append(Violation("empty_id", eid, "an edge id must not be empty"))
             return
         if check_duplicate and (eid in self.nodes or eid in self.edges):
-            out.append(Violation("duplicate_id", eid, f"element id {eid!r} already in use"))
+            out.append(Violation("duplicate_id", eid, f"element id {quoted(eid)} already in use"))
             return
         if not isinstance(edge.kind, EdgeKind):
-            out.append(Violation("unknown_kind", eid, f"edge {eid!r} kind is not an EdgeKind"))
+            out.append(Violation("unknown_kind", eid,
+                                 f"edge {quoted(eid)} kind is not an EdgeKind"))
             return
         kind = edge.kind
         strings, others = _KEY_CHECKS[kind]
@@ -604,7 +627,8 @@ class AgentBomGraph:
         if src is None or tgt is None:
             missing = edge.source if src is None else edge.target
             out.append(Violation("dangling_endpoint", eid,
-                                 f"edge {eid!r} endpoint {missing!r} is not in the graph"))
+                                 f"edge {quoted(eid)} endpoint {quoted(missing)} "
+                                 "is not in the graph"))
             return
         if type(src.kind) is not NodeKind or type(tgt.kind) is not NodeKind:
             return  # not judged: the endpoint reports its own unknown_kind
@@ -614,12 +638,12 @@ class AgentBomGraph:
             return
         # an endpoint whose attributes are not a map carries no marker (and
         # is reported itself)
-        if (kind.family is EdgeFamily.PROPAGATION
+        if (kind.family is _PROPAGATION
                 and src.agent_id is not None and src.agent_id == tgt.agent_id
                 and not any(isinstance(n.attributes, dict) and "shared_state" in n.attributes
                             for n in (src, tgt))):
-            out.append(Violation("cross_agent", eid, f"propagation edge {eid!r} joins two "
-                                 f"elements of agent {src.agent_id!r} with no "
+            out.append(Violation("cross_agent", eid, f"propagation edge {quoted(eid)} joins two "
+                                 f"elements of agent {quoted(src.agent_id)} with no "
                                  "shared-object marker"))
         attributes = edge.attributes
         if type(attributes) is not dict:
@@ -635,8 +659,8 @@ class AgentBomGraph:
                 break
         stamp = edge.timestamp
         if stamp is not None and not _is_instant(stamp):
-            out.append(Violation("attribute_schema", eid, f"edge {schema.quoted(eid)} timestamp "
-                                 f"{schema.quoted(stamp)} is not ISO-8601"))
+            out.append(Violation("attribute_schema", eid, f"edge {quoted(eid)} timestamp "
+                                 f"{quoted(stamp)} is not ISO-8601"))
 
     def _reference_violations(self, element_id, attributes: dict, out: list) -> None:
         """Append the references that name no node; an element may name
@@ -650,12 +674,13 @@ class AgentBomGraph:
                     continue  # already reported as a type problem
                 if ref != element_id and ref not in self.nodes:
                     out.append(Violation("unresolved_reference", element_id,
-                                         f"{element_id!r} {key} entry {ref!r} does not resolve"))
+                                         f"{quoted(element_id)} {key} entry {quoted(ref)} "
+                                         "does not resolve"))
         source = attributes.get("source")
         if (isinstance(source, str) and source and not _is_uri(source)
                 and source != element_id and source not in self.nodes):
             out.append(Violation("unresolved_reference", element_id,
-                                 f"{element_id!r} source {source!r} does not resolve"))
+                                 f"{quoted(element_id)} source {quoted(source)} does not resolve"))
 
     # ------------------------------------------------------------------
     # serialization
@@ -838,7 +863,7 @@ class _Loader:
             docs[index] = None
             descriptor = AgentDescriptor.from_dict(agent_doc)
             if descriptor.agent_id in agents:
-                raise DuplicateIdError(f"agent id {descriptor.agent_id!r} appears twice")
+                raise DuplicateIdError(f"agent id {quoted(descriptor.agent_id)} appears twice")
             share(descriptor.agent_id, descriptor.agent_id)  # the object nodes take
             agents[descriptor.agent_id] = descriptor
 
@@ -849,13 +874,13 @@ class _Loader:
             docs[index] = None
             node = Node.from_dict(node_doc)
             if node.node_id in nodes:
-                raise DuplicateIdError(f"node id {node.node_id!r} appears twice")
+                raise DuplicateIdError(f"node id {quoted(node.node_id)} appears twice")
             node.agent_id = share(node.agent_id, node.agent_id)
             node.trace_id = share(node.trace_id, node.trace_id)
             if own and node.attributes:
                 node.attributes = {share(key, key): share(value, value) if type(value) is str
                                    else value for key, value in node.attributes.items()}
-            graph._index_node(node)
+            nodes[node.node_id] = node
 
     def edges(self, docs: list) -> None:
         graph, share, own = self.graph, self._share, self._own
@@ -864,7 +889,7 @@ class _Loader:
             docs[index] = None
             edge = Edge.from_dict(edge_doc)
             if graph.has_element(edge.edge_id):
-                raise DuplicateIdError(f"edge id {edge.edge_id!r} appears twice")
+                raise DuplicateIdError(f"edge id {quoted(edge.edge_id)} appears twice")
             source, target = node_of(edge.source), node_of(edge.target)
             if source is not None:
                 edge.source = source.node_id
@@ -875,7 +900,7 @@ class _Loader:
             if own and edge.attributes:
                 edge.attributes = {share(key, key): share(value, value) if type(value) is str
                                    else value for key, value in edge.attributes.items()}
-            graph._index_edge(edge)
+            graph.edges[edge.edge_id] = edge
 
 
 # from_json's slices: about this many characters of an element array each;
@@ -1012,23 +1037,29 @@ def _edge_text(edge: Edge) -> str:
             f'{tail}\n    }}')
 
 
+# each registered attribute key's text before its value, '"key": '
+_KEY_TEXT = {key: _quote(key) + ": " for key in schema.ATTRIBUTE_CHECKS}
+
+
 def _json_text(value, newline: str) -> str:
+    inner = newline + "  "
+    comma = "," + inner
     if isinstance(value, dict):
         if not value:
             return "{}"
-        inner = newline + "  "
-        body = ("," + inner).join([
-            _quote(k) + ": " + (_quote(v) if type(v) is str else _json_text(v, inner))
-            for k, v in sorted(value.items())
-        ])
-        return f"{{{inner}{body}{newline}}}"
+        parts = []  # a loop: most dicts are small, and a comprehension's call costs more
+        for k, v in sorted(value.items()):
+            parts.append((_KEY_TEXT[k] if k in _KEY_TEXT else _quote(k) + ": ")
+                         + (_quote(v) if type(v) is str else _json_text(v, inner)))
+        return f"{{{inner}{comma.join(parts)}{newline}}}"
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        inner = newline + "  "
-        body = ("," + inner).join([
-            _quote(v) if type(v) is str else _json_text(v, inner) for v in value
-        ])
+        try:  # a list of strings, the common case
+            body = comma.join(map(_quote, value))
+        except TypeError:
+            body = comma.join([_quote(v) if type(v) is str else _json_text(v, inner)
+                               for v in value])
         return f"[{inner}{body}{newline}]"
     if type(value) is int:
         return repr(value)  # the text json.dumps writes for an int, without its call

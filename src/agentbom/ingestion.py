@@ -502,13 +502,12 @@ def _merge_flags(attrs: dict, matcher: DangerMatcher) -> None:
 def _add_edge(graph, kind, source, target, timestamp=None, attributes=None) -> Edge:
     """Insert an edge under the first free id ``e.<kind>.<source>.<target>[.N]``,
     N = 2, 3, ..., and return it."""
-    base = f"e.{kind.value}.{source}.{target}"
-    edge_id, suffix = base, 2
-    while graph.has_element(edge_id):
+    base = f"e.{kind._value_}.{source}.{target}"
+    edge_id, suffix, nodes, edges = base, 2, graph.nodes, graph.edges
+    while edge_id in edges or edge_id in nodes:
         edge_id = f"{base}.{suffix}"
         suffix += 1
-    edge = Edge(edge_id=edge_id, kind=kind, source=source, target=target,
-                timestamp=timestamp, attributes=attributes or {})
+    edge = Edge(edge_id, kind, source, target, timestamp, attributes or {})
     graph.add_edge(edge)
     return edge
 

@@ -6,10 +6,12 @@ For the calling interpreter and each PYTHON given, under PYTHONHASHSEED 0
 and 1, this runs ``agentbom scenario``, ``build``, ``validate``, ``audit``
 and ``export`` (the whole graph, and finding 0) on the five fixtures at
 seeds 0-3, each step in its own child process with this checkout's src/ as
-its only PYTHONPATH. Every step's exit code, the sha256 of its stdout and
-stderr, and the sha256 of every file the steps write are compared with the
-calling interpreter's run under hash seed 0. It prints one line per
-difference and a summary, and exits 1 if anything differs.
+its only PYTHONPATH. It runs the same steps but ``scenario`` on the three
+benchmark workloads at seeds 0-1, whose manifest and trace texts it writes
+itself from bench/workloads.py. Every step's exit code, the sha256 of its
+stdout and stderr, and the sha256 of every file the steps write are
+compared with the calling interpreter's run under hash seed 0. It prints
+one line per difference and a summary, and exits 1 if anything differs.
 
 It needs nothing beyond the standard library, so it runs on interpreters
 that have no pytest. The tier-1 suite runs a one-fixture slice of it with
@@ -18,6 +20,7 @@ the calling interpreter alone.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 import subprocess
@@ -26,8 +29,11 @@ import tempfile
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+BENCH = SRC.parent / "bench"
 HASH_SEEDS = ("0", "1")
 SEEDS = (0, 1, 2, 3)
+WORKLOADS = tuple((name, seed) for name in ("replay_poison", "diamond_chain", "ingest_mesh")
+                  for seed in (0, 1))
 
 
 def _scenario_ids() -> tuple:
@@ -39,11 +45,28 @@ def _scenario_ids() -> tuple:
     return SCENARIO_IDS
 
 
-def _steps(scenario_id: str, seed: int) -> list:
+@functools.cache
+def _workload_texts(name: str, seed: int) -> tuple:
+    """(manifest text, trace text) of one benchmark workload, generated in
+    this process from bench/workloads.py, which is read and not written."""
+    sys.path[:0] = [str(SRC), str(BENCH)]
+    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        import workloads
+    finally:
+        sys.dont_write_bytecode = dont_write
+        del sys.path[:2]
+    workload = workloads.generate(name, seed)
+    return workload.manifest_text, workload.trace_text
+
+
+def _steps(scenario_id: str | None, seed: int) -> list:
     """(name, CLI arguments) of each step, all paths relative to the run's
-    directory, so that no output names where it ran."""
-    return [
-        ("scenario", ["scenario", "--id", scenario_id, "--seed", str(seed), "--out", "fx"]),
+    directory, so that no output names where it ran; with no scenario, the
+    steps on inputs already written to fx/."""
+    scenario = [] if scenario_id is None else [
+        ("scenario", ["scenario", "--id", scenario_id, "--seed", str(seed), "--out", "fx"])]
+    return scenario + [
         ("build", ["build", "--manifest", "fx/manifest.json", "--trace", "fx/trace.jsonl",
                    "--out", "graph.json"]),
         ("validate", ["validate", "--graph", "graph.json"]),
@@ -58,37 +81,42 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run(python: str, hash_seed: str, scenario_ids, seeds) -> dict:
+def run(python: str, hash_seed: str, scenario_ids, seeds, workloads) -> dict:
     """What one interpreter under one hash seed gives: a map from each step,
     and each file written, to its exit code and output hashes."""
     env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED=hash_seed)
     results = {}
-    for scenario_id in scenario_ids:
-        for seed in seeds:
-            with tempfile.TemporaryDirectory() as tmp:
-                for name, args in _steps(scenario_id, seed):
-                    done = subprocess.run([python, "-m", "agentbom.cli", *args], cwd=tmp,
-                                          env=env, capture_output=True, timeout=300)
-                    results[f"{scenario_id} seed {seed} {name}"] = (
-                        f"exit {done.returncode} stdout {_sha(done.stdout)} "
-                        f"stderr {_sha(done.stderr)}")
-                for path in sorted(Path(tmp).rglob("*")):
-                    if path.is_file():
-                        results[f"{scenario_id} seed {seed} file {path.relative_to(tmp)}"] = (
-                            _sha(path.read_bytes()))
+    cases = [(scenario_id, seed, None) for scenario_id in scenario_ids for seed in seeds]
+    cases += [(name, seed, _workload_texts(name, seed)) for name, seed in workloads]
+    for case, seed, texts in cases:
+        with tempfile.TemporaryDirectory() as tmp:
+            if texts is not None:
+                (Path(tmp) / "fx").mkdir()
+                for file_name, text in zip(("manifest.json", "trace.jsonl"), texts):
+                    (Path(tmp) / "fx" / file_name).write_text(text, encoding="utf-8")
+            for name, args in _steps(case if texts is None else None, seed):
+                done = subprocess.run([python, "-m", "agentbom.cli", *args], cwd=tmp,
+                                      env=env, capture_output=True, timeout=300)
+                results[f"{case} seed {seed} {name}"] = (
+                    f"exit {done.returncode} stdout {_sha(done.stdout)} "
+                    f"stderr {_sha(done.stderr)}")
+            for path in sorted(Path(tmp).rglob("*")):
+                if path.is_file():
+                    results[f"{case} seed {seed} file {path.relative_to(tmp)}"] = (
+                        _sha(path.read_bytes()))
     return results
 
 
-def differences(pythons, scenario_ids=None, seeds=SEEDS) -> tuple:
+def differences(pythons, scenario_ids=None, seeds=SEEDS, workloads=WORKLOADS) -> tuple:
     """(a line naming each difference from the calling interpreter's run
     under the first hash seed, that run, the number of other runs)."""
     scenario_ids = _scenario_ids() if scenario_ids is None else scenario_ids
-    reference = run(sys.executable, HASH_SEEDS[0], scenario_ids, seeds)
+    reference = run(sys.executable, HASH_SEEDS[0], scenario_ids, seeds, workloads)
     others = [(python, hash_seed) for python in [sys.executable, *pythons]
               for hash_seed in HASH_SEEDS][1:]
     lines = []
     for python, hash_seed in others:
-        got = run(python, hash_seed, scenario_ids, seeds)
+        got = run(python, hash_seed, scenario_ids, seeds, workloads)
         for key in sorted(reference.keys() | got.keys()):
             if got.get(key) != reference.get(key):
                 lines.append(f"{python} PYTHONHASHSEED={hash_seed}: {key}: "

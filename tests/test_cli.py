@@ -618,6 +618,7 @@ _ANDS = _nested(450, '{"op": "and", "args": [', "]}", '{"op": "flags"}')
     ("trace", _lines(_EVENT, dict(_EVENT, event_id=_HUGE, trace_id="t2", refs=["x1"]))),
     ("trace", _lines(dict(_EVENT, event_type="tool_invocation", attrs={"tool_name": _HUGE}))),
     ("trace", _lines(dict(_EVENT, event_id=_HUGE, event_type="tool_invocation"))),
+    ("trace", _lines(dict(_EVENT, agent_id=_HUGE))),
     ("manifest", json.dumps({"agents": [{"agent_id": _HUGE}, {"agent_id": _HUGE}]})),
     ("manifest", json.dumps({"agents": [{"agent_id": _HUGE, "model": {"nope": 1}}]})),
     ("manifest", json.dumps({"agents": [{"agent_id": "a", "tools": [{"tool_name": _HUGE}] * 2}]})),
@@ -629,7 +630,7 @@ _ANDS = _nested(450, '{"op": "and", "args": [', "]}", '{"op": "flags"}')
         "trace-line-1mb-string", "trace-1mb-timestamp", "trace-1mb-ref", "trace-1mb-event-type",
         "trace-1mb-event-id-bad-stamp", "trace-1mb-event-id-out-of-order",
         "trace-1mb-ref-to-later-event", "trace-1mb-event-id-ref-across-traces",
-        "trace-1mb-tool-name", "trace-1mb-event-id-lacks-tool",
+        "trace-1mb-tool-name", "trace-1mb-event-id-lacks-tool", "trace-1mb-undeclared-agent",
         "manifest-1mb-agent-twice", "manifest-1mb-agent-bad-model", "manifest-1mb-tool-twice",
         "manifest-1mb-tool-declared-inconsistently"])
 def test_deeply_nested_input_is_a_single_line_error(tmp_path, capsys, command, deep):
@@ -654,13 +655,19 @@ def test_deeply_nested_input_is_a_single_line_error(tmp_path, capsys, command, d
 
 
 def test_the_cross_python_runner_finds_no_difference_on_one_fixture():
-    """tests/cross_python.py on one fixture and seed, with this interpreter
-    alone: every step succeeds, and its bytes do not depend on the hash
-    seed."""
-    lines, reference, runs = cross_python.differences([], ["memory_poisoning_tool_misuse"], [0])
+    """tests/cross_python.py on one fixture and one workload at seed 0, with
+    this interpreter alone: every step succeeds, and its bytes do not
+    depend on the hash seed."""
+    lines, reference, runs = cross_python.differences(
+        [], ["memory_poisoning_tool_misuse"], [0], [("diamond_chain", 0)])
     assert lines == [] and runs == 1
     steps = [value for key, value in reference.items() if " file " not in key]
-    assert len(steps) == 6 and all(value.startswith("exit 0 ") for value in steps)
-    assert sorted(key.split(" file ")[1] for key in reference if " file " in key) == [
+    assert len(steps) == 6 + 5 and all(value.startswith("exit 0 ") for value in steps)
+    files = sorted(key for key in reference if " file " in key)
+    assert [key.split(" file ")[1] for key in files if key.startswith("memory")] == [
         "finding.dot", "fx/expected_report.json", "fx/manifest.json", "fx/trace.jsonl",
         "graph.dot", "graph.json", "report.json"]
+    assert [key for key in files if not key.startswith("memory")] == [
+        f"diamond_chain seed 0 file {name}" for name in (
+            "finding.dot", "fx/manifest.json", "fx/trace.jsonl", "graph.dot", "graph.json",
+            "report.json")]

@@ -95,7 +95,8 @@ def test_edge_documents_match_the_stdlib(doc):
     assert dump_json(doc) == _stdlib(doc)
 
 
-@pytest.mark.parametrize("doc", [{1: "a"}, {"a": [{None: 1}]}, {("a",): 1}])
+@pytest.mark.parametrize("doc", [{1: "a"}, {"a": [{None: 1}]}, {("a",): 1}, {True: "a"},
+                                 {"content": {"basis": ["a"], 2: "b"}}, {"trace_id": [{5: "x"}]}])
 def test_a_non_string_key_is_a_type_error(doc):
     with pytest.raises(TypeError):
         dump_json(doc)

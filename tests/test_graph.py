@@ -3,6 +3,7 @@ from __future__ import annotations
 import copy
 import gc
 import json
+import random
 
 import pytest
 
@@ -18,6 +19,7 @@ from agentbom.errors import (
     UnknownAgentError,
     UnknownKindError,
 )
+from _oracles import random_graph
 from agentbom.graph import AgentBomGraph, AgentDescriptor, Edge, Node, _Loader, instant
 from agentbom.schema import EdgeKind, Layer, NodeKind
 
@@ -762,3 +764,67 @@ def test_validate_and_digest_see_every_change_to_a_loaded_graph(graphs):
     assert [v.message for v in mistyped] == [
         f"{node.node_id!r} attribute 'content' must be a string"]
     assert len({first, second, third}) == 3
+
+
+# the kinds filters the index is asked with: none, a few, every kind
+_KIND_FILTERS = (None, frozenset({EdgeKind.FLOWS_TO, EdgeKind.INVOKES, EdgeKind.SENDS_TO}),
+                 frozenset(EdgeKind))
+
+
+def _assert_index_is_a_scan(graph: AgentBomGraph) -> None:
+    """Every answer of the graph's index equals a brute-force scan of its
+    node and edge tables, in insertion order, element for element."""
+    edges, nodes = list(graph.edges.values()), list(graph.nodes.values())
+    for node_id in [*graph.nodes, "no.such.node"]:
+        for kinds in _KIND_FILTERS:
+            wanted = [e for e in edges if kinds is None or e.kind in kinds]
+            assert list(map(id, graph.out_edges(node_id, kinds))) == [
+                id(e) for e in wanted if e.source == node_id]
+            assert list(map(id, graph.in_edges(node_id, kinds))) == [
+                id(e) for e in wanted if e.target == node_id]
+    for kind in NodeKind:
+        assert list(map(id, graph.nodes_of_kind(kind))) == [
+            id(n) for n in nodes if n.kind is kind]
+    for kind in EdgeKind:
+        assert list(map(id, graph.edges_of_kind(kind))) == [
+            id(e) for e in edges if e.kind is kind]
+
+
+@pytest.mark.parametrize("timed", [False, True], ids=["untimed", "timed"])
+def test_the_index_is_a_scan_of_random_graphs(timed):
+    for seed in range(40):
+        _assert_index_is_a_scan(random_graph(random.Random(seed), timed=timed))
+
+
+def test_the_index_is_a_scan_of_fixture_and_loaded_graphs(graphs):
+    for graph in graphs.values():
+        _assert_index_is_a_scan(graph)
+        _assert_index_is_a_scan(AgentBomGraph.from_json(graph.to_json()))
+        _assert_index_is_a_scan(AgentBomGraph.from_dict(graph.to_dict()))
+
+
+def test_the_index_stays_a_scan_of_an_open_graph_appended_to_after_a_query():
+    """The index is built on the first query, and every append after that
+    keeps it current: queried after each append, it is still a scan."""
+    for seed in range(6):
+        built = random_graph(random.Random(seed), timed=seed % 2 == 1)
+        graph = AgentBomGraph()
+        for descriptor in built.agents.values():
+            graph.add_agent(descriptor)
+        for element in [*built.nodes.values(), *built.edges.values()]:
+            (graph.add_node if isinstance(element, Node) else graph.add_edge)(element)
+            _assert_index_is_a_scan(graph)
+        assert graph.to_json() == built.to_json()
+
+
+def test_building_and_writing_a_graph_never_builds_its_index(fixtures):
+    """Neither assembling a fixture nor writing its graph queries the index,
+    so it is never built; a loaded graph builds it on its first query."""
+    for fixture in fixtures.values():
+        graph = fixture.build()
+        text = graph.to_json()
+        assert graph._index is None
+        loaded = AgentBomGraph.from_json(text)
+        assert loaded.validate() == [] and loaded._index is None
+        loaded.out_edges(next(iter(loaded.nodes)))
+        assert loaded._index is not None

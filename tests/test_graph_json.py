@@ -94,12 +94,18 @@ def test_a_loaded_document_with_nested_values():
              "attributes": {"parameters": {"deep": [[1, 2.5, -0.0], {"x": None}],
                                            "empty": {}, "none": []},
                             "count": 3, "ratio": 1e300, "flag": True,
-                            "nested": [[[]], [{}], [{"z": "y", "a": [False]}]]}},
+                            "nested": [[[]], [{}], [{"z": "y", "a": [False]}]],
+                            # registered keys holding lists the writer does not
+                            # join whole, and unregistered, non-ASCII keys
+                            "basis": [], "danger_flags": ["b", 1, "a", None],
+                            "selected_tools": ["x", ["y"], {"k": "v"}],
+                            "cl\xe9 \u2028": "v", _ODD: [_ODD, "z"]}},
             {"node_id": "tool.t", "kind": "ToolNode", "attributes": {}},
         ],
         "edges": [
             {"edge_id": "e1", "kind": "invokes", "source": "act.1", "target": "tool.t",
-             "attributes": {"weights": [0.1, 2**70, -(2**63)]}},
+             "attributes": {"weights": [0.1, 2**70, -(2**63)],
+                            "trace_id": {"nested": {"deeper": ["s", 1]}}}},
         ],
     }
     graph = AgentBomGraph.from_dict(doc)
@@ -138,7 +144,8 @@ def test_elements_built_with_fields_that_are_not_plain_strings():
     the elements in their table."""
     graph = _two_agents()
     values = [5, -0.0, 2**70, 1e300, True, None, [], ["a", 2], {"k": [1, {"z": None}]},
-              _Text("sub"), _Text(_ODD), "plain" + _ODD]
+              _Text("sub"), _Text(_ODD), "plain" + _ODD, _Text("content"),
+              [_Text("a"), _Text(_ODD)], ["a", _Text("b"), 3, "c"]]
     for number, value in enumerate(values):
         graph.nodes[f"n{number:02}"] = Node(value, NodeKind.ACTION, value, value, value,
                                             {"content": value})
