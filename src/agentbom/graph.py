@@ -30,21 +30,27 @@ strings, and a (predicate, message) pair per other allowed key. Attributes
 are tested inline, and worded only once a key fails, so a clean element
 costs a few lookups and one predicate call per non-string attribute; its
 references are walked only when it carries a reference key. A timestamp
-is read by instant(), as every stamp in the program is. An id, agent id,
-trace id, role or policy boundary that is not a string is a field_type
-problem, judged by the document's field table and worded as on loading a
-document.
+is read by instant(), as every stamp in the program is. instant() keeps
+each text it has read in a plain dict, _STAMPS, emptied whole once it holds
+65,536, and a check takes a string stamp found there as read, without a
+call. An id, agent id, trace id, role or policy boundary that is not a
+string is a field_type problem, judged by the document's field table and
+worded as on loading a document.
 
 to_json writes each element's text straight from its fields, with no
 to_dict() copy, and joins the document once; each kind's and registered
 attribute key's quoted text comes from a table made at import, and a plain
 string, or a list of them, is quoted inline. The bytes are those of
 dump_json(to_dict()). digest() hashes the compact, key-sorted text of
-to_dict() a batch of elements at a time, encoding documents built around
-the elements' own attribute dicts, so neither a copy of the graph nor that
-text is ever whole. Its encoder does not look for cycles: an attribute
-value that contains itself runs into the recursion limit, which digest()
-reports as ValueError. It imports hashlib on its first call: building a
+to_dict() a batch of elements at a time, so neither a copy of the graph nor
+that text is ever whole. It writes each element's text from its fields as
+to_json does, in the compact layout: kinds from the same table, plain
+strings quoted inline, and only attribute dicts and other field values
+through _ENCODE, the C encoder of json.dumps made once at import. That
+encoder does not look for cycles: an attribute value that contains itself
+runs into the recursion limit, which digest() reports as ValueError. Each
+part it returns is joined, as the C encoder of 3.10 and 3.11 returns a long
+text in several. digest() imports hashlib on its first call: building a
 graph, writing a scenario or exporting DOT never hash. The bulk conversions
 (trace parsing and assembly in ingestion, and to_json, from_json and digest
 here) run with the cycle collector paused, since none of them makes a
@@ -54,12 +60,12 @@ resuming the collector does not walk them.
 
 from __future__ import annotations
 
-import functools
 import gc
 import json
 from collections import namedtuple
 from contextlib import contextmanager
 from datetime import datetime, timedelta, timezone
+from json.encoder import c_make_encoder
 from json.encoder import encode_basestring_ascii as _quote
 
 from . import schema
@@ -76,7 +82,8 @@ from .errors import (
     UnknownKindError,
 )
 from .record import FRESH, FrozenRecord, Record
-from .schema import EdgeFamily, EdgeKind, Layer, NodeKind, quoted
+from .schema import (EDGE_KIND_OF_NAME, NODE_KIND_OF_NAME, EdgeFamily, EdgeKind, Layer, NodeKind,
+                     quoted)
 
 # ===========================================================================
 # helpers
@@ -98,17 +105,31 @@ _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _MICROSECOND = timedelta(microseconds=1)
 
 
-@functools.lru_cache(maxsize=1 << 16)
+# instant()'s memo, text -> instant; emptied when a new text finds it full
+_STAMPS: dict = {}
+_STAMPS_BOUND = 1 << 16
+
+
 def instant(text: str) -> int:
     """A timestamp as whole microseconds since the epoch; ValueError for
     text parse_instant cannot read.
 
-    Every reader of a stamp in the program asks here, so each distinct text
-    is parsed once while it is among the last 65,536 asked for. Only
-    strings are kept: the element checks test a stamp's type before they
-    ask, and any other value raises.
+    Every reader of a stamp in the program asks here, and each text read is
+    kept in the plain dict _STAMPS, so a text is parsed once until the memo
+    is emptied: that happens, whole, when a new text would be kept while it
+    holds _STAMPS_BOUND (65,536) texts. Only strings are kept: no other
+    value parses, and the element checks test a stamp's type, and look in
+    the memo, before they ask.
     """
-    return (parse_instant(text) - _EPOCH) // _MICROSECOND
+    try:
+        return _STAMPS[text]
+    except KeyError:
+        pass
+    stamp = (parse_instant(text) - _EPOCH) // _MICROSECOND
+    if len(_STAMPS) >= _STAMPS_BOUND:
+        _STAMPS.clear()
+    _STAMPS[text] = stamp
+    return stamp
 
 
 def _is_instant(text) -> bool:
@@ -214,21 +235,14 @@ class Node(Record):
         return self.attributes.get(key, default)
 
     def to_dict(self) -> dict:
-        return {**self._document(), "attributes": dict(self.attributes)}
-
-    def _document(self) -> dict:
-        """to_dict() around the node's own attributes dict, copied only when
-        it is not a plain dict; the digest encodes it. The kind's _value_ is
-        its value, read without the Python call of the enum's property."""
-        doc = {"node_id": self.node_id, "kind": self.kind._value_}
+        doc = {"node_id": self.node_id, "kind": self.kind.value}
         if self.agent_id is not None:
             doc["agent_id"] = self.agent_id
         if self.trace_id is not None:
             doc["trace_id"] = self.trace_id
         if self.timestamp is not None:
             doc["timestamp"] = self.timestamp
-        attributes = self.attributes
-        doc["attributes"] = attributes if type(attributes) is dict else dict(attributes)
+        doc["attributes"] = dict(self.attributes)
         return doc
 
     @classmethod
@@ -248,7 +262,7 @@ class Node(Record):
                                 and type(node.attributes) is dict):
             schema.check_fields(doc, schema.GRAPH_NODE, "node", GraphDocumentError)
             node = cls(**doc)
-        node.kind = schema.parse_node_kind(node.kind)
+        node.kind = NODE_KIND_OF_NAME.get(node.kind) or schema.parse_node_kind(node.kind)
         return node
 
 
@@ -270,20 +284,11 @@ class Edge(Record):
         return self.attributes.get(key, default)
 
     def to_dict(self) -> dict:
-        return {**self._document(), "attributes": dict(self.attributes)}
-
-    def _document(self) -> dict:
-        """to_dict() around the edge's own attributes dict, as Node's."""
-        doc = {
-            "edge_id": self.edge_id,
-            "kind": self.kind._value_,
-            "source": self.source,
-            "target": self.target,
-        }
+        doc = {"edge_id": self.edge_id, "kind": self.kind.value,
+               "source": self.source, "target": self.target}
         if self.timestamp is not None:
             doc["timestamp"] = self.timestamp
-        attributes = self.attributes
-        doc["attributes"] = attributes if type(attributes) is dict else dict(attributes)
+        doc["attributes"] = dict(self.attributes)
         return doc
 
     @classmethod
@@ -298,7 +303,7 @@ class Edge(Record):
                                 and type(edge.attributes) is dict):
             schema.check_fields(doc, schema.GRAPH_EDGE, "edge", GraphDocumentError)
             edge = cls(**doc)
-        edge.kind = schema.parse_edge_kind(edge.kind)
+        edge.kind = EDGE_KIND_OF_NAME.get(edge.kind) or schema.parse_edge_kind(edge.kind)
         return edge
 
 
@@ -486,12 +491,17 @@ class AgentBomGraph:
 
     def _indexed(self) -> _Index:
         if self._index is None:
-            self._index = _Index({}, {}, {kind: [] for kind in EdgeKind},
-                                 {kind: [] for kind in NodeKind})
+            out, into = {}, {}
+            by_edge_kind = {kind: [] for kind in EdgeKind}
+            by_node_kind = {kind: [] for kind in NodeKind}
             for node in self.nodes.values():
-                self._index.by_node_kind[node.kind].append(node.node_id)
-            for edge in self.edges.values():
-                self._index_edge(edge)
+                by_node_kind[node.kind].append(node.node_id)
+            for edge in self.edges.values():  # _index_edge, inline
+                eid = edge.edge_id
+                out.setdefault(edge.source, []).append(eid)
+                into.setdefault(edge.target, []).append(eid)
+                by_edge_kind[edge.kind].append(eid)
+            self._index = _Index(out, into, by_edge_kind, by_node_kind)
         return self._index
 
     def _index_edge(self, edge: Edge) -> None:
@@ -585,7 +595,8 @@ class AgentBomGraph:
             out.append(Violation("layer_metadata", nid,
                                  f"static node {quoted(nid)} must not carry trace_id"))
         stamp = node.timestamp
-        if stamp is not None and not _is_instant(stamp):
+        if (stamp is not None and not (type(stamp) is str and stamp in _STAMPS)
+                and not _is_instant(stamp)):
             out.append(Violation("attribute_schema", nid, f"node {quoted(nid)} timestamp "
                                  f"{quoted(stamp)} is not ISO-8601"))
         attributes = node.attributes
@@ -658,7 +669,8 @@ class AgentBomGraph:
                 _attribute_violations(eid, attributes, strings, others, out)
                 break
         stamp = edge.timestamp
-        if stamp is not None and not _is_instant(stamp):
+        if (stamp is not None and not (type(stamp) is str and stamp in _STAMPS)
+                and not _is_instant(stamp)):
             out.append(Violation("attribute_schema", eid, f"edge {quoted(eid)} timestamp "
                                  f"{quoted(stamp)} is not ISO-8601"))
 
@@ -715,36 +727,33 @@ class AgentBomGraph:
         """The sha256 of ``json.dumps(self.to_dict(), sort_keys=True,
         separators=(",", ":"))``, hashed a batch of elements at a time.
 
-        Each table's elements go through the canonical encoder in id order,
-        ``_DIGEST_BATCH`` at a time, as documents that hold the elements' own
-        attribute dicts; a batch's text is hashed without its brackets, and
-        the hash object is fed the commas and the framing the whole text
-        would have around it. Neither the to_dict() copy nor the canonical
-        text is ever whole. An attribute value that contains itself, or
-        nests deeper than the interpreter's recursion limit, raises
-        ValueError.
+        Each table's elements are written in id order, each straight from
+        its fields (see _node_digest_text), and ``_DIGEST_BATCH`` element
+        texts at a time are joined by commas and hashed; the hash object is
+        fed the framing the whole text would have around them. Neither the
+        to_dict() copy nor the canonical text is ever whole. An attribute
+        value that contains itself, or nests deeper than the interpreter's
+        recursion limit, raises ValueError.
         """
         import hashlib  # only validate and audit hash; loading it costs every start
 
         sha = hashlib.sha256(b"{")
         with _collector_paused():
-            for opening, table, document in (
-                    (b'"agents":[', self.agents, AgentDescriptor.to_dict),
-                    (b'],"edges":[', self.edges, Edge._document),
-                    (b'],"nodes":[', self.nodes, Node._document)):
-                sha.update(opening)
-                ids = sorted(table)
-                for start in range(0, len(ids), _DIGEST_BATCH):
-                    if start:
-                        sha.update(b",")
-                    batch = map(table.__getitem__, ids[start:start + _DIGEST_BATCH])
-                    try:
-                        text = _CANONICAL.encode(list(map(document, batch)))
-                    except RecursionError:
-                        # what the encoder raises on a cycle, as it does not look for one
-                        raise ValueError("an attribute value contains itself or nests "
-                                         "too deeply to digest") from None
-                    sha.update(memoryview(text.encode("utf-8"))[1:-1])
+            try:
+                for opening, table, write in ((b'"agents":[', self.agents, _agent_digest_text),
+                                              (b'],"edges":[', self.edges, _edge_digest_text),
+                                              (b'],"nodes":[', self.nodes, _node_digest_text)):
+                    sha.update(opening)
+                    ids = sorted(table)
+                    for start in range(0, len(ids), _DIGEST_BATCH):
+                        if start:
+                            sha.update(b",")
+                        batch = map(table.__getitem__, ids[start:start + _DIGEST_BATCH])
+                        sha.update(",".join(map(write, batch)).encode("utf-8"))
+            except RecursionError:
+                # what the encoder raises on a cycle, as it does not look for one
+                raise ValueError("an attribute value contains itself or nests "
+                                 "too deeply to digest") from None
         sha.update(b"]}")
         return sha.hexdigest()
 
@@ -884,11 +893,12 @@ class _Loader:
 
     def edges(self, docs: list) -> None:
         graph, share, own = self.graph, self._share, self._own
-        node_of = graph.nodes.get
+        nodes, edges = graph.nodes, graph.edges
+        node_of = nodes.get
         for index, edge_doc in enumerate(docs):
             docs[index] = None
             edge = Edge.from_dict(edge_doc)
-            if graph.has_element(edge.edge_id):
+            if edge.edge_id in nodes or edge.edge_id in edges:
                 raise DuplicateIdError(f"edge id {quoted(edge.edge_id)} appears twice")
             source, target = node_of(edge.source), node_of(edge.target)
             if source is not None:
@@ -900,7 +910,7 @@ class _Loader:
             if own and edge.attributes:
                 edge.attributes = {share(key, key): share(value, value) if type(value) is str
                                    else value for key, value in edge.attributes.items()}
-            graph.edges[edge.edge_id] = edge
+            edges[edge.edge_id] = edge
 
 
 # from_json's slices: about this many characters of an element array each;
@@ -946,11 +956,15 @@ def _array_spans(text) -> list | None:
 # JSON text
 # ===========================================================================
 
-# The encoder whose text of to_dict() a graph's digest hashes, and the
-# elements it encodes at a time: enough that the per-call cost vanishes,
-# few enough that a batch's documents stay small. It keeps no record of the
-# containers it is inside; a cycle runs into the recursion limit instead.
+# The encoder of the compact, key-sorted text that a graph's digest hashes,
+# and the elements it hashes at a time: enough that the per-call cost
+# vanishes, few enough that a batch's text stays small. It keeps no record
+# of the containers it is inside; a cycle runs into the recursion limit
+# instead. _ENCODE is the C encoder JSONEncoder.iterencode builds on each
+# call, built once with _CANONICAL's settings; called with a value and an
+# indent level of 0, it returns the value's text in one or more parts.
 _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
+_ENCODE = c_make_encoder(None, _CANONICAL.default, _quote, None, ":", ",", True, False, True)
 _DIGEST_BATCH = 1000
 
 
@@ -1035,6 +1049,47 @@ def _edge_text(edge: Edge) -> str:
             f'\n      "source": {_quote(src) if type(src) is str else _field_text(src)},'
             f'\n      "target": {_quote(tgt) if type(tgt) is str else _field_text(tgt)}'
             f'{tail}\n    }}')
+
+
+def _compact(value) -> str:
+    """The text ``_CANONICAL.encode(value)`` gives."""
+    return "".join(_ENCODE(value, 0))
+
+
+def _agent_digest_text(agent: AgentDescriptor) -> str:
+    return _compact(agent.to_dict())  # a graph has few agents
+
+
+def _node_digest_text(node: Node) -> str:
+    """The text _CANONICAL gives ``node.to_dict()``, written as _node_text
+    writes to_json's. The kind and attributes are read first, as to_dict()
+    reads them, so a node that to_dict() raises on raises the same here."""
+    kind = _KIND_TEXT.get(node.kind) or _compact(node.kind.value)
+    attributes = node.attributes
+    attributes = "".join(_ENCODE(attributes if type(attributes) is dict else dict(attributes), 0))
+    nid, agent, stamp, trace = node.node_id, node.agent_id, node.timestamp, node.trace_id
+    head = "{" if agent is None else '{"agent_id":' + (
+        _quote(agent) if type(agent) is str else _compact(agent)) + ","
+    tail = ("" if stamp is None else ',"timestamp":' + (
+        _quote(stamp) if type(stamp) is str else _compact(stamp))) + (
+        "" if trace is None else ',"trace_id":' + (
+            _quote(trace) if type(trace) is str else _compact(trace)))
+    return (f'{head}"attributes":{attributes},"kind":{kind},'
+            f'"node_id":{_quote(nid) if type(nid) is str else _compact(nid)}{tail}}}')
+
+
+def _edge_digest_text(edge: Edge) -> str:
+    """The text _CANONICAL gives ``edge.to_dict()``, as _node_digest_text."""
+    kind = _KIND_TEXT.get(edge.kind) or _compact(edge.kind.value)
+    attributes = edge.attributes
+    attributes = "".join(_ENCODE(attributes if type(attributes) is dict else dict(attributes), 0))
+    eid, src, tgt, stamp = edge.edge_id, edge.source, edge.target, edge.timestamp
+    tail = "}" if stamp is None else ',"timestamp":' + (
+        _quote(stamp) if type(stamp) is str else _compact(stamp)) + "}"
+    return (f'{{"attributes":{attributes},'
+            f'"edge_id":{_quote(eid) if type(eid) is str else _compact(eid)},"kind":{kind},'
+            f'"source":{_quote(src) if type(src) is str else _compact(src)},'
+            f'"target":{_quote(tgt) if type(tgt) is str else _compact(tgt)}{tail}')
 
 
 # each registered attribute key's text before its value, '"key": '

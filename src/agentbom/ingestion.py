@@ -180,6 +180,12 @@ _EDGE_DIRECTIVE_KEYS = frozenset(
 )
 _MESSAGE_EVENTS = frozenset({"message_sent", "message_received", "delegation"})
 
+# the edge kinds assembly reads once per event or pair, read once: on 3.11
+# each read through the enum class, such as EdgeKind.INVOKES, costs a Python call
+_FLOWS_TO, _INFLUENCES, _SENDS_TO = EdgeKind.FLOWS_TO, EdgeKind.INFLUENCES, EdgeKind.SENDS_TO
+_INVOKES, _SELECTS = EdgeKind.INVOKES, EdgeKind.SELECTS
+_READS_FROM, _WRITES_TO = EdgeKind.READS_FROM, EdgeKind.WRITES_TO
+
 
 class TraceEvent(Record):
     __slots__ = ("event_id", "trace_id", "agent_id", "timestamp", "event_type", "content",
@@ -547,9 +553,7 @@ def normalize_events(graph: AgentBomGraph, events, matcher: DangerMatcher) -> No
             continue
         for ref in dict.fromkeys(event.refs):
             src_kind = _EVENT_KIND[by_id[ref].event_type]
-            edge_kind = (
-                EdgeKind.FLOWS_TO if kind.stage == src_kind.stage + 1 else EdgeKind.INFLUENCES
-            )
+            edge_kind = _FLOWS_TO if kind.stage == src_kind.stage + 1 else _INFLUENCES
             _add_edge(graph, edge_kind, ref, event.event_id, event.timestamp,
                       {"trace_id": event.trace_id})
 
@@ -597,19 +601,19 @@ def bind_cross_layer(graph: AgentBomGraph, events, matcher: DangerMatcher) -> tu
             what = kind.split("_")[0]
             target = _named_node(graph, event, "tool_name", what, what)
             if kind == "tool_invocation":
-                _bind_edge(graph, EdgeKind.INVOKES, event.event_id, target, event)
+                _bind_edge(graph, _INVOKES, event.event_id, target, event)
             decision = decisions.get(trace)
             if decision is not None:
-                _bind_edge(graph, EdgeKind.SELECTS, decision.event_id, target,
+                _bind_edge(graph, _SELECTS, decision.event_id, target,
                            decision)
         elif kind == "memory_read":
             unconsumed.setdefault(trace, []).append(
                 _named_node(graph, event, "target", "mem", "memory store"))
         elif kind in ("context_assembled", "reasoning_step"):
             for mem_id in unconsumed.pop(trace, ()):
-                _bind_edge(graph, EdgeKind.READS_FROM, event.event_id, mem_id, event)
+                _bind_edge(graph, _READS_FROM, event.event_id, mem_id, event)
         elif kind == "memory_write":
-            _bind_edge(graph, EdgeKind.WRITES_TO, event.event_id,
+            _bind_edge(graph, _WRITES_TO, event.event_id,
                        _named_node(graph, event, "target", "mem", "memory store"),
                        event, {"content": event.content} if event.content else None)
         elif kind == "delegation":
@@ -764,7 +768,7 @@ def _message_edge(graph, matcher, sender, receiver):
     if stamped.content:
         attrs["content"] = stamped.content
     _merge_flags(attrs, matcher)
-    _add_edge(graph, EdgeKind.SENDS_TO, source, target, stamped.timestamp, attrs)
+    _add_edge(graph, _SENDS_TO, source, target, stamped.timestamp, attrs)
 
 
 def _synth_endpoint(graph, node_id, kind, event, counterpart_agent) -> str:

@@ -43,7 +43,7 @@ except ImportError:  # Python 3.10; importing it on 3.11+ is deprecated
 
 from .errors import IngestionError
 from .record import FrozenRecord
-from .schema import MATCHER_PACK, MATCHER_PATTERN, check_fields, load_json
+from .schema import MATCHER_PACK, MATCHER_PATTERN, check_fields, load_json, quoted
 
 
 class DangerPattern(FrozenRecord):
@@ -74,11 +74,11 @@ class DangerMatcher:
                 compiled = re.compile(item.pattern, re.IGNORECASE)
             except re.error as exc:
                 raise IngestionError(
-                    f"bad danger pattern for flag {item.flag!r}: {exc}"
+                    f"bad danger pattern for flag {quoted(item.flag)}: {exc}"
                 ) from None
             except RecursionError:
                 raise IngestionError(
-                    f"bad danger pattern for flag {item.flag!r}: nests too deep to compile"
+                    f"bad danger pattern for flag {quoted(item.flag)}: nests too deep to compile"
                 ) from None
             for key in item.applies_to:
                 groups.setdefault(key, []).append((item.flag, compiled, item.pattern))

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from .errors import PredicateError, UnknownKindError
 from .schema import (ENTRY_ATTR, PREDICATE_OPS, EdgeKind, Layer, NodeKind, check_fields,
-                     parse_edge_kind, parse_node_kind)
+                     parse_edge_kind, parse_node_kind, quoted)
 
 _COMPARATORS = ("==", "!=", "contains", "intersects")
 _LAYER_NAMES = tuple(layer.value for layer in Layer)
@@ -76,7 +76,7 @@ class AttrCmp(Predicate):
 
     def __init__(self, key: str, cmp: str, value):
         if cmp not in _COMPARATORS:
-            raise PredicateError(f"unknown comparator {cmp!r}")
+            raise PredicateError(f"unknown comparator {quoted(cmp)}")
         self.key = key
         self.cmp = cmp
         self.value = value
@@ -240,7 +240,7 @@ class NeighborMatch(Predicate):
 
     def __init__(self, direction: str, edge_kinds, node=None, edge=None):
         if direction not in ("in", "out"):
-            raise PredicateError(f"neighbor direction must be in or out, got {direction!r}")
+            raise PredicateError(f"neighbor direction must be in or out, got {quoted(direction)}")
         self.direction = direction
         self.edge_kinds = tuple(
             k.value if hasattr(k, "value") else str(k) for k in edge_kinds
@@ -371,7 +371,7 @@ def _parse_value(raw):
         return EntryAttr(raw["entry_attr"])
     if not all(isinstance(v, _SCALARS) for v in (raw if isinstance(raw, list) else [raw])):
         raise PredicateError(f"comparison value must be a JSON scalar, a list of scalars "
-                             f"or {{\"entry_attr\": key}}, got {raw!r}")
+                             f"or {{\"entry_attr\": key}}, got {quoted(raw)}")
     return raw
 
 
@@ -381,12 +381,12 @@ def predicate_from_dict(doc: dict, depth: int = 1) -> Predicate:
     if depth > MAX_DEPTH:
         raise PredicateError(f"predicate nests deeper than {MAX_DEPTH} levels")
     if not isinstance(doc, dict) or "op" not in doc:
-        raise PredicateError(f"predicate document needs an op field: {doc!r}")
+        raise PredicateError(f"predicate document needs an op field: {quoted(doc)}")
     op = doc["op"]
     table = PREDICATE_OPS.get(op) if type(op) is str else None
     if table is None:
-        raise PredicateError(f"unknown predicate op {op!r}")
-    check_fields(doc, table, f"predicate op {op!r}", PredicateError)
+        raise PredicateError(f"unknown predicate op {quoted(op)}")
+    check_fields(doc, table, f"predicate op {quoted(op)}", PredicateError)
     if op == "attr":
         return AttrCmp(doc["key"], doc["cmp"], _parse_value(doc["value"]))
     if op == "flags":
@@ -397,7 +397,7 @@ def predicate_from_dict(doc: dict, depth: int = 1) -> Predicate:
         return KindIs(doc["any_of"])
     if op == "layer":
         if doc["layer"] not in _LAYER_NAMES:
-            raise PredicateError(f"unknown layer {doc['layer']!r}")
+            raise PredicateError(f"unknown layer {quoted(doc['layer'])}")
         return LayerIs(doc["layer"])
     if op == "not":
         return Not(predicate_from_dict(doc["arg"], depth + 1))
@@ -421,4 +421,4 @@ def _require_known_kind(name: str):
     try:
         parse_edge_kind(name)
     except UnknownKindError:
-        raise PredicateError(f"kind predicate: unknown node or edge kind {name!r}") from None
+        raise PredicateError(f"kind predicate: unknown node or edge kind {quoted(name)}") from None

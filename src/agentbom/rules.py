@@ -40,6 +40,7 @@ from .predicates import (
 )
 from . import schema
 from .record import FRESH, Record
+from .schema import quoted
 from .traversal import BACKWARD, FORWARD, AuditPath, PathSpec, Trace, TraceContext, trace
 
 RISK_IDS = tuple(f"ASI{n:02d}" for n in range(1, 11))
@@ -76,7 +77,7 @@ class EntrySelector(Record):
     def __init__(self, element_class: str, kinds: tuple, predicate: Predicate | None = None):
         if element_class not in ("node", "edge"):
             raise RulePackError(
-                f"entry element_class must be node or edge, got {element_class!r}"
+                f"entry element_class must be node or edge, got {quoted(element_class)}"
             )
         self.element_class = element_class
         self.kinds = tuple(kinds)
@@ -115,9 +116,9 @@ class Clause(Record):
 
     def __init__(self, scope: str, quantifier: str, predicate: Predicate):
         if scope not in CLAUSE_SCOPES:
-            raise RulePackError(f"unknown clause scope {scope!r}")
+            raise RulePackError(f"unknown clause scope {quoted(scope)}")
         if quantifier not in QUANTIFIERS:
-            raise RulePackError(f"unknown quantifier {quantifier!r}")
+            raise RulePackError(f"unknown quantifier {quoted(quantifier)}")
         self.scope, self.quantifier, self.predicate = scope, quantifier, predicate
 
     def to_dict(self) -> dict:
@@ -143,16 +144,16 @@ class AuditRule(Record):
     def __init__(self, risk_id: str, name: str, entry: EntrySelector, back: PathSpec,
                  fwd: PathSpec, conditions: list):
         if not conditions:
-            raise RulePackError(f"rule {risk_id}: conditions must be non-empty")
+            raise RulePackError(f"rule {quoted(risk_id)}: conditions must be non-empty")
         scopes = {c.scope for c in conditions}
         if "entry" not in scopes:
-            raise RulePackError(f"rule {risk_id}: needs an entry clause")
+            raise RulePackError(f"rule {quoted(risk_id)}: needs an entry clause")
         if not scopes & {"back_origin", "back_path", "fwd_terminus", "fwd_path"}:
             raise RulePackError(
-                f"rule {risk_id}: needs a backward or forward clause"
+                f"rule {quoted(risk_id)}: needs a backward or forward clause"
             )
         if back.direction != BACKWARD or fwd.direction != FORWARD:
-            raise RulePackError(f"rule {risk_id}: path specs point the wrong way")
+            raise RulePackError(f"rule {quoted(risk_id)}: path specs point the wrong way")
         self.risk_id, self.name, self.entry = risk_id, name, entry
         self.back, self.fwd, self.conditions = back, fwd, conditions
 
@@ -174,7 +175,7 @@ class AuditRule(Record):
             back = _spec_from_dict(doc["back"], BACKWARD)
             fwd = _spec_from_dict(doc["fwd"], FORWARD)
         except UnknownKindError as exc:
-            raise RulePackError(f"rule {doc['risk_id']!r}: {exc}") from None
+            raise RulePackError(f"rule {quoted(doc['risk_id'])}: {exc}") from None
         return cls(
             risk_id=doc["risk_id"],
             name=doc.get("name", ""),
@@ -191,12 +192,12 @@ def _spec_from_dict(doc: dict, expected_direction: str) -> PathSpec:
     direction = doc.get("direction", expected_direction)
     if direction not in (BACKWARD, FORWARD):
         raise RulePackError(f"{what} direction must be backward or forward, "
-                            f"got {direction!r}")
+                            f"got {quoted(direction)}")
     terminal = predicate_from_dict(doc["terminal"]) if "terminal" in doc else None
     max_depth = doc.get("max_depth", 32)
     if max_depth < 1:
         raise RulePackError(f"{what} max_depth must be a positive integer, "
-                            f"got {max_depth!r}")
+                            f"got {quoted(max_depth)}")
     return PathSpec(
         direction=direction,
         allowed_edge_kinds=doc["edge_kinds"],
@@ -225,7 +226,7 @@ def _check_risk_ids(rules) -> None:
     seen = set()
     for rule in rules:
         if rule.risk_id in seen:
-            raise RulePackError(f"rule risk_id {rule.risk_id!r} appears twice")
+            raise RulePackError(f"rule risk_id {quoted(rule.risk_id)} appears twice")
         seen.add(rule.risk_id)
 
 

@@ -89,15 +89,15 @@ RUNTIME_KINDS = frozenset(k for k in NodeKind if k.layer is Layer.RUNTIME)
 AUXILIARY_KINDS = frozenset(k for k in NodeKind if k.layer is Layer.AUXILIARY)
 
 
-_NODE_KIND_OF_NAME = {kind.value: kind for kind in NodeKind}
+NODE_KIND_OF_NAME = {kind.value: kind for kind in NodeKind}
 
 
 def parse_node_kind(name: str) -> NodeKind:
     """Resolve a wire name like ``"ToolNode"``; unknown names are an error."""
     try:
-        return _NODE_KIND_OF_NAME[name]
+        return NODE_KIND_OF_NAME[name]
     except (KeyError, TypeError):
-        raise UnknownKindError(f"unknown node kind {name!r}") from None
+        raise UnknownKindError(f"unknown node kind {quoted(name)}") from None
 
 
 # ===========================================================================
@@ -186,14 +186,14 @@ _FAMILY_ALIASES = {family.value: frozenset(k for k in EdgeKind if k.family is fa
 PROPAGATION_KINDS = _FAMILY_ALIASES[AGENT_PROPAGATION_ALIAS] = _FAMILY_ALIASES["propagation"]
 
 
-_EDGE_KIND_OF_NAME = {kind.value: kind for kind in EdgeKind}
+EDGE_KIND_OF_NAME = {kind.value: kind for kind in EdgeKind}
 
 
 def parse_edge_kind(name: str) -> EdgeKind:
     try:
-        return _EDGE_KIND_OF_NAME[name]
+        return EDGE_KIND_OF_NAME[name]
     except (KeyError, TypeError):
-        raise UnknownKindError(f"unknown edge kind {name!r}") from None
+        raise UnknownKindError(f"unknown edge kind {quoted(name)}") from None
 
 
 def expand_edge_kinds(names) -> frozenset[EdgeKind]:

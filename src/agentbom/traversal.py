@@ -195,9 +195,12 @@ def _time(stamp):
     return instant(stamp) if stamp else None
 
 
+_RUNTIME = Layer.RUNTIME  # read once: each read through the enum class costs a call on 3.11
+
+
 def _node_time(node):
     """Only runtime nodes carry time; a static node passes it on."""
-    return _time(node.timestamp) if node.layer is Layer.RUNTIME else None
+    return _time(node.timestamp) if node.layer is _RUNTIME else None
 
 
 def _start_node(graph: AgentBomGraph, start: str, direction: str) -> str:

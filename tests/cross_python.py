@@ -13,6 +13,10 @@ stdout and stderr, and the sha256 of every file the steps write are
 compared with the calling interpreter's run under hash seed 0. It prints
 one line per difference and a summary, and exits 1 if anything differs.
 
+Each interpreter also runs the pytest-free checks in CHECKS, under each
+hash seed; a check prints "ok" when it holds, and one that does not is
+reported as a difference on every interpreter, the calling one included.
+
 It needs nothing beyond the standard library, so it runs on interpreters
 that have no pytest. The tier-1 suite runs a one-fixture slice of it with
 the calling interpreter alone.
@@ -34,6 +38,38 @@ HASH_SEEDS = ("0", "1")
 SEEDS = (0, 1, 2, 3)
 WORKLOADS = tuple((name, seed) for name in ("replay_poison", "diamond_chain", "ingest_mesh")
                   for seed in (0, 1))
+
+# name -> a program that prints "ok" when the check holds, and what failed
+# when it does not
+CHECKS = {
+    # graph._collector_paused hands the survivors of a bulk conversion to the
+    # oldest generation and leaves the freeze count as it found it. A fresh
+    # 3.12.1 holds objects frozen before import, which the handoff releases
+    # and its next full collection freezes again, so the count is compared
+    # after one. Objects a caller froze stay frozen, with no handoff.
+    "freeze-count handoff": """
+import gc
+from agentbom.graph import _collector_paused
+
+problems = []
+before = gc.get_freeze_count()
+with _collector_paused():
+    survivors = [[] for _ in range(1000)]
+oldest = {id(item) for item in gc.get_objects(generation=2)}
+if not all(id(item) in oldest for item in survivors):
+    problems.append("survivors are not in the oldest generation")
+gc.collect()
+if gc.get_freeze_count() != before:
+    problems.append(f"freeze count {gc.get_freeze_count()} != {before}")
+gc.freeze()
+frozen = gc.get_freeze_count()
+with _collector_paused():
+    more = [[] for _ in range(1000)]
+if gc.get_freeze_count() != frozen:
+    problems.append(f"a caller's freeze count {gc.get_freeze_count()} != {frozen}")
+print("; ".join(problems) or "ok")
+""",
+}
 
 
 def _scenario_ids() -> tuple:
@@ -86,6 +122,10 @@ def run(python: str, hash_seed: str, scenario_ids, seeds, workloads) -> dict:
     and each file written, to its exit code and output hashes."""
     env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED=hash_seed)
     results = {}
+    for name, program in CHECKS.items():
+        done = subprocess.run([python, "-c", program], env=env, capture_output=True,
+                              text=True, timeout=300)
+        results[f"check {name}"] = f"exit {done.returncode} {done.stdout.strip()}"
     cases = [(scenario_id, seed, None) for scenario_id in scenario_ids for seed in seeds]
     cases += [(name, seed, _workload_texts(name, seed)) for name, seed in workloads]
     for case, seed, texts in cases:
@@ -109,12 +149,15 @@ def run(python: str, hash_seed: str, scenario_ids, seeds, workloads) -> dict:
 
 def differences(pythons, scenario_ids=None, seeds=SEEDS, workloads=WORKLOADS) -> tuple:
     """(a line naming each difference from the calling interpreter's run
-    under the first hash seed, that run, the number of other runs)."""
+    under the first hash seed, and each check that fails in that run; that
+    run; the number of other runs)."""
     scenario_ids = _scenario_ids() if scenario_ids is None else scenario_ids
     reference = run(sys.executable, HASH_SEEDS[0], scenario_ids, seeds, workloads)
     others = [(python, hash_seed) for python in [sys.executable, *pythons]
               for hash_seed in HASH_SEEDS][1:]
-    lines = []
+    lines = [f"{sys.executable} PYTHONHASHSEED={HASH_SEEDS[0]}: {key}: {value}"
+             for key, value in reference.items()
+             if key.startswith("check ") and value != "exit 0 ok"]
     for python, hash_seed in others:
         got = run(python, hash_seed, scenario_ids, seeds, workloads)
         for key in sorted(reference.keys() | got.keys()):

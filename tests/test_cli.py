@@ -625,6 +625,13 @@ _ANDS = _nested(450, '{"op": "and", "args": [', "]}", '{"op": "flags"}')
     ("manifest", json.dumps({"agents": [
         {"agent_id": "a", "tools": [{"tool_name": _HUGE, "input_schema": "p"}]},
         {"agent_id": "b", "tools": [{"tool_name": _HUGE, "input_schema": "q"}]}]})),
+    ("graph", json.dumps(dict(_GRAPH, nodes=[dict(_GRAPH["nodes"][0], kind=_HUGE)]))),
+    ("graph", json.dumps(dict(_GRAPH, edges=[{"edge_id": "e", "kind": _HUGE, "source": "agent.a",
+                                              "target": "agent.a", "attributes": {}}]))),
+    ("rules", '{"rules": [%s]}' % _with(_RULE, "entry", _with(
+        _RULE["entry"], "predicate", json.dumps({"args": [{"op": "flags"}], "note": _HUGE})))),
+    ("rules", '{"rules": [%s]}' % _with(_RULE, "entry", _with(
+        _RULE["entry"], "predicate", json.dumps({"op": _HUGE})))),
 ], ids=["rule-pack-1000-nots", "rule-pack-450-ands", "graph", "manifest", "matcher-pack",
         "matcher-pattern-600-groups", "trace-line", "trace-line-900-deep-array",
         "trace-line-1mb-string", "trace-1mb-timestamp", "trace-1mb-ref", "trace-1mb-event-type",
@@ -632,7 +639,8 @@ _ANDS = _nested(450, '{"op": "and", "args": [', "]}", '{"op": "flags"}')
         "trace-1mb-ref-to-later-event", "trace-1mb-event-id-ref-across-traces",
         "trace-1mb-tool-name", "trace-1mb-event-id-lacks-tool", "trace-1mb-undeclared-agent",
         "manifest-1mb-agent-twice", "manifest-1mb-agent-bad-model", "manifest-1mb-tool-twice",
-        "manifest-1mb-tool-declared-inconsistently"])
+        "manifest-1mb-tool-declared-inconsistently", "graph-1mb-node-kind", "graph-1mb-edge-kind",
+        "rule-pack-1mb-predicate-document", "rule-pack-1mb-op"])
 def test_deeply_nested_input_is_a_single_line_error(tmp_path, capsys, command, deep):
     """Each input format ends in exit code 2 and one short error line, not a
     RecursionError traceback; a huge or deep value, id or name is quoted cut
@@ -656,11 +664,12 @@ def test_deeply_nested_input_is_a_single_line_error(tmp_path, capsys, command, d
 
 def test_the_cross_python_runner_finds_no_difference_on_one_fixture():
     """tests/cross_python.py on one fixture and one workload at seed 0, with
-    this interpreter alone: every step succeeds, and its bytes do not
-    depend on the hash seed."""
+    this interpreter alone: the freeze-count check holds, every step
+    succeeds, and its bytes do not depend on the hash seed."""
     lines, reference, runs = cross_python.differences(
         [], ["memory_poisoning_tool_misuse"], [0], [("diamond_chain", 0)])
     assert lines == [] and runs == 1
+    assert reference.pop("check freeze-count handoff") == "exit 0 ok"
     steps = [value for key, value in reference.items() if " file " not in key]
     assert len(steps) == 6 + 5 and all(value.startswith("exit 0 ") for value in steps)
     files = sorted(key for key in reference if " file " in key)

@@ -147,3 +147,45 @@ def test_the_digest_holds_a_batch_not_the_whole_text():
         tracemalloc.stop()
     # encoding the whole to_dict() copy peaked near 7.6 times the text
     assert peak < 2 * canonical, (peak, canonical)
+
+
+def test_an_attribute_list_of_200000_strings():
+    """The C encoder hands back a value of more than 100,000 pieces in
+    several parts on 3.10 and 3.11; the digest joins them all."""
+    graph = _sized(1, 2, 1)
+    graph.nodes["code.0"].attributes = {"labels": [f"l{i}" for i in range(200_000)]}
+    graph.edges["e0"].attributes = {"labels": ["x"] * 200_000}
+    _assert_refereed(graph)
+
+
+def test_a_kind_that_is_a_plain_string_raises_what_to_dict_raises():
+    graph = _sized(1, 2, 1)
+    graph.nodes["code.0"].kind = "CodeNode"
+    with pytest.raises(AttributeError):
+        graph.nodes["code.0"].to_dict()
+    with pytest.raises(AttributeError):
+        graph.digest()
+    graph = _sized(1, 2, 1)
+    graph.edges["e0"].kind = "depends_on"
+    with pytest.raises(AttributeError):
+        graph.edges["e0"].to_dict()
+    with pytest.raises(AttributeError):
+        graph.digest()
+
+
+@pytest.mark.parametrize("where", ["agent-role", "node-agent-id", "edge-attribute", "edge-target"])
+def test_a_cyclic_value_in_any_field_raises_value_error(where):
+    graph = _sized(1, 2, 1)
+    cycle = []
+    cycle.append(cycle)
+    if where == "agent-role":
+        graph.agents["a0"].role = cycle
+    elif where == "node-agent-id":
+        graph.nodes["code.1"].agent_id = cycle
+    elif where == "edge-attribute":
+        graph.edges["e0"].attributes = {"weights": [1, {"again": cycle}]}
+    else:
+        graph.edges["e0"].target = cycle
+    with pytest.raises(ValueError):
+        graph.digest()
+    assert gc.isenabled()

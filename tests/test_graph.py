@@ -4,6 +4,7 @@ import copy
 import gc
 import json
 import random
+from datetime import datetime, timedelta, timezone
 
 import pytest
 
@@ -20,7 +21,8 @@ from agentbom.errors import (
     UnknownKindError,
 )
 from _oracles import random_graph
-from agentbom.graph import AgentBomGraph, AgentDescriptor, Edge, Node, _Loader, instant
+from agentbom.graph import (_STAMPS, _STAMPS_BOUND, AgentBomGraph, AgentDescriptor, Edge, Node,
+                            _Loader, instant)
 from agentbom.schema import EdgeKind, Layer, NodeKind
 
 _STAMP = "2026-03-01T09:00:00Z"
@@ -643,18 +645,37 @@ def test_instant_counts_microseconds_and_keeps_only_strings():
     assert instant("2026-03-01T09:00:00.000001Z") == 1772355600000001
     assert instant("2026-03-01T10:00:00+01:00") == instant(_STAMP) == instant(_STAMP[:-1])
     assert instant("1969-12-31T23:59:59.999999Z") == -1
-    instant.cache_clear()
+    _STAMPS.clear()
     for text in ("soon", "2026-02-30T09:00:00Z", ""):
         with pytest.raises(ValueError):
             instant(text)
-    assert instant.cache_info().currsize == 0
+    assert len(_STAMPS) == 0
     loaded = AgentBomGraph.from_dict(copy.deepcopy(_PIN_DOC))
-    assert loaded.validate() == [] and instant.cache_info().currsize == 1  # _STAMP
+    assert loaded.validate() == [] and len(_STAMPS) == 1  # _STAMP
     for stamp in (7, 1.5, [_STAMP], {"at": _STAMP}):
         loaded.nodes["ctx.1"].timestamp = stamp
         loaded.edges["e.flows"].timestamp = stamp
         assert len(loaded.validate()) == 2
-    assert instant.cache_info().currsize == 1
+    assert len(_STAMPS) == 1
+
+
+def test_the_stamp_memo_empties_at_its_bound():
+    """instant()'s memo keeps every text it reads until it holds
+    _STAMPS_BOUND of them; the next new text empties it, and every answer,
+    before and after, is the text's own."""
+    base = instant(_STAMP)
+    texts = [(datetime(2026, 3, 1, 9, tzinfo=timezone.utc) + timedelta(seconds=s)).isoformat()
+             for s in range(_STAMPS_BOUND + 2)]
+    _STAMPS.clear()
+    for second, text in enumerate(texts[:_STAMPS_BOUND]):
+        assert instant(text) == base + second * 10**6
+    assert len(_STAMPS) == _STAMPS_BOUND
+    assert instant(texts[0]) == base and len(_STAMPS) == _STAMPS_BOUND  # kept: nothing added
+    assert instant(texts[-2]) == base + _STAMPS_BOUND * 10**6
+    assert list(_STAMPS) == [texts[-2]]
+    for second in (1, _STAMPS_BOUND + 1, 0):
+        assert instant(texts[second]) == base + second * 10**6
+    assert len(_STAMPS) == 4
 
 
 # ---------------------------------------------------------------------------

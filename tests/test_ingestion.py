@@ -852,7 +852,7 @@ def test_each_distinct_stamp_is_parsed_once_per_process(monkeypatch, scenario_id
     parse = graph_module.parse_instant
     monkeypatch.setattr(graph_module, "parse_instant",
                         lambda text: parsed.append(text) or parse(text))
-    graph_module.instant.cache_clear()
+    graph_module._STAMPS.clear()
     graph = fixture.build()
     assert sorted(parsed) == sorted({event.timestamp for event in fixture.events})
     parsed.clear()
