@@ -20,6 +20,7 @@ from .graph import AgentBomGraph, _collector_paused
 from .ingestion import assemble, parse_manifest_json, parse_trace_jsonl
 from .matchers import DangerMatcher, default_matcher
 from .rules import audit, builtin_rules, load_rules
+from .schema import quoted
 
 __all__ = ["main"]
 
@@ -70,8 +71,8 @@ def _cmd_audit(args) -> int:
     _emit(report.to_json(), args.out)
     if args.out:
         for finding in report.findings:
-            print(f"{finding.risk_id} {finding.risk_name}: "
-                  f"entry {finding.entry}")
+            print(f"{quoted(finding.risk_id)} {quoted(finding.risk_name)}: "
+                  f"entry {quoted(finding.entry)}")
         print(f"{len(report.findings)} finding(s)")
     if args.fail_on_findings and report.findings:
         return 1
@@ -107,7 +108,7 @@ def _cmd_validate(args) -> int:
         graph = _load_graph(args.graph)
     except GraphValidationError as exc:
         for violation in exc.violations:
-            print(f"{violation.code}: {violation.element_id}: "
+            print(f"{violation.code}: {quoted(violation.element_id)}: "
                   f"{violation.message}")
         print(f"error: graph failed validation with {len(exc.violations)} "
               f"violation(s)", file=sys.stderr)

@@ -55,13 +55,16 @@ class GraphDocumentError(GraphError):
 class GraphValidationError(GraphError):
     """A loaded graph failed whole-graph validation.
 
-    Carries the violation list so callers can report every problem at once.
+    Carries the violation list so callers can report every problem at once;
+    the message quotes the first three and counts the rest.
     """
 
     def __init__(self, violations):
         self.violations = list(violations)
-        lines = "; ".join(v.message for v in self.violations)
-        super().__init__(f"graph failed validation: {lines}")
+        lines = "; ".join(v.message for v in self.violations[:3])
+        more = len(self.violations) - 3
+        super().__init__(f"graph failed validation: {lines}"
+                         + (f"; and {more} more" if more > 0 else ""))
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,8 @@ and nothing is removed later), so a graph built through add_node / add_edge
 needs no validate() afterwards. validate() is the gate for deserialized
 documents, which skip the insertion checks: from_dict rejects a malformed
 document outright, and validate() reports every broken invariant of a
-well-formed one. Neither inserting nor loading builds an adjacency index;
-the first query does (see AgentBomGraph).
+well-formed one. Neither inserting nor loading builds an adjacency index:
+the first query does, and an append drops it (see AgentBomGraph).
 
 from_dict and from_json share one loader, which keeps one string object
 per repeated agent or trace id, and names an edge's endpoints by its nodes'
@@ -24,18 +24,17 @@ included, as it was.
 
 Insertion and validate() share one check per element class. Each reads
 the element's kind, which carries its layer or its family and endpoint
-kinds, and the kind's key checks, compiled from the schema's attribute
-registry once at import: the allowed attribute keys whose values must be
-strings, and a (predicate, message) pair per other allowed key. Attributes
-are tested inline, and worded only once a key fails, so a clean element
-costs a few lookups and one predicate call per non-string attribute; its
-references are walked only when it carries a reference key. A timestamp
-is read by instant(), as every stamp in the program is. instant() keeps
-each text it has read in a plain dict, _STAMPS, emptied whole once it holds
-65,536, and a check takes a string stamp found there as read, without a
-call. An id, agent id, trace id, role or policy boundary that is not a
-string is a field_type problem, judged by the document's field table and
-worded as on loading a document.
+kinds, and its checks: the (predicate, message) pair of each attribute key
+the kind allows. Attributes are tested inline, and worded only once a key
+fails; the loop tests a value under a text key (check schema.STRING_CHECK)
+itself, so a clean element costs a lookup per attribute and one predicate
+call per other one. Its references are walked only when it carries a
+reference key. A timestamp is read by instant(), as every stamp in the
+program is. instant() keeps each text it has read in a plain dict, _STAMPS,
+emptied whole once it holds 65,536, and a check takes a string stamp found
+there as read, without a call. An id, agent id, trace id, role or policy
+boundary that is not a string is a field_type problem, judged by the
+document's field table and worded as on loading a document.
 
 to_json writes each element's text straight from its fields, with no
 to_dict() copy, and joins the document once; each kind's and registered
@@ -342,29 +341,6 @@ def _raise_first(violations: list) -> None:
     raise _ERROR_OF_CODE[violations[0].code](violations[0].message)
 
 
-# ===========================================================================
-# per-kind key checks
-# ===========================================================================
-
-
-_STRING_KEYS = frozenset(key for key, check in schema.ATTRIBUTE_CHECKS.items()
-                         if check is schema.STRING_CHECK)
-
-
-def _key_checks(allowed: frozenset) -> tuple:
-    """The keys a kind allows, split in two: those whose values must be
-    strings, and a dict of the rest, key -> (predicate, message). Any other
-    key is unregistered on that kind."""
-    return allowed & _STRING_KEYS, {key: schema.ATTRIBUTE_CHECKS[key]
-                                    for key in allowed - _STRING_KEYS}
-
-
-# kind -> its _key_checks, for every node and edge kind
-_KEY_CHECKS = {
-    **{kind: _key_checks(schema.allowed_node_keys(kind)) for kind in NodeKind},
-    **{kind: _key_checks(schema.allowed_edge_keys(kind)) for kind in EdgeKind},
-}
-
 # The attribute keys whose values name nodes; a node carrying none of them
 # has no reference to resolve.
 _REFERENCE_KEYS = frozenset((*schema.REFERENCE_LIST_KEYS, "source"))
@@ -374,6 +350,8 @@ _TEXT_OR_NONE = (str, type(None))
 # the members the element checks compare kinds with, read once: on 3.11 each
 # read through the enum class, such as Layer.RUNTIME, costs a Python call
 _RUNTIME, _STATIC, _PROPAGATION = Layer.RUNTIME, Layer.STATIC, EdgeFamily.PROPAGATION
+# a text key's check, which the attribute loops compare by identity
+_STRING_CHECK = schema.STRING_CHECK
 
 
 def _field_type_violations(what: str, element, table, keys: tuple, out: list,
@@ -396,22 +374,20 @@ def _agent_violations(descriptor: AgentDescriptor, out: list) -> None:
                            ("agent_id", "role", "policy_boundary"), out, none_is_absent=False)
 
 
-def _attribute_violations(element_id: str, attributes: dict, strings: frozenset,
-                          others: dict, out: list) -> None:
+def _attribute_violations(element_id: str, attributes: dict, checks: dict, out: list) -> None:
     """Append the attribute violations in key order, a key that is not a
-    string by its text. A value under one of the ``strings`` keys passes
-    when it is a string; any other allowed value meets its predicate in
-    ``others``. The element checks call this once a key has failed."""
+    string by its text: each value that fails its key's predicate in
+    ``checks``, and each key not there. The element checks call this once
+    a key has failed."""
     if not isinstance(attributes, dict):
         out.append(Violation("attribute_schema", element_id, f"{quoted(element_id)} attributes "
                              f"must be an object, got {quoted(attributes)}"))
         return
     failing = [key for key, value in attributes.items()
-               if not (isinstance(value, str) if key in strings
-                       else key in others and others[key][0](value))]
+               if not (key in checks and checks[key][0](value))]
     for key in sorted(failing, key=str):
-        message = (f"{quoted(element_id)} attribute {quoted(key)} {schema.ATTRIBUTE_CHECKS[key][1]}"
-                   if key in strings or key in others
+        message = (f"{quoted(element_id)} attribute {quoted(key)} {checks[key][1]}"
+                   if key in checks
                    else f"{quoted(element_id)} carries unregistered key {quoted(key)}")
         out.append(Violation("attribute_schema", element_id, message))
 
@@ -426,9 +402,8 @@ _Index = namedtuple("_Index", ("out", "into", "by_edge_kind", "by_node_kind"))
 
 class AgentBomGraph:
     """Append-only two-layer graph. Its index of edges by endpoint and of
-    elements by kind is built by the first query, in insertion order, and
-    kept current by every append after that: it reflects each element's
-    endpoints and kind as of its first query."""
+    elements by kind is built, in insertion order, by the first query that
+    finds none; each append drops it."""
 
     def __init__(self):
         self.agents: dict[str, AgentDescriptor] = {}
@@ -461,8 +436,7 @@ class AgentBomGraph:
         if violations:
             _raise_first(violations)
         self.nodes[node.node_id] = node
-        if self._index is not None:
-            self._index.by_node_kind[node.kind].append(node.node_id)
+        self._index = None
         return node.node_id
 
     def add_edge(self, edge: Edge) -> str:
@@ -473,8 +447,7 @@ class AgentBomGraph:
         if violations:
             _raise_first(violations)
         self.edges[edge.edge_id] = edge
-        if self._index is not None:
-            self._index_edge(edge)
+        self._index = None
         return edge.edge_id
 
     def freeze(self) -> None:
@@ -496,19 +469,13 @@ class AgentBomGraph:
             by_node_kind = {kind: [] for kind in NodeKind}
             for node in self.nodes.values():
                 by_node_kind[node.kind].append(node.node_id)
-            for edge in self.edges.values():  # _index_edge, inline
+            for edge in self.edges.values():
                 eid = edge.edge_id
                 out.setdefault(edge.source, []).append(eid)
                 into.setdefault(edge.target, []).append(eid)
                 by_edge_kind[edge.kind].append(eid)
             self._index = _Index(out, into, by_edge_kind, by_node_kind)
         return self._index
-
-    def _index_edge(self, edge: Edge) -> None:
-        out, into, by_edge_kind, _ = self._index
-        out.setdefault(edge.source, []).append(edge.edge_id)
-        into.setdefault(edge.target, []).append(edge.edge_id)
-        by_edge_kind[edge.kind].append(edge.edge_id)
 
     def element(self, element_id: str):
         """Resolve an element id to its node or edge."""
@@ -580,7 +547,6 @@ class AgentBomGraph:
             out.append(Violation("unknown_kind", nid, f"node {quoted(nid)} kind is not a NodeKind"))
             return
         kind = node.kind
-        strings, others = _KEY_CHECKS[kind]
         if kind.layer is _RUNTIME:
             if not node.trace_id or not node.timestamp:
                 out.append(Violation("layer_metadata", nid, f"runtime node {quoted(nid)} "
@@ -599,17 +565,18 @@ class AgentBomGraph:
                 and not _is_instant(stamp)):
             out.append(Violation("attribute_schema", nid, f"node {quoted(nid)} timestamp "
                                  f"{quoted(stamp)} is not ISO-8601"))
-        attributes = node.attributes
+        attributes, checks = node.attributes, kind.checks
         if type(attributes) is not dict:
-            _attribute_violations(nid, attributes, strings, others, out)
+            _attribute_violations(nid, attributes, checks, out)
         else:
             for key, value in attributes.items():
-                if key in strings:
+                check = checks.get(key)
+                if check is _STRING_CHECK:
                     if type(value) is str or isinstance(value, str):
                         continue
-                elif (check := others.get(key)) is not None and check[0](value):
+                elif check is not None and check[0](value):
                     continue
-                _attribute_violations(nid, attributes, strings, others, out)
+                _attribute_violations(nid, attributes, checks, out)
                 break
         if isinstance(attributes, dict) and not _REFERENCE_KEYS.isdisjoint(attributes):
             self._reference_violations(nid, attributes, out)
@@ -632,7 +599,6 @@ class AgentBomGraph:
                                  f"edge {quoted(eid)} kind is not an EdgeKind"))
             return
         kind = edge.kind
-        strings, others = _KEY_CHECKS[kind]
         src = self.nodes.get(edge.source)
         tgt = self.nodes.get(edge.target)
         if src is None or tgt is None:
@@ -656,17 +622,18 @@ class AgentBomGraph:
             out.append(Violation("cross_agent", eid, f"propagation edge {quoted(eid)} joins two "
                                  f"elements of agent {quoted(src.agent_id)} with no "
                                  "shared-object marker"))
-        attributes = edge.attributes
+        attributes, checks = edge.attributes, kind.checks
         if type(attributes) is not dict:
-            _attribute_violations(eid, attributes, strings, others, out)
+            _attribute_violations(eid, attributes, checks, out)
         else:
             for key, value in attributes.items():
-                if key in strings:
+                check = checks.get(key)
+                if check is _STRING_CHECK:
                     if type(value) is str or isinstance(value, str):
                         continue
-                elif (check := others.get(key)) is not None and check[0](value):
+                elif check is not None and check[0](value):
                     continue
-                _attribute_violations(eid, attributes, strings, others, out)
+                _attribute_violations(eid, attributes, checks, out)
                 break
         stamp = edge.timestamp
         if (stamp is not None and not (type(stamp) is str and stamp in _STAMPS)

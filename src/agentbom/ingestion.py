@@ -117,7 +117,10 @@ def _filled(doc: dict, table, what: str) -> dict:
             filled[key] = [_filled(entry, section_table, where) for where, entry
                            in _entries(doc, what, key, section_table, name_key, unique)]
         else:
-            filled[key] = copy.deepcopy(value)
+            try:
+                filled[key] = copy.deepcopy(value)
+            except RecursionError:
+                raise ManifestParseError(f"{what} field {key!r} nests too deep") from None
     return filled
 
 
@@ -539,7 +542,7 @@ def normalize_events(graph: AgentBomGraph, events, matcher: DangerMatcher) -> No
         kind = _EVENT_KIND[event.event_type]
         attrs = _node_attrs(event, kind)
         declared = attrs.get("basis", [])
-        if schema.is_string_list(declared) and "basis" in schema.allowed_node_keys(kind):
+        if schema.is_string_list(declared) and "basis" in kind.checks:
             basis = list(dict.fromkeys(list(event.refs) + declared))
             if basis:
                 attrs["basis"] = basis
@@ -563,9 +566,8 @@ def _node_attrs(event: TraceEvent, kind: NodeKind) -> dict:
     if event.event_type in _MESSAGE_EVENTS:
         # edge directives live on the propagation edge; keep only what the
         # node schema itself accepts
-        allowed = schema.allowed_node_keys(kind)
         attrs = {k: v for k, v in attrs.items()
-                 if k not in _EDGE_DIRECTIVE_KEYS or k in allowed}
+                 if k not in _EDGE_DIRECTIVE_KEYS or k in kind.checks}
     if event.content:
         attrs.setdefault("content", event.content)
     if event.event_type in _TYPED_EVENTS:

@@ -17,13 +17,13 @@ attributes.
 from __future__ import annotations
 
 from .errors import PredicateError, UnknownKindError
-from .schema import (ENTRY_ATTR, PREDICATE_OPS, EdgeKind, Layer, NodeKind, check_fields,
-                     parse_edge_kind, parse_node_kind, quoted)
+from .schema import (EDGE_KIND_OF_NAME, ENTRY_ATTR, NODE_KIND_OF_NAME, PREDICATE_OPS, Layer,
+                     check_fields, parse_edge_kind, quoted)
 
 _COMPARATORS = ("==", "!=", "contains", "intersects")
 _LAYER_NAMES = tuple(layer.value for layer in Layer)
 _SCALARS = (str, int, float, bool, type(None))
-_KIND_OF_NAME = {kind.value: kind for kind in (*NodeKind, *EdgeKind)}
+_KIND_OF_NAME = {**NODE_KIND_OF_NAME, **EDGE_KIND_OF_NAME}
 
 # Evaluating a predicate takes up to two stack frames per level, and the
 # interpreter allows 1,000 in all, so a document may nest no deeper than this.
@@ -393,7 +393,8 @@ def predicate_from_dict(doc: dict, depth: int = 1) -> Predicate:
         return HasFlag(doc.get("any_of"))
     if op == "kind":
         for name in doc["any_of"]:
-            _require_known_kind(name)
+            if name not in _KIND_OF_NAME:
+                raise PredicateError(f"kind predicate: unknown node or edge kind {quoted(name)}")
         return KindIs(doc["any_of"])
     if op == "layer":
         if doc["layer"] not in _LAYER_NAMES:
@@ -410,15 +411,3 @@ def predicate_from_dict(doc: dict, depth: int = 1) -> Predicate:
         )
     parts = [predicate_from_dict(d, depth + 1) for d in doc["args"]]
     return And(parts) if op == "and" else Or(parts)
-
-
-def _require_known_kind(name: str):
-    try:
-        parse_node_kind(name)
-        return
-    except UnknownKindError:
-        pass
-    try:
-        parse_edge_kind(name)
-    except UnknownKindError:
-        raise PredicateError(f"kind predicate: unknown node or edge kind {quoted(name)}") from None

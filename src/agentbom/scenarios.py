@@ -21,6 +21,7 @@ from .graph import AgentBomGraph, dump_json
 from .ingestion import CapabilityManifest, TraceEvent, assemble, parse_manifest
 from .matchers import DangerMatcher
 from .record import FrozenRecord, Record
+from .schema import quoted
 
 __all__ = ["SCENARIO_IDS", "ExpectedFinding", "Fixture", "generate"]
 
@@ -733,7 +734,7 @@ def generate(scenario_id: str, seed: int = 0) -> Fixture:
         builder = _BUILDERS[scenario_id]
     except KeyError:
         raise ValueError(
-            f"unknown scenario {scenario_id!r}; choose from "
+            f"unknown scenario {quoted(scenario_id)}; choose from "
             f"{', '.join(SCENARIO_IDS)}"
         ) from None
     script = _Script(seed)

@@ -3,9 +3,11 @@
 Everything the graph may contain is declared here as data. Each node kind
 is one enum row carrying its layer and runtime-loop stage, and each edge
 kind one row carrying its family, its flow orientation (which path
-traversal follows) and the node kinds its endpoints may have; the per-kind
-attribute registries follow. The construction checks, the validators and
-the traversal engine all read from this one place. So are the fields of
+traversal follows) and the node kinds its endpoints may have. The
+attribute registry follows: one (predicate, message) check per attribute
+key, and the keys each kind allows, which give every kind its ``checks``,
+key -> check. The construction checks, the validators, ingestion and the
+traversal engine all read from this one place. So are the fields of
 every JSON document the program reads (manifest, trace event, graph, rule
 pack, predicate, matcher pack): one field table per kind of object, checked
 by check_fields.
@@ -47,7 +49,9 @@ class Layer(_Vocabulary):
 
 class NodeKind(_Vocabulary):
     """Every node kind the graph accepts, with its layer and, for a runtime
-    kind, its stage in the cognitive loop. The set is closed.
+    kind, its stage in the cognitive loop. The set is closed. Each kind's
+    ``checks`` (set with the attribute registry below) maps every attribute
+    key it allows to that key's (predicate, message) check.
 
     Two stages are "consecutive" when they differ by exactly one; that
     decides whether a reference edge becomes flows_to or influences.
@@ -134,7 +138,8 @@ _BINDING, _PROPAGATION = EdgeFamily.BINDING, EdgeFamily.PROPAGATION
 class EdgeKind(_Vocabulary):
     """Every edge kind the graph accepts, with its family, its flow, and the
     node kinds its source and its target may have; add_edge rejects any
-    other pairing. The set is closed."""
+    other pairing. The set is closed. Each kind's ``checks`` is as a node
+    kind's."""
 
     def __new__(cls, name: str, family: EdgeFamily, flow: Flow, sources, targets):
         kind = object.__new__(cls)
@@ -328,21 +333,15 @@ _EDGE_PROPAGATION_KEYS = frozenset(
 )
 
 
-# The full key set of each kind, built once.
-_NODE_KEYS = {kind: _NODE_COMMON_KEYS | extra for kind, extra in _NODE_EXTRA_KEYS.items()}
-_EDGE_KEYS = {
-    kind: (_EDGE_COMMON_KEYS | _EDGE_PROPAGATION_KEYS
-           if kind.family is EdgeFamily.PROPAGATION else _EDGE_COMMON_KEYS)
-    for kind in EdgeKind
-}
-
-
-def allowed_node_keys(kind: NodeKind) -> frozenset[str]:
-    return _NODE_KEYS[kind]
-
-
-def allowed_edge_keys(kind: EdgeKind) -> frozenset[str]:
-    return _EDGE_KEYS[kind]
+# Each kind's checks: every attribute key the kind allows -> that key's
+# check in ATTRIBUTE_CHECKS. Any other key is unregistered on the kind.
+for _kind in NodeKind:
+    _kind.checks = {key: ATTRIBUTE_CHECKS[key]
+                    for key in sorted(_NODE_COMMON_KEYS | _NODE_EXTRA_KEYS[_kind])}
+for _kind in EdgeKind:
+    _kind.checks = {key: ATTRIBUTE_CHECKS[key] for key in sorted(_EDGE_COMMON_KEYS | (
+        _EDGE_PROPAGATION_KEYS if _kind.family is EdgeFamily.PROPAGATION else frozenset()))}
+del _kind
 
 
 # Attribute keys whose string-list entries name other graph elements and

@@ -94,7 +94,7 @@ class PathSpec(Record):
                  allowed_node_kinds: frozenset | None = None, terminal: object = None,
                  max_depth: int = 32, cross_agent: bool = False):
         if direction not in (BACKWARD, FORWARD):
-            raise ValueError(f"direction must be backward or forward, got {direction!r}")
+            raise ValueError(f"direction must be backward or forward, got {schema.quoted(direction)}")
         self.direction = direction
         self.allowed_edge_kinds = schema.expand_edge_kinds(allowed_edge_kinds)
         if allowed_node_kinds is not None:

@@ -157,8 +157,8 @@ def test_audit_report_and_summary(workdir, capsys):
     assert main(["audit", "--graph", str(workdir / "graph.json"),
                  "--out", str(report_path)]) == 0
     out = capsys.readouterr().out
-    assert "ASI02 tool_misuse: entry tool.exec" in out
-    assert "ASI06 memory_poisoning: entry act.assistant.06" in out
+    assert "'ASI02' 'tool_misuse': entry 'tool.exec'" in out
+    assert "'ASI06' 'memory_poisoning': entry 'act.assistant.06'" in out
     assert "2 finding(s)" in out
     report = json.loads(report_path.read_text())
     assert sorted({f["risk_id"] for f in report["findings"]}) == [
@@ -247,6 +247,47 @@ def test_validate_lists_violations_and_exits_2(workdir, capsys):
     captured = capsys.readouterr()
     assert "dangling_endpoint" in captured.out
     assert "error: graph failed validation" in captured.err
+
+
+def _with_nodes(graph_text: str, *nodes) -> str:
+    doc = json.loads(graph_text)
+    doc["nodes"] += nodes
+    return json.dumps(doc)
+
+
+def test_a_graph_with_20000_violations_is_one_short_error_line(tmp_path, capsys, graphs):
+    """The error line quotes the first three violations and counts the rest."""
+    graph = tmp_path / "graph.json"
+    graph.write_text(_with_nodes(graphs["benign_baseline"].to_json(), *(
+        {"node_id": f"tool.extra.{i:05d}", "kind": "ToolNode", "attributes": {"colour": "red"}}
+        for i in range(20_000))))
+    for command in ("audit", "export"):
+        assert main([command, "--graph", str(graph)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: graph failed validation: "
+            + "; ".join(f"'tool.extra.0000{i}' carries unregistered key 'colour'"
+                        for i in range(3))
+            + "; and 19997 more\n")
+
+
+def test_validate_prints_one_quoted_line_per_violation(tmp_path, capsys):
+    """An id is quoted, so one holding a line feed stays on its violation's
+    line, and a 1 MB one is cut short."""
+    graph = tmp_path / "graph.json"
+    huge = "h" * 2**20
+    graph.write_text(_with_nodes(json.dumps(_GRAPH), *(
+        {"node_id": node_id, "kind": "ToolNode", "attributes": {"colour": "red", "shade": "x"}}
+        for node_id in ("evil\nid", huge))))
+    assert main(["validate", "--graph", str(graph)]) == 2
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert lines[:2] == ["attribute_schema: 'evil\\nid': 'evil\\nid' carries unregistered key "
+                         f"{key!r}" for key in ("colour", "shade")]
+    assert len(lines) == 4 and all(len(line) < 300 for line in lines[2:])
+    assert all(line.startswith("attribute_schema: 'hhhh") for line in lines[2:])
+    assert captured.err == "error: graph failed validation with 4 violation(s)\n"
 
 
 def test_missing_input_is_a_single_line_error(tmp_path, capsys):

@@ -16,13 +16,14 @@ from agentbom.errors import (
     FrozenGraphError,
     GraphDocumentError,
     GraphError,
+    GraphValidationError,
     MissingTraceIdError,
     UnknownAgentError,
     UnknownKindError,
 )
 from _oracles import random_graph
 from agentbom.graph import (_STAMPS, _STAMPS_BOUND, AgentBomGraph, AgentDescriptor, Edge, Node,
-                            _Loader, instant)
+                            Violation, _Loader, instant)
 from agentbom.schema import EdgeKind, Layer, NodeKind
 
 _STAMP = "2026-03-01T09:00:00Z"
@@ -849,3 +850,16 @@ def test_building_and_writing_a_graph_never_builds_its_index(fixtures):
         assert loaded.validate() == [] and loaded._index is None
         loaded.out_edges(next(iter(loaded.nodes)))
         assert loaded._index is not None
+
+
+def test_a_validation_error_quotes_three_violations_and_counts_the_rest():
+    violations = [Violation("attribute_schema", f"n{i}", f"message {i}") for i in range(5)]
+    for count in range(4):
+        error = GraphValidationError(violations[:count])
+        assert str(error) == "graph failed validation: " + "; ".join(
+            f"message {i}" for i in range(count))
+    for count in (4, 5):
+        error = GraphValidationError(violations[:count])
+        assert str(error) == ("graph failed validation: message 0; message 1; message 2; "
+                              f"and {count - 3} more")
+        assert error.violations == violations[:count]

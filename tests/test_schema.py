@@ -187,14 +187,60 @@ def test_cognitive_stage_order():
 
 def test_common_attribute_keys_are_allowed_everywhere():
     for kind in NodeKind:
-        allowed = schema.allowed_node_keys(kind)
+        allowed = kind.checks.keys()
         assert {"content", "trust_level", "danger_flags", "type"} <= allowed
 
 
 def test_propagation_edges_get_the_channel_keys():
-    assert "authentication_status" in schema.allowed_edge_keys(EdgeKind.SENDS_TO)
-    assert "authentication_status" not in schema.allowed_edge_keys(EdgeKind.FLOWS_TO)
-    assert "trace_id" in schema.allowed_edge_keys(EdgeKind.FLOWS_TO)
+    assert "authentication_status" in EdgeKind.SENDS_TO.checks
+    assert "authentication_status" not in EdgeKind.FLOWS_TO.checks
+    assert "trace_id" in EdgeKind.FLOWS_TO.checks
+
+
+# Every kind's allowed attribute keys, written out by hand, by wire name.
+_EVERY_NODE = "content danger_flags integrity_status shared_state source trust_level type"
+_TOOL_LIKE = "execution_environment input_schema permission_scope sandbox_status tool_name"
+_PLAIN_EDGE = "content danger_flags trace_id type"
+_CHANNEL_EDGE = ("authentication_status content danger_flags integrity_status propagation_status "
+                 "shared_state source_agent target_agent task_dependency trace_id type")
+ALLOWED_KEYS = {
+    "AgentNode": f"{_EVERY_NODE} agent_id role",
+    "CodeNode": f"{_EVERY_NODE} code_file",
+    "LLMNode": _EVERY_NODE,
+    "PromptNode": f"{_EVERY_NODE} role",
+    "ToolNode": f"{_EVERY_NODE} {_TOOL_LIKE}",
+    "SkillNode": f"{_EVERY_NODE} {_TOOL_LIKE}",
+    "LongTermMemoryNode": _EVERY_NODE,
+    "ExternalNode": f"{_EVERY_NODE} authentication_status source_agent target_agent",
+    "GoalNode": f"{_EVERY_NODE} action_intent basis role task_dependency",
+    "ContextNode": f"{_EVERY_NODE} basis",
+    "ReasoningNode": f"{_EVERY_NODE} action_intent basis",
+    "DecisionNode": f"{_EVERY_NODE} action_intent basis confirmation_status selected_tools "
+                    "target_agent task_dependency",
+    "ActionNode": f"{_EVERY_NODE} action_intent affected_resource basis confirmation_status "
+                  "execution_status parameter_source parameters source_agent target target_agent "
+                  "tool_name",
+    "ObservationNode": f"{_EVERY_NODE} affected_resource basis environment_state_change "
+                       "execution_status side_effects target",
+    "OutputNode": f"{_EVERY_NODE} basis source_agent target target_agent",
+    "EnvironmentNode": f"{_EVERY_NODE} affected_resource environment_state_change "
+                       "execution_environment sandbox_status",
+    "ArtifactNode": f"{_EVERY_NODE} affected_resource code_file target",
+    **dict.fromkeys(("has_prompt", "uses_model", "loads_tool", "loads_skill", "depends_on",
+                     "flows_to", "transitions_to", "influences", "acts_on", "emits",
+                     "reads_from", "selects", "invokes", "writes_to", "updates"), _PLAIN_EDGE),
+    **dict.fromkeys(("sends_to", "delegates_to", "responds_to", "shares_context_with",
+                     "shares_memory_with"), _CHANNEL_EDGE),
+}
+
+
+def test_every_kind_checks_exactly_its_allowed_keys_with_their_registered_checks():
+    kinds = (*NodeKind, *EdgeKind)
+    assert {kind.value: set(kind.checks) for kind in kinds} == {
+        name: set(keys.split()) for name, keys in ALLOWED_KEYS.items()}
+    for kind in kinds:
+        for key, check in kind.checks.items():
+            assert check is schema.ATTRIBUTE_CHECKS[key], (kind, key)
 
 
 def test_trust_level_check_takes_exactly_its_tokens():
@@ -215,10 +261,8 @@ def test_danger_flags_check_takes_a_list_of_strings():
 
 def test_every_allowed_key_has_a_check_and_every_check_is_allowed_somewhere():
     allowed = set()
-    for kind in NodeKind:
-        allowed |= schema.allowed_node_keys(kind)
-    for kind in EdgeKind:
-        allowed |= schema.allowed_edge_keys(kind)
+    for kind in (*NodeKind, *EdgeKind):
+        allowed |= kind.checks.keys()
     assert allowed == set(schema.ATTRIBUTE_CHECKS)
 
 
