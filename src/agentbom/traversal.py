@@ -62,6 +62,14 @@ functions of the element, the graph and the entry attributes they read,
 and the graph does not change during an audit. A move depends on the
 entry only through the terminal answer of the node it reaches and, with
 keep marks, the marks it meets; a component only through its moves.
+Per terminal answer key it also holds each walk key's horizon: how many
+more steps the key can take without reaching a terminal. A key's
+continuations depend on neither the entry nor the depth, and a forward
+walk stops only at a terminal, so a later trace takes no step from a key
+whose horizon is at least the steps left to it there. Those are the
+"blocked" nodes of Johnson (SIAM J. Comput. 1975), carried across traces:
+no path through such a key reaches a terminal, so the result is that of a
+fresh trace, but for Trace.keys, which may shrink.
 """
 
 from __future__ import annotations
@@ -172,15 +180,19 @@ class Trace:
     forward) in (depth, elements) order, each with its endpoint's count.
     ``scope`` holds every element of every kept path: the witnesses'
     elements in first-seen order, then the others sorted. ``explored`` is
-    the number of terminal paths the walk went through, kept or not. The
-    size of a trace is the number of paths it reports. (A plain class with
-    slots, like every record of the package; see ``record``.)
+    the number of terminal paths the walk went through, kept or not.
+    ``keys`` is the number of keys the walk made, which earlier traces
+    through the same context may lower; no report holds it. The size of a
+    trace is the number of paths it reports. (A plain class with slots,
+    like every record of the package; see ``record``.)
     """
 
-    __slots__ = ("paths", "scope", "explored")
+    __slots__ = ("paths", "scope", "explored", "keys")
 
-    def __init__(self, paths: tuple = (), scope: tuple = (), explored: int = 0):
+    def __init__(self, paths: tuple = (), scope: tuple = (), explored: int = 0,
+                 keys: int = 0):
         self.paths, self.scope, self.explored = paths, scope, explored
+        self.keys = keys
 
     def __len__(self) -> int:
         return len(self.paths)
@@ -237,6 +249,8 @@ def trace(graph: AgentBomGraph, start: str, spec: PathSpec, *,
     terminal answer key; each element's marks, and keep_end on each
     terminal node, once per call.
     """
+    if not graph.has_element(start):
+        raise ValueError(f"no node or edge {schema.quoted(start)} to trace from")
     if context is None:
         context = TraceContext(graph, spec)
     elif context.graph is not graph or context.spec is not spec:
@@ -261,7 +275,7 @@ class TraceContext:
             if spec.cross_agent or kind.family is not schema.EdgeFamily.PROPAGATION}
         self.steps = {}   # node id -> (timed steps, untimed steps)
         # terminal answer key (see predicates.Answers.key) -> (node facts,
-        # components, moves of traces without keep marks)
+        # components, moves of traces without keep marks, horizons)
         self.shared = {}
 
     def terminal_for(self, entry) -> tuple:
@@ -275,7 +289,7 @@ class TraceContext:
         else:  # a plain node -> bool callable, which reads nothing of the entry
             nodes = self.graph.nodes
             ask = lambda node_id: bool(terminal(nodes[node_id]))  # noqa: E731
-        return ask, self.shared.setdefault(key, ({}, {}, {}))
+        return ask, self.shared.setdefault(key, ({}, {}, {}, {}))
 
     # -- time ------------------------------------------------------------------
     #
@@ -332,7 +346,7 @@ class _Key:
     """
 
     __slots__ = ("paths", "first", "edge", "rank", "onward", "node",
-                 "kept", "extended", "live")
+                 "kept", "extended", "live", "horizon", "near")
 
     def __init__(self, paths, first, edge, node):
         self.paths = paths    # the number of paths to the key
@@ -344,6 +358,7 @@ class _Key:
         self.kept = False     # its paths are kept terminal paths
         self.extended = False  # a kept path extends its paths
         self.live = False     # its paths lie on reported paths
+        self.horizon = 0      # steps it can take short of a terminal: see settle
 
 
 class _Count:
@@ -359,12 +374,13 @@ class _Count:
         self.steps_from = context.steps_from
         self.keep_end, self.keep_marks = keep_end, keep_marks
         self.full = (1 << len(keep_marks)) - 1
-        self.terminal, (facts, components, moves) = context.terminal_for(self.entry)
+        self.terminal, (facts, components, moves, horizons) = context.terminal_for(self.entry)
         self.node_facts = facts       # node id -> (terminal, passable, time)
         self.components = components  # (node id, carried time) -> its component or None
         # (node id, carried time, instant only) -> moves; without keep marks no
         # move meets a mark, so they are those of every trace that shares facts
         self.moves = {} if keep_marks else moves
+        self.horizons = horizons      # walk key -> its horizon (see settle)
         self.marks = {}       # element id -> marks
         self.kept_ends = {}   # terminal node id -> whether keep_end holds
 
@@ -522,17 +538,22 @@ class _Count:
     def walk(self) -> tuple:
         """(layers of {key: _Key}, per layer the shared steps taken from it
         as (members, steps))."""
-        anchor, facts, full = self.anchor, self.node_facts, self.full
+        anchor, facts, full, horizons = self.anchor, self.node_facts, self.full, self.horizons
         first = (anchor, self.facts(anchor)[2], self.marks_of(anchor), None, None)
         layers, shared = [{first: _Key(1, None, None, anchor)}], []
         for depth in range(self.spec.max_depth):
-            layer, moved, groups = {}, [], {}
+            layer, moved, groups, reach = {}, [], {}, self.spec.max_depth - depth
             for key, record in layers[-1].items():
                 node_id, carried, met, _, _ = key
                 terminal, passable, time = facts[node_id]
                 if depth and (not passable or self.forward and terminal and met == full
                               and self.kept_end(node_id)):
                     continue
+                horizon = horizons.get(key, 0)
+                if horizon >= reach:  # no terminal within the steps left
+                    record.horizon = horizon
+                    continue
+                record.horizon = math.inf
                 if time is None:  # only a node without a time of its own varies in time
                     groups.setdefault((node_id, met), []).append((key, record))
                 else:
@@ -557,8 +578,14 @@ class _Count:
 
     def settle(self, layers, shared) -> Trace:
         """From the deepest layer back: is a key kept, does a kept path
-        extend it, does it lie on a reported path; then the witnesses."""
-        explored, facts, full = 0, self.node_facts, self.full
+        extend it, does it lie on a reported path; then the witnesses. A
+        stepped key no kept path runs through records its horizon: the
+        least ``near`` of the keys it steps to, infinite if none, where a
+        group's members take the least over all its shared steps. A key's
+        ``near`` is 0 if it is terminal or a kept path runs through it, else
+        its horizon plus one. A skipped key has its recorded horizon, and a
+        key the walk did not step from for another reason has horizon 0."""
+        explored, facts, full, horizons = 0, self.node_facts, self.full, self.horizons
         ends = {}  # endpoint -> [paths, ((depth, rank), _Key) of its first]
         scope = set()
         for depth in range(len(layers) - 1, -1, -1):
@@ -573,7 +600,11 @@ class _Count:
                 for index, (_, record) in enumerate(members[:max(extended, live)]):
                     record.extended = record.extended or index < extended
                     record.live = record.live or index < live
-            for (node_id, _, met, _, _), record in layers[depth].items():
+                near = min((into.near for _, _, into in taken), default=math.inf)
+                for _, record in members:
+                    record.horizon = near
+            for key, record in layers[depth].items():
+                node_id, _, met, _, _ = key
                 terminal = depth > 0 and facts[node_id][0]
                 for edge_id, after in record.onward:
                     record.extended = record.extended or after.kept or after.extended
@@ -591,6 +622,16 @@ class _Count:
                                  key=lambda pair: pair[0])
                 if record.live:
                     scope.add(node_id)
+                if record.live or record.extended:  # a kept path runs through it
+                    record.near = 0
+                    continue
+                horizon = record.horizon
+                for _, after in record.onward:
+                    if after.near < horizon:
+                        horizon = after.near
+                if horizon > horizons.get(key, 0):
+                    horizons[key] = horizon
+                record.near = 0 if terminal else horizon + 1
 
         witnesses = []
         for node_id, (count, (order, record)) in ends.items():
@@ -603,4 +644,4 @@ class _Count:
         paths = tuple(path for _, path in sorted(witnesses, key=lambda pair: pair[0]))
         first_seen = dict.fromkeys(e for path in paths for e in path.elements)
         rest = sorted(scope.difference(first_seen))
-        return Trace(paths, tuple(first_seen) + tuple(rest), explored)
+        return Trace(paths, tuple(first_seen) + tuple(rest), explored, sum(map(len, layers)))

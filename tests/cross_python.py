@@ -69,6 +69,71 @@ if gc.get_freeze_count() != frozen:
     problems.append(f"a caller's freeze count {gc.get_freeze_count()} != {frozen}")
 print("; ".join(problems) or "ok")
 """,
+    # Traces through one TraceContext skip the keys an earlier trace found no
+    # terminal beyond, and must still equal traces with a context of their
+    # own: on w0 -> w1 -> S -> c -> T, y -> K -> S at depth 3, K reaches T
+    # after w0 and y found nothing, and on small seeded diamonds with tools
+    # and one to two goals, every node traced in three orders.
+    "shared-context traces": """
+import random
+from agentbom.graph import AgentBomGraph, AgentDescriptor, Edge, Node
+from agentbom.schema import EdgeKind, NodeKind
+from agentbom.traversal import BACKWARD, FORWARD, PathSpec, TraceContext, trace
+
+STAMPS = ("2026-03-01T00:00:00Z", "2026-03-01T01:00:00Z", "2026-03-01T02:00:00Z")
+
+def graph_of(nodes, edges):
+    graph = AgentBomGraph()
+    graph.add_agent(AgentDescriptor("a", "worker", ""))
+    for node_id, kind, stamp in nodes:
+        graph.add_node(Node(node_id=node_id, kind=kind, agent_id=stamp and "a",
+                            trace_id=stamp and "t", timestamp=stamp))
+    for edge_id, kind, source, target in edges:
+        graph.add_edge(Edge(edge_id, kind, source, target))
+    graph.freeze()
+    return graph
+
+def seen(result):
+    return [(p.elements, p.count) for p in result.paths], result.scope, result.explored
+
+problems = []
+flow = EdgeKind.FLOWS_TO
+graph = graph_of([(n, NodeKind.REASONING, STAMPS[0]) for n in ("w0", "w1", "y", "K", "S", "c", "T")],
+                 [(f"{a}.{b}", flow, a, b) for a, b in (("w0", "w1"), ("w1", "S"), ("y", "K"),
+                                                        ("K", "S"), ("S", "c"), ("c", "T"))])
+spec = PathSpec(FORWARD, frozenset({"flows_to"}), terminal=lambda n: n.node_id == "T",
+                max_depth=3)
+context = TraceContext(graph, spec)
+for start in ("w0", "y", "K"):
+    if seen(trace(graph, start, spec, context=context)) != seen(trace(graph, start, spec)):
+        problems.append(f"dead end: {start}")
+for seed in range(40):
+    rng = random.Random(seed)
+    count, timed = rng.randint(4, 16), seed % 2 == 1
+    nodes = [("tool0", NodeKind.TOOL, None), ("tool1", NodeKind.TOOL, None)]
+    edges = []
+    for i in range(count):
+        kind = NodeKind.ACTION if rng.random() < 0.3 else NodeKind.REASONING
+        nodes.append((f"n{i}", kind, rng.choice(STAMPS) if timed else STAMPS[0]))
+        for j in sorted(rng.sample(range(i), min(i, rng.randint(1, 2)))):
+            edges.append((f"e{len(edges)}", rng.choice((flow, EdgeKind.INFLUENCES)),
+                          f"n{j}", f"n{i}"))
+        if kind is NodeKind.ACTION:
+            edges.append((f"e{len(edges)}", EdgeKind.INVOKES, f"n{i}", f"tool{rng.randrange(2)}"))
+    graph = graph_of(nodes, edges)
+    goals = set(rng.sample(sorted(graph.nodes), rng.randint(1, 2)))
+    spec = PathSpec(rng.choice((FORWARD, BACKWARD)),
+                    frozenset({"flows_to", "influences", "invokes"}),
+                    terminal=lambda n: n.node_id in goals, max_depth=rng.randint(1, 6))
+    starts = sorted(graph.nodes)
+    fresh = {start: seen(trace(graph, start, spec)) for start in starts}
+    for order in (starts, starts[::-1], rng.sample(starts, len(starts))):
+        context = TraceContext(graph, spec)
+        for start in order:
+            if seen(trace(graph, start, spec, context=context)) != fresh[start]:
+                problems.append(f"seed {seed}: {start}")
+print("; ".join(problems[:5]) or "ok")
+""",
 }
 
 

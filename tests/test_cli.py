@@ -705,12 +705,14 @@ def test_deeply_nested_input_is_a_single_line_error(tmp_path, capsys, command, d
 
 def test_the_cross_python_runner_finds_no_difference_on_one_fixture():
     """tests/cross_python.py on one fixture and one workload at seed 0, with
-    this interpreter alone: the freeze-count check holds, every step
-    succeeds, and its bytes do not depend on the hash seed."""
+    this interpreter alone: the freeze-count and shared-context checks
+    hold, every step succeeds, and its bytes do not depend on the hash
+    seed."""
     lines, reference, runs = cross_python.differences(
         [], ["memory_poisoning_tool_misuse"], [0], [("diamond_chain", 0)])
     assert lines == [] and runs == 1
     assert reference.pop("check freeze-count handoff") == "exit 0 ok"
+    assert reference.pop("check shared-context traces") == "exit 0 ok"
     steps = [value for key, value in reference.items() if " file " not in key]
     assert len(steps) == 6 + 5 and all(value.startswith("exit 0 ") for value in steps)
     files = sorted(key for key in reference if " file " in key)

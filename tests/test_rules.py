@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import random
 import subprocess
@@ -1220,6 +1221,39 @@ def test_dead_forward_walks_on_a_deep_diamond_at_one_instant_stay_cheap():
     time then never moves, and paths that reach a step by different routes
     must still share one key, since no route can come back to a step."""
     _audit_unflagged_diamond("2026-03-01T10:00:00Z")
+
+
+def _asi03_keys(monkeypatch, depth) -> int:
+    """The keys ASI03's traces make on the unflagged diamond chain of depth."""
+    rule = next(r for r in builtin_rules() if r.risk_id == "ASI03")
+    made, traced = [], rules_mod.trace
+
+    def counted(*args, **kwargs):
+        result = traced(*args, **kwargs)
+        made.append(result.keys)
+        return result
+
+    with monkeypatch.context() as patch:
+        patch.setattr(rules_mod, "trace", counted)
+        assert evaluate_rule(_diamond_chain(depth), rule) == []
+    assert len(made) == depth
+    return sum(made)
+
+
+def test_dead_forward_walks_share_their_dead_ends(monkeypatch):
+    """ASI03's forward traces from the reasoning steps of a diamond chain
+    find nothing. Each trace skips the keys an earlier one found no
+    terminal beyond, so the keys they make grow more slowly than the
+    square of the depth: the least-squares slope of log keys over log
+    depth stays at most 1.8."""
+    depths = (8, 12, 16, 24)
+    xs = [math.log(depth) for depth in depths]
+    ys = [math.log(_asi03_keys(monkeypatch, depth)) for depth in depths]
+    mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
+    slope = (sum((x - mx) * (y - my) for x, y in zip(xs, ys))
+             / sum((x - mx) ** 2 for x in xs))
+    assert slope <= 1.8
+    assert _asi03_keys(monkeypatch, 80) <= 7_000
 
 
 def _replay(sessions):

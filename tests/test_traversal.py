@@ -19,7 +19,7 @@ from _oracles import (
 from agentbom.graph import AgentBomGraph, AgentDescriptor, Edge, Node, parse_instant
 from agentbom.predicates import AttrCmp, EntryAttr, NeighborMatch
 from agentbom.schema import EdgeKind, NodeKind
-from agentbom.traversal import BACKWARD, FORWARD, AuditPath, PathSpec, trace
+from agentbom.traversal import BACKWARD, FORWARD, AuditPath, PathSpec, TraceContext, trace
 
 _STAMP = "2026-03-01T09:00:00Z"
 
@@ -126,6 +126,12 @@ def test_spec_rejects_bad_direction_and_depth():
     with pytest.raises(ValueError):
         PathSpec(direction=FORWARD, allowed_edge_kinds=frozenset({"flows_to"}),
                  max_depth=0)
+
+
+def test_trace_rejects_a_start_the_graph_does_not_hold():
+    graph = _chain_graph()
+    with pytest.raises(ValueError, match="'no.such'"):
+        trace(graph, "no.such", _spec(FORWARD, {"flows_to"}))
 
 
 def test_spec_expands_family_aliases():
@@ -648,3 +654,109 @@ def test_entry_reading_terminal_matches_brute_force_per_entry():
                 mismatches.append((seed, start))
     assert mismatches == []
     assert found > 500
+
+
+# ---------------------------------------------------------------------------
+# traces sharing one context
+# ---------------------------------------------------------------------------
+
+def _dead_end_graph():
+    """w0 -> w1 -> S -> c -> T and y -> K -> S, all flows_to at one instant:
+    S is two steps from T, and K three."""
+    graph = AgentBomGraph()
+    graph.add_agent(AgentDescriptor("a1", "worker", ""))
+    for node_id in ("w0", "w1", "y", "K", "S", "c", "T"):
+        graph.add_node(_runtime(node_id, NodeKind.REASONING))
+    for source, target in (("w0", "w1"), ("w1", "S"), ("y", "K"), ("K", "S"),
+                           ("S", "c"), ("c", "T")):
+        graph.add_edge(Edge(f"{source}.{target}", EdgeKind.FLOWS_TO, source, target))
+    graph.freeze()
+    return graph
+
+
+def test_a_dead_end_met_deep_is_walked_again_from_nearer():
+    """From w0, S lies two steps deep and T is out of reach at depth 3;
+    from y the walk may skip S there; from K, S lies one step deep and T is
+    in reach. What the earlier traces learned of S and K must not hide it."""
+    graph = _dead_end_graph()
+    spec = _spec(FORWARD, {"flows_to"}, terminal=_only("T"), max_depth=3)
+    context = TraceContext(graph, spec)
+    assert trace(graph, "w0", spec, context=context).paths == ()
+    assert trace(graph, "y", spec, context=context).paths == ()
+    shared = trace(graph, "K", spec, context=context)
+    assert traced(shared) == traced(trace(graph, "K", spec)) == (
+        [(("K", "K.S", "S", "S.c", "c", "c.T", "T"), 1)],
+        ("K", "K.S", "S", "S.c", "c", "c.T", "T"), 1)
+
+
+def test_a_trace_skips_what_earlier_traces_found_dead():
+    """Traced again through one context, a start whose walks find nothing
+    makes only its own key, and other starts make fewer keys than fresh."""
+    graph = _dead_end_graph()
+    spec = _spec(FORWARD, {"flows_to"}, terminal=_only("T"), max_depth=3)
+    context = TraceContext(graph, spec)
+    assert trace(graph, "w0", spec, context=context).keys == 4
+    assert trace(graph, "w0", spec, context=context).keys == 1
+    assert trace(graph, "y", spec, context=context).keys == 3
+    assert trace(graph, "y", spec).keys == 4
+
+
+def _shared_case(rng, seed):
+    """(graph, spec, oracle parameters, starts, (keep_end, keep_marks, kept)
+    of a plain and of a keep-tested variant) for one seed: timed random
+    graphs, untimed ones at one instant, and random DAGs in turn. Half the
+    specs stop at one to three nodes, so that walks run dry at every depth."""
+    shape = seed % 3
+    if shape == 2:
+        graph = random_dag(rng, timed=rng.random() < 0.5)
+    else:
+        graph = random_graph(rng, max_nodes=30, max_edges=45, timed=shape == 0)
+    params = random_spec_params(rng, graph)
+    if rng.random() < 0.5:
+        goals = frozenset(rng.sample(sorted(graph.nodes), min(len(graph.nodes), rng.randint(1, 3))))
+        params["terminal"] = lambda node: node.node_id in goals
+    if seed % 2:
+        params["max_depth"] = rng.randint(6, 8)
+    spec = PathSpec(
+        direction=params["direction"],
+        allowed_edge_kinds=frozenset(params["edge_kinds"]),
+        allowed_node_kinds=params["node_kinds"],
+        terminal=params["terminal"],
+        max_depth=params["max_depth"],
+        cross_agent=params["cross_agent"],
+    )
+    starts = sorted(graph.nodes) + sorted(rng.sample(sorted(graph.edges),
+                                                     min(3, len(graph.edges))))
+    keeps = [(None, (), lambda path: True), _random_keep(rng, graph, params["direction"])]
+    return graph, spec, params, starts, keeps
+
+
+def test_traces_through_one_context_match_fresh_traces_and_brute_force():
+    """The referee for what traces share. Every node and a few edges of
+    timed random graphs, untimed ones and random DAGs are traced through
+    one TraceContext in sorted, reversed and shuffled order, with and
+    without keep tests: each result equals a trace with a context of its
+    own and the brute-force reduction."""
+    mismatches = []
+    found = skipped = 0
+    for seed in range(300):
+        rng = random.Random(97_000 + seed)
+        graph, spec, params, starts, keeps = _shared_case(rng, seed)
+        shuffled = rng.sample(starts, len(starts))
+        for keep_end, keep_marks, kept in keeps:
+            fresh, want = {}, {}
+            for start in starts:
+                alone = trace(graph, start, spec, keep_end=keep_end, keep_marks=keep_marks)
+                fresh[start] = (traced(alone), alone.keys)
+                want[start] = oracle_trace(graph, start, params, kept)
+                found += bool(want[start][0])
+            for order in (starts, starts[::-1], shuffled):
+                context = TraceContext(graph, spec)
+                for start in order:
+                    got = trace(graph, start, spec, keep_end=keep_end, keep_marks=keep_marks,
+                                context=context)
+                    skipped += fresh[start][1] - got.keys
+                    if not traced(got) == fresh[start][0] == want[start]:
+                        mismatches.append((seed, start))
+    assert mismatches == []
+    assert found > 2000 and skipped > 15_000
